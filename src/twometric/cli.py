@@ -6,7 +6,8 @@ convexity, enumerate-lines.  Global flags: --seed, --out, --tolerance,
 keys are rejected.  Every JSON artifact echoes the fully resolved config and
 is byte-stable for a fixed config and seed, apart from the timestamp field.
 
-Exit codes: 0 the run's checks passed, 1 a check failed, 2 bad usage.
+Exit codes: 0 the run's checks passed, 1 a check failed, 2 bad usage, bad
+input or an unexpected error (one line on stderr, never a traceback).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _now() -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -128,7 +129,7 @@ def cmd_audit(args) -> int:
     for rec in report.records:
         status = "ok" if rec.max_violation <= cfg["tolerance"] else "VIOLATED"
         print(f"{rec.axiom:>14}: max violation {rec.max_violation:.3e}  [{status}]")
-        if rec.max_violation > cfg["tolerance"] and rec.witness is not None:
+        if status == "VIOLATED" and rec.witness is not None:
             print(f"{'':>14}  witness: {[np.asarray(w).tolist() for w in rec.witness]}")
     if failing:
         print(f"audit FAILED: {failing}")
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means a failed check, never a crash
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

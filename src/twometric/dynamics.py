@@ -22,7 +22,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, _d_many, eval_phi, point_json
+from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, eval_phi,
+                   point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space
 
@@ -223,10 +224,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = N
             break
         pts.append(nxt)
     seq = np.asarray(pts)
-    phi_steps = np.array([
-        eval_phi(map_.space, seq[i], seq[i + 1], witnesses)
-        for i in range(len(seq) - 1)
-    ])
+    phi_steps = _phi_many(map_.space, seq[:-1], seq[1:], witnesses)
 
     decay_margin = None
     used = 0
@@ -346,15 +344,8 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
     else:
         members = list(cls.passers)
     images = [map_.f(m) for m in members]
-    M = np.asarray(members)
-    G1 = (np.broadcast_to(np.asarray(line.g1, dtype=float), M.shape)
-          if M.ndim > 1 else np.full(len(M), line.g1))
-    G2 = (np.broadcast_to(np.asarray(line.g2, dtype=float), M.shape)
-          if M.ndim > 1 else np.full(len(M), line.g2))
-    invariance_defect = float(_d_many(map_.space, np.asarray(images), G1, G2).max())
-    point_residuals = [eval_phi(map_.space, m, fm, witnesses)
-                       for m, fm in zip(members, images)]
-    min_residual = float(min(point_residuals))
+    invariance_defect = float(_d_max(map_.space, np.asarray(images), line.g1, line.g2))
+    min_residual = float(_phi_many(map_.space, members, images, witnesses).min())
 
     # Two separated image points must regenerate the same line.
     pair = None

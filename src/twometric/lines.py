@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_many,
-                   _phi_many, eval_phi, point_json, point_key)
+                   _d_max, _phi_many, eval_phi, point_json, point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -235,13 +235,7 @@ def lim_residual(space: TwoMetricSpace, y, sequence, start: int = 0) -> LimEstim
     if len(seq) - start < 2:
         return LimEstimate(y, start, 0.0)
     idx_i, idx_j = _pair_arrays(len(seq), start)
-    XI, XJ = seq[idx_i], seq[idx_j]
-    if seq.ndim > 1:
-        Y = np.broadcast_to(np.asarray(y, dtype=float), XI.shape)
-    else:
-        Y = np.full(len(XI), y)
-    vals = _d_many(space, Y, XI, XJ)
-    return LimEstimate(y, start, float(vals.max()))
+    return LimEstimate(y, start, float(_d_max(space, y, seq[idx_i], seq[idx_j])))
 
 
 @dataclass
@@ -292,6 +286,17 @@ def _dedupe_candidates(candidates):
     return out
 
 
+def _distinct_reps(space: TwoMetricSpace, points, witnesses: WitnessSet,
+                   min_phi: float) -> list:
+    """Greedy cluster representatives: each point in turn joins the reps
+    unless some rep lies within pair distance ``min_phi`` of it."""
+    reps: list = []
+    for p in points:
+        if not reps or (_phi_many(space, [p], reps, witnesses) > min_phi).all():
+            reps.append(p)
+    return reps
+
+
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
              thresholds: Thresholds = Thresholds()) -> Classification:
     """Classify a sequence tail.
@@ -315,14 +320,8 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
                                 seq[combos[:, 2]]).max())
 
     candidates = _dedupe_candidates(list(np.asarray(witnesses.points)) + list(seq[start:]))
-    XI, XJ = seq[idx_i], seq[idx_j]
-    residuals = np.empty(len(candidates))
-    for ci, cand in enumerate(candidates):
-        if seq.ndim > 1:
-            Y = np.broadcast_to(np.asarray(cand, dtype=float), XI.shape)
-        else:
-            Y = np.full(len(XI), cand)
-        residuals[ci] = _d_many(space, Y, XI, XJ).max()
+    # Tail residual of every candidate: one scan over candidates x pairs.
+    residuals = _d_max(space, np.asarray(candidates)[:, None], seq[idx_i], seq[idx_j])
 
     passing = [i for i in range(len(candidates)) if residuals[i] <= thresholds.lim]
     passers = [candidates[i] for i in passing]
@@ -357,10 +356,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         return replace(base, tag="CauchySequence", limit=seq[-1])
 
     # Count distinct passers (clusters separated by the pair-distance floor).
-    reps: list = []
-    for p in passers:
-        if all(eval_phi(space, p, r, witnesses) > thresholds.min_phi for r in reps):
-            reps.append(p)
+    reps = _distinct_reps(space, passers, witnesses, thresholds.min_phi)
 
     if len(reps) >= 2:
         # Generators: the two passers farthest apart in pair distance.
@@ -374,13 +370,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         # distance >= gap force d(p, p', p'') <= 6*lim*(1 + 1/gap).
         gap = cauchy_modulus
         derived = 6.0 * thresholds.lim * (1.0 + 1.0 / gap)
-        if seq.ndim > 1:
-            G1 = np.broadcast_to(np.asarray(g1, dtype=float), P.shape)
-            G2 = np.broadcast_to(np.asarray(g2, dtype=float), P.shape)
-        else:
-            G1 = np.full(len(P), g1)
-            G2 = np.full(len(P), g2)
-        defect = float(_d_many(space, P, G1, G2).max())
+        defect = float(_d_max(space, P, g1, g2))
         extra_notes = list(notes)
         if defect > derived:
             low = True

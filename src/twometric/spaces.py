@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet
+from .core import TwoMetricSpace, WitnessSet, broadcasting
 
 # ---------------------------------------------------------------------------
 # determinant metric on the unit sphere
@@ -38,8 +38,9 @@ def det_metric(x, y, z) -> float:
     return float(abs(np.dot(x, np.cross(y, z))))
 
 
+@broadcasting
 def det_metric_batch(X, Y, Z) -> np.ndarray:
-    return np.abs(np.einsum("ij,ij->i", np.asarray(X), np.cross(Y, Z)))
+    return np.abs(np.einsum("...j,...j->...", np.asarray(X), np.cross(Y, Z)))
 
 
 def antipodal_canon(x) -> np.ndarray:
@@ -158,13 +159,14 @@ def area_metric(x, y, z) -> float:
     return 0.5 * float(np.sqrt(max(g, 0.0)))
 
 
+@broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     U = np.asarray(Y, dtype=float) - X
     V = np.asarray(Z, dtype=float) - X
-    uu = np.einsum("ij,ij->i", U, U)
-    vv = np.einsum("ij,ij->i", V, V)
-    uv = np.einsum("ij,ij->i", U, V)
+    uu = np.einsum("...j,...j->...", U, U)
+    vv = np.einsum("...j,...j->...", V, V)
+    uv = np.einsum("...j,...j->...", U, V)
     return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
 
 
@@ -193,6 +195,8 @@ def chord_points(g1, g2, count: int, radius: float = 0.5) -> np.ndarray:
 
 
 def area_ball_space(dim: int = 3, radius: float = 0.5) -> TwoMetricSpace:
+    if dim < 1:
+        raise ValueError(f"ball dimension must be >= 1, got {dim}")
     if radius > 0.5 + 1e-12:
         raise ValueError("ball diameter must stay <= 1 for the bound axiom")
     return TwoMetricSpace(
@@ -253,12 +257,13 @@ class SpherePatch:
 
     def lift_batch(self, P) -> np.ndarray:
         P = np.asarray(P, dtype=float)
-        h = -np.sqrt(1.0 - P[:, 0] ** 2 - P[:, 1] ** 2)
-        return np.column_stack([P, h])
+        h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
+        return np.concatenate([P, h[..., None]], axis=-1)
 
     def metric(self, x, y, z) -> float:
         return area_metric(self.lift(x), self.lift(y), self.lift(z))
 
+    @broadcasting
     def metric_batch(self, X, Y, Z) -> np.ndarray:
         return area_metric_batch(self.lift_batch(X), self.lift_batch(Y),
                                  self.lift_batch(Z))

@@ -1,0 +1,219 @@
+"""Batch evaluation: broadcasting kernels against the stacked fallback.
+
+A kernel marked ``broadcasting`` is called on broadcast inputs; any other
+kernel gets materialised rows, in the order ``np.repeat``/``np.tile`` built
+them before the broadcast path existed.  Per element the arithmetic is the
+same, so the two paths, and the stacked oracle written out here, must agree
+bit for bit.  The scalar ``d`` sums its products in another order, so it is
+compared within ATOL: values lie in [0, 1], and 1e-12 leaves room for the
+area kernel's cancellation in uu*vv - uv^2 on the random (non-degenerate)
+triangles used here.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import random_sphere_table
+from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
+                       detect_outcome, make_linear_map, make_sphere_map,
+                       sphere_witnesses)
+from twometric import core
+from twometric.core import _d_max, _lex_swap, _phi_many, broadcasting, eval_phi
+from twometric.lines import _distinct_reps, _pair_arrays, classify, lim_residual
+from twometric.spaces import area_ball_space, det_sphere_space
+
+ATOL = 1e-12
+
+SPACES = {
+    "det-sphere": det_sphere_space,
+    "area-ball-3": lambda: area_ball_space(3),
+    "area-ball-5": lambda: area_ball_space(5),
+    "sphere-patch": lambda: SpherePatch(0.2).as_space(),
+}
+
+
+def recorded(space, marked):
+    """The space with its kernel wrapped in a plain function that records
+    the ndim of each call's inputs.  Unmarked, the wrapper has no
+    ``broadcasts`` attribute, so every scan takes the stacked fallback."""
+    calls = []
+    kernel = space.d_batch
+
+    def wrapped(X, Y, Z):
+        calls.append({np.ndim(X), np.ndim(Y), np.ndim(Z)})
+        return kernel(X, Y, Z)
+    if marked:
+        broadcasting(wrapped)
+    return replace(space, d_batch=wrapped), calls
+
+
+def stacked(space):
+    return recorded(space, marked=False)[0]
+
+
+def setup(name, pairs=60, witnesses=40, seed=0):
+    space = SPACES[name]()
+    rng = np.random.default_rng(seed)
+    W = WitnessSet(space.sample(rng, witnesses))
+    return space, W, space.sample(rng, pairs), space.sample(rng, pairs)
+
+
+def scalar_phi(space, X, Y, W):
+    X, Y = _lex_swap(X, Y)
+    return np.array([max(space.d(x, y, w) for w in W.points) for x, y in zip(X, Y)])
+
+
+# ---------------------------------------------------------------------------
+# the kernels and their mark
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SPACES)
+def test_kernel_is_marked_and_a_wrapper_is_not(name):
+    space = SPACES[name]()
+    assert space.d_batch.broadcasts is True
+    assert not hasattr(stacked(space).d_batch, "broadcasts")
+
+
+# ---------------------------------------------------------------------------
+# phi: broadcast path, fallback, stacked oracle, scalar loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SPACES)
+def test_phi_many_paths_agree_bitwise(name):
+    space, W, X, Y = setup(name)
+    slow_space, slow_calls = recorded(space, marked=False)
+    fast_space, fast_calls = recorded(space, marked=True)
+    fast = _phi_many(fast_space, X, Y, W)
+    slow = _phi_many(slow_space, X, Y, W)
+    Xs, Ys = _lex_swap(X, Y)
+    P = np.asarray(W.points)
+    oracle = space.d_batch(np.repeat(Xs, len(P), axis=0), np.repeat(Ys, len(P), axis=0),
+                           np.tile(P, (len(X), 1))).reshape(len(X), len(P)).max(axis=1)
+    assert np.array_equal(fast, oracle)
+    assert np.array_equal(slow, oracle)
+    assert fast_calls and all(ndims == {3} for ndims in fast_calls)
+    assert slow_calls and all(ndims == {2} for ndims in slow_calls)
+    np.testing.assert_allclose(fast, scalar_phi(space, X, Y, W), rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_eval_phi_paths_agree_bitwise(name):
+    space, W, X, Y = setup(name, pairs=12)
+    slow_space = stacked(space)
+    rows = _phi_many(space, X, Y, W)
+    P = np.asarray(W.points)
+    for i, (x, y) in enumerate(zip(X, Y)):
+        x, y = _lex_swap(x[None], y[None])
+        oracle = float(space.d_batch(np.repeat(x, len(P), axis=0),
+                                     np.repeat(y, len(P), axis=0), P).max())
+        assert eval_phi(space, X[i], Y[i], W) == oracle
+        assert eval_phi(slow_space, X[i], Y[i], W) == oracle
+        assert eval_phi(space, Y[i], X[i], W) == oracle
+        assert rows[i] == oracle
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_chunked_scans_agree_bitwise(name, monkeypatch):
+    # budgets below one row per first-axis entry, between, and above all rows
+    space, W, X, Y = setup(name, pairs=25, witnesses=9)
+    whole = _phi_many(space, X, Y, W)
+    slow_space = stacked(space)
+    for budget in (1, 7, 40, 10 ** 6):
+        monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+        assert np.array_equal(_phi_many(space, X, Y, W), whole)
+        assert np.array_equal(_phi_many(slow_space, X, Y, W), whole)
+
+
+# ---------------------------------------------------------------------------
+# classify's scans
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SPACES)
+def test_candidate_scan_paths_agree_bitwise(name):
+    space, W, seq, _ = setup(name, pairs=30, witnesses=20)
+    start = 12
+    idx_i, idx_j = _pair_arrays(len(seq), start)
+    XI, XJ = seq[idx_i], seq[idx_j]
+    C = np.concatenate([np.asarray(W.points), seq[start:]])
+    fast = _d_max(space, C[:, None], XI, XJ)
+    slow = _d_max(stacked(space), C[:, None], XI, XJ)
+    oracle = np.array([space.d_batch(np.broadcast_to(c, XI.shape), XI, XJ).max() for c in C])
+    assert np.array_equal(fast, oracle)
+    assert np.array_equal(slow, oracle)
+    assert [lim_residual(space, c, seq, start).residual for c in C] == oracle.tolist()
+    scalar = [max(space.d(c, xi, xj) for xi, xj in zip(XI, XJ)) for c in C]
+    np.testing.assert_allclose(fast, scalar, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_passer_reps_paths_agree(name):
+    # clusters of near-copies: the reps are one point per cluster
+    space, W, X, _ = setup(name, pairs=8, witnesses=30)
+    rng = np.random.default_rng(5)
+    points = [x + 1e-10 * rng.normal(size=x.shape) * (k > 0) for x in X for k in range(3)]
+    points = [points[i] for i in rng.permutation(len(points))]
+
+    def oracle(space_):
+        reps = []
+        for p in points:
+            if all(eval_phi(space_, p, r, W) > 1e-6 for r in reps):
+                reps.append(p)
+        return reps
+
+    expected = oracle(space)
+    assert len(expected) == len(X)
+    for space_ in (space, stacked(space)):
+        reps = _distinct_reps(space_, points, W, 1e-6)
+        assert len(reps) == len(expected)
+        assert all(r is e for r, e in zip(reps, expected))
+
+
+def test_classify_and_outcomes_are_byte_identical_on_both_paths():
+    W = sphere_witnesses(48, seed=4)
+    x0 = np.array([0.8, 0.0, 0.6])
+    for theta in (0.0, np.pi / 7, 1.08):
+        map_ = make_sphere_map(SphereContractionParams(0.1, 0.5, theta))
+        slow = replace(map_, space=stacked(map_.space))
+        fast = detect_outcome(map_, x0, 120, witnesses=W, seed=4).to_json()
+        assert json.dumps(fast) == json.dumps(
+            detect_outcome(slow, x0, 120, witnesses=W, seed=4).to_json())
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+    linear = make_linear_map(q, 0.6)
+    slow = replace(linear, space=stacked(linear.space))
+    x0 = np.array([0.2, -0.1, 0.15])
+    assert json.dumps(detect_outcome(linear, x0, 120, seed=4).to_json()) == json.dumps(
+        detect_outcome(slow, x0, 120, seed=4).to_json())
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_audits_are_byte_identical_on_both_paths(name):
+    space, W, _, _ = setup(name, witnesses=32)
+    fast = audit(space, witnesses=W, triples=400, seed=9).to_json()
+    slow = audit(stacked(space), witnesses=W, triples=400, seed=9).to_json()
+    assert json.dumps(fast) == json.dumps(slow)
+
+
+# ---------------------------------------------------------------------------
+# index points take the scalar loop
+# ---------------------------------------------------------------------------
+
+def test_index_scans_match_table_lookups(rng):
+    table = random_sphere_table(rng, 9)
+    space = table.as_space()
+    W = WitnessSet.all_of(table)
+    I = rng.integers(0, table.n, size=30)
+    J = rng.integers(0, table.n, size=30)
+    assert _phi_many(space, I, J, W).tolist() == [table.phi(i, j) for i, j in zip(I, J)]
+    seq = rng.integers(0, table.n, size=20)
+    idx_i, idx_j = _pair_arrays(len(seq), 5)
+    got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
+    assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
+                            for c in range(table.n)]
+    cls = classify(space, np.tile(seq, 3), W)
+    assert cls.passer_residuals == [lim_residual(space, p, np.tile(seq, 3), 30).residual
+                                    for p in cls.passers]

@@ -174,6 +174,44 @@ def test_missing_table_is_a_usage_error(tmp_path, capsys):
     assert main(["classify", "--space", "det-sphere", "--out", str(tmp_path)]) == 2
 
 
+def test_audit_nan_table_fails_with_strict_json(tmp_path, capsys):
+    space = demo_five_point_space()
+    space.table[(0, 1, 3)] = float("nan")
+    path = tmp_path / "nan.json"
+    space.save(path)
+    code = main(["audit", "--space", "finite", "--table", str(path),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "audit FAILED" in capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    payload = json.loads((tmp_path / "audit.json").read_text(), parse_constant=reject)
+    flagged = [r for r in payload["audit"]["axioms"] if r.get("non_finite")]
+    assert flagged and all(r["max_violation"] is None for r in flagged)
+
+
+def test_ball_dimension_below_one_is_a_usage_error(tmp_path, capsys):
+    for dim in ("0", "-1"):
+        assert main(["audit", "--space", "area-ball", "--dim", dim,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "dimension must be >= 1" in err and "Traceback" not in err
+
+
+def test_unexpected_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
+    from twometric import cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "audit", broken)
+    assert main(["audit", "--space", "det-sphere", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unexpected ZeroDivisionError: float division by zero\n"
+
+
 def test_bad_vector_is_a_usage_error(tmp_path):
     assert main(["demo-equator", "--x0", "not,a,vector",
                  "--out", str(tmp_path)]) == 2

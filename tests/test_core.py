@@ -115,6 +115,27 @@ def test_audit_flags_degeneracy_violation():
     assert report.passed(non_fatal=("N",))
 
 
+def test_audit_fails_on_a_nan_entry_with_witnesses():
+    # NaN compares false with everything: it must still fail, with a
+    # witness, and the report must stay valid JSON
+    import json
+
+    space = demo_five_point_space()
+    space.table[(0, 1, 3)] = float("nan")
+    report = audit(space.as_space(), witnesses=WitnessSet.all_of(space),
+                   triples=2000, seed=9)
+    nan_axioms = [r.axiom for r in report.records if np.isnan(r.max_violation)]
+    assert nan_axioms and set(nan_axioms) <= set(report.failing())
+    assert all(report.record(a).witness is not None for a in nan_axioms)
+    assert np.isnan(report.worst())
+    records = json.loads(json.dumps(report.to_json(), allow_nan=False))["axioms"]
+    for rec in records:
+        if rec["axiom"] in nan_axioms:
+            assert rec["max_violation"] is None and rec["non_finite"] is True
+        else:
+            assert "non_finite" not in rec and rec["max_violation"] is not None
+
+
 def test_audit_sym_vacuous_on_finite_tables():
     space = demo_five_point_space()
     report = audit(space.as_space(), witnesses=WitnessSet.all_of(space),
