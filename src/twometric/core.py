@@ -64,11 +64,6 @@ def point_json(p):
     return [float(c) for c in np.asarray(p).ravel()]
 
 
-def _is_index_points(points) -> bool:
-    arr = np.asarray(points)
-    return arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer)
-
-
 def broadcasting(kernel):
     """Declare that a batch kernel accepts inputs broadcasting over their
     leading axes, with each point on the last axis, and computes every
@@ -179,7 +174,7 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet) -> float:
 
 
 def _d_many(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
-    if space.d_batch is not None and not _is_index_points(X):
+    if space.d_batch is not None:
         return np.asarray(space.d_batch(np.asarray(X), np.asarray(Y), np.asarray(Z)))
     return np.array([float(space.d(x, y, z)) for x, y, z in zip(X, Y, Z)])
 
@@ -195,12 +190,12 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     against each other over their leading axes.
 
     A coordinate point fills the last axis of a float array; an index point
-    is one entry of an integer array.  Index points take the scalar ``d``,
-    one triple at a time.  A kernel marked ``broadcasting`` gets the
-    broadcast inputs directly; any other kernel, or the scalar ``d`` of a
-    space without one, gets the materialised rows through ``_d_many``.
-    Every call covers about ``_ROW_BUDGET`` rows at most, split along the
-    first axis.
+    is one entry of an integer array.  A kernel marked ``broadcasting`` gets
+    the broadcast inputs directly; any other kernel gets the materialised
+    rows through ``_d_many``.  A space without a kernel takes the scalar
+    ``d``: one triple at a time over ``np.broadcast`` for index points, over
+    the materialised rows for coordinate points.  Every call covers about
+    ``_ROW_BUDGET`` rows at most, split along the first axis.
 
     Kernels see C-ordered arrays, as the ``np.repeat``/``np.tile`` rows of
     the stacked form were: ``einsum`` sums in an order that follows the
@@ -212,24 +207,24 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     lead = (1,) * (2 - len(shape)) + shape
     arrays = [A.reshape((1,) * (len(lead) + k - A.ndim) + A.shape) for A in arrays]
 
-    if not k:
+    if getattr(space.d_batch, "broadcasts", False):
+        evaluate = space.d_batch
+    elif space.d_batch is None and not k:
         def evaluate(*parts):
             triples = np.broadcast(*parts)
             return np.fromiter(itertools.starmap(space.d, triples), float,
                                triples.size).reshape(triples.shape)
-    elif getattr(space.d_batch, "broadcasts", False):
-        evaluate = space.d_batch
     else:
         def evaluate(*parts):
             # np.repeat copies whole blocks, as np.repeat/np.tile did; a
             # contiguous copy of a broadcast view runs ~1.7x slower
-            rows = np.broadcast(*(P[..., 0] for P in parts)).shape
+            rows = np.broadcast(*(P[..., 0] if k else P for P in parts)).shape
             stacked = []
             for P in parts:
                 for axis, n in enumerate(rows):
                     if P.shape[axis] != n:
                         P = np.repeat(P, n, axis=axis)
-                stacked.append(P.reshape(-1, P.shape[-1]))
+                stacked.append(P.reshape((-1,) + P.shape[len(rows):]))
             return _d_many(space, *stacked).reshape(rows)
 
     out = np.empty(lead[:-1])
@@ -264,6 +259,13 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
 # finite table-backed spaces
 # ---------------------------------------------------------------------------
 
+def _triples(n: int) -> np.ndarray:
+    """Rows (i, j, k) with i < j < k < n, in lexicographic order."""
+    m = math.comb(n, 3)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
+    return np.fromiter(flat, np.intp, 3 * m).reshape(m, 3)
+
+
 class FiniteTwoMetricSpace:
     """A 2-metric on {0, ..., n-1} stored as a table over unordered triples.
 
@@ -293,20 +295,41 @@ class FiniteTwoMetricSpace:
         return self.table.get((i, j, k), 0.0)
 
     def distinct_triples(self) -> Iterable[tuple[int, int, int]]:
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    yield (i, j, k)
+        return itertools.combinations(range(self.n), 3)
 
     def phi(self, i: int, j: int) -> float:
         """Exact pair distance (max over all points)."""
         return max((self.d(i, j, k) for k in range(self.n)), default=0.0)
 
+    def dense(self) -> np.ndarray:
+        """The table as a symmetric (n, n, n) array: each stored triple's
+        value under all six orders of its indices, 0 on triples with a
+        repeated index.  A copy: later writes to ``table`` do not reach it."""
+        m = len(self.table)
+        keys = np.fromiter(itertools.chain.from_iterable(self.table), np.intp,
+                           3 * m).reshape(m, 3).T
+        values = np.fromiter(self.table.values(), float, m)
+        T = np.zeros((self.n,) * 3)
+        for order in itertools.permutations(keys):
+            T[order] = values
+        return T
+
     def as_space(self, name: str = "finite") -> TwoMetricSpace:
+        """The table as a space on the indices, evaluated on its dense array.
+
+        The space reflects the table as it was when ``as_space()`` was
+        called; write every entry first.
+        """
+        T = self.dense()
+
+        @broadcasting
+        def d_batch(X, Y, Z):
+            return T[X, Y, Z]
+
         return TwoMetricSpace(
             name=name,
-            d=self.d,
+            d=lambda i, j, k: float(T[int(i), int(j), int(k)]),
+            d_batch=d_batch,
             sample=lambda rng, m: rng.integers(0, self.n, size=m),
             size=self.n,
             symmetric_exact=True,
@@ -314,11 +337,21 @@ class FiniteTwoMetricSpace:
 
     @staticmethod
     def from_points(points, metric: Callable[[Any, Any, Any], float]) -> "FiniteTwoMetricSpace":
-        """Tabulate a coordinate metric on an explicit point list."""
+        """Tabulate a coordinate metric on an explicit point list.
+
+        A metric marked ``broadcasting`` is called once on the stacked rows
+        of every distinct triple; any other metric once per triple.
+        """
         points = [np.asarray(p, dtype=float) for p in points]
         space = FiniteTwoMetricSpace(len(points))
-        for i, j, k in space.distinct_triples():
-            space.table[(i, j, k)] = float(metric(points[i], points[j], points[k]))
+        keys = list(space.distinct_triples())
+        if getattr(metric, "broadcasts", False):
+            P = np.asarray(points)
+            values = np.asarray(metric(*(P[r] for r in _triples(space.n).T)),
+                                dtype=float).tolist()
+        else:
+            values = [float(metric(points[i], points[j], points[k])) for i, j, k in keys]
+        space.table = dict(zip(keys, values))
         return space
 
     # -- JSON table format: {"n": int, "entries": [{"i","j","k","d"}, ...]} --
@@ -470,7 +503,9 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     P = [draw(triples) for _ in range(2)]
     z_viol = np.abs(_d_many(space, P[0], P[1], P[1]))
     pos_viol = -d0
-    if pos_viol.max() > z_viol.max():
+    # NaN in either part must reach the record: NaN > x is always False
+    pos_max = pos_viol.max()
+    if np.isnan(pos_max) or pos_max > z_viol.max():
         records.append(_record_from("Z", pos_viol, T, triples))
     else:
         records.append(_record_from("Z", z_viol, (P[0], P[1], P[1]), triples))
@@ -537,6 +572,7 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
     because d moves by at most twice the pair distance in each argument.
     Identity when no pair has phi <= tol.
     """
+    T = space.dense()
     parent = list(range(space.n))
 
     def find(i):
@@ -545,25 +581,26 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
             i = parent[i]
         return i
 
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.phi(i, j) <= tol:
-                parent[find(i)] = find(j)
+    # a NaN pair distance is not <= tol, so a NaN entry never merges
+    I, J = np.nonzero(np.triu(T.max(axis=2) <= tol, k=1))
+    for i, j in zip(I.tolist(), J.tolist()):
+        parent[find(i)] = find(j)
 
     roots = sorted({find(i) for i in range(space.n)})
     if len(roots) == space.n:
         return space
     index = {r: c for c, r in enumerate(roots)}
+    cls = np.array([index[find(i)] for i in range(space.n)])
+    rows = _triples(space.n)
+    classes = np.sort(cls[rows], axis=1)
+    distinct = (classes[:, 0] < classes[:, 1]) & (classes[:, 1] < classes[:, 2])
+    rows, classes = rows[distinct], classes[distinct]
     out = FiniteTwoMetricSpace(len(roots))
-    for i, j, k in space.distinct_triples():
-        ci, cj, ck = index[find(i)], index[find(j)], index[find(k)]
-        if len({ci, cj, ck}) < 3:
-            continue
-        out.table[tuple(sorted((ci, cj, ck)))] = space.d(i, j, k)
-    for i in range(out.n):
-        for j in range(i + 1, out.n):
-            if out.phi(i, j) <= tol:
-                raise RuntimeError("quotient failed to become strictly reflexive")
+    # dict() keeps the last value of a repeated class triple, as the loop
+    # over triples in lexicographic order did
+    out.table = dict(zip(map(tuple, classes.tolist()), T[tuple(rows.T)].tolist()))
+    if np.triu(out.dense().max(axis=2) <= tol, k=1).any():
+        raise RuntimeError("quotient failed to become strictly reflexive")
     return out
 
 

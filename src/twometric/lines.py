@@ -149,28 +149,46 @@ def line_through(space: TwoMetricSpace, x, y, witnesses: WitnessSet,
 
 def maximal_colinear_sets(space: FiniteTwoMetricSpace,
                           tolerance: float = 1e-12) -> set[frozenset]:
-    """All maximal subsets whose internal triples vanish (candidate/excluded
-    recursion; colinearity of a set is hereditary so the scheme is exact)."""
-    results: set[frozenset] = set()
+    """All maximal subsets whose internal triples vanish; a NaN entry is
+    not colinear.
 
-    def compatible(current: list[int], v: int) -> bool:
-        for ai, a in enumerate(current):
-            for b in current[ai + 1:]:
-                if space.d(a, b, v) > tolerance:
-                    return False
-        return True
+    The closure of a pair x, y is every z with (x, y, z) colinear.  When
+    the closure is colinear itself it is the only maximal set through x and
+    y.  Every other maximal set has only pairs whose closure is not
+    colinear ("ambiguous" pairs, such as two points at pair distance zero),
+    so the candidate/excluded recursion runs on those pairs alone.  A set
+    it finds that is not maximal extends by some w with a non-ambiguous
+    pair (m, w), so it lies in the closure of that pair and is dropped.
+    """
+    n = space.n
+    if n < 3:
+        return {frozenset(range(n))}
+    C = space.dense() <= tolerance
+    I, J = np.triu_indices(n, k=1)
+    closures, which = np.unique(C[I, J], axis=0, return_inverse=True)
+    members = [np.flatnonzero(row) for row in closures]
+    # a closure of at most three points is colinear by its construction
+    colinear = np.array([len(s) < 4 or C[np.ix_(s, s, s)].all() for s in members])
+    lines = {frozenset(s.tolist()) for s, ok in zip(members, colinear) if ok}
 
-    def extend(current: list[int], cand: list[int], excluded: list[int]) -> None:
-        ext_c = [v for v in cand if compatible(current, v)]
-        ext_x = [v for v in excluded if compatible(current, v)]
-        if not ext_c and not ext_x:
-            results.add(frozenset(current))
+    ambiguous = np.zeros((n, n), dtype=bool)
+    ambiguous[I, J] = ambiguous[J, I] = ~colinear[which.ravel()]
+    found: list[frozenset] = []
+
+    def fits(current: list[int], v: int, P: np.ndarray) -> np.ndarray:
+        """The points of P that extend current + [v]."""
+        return P[ambiguous[v, P] & C[current, v][:, P].all(axis=0)]
+
+    def extend(current: list[int], cand: np.ndarray, excluded: np.ndarray) -> None:
+        if not len(cand) and not len(excluded):
+            found.append(frozenset(current))
             return
-        for i, v in enumerate(ext_c):
-            extend(current + [v], ext_c[i + 1:], ext_x + ext_c[:i])
+        for i, v in enumerate(cand.tolist()):
+            extend(current + [v], fits(current, v, cand[i + 1:]),
+                   fits(current, v, np.concatenate([excluded, cand[:i]])))
 
-    extend([], list(range(space.n)), [])
-    return results
+    extend([], np.flatnonzero(ambiguous.any(axis=1)), np.array([], dtype=np.intp))
+    return lines.union(s for s in found if not any(s <= line for line in lines))
 
 
 def enumerate_lines(space: FiniteTwoMetricSpace,

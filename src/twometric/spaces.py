@@ -32,10 +32,20 @@ def unit_sphere(v) -> np.ndarray:
     return v / n
 
 
+@broadcasting
 def det_metric(x, y, z) -> float:
-    """|det [x y z]| for unit column vectors; 0 exactly on great circles."""
+    """|det [x y z]| for unit column vectors; 0 exactly on great circles.
+
+    Also takes stacks of points that broadcast, one value per row.  The
+    matmul of a row by a column reaches the same dot kernel as ``np.dot``,
+    so a stacked call gives each row the bits of a single call.
+    ``det_metric_batch`` sums with ``einsum`` in another order and can
+    differ in the last bit: tables tabulated with ``det_metric`` keep its
+    bits.
+    """
     x = np.asarray(x, dtype=float)
-    return float(abs(np.dot(x, np.cross(y, z))))
+    out = np.abs(np.matmul(x[..., None, :], np.cross(y, z)[..., :, None])[..., 0, 0])
+    return float(out) if out.ndim == 0 else out
 
 
 @broadcasting

@@ -199,21 +199,24 @@ def test_audits_are_byte_identical_on_both_paths(name):
 
 
 # ---------------------------------------------------------------------------
-# index points take the scalar loop
+# index points index the dense table
 # ---------------------------------------------------------------------------
 
 def test_index_scans_match_table_lookups(rng):
+    # the dense-array kernel, the stacked fallback and the scalar loop of a
+    # space without a kernel, each against lookups in the dict-backed table
     table = random_sphere_table(rng, 9)
-    space = table.as_space()
+    fast = table.as_space()
     W = WitnessSet.all_of(table)
     I = rng.integers(0, table.n, size=30)
     J = rng.integers(0, table.n, size=30)
-    assert _phi_many(space, I, J, W).tolist() == [table.phi(i, j) for i, j in zip(I, J)]
     seq = rng.integers(0, table.n, size=20)
     idx_i, idx_j = _pair_arrays(len(seq), 5)
-    got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
-    assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
-                            for c in range(table.n)]
-    cls = classify(space, np.tile(seq, 3), W)
-    assert cls.passer_residuals == [lim_residual(space, p, np.tile(seq, 3), 30).residual
-                                    for p in cls.passers]
+    for space in (fast, stacked(fast), replace(fast, d_batch=None)):
+        assert _phi_many(space, I, J, W).tolist() == [table.phi(i, j) for i, j in zip(I, J)]
+        got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
+        assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
+                                for c in range(table.n)]
+        cls = classify(space, np.tile(seq, 3), W)
+        assert cls.passer_residuals == [lim_residual(space, p, np.tile(seq, 3), 30).residual
+                                        for p in cls.passers]

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_sphere_table
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
-                       demo_five_point_space, det_sphere_space, eval_phi,
+                       demo_five_point_space, det_metric, det_sphere_space, eval_phi,
                        quotient_by_zero_phi, sphere_witnesses,
                        surjective_contraction_check, witness_refinement_gap)
 
@@ -136,6 +136,17 @@ def test_audit_fails_on_a_nan_entry_with_witnesses():
             assert "non_finite" not in rec and rec["max_violation"] is not None
 
 
+def test_audit_z_record_sees_a_nan_entry(rng):
+    # Z compares its two parts; a NaN in either must reach the record
+    space = random_sphere_table(rng, 12)
+    space.table[(2, 5, 9)] = float("nan")
+    report = audit(space.as_space(), witnesses=WitnessSet.all_of(space),
+                   triples=2000, seed=9)
+    rec = report.record("Z")
+    assert np.isnan(rec.max_violation) and "Z" in report.failing()
+    assert tuple(sorted(int(w) for w in rec.witness)) == (2, 5, 9)
+
+
 def test_audit_sym_vacuous_on_finite_tables():
     space = demo_five_point_space()
     report = audit(space.as_space(), witnesses=WitnessSet.all_of(space),
@@ -216,8 +227,6 @@ def test_quotient_identity_when_strictly_reflexive():
 def test_quotient_merges_antipodal_pair(rng):
     pts = [p / np.linalg.norm(p) for p in rng.normal(size=(4, 3))]
     pts.append(-pts[0])
-    from twometric import det_metric
-
     space = FiniteTwoMetricSpace.from_points(pts, det_metric)
     assert space.phi(0, 4) <= 1e-12
     quotient = quotient_by_zero_phi(space)
@@ -225,6 +234,46 @@ def test_quotient_merges_antipodal_pair(rng):
     for i in range(quotient.n):
         for j in range(i + 1, quotient.n):
             assert quotient.phi(i, j) > 0.0
+
+
+def scalar_quotient(space, tol=1e-12):
+    """The quotient as a loop over pairs and triples of scalar lookups;
+    a NaN pair distance never merges."""
+    parent = list(range(space.n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if np.max([space.d(i, j, k) for k in range(space.n)]) <= tol:
+                parent[find(i)] = find(j)
+    roots = sorted({find(i) for i in range(space.n)})
+    index = {r: c for c, r in enumerate(roots)}
+    out = FiniteTwoMetricSpace(len(roots))
+    for i, j, k in space.distinct_triples():
+        c = sorted({index[find(i)], index[find(j)], index[find(k)]})
+        if len(c) == 3:
+            out.table[tuple(c)] = space.d(i, j, k)
+    return out
+
+
+def test_quotient_matches_scalar_loop(rng, tmp_path):
+    # points with antipodal and exact copies, some NaN entries
+    for trial in range(8):
+        pts = list(rng.normal(size=(6, 3)))
+        pts += [(-1) ** int(rng.integers(2)) * pts[int(rng.integers(6))] for _ in range(4)]
+        space = FiniteTwoMetricSpace.from_points(pts, det_metric)
+        if trial % 2:
+            space.table[(0, 1, 2)] = space.table[(3, 4, 5)] = float("nan")
+        got, want = quotient_by_zero_phi(space), scalar_quotient(space)
+        assert got.n == want.n < space.n
+        assert list(got.table) == list(want.table)
+        got.save(tmp_path / "got.json")
+        want.save(tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_quotient_collapses_totally_degenerate_space():

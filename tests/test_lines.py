@@ -7,8 +7,8 @@ import pytest
 
 from conftest import oracle_maximal_colinear, random_sphere_table
 from twometric import (FiniteTwoMetricSpace, Thresholds, WitnessSet, classify,
-                       demo_five_point_space, det_sphere_space, enumerate_lines,
-                       is_colinear, lim_residual, line_through,
+                       demo_five_point_space, det_metric, det_sphere_space,
+                       enumerate_lines, is_colinear, lim_residual, line_through,
                        maximal_colinear_sets, sphere_witnesses,
                        transitivity_probe)
 
@@ -129,6 +129,26 @@ def test_enumeration_matches_exhaustive_oracle(rng):
         space = random_sphere_table(rng, n, planted_equatorial=int(rng.integers(0, n + 1)))
         got = maximal_colinear_sets(space)
         assert got == oracle_maximal_colinear(space), f"trial {trial}"
+
+
+def test_nan_entry_is_not_colinear():
+    # NaN <= tol is False: (0, 1, 3) is no line, its pairs are
+    space = demo_five_point_space()
+    space.table[(0, 1, 3)] = float("nan")
+    got = maximal_colinear_sets(space)
+    assert got == oracle_maximal_colinear(space)
+    assert {frozenset({0, 3}), frozenset({1, 3})} <= got
+    assert frozenset({0, 1, 3}) not in got
+
+
+def test_enumeration_matches_oracle_with_zero_distance_copies(rng):
+    # a point with antipodal copies: every pair of copies has the whole
+    # table as its closure, so their lines come from the recursion
+    for trial in range(10):
+        pts = list(rng.normal(size=(4, 3)))
+        pts += [(-1) ** i * pts[0] for i in range(1, int(rng.integers(1, 4)))]
+        space = FiniteTwoMetricSpace.from_points(pts, det_metric)
+        assert maximal_colinear_sets(space) == oracle_maximal_colinear(space), f"trial {trial}"
 
 
 def test_separated_pairs_lie_on_exactly_one_line(rng):
