@@ -191,11 +191,10 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
 
     A coordinate point fills the last axis of a float array; an index point
     is one entry of an integer array.  A kernel marked ``broadcasting`` gets
-    the broadcast inputs directly; any other kernel gets the materialised
-    rows through ``_d_many``.  A space without a kernel takes the scalar
-    ``d``: one triple at a time over ``np.broadcast`` for index points, over
-    the materialised rows for coordinate points.  Every call covers about
-    ``_ROW_BUDGET`` rows at most, split along the first axis.
+    the broadcast inputs directly; any other kernel, or the scalar ``d`` of
+    a space without one, gets the materialised rows through ``_d_many``.
+    Every call covers about ``_ROW_BUDGET`` rows at most, split along the
+    first axis.
 
     Kernels see C-ordered arrays, as the ``np.repeat``/``np.tile`` rows of
     the stacked form were: ``einsum`` sums in an order that follows the
@@ -209,11 +208,6 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
 
     if getattr(space.d_batch, "broadcasts", False):
         evaluate = space.d_batch
-    elif space.d_batch is None and not k:
-        def evaluate(*parts):
-            triples = np.broadcast(*parts)
-            return np.fromiter(itertools.starmap(space.d, triples), float,
-                               triples.size).reshape(triples.shape)
     else:
         def evaluate(*parts):
             # np.repeat copies whole blocks, as np.repeat/np.tile did; a
@@ -344,11 +338,11 @@ class FiniteTwoMetricSpace:
         """
         points = [np.asarray(p, dtype=float) for p in points]
         space = FiniteTwoMetricSpace(len(points))
-        keys = list(space.distinct_triples())
+        rows = _triples(space.n)
+        keys = list(map(tuple, rows.tolist()))
         if getattr(metric, "broadcasts", False):
             P = np.asarray(points)
-            values = np.asarray(metric(*(P[r] for r in _triples(space.n).T)),
-                                dtype=float).tolist()
+            values = np.asarray(metric(*(P[r] for r in rows.T)), dtype=float).tolist()
         else:
             values = [float(metric(points[i], points[j], points[k])) for i, j, k in keys]
         space.table = dict(zip(keys, values))
