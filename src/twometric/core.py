@@ -260,6 +260,12 @@ def _triples(n: int) -> np.ndarray:
     return np.fromiter(flat, np.intp, 3 * m).reshape(m, 3)
 
 
+# One entry of the table file as ``json.dump(..., indent=2)`` lays it out,
+# and the number of entries formatted per write in ``save``.
+_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n    }'
+_SAVE_BLOCK = 1024
+
+
 class FiniteTwoMetricSpace:
     """A 2-metric on {0, ..., n-1} stored as a table over unordered triples.
 
@@ -273,14 +279,31 @@ class FiniteTwoMetricSpace:
         if n < 1:
             raise ValueError("need at least one point")
         self.n = int(n)
-        self.table: dict[tuple[int, int, int], float] = {}
-        for key, value in (entries or {}).items():
-            i, j, k = sorted(int(v) for v in key)
-            if not (0 <= i < n and k < n):
+        entries = entries or {}
+        keys = list(entries)
+        # np.fromiter converts each index as int() does; an int beyond intp
+        # is out of range anyway, and clamping it keeps the first bad key
+        try:
+            K = np.fromiter(itertools.chain.from_iterable(keys), np.intp)
+        except OverflowError:
+            big = np.iinfo(np.intp).max
+            K = np.array([min(max(int(v), -1), big)
+                          for v in itertools.chain.from_iterable(keys)], np.intp)
+        if set(map(len, keys)) - {3}:
+            key = next(key for key in keys if len(key) != 3)
+            raise ValueError(f"table keys must be index triples, got {key}")
+        K = np.sort(K.reshape(-1, 3), axis=1)
+        inside = (K[:, 0] >= 0) & (K[:, 2] < n)
+        distinct = (K[:, 0] < K[:, 1]) & (K[:, 1] < K[:, 2])
+        bad = np.flatnonzero(~(inside & distinct))
+        if len(bad):
+            key = keys[bad[0]]
+            if not inside[bad[0]]:
                 raise ValueError(f"triple {key} out of range for n={n}")
-            if len({i, j, k}) < 3:
-                raise ValueError(f"table stores distinct triples only, got {key}")
-            self.table[(i, j, k)] = float(value)
+            raise ValueError(f"table stores distinct triples only, got {key}")
+        # dict() keeps the first position and the last value of a repeated key
+        self.table: dict[tuple[int, int, int], float] = dict(
+            zip(zip(*K.T.tolist()), map(float, entries.values())))
 
     def d(self, i, j, k) -> float:
         i, j, k = sorted((int(i), int(j), int(k)))
@@ -292,8 +315,9 @@ class FiniteTwoMetricSpace:
         return itertools.combinations(range(self.n), 3)
 
     def phi(self, i: int, j: int) -> float:
-        """Exact pair distance (max over all points)."""
-        return max((self.d(i, j, k) for k in range(self.n)), default=0.0)
+        """Exact pair distance (max over all points); NaN if any
+        d(i, j, k) is NaN, as ``dense()`` and ``_phi_many`` give it."""
+        return float(np.max([self.d(i, j, k) for k in range(self.n)]))
 
     def dense(self) -> np.ndarray:
         """The table as a symmetric (n, n, n) array: each stored triple's
@@ -365,9 +389,34 @@ class FiniteTwoMetricSpace:
         return FiniteTwoMetricSpace(payload["n"], entries)
 
     def save(self, path) -> None:
+        """Write ``to_json()`` in the bytes of ``json.dump(..., indent=2)``
+        followed by a newline.
+
+        That encoder runs in pure Python.  A table whose keys hold Python
+        ints and whose values are Python ints or floats (all that the
+        constructor, ``from_points`` and the quotient store) is streamed
+        instead, ``_SAVE_BLOCK`` entries per write: json's C encoder turns
+        a block's values into tokens (``NaN``, ``Infinity`` and ints
+        included), which go into the fixed entry layout.  Anything else
+        written into ``table`` goes through the indenting encoder, which
+        writes or refuses it as before.
+        """
+        plain = (set(map(type, itertools.chain.from_iterable(self.table))) <= {int}
+                 and set(map(type, self.table.values())) <= {int, float})
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+            if not plain:
+                json.dump(self.to_json(), fh, indent=2)
+                fh.write("\n")
+                return
+            items = sorted(self.table.items())
+            fh.write('{\n  "n": %s,\n  "entries": [' % json.dumps(self.n))
+            for s in range(0, len(items), _SAVE_BLOCK):
+                block = items[s:s + _SAVE_BLOCK]
+                tokens = json.dumps([v for _, v in block])[1:-1].split(", ")
+                fields = [x for ((i, j, k), _), d in zip(block, tokens) for x in (i, j, k, d)]
+                fh.write((",\n" if s else "\n")
+                         + ",\n".join([_ENTRY] * len(block)) % tuple(fields))
+            fh.write("\n  ]\n}\n" if items else "]\n}\n")
 
     @staticmethod
     def load(path) -> "FiniteTwoMetricSpace":

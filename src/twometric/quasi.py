@@ -69,28 +69,39 @@ def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet,
 def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> dict:
     """Worst sampled violations of reflexivity, symmetry, the lopsided
     triangle inequality, and (when a cost is present) the multiplicative
-    variant and the cost bound."""
+    variant and the cost bound.  A NaN among the sampled values makes its
+    entry NaN."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     X = space.sample(rng, samples)
     Y = space.sample(rng, samples)
     Z = space.sample(rng, samples)
-    refl = max(abs(space.phi(x, x)) for x in X)
-    sym = max(abs(space.phi(x, y) - space.phi(y, x)) for x, y in zip(X, Y))
-    tri = 0.0
+    refl = sym = tri = 0.0
+    for x in X:
+        refl = _worse(refl, abs(space.phi(x, x)))
+    for x, y in zip(X, Y):
+        sym = _worse(sym, abs(space.phi(x, y) - space.phi(y, x)))
     for x, y, z in zip(X, Y, Z):
-        tri = max(tri, space.phi(x, y) - space.phi(x, z) - space.C * space.phi(z, y))
-    out = {"reflexivity": refl, "symmetry": sym, "triangle": max(tri, 0.0)}
+        tri = _worse(tri, space.phi(x, y) - space.phi(x, z) - space.C * space.phi(z, y))
+    out = {"reflexivity": refl, "symmetry": sym, "triangle": tri}
     if space.psi is not None:
         mult = 0.0
         worst_cost = 0.0
         for x, y, z in zip(X, Y, Z):
             cost = space.psi(x, y, z)
-            worst_cost = max(worst_cost, abs(cost))
-            mult = max(mult, space.phi(x, y)
-                       - (space.phi(x, z) + space.phi(z, y)) * np.exp(cost))
-        out["multiplicative_triangle"] = max(mult, 0.0)
+            worst_cost = _worse(worst_cost, abs(cost))
+            mult = _worse(mult, space.phi(x, y)
+                          - (space.phi(x, z) + space.phi(z, y)) * np.exp(cost))
+        out["multiplicative_triangle"] = mult
         out["cost_magnitude"] = worst_cost
     return out
+
+
+def _worse(worst: float, value: float) -> float:
+    """The larger of the two, NaN once either is NaN (the builtin ``max``
+    keeps a NaN only when it comes first)."""
+    return worst if worst >= value or worst != worst else value
 
 
 @dataclass

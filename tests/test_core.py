@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sphere_table
+from twometric.core import _phi_many
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
                        quotient_by_zero_phi, sphere_witnesses,
@@ -207,6 +208,18 @@ def test_finite_space_rejects_repeated_index_entries():
         FiniteTwoMetricSpace(4, {(0, 0, 1): 0.5})
     with pytest.raises(ValueError):
         FiniteTwoMetricSpace(2, {(0, 1, 2): 0.5})
+
+
+def test_finite_phi_propagates_nan_like_the_dense_scans():
+    space = demo_five_point_space()
+    space.table[(0, 1, 3)] = float("nan")
+    n = space.n
+    I, J = (a.ravel() for a in np.indices((n, n)))
+    batch = _phi_many(space.as_space(), I, J, WitnessSet.all_of(space))
+    got = np.array([space.phi(i, j) for i, j in zip(I.tolist(), J.tolist())])
+    assert np.array_equal(got, batch, equal_nan=True)
+    assert np.array_equal(got, space.dense().max(axis=2).ravel(), equal_nan=True)
+    assert np.isnan(space.phi(0, 1)) and np.isnan(space.phi(3, 0))
 
 
 def test_finite_space_symmetric_and_degenerate_by_construction():

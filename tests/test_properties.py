@@ -8,6 +8,7 @@ from dataclasses import replace
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import oracle_maximal_colinear
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit, det_metric,
                        maximal_colinear_sets)
+from twometric.core import _SAVE_BLOCK
 
 NAN = float("nan")
 
@@ -74,3 +76,128 @@ def test_audit_on_the_dense_table_matches_scalar_lookups(space, seed):
     slow = audit(replace(view, d=space.d, d_batch=None), witnesses=W, triples=200,
                  seed=seed).to_json()
     assert json.dumps(fast) == json.dumps(slow)
+
+
+# ---------------------------------------------------------------------------
+# table files
+# ---------------------------------------------------------------------------
+
+FILE_VALUES = (0.0, 0.5, 1.25, 1e-300, NAN, float("inf"), float("-inf"), 0, 1)
+
+
+@settings(deadline=None)
+@given(tables(max_n=8, values=FILE_VALUES))
+def test_save_writes_the_indenting_encoders_bytes(tmp_path_factory, space):
+    path = tmp_path_factory.mktemp("tables") / "table.json"
+    space.save(path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(space.to_json(), indent=2) + "\n"
+    loaded = FiniteTwoMetricSpace.load(path)
+    assert loaded.n == space.n
+    # load stores floats; reprs compare NaN equal to NaN
+    assert repr(list(loaded.table.items())) == repr(
+        [(key, float(value)) for key, value in sorted(space.table.items())])
+
+
+def test_save_streams_tables_of_several_blocks(tmp_path, rng):
+    space = FiniteTwoMetricSpace.from_points(rng.normal(size=(22, 3)), det_metric)
+    assert len(space.table) > _SAVE_BLOCK
+    space.table[(0, 1, 2)], space.table[(3, 4, 5)] = NAN, float("inf")
+    space.table[(19, 20, 21)] = 1
+    space.save(tmp_path / "table.json")
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == (
+        json.dumps(space.to_json(), indent=2) + "\n")
+
+
+def test_save_keeps_the_indenting_encoder_for_other_values(tmp_path):
+    # values the constructor never stores: a numpy float, a string with
+    # the token separator in it, a list and a bool
+    space = FiniteTwoMetricSpace(5)
+    odd = [np.float64(0.25), "a, b", [1, 2], True]
+    space.table = dict(zip(space.distinct_triples(), odd))
+    space.save(tmp_path / "table.json")
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == (
+        json.dumps(space.to_json(), indent=2) + "\n")
+
+
+def test_save_refuses_what_the_indenting_encoder_refused(tmp_path):
+    space = FiniteTwoMetricSpace(4)
+    space.table[(np.int64(0), 1, 2)] = 0.5        # not a Python int
+    with pytest.raises(TypeError):
+        json.dumps(space.to_json(), indent=2)
+    with pytest.raises(TypeError):
+        space.save(tmp_path / "table.json")
+    space.table = {(0, 1): 0.5}                    # not a triple
+    with pytest.raises(ValueError):
+        space.save(tmp_path / "table.json")
+
+
+def per_key_table(n, entries):
+    """The constructor as one key at a time: the oracle of its one pass."""
+    table = {}
+    for key, value in entries.items():
+        i, j, k = sorted(int(v) for v in key)
+        if not (0 <= i < n and k < n):
+            raise ValueError(f"triple {key} out of range for n={n}")
+        if len({i, j, k}) < 3:
+            raise ValueError(f"table stores distinct triples only, got {key}")
+        table[(i, j, k)] = float(value)
+    return table
+
+
+def outcome(build, n, entries):
+    """The table's items, or the exception type and, for the constructor's
+    own checks, its message."""
+    try:
+        return repr(list(build(n, entries).items()))
+    except (TypeError, ValueError, OverflowError) as exc:
+        own = str(exc).startswith(("triple ", "table stores"))
+        return type(exc), str(exc) if own else None
+
+
+def construct(n, entries):
+    return FiniteTwoMetricSpace(n, entries).table
+
+
+@st.composite
+def table_entries(draw, bad_keys=None, most=1):
+    """Keys in any index order (so two keys may name one triple), values
+    from ``FILE_VALUES``, and up to ``most`` keys from ``bad_keys`` when
+    given."""
+    n = draw(st.integers(1, 7))
+    index = st.integers(0, n - 1)
+    keys = draw(st.lists(st.tuples(index, index, index).filter(lambda t: len(set(t)) == 3),
+                         max_size=12))
+    if bad_keys is not None:
+        for key in draw(st.lists(bad_keys, min_size=1, max_size=most)):
+            keys.insert(draw(st.integers(0, len(keys))), key)
+    values = draw(st.lists(st.sampled_from(FILE_VALUES), min_size=len(keys),
+                           max_size=len(keys)))
+    return n, dict(zip(keys, values))
+
+
+# keys the range and repeated-index checks refuse, which name the first
+OUT_OF_RANGE_OR_REPEATED = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(7, 12)),
+    st.tuples(st.integers(-3, -1), st.integers(0, 6), st.integers(0, 6)),
+    st.integers(0, 6).map(lambda i: (i, i, (i + 1) % 7)),
+    st.sampled_from([(0, 2 ** 70, 1), (-2 ** 70, 1, 2), (2 ** 64, 2 ** 65, 0)]),
+)
+NOT_TRIPLES = st.sampled_from([(0, 1), (0, 1, 2, 3), (1, 2), (0, 1, 2, 3, 4)])
+MALFORMED = st.one_of(
+    OUT_OF_RANGE_OR_REPEATED, NOT_TRIPLES,
+    st.sampled_from([(0, 1.5, 2), (0, NAN, 2), (0, float("inf"), 2)]),     # float index
+    st.sampled_from([(0, "1", 2), (0, "a", 2), (0, "1.5", 2), (0, None, 2)]),
+    st.sampled_from([(0, (1,), 2), 5, "012"]),                             # odd keys
+)
+
+
+# One malformed key of any kind; several keys only of one kind, since the
+# checks run kind by kind over all keys rather than key by key.
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(table_entries(), table_entries(MALFORMED),
+                 table_entries(OUT_OF_RANGE_OR_REPEATED, most=3),
+                 table_entries(NOT_TRIPLES, most=3)))
+def test_constructor_matches_the_per_key_loop(case):
+    n, entries = case
+    assert outcome(construct, n, entries) == outcome(per_key_table, n, entries)

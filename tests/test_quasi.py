@@ -40,6 +40,25 @@ def test_interval_space_axioms():
     assert report["triangle"] == 0.0
 
 
+def test_quasi_axioms_report_nan_instead_of_skipping_it():
+    # the builtin max keeps a NaN only when it comes first
+    nan = float("nan")
+    base = interval_space()
+    space = replace(base, phi=lambda x, y: nan if x > 0.9 else base.phi(x, y))
+    report = check_quasi_axioms(space, samples=200, seed=1)
+    assert all(math.isnan(report[key]) for key in ("reflexivity", "symmetry", "triangle"))
+    costed = replace(base, psi=lambda x, y, z: nan if z > 0.9 else 0.0, psi_bound=1.0)
+    report = check_quasi_axioms(costed, samples=200, seed=1)
+    assert report["triangle"] == 0.0
+    assert math.isnan(report["multiplicative_triangle"])
+    assert math.isnan(report["cost_magnitude"])
+
+
+def test_quasi_axioms_refuse_an_empty_sample():
+    with pytest.raises(ValueError):
+        check_quasi_axioms(interval_space(), samples=0)
+
+
 def test_derived_distance_satisfies_lopsided_triangle_exactly():
     demo = demo_five_point_space()
     space = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo), C=2.0)
