@@ -21,41 +21,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import apply_rows
 from .spaces import SpherePatch
 
 
 def jacobian_fd(F, x, step: float = 1e-5, radius: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian at x; O(step^2) error for C^3 maps.
+    """Central-difference Jacobian at x, or at each point of a stack x of
+    shape (..., d); O(step^2) error for C^3 maps.
 
-    ``radius`` bounds the admissible domain: x needs margin >= step.
+    F is evaluated through ``apply_rows``: once per shifted stack when it is
+    marked ``broadcasting``, else once per point.  ``radius`` bounds the
+    admissible domain: every point needs margin >= step.
     """
     x = np.asarray(x, dtype=float)
-    if radius is not None and np.linalg.norm(x) + step > radius:
+    if radius is not None and np.linalg.norm(x, axis=-1).max(initial=0.0) + step > radius:
         raise ValueError("insufficient margin for central differences")
-    cols = []
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = step
-        cols.append((np.asarray(F(x + e), dtype=float)
-                     - np.asarray(F(x - e), dtype=float)) / (2.0 * step))
-    return np.column_stack(cols)
+    rows = x.reshape(-1, x.shape[-1])
+    J = np.stack([(apply_rows(F, rows + e) - apply_rows(F, rows - e)) / (2.0 * step)
+                  for e in step * np.eye(x.shape[-1])], axis=-1)
+    return J.reshape(x.shape[:-1] + J.shape[1:])
 
 
 def hessian_bound_fd(F, points, step: float = 1e-5,
                      radius: float | None = None) -> float:
     """Sampled sup of the Jacobian's derivative: the max over points and
     directions of the spectral norm of dJ/dx_i by central differences."""
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        if radius is not None and np.linalg.norm(x) + 2.0 * step > radius:
-            raise ValueError("insufficient margin for central differences")
-        for i in range(len(x)):
-            e = np.zeros_like(x)
-            e[i] = step
-            dJ = (jacobian_fd(F, x + e, step) - jacobian_fd(F, x - e, step)) / (2.0 * step)
-            worst = max(worst, float(np.linalg.norm(dJ, 2)))
-    return worst
+    X = np.asarray(points, dtype=float)
+    if radius is not None and np.linalg.norm(X, axis=-1).max(initial=0.0) + 2.0 * step > radius:
+        raise ValueError("insufficient margin for central differences")
+    norms = [np.linalg.norm((jacobian_fd(F, X + e, step) - jacobian_fd(F, X - e, step))
+                            / (2.0 * step), 2, axis=(-2, -1))
+             for e in step * np.eye(X.shape[-1])]
+    return float(np.max(norms, initial=0.0))
 
 
 @dataclass
@@ -138,8 +135,7 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
 
     margin = 2.5 * step
     pts = patch.sample(rng, samples, radius=max(rin - margin, rin * 0.5))
-    devs = np.array([np.linalg.norm(jacobian_fd(inp.map, x, step, radius=rin) - A, 2)
-                     for x in pts])
+    devs = np.linalg.norm(jacobian_fd(inp.map, pts, step, radius=rin) - A, 2, axis=(-2, -1))
     max_dev = float(devs.max())
     hess = hessian_bound_fd(inp.map, pts, step, radius=rin)
 
@@ -170,9 +166,7 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     X = patch.sample(rng, ratio_triples, radius=rin)
     Y = patch.sample(rng, ratio_triples, radius=rin)
     Z = patch.sample(rng, ratio_triples, radius=rin)
-    FX = np.array([inp.map(p) for p in X])
-    FY = np.array([inp.map(p) for p in Y])
-    FZ = np.array([inp.map(p) for p in Z])
+    FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
     if (np.linalg.norm(FX, axis=1).max() > patch.radius
             or np.linalg.norm(FY, axis=1).max() > patch.radius
             or np.linalg.norm(FZ, axis=1).max() > patch.radius):

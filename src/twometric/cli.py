@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import certifier_baseline, convexity_baseline, within_regression
 from .certify import CertInput, certify
-from .core import FiniteTwoMetricSpace, WitnessSet, audit
+from .core import FiniteTwoMetricSpace, WitnessSet, audit, broadcasting
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
 from .lines import Thresholds, classify, enumerate_lines
@@ -152,10 +152,9 @@ def cmd_demo_equator(args) -> int:
     witnesses = sphere_witnesses(cfg["witnesses"], cfg["seed"])
     outcome = detect_outcome(map_, x0, cfg["steps"], witnesses=witnesses,
                              seed=cfg["seed"])
-    trace = orbit(map_, x0, cfg["steps"], witnesses=witnesses, seed=cfg["seed"])
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out_dir / "trace.csv", vertical_column=True)
+    outcome.trace.to_csv(out_dir / "trace.csv", vertical_column=True)
     _write_json(out_dir / "outcome.json", _report(cfg, outcome=outcome.to_json()))
     factor = ("n/a" if outcome.measured_factor is None
               else f"{outcome.measured_factor:.6g}")
@@ -253,11 +252,14 @@ def cmd_certify(args) -> int:
     C_prime = cfg["C_prime"] if cfg["C_prime"] is not None else base["C_prime"]
     mu = cfg["quad"]
 
+    @broadcasting
     def F(x):
+        # matmul of A with column vectors gives the bits of A @ x per point;
+        # x @ A.T sums in another order
         x = np.asarray(x, dtype=float)
-        out = A @ x
+        out = np.matmul(A, x[..., None])[..., 0]
         if mu:
-            out = out + mu * np.array([x[0] ** 2, x[0] * x[1]])
+            out = out + mu * np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
         return out
 
     inp = CertInput(map=F, jac_target=A, norm_bound=base["C_A"],

@@ -65,9 +65,9 @@ def point_json(p):
 
 
 def broadcasting(kernel):
-    """Declare that a batch kernel accepts inputs broadcasting over their
-    leading axes, with each point on the last axis, and computes every
-    output entry from its own rows only.
+    """Declare that a batch kernel, or a map of points, accepts inputs
+    broadcasting over their leading axes, with each point on the last axis,
+    and computes every output entry from its own rows only.
 
     The mark lives on the function object, not on the space: a space copied
     with ``dataclasses.replace(space, d_batch=...)`` carries a wrapped or
@@ -75,6 +75,16 @@ def broadcasting(kernel):
     """
     kernel.broadcasts = True
     return kernel
+
+
+def apply_rows(f, points) -> np.ndarray:
+    """f at each point stacked on the first axis of ``points``: one call on
+    the whole stack when f is marked ``broadcasting``, else one call per
+    point."""
+    points = np.asarray(points)
+    if getattr(f, "broadcasts", False):
+        return np.asarray(f(points))
+    return np.array([f(p) for p in points])
 
 
 def _lex_swap(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

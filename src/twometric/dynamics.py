@@ -22,8 +22,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, eval_phi,
-                   point_json)
+from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, apply_rows,
+                   eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space
 
@@ -63,10 +63,7 @@ class DDecreasingMap:
     domain_sample: Callable[[np.random.Generator, int], Any]
 
     def apply_many(self, points):
-        pts = np.asarray(points)
-        if pts.ndim > 1:
-            return np.array([self.f(p) for p in pts])
-        return np.array([self.f(p) for p in pts])
+        return apply_rows(self.f, points)
 
 
 def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
@@ -270,6 +267,7 @@ class Outcome:
     uniqueness_ok: bool | None = None
     min_point_residual: float | None = None
     diagnostic: str | None = None
+    trace: OrbitTrace | None = field(default=None, repr=False)  # not in to_json
 
     def to_json(self) -> dict:
         out = {
@@ -323,6 +321,13 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
         raise ValueError(f"map is not contractive on samples (measured {measured:.6g})")
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)
+    outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured, line_samples)
+    outcome.trace = trace
+    return outcome
+
+
+def _certified_outcome(map_, trace, witnesses, thresholds, measured, line_samples):
+    """The verdict on an orbit trace: classify its tail, then certify."""
     if trace.truncated:
         return Outcome("Indeterminate", measured, diagnostic=trace.diagnostic)
     cls = classify(map_.space, trace.points, witnesses, thresholds)
@@ -343,21 +348,17 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
         members = [m for m in members if line.contains(map_.space, m)]
     else:
         members = list(cls.passers)
-    images = [map_.f(m) for m in members]
-    invariance_defect = float(_d_max(map_.space, np.asarray(images), line.g1, line.g2))
+    images = map_.apply_many(members)
+    invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
     min_residual = float(_phi_many(map_.space, members, images, witnesses).min())
 
     # Two separated image points must regenerate the same line.
-    pair = None
-    for i in range(len(images)):
-        phi0 = eval_phi(map_.space, images[0], images[i], witnesses)
-        if phi0 > thresholds.min_phi:
-            pair = (0, i)
-            break
-    if pair is None:
+    far = np.flatnonzero(_phi_many(map_.space, images[:1], images, witnesses)
+                         > thresholds.min_phi)
+    if not len(far):
         # The image collapses to one point, which must then be fixed.
         return _fixed_point_outcome(map_, images[0], witnesses, thresholds, measured, cls)
-    a, b = images[pair[0]], images[pair[1]]
+    a, b = images[0], images[far[0]]
     uniqueness_ok = (float(map_.space.d(line.g1, a, b)) <= thresholds.colinear
                      and float(map_.space.d(line.g2, a, b)) <= thresholds.colinear)
 

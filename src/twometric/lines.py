@@ -15,13 +15,14 @@ verdict with thresholds recorded in the evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_many,
-                   _d_max, _phi_many, eval_phi, point_json, point_key)
+                   _d_max, _phi_many, _triples, eval_phi, point_json, point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -227,17 +228,20 @@ def _pair_arrays(length: int, start: int, cap: int = _MAX_PAIRS):
 
 
 def _triple_arrays(length: int, start: int, cap: int = _MAX_TRIPLES):
+    """Index triples i < j < k of the tail from ``start``: all of them in
+    lexicographic order, a seeded subsample of ``cap`` of them when there
+    are more, or, past 120 tail points, the first ``cap`` rows of three
+    distinct entries among ``2 * cap`` random draws, each sorted."""
     m = length - start
-    total = m * (m - 1) * (m - 2) // 6
-    if m > 120 or total > 4 * cap:
-        rng = np.random.default_rng(_SUBSAMPLE_SEED)
-        combos = np.sort(rng.integers(0, m, size=(cap * 2, 3)), axis=1)
-        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
-        combos = combos[:cap]
+    if m > 120 or math.comb(m, 3) > 4 * cap:
+        draws = np.random.default_rng(_SUBSAMPLE_SEED).integers(0, m, size=(cap * 2, 3))
+        a, b, c = draws.T
+        # a sorted row is strictly increasing exactly when its entries are
+        # distinct, so only the rows kept need sorting
+        keep = np.flatnonzero((a != b) & (b != c) & (a != c))[:cap]
+        combos = np.sort(draws[keep], axis=1)
     else:
-        combos = np.array(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                                      indexing="ij")).reshape(3, -1).T
-        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
+        combos = _triples(m)
         if len(combos) > cap:
             pick = np.random.default_rng(_SUBSAMPLE_SEED).choice(
                 len(combos), size=cap, replace=False)
@@ -304,17 +308,6 @@ def _dedupe_candidates(candidates):
     return out
 
 
-def _distinct_reps(space: TwoMetricSpace, points, witnesses: WitnessSet,
-                   min_phi: float) -> list:
-    """Greedy cluster representatives: each point in turn joins the reps
-    unless some rep lies within pair distance ``min_phi`` of it."""
-    reps: list = []
-    for p in points:
-        if not reps or (_phi_many(space, [p], reps, witnesses) > min_phi).all():
-            reps.append(p)
-    return reps
-
-
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
              thresholds: Thresholds = Thresholds()) -> Classification:
     """Classify a sequence tail.
@@ -373,10 +366,12 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     if cauchy_modulus <= thresholds.cauchy:
         return replace(base, tag="CauchySequence", limit=seq[-1])
 
-    # Count distinct passers (clusters separated by the pair-distance floor).
-    reps = _distinct_reps(space, passers, witnesses, thresholds.min_phi)
-
-    if len(reps) >= 2:
+    if not passers:
+        return base
+    # Greedy clustering at the pair-distance floor, taking the passers in
+    # turn, has passers[0] as its first representative, and finds a second
+    # one exactly when some passer lies farther than the floor from it.
+    if (_phi_many(space, passers[:1], passers, witnesses) > thresholds.min_phi).any():
         # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
         pi, pj = np.triu_indices(len(passers), k=1)
@@ -401,7 +396,4 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
             line = Line(g1, g2, thresholds.colinear, members)
         return replace(base, tag="LineCase", line=line, derived_colinear_tol=derived,
                        passer_defect=defect, low_confidence=low, notes=extra_notes)
-
-    if len(reps) == 1:
-        return replace(base, tag="UniquePoint", point=reps[0])
-    return base
+    return replace(base, tag="UniquePoint", point=passers[0])

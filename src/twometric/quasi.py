@@ -146,6 +146,9 @@ class ContractionViolation(ValueError):
 
 def _measure_factor(space: QuasiSpace, F, k: float, pairs: int, seed: int,
                     floor: float = 1e-15) -> float:
+    """Largest sampled ratio phi(Fx, Fy) / phi(x, y); a ratio above k, or a
+    NaN ratio (so a NaN distance on the pair or its image), is a violation
+    naming the pair."""
     rng = np.random.default_rng(seed)
     X = space.sample(rng, pairs)
     Y = space.sample(rng, pairs)
@@ -155,6 +158,9 @@ def _measure_factor(space: QuasiSpace, F, k: float, pairs: int, seed: int,
         if base <= floor:
             continue
         ratio = space.phi(F(x), F(y)) / base
+        if ratio != ratio:
+            raise ContractionViolation(
+                f"contraction ratio is NaN on the sampled pair ({x}, {y})", (x, y))
         if ratio > measured:
             measured = ratio
             if measured > k + 1e-9:
@@ -175,12 +181,13 @@ def _iterate(space: QuasiSpace, F, x0, max_steps: int, tol: float):
 
 def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
     """bound_for(n, m) gives the admissible phi(x_n, x_m); returns the pass
-    flag and the worst excess over the bound."""
+    flag and the worst excess over the bound, NaN (and no pass) once an
+    excess is NaN."""
     margin = -np.inf
     for n in range(len(iterates)):
         for m in range(n + 1, len(iterates)):
             excess = space.phi(iterates[n], iterates[m]) - bound_for(n, m)
-            margin = max(margin, excess)
+            margin = _worse(margin, excess)
     if margin == -np.inf:
         margin = 0.0
     return margin <= 1e-12, float(margin)

@@ -24,7 +24,7 @@ from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        sphere_witnesses)
 from twometric import core
 from twometric.core import _d_max, _lex_swap, _phi_many, broadcasting, eval_phi
-from twometric.lines import _distinct_reps, _pair_arrays, classify, lim_residual
+from twometric.lines import Thresholds, _pair_arrays, classify, lim_residual
 from twometric.spaces import area_ball_space, det_sphere_space
 
 ATOL = 1e-12
@@ -150,27 +150,70 @@ def test_candidate_scan_paths_agree_bitwise(name):
     np.testing.assert_allclose(fast, scalar, rtol=0, atol=ATOL)
 
 
+def greedy_reps(space, points, W, min_phi):
+    """Greedy cluster representatives, the oracle for classify's passer
+    count: each point in turn becomes a representative unless some
+    representative lies within pair distance ``min_phi`` of it."""
+    reps = []
+    for p in points:
+        if all(eval_phi(space, p, r, W) > min_phi for r in reps):
+            reps.append(p)
+    return reps
+
+
+def classify_passers(space, points, min_phi):
+    """classify on a sequence whose passers are ``points``, in order: the
+    points are both the witnesses and the tail, and every candidate passes."""
+    P = np.asarray(points)
+    thresholds = Thresholds(lim=np.inf, cauchy=-1.0, min_phi=min_phi, min_length=2)
+    cls = classify(space, np.concatenate([P, P]), WitnessSet(P), thresholds)
+    assert np.array_equal(np.asarray(cls.passers), P)
+    return cls
+
+
+def assert_matches_greedy(space, points, min_phi):
+    """classify's tag and point on both kernel paths against the greedy
+    representatives; returns the number of representatives."""
+    reps = greedy_reps(space, points, WitnessSet(np.asarray(points)), min_phi)
+    for space_ in (space, stacked(space)):
+        cls = classify_passers(space_, points, min_phi)
+        if len(reps) >= 2:
+            assert cls.tag == "LineCase"
+            assert cls.point is None
+        else:
+            assert cls.tag == "UniquePoint"
+            assert np.array_equal(cls.point, reps[0])
+    return len(reps)
+
+
 @pytest.mark.parametrize("name", SPACES)
 def test_passer_reps_paths_agree(name):
-    # clusters of near-copies: the reps are one point per cluster
-    space, W, X, _ = setup(name, pairs=8, witnesses=30)
+    # clusters of near-copies: the reps are one point per cluster, and one
+    # cluster alone has a single rep, whichever of its points comes first
+    space, _, X, _ = setup(name, pairs=8, witnesses=30)
     rng = np.random.default_rng(5)
     points = [x + 1e-10 * rng.normal(size=x.shape) * (k > 0) for x in X for k in range(3)]
     points = [points[i] for i in rng.permutation(len(points))]
+    one = [p for p in points if np.abs(p - X[0]).max() < 1e-8]
+    assert len(one) == 3
+    for i in range(0, len(points), 5):
+        assert assert_matches_greedy(space, points[i:] + points[:i], 1e-6) == len(X)
+    for i in range(3):
+        assert assert_matches_greedy(space, one[i:] + one[:i], 1e-6) == 1
 
-    def oracle(space_):
-        reps = []
-        for p in points:
-            if all(eval_phi(space_, p, r, W) > 1e-6 for r in reps):
-                reps.append(p)
-        return reps
 
-    expected = oracle(space)
-    assert len(expected) == len(X)
-    for space_ in (space, stacked(space)):
-        reps = _distinct_reps(space_, points, W, 1e-6)
-        assert len(reps) == len(expected)
-        assert all(r is e for r, e in zip(reps, expected))
+@pytest.mark.parametrize("name", SPACES)
+def test_classify_tag_and_point_match_greedy_reps(name):
+    # clusters of three radii: the pair-distance floor decides how many
+    # clusters count as one, so the sweep meets both tags
+    space, _, X, _ = setup(name, pairs=3, seed=6)
+    rng = np.random.default_rng(6)
+    points = [x + r * rng.normal(size=x.shape)
+              for x, r in zip(X, (1e-11, 1e-8, 1e-5)) for _ in range(4)]
+    points = [points[i] for i in rng.permutation(len(points))]
+    counts = [assert_matches_greedy(space, points, min_phi)
+              for min_phi in (0.0, 1e-14, 1e-11, 1e-8, 1e-5, 1e-2, 10.0)]
+    assert counts[0] == len(points) and counts[-1] == 1
 
 
 def test_classify_and_outcomes_are_byte_identical_on_both_paths():

@@ -9,6 +9,7 @@ from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd, triangle_area2)
 from twometric.baselines import within_regression
+from twometric.core import broadcasting
 
 BASE = certifier_baseline()
 PATCH = SpherePatch(0.2)
@@ -28,6 +29,34 @@ def quad_map(A, mu):
         return A @ x + mu * np.array([x[0] ** 2, x[0] * x[1]])
 
     return F
+
+
+def stacked_map(A, mu=0.0, shift=(0.0, 0.0)):
+    """quad_map(A, mu) plus a constant shift, marked ``broadcasting``: one
+    call maps a whole stack of points (the form the CLI uses)."""
+    A = np.asarray(A, dtype=float)
+
+    @broadcasting
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        out = np.matmul(A, x[..., None])[..., 0]
+        if mu:
+            out = out + mu * np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], axis=-1)
+        return out + np.asarray(shift)
+
+    return F
+
+
+def jacobian_per_point(F, x, step=1e-5):
+    """The central differences one column at a time, as jacobian_fd once
+    computed them for a single point."""
+    cols = []
+    for i in range(len(x)):
+        e = np.zeros_like(x)
+        e[i] = step
+        cols.append((np.asarray(F(x + e), dtype=float)
+                     - np.asarray(F(x - e), dtype=float)) / (2.0 * step))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +88,33 @@ def test_jacobian_margin_enforcement():
     with pytest.raises(ValueError, match="margin"):
         jacobian_fd(linear_map(np.eye(2)), np.array([0.0999999, 0.0]),
                     step=1e-5, radius=0.1)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_jacobian_on_a_stack_equals_per_point_calls(rng, mu):
+    A = rng.normal(size=(2, 2))
+    X = PATCH.sample(rng, 60, radius=0.09)
+    per_point = quad_map(A, mu)
+    stack = jacobian_fd(per_point, X, radius=INNER)
+    assert stack.shape == (60, 2, 2)
+    for x, J in zip(X, stack):
+        assert np.array_equal(jacobian_fd(per_point, x, radius=INNER), J)
+        assert np.array_equal(jacobian_per_point(per_point, x), J)
+    # a marked map is called once per shifted stack, with the same bits
+    calls = []
+    marked = stacked_map(A, mu)
+
+    @broadcasting
+    def counted(x):
+        calls.append(np.shape(x))
+        return marked(x)
+
+    assert np.array_equal(jacobian_fd(counted, X), stack)
+    assert calls == [X.shape] * 4
+    assert np.array_equal(jacobian_fd(stacked_map(A, mu), X.reshape(3, 20, 2)),
+                          stack.reshape(3, 20, 2, 2))
+    with pytest.raises(ValueError, match="margin"):
+        jacobian_fd(per_point, np.vstack([X, [[0.0999999, 0.0]]]), radius=INNER)
 
 
 def test_hessian_bound_vanishes_for_linear_maps(rng):
@@ -143,6 +199,22 @@ def test_certify_flags_range_escape():
     result = certify(make_input(escaping, A), seed=9)
     assert not result.passes
     assert any(f["hypothesis"] == "range_containment" for f in result.failures)
+
+
+@pytest.mark.parametrize("mu, shift, failures", [
+    (0.0, (0.0, 0.0), []),
+    (0.5, (0.0, 0.0), ["jacobian_proximity", "hessian_bound"]),
+    (0.0, (0.19, 0.0), ["range_containment"]),
+])
+def test_certify_marked_and_unmarked_maps_agree(mu, shift, failures):
+    A = np.array([[0.3, -0.1], [0.05, 0.25]])
+    marked = stacked_map(A, mu, shift)
+    unmarked = lambda x: marked(x)  # noqa: E731 - the same map without the mark
+    per_point = lambda x: quad_map(A, mu)(x) + np.asarray(shift)  # noqa: E731
+    results = [certify(make_input(F, A), samples=150, ratio_triples=800, seed=11).to_json()
+               for F in (marked, unmarked, per_point)]
+    assert results[0] == results[1] == results[2]
+    assert [f["hypothesis"] for f in results[0]["failures"]] == failures
 
 
 def test_certify_validates_reference_matrix():

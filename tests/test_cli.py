@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from twometric import demo_five_point_space
+from twometric import (CertInput, SphereContractionParams, SpherePatch, certifier_baseline,
+                       certify, demo_five_point_space, make_sphere_map, orbit,
+                       sphere_witnesses, unit_sphere)
 from twometric.cli import main
 
 
@@ -110,6 +112,35 @@ def test_certify_subcommand(tmp_path):
     result = load(tmp_path / "certify.json")["result"]
     assert result["pass"] is True
     assert result["worst_ratio"] <= result["bound"]
+
+
+@pytest.mark.parametrize("quad, code", [(0.0, 0), (0.5, 1)])
+def test_certify_artifact_matches_a_per_point_map(tmp_path, quad, code):
+    # the subcommand maps stacks of points at once; a map called one point
+    # at a time, as A @ x, must give the same result to the last bit
+    A = np.array([[0.6, -0.2], [0.3, 0.5]])
+    assert main(["certify", "--A", "0.6,-0.2,0.3,0.5", "--quad", repr(quad), "--seed", "3",
+                 "--out", str(tmp_path)]) == code
+    base = certifier_baseline()
+
+    def F(x):
+        out = A @ x
+        return out + quad * np.array([x[0] ** 2, x[0] * x[1]]) if quad else out
+
+    inp = CertInput(map=F, jac_target=A, norm_bound=base["C_A"], patch=SpherePatch(0.2),
+                    inner_radius=0.1, ratio_constant=base["C_prime"])
+    expected = json.loads(json.dumps(certify(inp, seed=3).to_json()))
+    assert load(tmp_path / "certify.json")["result"] == expected
+
+
+def test_demo_equator_trace_is_the_detected_orbit(tmp_path):
+    assert main(["demo-equator", "--seed", "6", "--steps", "120", "--witnesses", "48",
+                 "--out", str(tmp_path)]) == 0
+    m = make_sphere_map(SphereContractionParams(0.1, 0.5, float(np.pi / 7)))
+    orbit(m, unit_sphere(np.array([0.8, 0.0, 0.6])), 120,
+          witnesses=sphere_witnesses(48, 6), seed=6).to_csv(tmp_path / "again.csv",
+                                                            vertical_column=True)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
 def test_banach_subcommand_variants(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,31 @@ def test_map_preserves_colinearity(rng):
     X, Y, Z = (m.domain_sample(rng, 200) for _ in range(3))
     for x, y, z in zip(X, Y, Z):
         assert SPHERE.d(m.f(x), m.f(y), m.f(z)) <= m.claimed_factor * SPHERE.d(x, y, z) + 1e-12
+
+
+def test_outcome_carries_its_orbit_but_does_not_report_it(rng):
+    squeeze = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.3))
+    start = np.array([0.8, 0.0, 0.6])
+    cases = [  # truncated, FixedPoint, FixedLine, FixedPoint at the origin, finite
+        (replace(squeeze, domain_contains=lambda x: abs(x[2]) > 1e-3), start, 60),
+        (make_sphere_map(SphereContractionParams(0.1, 0.5, 0.0)), start, 60),
+        (squeeze, start, 60),
+        (make_linear_map(rotation_z(2 * np.pi / 5), 0.5), np.array([0.3, 0.1, 0.2]), 60),
+        (swap_map_on_convex_boundary(rng), 2, 60),
+    ]
+    tags = []
+    for m, x0, steps in cases:
+        W = (WitnessSet(np.arange(6)) if m.kind == "custom"
+             else WitnessSet.sampled(m.space, 32, seed=17))
+        out = detect_outcome(m, x0, steps, witnesses=W, seed=17)
+        again = orbit(m, x0, steps, witnesses=W, seed=17)
+        assert np.array_equal(out.trace.points, again.points)
+        assert np.array_equal(out.trace.phi_steps, again.phi_steps)
+        assert out.trace.truncated == again.truncated
+        assert "trace" not in out.to_json()
+        tags.append((out.tag, out.trace.truncated))
+    assert tags == [("Indeterminate", True), ("FixedPoint", False), ("FixedLine", False),
+                    ("FixedPoint", False), ("FixedLine", False)]
 
 
 def test_outcome_json_schema():

@@ -11,6 +11,7 @@ from twometric import (FiniteTwoMetricSpace, Thresholds, WitnessSet, classify,
                        enumerate_lines, is_colinear, lim_residual, line_through,
                        maximal_colinear_sets, sphere_witnesses,
                        transitivity_probe)
+from twometric.lines import _triple_arrays
 
 E1, E2, E3 = np.eye(3)
 SPHERE = det_sphere_space()
@@ -197,6 +198,41 @@ def test_lim_residual_nonincreasing_in_tail_start(rng):
         r = [lim_residual(SPHERE, y, seq, start).residual for start in (0, 8, 16)]
         assert r[0] >= r[1] >= r[2]
         assert r[2] <= 0.5 ** 15
+
+
+def old_triple_arrays(length, start, cap=200000):
+    """The tail triples as classify once drew them: every row of the m^3
+    grid filtered to i < j < k, or the sorted rows of 2 * cap random draws
+    filtered the same way."""
+    m = length - start
+    total = m * (m - 1) * (m - 2) // 6
+    if m > 120 or total > 4 * cap:
+        rng = np.random.default_rng(0x5EED)
+        combos = np.sort(rng.integers(0, m, size=(cap * 2, 3)), axis=1)
+        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
+        combos = combos[:cap]
+    else:
+        combos = np.array(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
+                                      indexing="ij")).reshape(3, -1).T
+        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
+        if len(combos) > cap:
+            pick = np.random.default_rng(0x5EED).choice(len(combos), size=cap, replace=False)
+            combos = combos[pick]
+    return combos + start
+
+
+@pytest.mark.parametrize("length, start, cap", [
+    (2, 0, 200000), (40, 37, 200000), (60, 10, 200000), (106, 0, 200000),
+    (120, 13, 200000),                       # every triple, up to C(107, 3) <= cap
+    (108, 0, 200000), (140, 20, 200000),     # a subsample of the grid: 108..120
+    (121, 0, 200000), (300, 150, 200000), (500, 100, 200000),   # random draws
+    (30, 0, 300), (30, 0, 50),               # small caps reach both other branches
+])
+def test_triple_arrays_match_the_grid_and_sort_forms(length, start, cap):
+    got = _triple_arrays(length, start, cap)
+    want = old_triple_arrays(length, start, cap)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_lim_residual_validates_start():

@@ -59,6 +59,33 @@ def test_quasi_axioms_refuse_an_empty_sample():
         check_quasi_axioms(interval_space(), samples=0)
 
 
+def test_factor_measurement_refuses_nan_distances():
+    # NaN is neither <= the floor nor > the ratio so far, so it was skipped
+    nan = float("nan")
+    base = interval_space()
+    space = replace(base, phi=lambda x, y: nan if x > 0.9 else base.phi(x, y))
+    with pytest.raises(ContractionViolation, match="ratio is NaN") as info:
+        banach_direct(space, lambda x: x / 3.0, 0.5, 1.0 / 3.0)
+    assert info.value.witness[0] > 0.9
+    # finite on the samples, NaN on their images
+    space = replace(base, phi=lambda x, y: nan if x > 1.5 else base.phi(x, y))
+    with pytest.raises(ContractionViolation, match="ratio is NaN"):
+        banach_direct(space, lambda x: x / 3.0 + 2.0, 0.5, 1.0 / 3.0)
+
+
+def test_tail_check_fails_on_a_nan_distance():
+    # samples within 0.5 of each other; the iterates from 1.0 meet a pair
+    # farther apart than 0.7, where phi is NaN
+    nan = float("nan")
+    base = interval_space()
+    space = replace(base, sample=lambda rng, n: 0.5 * rng.random(n),
+                    phi=lambda x, y: nan if abs(x - y) > 0.7 else base.phi(x, y))
+    run = banach_direct(space, lambda x: x / 3.0, 1.0, 1.0 / 3.0)
+    assert run.residual <= 1e-12
+    assert not run.tail_bound_ok
+    assert math.isnan(run.tail_margin)
+
+
 def test_derived_distance_satisfies_lopsided_triangle_exactly():
     demo = demo_five_point_space()
     space = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo), C=2.0)
