@@ -71,7 +71,6 @@ class CertInput:
     inner_radius: float
     ratio_constant: float
     proximity: float | None = None
-    convexity_constant: float | None = None
 
     def __post_init__(self):
         self.jac_target = np.asarray(self.jac_target, dtype=float)
@@ -155,6 +154,13 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
             "witness": None,
         })
 
+    if not failures:
+        X, Y, Z = (patch.sample(rng, ratio_triples, radius=rin) for _ in range(3))
+        FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
+        # a NaN image norm is not <= the radius, so it fails the range too
+        if not np.linalg.norm(np.concatenate((FX, FY, FZ)), axis=1).max() <= patch.radius:
+            failures.append({"hypothesis": "range_containment", "value": None,
+                             "budget": patch.radius, "witness": None})
     if failures:
         return CertResult(
             passes=False, max_jac_dev=max_dev, max_hessian=float(hess),
@@ -162,24 +168,8 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
             det_target=det, worst_ratio=None, bound=bound,
             conclusion_ok=None, failures=failures, samples=samples,
         )
-
-    X = patch.sample(rng, ratio_triples, radius=rin)
-    Y = patch.sample(rng, ratio_triples, radius=rin)
-    Z = patch.sample(rng, ratio_triples, radius=rin)
-    FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
-    if (np.linalg.norm(FX, axis=1).max() > patch.radius
-            or np.linalg.norm(FY, axis=1).max() > patch.radius
-            or np.linalg.norm(FZ, axis=1).max() > patch.radius):
-        failures.append({"hypothesis": "range_containment", "value": None,
-                         "budget": patch.radius, "witness": None})
-        return CertResult(
-            passes=False, max_jac_dev=max_dev, max_hessian=float(hess),
-            c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,
-            worst_ratio=None, bound=bound, conclusion_ok=None,
-            failures=failures, samples=samples,
-        )
     d0 = patch.metric_batch(X, Y, Z)
-    keep = d0 > 1e-12
+    keep = ~(d0 <= 1e-12)  # a NaN d0 stays, so its NaN ratio is reported
     ratios = patch.metric_batch(FX[keep], FY[keep], FZ[keep]) / d0[keep]
     worst = float(ratios.max()) if keep.any() else None
     conclusion_ok = None if worst is None else bool(worst <= bound * 1.05)

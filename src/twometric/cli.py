@@ -13,9 +13,11 @@ input or an unexpected error (one line on stderr, never a traceback).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,6 @@ from .lines import Thresholds, classify, enumerate_lines
 from .quasi import banach_direct, banach_multcost, banach_power, interval_space
 from .spaces import (SpherePatch, area_ball_space, convexity_bound,
                      det_sphere_space, sphere_witnesses, unit_sphere)
-
-GLOBAL_DEFAULTS = {"seed": 0, "out": ".", "tolerance": 1e-9, "json_config": None}
 
 
 def _now() -> str:
@@ -53,24 +53,24 @@ class ConfigError(Exception):
     pass
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values over the JSON config file over hard defaults;
-    reject unknown config keys."""
+def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
+    """Merge flag values over the JSON config file over the declared
+    defaults; reject unknown config keys."""
     file_cfg = {}
     if args.json_config:
         with open(args.json_config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    known = set(defaults) | set(GLOBAL_DEFAULTS)
-    unknown = set(file_cfg) - known
+    flags = {**GLOBAL_FLAGS, **flags}
+    unknown = set(file_cfg) - set(flags)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     resolved = {}
-    for key, hard in {**GLOBAL_DEFAULTS, **defaults}.items():
-        flag = getattr(args, key, None)
-        resolved[key] = flag if flag is not None else file_cfg.get(key, hard)
-    resolved.pop("json_config", None)
+    for key, spec in flags.items():
+        flag = getattr(args, key)
+        resolved[key] = flag if flag is not None else file_cfg.get(key, _spec(spec)[0])
+    resolved.pop("json_config")
     return resolved
 
 
@@ -98,11 +98,11 @@ def _space_for(name: str, cfg: dict):
         witnesses = sphere_witnesses(cfg["witnesses"], cfg["seed"])
         return space, witnesses, None
     if name == "area-ball":
-        space = area_ball_space(dim=cfg.get("dim", 3))
+        space = area_ball_space(dim=cfg["dim"])
         witnesses = WitnessSet.sampled(space, cfg["witnesses"], cfg["seed"])
         return space, witnesses, None
     if name == "finite":
-        if not cfg.get("table"):
+        if not cfg["table"]:
             raise ConfigError("--table is required for finite spaces")
         finite = FiniteTwoMetricSpace.load(cfg["table"])
         return finite.as_space(), WitnessSet.all_of(finite), finite
@@ -113,10 +113,7 @@ def _space_for(name: str, cfg: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_audit(args) -> int:
-    defaults = {"space": "det-sphere", "table": None, "samples": 2000,
-                "witnesses": 128, "dim": 3}
-    cfg = _resolve_config(args, defaults)
+def cmd_audit(cfg) -> int:
     space, witnesses, finite = _space_for(cfg["space"], cfg)
     report = audit(space, witnesses=witnesses, triples=cfg["samples"],
                    seed=cfg["seed"], tolerance=cfg["tolerance"])
@@ -138,10 +135,7 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_demo_equator(args) -> int:
-    defaults = {"k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
-                "x0": "0.8,0,0.6", "steps": 200, "witnesses": 128}
-    cfg = _resolve_config(args, defaults)
+def cmd_demo_equator(cfg) -> int:
     params = SphereContractionParams(cfg["k"], cfg["e"], cfg["theta"])
     map_ = make_sphere_map(params)
     if not map_.certified:
@@ -177,10 +171,7 @@ def cmd_demo_equator(args) -> int:
     return 0
 
 
-def cmd_iterate(args) -> int:
-    defaults = {"map": "sphere", "k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
-                "dim": 3, "angle": 0.0, "x0": None, "steps": 200, "witnesses": 64}
-    cfg = _resolve_config(args, defaults)
+def cmd_iterate(cfg) -> int:
     if cfg["map"] == "sphere":
         map_ = make_sphere_map(SphereContractionParams(cfg["k"], cfg["e"], cfg["theta"]))
         x0 = unit_sphere(_parse_vector(cfg["x0"])) if cfg["x0"] else np.array([0.8, 0.0, 0.6])
@@ -214,19 +205,13 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    defaults = {"space": "det-sphere", "input": None, "witnesses": 128,
-                "eps_lim": 1e-6, "eps_cauchy": 1e-8, "eps_tri": 1e-8,
-                "min_length": 50, "dim": 3, "table": None}
-    cfg = _resolve_config(args, defaults)
+def cmd_classify(cfg) -> int:
     if not cfg["input"]:
         raise ConfigError("--input trace CSV is required")
     space, witnesses, _ = _space_for(cfg["space"], cfg)
     rows = []
     with open(cfg["input"], "r", encoding="utf-8") as fh:
-        import csv as _csv
-
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         coord_cols = [c for c in reader.fieldnames if c.startswith("x") and c != "x3_abs"]
         if not coord_cols:
             raise ConfigError("trace CSV has no coordinate columns")
@@ -243,10 +228,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    defaults = {"A": "0.25I", "r": 0.2, "inner": 0.1, "c_prime": None,
-                "quad": 0.0, "samples": 400, "triples": 2000, "C_prime": None}
-    cfg = _resolve_config(args, defaults)
+def cmd_certify(cfg) -> int:
     A = _parse_matrix2(cfg["A"])
     base = certifier_baseline()
     C_prime = cfg["C_prime"] if cfg["C_prime"] is not None else base["C_prime"]
@@ -276,39 +258,26 @@ def cmd_certify(args) -> int:
     return 1
 
 
-def cmd_banach(args) -> int:
-    defaults = {"C": 2.0, "k": 0.4, "x0": 1.0, "steps": 200,
-                "variant": "auto", "residual_tol": 1e-10}
-    cfg = _resolve_config(args, defaults)
-    variant = cfg["variant"]
+def cmd_banach(cfg) -> int:
+    k, variant = cfg["k"], cfg["variant"]
     if variant == "auto":
-        variant = "direct" if cfg["k"] < 1.0 / cfg["C"] else "power"
-    k = cfg["k"]
-    F = lambda x: k * x  # noqa: E731 - canonical interval contraction
-    if variant == "multcost":
-        from dataclasses import replace
-
-        space = replace(interval_space(C=cfg["C"]),
-                        psi=lambda x, y, z: 0.1 * abs(z), psi_bound=0.1)
-        run = banach_multcost(space, F, cfg["x0"], k, max_steps=cfg["steps"],
-                              seed=cfg["seed"])
-    elif variant == "power":
-        run = banach_power(interval_space(C=cfg["C"]), F, cfg["x0"], k,
-                           max_steps=cfg["steps"], seed=cfg["seed"])
-    elif variant == "direct":
-        run = banach_direct(interval_space(C=cfg["C"]), F, cfg["x0"], k,
-                            max_steps=cfg["steps"], seed=cfg["seed"])
-    else:
+        variant = "direct" if k < 1.0 / cfg["C"] else "power"
+    solvers = {"direct": banach_direct, "power": banach_power, "multcost": banach_multcost}
+    if variant not in solvers:
         raise ConfigError(f"unknown variant {variant!r}")
+    space = interval_space(C=cfg["C"])
+    if variant == "multcost":
+        space = replace(space, psi=lambda x, y, z: 0.1 * abs(z), psi_bound=0.1)
+    # the canonical interval contraction x -> k x
+    run = solvers[variant](space, lambda x: k * x, cfg["x0"], k, max_steps=cfg["steps"],
+                           seed=cfg["seed"])
     _write_json(Path(cfg["out"]) / "banach.json", _report(cfg, run=run.to_json()))
     print(f"{variant}: fixed point {run.fixed_point!r}, residual {run.residual:.3e}, "
           f"steps {run.steps}, tail bound {'ok' if run.tail_bound_ok else 'VIOLATED'}")
     return 0 if run.tail_bound_ok and run.residual <= cfg["residual_tol"] else 1
 
 
-def cmd_convexity(args) -> int:
-    defaults = {"r": 0.2, "samples": 10000}
-    cfg = _resolve_config(args, defaults)
+def cmd_convexity(cfg) -> int:
     report = convexity_bound(radius=cfg["r"], samples=cfg["samples"], seed=cfg["seed"])
     payload = report.to_json()
     base = convexity_baseline()
@@ -324,9 +293,7 @@ def cmd_convexity(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_enumerate_lines(args) -> int:
-    defaults = {"table": None}
-    cfg = _resolve_config(args, defaults)
+def cmd_enumerate_lines(cfg) -> int:
     if not cfg["table"]:
         raise ConfigError("--table is required")
     finite = FiniteTwoMetricSpace.load(cfg["table"])
@@ -340,52 +307,53 @@ def cmd_enumerate_lines(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags and parser
 # ---------------------------------------------------------------------------
+
+# Every flag is declared once, mapped to its default, or to its type when it
+# has no default; the parser, the config merge and the echoed config read it.
+GLOBAL_FLAGS = {"seed": 0, "out": ".", "tolerance": 1e-9, "json_config": str}
+COMMANDS = {
+    "audit": (cmd_audit, {"space": "det-sphere", "table": str, "samples": 2000,
+                          "witnesses": 128, "dim": 3}),
+    "demo-equator": (cmd_demo_equator, {"k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
+                                        "x0": "0.8,0,0.6", "steps": 200, "witnesses": 128}),
+    "iterate": (cmd_iterate, {"map": "sphere", "k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
+                              "dim": 3, "angle": 0.0, "x0": str, "steps": 200,
+                              "witnesses": 64}),
+    "classify": (cmd_classify, {"space": "det-sphere", "input": str, "witnesses": 128,
+                                "eps_lim": 1e-6, "eps_cauchy": 1e-8, "eps_tri": 1e-8,
+                                "min_length": 50, "dim": 3, "table": str}),
+    "certify": (cmd_certify, {"A": "0.25I", "r": 0.2, "inner": 0.1, "c_prime": float,
+                              "quad": 0.0, "samples": 400, "triples": 2000,
+                              "C_prime": float}),
+    "banach": (cmd_banach, {"C": 2.0, "k": 0.4, "x0": 1.0, "steps": 200, "variant": "auto",
+                            "residual_tol": 1e-10}),
+    "convexity": (cmd_convexity, {"r": 0.2, "samples": 10000}),
+    "enumerate-lines": (cmd_enumerate_lines, {"table": str}),
+}
+
+
+def _spec(value) -> tuple:
+    """(default, type) of a declared flag."""
+    return (None, value) if isinstance(value, type) else (value, type(value))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twometric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, flags):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", type=str)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--json-config", dest="json_config", type=str)
-        for flag, kind in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=kind)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("audit", cmd_audit,
-        {"space": str, "table": str, "samples": int, "witnesses": int, "dim": int})
-    add("demo-equator", cmd_demo_equator,
-        {"k": float, "e": float, "theta": float, "x0": str, "steps": int,
-         "witnesses": int})
-    add("iterate", cmd_iterate,
-        {"map": str, "k": float, "e": float, "theta": float, "dim": int,
-         "angle": float, "x0": str, "steps": int, "witnesses": int})
-    add("classify", cmd_classify,
-        {"space": str, "input": str, "witnesses": int, "eps_lim": float,
-         "eps_cauchy": float, "eps_tri": float, "min_length": int, "dim": int,
-         "table": str})
-    add("certify", cmd_certify,
-        {"A": str, "r": float, "inner": float, "c_prime": float, "quad": float,
-         "samples": int, "triples": int, "C_prime": float})
-    add("banach", cmd_banach,
-        {"C": float, "k": float, "x0": float, "steps": int, "variant": str,
-         "residual_tol": float})
-    add("convexity", cmd_convexity, {"r": float, "samples": int})
-    add("enumerate-lines", cmd_enumerate_lines, {"table": str})
+        for flag, spec in {**GLOBAL_FLAGS, **flags}.items():
+            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=_spec(spec)[1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fn, flags = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return fn(_resolve_config(args, flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

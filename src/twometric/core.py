@@ -124,7 +124,6 @@ class TwoMetricSpace:
     name: str
     d: Callable[[Any, Any, Any], float]
     sample: Callable[[np.random.Generator, int], Any]
-    dim: int | None = None
     size: int | None = None
     d_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     canon: Callable[[Any], Any] | None = None
@@ -265,9 +264,8 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
 
 def _triples(n: int) -> np.ndarray:
     """Rows (i, j, k) with i < j < k < n, in lexicographic order."""
-    m = math.comb(n, 3)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
-    return np.fromiter(flat, np.intp, 3 * m).reshape(m, 3)
+    i, j, k = np.ogrid[:n, :n, :n]
+    return np.argwhere((i < j) & (j < k))
 
 
 # One entry of the table file as ``json.dump(..., indent=2)`` lays it out,
@@ -678,23 +676,28 @@ def surjective_contraction_check(space: FiniteTwoMetricSpace,
 
     measured_k is the max of d(F i, F j, F k) / d(i, j, k) over triples with
     positive d; it is infinite when a zero triple maps to a positive one
-    (no finite contraction constant exists then), and absent when d vanishes
-    on every triple.  For a surjective map on a space satisfying the
-    nondegeneracy and boundedness axioms, measured_k >= 1.
+    (no finite contraction constant exists then), NaN when d or its image
+    is NaN on some triple, and absent when d vanishes on every triple.  The
+    witness is the first triple in lexicographic order that decides it.
+    For a surjective map on a space satisfying the nondegeneracy and
+    boundedness axioms, measured_k >= 1.
     """
     mapping = [int(v) for v in mapping]
     if len(mapping) != space.n or any(not 0 <= v < space.n for v in mapping):
         raise ValueError("mapping must be total on the index set")
     surjective = len(set(mapping)) == space.n
-    best = None
-    witness = None
-    for i, j, k in space.distinct_triples():
-        d0 = space.d(i, j, k)
-        d1 = space.d(mapping[i], mapping[j], mapping[k])
-        if d0 > zero_tol:
-            ratio = d1 / d0
-            if best is None or ratio > best:
-                best, witness = ratio, (i, j, k)
-        elif d1 > zero_tol:
-            return SurjectivityCheck(surjective, float("inf"), (i, j, k))
-    return SurjectivityCheck(surjective, best, witness)
+    T = space.dense()
+    rows = _triples(space.n)
+    d0, d1 = T[tuple(rows.T)], T[tuple(np.asarray(mapping, np.intp)[rows].T)]
+    # the first triple with a NaN on either side makes the ratio NaN, else
+    # the first zero triple mapped to a positive one makes it infinite
+    for k, hit in ((float("nan"), np.isnan(d0) | np.isnan(d1)),
+                   (float("inf"), (d0 <= zero_tol) & (d1 > zero_tol))):
+        if hit.any():
+            return SurjectivityCheck(surjective, k, tuple(rows[hit.argmax()].tolist()))
+    keep = np.flatnonzero(d0 > zero_tol)
+    if not len(keep):
+        return SurjectivityCheck(surjective, None, None)
+    ratios = d1[keep] / d0[keep]
+    best = int(np.argmax(ratios))
+    return SurjectivityCheck(surjective, float(ratios[best]), tuple(rows[keep[best]].tolist()))

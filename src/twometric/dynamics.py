@@ -135,6 +135,7 @@ def measured_contraction_factor(map_: DDecreasingMap, samples: int = 2000,
 
     Triples with d below ``degenerate_tol`` are skipped (their ratios are
     dominated by rounding); None when every sampled triple is degenerate.
+    A NaN d is not skipped, so its NaN ratio makes the factor NaN.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -143,7 +144,7 @@ def measured_contraction_factor(map_: DDecreasingMap, samples: int = 2000,
     Y = np.asarray(map_.domain_sample(rng, samples))
     Z = np.asarray(map_.domain_sample(rng, samples))
     d0 = _d_many(map_.space, X, Y, Z)
-    keep = d0 > degenerate_tol
+    keep = ~(d0 <= degenerate_tol)
     if not keep.any():
         return None
     d1 = _d_many(map_.space, map_.apply_many(X[keep]), map_.apply_many(Y[keep]),
@@ -317,7 +318,7 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
     if witnesses is None:
         witnesses = WitnessSet.sampled(map_.space, 64, seed)
     measured = measured_contraction_factor(map_, samples=factor_samples, seed=seed)
-    if measured is not None and measured >= 1.0:
+    if measured is not None and not measured < 1.0:  # NaN is refused too
         raise ValueError(f"map is not contractive on samples (measured {measured:.6g})")
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)

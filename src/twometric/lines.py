@@ -136,16 +136,21 @@ def line_through(space: TwoMetricSpace, x, y, witnesses: WitnessSet,
             f"line undefined: generators have pair distance {pair_phi:.3g} <= {min_phi:.3g}")
     if space.size is None:
         return Line(x, y, tolerance)
-    members = tuple(a for a in range(space.size)
-                    if float(space.d(a, x, y)) <= tolerance)
-    for ai, a in enumerate(members):
-        for bi in range(ai + 1, len(members)):
-            for c in members[bi + 1:]:
-                if float(space.d(a, members[bi], c)) > tolerance:
-                    raise RuntimeError(
-                        f"member triple {(a, members[bi], c)} is not colinear; "
-                        "transitivity fails on this space")
+    members = _members(space, x, y, tolerance)
+    rows = np.asarray(members, np.intp)[_triples(len(members))]
+    # a NaN member triple is not colinear either
+    bad = np.flatnonzero(~(_d_many(space, *rows.T) <= tolerance))
+    if len(bad):
+        raise RuntimeError(f"member triple {tuple(rows[bad[0]].tolist())} is not colinear; "
+                           "transitivity fails on this space")
     return Line(x, y, tolerance, members)
+
+
+def _members(space: TwoMetricSpace, g1, g2, tolerance: float) -> tuple:
+    """The indices a of a space with ``size`` points (an ``as_space()``
+    table) where d(a, g1, g2) <= tolerance."""
+    near = _d_max(space, np.arange(space.size)[:, None], int(g1), int(g2))
+    return tuple(np.flatnonzero(near <= tolerance).tolist())
 
 
 def maximal_colinear_sets(space: FiniteTwoMetricSpace,
@@ -389,11 +394,9 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
             low = True
             extra_notes.append(
                 f"passer membership defect {defect:.3g} exceeds derived tolerance {derived:.3g}")
-        line = Line(g1, g2, thresholds.colinear)
-        if space.size is not None:
-            members = tuple(a for a in range(space.size)
-                            if float(space.d(a, g1, g2)) <= thresholds.colinear)
-            line = Line(g1, g2, thresholds.colinear, members)
+        members = (None if space.size is None
+                   else _members(space, g1, g2, thresholds.colinear))
+        line = Line(g1, g2, thresholds.colinear, members)
         return replace(base, tag="LineCase", line=line, derived_colinear_tol=derived,
                        passer_defect=defect, low_confidence=low, notes=extra_notes)
     return replace(base, tag="UniquePoint", point=passers[0])

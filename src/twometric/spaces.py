@@ -85,7 +85,6 @@ def det_sphere_space() -> TwoMetricSpace:
         d=det_metric,
         d_batch=det_metric_batch,
         sample=sample_sphere,
-        dim=3,
         canon=antipodal_canon,
         contains=lambda x: abs(np.linalg.norm(x) - 1.0) <= 1e-9,
         line_points=great_circle_points,
@@ -214,7 +213,6 @@ def area_ball_space(dim: int = 3, radius: float = 0.5) -> TwoMetricSpace:
         d=area_metric,
         d_batch=area_metric_batch,
         sample=lambda rng, n: sample_ball(rng, n, dim=dim, radius=radius),
-        dim=dim,
         contains=lambda x: np.linalg.norm(x) <= radius + 1e-12,
         line_points=lambda g1, g2, n: chord_points(g1, g2, n, radius=radius),
     )
@@ -291,7 +289,6 @@ class SpherePatch:
             d=self.metric,
             d_batch=self.metric_batch,
             sample=self.sample,
-            dim=2,
             contains=self.contains,
         )
 

@@ -283,3 +283,45 @@ def test_cert_result_json_schema():
     assert {"pass", "max_jac_dev", "max_hessian", "c_prime", "C_prime",
             "det_A", "worst_ratio", "bound"} <= set(payload)
     assert payload["pass"] is True
+
+
+def test_certify_fails_range_on_nan_images():
+    # NaN only beyond |x| > 0.09995: the Jacobian points stay clean, some
+    # ratio samples do not
+    A = 0.25 * np.eye(2)
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return A @ x * (np.nan if np.linalg.norm(x) > 0.09995 else 1.0)
+
+    result = certify(make_input(F, A), seed=1)
+    assert not result.passes
+    assert [f["hypothesis"] for f in result.failures] == ["range_containment"]
+    assert result.worst_ratio is None and result.conclusion_ok is None
+
+
+class NanRatioPatch(SpherePatch):
+    """The patch metric, NaN on triples whose first point has x_0 > 0.09."""
+
+    def metric_batch(self, X, Y, Z):
+        return np.where(np.asarray(X)[..., 0] > 0.09, np.nan, super().metric_batch(X, Y, Z))
+
+
+def test_certify_reports_a_nan_ratio():
+    A = 0.25 * np.eye(2)
+    inp = CertInput(map=linear_map(A), jac_target=A, norm_bound=BASE["C_A"],
+                    patch=NanRatioPatch(0.2), inner_radius=INNER,
+                    ratio_constant=BASE["C_prime"])
+    result = certify(inp, seed=2)
+    assert np.isnan(result.worst_ratio) and result.conclusion_ok is False
+
+
+def test_certify_raises_on_a_nan_jacobian():
+    A = 0.25 * np.eye(2)
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return A @ x * (np.nan if x[0] > 0.05 else 1.0)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        certify(make_input(F, A), seed=3)

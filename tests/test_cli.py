@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from twometric import (CertInput, SphereContractionParams, SpherePatch, certifier_baseline,
                        certify, demo_five_point_space, make_sphere_map, orbit,
                        sphere_witnesses, unit_sphere)
-from twometric.cli import main
+from twometric.cli import build_parser, main
 
 
 def load(path):
@@ -267,3 +269,89 @@ def test_csv_uses_plain_decimal_points(tmp_path):
     for token in body.splitlines()[1].split(",")[1:4]:
         float(token)  # parses with '.' decimal separator, no locale
         assert "," not in token
+
+
+# Every subcommand's flags and their types, as the parser declared them
+# before the flags were declared once per subcommand.
+GLOBAL_FLAGS = {"seed": int, "out": str, "tolerance": float, "json_config": str}
+PARSER_FLAGS = {
+    "audit": {"space": str, "table": str, "samples": int, "witnesses": int, "dim": int},
+    "demo-equator": {"k": float, "e": float, "theta": float, "x0": str, "steps": int,
+                     "witnesses": int},
+    "iterate": {"map": str, "k": float, "e": float, "theta": float, "dim": int,
+                "angle": float, "x0": str, "steps": int, "witnesses": int},
+    "classify": {"space": str, "input": str, "witnesses": int, "eps_lim": float,
+                 "eps_cauchy": float, "eps_tri": float, "min_length": int, "dim": int,
+                 "table": str},
+    "certify": {"A": str, "r": float, "inner": float, "c_prime": float, "quad": float,
+                "samples": int, "triples": int, "C_prime": float},
+    "banach": {"C": float, "k": float, "x0": float, "steps": int, "variant": str,
+               "residual_tol": float},
+    "convexity": {"r": float, "samples": int},
+    "enumerate-lines": {"table": str},
+}
+
+
+def subparsers() -> dict:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parser_flags(sub) -> dict:
+    """dest -> (option strings, type, default) of a subcommand's flags."""
+    return {a.dest: (a.option_strings, a.type, a.default) for a in sub._actions
+            if a.dest != "help"}
+
+
+def test_parser_flags_dests_and_types_are_unchanged():
+    subs = subparsers()
+    assert list(subs) == list(PARSER_FLAGS)
+    for name, flags in PARSER_FLAGS.items():
+        expected = {dest: ([f"--{dest.replace('_', '-')}"], kind, None)
+                    for dest, kind in {**GLOBAL_FLAGS, **flags}.items()}
+        assert parser_flags(subs[name]) == expected
+
+
+@pytest.fixture
+def one_run_each(tmp_path, demo_table):
+    """Run every subcommand once, each into its own directory; the
+    artifact path of each."""
+    runs = {
+        "audit": (["--samples", "200", "--witnesses", "16"], "audit.json"),
+        "demo-equator": (["--steps", "60", "--witnesses", "16"], "outcome.json"),
+        "iterate": (["--steps", "60", "--witnesses", "16"], "iterate.json"),
+        "classify": (["--input", str(tmp_path / "iterate" / "trace.csv"),
+                      "--witnesses", "16"], "classification.json"),
+        "certify": (["--samples", "50", "--triples", "200"], "certify.json"),
+        "banach": ([], "banach.json"),
+        "convexity": (["--samples", "500"], "convexity.json"),
+        "enumerate-lines": (["--table", str(demo_table)], "lines.json"),
+    }
+    artifacts = {}
+    for name, (argv, artifact) in runs.items():
+        assert main([name, *argv, "--seed", "3", "--out", str(tmp_path / name)]) in (0, 1)
+        artifacts[name] = tmp_path / name / artifact
+    return artifacts
+
+
+def test_parser_flags_are_the_echoed_config(one_run_each):
+    subs = subparsers()
+    assert set(one_run_each) == set(subs)
+    for name, artifact in one_run_each.items():
+        echoed = set(load(artifact)["config"])
+        assert set(parser_flags(subs[name])) == echoed | {"json_config"}
+
+
+def test_echoed_config_reproduces_the_artifact(one_run_each, tmp_path):
+    def blanked(path):
+        return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', path.read_bytes())
+
+    for name, artifact in one_run_each.items():
+        first = blanked(artifact)
+        config = tmp_path / f"{name}.config.json"
+        config.write_text(json.dumps(load(artifact)["config"]))
+        artifact.unlink()
+        assert main([name, "--json-config", str(config)]) in (0, 1)
+        assert blanked(artifact) == first
+

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import random_sphere_table
-from twometric.core import _phi_many
+from twometric.core import _phi_many, _triples
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
                        quotient_by_zero_phi, sphere_witnesses,
@@ -345,3 +347,60 @@ def test_random_permutations_never_contract(rng):
         check = surjective_contraction_check(space, perm)
         assert check.is_surjective
         assert check.measured_k >= 1.0
+
+
+def loop_surjectivity(space, mapping, zero_tol=1e-12):
+    """The per-triple loop that ``surjective_contraction_check`` replaced."""
+    best = witness = None
+    for i, j, k in combinations(range(space.n), 3):
+        d0 = space.d(i, j, k)
+        d1 = space.d(mapping[i], mapping[j], mapping[k])
+        if d0 > zero_tol:
+            ratio = d1 / d0
+            if best is None or ratio > best:
+                best, witness = ratio, (i, j, k)
+        elif d1 > zero_tol:
+            return float("inf"), (i, j, k)
+    return best, witness
+
+
+def test_surjectivity_matches_the_triple_loop(rng):
+    # few distinct values, so ties and the first-largest rule matter; some
+    # tables leave entries out (read as 0), some maps hit zero triples
+    for trial in range(300):
+        n = int(rng.integers(3, 9))
+        space = FiniteTwoMetricSpace(n)
+        for t in combinations(range(n), 3):
+            if rng.random() < 0.9:
+                space.table[t] = float(rng.choice([0.0, 1e-13, 0.25, 0.5, 1.0]))
+        mapping = (rng.permutation(n) if trial % 3 == 0
+                   else rng.integers(0, n, size=n)).tolist()
+        for tol in (1e-12, 0.3):
+            check = surjective_contraction_check(space, mapping, zero_tol=tol)
+            assert (check.measured_k, check.witness) == loop_surjectivity(space, mapping, tol)
+    for _ in range(20):  # generic values
+        space = random_sphere_table(rng, int(rng.integers(3, 9)))
+        mapping = rng.integers(0, space.n, size=space.n).tolist()
+        check = surjective_contraction_check(space, mapping)
+        assert (check.measured_k, check.witness) == loop_surjectivity(space, mapping)
+
+
+def test_surjectivity_reports_nan_from_a_nan_entry(rng):
+    space = demo_five_point_space()
+    space.table[(0, 1, 2)] = float("nan")
+    check = surjective_contraction_check(space, [0, 1, 2, 3, 4])
+    assert np.isnan(check.measured_k) and check.witness == (0, 1, 2)
+    for _ in range(50):  # a NaN on either side of a used triple
+        space = random_sphere_table(rng, 6)
+        mapping = rng.permutation(6).tolist()
+        t = sorted(rng.choice(6, 3, replace=False).tolist())
+        space.table[tuple(t)] = float("nan")
+        assert np.isnan(surjective_contraction_check(space, mapping).measured_k)
+
+
+def test_triples_are_the_lexicographic_combinations():
+    for n in (0, 1, 2, 3, 4, 5, 10, 40):
+        rows = _triples(n)
+        assert rows.dtype == np.intp and rows.shape == (len(list(combinations(range(n), 3))), 3)
+        assert rows.tolist() == [list(t) for t in combinations(range(n), 3)]
+

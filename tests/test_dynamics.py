@@ -123,6 +123,28 @@ def test_all_degenerate_triples_flagged_as_undefined(rng):
     assert measured_contraction_factor(degenerate, samples=100, seed=4) is None
 
 
+def nan_kernel_linear_map():
+    """The scale-0.6 linear map (factor 0.36) on an area ball whose kernel
+    is NaN when the first point has x_0 > 0.3: only unmapped samples reach
+    that region, since the map scales the radius-0.5 ball into 0.3."""
+    m = make_linear_map(np.eye(3), 0.6)
+    clean = m.space.d_batch
+
+    def kernel(X, Y, Z):
+        return np.where(np.asarray(X)[..., 0] > 0.3, np.nan, clean(X, Y, Z))
+
+    return replace(m, space=replace(m.space, d_batch=kernel))
+
+
+def test_measured_factor_is_nan_when_the_metric_is():
+    assert np.isnan(measured_contraction_factor(nan_kernel_linear_map(), samples=2000))
+
+
+def test_detect_outcome_refuses_a_nan_factor():
+    with pytest.raises(ValueError, match="measured nan"):
+        detect_outcome(nan_kernel_linear_map(), np.full(3, 0.2), 100)
+
+
 # ---------------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------------

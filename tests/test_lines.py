@@ -11,6 +11,7 @@ from twometric import (FiniteTwoMetricSpace, Thresholds, WitnessSet, classify,
                        enumerate_lines, is_colinear, lim_residual, line_through,
                        maximal_colinear_sets, sphere_witnesses,
                        transitivity_probe)
+import twometric.lines as lines_module
 from twometric.lines import _triple_arrays
 
 E1, E2, E3 = np.eye(3)
@@ -96,6 +97,53 @@ def test_line_through_detects_transitivity_defect():
     with pytest.raises(RuntimeError, match="not colinear"):
         line_through(space.as_space(), 0, 1, WitnessSet.all_of(space),
                      tolerance=1e-12)
+
+
+def test_line_through_rejects_a_nan_member_triple():
+    # {0, 1, 2, 3} is a line but for a NaN at (0, 2, 3)
+    space = FiniteTwoMetricSpace(5)
+    for t in space.distinct_triples():
+        space.table[t] = 1.0 if 4 in t else 0.0
+    space.table[(0, 2, 3)] = float("nan")
+    with pytest.raises(RuntimeError, match=r"member triple \(0, 2, 3\) is not colinear"):
+        line_through(space.as_space(), 0, 1, WitnessSet.all_of(space), tolerance=1e-12)
+
+
+def loop_line_through(space, x, y, tolerance):
+    """The scalar member scan and member-triple loop of ``line_through``."""
+    members = tuple(a for a in range(space.size) if float(space.d(a, x, y)) <= tolerance)
+    for ai, a in enumerate(members):
+        for bi in range(ai + 1, len(members)):
+            for c in members[bi + 1:]:
+                if float(space.d(a, members[bi], c)) > tolerance:
+                    return f"member triple {(a, members[bi], c)} is not colinear"
+    return members
+
+
+def test_line_members_match_the_scalar_scan(rng):
+    # values with many exact zeros, so lines, transitivity failures and
+    # (on a NaN) entries that are no member all occur
+    for trial in range(200):
+        n = int(rng.integers(3, 9))
+        finite = FiniteTwoMetricSpace(n)
+        for t in finite.distinct_triples():
+            finite.table[t] = float(rng.choice([0.0, 0.0, 1e-13, 0.5, 1.0]))
+        nan = trial % 2 and n > 3
+        if nan:
+            finite.table[tuple(sorted(rng.choice(n, 3, replace=False).tolist()))] = np.nan
+        space = finite.as_space()
+        x, y = (int(v) for v in rng.choice(n, 2, replace=False))
+        for tol in (1e-12, 0.7):
+            scan = tuple(a for a in range(n) if float(space.d(a, x, y)) <= tol)
+            assert lines_module._members(space, np.intp(x), y, tol) == scan
+            if nan or finite.phi(x, y) <= 1e-6:
+                continue  # a NaN member now raises; close generators raise anyway
+            expected = loop_line_through(space, x, y, tol)
+            try:
+                got = line_through(space, x, y, WitnessSet.all_of(finite), tolerance=tol).members
+            except RuntimeError as exc:
+                got = str(exc).split(";")[0]
+            assert got == expected
 
 
 # ---------------------------------------------------------------------------
