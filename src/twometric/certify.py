@@ -42,15 +42,25 @@ def jacobian_fd(F, x, step: float = 1e-5, radius: float | None = None) -> np.nda
     return J.reshape(x.shape[:-1] + J.shape[1:])
 
 
+def _spectral_norms(M) -> np.ndarray:
+    """Spectral norm of each matrix on the last two axes, NaN for a matrix
+    with a non-finite entry (the SVD behind the norm does not converge on
+    one)."""
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    norms = np.linalg.norm(np.where(finite[..., None, None], M, 0.0), 2, axis=(-2, -1))
+    return np.where(finite, norms, np.nan)
+
+
 def hessian_bound_fd(F, points, step: float = 1e-5,
                      radius: float | None = None) -> float:
     """Sampled sup of the Jacobian's derivative: the max over points and
-    directions of the spectral norm of dJ/dx_i by central differences."""
+    directions of the spectral norm of dJ/dx_i by central differences.
+    NaN when a difference is not finite."""
     X = np.asarray(points, dtype=float)
     if radius is not None and np.linalg.norm(X, axis=-1).max(initial=0.0) + 2.0 * step > radius:
         raise ValueError("insufficient margin for central differences")
-    norms = [np.linalg.norm((jacobian_fd(F, X + e, step) - jacobian_fd(F, X - e, step))
-                            / (2.0 * step), 2, axis=(-2, -1))
+    norms = [_spectral_norms((jacobian_fd(F, X + e, step) - jacobian_fd(F, X - e, step))
+                             / (2.0 * step))
              for e in step * np.eye(X.shape[-1])]
     return float(np.max(norms, initial=0.0))
 
@@ -87,6 +97,11 @@ class CertInput:
             self.proximity = 0.01 * det / self.norm_bound
 
 
+def _strict(record: dict) -> dict:
+    bad = [k for k, v in record.items() if isinstance(v, float) and not np.isfinite(v)]
+    return {**record, **dict.fromkeys(bad), **({"non_finite": True} if bad else {})}
+
+
 @dataclass
 class CertResult:
     passes: bool
@@ -103,7 +118,9 @@ class CertResult:
     ratio_samples: int = 0
 
     def to_json(self) -> dict:
-        return {
+        """Strict JSON: a non-finite value, here or in a failure record, is
+        written as null, and that object gets ``"non_finite": true``."""
+        return _strict({
             "pass": bool(self.passes),
             "max_jac_dev": float(self.max_jac_dev),
             "max_hessian": float(self.max_hessian),
@@ -113,10 +130,10 @@ class CertResult:
             "worst_ratio": None if self.worst_ratio is None else float(self.worst_ratio),
             "bound": float(self.bound),
             "conclusion_ok": self.conclusion_ok,
-            "failures": list(self.failures),
+            "failures": [_strict(f) for f in self.failures],
             "samples": int(self.samples),
             "ratio_samples": int(self.ratio_samples),
-        }
+        })
 
 
 def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
@@ -134,19 +151,20 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
 
     margin = 2.5 * step
     pts = patch.sample(rng, samples, radius=max(rin - margin, rin * 0.5))
-    devs = np.linalg.norm(jacobian_fd(inp.map, pts, step, radius=rin) - A, 2, axis=(-2, -1))
+    devs = _spectral_norms(jacobian_fd(inp.map, pts, step, radius=rin) - A)
     max_dev = float(devs.max())
     hess = hessian_bound_fd(inp.map, pts, step, radius=rin)
 
+    # NaN fails both: it is not <= the budget, and argmax picks the first NaN
     failures = []
-    if max_dev > c_prime:
+    if not max_dev <= c_prime:
         failures.append({
             "hypothesis": "jacobian_proximity",
             "value": max_dev,
             "budget": c_prime,
             "witness": [float(c) for c in pts[int(np.argmax(devs))]],
         })
-    if hess > c_prime:
+    if not hess <= c_prime:
         failures.append({
             "hypothesis": "hessian_bound",
             "value": float(hess),

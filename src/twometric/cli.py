@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -55,7 +56,7 @@ class ConfigError(Exception):
 
 def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
     """Merge flag values over the JSON config file over the declared
-    defaults; reject unknown config keys."""
+    defaults; reject unknown config keys and non-finite float values."""
     file_cfg = {}
     if args.json_config:
         with open(args.json_config, "r", encoding="utf-8") as fh:
@@ -70,26 +71,30 @@ def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
     for key, spec in flags.items():
         flag = getattr(args, key)
         resolved[key] = flag if flag is not None else file_cfg.get(key, _spec(spec)[0])
+        if isinstance(resolved[key], float) and not math.isfinite(resolved[key]):
+            raise ConfigError(f"{key} must be finite, got {resolved[key]}")
     resolved.pop("json_config")
     return resolved
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"vector {text!r} has a non-finite entry")
+    return vec
 
 
 def _parse_matrix2(text: str) -> np.ndarray:
     """'0.25I' or 'a,b,c,d' row-major."""
     text = text.strip()
-    if text.endswith("I"):
-        return float(text[:-1]) * np.eye(2)
-    vals = _parse_vector(text)
-    if len(vals) != 4:
+    scaled = text.endswith("I")
+    vals = _parse_vector(text[:-1] if scaled else text)
+    if len(vals) != (1 if scaled else 4):
         raise ConfigError("matrix needs 4 comma-separated entries or 'sI'")
-    return vals.reshape(2, 2)
+    return vals[0] * np.eye(2) if scaled else vals.reshape(2, 2)
 
 
 def _space_for(name: str, cfg: dict):

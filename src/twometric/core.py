@@ -206,8 +206,10 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     first axis.
 
     Kernels see C-ordered arrays, as the ``np.repeat``/``np.tile`` rows of
-    the stacked form were: ``einsum`` sums in an order that follows the
-    memory layout, so another layout could change the last bit.
+    the stacked form were.  The built-in 3-d kernels add elementwise and do
+    not depend on the layout, but ``einsum``, which the area kernel keeps
+    in other dimensions, sums in an order that follows the memory layout,
+    so another layout could change the last bit there.
     """
     arrays = [np.asarray(A, order="C") for A in (X, Y, Z)]
     k = 0 if all(A.dtype.kind in "iu" for A in arrays) else 1

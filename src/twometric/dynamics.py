@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, apply_rows,
-                   eval_phi, point_json)
+                   broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space
 
@@ -71,10 +71,15 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
     k, e, theta = params.k, params.e, params.theta
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    squeeze = np.array([1.0, 1.0, k])
 
+    @broadcasting
     def f(x):
-        t = np.array([x[0], x[1], k * x[2]])
-        return rot @ (t / np.linalg.norm(t))
+        # matmul of a row by a column, and of rot by a column, gives each
+        # point the bits of np.linalg.norm(t) and rot @ u
+        t = np.asarray(x, dtype=float) * squeeze
+        u = t / np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0])
+        return np.matmul(rot, u[..., None])[..., 0]
 
     def contains(x):
         return (np.hypot(x[0], x[1]) >= e - 1e-12
@@ -116,10 +121,16 @@ def make_linear_map(M, k: float, radius: float = 0.5) -> DDecreasingMap:
         raise ValueError("scale must lie strictly in (0, 1) to be d-decreasing")
     dim = M.shape[0]
     space = area_ball_space(dim=dim, radius=radius)
+
+    @broadcasting
+    def f(x):
+        # matmul of M by a column gives each point the bits of M @ x
+        return k * np.matmul(M, np.asarray(x, dtype=float)[..., None])[..., 0]
+
     return DDecreasingMap(
         name=f"linear(k={k},dim={dim})",
         kind="linear",
-        f=lambda x: k * (M @ np.asarray(x, dtype=float)),
+        f=f,
         space=space,
         claimed_factor=k * k,
         certified=True,

@@ -39,18 +39,38 @@ def det_metric(x, y, z) -> float:
     Also takes stacks of points that broadcast, one value per row.  The
     matmul of a row by a column reaches the same dot kernel as ``np.dot``,
     so a stacked call gives each row the bits of a single call.
-    ``det_metric_batch`` sums with ``einsum`` in another order and can
-    differ in the last bit: tables tabulated with ``det_metric`` keep its
-    bits.
+    ``det_metric_batch`` adds the products in another order and can differ
+    in the last bit: tables tabulated with ``det_metric`` keep its bits.
     """
     x = np.asarray(x, dtype=float)
     out = np.abs(np.matmul(x[..., None, :], np.cross(y, z)[..., :, None])[..., 0, 0])
     return float(out) if out.ndim == 0 else out
 
 
+def _coords(A) -> list:
+    """The coordinate arrays ``A[..., j]`` of points on the last axis."""
+    A = np.asarray(A, dtype=float)
+    return [A[..., j] for j in range(A.shape[-1])]
+
+
+def _dot3(a, b) -> np.ndarray:
+    """Dot products of 3-d points given as coordinate arrays, added as
+    ``einsum("...j,...j->...")`` adds a unit-stride last axis of length 3:
+    ``(a0*b0 + a2*b2) + a1*b1``.  The order decides the last bit, so this
+    gives einsum's bits without its per-call cost."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
 @broadcasting
 def det_metric_batch(X, Y, Z) -> np.ndarray:
-    return np.abs(np.einsum("...j,...j->...", np.asarray(X), np.cross(Y, Z)))
+    """|det [x y z]| row by row: ``x . (y x z)`` with the cross product
+    written out as ``np.cross`` computes it, and the dot product as
+    ``_dot3``.  Each row has the bits of
+    ``abs(einsum("...j,...j->...", X, np.cross(Y, Z)))`` on C-ordered
+    inputs, whatever the layout of the inputs."""
+    x, y, z = _coords(X), _coords(Y), _coords(Z)
+    c = (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])
+    return np.abs(_dot3(x, c))
 
 
 def antipodal_canon(x) -> np.ndarray:
@@ -170,12 +190,23 @@ def area_metric(x, y, z) -> float:
 
 @broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(Y, dtype=float) - X
-    V = np.asarray(Z, dtype=float) - X
-    uu = np.einsum("...j,...j->...", U, U)
-    vv = np.einsum("...j,...j->...", V, V)
-    uv = np.einsum("...j,...j->...", U, V)
+    """Triangle areas row by row, from the Gram determinant of the edges
+    u = y - x and v = z - x.  In 3-d the dot products are ``_dot3`` sums of
+    per-coordinate differences, with the bits of ``einsum``; in any other
+    dimension they are ``einsum`` itself, since no explicit order found
+    gives its bits there (in 5-d neither a left-to-right sum nor
+    ``.sum(-1)`` does)."""
+    X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
+    if X.shape[-1] == 3:
+        x, y, z = _coords(X), _coords(Y), _coords(Z)
+        u = [b - a for a, b in zip(x, y)]
+        v = [c - a for a, c in zip(x, z)]
+        uu, vv, uv = _dot3(u, u), _dot3(v, v), _dot3(u, v)
+    else:
+        U, V = Y - X, Z - X
+        uu = np.einsum("...j,...j->...", U, U)
+        vv = np.einsum("...j,...j->...", V, V)
+        uv = np.einsum("...j,...j->...", U, V)
     return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
 
 

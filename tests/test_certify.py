@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -314,14 +316,49 @@ def test_certify_reports_a_nan_ratio():
                     ratio_constant=BASE["C_prime"])
     result = certify(inp, seed=2)
     assert np.isnan(result.worst_ratio) and result.conclusion_ok is False
+    out = json.loads(json.dumps(result.to_json(), allow_nan=False))
+    assert out["worst_ratio"] is None and out["non_finite"] is True
+    assert out["max_jac_dev"] is not None
 
 
-def test_certify_raises_on_a_nan_jacobian():
+def test_certify_fails_on_a_nan_jacobian():
     A = 0.25 * np.eye(2)
 
     def F(x):
         x = np.asarray(x, dtype=float)
-        return A @ x * (np.nan if x[0] > 0.05 else 1.0)
+        return A @ x * (np.nan if x[0] > 0.08 else 1.0)
 
-    with pytest.raises(np.linalg.LinAlgError):
-        certify(make_input(F, A), seed=3)
+    result = certify(make_input(F, A), seed=3)
+    assert not result.passes and np.isnan(result.max_jac_dev) and np.isnan(result.max_hessian)
+    jac, hess = result.failures
+    assert jac["hypothesis"] == "jacobian_proximity" and np.isnan(jac["value"])
+    assert hess["hypothesis"] == "hessian_bound" and np.isnan(hess["value"])
+    # the witness is the first sampled point whose Jacobian is not finite
+    pts = PATCH.sample(np.random.default_rng(3), 400, radius=INNER - 2.5e-5)
+    finite = np.isfinite(jacobian_fd(F, pts)).all(axis=(1, 2))
+    first = np.argmin(finite)
+    assert 0 < first and (~finite[first + 1:]).any()
+    assert jac["witness"] == pts[first].tolist()
+
+    out = json.loads(json.dumps(result.to_json(), allow_nan=False))
+    assert out["max_jac_dev"] is None and out["max_hessian"] is None
+    assert out["non_finite"] is True and out["c_prime"] == result.c_prime
+    for record in out["failures"]:
+        assert record["value"] is None and record["non_finite"] is True
+
+
+def test_hessian_bound_is_nan_on_a_nan_map():
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return x * (np.nan if x[0] > 0.05 else 1.0)
+
+    points = np.array([[0.0, 0.0], [0.06, 0.0]])
+    assert hessian_bound_fd(F, points[:1]) == 0.0
+    assert np.isnan(hessian_bound_fd(F, points))
+
+
+def test_finite_results_carry_no_non_finite_flag():
+    A = 0.25 * np.eye(2)
+    out = certify(make_input(quad_map(A, 0.5), A), seed=1).to_json()
+    assert "non_finite" not in out and out["failures"]
+    assert all("non_finite" not in record for record in out["failures"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,39 @@ def test_unexpected_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
 def test_bad_vector_is_a_usage_error(tmp_path):
     assert main(["demo-equator", "--x0", "not,a,vector",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--quad", "nan"],
+    ["certify", "--C-prime", "nan"],
+    ["certify", "--A=0.25,0,0,nan"],
+    ["certify", "--A=infI"],
+    ["demo-equator", "--x0=inf,0,0"],
+    ["banach", "--x0=-inf"],
+])
+def test_non_finite_flags_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    from twometric import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    for name in ("certify", "detect_outcome", "banach_direct", "banach_power"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"quad": NaN}')
+    assert main(["certify", "--json-config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: quad must be finite, got nan\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point(tmp_path):
