@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_rows
+from .core import _worst_ratio, apply_rows
 from .spaces import SpherePatch
 
 
@@ -186,16 +186,13 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
             det_target=det, worst_ratio=None, bound=bound,
             conclusion_ok=None, failures=failures, samples=samples,
         )
-    d0 = patch.metric_batch(X, Y, Z)
-    keep = ~(d0 <= 1e-12)  # a NaN d0 stays, so its NaN ratio is reported
-    ratios = patch.metric_batch(FX[keep], FY[keep], FZ[keep]) / d0[keep]
-    worst = float(ratios.max()) if keep.any() else None
+    worst, kept = _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ))
     conclusion_ok = None if worst is None else bool(worst <= bound * 1.05)
     return CertResult(
         passes=True, max_jac_dev=max_dev, max_hessian=float(hess),
         c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,
         worst_ratio=worst, bound=bound, conclusion_ok=conclusion_ok,
-        samples=samples, ratio_samples=int(keep.sum()),
+        samples=samples, ratio_samples=kept,
     )
 
 
@@ -219,13 +216,8 @@ def calibrate_ratio_constant(patch_radius: float = 0.2, inner_radius: float = 0.
             continue
         det = abs(np.linalg.det(A))
         kept += 1
-        X = patch.sample(rng, triples, radius=inner_radius)
-        Y = patch.sample(rng, triples, radius=inner_radius)
-        Z = patch.sample(rng, triples, radius=inner_radius)
-        d0 = patch.metric_batch(X, Y, Z)
-        keep = d0 > 1e-12
-        d1 = patch.metric_batch(X[keep] @ A.T, Y[keep] @ A.T, Z[keep] @ A.T)
-        ratio = float((d1 / d0[keep]).max())
+        P = [patch.sample(rng, triples, radius=inner_radius) for _ in range(3)]
+        ratio, _ = _worst_ratio(patch.metric_batch, P, [Q @ A.T for Q in P])
         best = max(best, ratio / det)
     return {
         "C_prime": best,

@@ -189,6 +189,8 @@ def cmd_iterate(cfg) -> int:
             M[0, 0], M[0, 1], M[1, 0], M[1, 1] = c, -s, s, c
         map_ = make_linear_map(M, cfg["k"])
         x0 = _parse_vector(cfg["x0"]) if cfg["x0"] else np.full(dim, 0.4 / np.sqrt(dim))
+        if len(x0) != dim:
+            raise ConfigError(f"--x0 has {len(x0)} coordinates but --dim is {dim}")
         vertical = False
     else:
         raise ConfigError(f"unknown map {cfg['map']!r}")

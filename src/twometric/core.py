@@ -110,11 +110,14 @@ def _lex_swap(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class TwoMetricSpace:
     """A point domain with an evaluable ternary metric.
 
-    ``d`` is the scalar evaluator; ``d_batch`` an optional vectorized form
-    over stacked (n, dim) arrays used by audits and classification, which
-    must agree with ``d``.  A ``d_batch`` marked with ``broadcasting`` also
+    ``d_batch`` is the kernel: it evaluates stacked (n, dim) arrays, one
+    value per row, and every check and verdict of the library reads the
+    metric through it.  A ``d_batch`` marked with ``broadcasting`` also
     takes inputs that broadcast over their leading axes, and is then called
-    on many-by-many scans without materialising their rows.
+    on many-by-many scans without materialising their rows.  ``d`` is the
+    scalar reference the kernel must agree with, up to rounding; the
+    library calls it only for a space without a kernel, one triple at a
+    time.
     ``sample(rng, n)`` draws n domain points.
     ``canon`` maps a point to its equivalence-class representative (used by
     quotient constructions); it must be idempotent.  ``line_points``, when
@@ -183,9 +186,30 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet) -> float:
 
 
 def _d_many(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
+    """d of the stacked triples (X[i], Y[i], Z[i]): the space's kernel, or,
+    for a space without one, the scalar ``d`` row by row.  No other library
+    code calls a space's ``d``."""
     if space.d_batch is not None:
         return np.asarray(space.d_batch(np.asarray(X), np.asarray(Y), np.asarray(Z)))
     return np.array([float(space.d(x, y, z)) for x, y, z in zip(X, Y, Z)])
+
+
+# Triples with d at or below this are left out of a worst ratio: their
+# ratios are dominated by rounding.
+_DEGENERATE = 1e-12
+
+
+def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
+    """Largest ``kernel(*images) / kernel(*triples)`` over the stacked
+    triples whose value is not <= ``_DEGENERATE``, and how many they are;
+    None when there are none.  A NaN value is kept, so its NaN ratio makes
+    the result NaN."""
+    d0 = kernel(*triples)
+    keep = ~(d0 <= _DEGENERATE)
+    if not keep.any():
+        return None, 0
+    d1 = kernel(*(np.asarray(P)[keep] for P in images))
+    return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
 # Rows per metric call in ``_d_max``: 2**16 to 2**18 rows ran fastest for the
@@ -510,20 +534,18 @@ def _record_from(axiom: str, violations: np.ndarray, tuples, samples: int) -> Ax
 
 
 def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
-          triples: int = 2000, quadruples: int | None = None,
-          quintuples: int | None = None, seed: int = 0,
+          triples: int = 2000, seed: int = 0,
           tolerance: float = DEFAULT_TOLERANCE) -> AxiomReport:
     """Score every axiom as the worst sampled max(0, LHS - RHS).
 
-    Tuples for the plain axioms are drawn from the space sampler; tuples for
-    the phi-based checks are drawn from the witness set so the truncated sup
-    is internally consistent and those inequalities are exact.  All sampling
-    is sequential from the given seed.
+    Each axiom samples ``triples`` tuples of its own arity.  Tuples for the
+    plain axioms are drawn from the space sampler; tuples for the phi-based
+    checks are drawn from the witness set so the truncated sup is internally
+    consistent and those inequalities are exact.  All sampling is sequential
+    from the given seed.
     """
     if triples < 1:
         raise ValueError("sample counts must be >= 1")
-    quadruples = triples if quadruples is None else quadruples
-    quintuples = triples if quintuples is None else quintuples
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -545,12 +567,12 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
         records.append(_record_from("Sym", spread, T, triples))
 
     # Tetr on quadruples.
-    Q = [draw(quadruples) for _ in range(4)]
+    Q = [draw(triples) for _ in range(4)]
     lhs = _d_many(space, Q[0], Q[1], Q[2])
     rhs = (_d_many(space, Q[0], Q[1], Q[3])
            + _d_many(space, Q[1], Q[2], Q[3])
            + _d_many(space, Q[0], Q[2], Q[3]))
-    records.append(_record_from("Tetr", lhs - rhs, Q, quadruples))
+    records.append(_record_from("Tetr", lhs - rhs, Q, triples))
 
     # Z: repeated-argument degeneracy, plus positivity on generic triples.
     P = [draw(triples) for _ in range(2)]
@@ -582,11 +604,11 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     records.append(_record_from("B", d0 - 1.0, T, triples))
 
     # Trans on quintuples: d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y).
-    V = [draw(quintuples) for _ in range(5)]
+    V = [draw(triples) for _ in range(5)]
     a, b, c, x, y = V
     lhs = _d_many(space, a, b, x) * _d_many(space, c, x, y)
     rhs = _d_many(space, a, x, y) + _d_many(space, b, x, y)
-    records.append(_record_from("Trans", lhs - rhs, V, quintuples))
+    records.append(_record_from("Trans", lhs - rhs, V, triples))
 
     # phi-based checks, sampled from the witness set.
     prng = np.random.default_rng(seed + 2)
@@ -601,12 +623,12 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     records.append(_record_from("CostTriangle", phi_xy - phi_xz - phi_zy - d_xyz,
                                 (PX, PY, PZ), triples))
 
-    qidx = prng.integers(0, len(witnesses), size=(quadruples, 4))
+    qidx = prng.integers(0, len(witnesses), size=(triples, 4))
     DA, DB = Wpts[qidx[:, 0]], Wpts[qidx[:, 1]]
     DX, DY = Wpts[qidx[:, 2]], Wpts[qidx[:, 3]]
     lhs = np.abs(_d_many(space, DA, DB, DX) - _d_many(space, DA, DB, DY))
     rhs = 2.0 * _phi_many(space, DX, DY, witnesses)
-    records.append(_record_from("DphiLipschitz", lhs - rhs, (DA, DB, DX, DY), quadruples))
+    records.append(_record_from("DphiLipschitz", lhs - rhs, (DA, DB, DX, DY), triples))
 
     order = {name: i for i, name in enumerate(AXIOM_ORDER)}
     records.sort(key=lambda r: order[r.axiom])

@@ -18,14 +18,22 @@ no fixed point on it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, apply_rows,
-                   broadcasting, eval_phi, point_json)
+from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, _worst_ratio,
+                   apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
-from .spaces import area_ball_space, det_sphere_space
+from .spaces import area_ball_space, det_sphere_space, sample_sphere
+
+# Sampled index triples of an orbit checked against the geometric decay.
+_DECAY_TRIPLES = 2000
+# Domain triples behind the measured factor that ``detect_outcome`` checks.
+_FACTOR_SAMPLES = 500
+# Points of the candidate line sampled for the invariance check.
+_LINE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,6 @@ class DDecreasingMap:
     domain_contains: Callable[[Any], bool]
     domain_sample: Callable[[np.random.Generator, int], Any]
 
-    def apply_many(self, points):
-        return apply_rows(self.f, points)
-
 
 def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
     """Squeeze-toward-equator composed with a vertical-axis rotation."""
@@ -89,8 +94,7 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
         out = np.empty((count, 3))
         have = 0
         while have < count:
-            v = rng.normal(size=(count, 3))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            v = sample_sphere(rng, count)
             good = v[np.hypot(v[:, 0], v[:, 1]) >= e]
             take = min(count - have, len(good))
             out[have:have + take] = good[:take]
@@ -140,27 +144,19 @@ def make_linear_map(M, k: float, radius: float = 0.5) -> DDecreasingMap:
 
 
 def measured_contraction_factor(map_: DDecreasingMap, samples: int = 2000,
-                                seed: int = 0,
-                                degenerate_tol: float = 1e-12) -> float | None:
+                                seed: int = 0) -> float | None:
     """Empirical sup of d(Fx,Fy,Fz)/d(x,y,z) over sampled domain triples.
 
-    Triples with d below ``degenerate_tol`` are skipped (their ratios are
-    dominated by rounding); None when every sampled triple is degenerate.
-    A NaN d is not skipped, so its NaN ratio makes the factor NaN.
+    Degenerate triples are skipped (their ratios are dominated by rounding);
+    None when every sampled triple is degenerate.  A NaN d is not skipped,
+    so its NaN ratio makes the factor NaN.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    X = np.asarray(map_.domain_sample(rng, samples))
-    Y = np.asarray(map_.domain_sample(rng, samples))
-    Z = np.asarray(map_.domain_sample(rng, samples))
-    d0 = _d_many(map_.space, X, Y, Z)
-    keep = ~(d0 <= degenerate_tol)
-    if not keep.any():
-        return None
-    d1 = _d_many(map_.space, map_.apply_many(X[keep]), map_.apply_many(Y[keep]),
-                 map_.apply_many(Z[keep]))
-    return float((d1 / d0[keep]).max())
+    triples = [np.asarray(map_.domain_sample(rng, samples)) for _ in range(3)]
+    images = [apply_rows(map_.f, P) for P in triples]
+    return _worst_ratio(partial(_d_many, map_.space), triples, images)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +204,7 @@ class OrbitTrace:
 
 
 def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = None,
-          seed: int = 0, decay_triples: int = 2000) -> OrbitTrace:
+          seed: int = 0) -> OrbitTrace:
     """Iterate x_{i+1} = F(x_i) for ``steps`` steps.
 
     Iterates are never projected back into the domain; if one leaves, the
@@ -239,7 +235,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = N
     used = 0
     if map_.certified and len(seq) >= 3:
         rng = np.random.default_rng(seed + 1)
-        idx = np.sort(rng.integers(0, len(seq), size=(decay_triples, 3)), axis=1)
+        idx = np.sort(rng.integers(0, len(seq), size=(_DECAY_TRIPLES, 3)), axis=1)
         idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
         used = len(idx)
         if used:
@@ -316,8 +312,7 @@ def _fixed_point_outcome(map_, y, witnesses, thresholds, measured, cls):
 def detect_outcome(map_: DDecreasingMap, x0, steps: int,
                    witnesses: WitnessSet | None = None,
                    thresholds: Thresholds = Thresholds(),
-                   seed: int = 0, line_samples: int = 64,
-                   factor_samples: int = 500) -> Outcome:
+                   seed: int = 0) -> Outcome:
     """Run the orbit, classify its tail, and certify the resulting case.
 
     A fixed point is claimed only from the residual phi(y, F(y)) -- never
@@ -328,17 +323,17 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
     """
     if witnesses is None:
         witnesses = WitnessSet.sampled(map_.space, 64, seed)
-    measured = measured_contraction_factor(map_, samples=factor_samples, seed=seed)
+    measured = measured_contraction_factor(map_, samples=_FACTOR_SAMPLES, seed=seed)
     if measured is not None and not measured < 1.0:  # NaN is refused too
         raise ValueError(f"map is not contractive on samples (measured {measured:.6g})")
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)
-    outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured, line_samples)
+    outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured)
     outcome.trace = trace
     return outcome
 
 
-def _certified_outcome(map_, trace, witnesses, thresholds, measured, line_samples):
+def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     """The verdict on an orbit trace: classify its tail, then certify."""
     if trace.truncated:
         return Outcome("Indeterminate", measured, diagnostic=trace.diagnostic)
@@ -356,11 +351,11 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured, line_sample
     if line.members is not None:
         members = list(line.members)
     elif map_.space.line_points is not None:
-        members = list(map_.space.line_points(line.g1, line.g2, line_samples))
-        members = [m for m in members if line.contains(map_.space, m)]
+        sampled = np.asarray(map_.space.line_points(line.g1, line.g2, _LINE_SAMPLES))
+        members = list(sampled[line.contains_each(map_.space, sampled)])
     else:
         members = list(cls.passers)
-    images = map_.apply_many(members)
+    images = apply_rows(map_.f, members)
     invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
     min_residual = float(_phi_many(map_.space, members, images, witnesses).min())
 
@@ -370,9 +365,8 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured, line_sample
     if not len(far):
         # The image collapses to one point, which must then be fixed.
         return _fixed_point_outcome(map_, images[0], witnesses, thresholds, measured, cls)
-    a, b = images[0], images[far[0]]
-    uniqueness_ok = (float(map_.space.d(line.g1, a, b)) <= thresholds.colinear
-                     and float(map_.space.d(line.g2, a, b)) <= thresholds.colinear)
+    through = Line(images[0], images[far[0]], thresholds.colinear)
+    uniqueness_ok = bool(through.contains_each(map_.space, [line.g1, line.g2]).all())
 
     reported = replace(line, members=tuple(members))
     if invariance_defect <= thresholds.colinear and uniqueness_ok:

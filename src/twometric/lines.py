@@ -65,7 +65,7 @@ class Thresholds:
 # ---------------------------------------------------------------------------
 
 def is_colinear(space: TwoMetricSpace, x, y, z, tolerance: float = 1e-9) -> bool:
-    return float(space.d(x, y, z)) <= tolerance
+    return float(_d_max(space, x, y, z)) <= tolerance
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,16 @@ class Line:
     members: tuple | None = None
 
     def defect(self, space: TwoMetricSpace, a) -> float:
-        return float(space.d(a, self.g1, self.g2))
+        return float(_d_max(space, a, self.g1, self.g2))
 
     def contains(self, space: TwoMetricSpace, a) -> bool:
         return self.defect(space, a) <= self.tolerance
+
+    def contains_each(self, space: TwoMetricSpace, points) -> np.ndarray:
+        """``contains`` of each point stacked on the first axis, in one
+        kernel scan; a NaN defect is not contained."""
+        P = np.asarray(points)
+        return _d_max(space, P[:, None], self.g1, self.g2) <= self.tolerance
 
     def to_json(self) -> dict:
         return {
@@ -117,11 +123,11 @@ def transitivity_probe(space: TwoMetricSpace, x, y, z, w,
     pair_phi = eval_phi(space, y, z, witnesses)
     if pair_phi <= min_phi:
         return TransitivityProbe(False, False, True, None, pair_phi)
-    premises = (is_colinear(space, x, y, z, tolerance)
-                and is_colinear(space, y, z, w, tolerance))
     derived = 2.0 * tolerance / pair_phi
-    conclusion = (is_colinear(space, x, y, w, derived)
-                  and is_colinear(space, x, z, w, derived))
+    # premises (x,y,z), (y,z,w) and conclusions (x,y,w), (x,z,w) in one call
+    values = _d_many(space, [x, y, x, x], [y, z, y, z], [z, w, w, w])
+    premises = bool((values[:2] <= tolerance).all())
+    conclusion = bool((values[2:] <= derived).all())
     return TransitivityProbe(premises, conclusion, False, derived, pair_phi)
 
 
@@ -149,8 +155,8 @@ def line_through(space: TwoMetricSpace, x, y, witnesses: WitnessSet,
 def _members(space: TwoMetricSpace, g1, g2, tolerance: float) -> tuple:
     """The indices a of a space with ``size`` points (an ``as_space()``
     table) where d(a, g1, g2) <= tolerance."""
-    near = _d_max(space, np.arange(space.size)[:, None], int(g1), int(g2))
-    return tuple(np.flatnonzero(near <= tolerance).tolist())
+    near = Line(int(g1), int(g2), tolerance).contains_each(space, np.arange(space.size))
+    return tuple(np.flatnonzero(near).tolist())
 
 
 def maximal_colinear_sets(space: FiniteTwoMetricSpace,

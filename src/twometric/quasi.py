@@ -25,6 +25,11 @@ import numpy as np
 
 from .core import TwoMetricSpace, WitnessSet, eval_phi, point_json
 
+# Sampled pairs (and cost triples) behind each solver's factor check.
+_CHECK_SAMPLES = 100
+# Pairs closer than this are left out of a measured factor.
+_FLOOR = 1e-15
+
 
 @dataclass(frozen=True)
 class QuasiSpace:
@@ -144,18 +149,17 @@ class ContractionViolation(ValueError):
         self.witness = witness
 
 
-def _measure_factor(space: QuasiSpace, F, k: float, pairs: int, seed: int,
-                    floor: float = 1e-15) -> float:
+def _measure_factor(space: QuasiSpace, F, k: float, seed: int) -> float:
     """Largest sampled ratio phi(Fx, Fy) / phi(x, y); a ratio above k, or a
     NaN ratio (so a NaN distance on the pair or its image), is a violation
     naming the pair."""
     rng = np.random.default_rng(seed)
-    X = space.sample(rng, pairs)
-    Y = space.sample(rng, pairs)
+    X = space.sample(rng, _CHECK_SAMPLES)
+    Y = space.sample(rng, _CHECK_SAMPLES)
     measured = 0.0
     for x, y in zip(X, Y):
         base = space.phi(x, y)
-        if base <= floor:
+        if base <= _FLOOR:
             continue
         ratio = space.phi(F(x), F(y)) / base
         if ratio != ratio:
@@ -194,8 +198,7 @@ def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
 
 
 def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                  tol: float = 1e-12, check_pairs: int = 100,
-                  seed: int = 0) -> BanachRun:
+                  tol: float = 1e-12, seed: int = 0) -> BanachRun:
     """Iterate a verified k-contraction with k < 1/C to its fixed point."""
     if not 0.0 < k:
         raise ValueError("factor must be positive")
@@ -203,7 +206,7 @@ def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
         raise ValueError(
             f"k={k} >= 1/C={1.0 / space.C}: direct iteration does not apply, "
             "use banach_power")
-    measured = _measure_factor(space, F, k, check_pairs, seed)
+    measured = _measure_factor(space, F, k, seed)
     iterates, residual = _iterate(space, F, x0, max_steps, tol)
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
     coeff = first / (1.0 - space.C * k)
@@ -229,12 +232,11 @@ def minimal_power(k: float, C: float, cap: int = 100000) -> int:
 
 
 def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                 tol: float = 1e-12, check_pairs: int = 100,
-                 seed: int = 0) -> BanachRun:
+                 tol: float = 1e-12, seed: int = 0) -> BanachRun:
     """Fixed point for any verified factor k < 1: run the direct solver on
     the smallest power F^a with k^a < 1/C, then confirm the point is fixed
     by F itself."""
-    measured = _measure_factor(space, F, k, check_pairs, seed)
+    measured = _measure_factor(space, F, k, seed)
     a = minimal_power(k, space.C)
 
     def Fa(x):
@@ -242,8 +244,7 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             x = F(x)
         return x
 
-    run = banach_direct(space, Fa, x0, k ** a, max_steps=max_steps, tol=tol,
-                        check_pairs=check_pairs, seed=seed)
+    run = banach_direct(space, Fa, x0, k ** a, max_steps=max_steps, tol=tol, seed=seed)
     z = run.fixed_point
     residual = space.phi(z, F(z))
     return BanachRun(
@@ -256,8 +257,7 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
 
 
 def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                    tol: float = 1e-12, check_samples: int = 100,
-                    seed: int = 0) -> BanachRun:
+                    tol: float = 1e-12, seed: int = 0) -> BanachRun:
     """Solver under the multiplicative-cost triangle inequality.
 
     Requires both the phi-contraction and the cost contraction
@@ -271,9 +271,9 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
         raise ValueError("factor must lie in (0, 1)")
     M = float(space.psi_bound)
     rng = np.random.default_rng(seed)
-    X = space.sample(rng, check_samples)
-    Y = space.sample(rng, check_samples)
-    Z = space.sample(rng, check_samples)
+    X = space.sample(rng, _CHECK_SAMPLES)
+    Y = space.sample(rng, _CHECK_SAMPLES)
+    Z = space.sample(rng, _CHECK_SAMPLES)
     for x, y, z in zip(X, Y, Z):
         cost = space.psi(x, y, z)
         if abs(cost) > M + 1e-12:
@@ -284,7 +284,7 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             raise ContractionViolation(
                 f"cost contraction violated: {mapped:.6g} > {k} * {cost:.6g}",
                 (x, y, z))
-    measured = _measure_factor(space, F, k, check_samples, seed + 1)
+    measured = _measure_factor(space, F, k, seed + 1)
     iterates, residual = _iterate(space, F, x0, max_steps, tol)
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
 

@@ -24,11 +24,14 @@ from .core import TwoMetricSpace, WitnessSet, broadcasting
 # ---------------------------------------------------------------------------
 
 def unit_sphere(v) -> np.ndarray:
-    """Normalize to a unit 3-vector."""
+    """Normalize to a unit 3-vector.  A vector whose norm is not finite
+    (a NaN or infinite entry, or entries so large that the norm overflows)
+    is refused like the zero vector, without a floating-point warning."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if v.shape != (3,) or n < 1e-12:
-        raise ValueError("need a nonzero 3-vector")
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if v.shape != (3,) or not 1e-12 <= n < np.inf:
+        raise ValueError("need a nonzero 3-vector with a finite norm")
     return v / n
 
 
@@ -114,28 +117,24 @@ def det_sphere_space() -> TwoMetricSpace:
 AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
 
 
-def sphere_witnesses(count: int, seed: int, include_axes: bool = True) -> WitnessSet:
-    """Seeded uniform witnesses, optionally joined with the six axis points
-    so suprema attained at coordinate directions are hit exactly."""
-    pts = sample_sphere(np.random.default_rng(seed), count)
-    if include_axes:
-        pts = np.concatenate([AXIS_POINTS, pts])
-    return WitnessSet(pts, {"kind": "sphere", "count": len(pts), "seed": seed,
-                            "axes": include_axes})
+def sphere_witnesses(count: int, seed: int) -> WitnessSet:
+    """The six axis points, so suprema attained at coordinate directions
+    are hit exactly, then ``count`` seeded uniform witnesses."""
+    pts = np.concatenate([AXIS_POINTS, sample_sphere(np.random.default_rng(seed), count)])
+    return WitnessSet(pts, {"kind": "sphere", "count": len(pts), "seed": seed})
 
 
-def sphere_grid_witnesses(count: int, include_axes: bool = True) -> WitnessSet:
-    """Deterministic quasi-uniform witnesses from a golden-angle lattice;
-    the sup truncation error shrinks like 1/sqrt(count)."""
+def sphere_grid_witnesses(count: int) -> WitnessSet:
+    """The six axis points, then ``count`` deterministic quasi-uniform
+    witnesses from a golden-angle lattice; the sup truncation error shrinks
+    like 1/sqrt(count)."""
     i = np.arange(count) + 0.5
     z = 1.0 - 2.0 * i / count
     r = np.sqrt(1.0 - z * z)
     ang = np.pi * (1.0 + np.sqrt(5.0)) * i
-    pts = np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
-    if include_axes:
-        pts = np.concatenate([AXIS_POINTS, pts])
-    return WitnessSet(pts, {"kind": "grid", "count": len(pts),
-                            "axes": include_axes})
+    grid = np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
+    pts = np.concatenate([AXIS_POINTS, grid])
+    return WitnessSet(pts, {"kind": "grid", "count": len(pts)})
 
 
 @dataclass
@@ -253,20 +252,21 @@ def area_ball_space(dim: int = 3, radius: float = 0.5) -> TwoMetricSpace:
 # spherical patch pullback and its convexity sandwich
 # ---------------------------------------------------------------------------
 
-def triangle_area2(x, y, z) -> float:
-    """Flat area of a planar triangle."""
-    u = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    v = np.asarray(z, dtype=float) - np.asarray(x, dtype=float)
-    return 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-
-
-def rho(x, y, z) -> float:
-    """Product of the three pairwise distances; permutation invariant and
-    zero exactly when two points coincide."""
+def triangle_area2(x, y, z):
+    """Flat area of a planar triangle; of each row for stacked points."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(x - y) * np.linalg.norm(x - z) * np.linalg.norm(y - z))
+    u = np.asarray(y, dtype=float) - x
+    v = np.asarray(z, dtype=float) - x
+    return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+
+
+def rho(x, y, z):
+    """Product of the three pairwise distances, of each row for stacked
+    points; permutation invariant and zero exactly when two points
+    coincide."""
+    x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
+    return (np.linalg.norm(x - y, axis=-1) * np.linalg.norm(x - z, axis=-1)
+            * np.linalg.norm(y - z, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -365,12 +365,7 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
     X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
 
     h = patch.metric_batch(X, Y, Z)
-    U, V = Y - X, Z - X
-    area2 = 0.5 * np.abs(U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0])
-    prod = (np.linalg.norm(X - Y, axis=1)
-            * np.linalg.norm(X - Z, axis=1)
-            * np.linalg.norm(Y - Z, axis=1))
-    s = area2 + prod
+    s = triangle_area2(X, Y, Z) + rho(X, Y, Z)
     upper = float((h / s).max())
     lower = float((s / h).max())
     return ConvexityBoundReport(

@@ -276,6 +276,32 @@ def test_non_finite_flags_exit_2_before_any_work(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_iterate_x0_of_another_length_than_dim_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    from twometric import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    monkeypatch.setattr(cli, "orbit", no_work)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["iterate", "--map", "linear", "--x0=0.1,0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --x0 has 2 coordinates but --dim is 3\n"
+    assert not out.exists()
+
+
+def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
+        tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["demo-equator", "--x0=1e308,1e308,0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need a nonzero 3-vector with a finite norm\n"
+    assert not out.exists()
+
+
 def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"quad": NaN}')
