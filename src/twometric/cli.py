@@ -183,6 +183,10 @@ def cmd_iterate(cfg) -> int:
         vertical = True
     elif cfg["map"] == "linear":
         dim = cfg["dim"]
+        if dim < 1:
+            raise ConfigError(f"--dim must be at least 1, got {dim}")
+        if cfg["angle"] and dim < 2:
+            raise ConfigError(f"--angle rotates the first two coordinates; --dim is {dim}")
         M = np.eye(dim)
         if cfg["angle"]:
             c, s = np.cos(cfg["angle"]), np.sin(cfg["angle"])

@@ -27,9 +27,12 @@ explicit seed recorded in the produced report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -294,10 +297,91 @@ def _triples(n: int) -> np.ndarray:
     return np.argwhere((i < j) & (j < k))
 
 
+def _rank(i, j, k, n: int):
+    """Position of the row (i, j, k), i < j < k, in ``_triples(n)``: the
+    triples whose first index is below i, then those with first index i and
+    second below j, then k - j - 1.  Ints or integer arrays."""
+    return (n * (n - 1) * (n - 2) - (n - i) * (n - i - 1) * (n - i - 2)) // 6 \
+        + ((n - i - 1) * (n - i - 2) - (n - j) * (n - j - 1)) // 2 + k - j - 1
+
+
 # One entry of the table file as ``json.dump(..., indent=2)`` lays it out,
 # and the number of entries formatted per write in ``save``.
 _ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n    }'
 _SAVE_BLOCK = 1024
+
+
+class _Table(MutableMapping):
+    """The stored entries of a ``FiniteTwoMetricSpace``: one float per
+    triple i < j < k in ``_triples(n)`` order, 0.0 where no entry is
+    stored, and a mask of the triples that hold one.
+
+    As a mapping, any index order of a key names its sorted triple, and
+    iteration yields the stored sorted triples in lexicographic order, from
+    a snapshot taken when it starts, so the loop may write entries.  A
+    write stores ``float(value)`` and drops the cached dense array.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.vector = np.zeros(n * (n - 1) * (n - 2) // 6)
+        self.present = np.zeros(len(self.vector), dtype=bool)
+        self.cached_dense = None
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """``_triples(n)``: the triple of each position."""
+        return _triples(self.n)
+
+    def rank(self, key) -> int:
+        """The position of a key's triple, checked as the constructor checks
+        keys; ``operator.index`` converts each index."""
+        try:
+            i, j, k = sorted(map(operator.index, key))
+        except ValueError:
+            raise ValueError(f"table keys must be index triples, got {key}") from None
+        if i < 0 or k >= self.n:
+            raise ValueError(f"triple {key} out of range for n={self.n}")
+        if i == j or j == k:
+            raise ValueError(f"table stores distinct triples only, got {key}")
+        return _rank(i, j, k, self.n)
+
+    def store(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values`` at the sorted ``rows``; of two rows naming one
+        triple the later one wins, which numpy's fancy assignment alone does
+        not promise."""
+        ranks = _rank(*rows.T, self.n)
+        last = np.full(len(self.vector), -1)
+        np.maximum.at(last, ranks, np.arange(len(ranks)))
+        keep = last[ranks] == np.arange(len(ranks))
+        self.vector[ranks[keep]] = values[keep]
+        self.present[ranks[keep]] = True
+        self.cached_dense = None
+
+    def __getitem__(self, key) -> float:
+        r = self.rank(key)
+        if not self.present[r]:
+            raise KeyError(key)
+        return float(self.vector[r])
+
+    def __setitem__(self, key, value) -> None:
+        r = self.rank(key)
+        self.vector[r] = float(value)
+        self.present[r] = True
+        self.cached_dense = None
+
+    def __delitem__(self, key) -> None:
+        r = self.rank(key)
+        if not self.present[r]:
+            raise KeyError(key)
+        self.vector[r], self.present[r] = 0.0, False
+        self.cached_dense = None
+
+    def __iter__(self):
+        return map(tuple, self.rows[self.present].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.present))
 
 
 class FiniteTwoMetricSpace:
@@ -306,13 +390,16 @@ class FiniteTwoMetricSpace:
     Triples with a repeated index are implicitly 0, so permutation symmetry
     and the degeneracy axiom hold by construction.  Entries live in [0, 1]
     for valid spaces, but out-of-range values are representable so the audit
-    can find planted defects.
+    can find planted defects.  ``table`` is a mutable mapping from index
+    triples to floats over the packed store (see ``_Table``); a triple it
+    does not hold reads as 0.
     """
 
     def __init__(self, n: int, entries: dict[tuple[int, int, int], float] | None = None):
         if n < 1:
             raise ValueError("need at least one point")
         self.n = int(n)
+        self._table = _Table(self.n)
         entries = entries or {}
         keys = list(entries)
         # np.fromiter converts each index as int() does; an int beyond intp
@@ -335,15 +422,17 @@ class FiniteTwoMetricSpace:
             if not inside[bad[0]]:
                 raise ValueError(f"triple {key} out of range for n={n}")
             raise ValueError(f"table stores distinct triples only, got {key}")
-        # dict() keeps the first position and the last value of a repeated key
-        self.table: dict[tuple[int, int, int], float] = dict(
-            zip(zip(*K.T.tolist()), map(float, entries.values())))
+        self._table.store(K, np.fromiter(map(float, entries.values()), float, len(keys)))
+
+    @property
+    def table(self) -> MutableMapping:
+        return self._table
 
     def d(self, i, j, k) -> float:
         i, j, k = sorted((int(i), int(j), int(k)))
         if i == j or j == k:
             return 0.0
-        return self.table.get((i, j, k), 0.0)
+        return float(self._table.vector[self._table.rank((i, j, k))])
 
     def distinct_triples(self) -> Iterable[tuple[int, int, int]]:
         return itertools.combinations(range(self.n), 3)
@@ -354,16 +443,17 @@ class FiniteTwoMetricSpace:
         return float(np.max([self.d(i, j, k) for k in range(self.n)]))
 
     def dense(self) -> np.ndarray:
-        """The table as a symmetric (n, n, n) array: each stored triple's
-        value under all six orders of its indices, 0 on triples with a
-        repeated index.  A copy: later writes to ``table`` do not reach it."""
-        m = len(self.table)
-        keys = np.fromiter(itertools.chain.from_iterable(self.table), np.intp,
-                           3 * m).reshape(m, 3).T
-        values = np.fromiter(self.table.values(), float, m)
-        T = np.zeros((self.n,) * 3)
-        for order in itertools.permutations(keys):
-            T[order] = values
+        """The table as a symmetric (n, n, n) array: each triple's value
+        under all six orders of its indices, 0 on triples with a repeated
+        index.  Built once and kept until the next write to ``table``, which
+        leaves an array already returned as it was; read-only."""
+        T = self._table.cached_dense
+        if T is None:
+            T = np.zeros((self.n,) * 3)
+            for order in itertools.permutations(self._table.rows.T):
+                T[order] = self._table.vector
+            T.flags.writeable = False
+            self._table.cached_dense = T
         return T
 
     def as_space(self, name: str = "finite") -> TwoMetricSpace:
@@ -394,25 +484,27 @@ class FiniteTwoMetricSpace:
         A metric marked ``broadcasting`` is called once on the stacked rows
         of every distinct triple; any other metric once per triple.
         """
-        points = [np.asarray(p, dtype=float) for p in points]
-        space = FiniteTwoMetricSpace(len(points))
-        rows = _triples(space.n)
-        keys = list(map(tuple, rows.tolist()))
+        P = np.asarray(points, dtype=float)
+        space = FiniteTwoMetricSpace(len(P))
+        rows = space._table.rows
         if getattr(metric, "broadcasts", False):
-            P = np.asarray(points)
-            values = np.asarray(metric(*(P[r] for r in rows.T)), dtype=float).tolist()
+            space._table.vector[:] = metric(*(P[r] for r in rows.T))
         else:
-            values = [float(metric(points[i], points[j], points[k])) for i, j, k in keys]
-        space.table = dict(zip(keys, values))
+            space._table.vector[:] = [float(metric(P[i], P[j], P[k]))
+                                      for i, j, k in rows.tolist()]
+        space._table.present[:] = True
         return space
 
     # -- JSON table format: {"n": int, "entries": [{"i","j","k","d"}, ...]} --
 
+    def _entries(self) -> tuple[list, list]:
+        """The stored triples and their values, as lists, in file order."""
+        t = self._table
+        return t.rows[t.present].tolist(), t.vector[t.present].tolist()
+
     def to_json(self) -> dict:
-        entries = [
-            {"i": i, "j": j, "k": k, "d": v}
-            for (i, j, k), v in sorted(self.table.items())
-        ]
+        rows, values = self._entries()
+        entries = [{"i": i, "j": j, "k": k, "d": v} for (i, j, k), v in zip(rows, values)]
         return {"n": self.n, "entries": entries}
 
     @staticmethod
@@ -426,31 +518,21 @@ class FiniteTwoMetricSpace:
         """Write ``to_json()`` in the bytes of ``json.dump(..., indent=2)``
         followed by a newline.
 
-        That encoder runs in pure Python.  A table whose keys hold Python
-        ints and whose values are Python ints or floats (all that the
-        constructor, ``from_points`` and the quotient store) is streamed
-        instead, ``_SAVE_BLOCK`` entries per write: json's C encoder turns
-        a block's values into tokens (``NaN``, ``Infinity`` and ints
-        included), which go into the fixed entry layout.  Anything else
-        written into ``table`` goes through the indenting encoder, which
-        writes or refuses it as before.
+        That encoder runs in pure Python, so the entries are streamed
+        instead, ``_SAVE_BLOCK`` per write: json's C encoder turns a
+        block's values into tokens (``NaN`` and ``Infinity`` included),
+        which go into the fixed entry layout.
         """
-        plain = (set(map(type, itertools.chain.from_iterable(self.table))) <= {int}
-                 and set(map(type, self.table.values())) <= {int, float})
+        rows, values = self._entries()
         with open(path, "w", encoding="utf-8") as fh:
-            if not plain:
-                json.dump(self.to_json(), fh, indent=2)
-                fh.write("\n")
-                return
-            items = sorted(self.table.items())
-            fh.write('{\n  "n": %s,\n  "entries": [' % json.dumps(self.n))
-            for s in range(0, len(items), _SAVE_BLOCK):
-                block = items[s:s + _SAVE_BLOCK]
-                tokens = json.dumps([v for _, v in block])[1:-1].split(", ")
-                fields = [x for ((i, j, k), _), d in zip(block, tokens) for x in (i, j, k, d)]
+            fh.write('{\n  "n": %d,\n  "entries": [' % self.n)
+            for s in range(0, len(rows), _SAVE_BLOCK):
+                block = rows[s:s + _SAVE_BLOCK]
+                tokens = json.dumps(values[s:s + _SAVE_BLOCK])[1:-1].split(", ")
+                fields = [x for (i, j, k), d in zip(block, tokens) for x in (i, j, k, d)]
                 fh.write((",\n" if s else "\n")
                          + ",\n".join([_ENTRY] * len(block)) % tuple(fields))
-            fh.write("\n  ]\n}\n" if items else "]\n}\n")
+            fh.write("\n  ]\n}\n" if rows else "]\n}\n")
 
     @staticmethod
     def load(path) -> "FiniteTwoMetricSpace":
@@ -666,14 +748,12 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
         return space
     index = {r: c for c, r in enumerate(roots)}
     cls = np.array([index[find(i)] for i in range(space.n)])
-    rows = _triples(space.n)
-    classes = np.sort(cls[rows], axis=1)
+    classes = np.sort(cls[space._table.rows], axis=1)
     distinct = (classes[:, 0] < classes[:, 1]) & (classes[:, 1] < classes[:, 2])
-    rows, classes = rows[distinct], classes[distinct]
     out = FiniteTwoMetricSpace(len(roots))
-    # dict() keeps the last value of a repeated class triple, as the loop
-    # over triples in lexicographic order did
-    out.table = dict(zip(map(tuple, classes.tolist()), T[tuple(rows.T)].tolist()))
+    # the last value of a repeated class triple wins, as in the loop over
+    # triples in lexicographic order
+    out._table.store(classes[distinct], space._table.vector[distinct])
     if np.triu(out.dense().max(axis=2) <= tol, k=1).any():
         raise RuntimeError("quotient failed to become strictly reflexive")
     return out
@@ -710,9 +790,9 @@ def surjective_contraction_check(space: FiniteTwoMetricSpace,
     if len(mapping) != space.n or any(not 0 <= v < space.n for v in mapping):
         raise ValueError("mapping must be total on the index set")
     surjective = len(set(mapping)) == space.n
-    T = space.dense()
-    rows = _triples(space.n)
-    d0, d1 = T[tuple(rows.T)], T[tuple(np.asarray(mapping, np.intp)[rows].T)]
+    rows = space._table.rows
+    d0 = space._table.vector
+    d1 = space.dense()[tuple(np.asarray(mapping, np.intp)[rows].T)]
     # the first triple with a NaN on either side makes the ratio NaN, else
     # the first zero triple mapped to a positive one makes it infinite
     for k, hit in ((float("nan"), np.isnan(d0) | np.isnan(d1)),

@@ -177,11 +177,17 @@ def maximal_colinear_sets(space: FiniteTwoMetricSpace,
         return {frozenset(range(n))}
     C = space.dense() <= tolerance
     I, J = np.triu_indices(n, k=1)
-    closures, which = np.unique(C[I, J], axis=0, return_inverse=True)
-    members = [np.flatnonzero(row) for row in closures]
+    # one bytes item per closure row: its bits in order, so the items sort
+    # as the boolean rows do, and far faster than np.unique(axis=0)
+    packed = np.packbits(C[I, J], axis=1)
+    _, first, which = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                return_index=True, return_inverse=True)
+    closures = C[I[first], J[first]]
+    points, ends = np.nonzero(closures)[1].tolist(), np.cumsum(closures.sum(axis=1)).tolist()
+    members = [points[a:b] for a, b in zip([0] + ends, ends)]
     # a closure of at most three points is colinear by its construction
     colinear = np.array([len(s) < 4 or C[np.ix_(s, s, s)].all() for s in members])
-    lines = {frozenset(s.tolist()) for s, ok in zip(members, colinear) if ok}
+    lines = {frozenset(s) for s, ok in zip(members, colinear.tolist()) if ok}
 
     ambiguous = np.zeros((n, n), dtype=bool)
     ambiguous[I, J] = ambiguous[J, I] = ~colinear[which.ravel()]

@@ -292,6 +292,33 @@ def test_iterate_x0_of_another_length_than_dim_exits_2_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--dim", "0"], "--dim must be at least 1, got 0"),
+    (["--dim", "-1"], "--dim must be at least 1, got -1"),
+    (["--angle", "0.3", "--dim", "1"], "--angle rotates the first two coordinates; --dim is 1"),
+])
+def test_iterate_linear_dim_out_of_range_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, args, message):
+    from twometric import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    monkeypatch.setattr(cli, "make_linear_map", no_work)
+    monkeypatch.setattr(cli, "orbit", no_work)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["iterate", "--map", "linear", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_iterate_linear_in_one_dimension_runs(tmp_path):
+    assert main(["iterate", "--map", "linear", "--dim", "1", "--steps", "20",
+                 "--witnesses", "8", "--out", str(tmp_path)]) == 0
+
+
 def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
         tmp_path, capsys):
     out = tmp_path / "out"

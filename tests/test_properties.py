@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -28,9 +29,7 @@ def tables(draw, max_n=7, values=(0.0, 5e-13, 1.0, NAN)):
     n = draw(st.integers(1, max_n))
     entries = draw(st.lists(st.sampled_from(values), min_size=comb(n, 3),
                             max_size=comb(n, 3)))
-    space = FiniteTwoMetricSpace(n)
-    space.table = dict(zip(space.distinct_triples(), entries))
-    return space
+    return FiniteTwoMetricSpace(n, dict(zip(combinations(range(n), 3), entries)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -109,27 +108,39 @@ def test_save_streams_tables_of_several_blocks(tmp_path, rng):
         json.dumps(space.to_json(), indent=2) + "\n")
 
 
-def test_save_keeps_the_indenting_encoder_for_other_values(tmp_path):
-    # values the constructor never stores: a numpy float, a string with
-    # the token separator in it, a list and a bool
+def test_writes_refuse_what_float_refuses():
+    # the table holds floats only: a value float() refuses raises at the
+    # write and leaves the table as it was; one it takes is stored as float
     space = FiniteTwoMetricSpace(5)
-    odd = [np.float64(0.25), "a, b", [1, 2], True]
-    space.table = dict(zip(space.distinct_triples(), odd))
+    for odd in ("a, b", [1, 2], None, {}):
+        with pytest.raises((TypeError, ValueError)):
+            space.table[(0, 1, 2)] = odd
+    assert len(space.table) == 0
+    for value, stored in ((np.float64(0.25), 0.25), (True, 1.0), (3, 3.0), ("0.5", 0.5)):
+        space.table[(0, 1, 2)] = value
+        assert type(space.table[(0, 1, 2)]) is float and space.table[(0, 1, 2)] == stored
+
+
+def test_writes_refuse_keys_that_name_no_triple(tmp_path):
+    # a key is read with operator.index: an np.int64 index is its int, a
+    # float or string index raises, and so does a key of another length
+    space = FiniteTwoMetricSpace(4)
+    space.table[(np.int64(0), 1, 2)] = 0.5
+    assert list(space.table) == [(0, 1, 2)] and type(next(iter(space.table))[0]) is int
     space.save(tmp_path / "table.json")
     assert (tmp_path / "table.json").read_text(encoding="utf-8") == (
         json.dumps(space.to_json(), indent=2) + "\n")
-
-
-def test_save_refuses_what_the_indenting_encoder_refused(tmp_path):
-    space = FiniteTwoMetricSpace(4)
-    space.table[(np.int64(0), 1, 2)] = 0.5        # not a Python int
-    with pytest.raises(TypeError):
-        json.dumps(space.to_json(), indent=2)
-    with pytest.raises(TypeError):
-        space.save(tmp_path / "table.json")
-    space.table = {(0, 1): 0.5}                    # not a triple
-    with pytest.raises(ValueError):
-        space.save(tmp_path / "table.json")
+    for key in ((0, 1.0, 2), (0, "1", 2), 5, "012"):
+        with pytest.raises(TypeError):
+            space.table[key] = 0.5
+    for key, message in (((0, 1), "table keys must be index triples"),
+                         ((0, 1, 2, 3), "table keys must be index triples"),
+                         ((0, 1, 4), "out of range for n=4"),
+                         ((-1, 1, 2), "out of range for n=4"),
+                         ((1, 1, 2), "table stores distinct triples only")):
+        with pytest.raises(ValueError, match=message):
+            space.table[key] = 0.5
+    assert list(space.table.items()) == [((0, 1, 2), 0.5)]
 
 
 def per_key_table(n, entries):
@@ -149,7 +160,7 @@ def outcome(build, n, entries):
     """The table's items, or the exception type and, for the constructor's
     own checks, its message."""
     try:
-        return repr(list(build(n, entries).items()))
+        return repr(sorted(build(n, entries).items()))
     except (TypeError, ValueError, OverflowError) as exc:
         own = str(exc).startswith(("triple ", "table stores"))
         return type(exc), str(exc) if own else None
