@@ -142,6 +142,8 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     sampled points; on pass, verify the contraction conclusion on sampled
     nondegenerate triples.  Failures carry the broken hypothesis and the
     witness point."""
+    if samples < 1 or ratio_triples < 1:
+        raise ValueError("sample counts must be >= 1")
     A = inp.jac_target
     det = abs(np.linalg.det(A))
     c_prime = float(inp.proximity)

@@ -229,6 +229,12 @@ def cmd_classify(cfg) -> int:
         for row in reader:
             rows.append([float(row[c]) for c in coord_cols])
     seq = np.asarray(rows)
+    if not np.isfinite(seq).all():
+        raise ConfigError("trace CSV has a non-finite coordinate")
+    dim = np.asarray(witnesses.points).shape[1:]
+    if dim != (len(coord_cols),):
+        raise ConfigError(f"trace points have {len(coord_cols)} coordinates but the "
+                          f"{cfg['space']} points have {dim[0] if dim else 'none'}")
     thresholds = Thresholds(lim=cfg["eps_lim"], cauchy=cfg["eps_cauchy"],
                             tri_cauchy=cfg["eps_tri"], min_length=cfg["min_length"])
     verdict = classify(space, seq, witnesses, thresholds)

@@ -34,7 +34,7 @@ import math
 import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -90,19 +90,23 @@ def apply_rows(f, points) -> np.ndarray:
     return np.array([f(p) for p in points])
 
 
-def _lex_swap(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder each pair (row-wise) into lexicographic order."""
-    if X.ndim == 1:  # index points
-        swap = Y < X
-    else:
-        diff = X != Y
-        any_diff = diff.any(axis=1)
-        first = np.argmax(diff, axis=1)
-        rows = np.arange(len(X))
-        swap = any_diff & (Y[rows, first] < X[rows, first])
-    Xo = np.where(swap[..., None] if X.ndim > 1 else swap, Y, X)
-    Yo = np.where(swap[..., None] if X.ndim > 1 else swap, X, Y)
-    return Xo, Yo
+def _index_points(*arrays) -> bool:
+    """Whether the arrays hold index points, one per entry of an integer
+    array, rather than coordinate points, which fill the last axis."""
+    return all(A.dtype.kind in "iu" for A in arrays)
+
+
+def _lex_swap(X: np.ndarray, Y: np.ndarray, index: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair of X and Y, broadcast against each other, in lexicographic
+    order: index points by value, coordinate points by their first
+    differing coordinate."""
+    if index:
+        return np.minimum(X, Y), np.maximum(X, Y)
+    # Y comes first when the first coordinate where it is below X is the
+    # first coordinate where the two differ
+    lt = Y < X
+    swap = ((lt.argmax(axis=-1) == (X != Y).argmax(axis=-1)) & lt.any(axis=-1))[..., None]
+    return np.where(swap, Y, X), np.where(swap, X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +179,21 @@ class WitnessSet:
         return WitnessSet(pts, {"kind": "refined", "count": len(pts), "seed": seed})
 
 
-def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet) -> float:
+def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet):
     """Pair distance max_w d(x, y, w) over the witness set.
 
-    The pair is put in a canonical order first so the result is exactly
-    symmetric in x and y.
+    x and y are points or stacks of points that broadcast against each
+    other over their leading axes; points follow ``_d_max``'s rule.  One
+    pair gives a float, anything else an array of the broadcast leading
+    shape.  Each pair is put in lexicographic order first, so the result is
+    exactly symmetric in x and y.
     """
-    if len(witnesses) == 0:
-        raise ValueError("witness set must be nonempty")
-    if point_key(y) < point_key(x):
-        x, y = y, x
-    return float(_d_max(space, x, y, witnesses.points))
+    X, Y, W = np.asarray(x), np.asarray(y), np.asarray(witnesses.points)
+    index = _index_points(X, Y, W)
+    X, Y = _lex_swap(X, Y, index)
+    at = (..., None) if index else (..., None, slice(None))  # the witness axis
+    out = _d_max(space, X[at], Y[at], W)
+    return float(out) if out.ndim == 0 else out
 
 
 def _d_many(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
@@ -239,8 +247,9 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     so another layout could change the last bit there.
     """
     arrays = [np.asarray(A, order="C") for A in (X, Y, Z)]
-    k = 0 if all(A.dtype.kind in "iu" for A in arrays) else 1
-    shape = np.broadcast(*(A[..., 0] if k else A for A in arrays)).shape
+    k = 0 if _index_points(*arrays) else 1
+    shape = np.broadcast(*arrays).shape
+    shape = shape[:len(shape) - k]
     lead = (1,) * (2 - len(shape)) + shape
     arrays = [A.reshape((1,) * (len(lead) + k - A.ndim) + A.shape) for A in arrays]
 
@@ -267,13 +276,6 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     return out.reshape(shape[:-1])
 
 
-def _phi_many(space: TwoMetricSpace, X, Y, witnesses: WitnessSet) -> np.ndarray:
-    """Pair distance of stacked pairs (X[i], Y[i]); X and Y broadcast
-    against each other, so one point can be paired with many."""
-    X, Y = _lex_swap(*np.broadcast_arrays(np.asarray(X), np.asarray(Y)))
-    return _d_max(space, X[:, None], Y[:, None], np.asarray(witnesses.points))
-
-
 def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
                            pairs: int = 200, seed: int = 0) -> float:
     """Empirical sup-truncation error: max increase of phi when the witness
@@ -282,8 +284,8 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
     X = np.asarray(space.sample(rng, pairs))
     Y = np.asarray(space.sample(rng, pairs))
     refined = witnesses.refined(space)
-    base = _phi_many(space, X, Y, witnesses)
-    better = _phi_many(space, X, Y, refined)
+    base = eval_phi(space, X, Y, witnesses)
+    better = eval_phi(space, X, Y, refined)
     return float(np.maximum(better - base, 0.0).max())
 
 
@@ -434,14 +436,6 @@ class FiniteTwoMetricSpace:
             return 0.0
         return float(self._table.vector[self._table.rank((i, j, k))])
 
-    def distinct_triples(self) -> Iterable[tuple[int, int, int]]:
-        return itertools.combinations(range(self.n), 3)
-
-    def phi(self, i: int, j: int) -> float:
-        """Exact pair distance (max over all points); NaN if any
-        d(i, j, k) is NaN, as ``dense()`` and ``_phi_many`` give it."""
-        return float(np.max([self.d(i, j, k) for k in range(self.n)]))
-
     def dense(self) -> np.ndarray:
         """The table as a symmetric (n, n, n) array: each triple's value
         under all six orders of its indices, 0 on triples with a repeated
@@ -543,10 +537,8 @@ class FiniteTwoMetricSpace:
 def demo_five_point_space() -> FiniteTwoMetricSpace:
     """Five points {a,b,c,p,q} = {0..4} with one three-point line {a,b,c}
     and d = 1 on every other distinct triple.  Has exactly eight lines."""
-    space = FiniteTwoMetricSpace(5)
-    for t in space.distinct_triples():
-        space.table[t] = 0.0 if t == (0, 1, 2) else 1.0
-    return space
+    return FiniteTwoMetricSpace(5, {t: 0.0 if t == (0, 1, 2) else 1.0
+                                    for t in itertools.combinations(range(5), 3)})
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +668,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     wclass = np.array([classes.setdefault(point_key(canon(p)), len(classes)) for p in Wpts])
     keep = np.flatnonzero(wclass[widx[:, 0]] != wclass[widx[:, 1]])
     if len(keep):
-        phis = _phi_many(space, NX[keep], NY[keep], witnesses)
+        phis = eval_phi(space, NX[keep], NY[keep], witnesses)
         n_viol = np.where(phis > tolerance, 0.0, 1.0)
         records.append(_record_from("N", n_viol, (NX[keep], NY[keep]), len(keep)))
     else:
@@ -696,9 +688,9 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     prng = np.random.default_rng(seed + 2)
     tidx = prng.integers(0, len(witnesses), size=(triples, 3))
     PX, PY, PZ = Wpts[tidx[:, 0]], Wpts[tidx[:, 1]], Wpts[tidx[:, 2]]
-    phi_xy = _phi_many(space, PX, PY, witnesses)
-    phi_xz = _phi_many(space, PX, PZ, witnesses)
-    phi_zy = _phi_many(space, PZ, PY, witnesses)
+    phi_xy = eval_phi(space, PX, PY, witnesses)
+    phi_xz = eval_phi(space, PX, PZ, witnesses)
+    phi_zy = eval_phi(space, PZ, PY, witnesses)
     d_xyz = _d_many(space, PX, PY, PZ)
     records.append(_record_from("AT", phi_xy - phi_xz - 2.0 * phi_zy,
                                 (PX, PY, PZ), triples))
@@ -709,7 +701,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     DA, DB = Wpts[qidx[:, 0]], Wpts[qidx[:, 1]]
     DX, DY = Wpts[qidx[:, 2]], Wpts[qidx[:, 3]]
     lhs = np.abs(_d_many(space, DA, DB, DX) - _d_many(space, DA, DB, DY))
-    rhs = 2.0 * _phi_many(space, DX, DY, witnesses)
+    rhs = 2.0 * eval_phi(space, DX, DY, witnesses)
     records.append(_record_from("DphiLipschitz", lhs - rhs, (DA, DB, DX, DY), triples))
 
     order = {name: i for i, name in enumerate(AXIOM_ORDER)}

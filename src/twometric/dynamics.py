@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _phi_many, _worst_ratio,
+from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _worst_ratio,
                    apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
@@ -229,7 +229,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = N
             break
         pts.append(nxt)
     seq = np.asarray(pts)
-    phi_steps = _phi_many(map_.space, seq[:-1], seq[1:], witnesses)
+    phi_steps = eval_phi(map_.space, seq[:-1], seq[1:], witnesses)
 
     decay_margin = None
     used = 0
@@ -357,10 +357,10 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
         members = list(cls.passers)
     images = apply_rows(map_.f, members)
     invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
-    min_residual = float(_phi_many(map_.space, members, images, witnesses).min())
+    min_residual = float(eval_phi(map_.space, members, images, witnesses).min())
 
     # Two separated image points must regenerate the same line.
-    far = np.flatnonzero(_phi_many(map_.space, images[:1], images, witnesses)
+    far = np.flatnonzero(eval_phi(map_.space, images[:1], images, witnesses)
                          > thresholds.min_phi)
     if not len(far):
         # The image collapses to one point, which must then be fixed.

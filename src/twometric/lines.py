@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_many,
-                   _d_max, _phi_many, _triples, eval_phi, point_json, point_key)
+                   _d_max, _triples, eval_phi, point_json, point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -342,7 +342,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     start = n - max(2, int(round(n * thresholds.tail_fraction)))
 
     idx_i, idx_j = _pair_arrays(n, start)
-    cauchy_modulus = float(_phi_many(space, seq[idx_i], seq[idx_j], witnesses).max())
+    cauchy_modulus = float(eval_phi(space, seq[idx_i], seq[idx_j], witnesses).max())
     combos = _triple_arrays(n, start)
     tri_modulus = float(_d_many(space, seq[combos[:, 0]], seq[combos[:, 1]],
                                 seq[combos[:, 2]]).max())
@@ -388,11 +388,11 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     # Greedy clustering at the pair-distance floor, taking the passers in
     # turn, has passers[0] as its first representative, and finds a second
     # one exactly when some passer lies farther than the floor from it.
-    if (_phi_many(space, passers[:1], passers, witnesses) > thresholds.min_phi).any():
+    if (eval_phi(space, passers[:1], passers, witnesses) > thresholds.min_phi).any():
         # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
         pi, pj = np.triu_indices(len(passers), k=1)
-        phis = _phi_many(space, P[pi], P[pj], witnesses)
+        phis = eval_phi(space, P[pi], P[pj], witnesses)
         best = int(np.argmax(phis))
         g1, g2 = passers[pi[best]], passers[pj[best]]
         # Anti-Cauchy gap feeds the derived colinearity tolerance for the

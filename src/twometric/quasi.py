@@ -18,12 +18,12 @@ factor on sampled pairs first and refuses on a violation, with a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, eval_phi, point_json
+from .core import TwoMetricSpace, WitnessSet, apply_rows, eval_phi, point_json
 
 # Sampled pairs (and cost triples) behind each solver's factor check.
 _CHECK_SAMPLES = 100
@@ -33,7 +33,14 @@ _FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class QuasiSpace:
-    """A sampleable domain with a pair distance and its triangle constant."""
+    """A sampleable domain with a pair distance and its triangle constant.
+
+    ``phi(x, y)`` and the optional cost ``psi(x, y, z)`` take points or
+    stacks of points stacked on the first axis, as ``sample`` draws them,
+    that broadcast against each other: one pair or triple gives a number,
+    a stack an array with one value per entry.  A constant such as
+    ``lambda x, y, z: 0.0`` broadcasts too.
+    """
 
     name: str
     phi: Callable[[Any, Any], float]
@@ -52,7 +59,7 @@ def interval_space(lo: float = 0.0, hi: float = 1.0, C: float = 1.0) -> QuasiSpa
     """The interval with |x - y|; any C >= 1 is a valid declared constant."""
     return QuasiSpace(
         name=f"interval[{lo},{hi}]",
-        phi=lambda x, y: abs(float(x) - float(y)),
+        phi=lambda x, y: np.abs(np.subtract(x, y, dtype=float)),
         C=C,
         sample=lambda rng, n: lo + (hi - lo) * rng.random(n),
     )
@@ -71,6 +78,13 @@ def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet,
     )
 
 
+def _sample_stack(space: QuasiSpace, seed: int, arity: int,
+                  count: int = _CHECK_SAMPLES) -> list:
+    """``arity`` stacks of ``count`` points drawn in turn from the seed."""
+    rng = np.random.default_rng(seed)
+    return [np.asarray(space.sample(rng, count)) for _ in range(arity)]
+
+
 def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> dict:
     """Worst sampled violations of reflexivity, symmetry, the lopsided
     triangle inequality, and (when a cost is present) the multiplicative
@@ -78,35 +92,21 @@ def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> 
     entry NaN."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = space.sample(rng, samples)
-    Y = space.sample(rng, samples)
-    Z = space.sample(rng, samples)
-    refl = sym = tri = 0.0
-    for x in X:
-        refl = _worse(refl, abs(space.phi(x, x)))
-    for x, y in zip(X, Y):
-        sym = _worse(sym, abs(space.phi(x, y) - space.phi(y, x)))
-    for x, y, z in zip(X, Y, Z):
-        tri = _worse(tri, space.phi(x, y) - space.phi(x, z) - space.C * space.phi(z, y))
-    out = {"reflexivity": refl, "symmetry": sym, "triangle": tri}
+    X, Y, Z = _sample_stack(space, seed, 3, samples)
+
+    def worst(values) -> float:
+        # np.max keeps a NaN, and 0.0 is the floor of every entry
+        return float(np.max(values, initial=0.0))
+
+    phi_xy, phi_xz, phi_zy = space.phi(X, Y), space.phi(X, Z), space.phi(Z, Y)
+    out = {"reflexivity": worst(np.abs(space.phi(X, X))),
+           "symmetry": worst(np.abs(phi_xy - space.phi(Y, X))),
+           "triangle": worst(phi_xy - phi_xz - space.C * phi_zy)}
     if space.psi is not None:
-        mult = 0.0
-        worst_cost = 0.0
-        for x, y, z in zip(X, Y, Z):
-            cost = space.psi(x, y, z)
-            worst_cost = _worse(worst_cost, abs(cost))
-            mult = _worse(mult, space.phi(x, y)
-                          - (space.phi(x, z) + space.phi(z, y)) * np.exp(cost))
-        out["multiplicative_triangle"] = mult
-        out["cost_magnitude"] = worst_cost
+        cost = space.psi(X, Y, Z)
+        out["multiplicative_triangle"] = worst(phi_xy - (phi_xz + phi_zy) * np.exp(cost))
+        out["cost_magnitude"] = worst(np.abs(cost))
     return out
-
-
-def _worse(worst: float, value: float) -> float:
-    """The larger of the two, NaN once either is NaN (the builtin ``max``
-    keeps a NaN only when it comes first)."""
-    return worst if worst >= value or worst != worst else value
 
 
 @dataclass
@@ -152,32 +152,30 @@ class ContractionViolation(ValueError):
 def _measure_factor(space: QuasiSpace, F, k: float, seed: int) -> float:
     """Largest sampled ratio phi(Fx, Fy) / phi(x, y); a ratio above k, or a
     NaN ratio (so a NaN distance on the pair or its image), is a violation
-    naming the pair."""
-    rng = np.random.default_rng(seed)
-    X = space.sample(rng, _CHECK_SAMPLES)
-    Y = space.sample(rng, _CHECK_SAMPLES)
-    measured = 0.0
-    for x, y in zip(X, Y):
-        base = space.phi(x, y)
-        if base <= _FLOOR:
-            continue
-        ratio = space.phi(F(x), F(y)) / base
-        if ratio != ratio:
+    naming the first such pair in draw order."""
+    X, Y = _sample_stack(space, seed, 2)
+    base = np.asarray(space.phi(X, Y))
+    # a NaN base is not <= the floor, so its pair is kept
+    keep = np.flatnonzero(~(base <= _FLOOR))
+    X, Y = X[keep], Y[keep]
+    ratio = np.asarray(space.phi(apply_rows(F, X), apply_rows(F, Y))) / base[keep]
+    bad = np.flatnonzero(np.isnan(ratio) | (ratio > k + 1e-9))
+    if len(bad):
+        i = bad[0]
+        x, y = X[i], Y[i]
+        if np.isnan(ratio[i]):
             raise ContractionViolation(
                 f"contraction ratio is NaN on the sampled pair ({x}, {y})", (x, y))
-        if ratio > measured:
-            measured = ratio
-            if measured > k + 1e-9:
-                raise ContractionViolation(
-                    f"claimed factor {k} violated: measured ratio {measured:.6g}",
-                    (x, y))
-    return measured
+        raise ContractionViolation(
+            f"claimed factor {k} violated: measured ratio {ratio[i]:.6g}", (x, y))
+    return float(np.max(ratio, initial=0.0))
 
 
 def _iterate(space: QuasiSpace, F, x0, max_steps: int, tol: float):
     iterates = [x0]
     residual = space.phi(x0, F(x0))
-    while residual > tol and len(iterates) <= max_steps:
+    # a NaN residual is no convergence: the run goes on to max_steps
+    while not residual <= tol and len(iterates) <= max_steps:
         iterates.append(F(iterates[-1]))
         residual = space.phi(iterates[-1], F(iterates[-1]))
     return iterates, residual
@@ -187,14 +185,29 @@ def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
     """bound_for(n, m) gives the admissible phi(x_n, x_m); returns the pass
     flag and the worst excess over the bound, NaN (and no pass) once an
     excess is NaN."""
-    margin = -np.inf
-    for n in range(len(iterates)):
-        for m in range(n + 1, len(iterates)):
-            excess = space.phi(iterates[n], iterates[m]) - bound_for(n, m)
-            margin = _worse(margin, excess)
+    n, m = np.triu_indices(len(iterates), k=1)
+    P = np.asarray(iterates)
+    bounds = [bound_for(a, b) for a, b in zip(n.tolist(), m.tolist())]
+    excess = space.phi(P[n], P[m]) - np.array(bounds, dtype=float)
+    margin = float(np.max(excess, initial=-np.inf))
     if margin == -np.inf:
         margin = 0.0
-    return margin <= 1e-12, float(margin)
+    return margin <= 1e-12, margin
+
+
+def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
+           max_steps: int, tol: float, variant: str) -> BanachRun:
+    """Iterate F from x0, then check every recorded pair against
+    ``bound_for(first, n, m)``, where first = phi(x_0, x_1)."""
+    iterates, residual = _iterate(space, F, x0, max_steps, tol)
+    first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
+    ok, margin = _check_tail(space, iterates, lambda n, m: bound_for(first, n, m))
+    return BanachRun(
+        start=x0, iterates=iterates, fixed_point=iterates[-1],
+        residual=float(residual), steps=len(iterates) - 1, k_claimed=k,
+        k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
+        variant=variant,
+    )
 
 
 def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
@@ -207,15 +220,9 @@ def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             f"k={k} >= 1/C={1.0 / space.C}: direct iteration does not apply, "
             "use banach_power")
     measured = _measure_factor(space, F, k, seed)
-    iterates, residual = _iterate(space, F, x0, max_steps, tol)
-    first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
-    coeff = first / (1.0 - space.C * k)
-    ok, margin = _check_tail(space, iterates, lambda n, m: coeff * k ** n)
-    return BanachRun(
-        start=x0, iterates=iterates, fixed_point=iterates[-1],
-        residual=float(residual), steps=len(iterates) - 1, k_claimed=k,
-        k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
-    )
+    return _solve(space, F, x0, k, measured,
+                  lambda first, n, m: first / (1.0 - space.C * k) * k ** n,
+                  max_steps, tol, "direct")
 
 
 def minimal_power(k: float, C: float, cap: int = 100000) -> int:
@@ -246,14 +253,9 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
 
     run = banach_direct(space, Fa, x0, k ** a, max_steps=max_steps, tol=tol, seed=seed)
     z = run.fixed_point
-    residual = space.phi(z, F(z))
-    return BanachRun(
-        start=x0, iterates=run.iterates, fixed_point=z, residual=float(residual),
-        steps=run.steps, k_claimed=k, k_measured=measured, C=space.C,
-        tail_bound_ok=run.tail_bound_ok, tail_margin=run.tail_margin,
-        power=a, variant="power",
-        notes=[f"iterated F^{a} with factor {k ** a:.6g} < 1/C"],
-    )
+    return replace(run, residual=float(space.phi(z, F(z))), k_claimed=k, k_measured=measured,
+                   power=a, variant="power",
+                   notes=[f"iterated F^{a} with factor {k ** a:.6g} < 1/C"])
 
 
 def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
@@ -262,33 +264,36 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
 
     Requires both the phi-contraction and the cost contraction
     psi(Fx, Fy, Fz) <= k * psi(x, y, z), the latter checked only on sampled
-    triples where both sides are positive.  The asserted tail bound is the
-    cost-inflated geometric series with the cost capped by its bound.
+    triples where both sides are positive; a NaN cost on a sampled triple or
+    its image is a violation.  The asserted tail bound is the cost-inflated
+    geometric series with the cost capped by its bound.
     """
     if space.psi is None or space.psi_bound is None:
         raise ValueError("space carries no cost function / bound")
     if not 0.0 < k < 1.0:
         raise ValueError("factor must lie in (0, 1)")
     M = float(space.psi_bound)
-    rng = np.random.default_rng(seed)
-    X = space.sample(rng, _CHECK_SAMPLES)
-    Y = space.sample(rng, _CHECK_SAMPLES)
-    Z = space.sample(rng, _CHECK_SAMPLES)
-    for x, y, z in zip(X, Y, Z):
-        cost = space.psi(x, y, z)
-        if abs(cost) > M + 1e-12:
+    X, Y, Z = _sample_stack(space, seed, 3)
+    cost = np.broadcast_to(space.psi(X, Y, Z), len(X))
+    mapped = np.broadcast_to(space.psi(*(apply_rows(F, P) for P in (X, Y, Z))), len(X))
+    over = np.abs(cost) > M + 1e-12
+    nan = np.isnan(cost) | np.isnan(mapped)
+    expands = (mapped > 0.0) & (cost > 0.0) & (mapped > k * cost + 1e-9)
+    bad = np.flatnonzero(over | nan | expands)
+    if len(bad):
+        i = bad[0]
+        witness = (X[i], Y[i], Z[i])
+        if over[i]:
+            raise ContractionViolation(f"cost function exceeds declared bound {M}", witness)
+        if nan[i]:
             raise ContractionViolation(
-                f"cost function exceeds declared bound {M}", (x, y, z))
-        mapped = space.psi(F(x), F(y), F(z))
-        if mapped > 0.0 and cost > 0.0 and mapped > k * cost + 1e-9:
-            raise ContractionViolation(
-                f"cost contraction violated: {mapped:.6g} > {k} * {cost:.6g}",
-                (x, y, z))
+                f"cost is NaN on the sampled triple or its image: {cost[i]} -> {mapped[i]}",
+                witness)
+        raise ContractionViolation(
+            f"cost contraction violated: {mapped[i]:.6g} > {k} * {cost[i]:.6g}", witness)
     measured = _measure_factor(space, F, k, seed + 1)
-    iterates, residual = _iterate(space, F, x0, max_steps, tol)
-    first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
 
-    def bound_for(n: int, m: int) -> float:
+    def bound_for(first: float, n: int, m: int) -> float:
         total = 0.0
         exponent = 0.0
         for j in range(m - n):
@@ -296,10 +301,4 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             total += k ** j * np.exp(exponent)
         return k ** n * first * total
 
-    ok, margin = _check_tail(space, iterates, bound_for)
-    return BanachRun(
-        start=x0, iterates=iterates, fixed_point=iterates[-1],
-        residual=float(residual), steps=len(iterates) - 1, k_claimed=k,
-        k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
-        variant="multcost",
-    )
+    return _solve(space, F, x0, k, measured, bound_for, max_steps, tol, "multcost")

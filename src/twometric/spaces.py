@@ -120,6 +120,8 @@ AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
 def sphere_witnesses(count: int, seed: int) -> WitnessSet:
     """The six axis points, so suprema attained at coordinate directions
     are hit exactly, then ``count`` seeded uniform witnesses."""
+    if count < 0:
+        raise ValueError("witness count must be >= 0")
     pts = np.concatenate([AXIS_POINTS, sample_sphere(np.random.default_rng(seed), count)])
     return WitnessSet(pts, {"kind": "sphere", "count": len(pts), "seed": seed})
 
@@ -356,6 +358,8 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
     Triples with a repeated point are skipped and counted: both sides vanish
     there and the bound holds trivially.
     """
+    if samples < 1:
+        raise ValueError("sample counts must be >= 1")
     patch = SpherePatch(radius)
     rng = np.random.default_rng(seed)
     X = patch.sample(rng, samples)

@@ -44,12 +44,18 @@ def arc_ladder_space() -> tuple[FiniteTwoMetricSpace, list[int]]:
         return min(d, 2.0 * np.pi - d) / np.pi
 
     space = FiniteTwoMetricSpace(len(angles))
-    for i, j, k in space.distinct_triples():
+    for i, j, k in combinations(range(space.n), 3):
         space.table[(i, j, k)] = min(arc(angles[i], angles[j]),
                                      arc(angles[i], angles[k]),
                                      arc(angles[j], angles[k]))
     mapping = [1, 2, 3, 4, 5, 5, 0, 0]
     return space, mapping
+
+
+def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
+    """Exact pair distance of a table by a scalar loop over all points; NaN
+    if any d(i, j, k) is NaN, as ``eval_phi`` on the table's space gives it."""
+    return float(np.max([space.d(i, j, k) for k in range(space.n)]))
 
 
 def oracle_maximal_colinear(space: FiniteTwoMetricSpace,

@@ -18,12 +18,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_sphere_table
+from conftest import random_sphere_table, table_phi
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
 from twometric import core
-from twometric.core import _d_max, _lex_swap, _phi_many, broadcasting, eval_phi
+from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
 from twometric.lines import Thresholds, _pair_arrays, classify, lim_residual
 from twometric.spaces import area_ball_space, det_sphere_space
 
@@ -64,7 +64,7 @@ def setup(name, pairs=60, witnesses=40, seed=0):
 
 
 def scalar_phi(space, X, Y, W):
-    X, Y = _lex_swap(X, Y)
+    X, Y = _lex_swap(X, Y, False)
     return np.array([max(space.d(x, y, w) for w in W.points) for x, y in zip(X, Y)])
 
 
@@ -88,9 +88,9 @@ def test_phi_many_paths_agree_bitwise(name):
     space, W, X, Y = setup(name)
     slow_space, slow_calls = recorded(space, marked=False)
     fast_space, fast_calls = recorded(space, marked=True)
-    fast = _phi_many(fast_space, X, Y, W)
-    slow = _phi_many(slow_space, X, Y, W)
-    Xs, Ys = _lex_swap(X, Y)
+    fast = eval_phi(fast_space, X, Y, W)
+    slow = eval_phi(slow_space, X, Y, W)
+    Xs, Ys = _lex_swap(X, Y, False)
     P = np.asarray(W.points)
     oracle = space.d_batch(np.repeat(Xs, len(P), axis=0), np.repeat(Ys, len(P), axis=0),
                            np.tile(P, (len(X), 1))).reshape(len(X), len(P)).max(axis=1)
@@ -105,10 +105,10 @@ def test_phi_many_paths_agree_bitwise(name):
 def test_eval_phi_paths_agree_bitwise(name):
     space, W, X, Y = setup(name, pairs=12)
     slow_space = stacked(space)
-    rows = _phi_many(space, X, Y, W)
+    rows = eval_phi(space, X, Y, W)
     P = np.asarray(W.points)
     for i, (x, y) in enumerate(zip(X, Y)):
-        x, y = _lex_swap(x[None], y[None])
+        x, y = _lex_swap(x[None], y[None], False)
         oracle = float(space.d_batch(np.repeat(x, len(P), axis=0),
                                      np.repeat(y, len(P), axis=0), P).max())
         assert eval_phi(space, X[i], Y[i], W) == oracle
@@ -121,12 +121,12 @@ def test_eval_phi_paths_agree_bitwise(name):
 def test_chunked_scans_agree_bitwise(name, monkeypatch):
     # budgets below one row per first-axis entry, between, and above all rows
     space, W, X, Y = setup(name, pairs=25, witnesses=9)
-    whole = _phi_many(space, X, Y, W)
+    whole = eval_phi(space, X, Y, W)
     slow_space = stacked(space)
     for budget in (1, 7, 40, 10 ** 6):
         monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-        assert np.array_equal(_phi_many(space, X, Y, W), whole)
-        assert np.array_equal(_phi_many(slow_space, X, Y, W), whole)
+        assert np.array_equal(eval_phi(space, X, Y, W), whole)
+        assert np.array_equal(eval_phi(slow_space, X, Y, W), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_index_scans_match_table_lookups(rng):
     seq = rng.integers(0, table.n, size=20)
     idx_i, idx_j = _pair_arrays(len(seq), 5)
     for space in (fast, stacked(fast), replace(fast, d_batch=None)):
-        assert _phi_many(space, I, J, W).tolist() == [table.phi(i, j) for i, j in zip(I, J)]
+        assert eval_phi(space, I, J, W).tolist() == [table_phi(table, i, j) for i, j in zip(I, J)]
         got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
         assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
                                 for c in range(table.n)]

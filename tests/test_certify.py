@@ -184,6 +184,14 @@ def test_certify_rejects_planted_jacobian_violation():
     assert np.linalg.norm(fail["witness"]) <= INNER
 
 
+@pytest.mark.parametrize("counts", [{"samples": 0}, {"ratio_triples": 0},
+                                    {"samples": -3, "ratio_triples": 5}])
+def test_certify_refuses_sample_counts_below_one(counts):
+    A = 0.25 * np.eye(2)
+    with pytest.raises(ValueError, match="sample counts must be >= 1"):
+        certify(make_input(linear_map(A), A), **counts)
+
+
 def test_certify_budget_monotonicity():
     A = 0.25 * np.eye(2)
     F = quad_map(A, 1e-4)

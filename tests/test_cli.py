@@ -329,6 +329,49 @@ def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("csv_text, args, message", [
+    ("x0,x1,x2\n0.6,nan,0.8\n", [], "trace CSV has a non-finite coordinate"),
+    ("x0,x1,x2\n0.6,inf,0.8\n", [], "trace CSV has a non-finite coordinate"),
+    ("x0,x1\n0.6,0.8\n", [], "trace points have 2 coordinates but the det-sphere points have 3"),
+    ("x0,x1,x2\n0.6,0.0,0.8\n", ["--space=area-ball", "--dim=5"],
+     "trace points have 3 coordinates but the area-ball points have 5"),
+])
+def test_classify_bad_trace_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, csv_text, args, message):
+    from twometric import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    monkeypatch.setattr(cli, "classify", no_work)
+    trace = tmp_path / "trace.csv"
+    trace.write_text(csv_text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", f"--input={trace}", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convexity", "--samples", "0"], "sample counts must be >= 1"),
+    (["convexity", "--samples", "-2"], "sample counts must be >= 1"),
+    (["certify", "--samples", "0"], "sample counts must be >= 1"),
+    (["certify", "--triples", "0"], "sample counts must be >= 1"),
+    (["audit", "--witnesses", "-1"], "witness count must be >= 0"),
+    (["demo-equator", "--witnesses", "-1"], "witness count must be >= 0"),
+    (["classify", "--witnesses", "-1", "--input", "trace.csv"], "witness count must be >= 0"),
+])
+def test_sample_counts_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"quad": NaN}')

@@ -1,17 +1,22 @@
 """No verdict passes on NaN: one NaN planted in a finite table, and each
-verdict on that table must fail, report NaN, or keep the NaN out."""
+verdict on that table must fail, report NaN, or keep the NaN out; one NaN
+planted in a sampled quasi-distance value, and each quasi verdict must
+report it or refuse."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sphere_points
-from twometric import (FiniteTwoMetricSpace, WitnessSet, audit, det_metric,
-                       enumerate_lines, quotient_by_zero_phi,
+from twometric import (ContractionViolation, FiniteTwoMetricSpace, WitnessSet, audit,
+                       banach_direct, banach_multcost, banach_power, check_quasi_axioms,
+                       det_metric, enumerate_lines, interval_space, quotient_by_zero_phi,
                        surjective_contraction_check)
 
 
@@ -73,3 +78,63 @@ def test_a_planted_nan_reaches_every_finite_table_verdict(case):
     first = next(t for t in combinations(range(space.n), 3)
                  if np.isnan(space.d(*t)) or np.isnan(space.d(*(mapping[i] for i in t))))
     assert np.isnan(check.measured_k) and check.witness == first
+
+
+# ---------------------------------------------------------------------------
+# the quasi-distance verdicts
+# ---------------------------------------------------------------------------
+
+def planted_phi(space, p):
+    """``space`` with phi NaN on every pair that holds the point p."""
+    return replace(space, phi=lambda x, y: np.where((x == p) | (y == p), np.nan,
+                                                    space.phi(x, y)))
+
+
+SOLVERS = {
+    "direct": (lambda space: space, banach_direct, 1.0 / 3.0),
+    "power": (lambda space: replace(space, C=2.0), banach_power, 0.6),
+    "multcost": (lambda space: replace(space, psi=lambda x, y, z: 0.1 * np.abs(z),
+                                       psi_bound=0.1), banach_multcost, 0.5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 99))
+def test_a_planted_nan_reaches_the_quasi_axioms(seed, i):
+    base = interval_space()
+    rng = np.random.default_rng(seed)
+    X, Y, Z = (rng.random(100) for _ in range(3))
+    report = check_quasi_axioms(planted_phi(base, X[i]), samples=100, seed=seed)
+    assert all(np.isnan(report[key]) for key in ("reflexivity", "symmetry", "triangle"))
+    costed = replace(base, psi=lambda x, y, z: np.where(z == Z[i], np.nan, 0.0), psi_bound=1.0)
+    report = check_quasi_axioms(costed, samples=100, seed=seed)
+    assert report["triangle"] == 0.0
+    assert np.isnan(report["multiplicative_triangle"]) and np.isnan(report["cost_magnitude"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SOLVERS)), st.integers(0, 2 ** 32 - 1), st.integers(0, 99),
+       st.integers(0, 40))
+def test_a_planted_nan_stops_every_banach_solver(name, seed, i, n):
+    make, solver, k = SOLVERS[name]
+    space = make(interval_space())
+    F = lambda x: k * x  # noqa: E731
+    # NaN on one sampled pair of the factor check: the solver raises
+    rng = np.random.default_rng(seed + 1 if name == "multcost" else seed)
+    X = rng.random(100)
+    with pytest.raises(ContractionViolation, match="NaN"):
+        solver(planted_phi(space, X[i]), F, 1.0, k, seed=seed)
+    # NaN at one iterate, the start included: the tail check fails
+    clean = solver(space, F, 1.0, k, seed=seed)
+    assert clean.tail_bound_ok
+    p = clean.iterates[n % len(clean.iterates)]
+    run = solver(planted_phi(space, p), F, 1.0, k, seed=seed)
+    assert not run.tail_bound_ok and np.isnan(run.tail_margin)
+    # NaN in one sampled cost, or in its image: banach_multcost raises
+    if name == "multcost":
+        rng = np.random.default_rng(seed)
+        Z = [rng.random(100) for _ in range(3)][2]
+        for q in (Z[i], k * Z[i]):
+            costed = replace(space, psi=lambda x, y, z: np.where(z == q, np.nan, 0.1 * np.abs(z)))
+            with pytest.raises(ContractionViolation, match="NaN"):
+                solver(costed, F, 1.0, k, seed=seed)

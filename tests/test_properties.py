@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import oracle_maximal_colinear
+from conftest import oracle_maximal_colinear, table_phi
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit, det_metric,
-                       maximal_colinear_sets)
+                       det_sphere_space, eval_phi, maximal_colinear_sets,
+                       sphere_witnesses)
 from twometric.core import _SAVE_BLOCK
 
 NAN = float("nan")
@@ -36,6 +37,53 @@ def tables(draw, max_n=7, values=(0.0, 5e-13, 1.0, NAN)):
 @given(tables())
 def test_maximal_colinear_sets_match_oracle(space):
     assert maximal_colinear_sets(space) == oracle_maximal_colinear(space)
+
+
+SPHERE = det_sphere_space()
+SPHERE_WITNESSES = sphere_witnesses(8, seed=0)
+# coordinates with many ties, so pairs are often ordered by a later one
+COORDS = st.one_of(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+
+def sphere_phi(x, y):
+    """phi of one coordinate pair by a loop: the pair in the order Python
+    gives tuples of its coordinates, then the kernel on one witness row at a
+    time, whose bits the broadcast call must give."""
+    if tuple(y.tolist()) < tuple(x.tolist()):
+        x, y = y, x
+    return max(float(SPHERE.d_batch(x[None], y[None], w[None])[0])
+               for w in np.asarray(SPHERE_WITNESSES.points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eval_phi_broadcasts_like_the_scalar_loop(data):
+    a, b = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    if data.draw(st.booleans(), label="index points"):
+        table = data.draw(tables(max_n=6, values=(0.0, 0.25, 1.0, NAN)))
+        space, W = table.as_space(), WitnessSet.all_of(table)
+        X, Y = (data.draw(hnp.arrays(np.intp, m, elements=st.integers(0, table.n - 1)))
+                for m in (a, b))
+
+        def oracle(x, y):
+            return table_phi(table, x, y)
+    else:
+        space, W = SPHERE, SPHERE_WITNESSES
+        X, Y = (data.draw(hnp.arrays(float, (m, 3), elements=COORDS)) for m in (a, b))
+        oracle = sphere_phi
+
+    one = eval_phi(space, X[0], Y[0], W)
+    assert isinstance(one, float)
+    assert np.array_equal(one, oracle(X[0], Y[0]), equal_nan=True)
+    m = min(a, b)
+    cases = [(X[:m], Y[:m], [oracle(x, y) for x, y in zip(X[:m], Y[:m])]),
+             (X[0], Y, [oracle(X[0], y) for y in Y]),
+             (X[:, None], Y[None], [[oracle(x, y) for y in Y] for x in X])]
+    for x, y, want in cases:
+        got = eval_phi(space, x, y, W)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(eval_phi(space, y, x, W), got, equal_nan=True)
 
 
 @settings(deadline=None)
@@ -58,7 +106,7 @@ def test_tabulation_in_one_call_matches_the_scalar_loop(tmp_path_factory, points
     fast = FiniteTwoMetricSpace.from_points(points, det_metric)
     slow = FiniteTwoMetricSpace.from_points(points, lambda x, y, z: det_metric(x, y, z))
     want = {t: float(abs(np.dot(points[t[0]], np.cross(points[t[1]], points[t[2]]))))
-            for t in slow.distinct_triples()}
+            for t in combinations(range(len(points)), 3)}
     assert list(fast.table.items()) == list(slow.table.items()) == list(want.items())
     path = tmp_path_factory.mktemp("tables")
     fast.save(path / "fast.json")

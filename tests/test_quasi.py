@@ -44,10 +44,10 @@ def test_quasi_axioms_report_nan_instead_of_skipping_it():
     # the builtin max keeps a NaN only when it comes first
     nan = float("nan")
     base = interval_space()
-    space = replace(base, phi=lambda x, y: nan if x > 0.9 else base.phi(x, y))
+    space = replace(base, phi=lambda x, y: np.where(x > 0.9, nan, base.phi(x, y)))
     report = check_quasi_axioms(space, samples=200, seed=1)
     assert all(math.isnan(report[key]) for key in ("reflexivity", "symmetry", "triangle"))
-    costed = replace(base, psi=lambda x, y, z: nan if z > 0.9 else 0.0, psi_bound=1.0)
+    costed = replace(base, psi=lambda x, y, z: np.where(z > 0.9, nan, 0.0), psi_bound=1.0)
     report = check_quasi_axioms(costed, samples=200, seed=1)
     assert report["triangle"] == 0.0
     assert math.isnan(report["multiplicative_triangle"])
@@ -63,12 +63,12 @@ def test_factor_measurement_refuses_nan_distances():
     # NaN is neither <= the floor nor > the ratio so far, so it was skipped
     nan = float("nan")
     base = interval_space()
-    space = replace(base, phi=lambda x, y: nan if x > 0.9 else base.phi(x, y))
+    space = replace(base, phi=lambda x, y: np.where(x > 0.9, nan, base.phi(x, y)))
     with pytest.raises(ContractionViolation, match="ratio is NaN") as info:
         banach_direct(space, lambda x: x / 3.0, 0.5, 1.0 / 3.0)
     assert info.value.witness[0] > 0.9
     # finite on the samples, NaN on their images
-    space = replace(base, phi=lambda x, y: nan if x > 1.5 else base.phi(x, y))
+    space = replace(base, phi=lambda x, y: np.where(x > 1.5, nan, base.phi(x, y)))
     with pytest.raises(ContractionViolation, match="ratio is NaN"):
         banach_direct(space, lambda x: x / 3.0 + 2.0, 0.5, 1.0 / 3.0)
 
@@ -79,7 +79,7 @@ def test_tail_check_fails_on_a_nan_distance():
     nan = float("nan")
     base = interval_space()
     space = replace(base, sample=lambda rng, n: 0.5 * rng.random(n),
-                    phi=lambda x, y: nan if abs(x - y) > 0.7 else base.phi(x, y))
+                    phi=lambda x, y: np.where(np.abs(x - y) > 0.7, nan, base.phi(x, y)))
     run = banach_direct(space, lambda x: x / 3.0, 1.0, 1.0 / 3.0)
     assert run.residual <= 1e-12
     assert not run.tail_bound_ok
@@ -242,6 +242,25 @@ def test_multcost_rejects_cost_expansion():
                     psi_bound=0.1)
     with pytest.raises(ContractionViolation, match="cost contraction"):
         banach_multcost(space, lambda x: x / 2.0, 1.0, 0.5)
+
+
+def test_multcost_rejects_a_nan_cost():
+    # NaN is neither above the bound nor above k times the cost, so a NaN
+    # cost on a sample, or on the image of one, passed
+    nan = float("nan")
+    rng = np.random.default_rng(0)
+    X, Y, Z = (rng.random(100) for _ in range(3))
+    first = int(np.argmax(Z > 0.5))
+    space = replace(interval_space(), psi_bound=0.1,
+                    psi=lambda x, y, z: np.where(z > 0.5, nan, 0.1 * np.abs(z)))
+    with pytest.raises(ContractionViolation, match="cost is NaN") as info:
+        banach_multcost(space, lambda x: x / 2.0, 1.0, 0.5)
+    assert info.value.witness == (X[first], Y[first], Z[first])
+    # finite on the samples, NaN on their images
+    space = replace(space, psi=lambda x, y, z: np.where(z > 1.5, nan, 0.1 * np.abs(z)))
+    with pytest.raises(ContractionViolation, match="cost is NaN") as info:
+        banach_multcost(space, lambda x: x / 2.0 + 2.0, 1.0, 0.5)
+    assert info.value.witness == (X[0], Y[0], Z[0])
 
 
 def test_multcost_rejects_unbounded_cost():

@@ -281,6 +281,20 @@ def test_convexity_bound_counts_degenerate_triples():
     assert report.degenerate_skipped == 0  # continuous sampling never repeats
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_convexity_bound_refuses_sample_counts_below_one(samples):
+    with pytest.raises(ValueError, match="sample counts must be >= 1"):
+        convexity_bound(samples=samples)
+
+
+def test_sphere_witnesses_refuse_a_negative_count_and_keep_the_axes_at_zero():
+    with pytest.raises(ValueError, match="witness count must be >= 0"):
+        sphere_witnesses(-1, seed=0)
+    W = sphere_witnesses(0, seed=0)
+    assert np.array_equal(W.points, np.concatenate([np.eye(3), -np.eye(3)]))
+    assert W.descriptor["count"] == 6
+
+
 def test_det_sphere_space_audits_on_subsets(rng):
     # restriction to any subset keeps every axiom except possibly
     # nondegeneracy; check on a band around the equator
