@@ -226,8 +226,13 @@ def cmd_classify(cfg) -> int:
         coord_cols = [c for c in reader.fieldnames if c.startswith("x") and c != "x3_abs"]
         if not coord_cols:
             raise ConfigError("trace CSV has no coordinate columns")
-        for row in reader:
-            rows.append([float(row[c]) for c in coord_cols])
+        for number, row in enumerate(reader, start=1):
+            try:
+                rows.append([float(row[c]) for c in coord_cols])
+            except (TypeError, ValueError):
+                # a short row holds None in its missing fields
+                raise ConfigError(f"trace CSV row {number} needs a number in each of "
+                                  f"{', '.join(coord_cols)}") from None
     seq = np.asarray(rows)
     if not np.isfinite(seq).all():
         raise ConfigError("trace CSV has a non-finite coordinate")

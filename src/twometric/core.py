@@ -223,10 +223,13 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max``: 2**16 to 2**18 rows ran fastest for the
-# det and area kernels on a 2-core x86 machine; at 2**20 the temporaries no
-# longer fit in cache and an area-ball scan ran slower than a per-row loop.
-_ROW_BUDGET = 1 << 18
+# Rows per metric call in ``_d_max``.  A buffered kernel call holds several
+# row-sized buffers (seven in the det kernel: 1.8 MB at 2**15 rows).  On a
+# 2-core Xeon (4 MB L2 per core, numpy 2.4), 20 s sampled-audit runs gave
+# 9.5-10.5 verdicts/s at 2**14 and 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at
+# 2**18, where the buffers no longer fit in cache; contraction-verdicts and
+# finite-tables stayed level from 2**14 to 2**16.
+_ROW_BUDGET = 1 << 15
 
 
 def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
@@ -239,14 +242,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     a space without one, gets the materialised rows through ``_d_many``.
     Every call covers about ``_ROW_BUDGET`` rows at most, split along the
     first axis.
-
-    Kernels see C-ordered arrays, as the ``np.repeat``/``np.tile`` rows of
-    the stacked form were.  The built-in 3-d kernels add elementwise and do
-    not depend on the layout, but ``einsum``, which the area kernel keeps
-    in other dimensions, sums in an order that follows the memory layout,
-    so another layout could change the last bit there.
     """
-    arrays = [np.asarray(A, order="C") for A in (X, Y, Z)]
+    arrays = [np.asarray(A) for A in (X, Y, Z)]
     k = 0 if _index_points(*arrays) else 1
     shape = np.broadcast(*arrays).shape
     shape = shape[:len(shape) - k]

@@ -355,19 +355,22 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     passers = [candidates[i] for i in passing]
     passer_residuals = [float(residuals[i]) for i in passing]
 
-    notes = []
-    low = False
+    # Every note lowers the confidence.  A NaN fails every threshold test
+    # below, so it gets a note of its own rather than a clean tag.
+    notes = [f"{name} is NaN" for name, value in (("cauchy modulus", cauchy_modulus),
+                                                 ("tri-cauchy modulus", tri_modulus))
+             if np.isnan(value)]
     if thresholds.cauchy < cauchy_modulus <= 10.0 * thresholds.cauchy:
-        low = True
         notes.append("cauchy modulus within 10x of threshold")
     if thresholds.tri_cauchy < tri_modulus <= 10.0 * thresholds.tri_cauchy:
-        low = True
         notes.append("tri-cauchy modulus within 10x of threshold")
     near = [float(r) for r in residuals
             if thresholds.lim < r <= 10.0 * thresholds.lim]
     if near:
-        low = True
         notes.append(f"{len(near)} candidate residuals within 10x of lim threshold")
+    nan_residuals = int(np.isnan(residuals).sum())
+    if nan_residuals:
+        notes.append(f"{nan_residuals} candidate residuals are NaN")
 
     base = Classification(
         tag="NoPoint",
@@ -376,7 +379,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         thresholds=thresholds,
         passers=passers,
         passer_residuals=passer_residuals,
-        low_confidence=low,
+        low_confidence=bool(notes),
         notes=notes,
     )
 
@@ -388,7 +391,10 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     # Greedy clustering at the pair-distance floor, taking the passers in
     # turn, has passers[0] as its first representative, and finds a second
     # one exactly when some passer lies farther than the floor from it.
-    if (eval_phi(space, passers[:1], passers, witnesses) > thresholds.min_phi).any():
+    spread = eval_phi(space, passers[:1], passers, witnesses)
+    if np.isnan(spread).any():
+        notes = notes + ["pair distance from the first passer is NaN"]
+    if (spread > thresholds.min_phi).any():
         # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
         pi, pj = np.triu_indices(len(passers), k=1)
@@ -401,14 +407,15 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         gap = cauchy_modulus
         derived = 6.0 * thresholds.lim * (1.0 + 1.0 / gap)
         defect = float(_d_max(space, P, g1, g2))
-        extra_notes = list(notes)
-        if defect > derived:
-            low = True
-            extra_notes.append(
-                f"passer membership defect {defect:.3g} exceeds derived tolerance {derived:.3g}")
+        if np.isnan(defect):
+            notes = notes + ["passer membership defect is NaN"]
+        elif defect > derived:
+            notes = notes + [f"passer membership defect {defect:.3g} exceeds "
+                             f"derived tolerance {derived:.3g}"]
         members = (None if space.size is None
                    else _members(space, g1, g2, thresholds.colinear))
         line = Line(g1, g2, thresholds.colinear, members)
         return replace(base, tag="LineCase", line=line, derived_colinear_tol=derived,
-                       passer_defect=defect, low_confidence=low, notes=extra_notes)
-    return replace(base, tag="UniquePoint", point=passers[0])
+                       passer_defect=defect, low_confidence=bool(notes), notes=notes)
+    return replace(base, tag="UniquePoint", point=passers[0], low_confidence=bool(notes),
+                   notes=notes)

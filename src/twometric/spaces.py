@@ -56,24 +56,43 @@ def _coords(A) -> list:
     return [A[..., j] for j in range(A.shape[-1])]
 
 
-def _dot3(a, b) -> np.ndarray:
-    """Dot products of 3-d points given as coordinate arrays, added as
-    ``einsum("...j,...j->...")`` adds a unit-stride last axis of length 3:
-    ``(a0*b0 + a2*b2) + a1*b1``.  The order decides the last bit, so this
-    gives einsum's bits without its per-call cost."""
-    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+def _dot(a, b) -> np.ndarray:
+    """Dot products of points given as coordinate arrays, fewer than 8 of
+    them, added as ``einsum("...j,...j->...")`` adds a unit-stride last
+    axis that short: the even terms ``p0 + p2 + p4 + p6`` in one running
+    sum, the odd terms ``p1 + p3 + p5`` in another, then the two sums.
+    The order decides the last bit, so this gives einsum's bits without
+    its per-call cost.  Every term is written into one buffer sized from
+    the operands, which may be smaller than the scan they feed."""
+    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    sums = [np.multiply(p, q, out=np.empty(shape)) for p, q in zip(a[:2], b[:2])]
+    term = np.empty(shape)
+    for j in range(2, len(a)):
+        np.add(sums[j % 2], np.multiply(a[j], b[j], out=term), out=sums[j % 2])
+    return sums[0] if len(sums) == 1 else np.add(*sums, out=sums[0])
+
+
+def _differences(a, b) -> list:
+    """The coordinate arrays of ``b - a``, each written into its own buffer."""
+    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    return [np.subtract(q, p, out=np.empty(shape)) for p, q in zip(a, b)]
 
 
 @broadcasting
 def det_metric_batch(X, Y, Z) -> np.ndarray:
     """|det [x y z]| row by row: ``x . (y x z)`` with the cross product
-    written out as ``np.cross`` computes it, and the dot product as
-    ``_dot3``.  Each row has the bits of
+    written out as ``np.cross`` computes it, into three buffers, and the
+    dot product as ``_dot``.  Each row has the bits of
     ``abs(einsum("...j,...j->...", X, np.cross(Y, Z)))`` on C-ordered
     inputs, whatever the layout of the inputs."""
     x, y, z = _coords(X), _coords(Y), _coords(Z)
-    c = (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0])
-    return np.abs(_dot3(x, c))
+    shape = np.broadcast_shapes(np.shape(y[0]), np.shape(z[0]))
+    c, term = [np.empty(shape) for _ in range(3)], np.empty(shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(y[j], z[k], out=c[i])
+        np.subtract(c[i], np.multiply(y[k], z[j], out=term), out=c[i])
+    out = _dot(x, c)
+    return np.abs(out, out=out)[()]
 
 
 def antipodal_canon(x) -> np.ndarray:
@@ -192,23 +211,24 @@ def area_metric(x, y, z) -> float:
 @broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
     """Triangle areas row by row, from the Gram determinant of the edges
-    u = y - x and v = z - x.  In 3-d the dot products are ``_dot3`` sums of
-    per-coordinate differences, with the bits of ``einsum``; in any other
-    dimension they are ``einsum`` itself, since no explicit order found
-    gives its bits there (in 5-d neither a left-to-right sum nor
-    ``.sum(-1)`` does)."""
+    u = y - x and v = z - x.  Below 8 dimensions the edges and their dot
+    products are written into buffers, the dot products as ``_dot`` sums
+    with the bits of ``einsum``; from 8 on they are ``einsum`` itself, on
+    C-ordered edges, since its order there follows the memory layout."""
     X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
-    if X.shape[-1] == 3:
+    if X.shape[-1] < 8:
         x, y, z = _coords(X), _coords(Y), _coords(Z)
-        u = [b - a for a, b in zip(x, y)]
-        v = [c - a for a, c in zip(x, z)]
-        uu, vv, uv = _dot3(u, u), _dot3(v, v), _dot3(u, v)
+        u, v = _differences(x, y), _differences(x, z)
+        uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
     else:
-        U, V = Y - X, Z - X
+        U, V = np.subtract(Y, X, order="C"), np.subtract(Z, X, order="C")
         uu = np.einsum("...j,...j->...", U, U)
         vv = np.einsum("...j,...j->...", V, V)
         uv = np.einsum("...j,...j->...", U, V)
-    return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
+    g = np.multiply(uu, vv, out=np.empty(np.shape(uv)))
+    np.subtract(g, np.multiply(uv, uv), out=g)
+    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+    return np.multiply(g, 0.5, out=g)[()]
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int = 3,

@@ -335,6 +335,10 @@ def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
     ("x0,x1\n0.6,0.8\n", [], "trace points have 2 coordinates but the det-sphere points have 3"),
     ("x0,x1,x2\n0.6,0.0,0.8\n", ["--space=area-ball", "--dim=5"],
      "trace points have 3 coordinates but the area-ball points have 5"),
+    ("x0,x1,x2\n0.6,0.0,0.8\n0.6,0.0\n", [],
+     "trace CSV row 2 needs a number in each of x0, x1, x2"),
+    ("x0,x1,x2\n0.6,,0.8\n0.6,0.0,0.8\n", [],
+     "trace CSV row 1 needs a number in each of x0, x1, x2"),
 ])
 def test_classify_bad_trace_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, csv_text, args, message):

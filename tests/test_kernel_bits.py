@@ -1,12 +1,13 @@
-"""Bit pins: the 3-d metric kernels and the built-in maps against the forms
+"""Bit pins: the metric kernels and the built-in maps against the forms
 they replace.
 
-The kernels add their products in the order ``einsum("...j,...j->...")``
-uses on a unit-stride last axis of length 3, and the det kernel writes out
-``np.cross``; the maps evaluate stacks with row-by-column ``matmul``.  Each
-must give the bits of the old form, written out here as the oracle.  If a
-numpy release sums in another order, these tests fail instead of the
-artifacts moving silently.
+Below 8 dimensions the kernels add their products in the order
+``einsum("...j,...j->...")`` uses on a unit-stride last axis that short:
+even terms in one running sum, odd terms in another, then the two.  The det
+kernel writes out ``np.cross``; the maps evaluate stacks with
+row-by-column ``matmul``.  Each must give the bits of the old form, written
+out here as the oracle.  If a numpy release sums in another order, these
+tests fail instead of the artifacts moving silently.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from twometric import (SphereContractionParams, SpherePatch, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric.core import apply_rows
 from twometric.dynamics import measured_contraction_factor
-from twometric.spaces import area_metric_batch, det_metric_batch
+from twometric.spaces import _dot, area_metric_batch, det_metric_batch
 
 
 def det_einsum(X, Y, Z):
@@ -40,14 +41,23 @@ def area_einsum(X, Y, Z):
 
 PATCH = SpherePatch(0.2)
 
+
+
+def normal(dim):
+    return lambda rng, n: rng.normal(size=(n, dim))
+
+
 # name: (kernel, einsum oracle, point sampler)
 KERNELS = {
-    "det": (det_metric_batch, det_einsum, lambda rng, n: rng.normal(size=(n, 3))),
-    "area": (area_metric_batch, area_einsum, lambda rng, n: rng.normal(size=(n, 3))),
+    "det": (det_metric_batch, det_einsum, normal(3)),
+    "area": (area_metric_batch, area_einsum, normal(3)),
     "patch": (PATCH.metric_batch,
               lambda X, Y, Z: area_einsum(*(PATCH.lift_batch(P) for P in (X, Y, Z))),
               lambda rng, n: PATCH.sample(rng, n)),
 }
+# with the area kernel in 5-d (the lane order) and 9-d (einsum itself)
+ALL_KERNELS = {**KERNELS, "area-5d": (area_metric_batch, area_einsum, normal(5)),
+               "area-9d": (area_metric_batch, area_einsum, normal(9))}
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -72,11 +82,11 @@ def test_kernel_candidate_scan_has_the_einsum_bits(name):
     assert np.array_equal(out, oracle(A[:, None], B[:, None], candidates))
 
 
-@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("name", ALL_KERNELS)
 def test_kernel_bits_do_not_depend_on_the_layout(name):
-    # the oracle sees C-ordered copies, as _d_max gives them; einsum itself
-    # sums a strided last axis in another order
-    kernel, oracle, sample = KERNELS[name]
+    # the oracle sees C-ordered copies; einsum itself sums a strided last
+    # axis in another order
+    kernel, oracle, sample = ALL_KERNELS[name]
     rng = np.random.default_rng(13)
     dim = sample(rng, 1).shape[-1]
     block = np.concatenate([sample(rng, 20_000) for _ in range(4)], axis=1)
@@ -88,13 +98,50 @@ def test_kernel_bits_do_not_depend_on_the_layout(name):
     assert np.array_equal(kernel(X, Y, Z), oracle(*copies))
 
 
-def test_area_kernel_keeps_einsum_in_other_dimensions():
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_dot_adds_in_the_einsum_lane_order(dim):
     rng = np.random.default_rng(14)
-    for dim in (2, 5):
-        X, Y, Z = (rng.normal(size=(20_000, dim)) for _ in range(3))
-        assert np.array_equal(area_metric_batch(X, Y, Z), area_einsum(X, Y, Z))
-        X, Y, Z = X[:200, None], Y[:300], Z[:200, None]
-        assert np.array_equal(area_metric_batch(X, Y, Z), area_einsum(X, Y, Z))
+    A, B = rng.normal(size=(50_000, dim)), rng.normal(size=(50_000, dim))
+    dot = _dot([A[:, j] for j in range(dim)], [B[:, j] for j in range(dim)])
+    assert np.array_equal(dot, np.einsum("...j,...j->...", A, B))
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_area_kernel_has_the_einsum_bits_in_every_dimension(dim):
+    # dims 1-7 add in the lane order, dims 8 and 9 call einsum itself
+    rng = np.random.default_rng(14 + dim)
+    X, Y, Z = (rng.normal(size=(20_000, dim)) for _ in range(3))
+    assert np.array_equal(area_metric_batch(X, Y, Z), area_einsum(X, Y, Z))
+    # the phi scan (pairs x witnesses) and classify's candidate scan
+    for scan in ((X[:200, None], Y[:200, None], Z[:300]), (X[:200, None], Y[:300], Z[:300])):
+        out = area_metric_batch(*scan)
+        assert out.shape == (200, 300)
+        assert np.array_equal(out, area_einsum(*scan))
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_a_nan_coordinate_gives_nan_in_its_own_row_only(name):
+    kernel, _, sample = ALL_KERNELS[name]
+    rng = np.random.default_rng(15)
+    X, Y, Z = (sample(rng, 60) for _ in range(3))
+    X[7, 0] = Y[20, -1] = Z[49, 1] = np.nan
+    assert np.flatnonzero(np.isnan(kernel(X, Y, Z))).tolist() == [7, 20, 49]
+    # in a scan of pairs against witnesses, its pair or its witness
+    W = sample(rng, 30)
+    W[3, 0] = np.nan
+    expected = np.zeros((60, 30), dtype=bool)
+    expected[[7, 20]] = True
+    expected[:, 3] = True
+    assert np.array_equal(np.isnan(kernel(X[:, None], Y[:, None], W)), expected)
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_a_single_triple_gives_a_float64(name):
+    kernel, oracle, sample = ALL_KERNELS[name]
+    x, y, z = sample(np.random.default_rng(16), 3)
+    out = kernel(x, y, z)
+    assert type(out) is np.float64
+    assert out == oracle(x, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sphere_points
-from twometric import (ContractionViolation, FiniteTwoMetricSpace, WitnessSet, audit,
-                       banach_direct, banach_multcost, banach_power, check_quasi_axioms,
-                       det_metric, enumerate_lines, interval_space, quotient_by_zero_phi,
-                       surjective_contraction_check)
+from twometric import (ContractionViolation, FiniteTwoMetricSpace, SphereContractionParams,
+                       WitnessSet, audit, banach_direct, banach_multcost, banach_power,
+                       check_quasi_axioms, classify, det_metric, det_sphere_space,
+                       enumerate_lines, interval_space, make_sphere_map, orbit,
+                       quotient_by_zero_phi, sphere_witnesses, surjective_contraction_check,
+                       unit_sphere)
+from twometric.core import broadcasting
+from twometric.spaces import det_metric_batch
 
 
 @st.composite
@@ -138,3 +142,47 @@ def test_a_planted_nan_stops_every_banach_solver(name, seed, i, n):
             costed = replace(space, psi=lambda x, y, z: np.where(z == q, np.nan, 0.1 * np.abs(z)))
             with pytest.raises(ContractionViolation, match="NaN"):
                 solver(costed, F, 1.0, k, seed=seed)
+
+
+
+def nan_where(kernel, mask):
+    """The kernel, NaN on the triples where ``mask`` holds."""
+    @broadcasting
+    def d_batch(*points):
+        return np.where(mask(*points), np.nan, kernel(*points))
+    return d_batch
+
+
+def high(at):
+    """Whether point ``at`` of the triple has y above 0.95."""
+    return lambda *points: np.asarray(points[at])[..., 1] > 0.95
+
+
+def one_pair(*points):
+    """Whether the triples are a scan against one fixed pair, as only the
+    passer membership check of a line case makes in classify."""
+    single = all(np.size(P) == np.shape(P)[-1] for P in points[1:])
+    return np.full(np.broadcast_shapes(*(np.shape(P)[:-1] for P in points)), single)
+
+
+EQUATOR_ORBIT = ((0.1, 0.5, 0.0), [0.6, 0.0, 0.8])    # Cauchy on the clean kernel
+ALTERNATING = ((0.1, 0.5, np.pi / 2), [1.0, 0.0, 0.0])  # rotates e1 to e2 and back
+
+
+@pytest.mark.parametrize("case, mask, tag, notes", [
+    (EQUATOR_ORBIT, high(2), "CauchySequence",
+     ["cauchy modulus is NaN", "pair distance from the first passer is NaN"]),
+    (EQUATOR_ORBIT, high(0), "CauchySequence", ["candidate residuals are NaN"]),
+    (ALTERNATING, one_pair, "LineCase", ["passer membership defect is NaN"]),
+])
+def test_a_planted_nan_lowers_the_classify_confidence(case, mask, tag, notes):
+    params, x0 = case
+    seq = orbit(make_sphere_map(SphereContractionParams(*params)), unit_sphere(x0), 200).points
+    W = sphere_witnesses(128, seed=0)
+    clean = classify(det_sphere_space(), seq, W)
+    assert clean.tag == tag and not clean.low_confidence
+    space = replace(det_sphere_space(), d_batch=nan_where(det_metric_batch, mask))
+    verdict = classify(space, seq, W)
+    assert verdict.low_confidence
+    for note in notes:
+        assert any(note in n for n in verdict.notes), verdict.notes
