@@ -223,7 +223,8 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max``.  A buffered kernel call holds several
+# Rows per metric call in ``_d_max`` and in the blocks of ``classify``'s
+# triple modulus (``lines.classify``).  A buffered kernel call holds several
 # row-sized buffers (seven in the det kernel: 1.8 MB at 2**15 rows).  On a
 # 2-core Xeon (4 MB L2 per core, numpy 2.4), 20 s sampled-audit runs gave
 # 9.5-10.5 verdicts/s at 2**14 and 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at
@@ -292,8 +293,13 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
 
 def _triples(n: int) -> np.ndarray:
     """Rows (i, j, k) with i < j < k < n, in lexicographic order."""
-    i, j, k = np.ogrid[:n, :n, :n]
-    return np.argwhere((i < j) & (j < k))
+    J, K = np.triu_indices(n, 1)
+    # the pairs (j, k) with j > i are the last C(n - 1 - i, 2) of the
+    # lexicographic pairs (J, K); the rows with first index i take them in
+    # turn, so row r of that block reads pair r + len(J) - cumsum(counts)[i]
+    counts = (n - 1 - np.arange(n)) * (n - 2 - np.arange(n)) // 2
+    pick = np.arange(counts.sum()) + np.repeat(len(J) - np.cumsum(counts), counts)
+    return np.column_stack((np.repeat(np.arange(n), counts), J[pick], K[pick]))
 
 
 def _rank(i, j, k, n: int):

@@ -358,6 +358,27 @@ def test_classify_bad_trace_exits_2_before_any_work(
     assert not out.exists()
 
 
+SHORT_TRACE = ["0.6,0.0,0.8", "0.0,0.6,0.8", "0.8,0.0,0.6", "0.0,0.8,0.6", "0.6,0.8,0.0"]
+
+
+@pytest.mark.parametrize("rows", [3, 4, 5])
+def test_classify_a_trace_of_min_length_rows(tmp_path, rows):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("x0,x1,x2\n" + "".join(f"{row}\n" for row in SHORT_TRACE[:rows]))
+    assert main(["classify", f"--input={trace}", "--min-length", "3",
+                 "--out", str(tmp_path)]) == 0
+    assert load(tmp_path / "classification.json")["classification"]["tag"] == "NoPoint"
+
+
+def test_classify_refuses_a_trace_of_two_rows(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("x0,x1,x2\n" + "".join(f"{row}\n" for row in SHORT_TRACE[:2]))
+    assert main(["classify", f"--input={trace}", "--min-length", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: sequence length 2 below minimum 3\n"
+    assert not (tmp_path / "classification.json").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["convexity", "--samples", "0"], "sample counts must be >= 1"),
     (["convexity", "--samples", "-2"], "sample counts must be >= 1"),

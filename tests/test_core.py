@@ -399,7 +399,7 @@ def test_surjectivity_reports_nan_from_a_nan_entry(rng):
 
 
 def test_triples_are_the_lexicographic_combinations():
-    for n in (0, 1, 2, 3, 4, 5, 10, 40):
+    for n in (0, 1, 2, 3, 4, 5, 10, 40, 100, 121):
         rows = _triples(n)
         assert rows.dtype == np.intp and rows.shape == (len(list(combinations(range(n), 3))), 3)
         assert rows.tolist() == [list(t) for t in combinations(range(n), 3)]

@@ -14,6 +14,7 @@ from twometric import (FiniteTwoMetricSpace, Thresholds, WitnessSet, classify,
                        maximal_colinear_sets, sphere_witnesses,
                        transitivity_probe)
 import twometric.lines as lines_module
+from twometric.core import _d_many
 from twometric.lines import _triple_arrays
 
 E1, E2, E3 = np.eye(3)
@@ -285,6 +286,19 @@ def test_triple_arrays_match_the_grid_and_sort_forms(length, start, cap):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("length", [
+    201,    # 100 tail points: every triple, in blocks
+    241,    # 120 tail points: a subsample of the triples
+    401,    # 200 tail points: random draws
+])
+def test_tri_modulus_blocks_match_one_kernel_call(length):
+    seq = np.asarray(SPHERE.sample(np.random.default_rng(length), length))
+    c = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
+    want = _d_many(SPHERE, seq[c[:, 0]], seq[c[:, 1]], seq[c[:, 2]]).max()
+    got = classify(SPHERE, seq, sphere_witnesses(16, seed=1)).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
+
+
 def test_lim_residual_validates_start():
     with pytest.raises(ValueError):
         lim_residual(SPHERE, E1, np.tile(E1, (5, 1)), start=9)
@@ -401,6 +415,20 @@ def test_low_confidence_flag_near_thresholds():
 def test_classify_rejects_short_sequences():
     with pytest.raises(ValueError, match="below minimum"):
         classify(SPHERE, np.tile(E1, (10, 1)), sphere_witnesses(16, seed=11))
+
+
+@pytest.mark.parametrize("length", [3, 4, 5])
+def test_classify_takes_a_tail_of_three_points_at_least(length):
+    seq = np.asarray(SPHERE.sample(np.random.default_rng(length), length))
+    verdict = classify(SPHERE, seq, sphere_witnesses(16, seed=11), Thresholds(min_length=3))
+    assert verdict.tag == "NoPoint" and verdict.tri_cauchy_modulus > 0.0
+
+
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_classify_refuses_fewer_than_three_points(length):
+    with pytest.raises(ValueError, match=f"sequence length {length} below minimum 3"):
+        classify(SPHERE, np.tile(E1, (length, 1)), sphere_witnesses(16, seed=11),
+                 Thresholds(min_length=0))
 
 
 def test_classification_json_schema():

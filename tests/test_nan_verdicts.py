@@ -20,7 +20,8 @@ from twometric import (ContractionViolation, FiniteTwoMetricSpace, SphereContrac
                        enumerate_lines, interval_space, make_sphere_map, orbit,
                        quotient_by_zero_phi, sphere_witnesses, surjective_contraction_check,
                        unit_sphere)
-from twometric.core import broadcasting
+from twometric.core import _ROW_BUDGET, broadcasting
+from twometric.lines import _triple_arrays
 from twometric.spaces import det_metric_batch
 
 
@@ -186,3 +187,28 @@ def test_a_planted_nan_lowers_the_classify_confidence(case, mask, tag, notes):
     assert verdict.low_confidence
     for note in notes:
         assert any(note in n for n in verdict.notes), verdict.notes
+
+
+def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
+    """classify evaluates the triple modulus in blocks of _ROW_BUDGET rows,
+    the only kernel calls it makes on row stacks; a kernel that is NaN only
+    on the last of them makes the modulus NaN."""
+    seq = orbit(make_sphere_map(SphereContractionParams(*ALTERNATING[0])),
+                unit_sphere(ALTERNATING[1]), 200).points
+    blocks = -(-len(_triple_arrays(200, 100)) // _ROW_BUDGET)
+    rows = []
+
+    @broadcasting
+    def d_batch(X, Y, Z):
+        out = np.array(det_metric_batch(X, Y, Z))
+        if np.ndim(X) == 2:
+            rows.append(len(X))
+            if len(rows) == blocks:
+                out[-1] = np.nan
+        return out
+
+    verdict = classify(replace(det_sphere_space(), d_batch=d_batch), seq,
+                       sphere_witnesses(128, seed=0))
+    assert len(rows) == blocks > 1 and max(rows) <= _ROW_BUDGET
+    assert np.isnan(verdict.tri_cauchy_modulus) and verdict.low_confidence
+    assert "tri-cauchy modulus is NaN" in verdict.notes

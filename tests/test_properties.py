@@ -1,5 +1,6 @@
 """Property tests: the dense-table paths against scalar and brute-force
-oracles on generated tables and point sets."""
+oracles on generated tables and point sets, and the JSON round-trip of
+every artifact."""
 
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import oracle_maximal_colinear, table_phi
-from twometric import (FiniteTwoMetricSpace, WitnessSet, audit, det_metric,
-                       det_sphere_space, eval_phi, maximal_colinear_sets,
+from twometric import (AxiomReport, BanachRun, CertResult, Classification,
+                       FiniteTwoMetricSpace, Line, Outcome, Thresholds, WitnessSet, audit,
+                       det_metric, det_sphere_space, eval_phi, maximal_colinear_sets,
                        sphere_witnesses)
-from twometric.core import _SAVE_BLOCK
+from twometric.core import _SAVE_BLOCK, AxiomRecord
 
 NAN = float("nan")
 
@@ -260,3 +262,76 @@ MALFORMED = st.one_of(
 def test_constructor_matches_the_per_key_loop(case):
     n, entries = case
     assert outcome(construct, n, entries) == outcome(per_key_table, n, entries)
+
+
+# ---------------------------------------------------------------------------
+# artifact JSON round-trips
+# ---------------------------------------------------------------------------
+
+FLOATS = st.floats()                    # NaN and the infinities included
+POINTS = st.one_of(st.integers(0, 99), FLOATS,
+                   st.lists(FLOATS, min_size=3, max_size=3).map(np.array))
+TEXT = st.text(max_size=12)
+THRESHOLDS = st.builds(Thresholds, **dict.fromkeys(
+    ("lim", "cauchy", "tri_cauchy", "min_phi", "colinear", "fixed_point", "tail_fraction"),
+    FLOATS), min_length=st.integers(0, 500))
+LINES = st.builds(Line, POINTS, POINTS, FLOATS,
+                  st.none() | st.lists(st.integers(0, 99), max_size=5).map(tuple))
+CLASSIFICATIONS = st.builds(
+    Classification, st.sampled_from(["NoPoint", "UniquePoint", "CauchySequence", "LineCase"]),
+    FLOATS, FLOATS, THRESHOLDS, limit=st.none() | POINTS, point=st.none() | POINTS,
+    line=st.none() | LINES, passers=st.lists(POINTS, max_size=4),
+    low_confidence=st.booleans(), notes=st.lists(TEXT, max_size=3))
+OPTIONAL_FLOATS = st.none() | FLOATS
+ARTIFACTS = {
+    "AxiomReport": st.builds(
+        AxiomReport, st.integers(0, 2 ** 32), FLOATS, st.lists(st.builds(
+            AxiomRecord, TEXT, FLOATS, st.none() | st.tuples(POINTS, POINTS, POINTS),
+            st.integers(0, 10 ** 6)), max_size=4)),
+    "Classification": CLASSIFICATIONS,
+    "Outcome": st.builds(
+        Outcome, st.sampled_from(["FixedPoint", "FixedLine", "Indeterminate"]),
+        OPTIONAL_FLOATS, st.none() | CLASSIFICATIONS, point=st.none() | POINTS,
+        residual=OPTIONAL_FLOATS, line=st.none() | LINES, invariance_defect=OPTIONAL_FLOATS,
+        uniqueness_ok=st.none() | st.booleans(), min_point_residual=OPTIONAL_FLOATS,
+        diagnostic=st.none() | TEXT),
+    "CertResult": st.builds(
+        CertResult, st.booleans(), FLOATS, FLOATS, FLOATS, FLOATS, FLOATS, OPTIONAL_FLOATS,
+        FLOATS, st.none() | st.booleans(),
+        st.lists(st.dictionaries(TEXT, FLOATS, max_size=3), max_size=3),
+        st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+    "BanachRun": st.builds(
+        BanachRun, FLOATS, st.just([]), POINTS, FLOATS, st.integers(0, 10 ** 6), FLOATS,
+        FLOATS, FLOATS, st.booleans(), FLOATS, st.integers(1, 50), TEXT,
+        st.lists(TEXT, max_size=3)),
+}
+NAN_CLASSIFICATION = Classification("NoPoint", NAN, NAN, Thresholds(), low_confidence=True,
+                                    notes=["cauchy modulus is NaN", "tri-cauchy modulus is NaN"])
+NAN_ARTIFACTS = {
+    "AxiomReport": AxiomReport(0, 1e-9, [AxiomRecord("B", NAN, (0, 1, 2), 10)]),
+    "Classification": NAN_CLASSIFICATION,
+    "Outcome": Outcome("Indeterminate", NAN, NAN_CLASSIFICATION, diagnostic="NaN factor"),
+    "CertResult": CertResult(False, NAN, 1.0, 0.5, 2.0, 0.25, NAN, 1.0, None,
+                             [{"kind": "ratio", "value": NAN}], 400, 2000),
+    "BanachRun": BanachRun(1.0, [], NAN, NAN, 3, 0.4, NAN, 2.0, False, NAN),
+}
+
+
+def dumps(payload) -> str:
+    """The CLI's encoding, with NaN written as the Python encoder's NaN."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_artifact_json_round_trips(name, data):
+    text = dumps(data.draw(ARTIFACTS[name]).to_json())
+    assert dumps(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("name", sorted(NAN_ARTIFACTS))
+def test_an_artifact_holding_nan_round_trips(name):
+    text = dumps(NAN_ARTIFACTS[name].to_json())
+    assert "NaN" in text or '"non_finite": true' in text
+    assert dumps(json.loads(text)) == text
