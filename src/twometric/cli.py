@@ -240,6 +240,12 @@ def cmd_classify(cfg) -> int:
     if dim != (len(coord_cols),):
         raise ConfigError(f"trace points have {len(coord_cols)} coordinates but the "
                           f"{cfg['space']} points have {dim[0] if dim else 'none'}")
+    if space.contains is not None:
+        with np.errstate(over="ignore"):   # a norm that overflows is outside too
+            outside = [n for n, p in enumerate(seq, start=1) if not space.contains(p)]
+        if outside:
+            raise ConfigError(f"trace CSV row {outside[0]} is not a point of the "
+                              f"{cfg['space']} space")
     thresholds = Thresholds(lim=cfg["eps_lim"], cauchy=cfg["eps_cauchy"],
                             tri_cauchy=cfg["eps_tri"], min_length=cfg["min_length"])
     verdict = classify(space, seq, witnesses, thresholds)

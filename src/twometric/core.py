@@ -620,6 +620,10 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     checks are drawn from the witness set so the truncated sup is internally
     consistent and those inequalities are exact.  All sampling is sequential
     from the given seed.
+
+    The phi checks draw up to 5 * ``triples`` witness pairs, and each
+    distinct unordered pair is evaluated once, so their phi scan holds at
+    most min(5 * triples, |W| (|W| + 1) / 2) * |W| kernel rows.
     """
     if triples < 1:
         raise ValueError("sample counts must be >= 1")
@@ -662,21 +666,6 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     else:
         records.append(_record_from("Z", z_viol, (P[0], P[1], P[1]), triples))
 
-    # N: distinct pairs (after canonicalization) must have positive phi.
-    widx = np.random.default_rng(seed + 1).integers(0, len(witnesses), size=(triples, 2))
-    Wpts = np.asarray(witnesses.points)
-    NX, NY = Wpts[widx[:, 0]], Wpts[widx[:, 1]]
-    canon = space.canon or (lambda p: p)
-    classes: dict = {}
-    wclass = np.array([classes.setdefault(point_key(canon(p)), len(classes)) for p in Wpts])
-    keep = np.flatnonzero(wclass[widx[:, 0]] != wclass[widx[:, 1]])
-    if len(keep):
-        phis = eval_phi(space, NX[keep], NY[keep], witnesses)
-        n_viol = np.where(phis > tolerance, 0.0, 1.0)
-        records.append(_record_from("N", n_viol, (NX[keep], NY[keep]), len(keep)))
-    else:
-        records.append(AxiomRecord("N", 0.0, None, 0))
-
     # B: global bound 1.
     records.append(_record_from("B", d0 - 1.0, T, triples))
 
@@ -687,25 +676,41 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     rhs = _d_many(space, a, x, y) + _d_many(space, b, x, y)
     records.append(_record_from("Trans", lhs - rhs, V, triples))
 
-    # phi-based checks, sampled from the witness set.
+    # phi-based checks, sampled from the witness set: N on pairs of distinct
+    # classes (after canonicalization) from seed + 1, AT and CostTriangle on
+    # triples, then DphiLipschitz on quadruples, from seed + 2.  phi is
+    # exactly symmetric and computed row by row, so each distinct unordered
+    # pair is evaluated once, in one call, and scattered back in draw order.
+    m, Wpts = len(witnesses), np.asarray(witnesses.points)
+    widx = np.random.default_rng(seed + 1).integers(0, m, size=(triples, 2))
+    canon = space.canon or (lambda p: p)
+    classes: dict = {}
+    wclass = np.array([classes.setdefault(point_key(canon(p)), len(classes)) for p in Wpts])
+    nidx = widx[wclass[widx[:, 0]] != wclass[widx[:, 1]]]
     prng = np.random.default_rng(seed + 2)
-    tidx = prng.integers(0, len(witnesses), size=(triples, 3))
+    tidx = prng.integers(0, m, size=(triples, 3))
+    qidx = prng.integers(0, m, size=(triples, 4))
+    # the pairs (x, y), (x, z), (z, y) of each triple, (x, y) of each quadruple
+    I = np.concatenate([nidx[:, 0], tidx[:, 0], tidx[:, 0], tidx[:, 2], qidx[:, 2]])
+    J = np.concatenate([nidx[:, 1], tidx[:, 1], tidx[:, 2], tidx[:, 1], qidx[:, 3]])
+    keys, inverse = np.unique(np.minimum(I, J) * m + np.maximum(I, J), return_inverse=True)
+    phi = eval_phi(space, Wpts[keys // m], Wpts[keys % m], witnesses)[inverse]
+    phi_n, phi_xy, phi_xz, phi_zy, phi_q = np.split(phi, len(nidx) + np.arange(4) * triples)
+
+    records.append(_record_from("N", np.where(phi_n > tolerance, 0.0, 1.0),
+                                (Wpts[nidx[:, 0]], Wpts[nidx[:, 1]]), len(nidx)))
+
     PX, PY, PZ = Wpts[tidx[:, 0]], Wpts[tidx[:, 1]], Wpts[tidx[:, 2]]
-    phi_xy = eval_phi(space, PX, PY, witnesses)
-    phi_xz = eval_phi(space, PX, PZ, witnesses)
-    phi_zy = eval_phi(space, PZ, PY, witnesses)
     d_xyz = _d_many(space, PX, PY, PZ)
     records.append(_record_from("AT", phi_xy - phi_xz - 2.0 * phi_zy,
                                 (PX, PY, PZ), triples))
     records.append(_record_from("CostTriangle", phi_xy - phi_xz - phi_zy - d_xyz,
                                 (PX, PY, PZ), triples))
 
-    qidx = prng.integers(0, len(witnesses), size=(triples, 4))
     DA, DB = Wpts[qidx[:, 0]], Wpts[qidx[:, 1]]
     DX, DY = Wpts[qidx[:, 2]], Wpts[qidx[:, 3]]
     lhs = np.abs(_d_many(space, DA, DB, DX) - _d_many(space, DA, DB, DY))
-    rhs = 2.0 * eval_phi(space, DX, DY, witnesses)
-    records.append(_record_from("DphiLipschitz", lhs - rhs, (DA, DB, DX, DY), triples))
+    records.append(_record_from("DphiLipschitz", lhs - 2.0 * phi_q, (DA, DB, DX, DY), triples))
 
     order = {name: i for i, name in enumerate(AXIOM_ORDER)}
     records.sort(key=lambda r: order[r.axiom])

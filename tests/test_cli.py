@@ -339,6 +339,13 @@ def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
      "trace CSV row 2 needs a number in each of x0, x1, x2"),
     ("x0,x1,x2\n0.6,,0.8\n0.6,0.0,0.8\n", [],
      "trace CSV row 1 needs a number in each of x0, x1, x2"),
+    # points off the space: far off the sphere, with a norm that overflows,
+    # and outside the ball
+    ("x0,x1,x2\n0.6,0.0,0.8\n1.2e120,-0.3e120,0.8e120\n", [],
+     "trace CSV row 2 is not a point of the det-sphere space"),
+    ("x0,x1,x2\n1e200,1e200,0\n", [], "trace CSV row 1 is not a point of the det-sphere space"),
+    ("x0,x1,x2\n0.6,0.0,0.8\n", ["--space=area-ball"],
+     "trace CSV row 1 is not a point of the area-ball space"),
 ])
 def test_classify_bad_trace_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, csv_text, args, message):

@@ -1,7 +1,9 @@
 """No verdict passes on NaN: one NaN planted in a finite table, and each
 verdict on that table must fail, report NaN, or keep the NaN out; one NaN
 planted in a sampled quasi-distance value, and each quasi verdict must
-report it or refuse."""
+report it or refuse; one NaN planted in a kernel or a map at a point the
+contraction factor, the orbit outcome or the certificate evaluates, and
+each must raise, fail or report NaN."""
 
 from __future__ import annotations
 
@@ -14,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sphere_points
-from twometric import (ContractionViolation, FiniteTwoMetricSpace, SphereContractionParams,
-                       WitnessSet, audit, banach_direct, banach_multcost, banach_power,
-                       check_quasi_axioms, classify, det_metric, det_sphere_space,
-                       enumerate_lines, interval_space, make_sphere_map, orbit,
+from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, SpherePatch,
+                       SphereContractionParams, WitnessSet, audit, banach_direct,
+                       banach_multcost, banach_power, certify, check_quasi_axioms, classify,
+                       det_metric, det_sphere_space, detect_outcome, enumerate_lines,
+                       interval_space, make_sphere_map, measured_contraction_factor, orbit,
                        quotient_by_zero_phi, sphere_witnesses, surjective_contraction_check,
                        unit_sphere)
+from twometric.baselines import certifier_baseline
 from twometric.core import _ROW_BUDGET, broadcasting
 from twometric.lines import _triple_arrays
 from twometric.spaces import det_metric_batch
@@ -212,3 +216,102 @@ def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
     assert len(rows) == blocks > 1 and max(rows) <= _ROW_BUDGET
     assert np.isnan(verdict.tri_cauchy_modulus) and verdict.low_confidence
     assert "tri-cauchy modulus is NaN" in verdict.notes
+
+
+# ---------------------------------------------------------------------------
+# the contraction factor, the orbit outcome and the certificate
+# ---------------------------------------------------------------------------
+
+def nan_at(f, p, radius=0.0):
+    """The map f, NaN at the points within ``radius`` of p."""
+    @broadcasting
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        near = np.linalg.norm(x - p, axis=-1, keepdims=True) <= radius
+        return np.where(near, np.nan, f(x))
+    return g
+
+
+def at_point(slot, p):
+    """Whether point ``slot`` of the triple is p."""
+    return lambda *points: (np.asarray(points[slot]) == p).all(axis=-1)
+
+
+def planted_kernel(map_, mask):
+    return replace(map_, space=replace(map_.space, d_batch=nan_where(det_metric_batch, mask)))
+
+
+SQUEEZE = (SphereContractionParams(0.1, 0.5, np.pi / 7), [0.8, 0.0, 0.6])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 499), st.integers(0, 2), st.booleans())
+def test_a_planted_nan_reaches_the_measured_factor(seed, i, slot, in_map):
+    map_ = make_sphere_map(SQUEEZE[0])
+    rng = np.random.default_rng(seed)
+    p = [map_.domain_sample(rng, 500) for _ in range(3)][slot][i]
+    # NaN in one sampled triple's d, or in the image of one sampled point
+    planted = (replace(map_, f=nan_at(map_.f, p)) if in_map
+               else planted_kernel(map_, at_point(slot, p)))
+    assert np.isnan(measured_contraction_factor(planted, samples=500, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def clean_outcomes():
+    W = sphere_witnesses(32, seed=0)
+    runs = {}
+    for theta in (0.0, np.pi / 7):
+        map_ = make_sphere_map(replace(SQUEEZE[0], theta=theta))
+        runs[theta] = (map_, W, detect_outcome(map_, unit_sphere(SQUEEZE[1]), 120, witnesses=W))
+    return runs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0.0, np.pi / 7]), st.integers(0, 120), st.integers(0, 2),
+       st.booleans())
+def test_a_planted_nan_in_detect_outcome_fails_or_is_reported(
+        clean_outcomes, theta, step, slot, in_map):
+    map_, W, clean = clean_outcomes[theta]
+    assert clean.tag == ("FixedPoint" if theta == 0.0 else "FixedLine")
+    p = clean.trace.points[step]
+    # NaN in d whenever one orbit point fills a slot, or in the map's image of it
+    planted = (replace(map_, f=nan_at(map_.f, p)) if in_map
+               else planted_kernel(map_, at_point(slot, p)))
+    outcome = detect_outcome(planted, unit_sphere(SQUEEZE[1]), 120, witnesses=W)
+    if outcome.tag != "Indeterminate":
+        cls = outcome.classification
+        reported = cls.low_confidence and any("NaN" in note for note in cls.notes)
+        # a passing verdict either says it saw a NaN or never met one
+        assert reported or outcome.to_json() == clean.to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["jacobian", "ratio"]),
+       st.integers(0, 49), st.integers(0, 2))
+def test_a_planted_nan_fails_the_certificate(seed, where, i, slot):
+    A = 0.25 * np.eye(2)
+    base = certifier_baseline()
+    patch, inner, step = SpherePatch(0.2), 0.1, 1e-5
+
+    @broadcasting
+    def F(x):
+        return np.matmul(A, np.asarray(x, dtype=float)[..., None])[..., 0]
+
+    def run(f):
+        inp = CertInput(map=f, jac_target=A, norm_bound=base["C_A"], patch=patch,
+                        inner_radius=inner, ratio_constant=base["C_prime"])
+        return certify(inp, samples=50, ratio_triples=50, seed=seed, step=step)
+
+    clean = run(F)
+    assert clean.passes and clean.conclusion_ok
+    rng = np.random.default_rng(seed)
+    pts = patch.sample(rng, 50, radius=max(inner - 2.5 * step, inner * 0.5))
+    if where == "jacobian":        # the difference points around one sample
+        result = run(nan_at(F, pts[i], radius=2.0 * step))
+        assert not result.passes
+        assert result.failures[0]["hypothesis"] == "jacobian_proximity"
+    else:                          # one point of the ratio triples
+        p = [patch.sample(rng, 50, radius=inner) for _ in range(3)][slot][i]
+        result = run(nan_at(F, p))
+        assert not result.passes
+        assert [f["hypothesis"] for f in result.failures] == ["range_containment"]
