@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _worst_ratio, apply_rows
+from .core import _strict, _worst_ratio, apply_rows
 from .spaces import SpherePatch
 
 
@@ -95,11 +95,6 @@ class CertInput:
             raise ValueError("inner radius must sit strictly inside the patch")
         if self.proximity is None:
             self.proximity = 0.01 * det / self.norm_bound
-
-
-def _strict(record: dict) -> dict:
-    bad = [k for k, v in record.items() if isinstance(v, float) and not np.isfinite(v)]
-    return {**record, **dict.fromkeys(bad), **({"non_finite": True} if bad else {})}
 
 
 @dataclass

@@ -67,6 +67,15 @@ def point_json(p):
     return [float(c) for c in np.asarray(p).ravel()]
 
 
+def _strict(record: dict) -> dict:
+    """The one rule for non-finite numbers in artifacts: each float value
+    of ``record`` that is not finite is written as null, and the record
+    then gets ``"non_finite": true``.  A finite record comes back as it
+    was."""
+    bad = [k for k, v in record.items() if isinstance(v, float) and not np.isfinite(v)]
+    return {**record, **dict.fromkeys(bad), **({"non_finite": True} if bad else {})}
+
+
 def broadcasting(kernel):
     """Declare that a batch kernel, or a map of points, accepts inputs
     broadcasting over their leading axes, with each point on the last axis,
@@ -556,16 +565,12 @@ class AxiomRecord:
     samples: int
 
     def to_json(self) -> dict:
-        value = float(self.max_violation)
-        out = {
+        return _strict({
             "axiom": self.axiom,
-            "max_violation": value if np.isfinite(value) else None,
+            "max_violation": float(self.max_violation),
             "witness": [point_json(p) for p in self.witness] if self.witness else [],
             "samples": int(self.samples),
-        }
-        if not np.isfinite(value):
-            out["non_finite"] = True
-        return out
+        })
 
 
 @dataclass
@@ -718,7 +723,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy quotient and the surjectivity bound
+# nondegeneracy quotient
 # ---------------------------------------------------------------------------
 
 def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
@@ -757,51 +762,3 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
     if np.triu(out.dense().max(axis=2) <= tol, k=1).any():
         raise RuntimeError("quotient failed to become strictly reflexive")
     return out
-
-
-@dataclass
-class SurjectivityCheck:
-    is_surjective: bool
-    measured_k: float | None
-    witness: tuple | None
-
-    def to_json(self) -> dict:
-        return {
-            "is_surjective": bool(self.is_surjective),
-            "measured_k": None if self.measured_k is None else float(self.measured_k),
-            "witness": list(self.witness) if self.witness else [],
-        }
-
-
-def surjective_contraction_check(space: FiniteTwoMetricSpace,
-                                 mapping: Sequence[int],
-                                 zero_tol: float = 1e-12) -> SurjectivityCheck:
-    """Worst expansion ratio of a self-map on the indices.
-
-    measured_k is the max of d(F i, F j, F k) / d(i, j, k) over triples with
-    positive d; it is infinite when a zero triple maps to a positive one
-    (no finite contraction constant exists then), NaN when d or its image
-    is NaN on some triple, and absent when d vanishes on every triple.  The
-    witness is the first triple in lexicographic order that decides it.
-    For a surjective map on a space satisfying the nondegeneracy and
-    boundedness axioms, measured_k >= 1.
-    """
-    mapping = [int(v) for v in mapping]
-    if len(mapping) != space.n or any(not 0 <= v < space.n for v in mapping):
-        raise ValueError("mapping must be total on the index set")
-    surjective = len(set(mapping)) == space.n
-    rows = space._table.rows
-    d0 = space._table.vector
-    d1 = space.dense()[tuple(np.asarray(mapping, np.intp)[rows].T)]
-    # the first triple with a NaN on either side makes the ratio NaN, else
-    # the first zero triple mapped to a positive one makes it infinite
-    for k, hit in ((float("nan"), np.isnan(d0) | np.isnan(d1)),
-                   (float("inf"), (d0 <= zero_tol) & (d1 > zero_tol))):
-        if hit.any():
-            return SurjectivityCheck(surjective, k, tuple(rows[hit.argmax()].tolist()))
-    keep = np.flatnonzero(d0 > zero_tol)
-    if not len(keep):
-        return SurjectivityCheck(surjective, None, None)
-    ratios = d1[keep] / d0[keep]
-    best = int(np.argmax(ratios))
-    return SurjectivityCheck(surjective, float(ratios[best]), tuple(rows[keep[best]].tolist()))

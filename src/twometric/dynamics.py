@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _worst_ratio,
+from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _strict, _worst_ratio,
                    apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
@@ -278,6 +278,7 @@ class Outcome:
     trace: OrbitTrace | None = field(default=None, repr=False)  # not in to_json
 
     def to_json(self) -> dict:
+        """Strict JSON, by the rule of ``core._strict``."""
         out = {
             "tag": self.tag,
             "measured_factor": self.measured_factor,
@@ -297,7 +298,7 @@ class Outcome:
             out["min_point_residual"] = float(self.min_point_residual)
         if self.classification is not None:
             out["classification"] = self.classification.to_json()
-        return out
+        return _strict(out)
 
 
 def _fixed_point_outcome(map_, y, witnesses, thresholds, measured, cls):
@@ -359,16 +360,24 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
     min_residual = float(eval_phi(map_.space, members, images, witnesses).min())
 
-    # Two separated image points must regenerate the same line.
-    far = np.flatnonzero(eval_phi(map_.space, images[:1], images, witnesses)
-                         > thresholds.min_phi)
+    reported = replace(line, members=tuple(members))
+
+    # Two separated image points must regenerate the same line.  A NaN pair
+    # distance is neither separated nor collapsed, so it decides nothing.
+    spread = eval_phi(map_.space, images[:1], images, witnesses)
+    if np.isnan(spread).any():
+        return Outcome(
+            "Indeterminate", measured, cls, line=reported,
+            invariance_defect=invariance_defect, min_point_residual=min_residual,
+            diagnostic=f"pair distance between mapped line members 0 and "
+                       f"{np.isnan(spread).argmax()} is NaN")
+    far = np.flatnonzero(spread > thresholds.min_phi)
     if not len(far):
         # The image collapses to one point, which must then be fixed.
         return _fixed_point_outcome(map_, images[0], witnesses, thresholds, measured, cls)
     through = Line(images[0], images[far[0]], thresholds.colinear)
     uniqueness_ok = bool(through.contains_each(map_.space, [line.g1, line.g2]).all())
 
-    reported = replace(line, members=tuple(members))
     if invariance_defect <= thresholds.colinear and uniqueness_ok:
         return Outcome("FixedLine", measured, cls, line=reported,
                        invariance_defect=invariance_defect,

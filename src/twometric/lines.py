@@ -16,13 +16,13 @@ verdict with thresholds recorded in the evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .core import (_ROW_BUDGET, FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet,
-                   _d_many, _d_max, _triples, eval_phi, point_json, point_key)
+                   _d_many, _d_max, _strict, _triples, eval_phi, point_json, point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -48,25 +48,12 @@ class Thresholds:
     tail_fraction: float = 0.5
 
     def to_json(self) -> dict:
-        return {
-            "lim": self.lim,
-            "cauchy": self.cauchy,
-            "tri_cauchy": self.tri_cauchy,
-            "min_phi": self.min_phi,
-            "colinear": self.colinear,
-            "fixed_point": self.fixed_point,
-            "min_length": self.min_length,
-            "tail_fraction": self.tail_fraction,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # colinearity and lines
 # ---------------------------------------------------------------------------
-
-def is_colinear(space: TwoMetricSpace, x, y, z, tolerance: float = 1e-9) -> bool:
-    return float(_d_max(space, x, y, z)) <= tolerance
-
 
 @dataclass(frozen=True)
 class Line:
@@ -97,59 +84,6 @@ class Line:
             "members": None if self.members is None
             else [point_json(m) for m in self.members],
         }
-
-
-@dataclass(frozen=True)
-class TransitivityProbe:
-    """Result of checking that colinearity propagates across a shared pair."""
-
-    premises_hold: bool
-    conclusion_holds: bool
-    inconclusive: bool
-    derived_tolerance: float | None
-    pair_phi: float | None
-
-    @property
-    def holds(self) -> bool:
-        return (not self.inconclusive) and (not self.premises_hold or self.conclusion_holds)
-
-
-def transitivity_probe(space: TwoMetricSpace, x, y, z, w,
-                       witnesses: WitnessSet, tolerance: float = 1e-9,
-                       min_phi: float = 1e-6) -> TransitivityProbe:
-    """If (x,y,z) and (y,z,w) are colinear at the tolerance and y, z are
-    separated, then (x,y,w) and (x,z,w) must be colinear at tolerance
-    2*tol/phi(y,z).  Inconclusive when phi(y,z) is below the floor."""
-    pair_phi = eval_phi(space, y, z, witnesses)
-    if pair_phi <= min_phi:
-        return TransitivityProbe(False, False, True, None, pair_phi)
-    derived = 2.0 * tolerance / pair_phi
-    # premises (x,y,z), (y,z,w) and conclusions (x,y,w), (x,z,w) in one call
-    values = _d_many(space, [x, y, x, x], [y, z, y, z], [z, w, w, w])
-    premises = bool((values[:2] <= tolerance).all())
-    conclusion = bool((values[2:] <= derived).all())
-    return TransitivityProbe(premises, conclusion, False, derived, pair_phi)
-
-
-def line_through(space: TwoMetricSpace, x, y, witnesses: WitnessSet,
-                 tolerance: float = 1e-9, min_phi: float = 1e-6) -> Line:
-    """The unique line through two separated points: everything colinear
-    with both.  On finite spaces the member set is materialized and its
-    internal triples verified."""
-    pair_phi = eval_phi(space, x, y, witnesses)
-    if pair_phi <= min_phi:
-        raise ValueError(
-            f"line undefined: generators have pair distance {pair_phi:.3g} <= {min_phi:.3g}")
-    if space.size is None:
-        return Line(x, y, tolerance)
-    members = _members(space, x, y, tolerance)
-    rows = np.asarray(members, np.intp)[_triples(len(members))]
-    # a NaN member triple is not colinear either
-    bad = np.flatnonzero(~(_d_many(space, *rows.T) <= tolerance))
-    if len(bad):
-        raise RuntimeError(f"member triple {tuple(rows[bad[0]].tolist())} is not colinear; "
-                           "transitivity fails on this space")
-    return Line(x, y, tolerance, members)
 
 
 def _members(space: TwoMetricSpace, g1, g2, tolerance: float) -> tuple:
@@ -227,13 +161,6 @@ def enumerate_lines(space: FiniteTwoMetricSpace,
 # tail residuals and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimEstimate:
-    candidate: Any
-    start: int
-    residual: float
-
-
 def _pair_arrays(length: int, start: int, cap: int = _MAX_PAIRS):
     idx_i, idx_j = np.triu_indices(length - start, k=1)
     idx_i, idx_j = idx_i + start, idx_j + start
@@ -272,17 +199,6 @@ def _triple_arrays(length: int, start: int, cap: int = _MAX_TRIPLES):
     return combos + start
 
 
-def lim_residual(space: TwoMetricSpace, y, sequence, start: int = 0) -> LimEstimate:
-    """Worst d(y, x_i, x_j) over tail pairs i < j starting at ``start``."""
-    seq = np.asarray(sequence)
-    if start >= len(seq):
-        raise ValueError("tail start beyond sequence length")
-    if len(seq) - start < 2:
-        return LimEstimate(y, start, 0.0)
-    idx_i, idx_j = _pair_arrays(len(seq), start)
-    return LimEstimate(y, start, float(_d_max(space, y, seq[idx_i], seq[idx_j])))
-
-
 @dataclass
 class Classification:
     """Tagged verdict for a sequence, with the numbers that produced it."""
@@ -302,7 +218,8 @@ class Classification:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
+        """Strict JSON, by the rule of ``core._strict``."""
+        out = _strict({
             "tag": self.tag,
             "cauchy_modulus": float(self.cauchy_modulus),
             "tri_cauchy_modulus": float(self.tri_cauchy_modulus),
@@ -310,7 +227,7 @@ class Classification:
             "passers": [point_json(p) for p in self.passers],
             "low_confidence": bool(self.low_confidence),
             "notes": list(self.notes),
-        }
+        })
         if self.limit is not None:
             out["limit"] = point_json(self.limit)
         if self.point is not None:

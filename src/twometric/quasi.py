@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, apply_rows, eval_phi, point_json
+from .core import TwoMetricSpace, WitnessSet, _strict, apply_rows, eval_phi, point_json
 
 # Sampled pairs (and cost triples) behind each solver's factor check.
 _CHECK_SAMPLES = 100
@@ -128,7 +128,8 @@ class BanachRun:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
+        """Strict JSON, by the rule of ``core._strict``."""
+        return _strict({
             "fixed_point": point_json(self.fixed_point),
             "residual": float(self.residual),
             "steps": int(self.steps),
@@ -140,7 +141,7 @@ class BanachRun:
             "power": int(self.power),
             "variant": self.variant,
             "notes": list(self.notes),
-        }
+        })
 
 
 class ContractionViolation(ValueError):

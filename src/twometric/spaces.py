@@ -145,56 +145,6 @@ def sphere_witnesses(count: int, seed: int) -> WitnessSet:
     return WitnessSet(pts, {"kind": "sphere", "count": len(pts), "seed": seed})
 
 
-def sphere_grid_witnesses(count: int) -> WitnessSet:
-    """The six axis points, then ``count`` deterministic quasi-uniform
-    witnesses from a golden-angle lattice; the sup truncation error shrinks
-    like 1/sqrt(count)."""
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(1.0 - z * z)
-    ang = np.pi * (1.0 + np.sqrt(5.0)) * i
-    grid = np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
-    pts = np.concatenate([AXIS_POINTS, grid])
-    return WitnessSet(pts, {"kind": "grid", "count": len(pts)})
-
-
-@dataclass
-class CramerDecomposition:
-    """a = alpha*x + beta*y + gamma*z, with the deviation of the three
-    determinant ratios from |alpha|, |beta|, |gamma|."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    residual: float
-
-    @property
-    def coefficient_norm(self) -> float:
-        return abs(self.alpha) + abs(self.beta) + abs(self.gamma)
-
-
-def cramer_check(x, y, z, a) -> CramerDecomposition:
-    """Solve for the coordinates of a in the basis (x, y, z) and compare the
-    determinant ratios against them.  For unit vectors the coefficient norm
-    is at least 1, which is exactly the tetrahedral inequality here."""
-    basis = np.column_stack([x, y, z])
-    d0 = det_metric(x, y, z)
-    if d0 <= 1e-12:
-        raise ValueError("basis triple is numerically singular")
-    alpha, beta, gamma = np.linalg.solve(basis, np.asarray(a, dtype=float))
-    ratios = (
-        det_metric(a, y, z) / d0,
-        det_metric(x, a, z) / d0,
-        det_metric(x, y, a) / d0,
-    )
-    residual = max(
-        abs(ratios[0] - abs(alpha)),
-        abs(ratios[1] - abs(beta)),
-        abs(ratios[2] - abs(gamma)),
-    )
-    return CramerDecomposition(float(alpha), float(beta), float(gamma), float(residual))
-
-
 # ---------------------------------------------------------------------------
 # Euclidean area metric on bounded balls
 # ---------------------------------------------------------------------------

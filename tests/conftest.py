@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twometric import FiniteTwoMetricSpace, det_metric
+from twometric.lines import _pair_arrays
 
 
 def random_sphere_points(rng: np.random.Generator, n: int,
@@ -56,6 +57,14 @@ def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
     """Exact pair distance of a table by a scalar loop over all points; NaN
     if any d(i, j, k) is NaN, as ``eval_phi`` on the table's space gives it."""
     return float(np.max([space.d(i, j, k) for k in range(space.n)]))
+
+
+def tail_residual(space, y, sequence, start: int) -> float:
+    """Worst d(y, x_i, x_j) over the tail pairs that ``classify`` scans
+    from ``start``, by a loop over the scalar ``d``."""
+    seq = np.asarray(sequence)
+    idx_i, idx_j = _pair_arrays(len(seq), start)
+    return max(float(space.d(y, seq[i], seq[j])) for i, j in zip(idx_i, idx_j))
 
 
 def oracle_maximal_colinear(space: FiniteTwoMetricSpace,

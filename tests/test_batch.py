@@ -24,7 +24,7 @@ from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        sphere_witnesses)
 from twometric import core
 from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
-from twometric.lines import Thresholds, _pair_arrays, classify, lim_residual
+from twometric.lines import Thresholds, _pair_arrays, classify
 from twometric.spaces import area_ball_space, det_sphere_space
 
 ATOL = 1e-12
@@ -145,7 +145,6 @@ def test_candidate_scan_paths_agree_bitwise(name):
     oracle = np.array([space.d_batch(np.broadcast_to(c, XI.shape), XI, XJ).max() for c in C])
     assert np.array_equal(fast, oracle)
     assert np.array_equal(slow, oracle)
-    assert [lim_residual(space, c, seq, start).residual for c in C] == oracle.tolist()
     scalar = [max(space.d(c, xi, xj) for xi, xj in zip(XI, XJ)) for c in C]
     np.testing.assert_allclose(fast, scalar, rtol=0, atol=ATOL)
 
@@ -260,6 +259,3 @@ def test_index_scans_match_table_lookups(rng):
         got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
         assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
                                 for c in range(table.n)]
-        cls = classify(space, np.tile(seq, 3), W)
-        assert cls.passer_residuals == [lim_residual(space, p, np.tile(seq, 3), 30).residual
-                                        for p in cls.passers]

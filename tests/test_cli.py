@@ -6,6 +6,7 @@ import argparse
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_demo_equator_rotated(tmp_path):
     assert rows[0] == "step,x1,x2,x3,phi_step,x3_abs"
     assert float(rows[-1].split(",")[-1]) <= 1e-6  # |x3| at the last step
     assert len(rows) == 202
+
+
+def test_golden_demo_equator_bytes(tmp_path, monkeypatch):
+    # the default run; relative paths, so the echoed config matches the
+    # committed one, and the timestamp blanked
+    monkeypatch.chdir(tmp_path)
+    assert main(["demo-equator", "--out=."]) == 0
+    golden = Path(__file__).parent / "data" / "demo_equator"
+    got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""',
+                 (tmp_path / "outcome.json").read_text(encoding="utf-8"))
+    assert got == (golden / "outcome.json").read_text(encoding="utf-8")
+    assert (tmp_path / "trace.csv").read_bytes() == (golden / "trace.csv").read_bytes()
 
 
 def test_demo_equator_pure_squeeze_fixed_point(tmp_path):

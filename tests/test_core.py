@@ -1,4 +1,4 @@
-"""Core: pair distance, audits, finite tables, quotient, surjectivity."""
+"""Core: pair distance, audits, finite tables, quotient."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ from conftest import random_sphere_table, table_phi
 from twometric.core import _triples
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
-                       quotient_by_zero_phi, sphere_witnesses,
-                       surjective_contraction_check, witness_refinement_gap)
+                       quotient_by_zero_phi, sphere_witnesses, witness_refinement_gap)
 
 E1, E2, E3 = np.eye(3)
 
@@ -294,108 +293,6 @@ def test_quotient_matches_scalar_loop(rng, tmp_path):
 def test_quotient_collapses_totally_degenerate_space():
     space = FiniteTwoMetricSpace(3, {(0, 1, 2): 0.0})
     assert quotient_by_zero_phi(space).n == 1
-
-
-# ---------------------------------------------------------------------------
-# surjectivity bound
-# ---------------------------------------------------------------------------
-
-def test_identity_map_measures_exactly_one():
-    check = surjective_contraction_check(demo_five_point_space(), [0, 1, 2, 3, 4])
-    assert check.is_surjective and check.measured_k == 1.0
-
-
-def test_constant_map_not_surjective_with_zero_ratio():
-    check = surjective_contraction_check(demo_five_point_space(), [0] * 5)
-    assert not check.is_surjective and check.measured_k == 0.0
-
-
-def test_line_preserving_permutation_matches_exhaustive_oracle():
-    space = demo_five_point_space()
-    mapping = [1, 2, 0, 4, 3]  # rotate the line {0,1,2}, swap {3,4}
-    check = surjective_contraction_check(space, mapping)
-    best = 0.0  # oracle: scan every triple ratio directly
-    for i in range(5):
-        for j in range(i + 1, 5):
-            for k in range(j + 1, 5):
-                if space.d(i, j, k) > 0:
-                    best = max(best, space.d(mapping[i], mapping[j], mapping[k])
-                               / space.d(i, j, k))
-    assert check.is_surjective
-    assert check.measured_k == best
-    assert check.measured_k >= 1.0
-
-
-def test_zero_triple_mapping_to_positive_is_unbounded():
-    space = demo_five_point_space()
-    mapping = [0, 1, 3, 2, 4]  # sends the line triple onto a positive one
-    check = surjective_contraction_check(space, mapping)
-    assert check.measured_k == float("inf")
-    assert tuple(check.witness) == (0, 1, 2)
-
-
-def test_measured_k_absent_when_metric_vanishes():
-    space = FiniteTwoMetricSpace(3, {(0, 1, 2): 0.0})
-    check = surjective_contraction_check(space, [1, 2, 0])
-    assert check.is_surjective and check.measured_k is None
-
-
-def test_random_permutations_never_contract(rng):
-    for _ in range(20):
-        space = random_sphere_table(rng, int(rng.integers(4, 7)))
-        perm = rng.permutation(space.n)
-        check = surjective_contraction_check(space, perm)
-        assert check.is_surjective
-        assert check.measured_k >= 1.0
-
-
-def loop_surjectivity(space, mapping, zero_tol=1e-12):
-    """The per-triple loop that ``surjective_contraction_check`` replaced."""
-    best = witness = None
-    for i, j, k in combinations(range(space.n), 3):
-        d0 = space.d(i, j, k)
-        d1 = space.d(mapping[i], mapping[j], mapping[k])
-        if d0 > zero_tol:
-            ratio = d1 / d0
-            if best is None or ratio > best:
-                best, witness = ratio, (i, j, k)
-        elif d1 > zero_tol:
-            return float("inf"), (i, j, k)
-    return best, witness
-
-
-def test_surjectivity_matches_the_triple_loop(rng):
-    # few distinct values, so ties and the first-largest rule matter; some
-    # tables leave entries out (read as 0), some maps hit zero triples
-    for trial in range(300):
-        n = int(rng.integers(3, 9))
-        space = FiniteTwoMetricSpace(n)
-        for t in combinations(range(n), 3):
-            if rng.random() < 0.9:
-                space.table[t] = float(rng.choice([0.0, 1e-13, 0.25, 0.5, 1.0]))
-        mapping = (rng.permutation(n) if trial % 3 == 0
-                   else rng.integers(0, n, size=n)).tolist()
-        for tol in (1e-12, 0.3):
-            check = surjective_contraction_check(space, mapping, zero_tol=tol)
-            assert (check.measured_k, check.witness) == loop_surjectivity(space, mapping, tol)
-    for _ in range(20):  # generic values
-        space = random_sphere_table(rng, int(rng.integers(3, 9)))
-        mapping = rng.integers(0, space.n, size=space.n).tolist()
-        check = surjective_contraction_check(space, mapping)
-        assert (check.measured_k, check.witness) == loop_surjectivity(space, mapping)
-
-
-def test_surjectivity_reports_nan_from_a_nan_entry(rng):
-    space = demo_five_point_space()
-    space.table[(0, 1, 2)] = float("nan")
-    check = surjective_contraction_check(space, [0, 1, 2, 3, 4])
-    assert np.isnan(check.measured_k) and check.witness == (0, 1, 2)
-    for _ in range(50):  # a NaN on either side of a used triple
-        space = random_sphere_table(rng, 6)
-        mapping = rng.permutation(6).tolist()
-        t = sorted(rng.choice(6, 3, replace=False).tolist())
-        space.table[tuple(t)] = float("nan")
-        assert np.isnan(surjective_contraction_check(space, mapping).measured_k)
 
 
 def test_triples_are_the_lexicographic_combinations():

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        SphereContractionParams, WitnessSet, area_metric,
-                       det_sphere_space, detect_outcome, eval_phi, lim_residual,
+                       det_sphere_space, detect_outcome, eval_phi,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric.spaces import sample_sphere
@@ -268,8 +269,8 @@ def test_mapped_candidate_inherits_the_tail_property():
                   witnesses=sphere_witnesses(32, seed=15))
     pts = np.asarray(trace.points)
     y = equatorial(0.3)
-    before = lim_residual(SPHERE, y, pts, 79).residual
-    after = lim_residual(SPHERE, m.f(y), pts, 80).residual
+    before = tail_residual(SPHERE, y, pts, 79)
+    after = tail_residual(SPHERE, m.f(y), pts, 80)
     assert after <= m.claimed_factor * before + 1e-12
 
 

@@ -1,7 +1,7 @@
 """Verdicts read d through the space's kernel.
 
-Colinearity, line membership, the fixed-line uniqueness test and the
-transitivity probe threshold d evaluated by ``d_batch``.  Each is compared
+Line membership, which decides colinearity, and the fixed-line
+uniqueness test threshold d evaluated by ``d_batch``.  Each is compared
 here against a loop, written out in the test, that evaluates one triple per
 kernel call.  Tolerances sit below, at and above each value: at the next
 float on either side the scalar ``d``, which sums in another order, can
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from twometric import (Line, SphereContractionParams, SpherePatch, Thresholds,
-                       calibrate_ratio_constant, detect_outcome, eval_phi, is_colinear,
-                       make_sphere_map, sphere_witnesses, transitivity_probe)
-from twometric.core import WitnessSet, _worst_ratio, apply_rows
+                       calibrate_ratio_constant, detect_outcome, eval_phi,
+                       make_sphere_map, sphere_witnesses)
+from twometric.core import _worst_ratio, apply_rows
 from twometric.spaces import area_ball_space, det_sphere_space, great_circle_points
 
 SPACES = {
@@ -61,18 +61,6 @@ def triples(space, rng, count=12):
 
 
 @pytest.mark.parametrize("name", SPACES)
-def test_is_colinear_thresholds_the_kernel(name):
-    space = SPACES[name]()
-    for x, y, z in triples(space, np.random.default_rng(1)):
-        value = kernel_one(space, x, y, z)
-        for tol in tolerances(value):
-            assert is_colinear(space, x, y, z, tol) == (value <= tol)
-        scalar = space.d(x, y, z)
-        for tol in margins(scalar):
-            assert is_colinear(space, x, y, z, tol) == (scalar <= tol)
-
-
-@pytest.mark.parametrize("name", SPACES)
 def test_line_membership_thresholds_the_kernel(name):
     space = SPACES[name]()
     rng = np.random.default_rng(2)
@@ -90,29 +78,14 @@ def test_line_membership_thresholds_the_kernel(name):
     for tol in margins(np.median(scalar)):
         loop = [v <= tol for v in scalar]
         assert Line(g1, g2, tol).contains_each(space, points).tolist() == loop
-
-
-@pytest.mark.parametrize("name", SPACES)
-def test_transitivity_probe_thresholds_the_kernel(name):
-    space = SPACES[name]()
-    rng = np.random.default_rng(3)
-    W = WitnessSet(space.sample(rng, 32))
-    g1, g2 = space.sample(rng, 2)
-    on_line = space.line_points(g1, g2, 11)
-    quadruples = [tuple(space.sample(rng, 4)) for _ in range(4)]
-    quadruples += [(on_line[1], on_line[3], on_line[6], on_line[9])]
-    for x, y, z, w in quadruples:
-        pair_phi = eval_phi(space, y, z, W)
-        for value in (kernel_one(space, x, y, z), kernel_one(space, y, z, w)):
-            for tol in tolerances(value):
-                probe = transitivity_probe(space, x, y, z, w, W, tolerance=tol)
-                derived = 2.0 * tol / pair_phi
-                assert not probe.inconclusive and probe.pair_phi == pair_phi
-                assert probe.derived_tolerance == derived
-                assert probe.premises_hold == (kernel_one(space, x, y, z) <= tol
-                                               and kernel_one(space, y, z, w) <= tol)
-                assert probe.conclusion_holds == (kernel_one(space, x, y, w) <= derived
-                                                  and kernel_one(space, x, z, w) <= derived)
+    # (x, y, z) is colinear when x is on the line through y and z
+    for x, y, z in triples(space, np.random.default_rng(1)):
+        value = kernel_one(space, x, y, z)
+        for tol in tolerances(value):
+            assert Line(y, z, tol).contains(space, x) == (value <= tol)
+        scalar = space.d(x, y, z)
+        for tol in margins(scalar):
+            assert Line(y, z, tol).contains(space, x) == (scalar <= tol)
 
 
 def test_fixed_line_members_and_uniqueness_threshold_the_kernel():

@@ -7,12 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import oracle_maximal_colinear, random_sphere_table, table_phi
-from twometric import (FiniteTwoMetricSpace, Thresholds, WitnessSet, classify,
+from conftest import oracle_maximal_colinear, random_sphere_table, table_phi, tail_residual
+from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, classify,
                        demo_five_point_space, det_metric, det_sphere_space,
-                       enumerate_lines, is_colinear, lim_residual, line_through,
-                       maximal_colinear_sets, sphere_witnesses,
-                       transitivity_probe)
+                       enumerate_lines, maximal_colinear_sets, sphere_witnesses)
 import twometric.lines as lines_module
 from twometric.core import _d_many
 from twometric.lines import _triple_arrays
@@ -26,127 +24,41 @@ def equatorial(t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# colinearity and transitivity
+# colinearity and line membership
 # ---------------------------------------------------------------------------
 
 def test_colinear_with_repeated_point(rng):
     x, z = SPHERE.sample(rng, 2)
-    assert is_colinear(SPHERE, x, x, z, 1e-12)
+    assert Line(x, z, 1e-12).contains(SPHERE, x)
 
 
-def test_equatorial_triples_are_exactly_colinear():
-    assert is_colinear(SPHERE, E1, E2, equatorial(0.9), 1e-15)
+def test_equatorial_triples_are_exactly_colinear(rng):
+    equator = Line(E1, E2, 1e-15)
+    for t in [0.9, *np.linspace(0.0, 2 * np.pi, 17)]:
+        assert equator.contains(SPHERE, equatorial(t))
+    off = SPHERE.sample(rng, 50)
+    assert not Line(E1, E2, 1e-9).contains_each(SPHERE, off[np.abs(off[:, 2]) > 1e-3]).any()
 
 
 def test_orthonormal_frame_is_not_colinear():
-    assert not is_colinear(SPHERE, E1, E2, E3, 0.5)
-
-
-def test_transitivity_probe_on_equatorial_points():
-    W = sphere_witnesses(64, seed=1)
-    probe = transitivity_probe(SPHERE, equatorial(0.1), E1, E2, equatorial(2.0),
-                               W, tolerance=1e-12)
-    assert probe.premises_hold and probe.holds and not probe.inconclusive
-
-
-def test_transitivity_probe_on_demo_line():
-    space = demo_five_point_space().as_space()
-    W = WitnessSet.all_of(demo_five_point_space())
-    probe = transitivity_probe(space, 0, 1, 2, 0, W, tolerance=1e-12)
-    assert probe.holds and probe.premises_hold
-
-
-def test_transitivity_probe_inconclusive_on_equal_middle_points():
-    W = sphere_witnesses(64, seed=2)
-    probe = transitivity_probe(SPHERE, E1, E2, E2, E3, W)
-    assert probe.inconclusive and not probe.holds
-
-
-# ---------------------------------------------------------------------------
-# line_through
-# ---------------------------------------------------------------------------
-
-def test_line_through_equator_membership(rng):
-    W = sphere_witnesses(128, seed=3)
-    line = line_through(SPHERE, E1, E2, W, tolerance=1e-9)
-    for t in np.linspace(0.0, 2 * np.pi, 17):
-        assert line.contains(SPHERE, equatorial(t))
-    off = SPHERE.sample(rng, 50)
-    for p in off[np.abs(off[:, 2]) > 1e-3]:
-        assert not line.contains(SPHERE, p)
-
-
-def test_line_through_demo_pair_matches_oracle():
-    space = demo_five_point_space()
-    W = WitnessSet.all_of(space)
-    line = line_through(space.as_space(), 0, 1, W, tolerance=1e-12)
-    oracle = next(s for s in oracle_maximal_colinear(space) if {0, 1} <= s)
-    assert frozenset(line.members) == oracle == {0, 1, 2}
-
-
-def test_line_through_rejects_antipodal_generators():
-    W = sphere_witnesses(64, seed=4)
-    with pytest.raises(ValueError, match="line undefined"):
-        line_through(SPHERE, E1, -E1, W)
-
-
-def test_line_through_detects_transitivity_defect():
-    # two vanishing triples through (0,1) whose union is not colinear
-    space = FiniteTwoMetricSpace(5, {
-        (0, 1, 2): 0.0, (0, 1, 3): 0.0, (0, 1, 4): 1.0,
-        (0, 2, 3): 1.0, (0, 2, 4): 1.0, (0, 3, 4): 1.0,
-        (1, 2, 3): 1.0, (1, 2, 4): 1.0, (1, 3, 4): 1.0, (2, 3, 4): 1.0,
-    })
-    with pytest.raises(RuntimeError, match="not colinear"):
-        line_through(space.as_space(), 0, 1, WitnessSet.all_of(space),
-                     tolerance=1e-12)
-
-
-def test_line_through_rejects_a_nan_member_triple():
-    # {0, 1, 2, 3} is a line but for a NaN at (0, 2, 3)
-    space = FiniteTwoMetricSpace(5)
-    for t in combinations(range(space.n), 3):
-        space.table[t] = 1.0 if 4 in t else 0.0
-    space.table[(0, 2, 3)] = float("nan")
-    with pytest.raises(RuntimeError, match=r"member triple \(0, 2, 3\) is not colinear"):
-        line_through(space.as_space(), 0, 1, WitnessSet.all_of(space), tolerance=1e-12)
-
-
-def loop_line_through(space, x, y, tolerance):
-    """The scalar member scan and member-triple loop of ``line_through``."""
-    members = tuple(a for a in range(space.size) if float(space.d(a, x, y)) <= tolerance)
-    for ai, a in enumerate(members):
-        for bi in range(ai + 1, len(members)):
-            for c in members[bi + 1:]:
-                if float(space.d(a, members[bi], c)) > tolerance:
-                    return f"member triple {(a, members[bi], c)} is not colinear"
-    return members
+    assert not Line(E2, E3, 0.5).contains(SPHERE, E1)
 
 
 def test_line_members_match_the_scalar_scan(rng):
-    # values with many exact zeros, so lines, transitivity failures and
-    # (on a NaN) entries that are no member all occur
+    # values with many exact zeros, so members, non-members and (on a NaN)
+    # entries that are no member all occur
     for trial in range(200):
         n = int(rng.integers(3, 9))
         finite = FiniteTwoMetricSpace(n)
         for t in combinations(range(n), 3):
             finite.table[t] = float(rng.choice([0.0, 0.0, 1e-13, 0.5, 1.0]))
-        nan = trial % 2 and n > 3
-        if nan:
+        if trial % 2 and n > 3:
             finite.table[tuple(sorted(rng.choice(n, 3, replace=False).tolist()))] = np.nan
         space = finite.as_space()
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         for tol in (1e-12, 0.7):
             scan = tuple(a for a in range(n) if float(space.d(a, x, y)) <= tol)
             assert lines_module._members(space, np.intp(x), y, tol) == scan
-            if nan or table_phi(finite, x, y) <= 1e-6:
-                continue  # a NaN member now raises; close generators raise anyway
-            expected = loop_line_through(space, x, y, tol)
-            try:
-                got = line_through(space, x, y, WitnessSet.all_of(finite), tolerance=tol).members
-            except RuntimeError as exc:
-                got = str(exc).split(";")[0]
-            assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +138,8 @@ def test_lines_intersect_in_at_most_one_separated_point(rng):
 
 
 # ---------------------------------------------------------------------------
-# tail residuals
+# tail triples
 # ---------------------------------------------------------------------------
-
-def test_lim_residual_constant_sequence_vanishes(rng):
-    seq = np.tile(E1, (30, 1))
-    for y in SPHERE.sample(rng, 5):
-        assert lim_residual(SPHERE, y, seq).residual == 0.0
-
-
-def test_lim_residual_on_alternating_sequence():
-    seq = np.array([E1, E2] * 20)
-    assert lim_residual(SPHERE, E3, seq).residual == 1.0
-    assert lim_residual(SPHERE, equatorial(1.1), seq).residual == 0.0
-
-
-def test_lim_residual_nonincreasing_in_tail_start(rng):
-    # a Cauchy sequence makes the residual small for every probe point
-    seq = np.array([np.array([np.cos(0.5 ** i), np.sin(0.5 ** i), 0.0])
-                    for i in range(24)])
-    for y in SPHERE.sample(rng, 5):
-        r = [lim_residual(SPHERE, y, seq, start).residual for start in (0, 8, 16)]
-        assert r[0] >= r[1] >= r[2]
-        assert r[2] <= 0.5 ** 15
-
 
 def old_triple_arrays(length, start, cap=200000):
     """The tail triples as classify once drew them: every row of the m^3
@@ -299,11 +189,6 @@ def test_tri_modulus_blocks_match_one_kernel_call(length):
     assert float(got).hex() == float(want).hex()
 
 
-def test_lim_residual_validates_start():
-    with pytest.raises(ValueError):
-        lim_residual(SPHERE, E1, np.tile(E1, (5, 1)), start=9)
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -340,8 +225,7 @@ def test_colinear_points_inherit_the_tail_property():
     seq = np.array([E1, E2] * 30)
     thresholds = Thresholds()
     for t in np.linspace(0.2, 2 * np.pi, 8):
-        est = lim_residual(SPHERE, equatorial(t), seq, start=30)
-        assert est.residual <= 3.0 * thresholds.lim
+        assert tail_residual(SPHERE, equatorial(t), seq, 30) <= 3.0 * thresholds.lim
 
 
 def test_accumulation_points_pass_on_three_phase_cycle():
@@ -352,7 +236,7 @@ def test_accumulation_points_pass_on_three_phase_cycle():
     assert verdict.tag == "LineCase"
     assert verdict.tri_cauchy_modulus == 0.0
     for accumulation_point in (E1, mid, E2):
-        assert lim_residual(SPHERE, accumulation_point, seq, 30).residual <= 1e-12
+        assert tail_residual(SPHERE, accumulation_point, seq, 30) <= 1e-12
 
 
 def test_convergent_sequence_classifies_as_cauchy():

@@ -9,7 +9,7 @@ import pytest
 
 from twometric import (SpherePatch, antipodal_canon, area_ball_space,
                        area_metric, convexity_bound, convexity_baseline,
-                       cramer_check, det_metric, det_sphere_space,
+                       det_metric, det_sphere_space,
                        great_circle_points, rho, sphere_witnesses,
                        triangle_area2, unit_sphere)
 from twometric.baselines import within_regression
@@ -91,65 +91,12 @@ def test_antipodal_canon_idempotent_and_pair_collapsing(rng):
         assert np.array_equal(antipodal_canon(-x), c)
 
 
-def test_sphere_grid_witnesses_cover_the_sphere(rng):
-    from twometric import det_sphere_space, eval_phi, sphere_grid_witnesses
-
-    W = sphere_grid_witnesses(2000)
-    assert W.descriptor["kind"] == "grid"
-    assert np.allclose(np.linalg.norm(np.asarray(W.points), axis=1), 1.0,
-                       atol=1e-12)
-    # dense deterministic witnesses approximate the true supremum closely
-    space = det_sphere_space()
-    for _ in range(20):
-        x, y = sample_sphere(rng, 2)
-        exact = np.linalg.norm(np.cross(x, y))
-        approx = eval_phi(space, x, y, W)
-        assert approx <= exact + 1e-12
-        assert approx >= exact * (1.0 - 2e-3)
-
-
 def test_great_circle_points_are_on_the_circle():
     pts = great_circle_points(E1, E2, 64)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.abs(pts[:, 2]).max() == 0.0
     with pytest.raises(ValueError):
         great_circle_points(E1, -E1, 8)
-
-
-# ---------------------------------------------------------------------------
-# Cramer decomposition
-# ---------------------------------------------------------------------------
-
-def test_cramer_basis_element_is_trivial():
-    result = cramer_check(E1, E2, E3, E1)
-    assert (result.alpha, result.beta, result.gamma) == (1.0, 0.0, 0.0)
-    assert result.residual <= 1e-15
-
-
-def test_cramer_identity_basis_direct():
-    a = np.array([0.6, 0.8, 0.0])
-    result = cramer_check(E1, E2, E3, a)
-    assert result.alpha == pytest.approx(0.6, abs=1e-12)
-    assert result.beta == pytest.approx(0.8, abs=1e-12)
-    assert result.gamma == pytest.approx(0.0, abs=1e-12)
-    assert result.residual <= 1e-12
-
-
-def test_cramer_random_quadruples(rng):
-    done = 0
-    while done < 200:
-        x, y, z, a = sample_sphere(rng, 4)
-        if det_metric(x, y, z) < 0.05:
-            continue
-        result = cramer_check(x, y, z, a)
-        assert result.residual <= 1e-9
-        assert result.coefficient_norm >= 1.0 - 1e-12
-        done += 1
-
-
-def test_cramer_rejects_singular_basis():
-    with pytest.raises(ValueError):
-        cramer_check(E1, E2, (E1 + E2) / np.sqrt(2.0), E3)
 
 
 # ---------------------------------------------------------------------------
