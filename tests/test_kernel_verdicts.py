@@ -61,6 +61,19 @@ def triples(space, rng, count=12):
 
 
 @pytest.mark.parametrize("name", SPACES)
+def test_is_colinear_thresholds_the_kernel(name):
+    # (x, y, z) is colinear when x is on the line through y and z
+    space = SPACES[name]()
+    for x, y, z in triples(space, np.random.default_rng(1)):
+        value = kernel_one(space, x, y, z)
+        for tol in tolerances(value):
+            assert Line(y, z, tol).contains(space, x) == (value <= tol)
+        scalar = space.d(x, y, z)
+        for tol in margins(scalar):
+            assert Line(y, z, tol).contains(space, x) == (scalar <= tol)
+
+
+@pytest.mark.parametrize("name", SPACES)
 def test_line_membership_thresholds_the_kernel(name):
     space = SPACES[name]()
     rng = np.random.default_rng(2)
@@ -78,14 +91,6 @@ def test_line_membership_thresholds_the_kernel(name):
     for tol in margins(np.median(scalar)):
         loop = [v <= tol for v in scalar]
         assert Line(g1, g2, tol).contains_each(space, points).tolist() == loop
-    # (x, y, z) is colinear when x is on the line through y and z
-    for x, y, z in triples(space, np.random.default_rng(1)):
-        value = kernel_one(space, x, y, z)
-        for tol in tolerances(value):
-            assert Line(y, z, tol).contains(space, x) == (value <= tol)
-        scalar = space.d(x, y, z)
-        for tol in margins(scalar):
-            assert Line(y, z, tol).contains(space, x) == (scalar <= tol)
 
 
 def test_fixed_line_members_and_uniqueness_threshold_the_kernel():
