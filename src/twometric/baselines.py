@@ -28,6 +28,5 @@ def certifier_baseline() -> dict:
     return load_baselines()["certifier"]
 
 
-def within_regression(value: float, baseline: float,
-                      tolerance: float = REGRESSION_TOLERANCE) -> bool:
-    return abs(value - baseline) <= tolerance * abs(baseline)
+def within_regression(value: float, baseline: float) -> bool:
+    return abs(value - baseline) <= REGRESSION_TOLERANCE * abs(baseline)

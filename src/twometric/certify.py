@@ -24,6 +24,9 @@ import numpy as np
 from .core import _strict, _worst_ratio, apply_rows
 from .spaces import SpherePatch
 
+# Finite-difference step of ``certify``'s Jacobian and second-derivative checks.
+_STEP = 1e-5
+
 
 def jacobian_fd(F, x, step: float = 1e-5, radius: float | None = None) -> np.ndarray:
     """Central-difference Jacobian at x, or at each point of a stack x of
@@ -132,7 +135,7 @@ class CertResult:
 
 
 def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
-            seed: int = 0, step: float = 1e-5) -> CertResult:
+            seed: int = 0) -> CertResult:
     """Check the Jacobian-proximity and second-derivative hypotheses on
     sampled points; on pass, verify the contraction conclusion on sampled
     nondegenerate triples.  Failures carry the broken hypothesis and the
@@ -146,11 +149,11 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     patch, rin = inp.patch, inp.inner_radius
     rng = np.random.default_rng(seed)
 
-    margin = 2.5 * step
+    margin = 2.5 * _STEP
     pts = patch.sample(rng, samples, radius=max(rin - margin, rin * 0.5))
-    devs = _spectral_norms(jacobian_fd(inp.map, pts, step, radius=rin) - A)
+    devs = _spectral_norms(jacobian_fd(inp.map, pts, _STEP, radius=rin) - A)
     max_dev = float(devs.max())
-    hess = hessian_bound_fd(inp.map, pts, step, radius=rin)
+    hess = hessian_bound_fd(inp.map, pts, _STEP, radius=rin)
 
     # NaN fails both: it is not <= the budget, and argmax picks the first NaN
     failures = []

@@ -56,7 +56,13 @@ class ConfigError(Exception):
 
 def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
     """Merge flag values over the JSON config file over the declared
-    defaults; reject unknown config keys and non-finite float values."""
+    defaults; reject unknown config keys, file values of another type than
+    the flag's and non-finite float values.
+
+    An int is a float, a bool is neither an int nor a float, and null is
+    accepted only for a flag declared without a default, as echoed configs
+    hold it there.
+    """
     file_cfg = {}
     if args.json_config:
         with open(args.json_config, "r", encoding="utf-8") as fh:
@@ -67,6 +73,13 @@ def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
     unknown = set(file_cfg) - set(flags)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in file_cfg.items():
+        default, kind = _spec(flags[key])
+        if value is None and default is None:
+            continue
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
     resolved = {}
     for key, spec in flags.items():
         flag = getattr(args, key)
@@ -216,23 +229,35 @@ def cmd_iterate(cfg) -> int:
     return 0
 
 
-def cmd_classify(cfg) -> int:
-    if not cfg["input"]:
-        raise ConfigError("--input trace CSV is required")
-    space, witnesses, _ = _space_for(cfg["space"], cfg)
+def _index_trace(reader: csv.DictReader, n: int) -> np.ndarray:
+    """The ``index`` column of a trace, as ``OrbitTrace.to_csv`` writes it
+    for index points: each entry an integer in 0..n-1."""
+    if "index" not in (reader.fieldnames or ()):
+        raise ConfigError("trace CSV has no index column")
+    seq = []
+    for number, row in enumerate(reader, start=1):
+        try:
+            seq.append(int(row["index"]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"trace CSV row {number} needs an integer index") from None
+        if not 0 <= seq[-1] < n:
+            raise ConfigError(f"trace CSV row {number} has index {seq[-1]} outside 0..{n - 1}")
+    return np.array(seq, dtype=np.intp)
+
+
+def _coordinate_trace(reader: csv.DictReader, cfg: dict, space, witnesses) -> np.ndarray:
+    """The coordinate columns of a trace, each row a point of the space."""
+    coord_cols = [c for c in reader.fieldnames or () if c.startswith("x") and c != "x3_abs"]
+    if not coord_cols:
+        raise ConfigError("trace CSV has no coordinate columns")
     rows = []
-    with open(cfg["input"], "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        coord_cols = [c for c in reader.fieldnames if c.startswith("x") and c != "x3_abs"]
-        if not coord_cols:
-            raise ConfigError("trace CSV has no coordinate columns")
-        for number, row in enumerate(reader, start=1):
-            try:
-                rows.append([float(row[c]) for c in coord_cols])
-            except (TypeError, ValueError):
-                # a short row holds None in its missing fields
-                raise ConfigError(f"trace CSV row {number} needs a number in each of "
-                                  f"{', '.join(coord_cols)}") from None
+    for number, row in enumerate(reader, start=1):
+        try:
+            rows.append([float(row[c]) for c in coord_cols])
+        except (TypeError, ValueError):
+            # a short row holds None in its missing fields
+            raise ConfigError(f"trace CSV row {number} needs a number in each of "
+                              f"{', '.join(coord_cols)}") from None
     seq = np.asarray(rows)
     if not np.isfinite(seq).all():
         raise ConfigError("trace CSV has a non-finite coordinate")
@@ -246,6 +271,17 @@ def cmd_classify(cfg) -> int:
         if outside:
             raise ConfigError(f"trace CSV row {outside[0]} is not a point of the "
                               f"{cfg['space']} space")
+    return seq
+
+
+def cmd_classify(cfg) -> int:
+    if not cfg["input"]:
+        raise ConfigError("--input trace CSV is required")
+    space, witnesses, finite = _space_for(cfg["space"], cfg)
+    with open(cfg["input"], "r", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        seq = (_coordinate_trace(reader, cfg, space, witnesses) if finite is None
+               else _index_trace(reader, finite.n))
     thresholds = Thresholds(lim=cfg["eps_lim"], cauchy=cfg["eps_cauchy"],
                             tri_cauchy=cfg["eps_tri"], min_length=cfg["min_length"])
     verdict = classify(space, seq, witnesses, thresholds)

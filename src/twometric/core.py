@@ -176,10 +176,6 @@ class WitnessSet:
     def all_of(space: "FiniteTwoMetricSpace") -> "WitnessSet":
         return WitnessSet(np.arange(space.n), {"kind": "all", "count": space.n})
 
-    @staticmethod
-    def explicit(points) -> "WitnessSet":
-        return WitnessSet(points, {"kind": "explicit", "count": len(points)})
-
     def refined(self, space: TwoMetricSpace) -> "WitnessSet":
         """The same witnesses plus an equal number of fresh samples."""
         seed = int(self.descriptor.get("seed", 0)) + 1
@@ -283,13 +279,17 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     return out.reshape(shape[:-1])
 
 
-def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet,
-                           pairs: int = 200, seed: int = 0) -> float:
+# Sampled pairs, and their seed, behind ``witness_refinement_gap``.
+_GAP_PAIRS = 200
+_GAP_SEED = 0
+
+
+def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet) -> float:
     """Empirical sup-truncation error: max increase of phi when the witness
     set is doubled.  Zero on finite spaces audited with all points."""
-    rng = np.random.default_rng(seed)
-    X = np.asarray(space.sample(rng, pairs))
-    Y = np.asarray(space.sample(rng, pairs))
+    rng = np.random.default_rng(_GAP_SEED)
+    X = np.asarray(space.sample(rng, _GAP_PAIRS))
+    Y = np.asarray(space.sample(rng, _GAP_PAIRS))
     refined = witnesses.refined(space)
     base = eval_phi(space, X, Y, witnesses)
     better = eval_phi(space, X, Y, refined)
@@ -462,7 +462,7 @@ class FiniteTwoMetricSpace:
             self._table.cached_dense = T
         return T
 
-    def as_space(self, name: str = "finite") -> TwoMetricSpace:
+    def as_space(self) -> TwoMetricSpace:
         """The table as a space on the indices, evaluated on its dense array.
 
         The space reflects the table as it was when ``as_space()`` was
@@ -475,7 +475,7 @@ class FiniteTwoMetricSpace:
             return T[X, Y, Z]
 
         return TwoMetricSpace(
-            name=name,
+            name="finite",
             d=lambda i, j, k: float(T[int(i), int(j), int(k)]),
             d_batch=d_batch,
             sample=lambda rng, m: rng.integers(0, self.n, size=m),
@@ -579,24 +579,12 @@ class AxiomReport:
     tolerance: float
     records: list[AxiomRecord]
 
-    def record(self, axiom: str) -> AxiomRecord:
-        for rec in self.records:
-            if rec.axiom == axiom:
-                return rec
-        raise KeyError(axiom)
-
     def failing(self, non_fatal: Sequence[str] = ()) -> list[str]:
         return [
             r.axiom
             for r in self.records
             if not r.max_violation <= self.tolerance and r.axiom not in non_fatal
         ]
-
-    def passed(self, non_fatal: Sequence[str] = ()) -> bool:
-        return not self.failing(non_fatal)
-
-    def worst(self) -> float:
-        return float(np.max([r.max_violation for r in self.records]))
 
     def to_json(self) -> dict:
         return {
@@ -726,13 +714,16 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
 # nondegeneracy quotient
 # ---------------------------------------------------------------------------
 
-def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
-                         tol: float = 1e-12) -> FiniteTwoMetricSpace:
+# Pair distances at or below this count as zero in ``quotient_by_zero_phi``.
+_ZERO_PHI = 1e-12
+
+
+def quotient_by_zero_phi(space: FiniteTwoMetricSpace) -> FiniteTwoMetricSpace:
     """Merge points at pair distance zero; the result is strictly reflexive.
 
     Values are taken from class representatives, which is well defined
     because d moves by at most twice the pair distance in each argument.
-    Identity when no pair has phi <= tol.
+    Identity when no pair has phi <= ``_ZERO_PHI``.
     """
     T = space.dense()
     parent = list(range(space.n))
@@ -743,8 +734,8 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
             i = parent[i]
         return i
 
-    # a NaN pair distance is not <= tol, so a NaN entry never merges
-    I, J = np.nonzero(np.triu(T.max(axis=2) <= tol, k=1))
+    # a NaN pair distance is not <= _ZERO_PHI, so a NaN entry never merges
+    I, J = np.nonzero(np.triu(T.max(axis=2) <= _ZERO_PHI, k=1))
     for i, j in zip(I.tolist(), J.tolist()):
         parent[find(i)] = find(j)
 
@@ -759,6 +750,6 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace,
     # the last value of a repeated class triple wins, as in the loop over
     # triples in lexicographic order
     out._table.store(classes[distinct], space._table.vector[distinct])
-    if np.triu(out.dense().max(axis=2) <= tol, k=1).any():
+    if np.triu(out.dense().max(axis=2) <= _ZERO_PHI, k=1).any():
         raise RuntimeError("quotient failed to become strictly reflexive")
     return out

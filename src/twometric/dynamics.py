@@ -62,7 +62,6 @@ class DDecreasingMap:
     """
 
     name: str
-    kind: str                       # "sphere" | "linear" | "custom"
     f: Callable[[Any], Any]
     space: TwoMetricSpace
     claimed_factor: float
@@ -103,7 +102,6 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
 
     return DDecreasingMap(
         name=f"sphere-squeeze(k={k},e={e},theta={theta})",
-        kind="sphere",
         f=f,
         space=det_sphere_space(),
         claimed_factor=k / e ** 3,
@@ -133,7 +131,6 @@ def make_linear_map(M, k: float, radius: float = 0.5) -> DDecreasingMap:
 
     return DDecreasingMap(
         name=f"linear(k={k},dim={dim})",
-        kind="linear",
         f=f,
         space=space,
         claimed_factor=k * k,
@@ -169,13 +166,9 @@ class OrbitTrace:
 
     points: Any
     phi_steps: np.ndarray
-    claimed_factor: float
-    certified: bool
     truncated: bool = False
-    exit_step: int | None = None
     diagnostic: str | None = None
     decay_margin: float | None = None
-    decay_samples: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
@@ -203,28 +196,27 @@ class OrbitTrace:
                 writer.writerow(row)
 
 
-def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = None,
+def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
           seed: int = 0) -> OrbitTrace:
-    """Iterate x_{i+1} = F(x_i) for ``steps`` steps.
+    """Iterate x_{i+1} = F(x_i) for ``steps`` steps; a negative ``steps``
+    is refused with a ``ValueError``.
 
     Iterates are never projected back into the domain; if one leaves, the
     trace truncates with a diagnostic.  For certified maps, sampled index
     triples are checked against the geometric decay
     d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
     """
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
     if map_.domain_contains is not None and not map_.domain_contains(x0):
         raise ValueError("start point outside the map's restricted domain")
-    if witnesses is None:
-        witnesses = WitnessSet.sampled(map_.space, 64, seed)
     pts = [x0]
     truncated = False
-    exit_step = None
     diagnostic = None
     for i in range(steps):
         nxt = map_.f(pts[-1])
         if map_.domain_contains is not None and not map_.domain_contains(nxt):
             truncated = True
-            exit_step = i + 1
             diagnostic = f"iterate {i + 1} left the domain; trace truncated"
             break
         pts.append(nxt)
@@ -232,13 +224,11 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = N
     phi_steps = eval_phi(map_.space, seq[:-1], seq[1:], witnesses)
 
     decay_margin = None
-    used = 0
     if map_.certified and len(seq) >= 3:
         rng = np.random.default_rng(seed + 1)
         idx = np.sort(rng.integers(0, len(seq), size=(_DECAY_TRIPLES, 3)), axis=1)
         idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
-        used = len(idx)
-        if used:
+        if len(idx):
             vals = _d_many(map_.space, seq[idx[:, 0]], seq[idx[:, 1]], seq[idx[:, 2]])
             bound = map_.claimed_factor ** idx[:, 0]
             decay_margin = float((vals - bound).max())
@@ -246,13 +236,9 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet | None = N
     return OrbitTrace(
         points=seq,
         phi_steps=phi_steps,
-        claimed_factor=map_.claimed_factor,
-        certified=map_.certified,
         truncated=truncated,
-        exit_step=exit_step,
         diagnostic=diagnostic,
         decay_margin=decay_margin,
-        decay_samples=used,
     )
 
 
@@ -310,10 +296,8 @@ def _fixed_point_outcome(map_, y, witnesses, thresholds, measured, cls):
         diagnostic=f"candidate residual {residual:.3g} exceeds {thresholds.fixed_point:.3g}")
 
 
-def detect_outcome(map_: DDecreasingMap, x0, steps: int,
-                   witnesses: WitnessSet | None = None,
-                   thresholds: Thresholds = Thresholds(),
-                   seed: int = 0) -> Outcome:
+def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
+                   thresholds: Thresholds = Thresholds(), seed: int = 0) -> Outcome:
     """Run the orbit, classify its tail, and certify the resulting case.
 
     A fixed point is claimed only from the residual phi(y, F(y)) -- never
@@ -322,8 +306,6 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int,
     of mapped members to stay within tolerance, plus a uniqueness check that
     two separated image points regenerate the same line.
     """
-    if witnesses is None:
-        witnesses = WitnessSet.sampled(map_.space, 64, seed)
     measured = measured_contraction_factor(map_, samples=_FACTOR_SAMPLES, seed=seed)
     if measured is not None and not measured < 1.0:  # NaN is refused too
         raise ValueError(f"map is not contractive on samples (measured {measured:.6g})")

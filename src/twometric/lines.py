@@ -65,15 +65,10 @@ class Line:
     tolerance: float
     members: tuple | None = None
 
-    def defect(self, space: TwoMetricSpace, a) -> float:
-        return float(_d_max(space, a, self.g1, self.g2))
-
-    def contains(self, space: TwoMetricSpace, a) -> bool:
-        return self.defect(space, a) <= self.tolerance
-
     def contains_each(self, space: TwoMetricSpace, points) -> np.ndarray:
-        """``contains`` of each point stacked on the first axis, in one
-        kernel scan; a NaN defect is not contained."""
+        """Whether each point stacked on the first axis lies on the line,
+        d(p, g1, g2) <= tolerance, in one kernel scan; a NaN defect is not
+        contained."""
         P = np.asarray(points)
         return _d_max(space, P[:, None], self.g1, self.g2) <= self.tolerance
 
@@ -93,10 +88,13 @@ def _members(space: TwoMetricSpace, g1, g2, tolerance: float) -> tuple:
     return tuple(np.flatnonzero(near).tolist())
 
 
-def maximal_colinear_sets(space: FiniteTwoMetricSpace,
-                          tolerance: float = 1e-12) -> set[frozenset]:
-    """All maximal subsets whose internal triples vanish; a NaN entry is
-    not colinear.
+# Table entries at or below this count as colinear in ``enumerate_lines``.
+_COLINEAR = 1e-12
+
+
+def maximal_colinear_sets(space: FiniteTwoMetricSpace) -> set[frozenset]:
+    """All maximal subsets whose internal triples vanish (stay at or below
+    ``_COLINEAR``); a NaN entry is not colinear.
 
     The closure of a pair x, y is every z with (x, y, z) colinear.  When
     the closure is colinear itself it is the only maximal set through x and
@@ -109,7 +107,7 @@ def maximal_colinear_sets(space: FiniteTwoMetricSpace,
     n = space.n
     if n < 3:
         return {frozenset(range(n))}
-    C = space.dense() <= tolerance
+    C = space.dense() <= _COLINEAR
     I, J = np.triu_indices(n, k=1)
     # one bytes item per closure row: its bits in order, so the items sort
     # as the boolean rows do, and far faster than np.unique(axis=0)
@@ -143,17 +141,16 @@ def maximal_colinear_sets(space: FiniteTwoMetricSpace,
     return lines.union(s for s in found if not any(s <= line for line in lines))
 
 
-def enumerate_lines(space: FiniteTwoMetricSpace,
-                    tolerance: float = 1e-12) -> list[Line]:
+def enumerate_lines(space: FiniteTwoMetricSpace) -> list[Line]:
     """Every line of a finite space, as explicit member sets sorted for
     reproducibility.  Generators are the extreme members of each set."""
     lines = []
-    for members in sorted(maximal_colinear_sets(space, tolerance),
+    for members in sorted(maximal_colinear_sets(space),
                           key=lambda s: sorted(s)):
         ordered = tuple(sorted(members))
         g1 = ordered[0]
         g2 = ordered[-1] if len(ordered) > 1 else ordered[0]
-        lines.append(Line(g1, g2, tolerance, ordered))
+        lines.append(Line(g1, g2, _COLINEAR, ordered))
     return lines
 
 

@@ -29,6 +29,10 @@ from .core import TwoMetricSpace, WitnessSet, _strict, apply_rows, eval_phi, poi
 _CHECK_SAMPLES = 100
 # Pairs closer than this are left out of a measured factor.
 _FLOOR = 1e-15
+# A solver stops once phi(x, F(x)) is at or below this.
+_TOL = 1e-12
+# The largest power ``minimal_power`` tries.
+_POWER_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,6 @@ class QuasiSpace:
     phi: Callable[[Any, Any], float]
     C: float
     sample: Callable[[np.random.Generator, int], Any]
-    strict_reflexive: bool = True
     psi: Callable[[Any, Any, Any], float] | None = None
     psi_bound: float | None = None
 
@@ -113,7 +116,6 @@ def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> 
 class BanachRun:
     """Record of one solver run."""
 
-    start: Any
     iterates: list
     fixed_point: Any
     residual: float
@@ -172,11 +174,11 @@ def _measure_factor(space: QuasiSpace, F, k: float, seed: int) -> float:
     return float(np.max(ratio, initial=0.0))
 
 
-def _iterate(space: QuasiSpace, F, x0, max_steps: int, tol: float):
+def _iterate(space: QuasiSpace, F, x0, max_steps: int):
     iterates = [x0]
     residual = space.phi(x0, F(x0))
     # a NaN residual is no convergence: the run goes on to max_steps
-    while not residual <= tol and len(iterates) <= max_steps:
+    while not residual <= _TOL and len(iterates) <= max_steps:
         iterates.append(F(iterates[-1]))
         residual = space.phi(iterates[-1], F(iterates[-1]))
     return iterates, residual
@@ -197,23 +199,29 @@ def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
 
 
 def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
-           max_steps: int, tol: float, variant: str) -> BanachRun:
+           max_steps: int, variant: str) -> BanachRun:
     """Iterate F from x0, then check every recorded pair against
     ``bound_for(first, n, m)``, where first = phi(x_0, x_1)."""
-    iterates, residual = _iterate(space, F, x0, max_steps, tol)
+    iterates, residual = _iterate(space, F, x0, max_steps)
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
     ok, margin = _check_tail(space, iterates, lambda n, m: bound_for(first, n, m))
     return BanachRun(
-        start=x0, iterates=iterates, fixed_point=iterates[-1],
+        iterates=iterates, fixed_point=iterates[-1],
         residual=float(residual), steps=len(iterates) - 1, k_claimed=k,
         k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
         variant=variant,
     )
 
 
+def _check_steps(max_steps: int) -> None:
+    if max_steps < 0:
+        raise ValueError(f"step count must be >= 0, got {max_steps}")
+
+
 def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                  tol: float = 1e-12, seed: int = 0) -> BanachRun:
+                  seed: int = 0) -> BanachRun:
     """Iterate a verified k-contraction with k < 1/C to its fixed point."""
+    _check_steps(max_steps)
     if not 0.0 < k:
         raise ValueError("factor must be positive")
     if k >= 1.0 / space.C:
@@ -223,27 +231,28 @@ def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
     measured = _measure_factor(space, F, k, seed)
     return _solve(space, F, x0, k, measured,
                   lambda first, n, m: first / (1.0 - space.C * k) * k ** n,
-                  max_steps, tol, "direct")
+                  max_steps, "direct")
 
 
-def minimal_power(k: float, C: float, cap: int = 100000) -> int:
-    """Smallest a with k^a < 1/C."""
+def minimal_power(k: float, C: float) -> int:
+    """Smallest a with k^a < 1/C, refused past ``_POWER_CAP``."""
     if not 0.0 < k < 1.0:
         raise ValueError("factor must lie in (0, 1)")
     a, p = 1, k
     while p >= 1.0 / C:
         a += 1
         p *= k
-        if a > cap:
+        if a > _POWER_CAP:
             raise ValueError("no admissible power below cap; k too close to 1")
     return a
 
 
 def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                 tol: float = 1e-12, seed: int = 0) -> BanachRun:
+                 seed: int = 0) -> BanachRun:
     """Fixed point for any verified factor k < 1: run the direct solver on
     the smallest power F^a with k^a < 1/C, then confirm the point is fixed
     by F itself."""
+    _check_steps(max_steps)
     measured = _measure_factor(space, F, k, seed)
     a = minimal_power(k, space.C)
 
@@ -252,7 +261,7 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             x = F(x)
         return x
 
-    run = banach_direct(space, Fa, x0, k ** a, max_steps=max_steps, tol=tol, seed=seed)
+    run = banach_direct(space, Fa, x0, k ** a, max_steps=max_steps, seed=seed)
     z = run.fixed_point
     return replace(run, residual=float(space.phi(z, F(z))), k_claimed=k, k_measured=measured,
                    power=a, variant="power",
@@ -260,7 +269,7 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
 
 
 def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
-                    tol: float = 1e-12, seed: int = 0) -> BanachRun:
+                    seed: int = 0) -> BanachRun:
     """Solver under the multiplicative-cost triangle inequality.
 
     Requires both the phi-contraction and the cost contraction
@@ -269,6 +278,7 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
     its image is a violation.  The asserted tail bound is the cost-inflated
     geometric series with the cost capped by its bound.
     """
+    _check_steps(max_steps)
     if space.psi is None or space.psi_bound is None:
         raise ValueError("space carries no cost function / bound")
     if not 0.0 < k < 1.0:
@@ -302,4 +312,4 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             total += k ** j * np.exp(exponent)
         return k ** n * first * total
 
-    return _solve(space, F, x0, k, measured, bound_for, max_steps, tol, "multcost")
+    return _solve(space, F, x0, k, measured, bound_for, max_steps, "multcost")

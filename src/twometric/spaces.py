@@ -245,10 +245,10 @@ def rho(x, y, z):
 class SpherePatch:
     """Planar chart of a south-pole cap of the unit sphere, radius < 1/4.
 
-    ``lift`` is the inverse vertical projection to the lower hemisphere;
-    ``metric`` is the Euclidean triangle area of the lifted points, which is
-    strictly positive for distinct points since a line meets the sphere in
-    at most two of them.
+    ``lift_batch`` is the inverse vertical projection to the lower
+    hemisphere; ``metric_batch`` is the Euclidean triangle area of the
+    lifted points, which is strictly positive for distinct points since a
+    line meets the sphere in at most two of them.
     """
 
     radius: float = 0.2
@@ -257,22 +257,10 @@ class SpherePatch:
         if not 0.0 < self.radius < 0.25:
             raise ValueError("patch radius must lie in (0, 1/4)")
 
-    def contains(self, p) -> bool:
-        return float(np.linalg.norm(p)) <= self.radius + 1e-12
-
-    def lift(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.contains(p):
-            raise ValueError(f"point {p.tolist()} outside patch radius {self.radius}")
-        return np.array([p[0], p[1], -np.sqrt(1.0 - p[0] ** 2 - p[1] ** 2)])
-
     def lift_batch(self, P) -> np.ndarray:
         P = np.asarray(P, dtype=float)
         h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
         return np.concatenate([P, h[..., None]], axis=-1)
-
-    def metric(self, x, y, z) -> float:
-        return area_metric(self.lift(x), self.lift(y), self.lift(z))
 
     @broadcasting
     def metric_batch(self, X, Y, Z) -> np.ndarray:
@@ -285,15 +273,6 @@ class SpherePatch:
         ang = rng.random(count) * 2.0 * np.pi
         rad = radius * np.sqrt(rng.random(count))
         return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-
-    def as_space(self) -> TwoMetricSpace:
-        return TwoMetricSpace(
-            name=f"sphere-patch-r{self.radius}",
-            d=self.metric,
-            d_batch=self.metric_batch,
-            sample=self.sample,
-            contains=self.contains,
-        )
 
 
 @dataclass

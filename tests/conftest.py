@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from twometric import FiniteTwoMetricSpace, det_metric
+from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, area_metric, det_metric
 from twometric.lines import _pair_arrays
 
 
@@ -51,6 +51,26 @@ def arc_ladder_space() -> tuple[FiniteTwoMetricSpace, list[int]]:
                                      arc(angles[j], angles[k]))
     mapping = [1, 2, 3, 4, 5, 5, 0, 0]
     return space, mapping
+
+
+def patch_lift(p) -> np.ndarray:
+    """Scalar oracle of ``SpherePatch.lift_batch``: one planar point lifted
+    to the lower hemisphere."""
+    p = np.asarray(p, dtype=float)
+    return np.array([p[0], p[1], -np.sqrt(1.0 - p[0] ** 2 - p[1] ** 2)])
+
+
+def patch_metric(x, y, z) -> float:
+    """Scalar oracle of ``SpherePatch.metric_batch``: the area of one
+    lifted triangle."""
+    return area_metric(patch_lift(x), patch_lift(y), patch_lift(z))
+
+
+def patch_space(patch: SpherePatch) -> TwoMetricSpace:
+    """A patch as a space: its kernel ``metric_batch``, with the scalar
+    oracle as ``d``."""
+    return TwoMetricSpace(name=f"sphere-patch-r{patch.radius}", d=patch_metric,
+                          d_batch=patch.metric_batch, sample=patch.sample)
 
 
 def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:

@@ -20,7 +20,7 @@ from twometric import (CertInput, SpherePatch, SphereContractionParams,
                        make_sphere_map, maximal_colinear_sets,
                        measured_contraction_factor, orbit, quasi_from_two_metric,
                        sphere_witnesses)
-from twometric.baselines import within_regression
+from twometric.baselines import REGRESSION_TOLERANCE, within_regression
 from twometric.core import _triples, _worst_ratio
 from twometric.spaces import area_ball_space, sample_sphere
 
@@ -39,8 +39,9 @@ def test_criterion_01_axiom_suite():
                         triples=2000, seed=2)
     elapsed = time.monotonic() - start
     for report, label in ((sphere_report, "det-sphere"), (ball_report, "area-ball")):
+        violations = {r.axiom: r.max_violation for r in report.records}
         for axiom in CHECKED_AXIOMS:
-            violation = report.record(axiom).max_violation
+            violation = violations[axiom]
             assert violation <= 1e-9, f"{label}/{axiom}: {violation}"
     assert elapsed < 5.0
     print(f"[PASS] criterion 1: both audits clean at 1e-9 in {elapsed:.2f}s")
@@ -70,7 +71,7 @@ def test_criterion_03_contraction_bound():
     assert measured <= 0.8 + 1e-9
     trace = orbit(squeeze, np.array([0.8, 0.0, 0.6]), 150,
                   witnesses=sphere_witnesses(64, seed=3), seed=3)
-    assert trace.decay_samples > 0
+    assert trace.decay_margin is not None
     assert trace.decay_margin <= 1e-9
     print(f"[PASS] criterion 3: measured factor {measured:.4f} <= 0.8, "
           f"orbit decay margin {trace.decay_margin:.2e}")
@@ -170,7 +171,8 @@ def test_criterion_08_convexity_sandwich():
     base = convexity_baseline()
     report = convexity_bound(radius=0.2, samples=10000, seed=base["seed"])
     assert np.isfinite(report.C) and report.C >= 1.0
-    assert within_regression(report.C, base["C"], tolerance=0.05)
+    assert REGRESSION_TOLERANCE == 0.05
+    assert within_regression(report.C, base["C"])
     print(f"[PASS] criterion 8: empirical C {report.C:.4f} within 5% of "
           f"baseline {base['C']:.4f}")
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_sphere_table, table_phi
+from conftest import patch_space, random_sphere_table, table_phi
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
@@ -33,7 +33,7 @@ SPACES = {
     "det-sphere": det_sphere_space,
     "area-ball-3": lambda: area_ball_space(3),
     "area-ball-5": lambda: area_ball_space(5),
-    "sphere-patch": lambda: SpherePatch(0.2).as_space(),
+    "sphere-patch": lambda: patch_space(SpherePatch(0.2)),
 }
 
 
@@ -228,8 +228,9 @@ def test_classify_and_outcomes_are_byte_identical_on_both_paths():
     linear = make_linear_map(q, 0.6)
     slow = replace(linear, space=stacked(linear.space))
     x0 = np.array([0.2, -0.1, 0.15])
-    assert json.dumps(detect_outcome(linear, x0, 120, seed=4).to_json()) == json.dumps(
-        detect_outcome(slow, x0, 120, seed=4).to_json())
+    W = WitnessSet.sampled(linear.space, 64, 4)
+    assert json.dumps(detect_outcome(linear, x0, 120, W, seed=4).to_json()) == json.dumps(
+        detect_outcome(slow, x0, 120, W, seed=4).to_json())
 
 
 @pytest.mark.parametrize("name", SPACES)

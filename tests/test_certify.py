@@ -269,10 +269,10 @@ def test_patch_ratio_within_convexity_sandwich(rng):
     worst_lo, worst_hi = np.inf, 0.0
     for _ in range(200):
         x, y, z = PATCH.sample(rng, 3, radius=INNER)
-        h0 = PATCH.metric(x, y, z)
+        h0, = PATCH.metric_batch(x[None], y[None], z[None])
         if h0 < 1e-12:
             continue
-        ratio = PATCH.metric(A @ x, A @ y, A @ z) / h0
+        ratio, = PATCH.metric_batch((A @ x)[None], (A @ y)[None], (A @ z)[None]) / h0
         worst_lo, worst_hi = min(worst_lo, ratio), max(worst_hi, ratio)
     assert worst_hi <= C ** 2 * det
     assert worst_lo >= det / C ** 2

@@ -359,6 +359,19 @@ def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
     ("x0,x1,x2\n1e200,1e200,0\n", [], "trace CSV row 1 is not a point of the det-sphere space"),
     ("x0,x1,x2\n0.6,0.0,0.8\n", ["--space=area-ball"],
      "trace CSV row 1 is not a point of the area-ball space"),
+    # index traces on a finite table of 5 points
+    ("step,x1\n0,0.5\n", ["--space=finite", "--table=TABLE"], "trace CSV has no index column"),
+    ("step,index\n0,1\n1,2.0\n", ["--space=finite", "--table=TABLE"],
+     "trace CSV row 2 needs an integer index"),
+    ("step,index\n0,1\n1\n", ["--space=finite", "--table=TABLE"],
+     "trace CSV row 2 needs an integer index"),
+    ("step,index\n0,4\n1,5\n", ["--space=finite", "--table=TABLE"],
+     "trace CSV row 2 has index 5 outside 0..4"),
+    ("step,index\n0,-1\n", ["--space=finite", "--table=TABLE"],
+     "trace CSV row 1 has index -1 outside 0..4"),
+    # an empty file has no header
+    ("", [], "trace CSV has no coordinate columns"),
+    ("", ["--space=finite", "--table=TABLE"], "trace CSV has no index column"),
 ])
 def test_classify_bad_trace_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, csv_text, args, message):
@@ -370,6 +383,8 @@ def test_classify_bad_trace_exits_2_before_any_work(
     monkeypatch.setattr(cli, "classify", no_work)
     trace = tmp_path / "trace.csv"
     trace.write_text(csv_text)
+    demo_five_point_space().save(tmp_path / "demo5.json")
+    args = [a.replace("TABLE", str(tmp_path / "demo5.json")) for a in args]
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -407,6 +422,8 @@ def test_classify_refuses_a_trace_of_two_rows(tmp_path, capsys):
     (["audit", "--witnesses", "-1"], "witness count must be >= 0"),
     (["demo-equator", "--witnesses", "-1"], "witness count must be >= 0"),
     (["classify", "--witnesses", "-1", "--input", "trace.csv"], "witness count must be >= 0"),
+    (["iterate", "--steps", "-3"], "step count must be >= 0, got -3"),
+    (["banach", "--steps", "-1"], "step count must be >= 0, got -1"),
 ])
 def test_sample_counts_out_of_range_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -423,6 +440,40 @@ def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
     assert main(["certify", "--json-config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "config error: quad must be finite, got nan\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"samples": "many"}, 'samples must be int, got "many"'),
+    ({"samples": 2.5}, "samples must be int, got 2.5"),
+    ({"samples": True}, "samples must be int, got true"),
+    ({"samples": None}, "samples must be int, got null"),
+    ({"r": False}, "r must be float, got false"),
+    ({"r": "0.2"}, 'r must be float, got "0.2"'),
+    ({"seed": [1]}, "seed must be int, got [1]"),
+    ({"out": 3}, "out must be str, got 3"),
+])
+def test_wrongly_typed_config_file_values_exit_2_before_any_work(
+        tmp_path, capsys, monkeypatch, config, message):
+    from twometric import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached the computation")
+
+    monkeypatch.setattr(cli, "convexity_bound", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["convexity", "--json-config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_takes_an_int_for_a_float_and_null_without_a_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quad": 0, "r": 0.2, "c_prime": None, "C_prime": None}))
+    assert main(["certify", "--json-config", str(cfg), "--samples", "50", "--triples", "200",
+                 "--out", str(tmp_path)]) == 0
+    config = load(tmp_path / "certify.json")["config"]
+    assert config["quad"] == 0 and config["c_prime"] is None
 
 
 def test_module_entry_point(tmp_path):

@@ -37,7 +37,7 @@ def swap_map_on_convex_boundary(rng) -> DDecreasingMap:
     finite = FiniteTwoMetricSpace.from_points(points, area_metric)
     mapping = [1, 0, 0, 0, 0, 0]
     return DDecreasingMap(
-        name="swap", kind="custom", f=lambda i: mapping[int(i)],
+        name="swap", f=lambda i: mapping[int(i)],
         space=finite.as_space(), claimed_factor=0.5, certified=False,
         domain_contains=lambda i: True,
         domain_sample=lambda r, n: r.integers(0, 6, size=n),
@@ -96,7 +96,7 @@ def test_rotation_isometry_on_both_metrics(rng):
 
 def test_identity_map_measures_exactly_one():
     ident = DDecreasingMap(
-        name="identity", kind="custom", f=lambda x: x, space=SPHERE,
+        name="identity", f=lambda x: x, space=SPHERE,
         claimed_factor=1.0, certified=False,
         domain_contains=lambda x: True, domain_sample=sample_sphere)
     assert measured_contraction_factor(ident, samples=500, seed=1) == 1.0
@@ -118,7 +118,7 @@ def test_linear_map_measured_factor_attains_square():
 def test_all_degenerate_triples_flagged_as_undefined(rng):
     m = swap_map_on_convex_boundary(rng)
     degenerate = DDecreasingMap(
-        name="const", kind="custom", f=lambda i: 0, space=m.space,
+        name="const", f=lambda i: 0, space=m.space,
         claimed_factor=0.5, certified=False, domain_contains=lambda i: True,
         domain_sample=lambda r, n: np.zeros(n, dtype=int))
     assert measured_contraction_factor(degenerate, samples=100, seed=4) is None
@@ -142,8 +142,9 @@ def test_measured_factor_is_nan_when_the_metric_is():
 
 
 def test_detect_outcome_refuses_a_nan_factor():
+    m = nan_kernel_linear_map()
     with pytest.raises(ValueError, match="measured nan"):
-        detect_outcome(nan_kernel_linear_map(), np.full(3, 0.2), 100)
+        detect_outcome(m, np.full(3, 0.2), 100, WitnessSet.sampled(m.space, 64, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +179,36 @@ def test_orbit_decay_margin_for_certified_maps():
     m = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
     trace = orbit(m, np.array([0.8, 0.0, 0.6]), 150,
                   witnesses=sphere_witnesses(32, seed=8))
-    assert trace.decay_samples > 0
+    assert trace.decay_margin is not None
     assert trace.decay_margin <= 1e-9
 
 
 def test_orbit_truncates_when_leaving_domain():
     m = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.0))
     drift = DDecreasingMap(
-        name="drift", kind="custom",
+        name="drift",
         f=lambda x: (x + np.array([0.0, 0.0, 0.3])) / np.linalg.norm(x + np.array([0.0, 0.0, 0.3])),
         space=SPHERE, claimed_factor=0.9, certified=False,
         domain_contains=m.domain_contains, domain_sample=m.domain_sample)
     trace = orbit(drift, E1, 50, witnesses=sphere_witnesses(16, seed=9))
-    assert trace.truncated and trace.exit_step is not None
-    assert "left the domain" in trace.diagnostic
+    assert trace.truncated and len(trace) < 51
+    assert f"iterate {len(trace)} left the domain" in trace.diagnostic
 
 
 def test_orbit_rejects_start_outside_domain():
     m = make_sphere_map(SphereContractionParams(0.1, 0.5))
     with pytest.raises(ValueError, match="outside"):
-        orbit(m, E3, 10)
+        orbit(m, E3, 10, sphere_witnesses(16, seed=9))
+
+
+def test_orbit_refuses_a_negative_step_count():
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    m = make_sphere_map(SphereContractionParams(0.1, 0.5))
+    idle = replace(m, f=no_work, domain_contains=no_work)
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        orbit(idle, E1, -3, sphere_witnesses(16, seed=9))
 
 
 def test_orbit_csv_format(tmp_path):
@@ -296,7 +307,7 @@ def test_outcome_carries_its_orbit_but_does_not_report_it(rng):
     ]
     tags = []
     for m, x0, steps in cases:
-        W = (WitnessSet(np.arange(6)) if m.kind == "custom"
+        W = (WitnessSet(np.arange(6)) if m.name == "swap"
              else WitnessSet.sampled(m.space, 32, seed=17))
         out = detect_outcome(m, x0, steps, witnesses=W, seed=17)
         again = orbit(m, x0, steps, witnesses=W, seed=17)

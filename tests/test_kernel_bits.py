@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twometric import (SphereContractionParams, SpherePatch, detect_outcome,
+from twometric import (SphereContractionParams, SpherePatch, WitnessSet, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric.core import apply_rows
 from twometric.dynamics import measured_contraction_factor
@@ -208,7 +208,8 @@ def test_marked_maps_give_the_per_point_outcomes():
     tags = []
     for map_, x0 in cases:
         slow, calls = per_point(map_)
-        witnesses = W if map_.kind == "sphere" else None
+        witnesses = (W if map_.space.name == "det-sphere"
+                     else WitnessSet.sampled(map_.space, 64, 5))
         fast = detect_outcome(map_, x0, 150, witnesses=witnesses, seed=5)
         ref = detect_outcome(slow, x0, 150, witnesses=witnesses, seed=5)
         assert json.dumps(fast.to_json()) == json.dumps(ref.to_json())

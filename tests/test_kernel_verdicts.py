@@ -67,10 +67,10 @@ def test_is_colinear_thresholds_the_kernel(name):
     for x, y, z in triples(space, np.random.default_rng(1)):
         value = kernel_one(space, x, y, z)
         for tol in tolerances(value):
-            assert Line(y, z, tol).contains(space, x) == (value <= tol)
+            assert Line(y, z, tol).contains_each(space, [x])[0] == (value <= tol)
         scalar = space.d(x, y, z)
         for tol in margins(scalar):
-            assert Line(y, z, tol).contains(space, x) == (scalar <= tol)
+            assert Line(y, z, tol).contains_each(space, [x])[0] == (scalar <= tol)
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -85,8 +85,7 @@ def test_line_membership_thresholds_the_kernel(name):
             line = Line(g1, g2, tol)
             loop = [v <= tol for v in values]
             assert line.contains_each(space, points).tolist() == loop
-            assert [line.contains(space, p) for p in points] == loop
-            assert [line.defect(space, p) for p in points] == values
+            assert [line.contains_each(space, [p])[0] for p in points] == loop
     scalar = [space.d(p, g1, g2) for p in points]
     for tol in margins(np.median(scalar)):
         loop = [v <= tol for v in scalar]

@@ -29,24 +29,23 @@ def equatorial(t: float) -> np.ndarray:
 
 def test_colinear_with_repeated_point(rng):
     x, z = SPHERE.sample(rng, 2)
-    assert Line(x, z, 1e-12).contains(SPHERE, x)
+    assert Line(x, z, 1e-12).contains_each(SPHERE, [x])[0]
 
 
 def test_equatorial_triples_are_exactly_colinear():
-    assert Line(E1, E2, 1e-15).contains(SPHERE, equatorial(0.9))
+    assert Line(E1, E2, 1e-15).contains_each(SPHERE, [equatorial(0.9)])[0]
 
 
 def test_line_through_equator_membership(rng):
     line = Line(E1, E2, 1e-9)
-    for t in np.linspace(0.0, 2 * np.pi, 17):
-        assert line.contains(SPHERE, equatorial(t))
+    on = [equatorial(t) for t in np.linspace(0.0, 2 * np.pi, 17)]
+    assert line.contains_each(SPHERE, on).all()
     off = SPHERE.sample(rng, 50)
-    for p in off[np.abs(off[:, 2]) > 1e-3]:
-        assert not line.contains(SPHERE, p)
+    assert not line.contains_each(SPHERE, off[np.abs(off[:, 2]) > 1e-3]).any()
 
 
 def test_orthonormal_frame_is_not_colinear():
-    assert not Line(E2, E3, 0.5).contains(SPHERE, E1)
+    assert not Line(E2, E3, 0.5).contains_each(SPHERE, [E1])[0]
 
 
 def test_line_members_match_the_scalar_scan(rng):
@@ -207,8 +206,8 @@ def test_alternating_sequence_classifies_as_equator_line():
     assert verdict.cauchy_modulus == 1.0
     normal = np.cross(verdict.line.g1, verdict.line.g2)
     assert abs(normal[2]) / np.linalg.norm(normal) >= 1.0 - 1e-12
-    for t in np.linspace(0, 2 * np.pi, 9):
-        assert verdict.line.contains(SPHERE, equatorial(t))
+    equator = [equatorial(t) for t in np.linspace(0, 2 * np.pi, 9)]
+    assert verdict.line.contains_each(SPHERE, equator).all()
 
 
 def test_passers_satisfy_derived_colinearity_bound():

@@ -24,6 +24,7 @@ from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, Sp
                        interval_space, make_sphere_map, measured_contraction_factor, orbit,
                        quotient_by_zero_phi, sphere_witnesses, unit_sphere)
 from twometric.baselines import certifier_baseline
+from twometric.certify import _STEP
 from twometric.core import _ROW_BUDGET, broadcasting
 from twometric.lines import _triple_arrays
 from twometric.spaces import det_metric_batch
@@ -175,8 +176,8 @@ ALTERNATING = ((0.1, 0.5, np.pi / 2), [1.0, 0.0, 0.0])  # rotates e1 to e2 and b
 ])
 def test_a_planted_nan_lowers_the_classify_confidence(case, mask, tag, notes):
     params, x0 = case
-    seq = orbit(make_sphere_map(SphereContractionParams(*params)), unit_sphere(x0), 200).points
     W = sphere_witnesses(128, seed=0)
+    seq = orbit(make_sphere_map(SphereContractionParams(*params)), unit_sphere(x0), 200, W).points
     clean = classify(det_sphere_space(), seq, W)
     assert clean.tag == tag and not clean.low_confidence
     space = replace(det_sphere_space(), d_batch=nan_where(det_metric_batch, mask))
@@ -191,7 +192,7 @@ def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
     the only kernel calls it makes on row stacks; a kernel that is NaN only
     on the last of them makes the modulus NaN."""
     seq = orbit(make_sphere_map(SphereContractionParams(*ALTERNATING[0])),
-                unit_sphere(ALTERNATING[1]), 200).points
+                unit_sphere(ALTERNATING[1]), 200, sphere_witnesses(16, seed=0)).points
     blocks = -(-len(_triple_arrays(200, 100)) // _ROW_BUDGET)
     rows = []
 
@@ -308,7 +309,7 @@ def test_a_nan_pair_distance_between_mapped_line_members_is_reported(clean_outco
 def test_a_planted_nan_fails_the_certificate(seed, where, i, slot):
     A = 0.25 * np.eye(2)
     base = certifier_baseline()
-    patch, inner, step = SpherePatch(0.2), 0.1, 1e-5
+    patch, inner, step = SpherePatch(0.2), 0.1, _STEP
 
     @broadcasting
     def F(x):
@@ -317,7 +318,7 @@ def test_a_planted_nan_fails_the_certificate(seed, where, i, slot):
     def run(f):
         inp = CertInput(map=f, jac_target=A, norm_bound=base["C_A"], patch=patch,
                         inner_radius=inner, ratio_constant=base["C_prime"])
-        return certify(inp, samples=50, ratio_triples=50, seed=seed, step=step)
+        return certify(inp, samples=50, ratio_triples=50, seed=seed)
 
     clean = run(F)
     assert clean.passes and clean.conclusion_ok

@@ -301,7 +301,7 @@ ARTIFACTS = {
         st.lists(st.dictionaries(TEXT, FLOATS, max_size=3), max_size=3),
         st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
     "BanachRun": st.builds(
-        BanachRun, FLOATS, st.just([]), POINTS, FLOATS, st.integers(0, 10 ** 6), FLOATS,
+        BanachRun, st.just([]), POINTS, FLOATS, st.integers(0, 10 ** 6), FLOATS,
         FLOATS, FLOATS, st.booleans(), FLOATS, st.integers(1, 50), TEXT,
         st.lists(TEXT, max_size=3)),
 }
@@ -314,7 +314,7 @@ NAN_ARTIFACTS = {
                        invariance_defect=NAN, min_point_residual=NAN, diagnostic="NaN factor"),
     "CertResult": CertResult(False, NAN, 1.0, 0.5, 2.0, 0.25, NAN, 1.0, None,
                              [{"kind": "ratio", "value": NAN}], 400, 2000),
-    "BanachRun": BanachRun(1.0, [], NAN, NAN, 3, 0.4, NAN, 2.0, False, NAN),
+    "BanachRun": BanachRun([], NAN, NAN, 3, 0.4, NAN, 2.0, False, NAN),
 }
 
 

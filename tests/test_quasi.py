@@ -189,6 +189,16 @@ def test_power_with_factor_near_one():
     assert abs(run.fixed_point) <= 1e-9
 
 
+def test_solvers_refuse_a_negative_step_count():
+    def no_work(x):
+        raise AssertionError("work started")
+
+    space = replace(interval_space(C=2.0), psi=lambda x, y, z: 0.0, psi_bound=0.0)
+    for solver, k in ((banach_direct, 0.3), (banach_power, 0.6), (banach_multcost, 0.3)):
+        with pytest.raises(ValueError, match="step count must be >= 0, got -1"):
+            solver(space, no_work, 1.0, k, max_steps=-1)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative cost
 # ---------------------------------------------------------------------------

@@ -217,3 +217,19 @@ def test_golden_table_audit_and_lines(tmp_path, monkeypatch):
         got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""',
                      (tmp_path / name).read_text(encoding="utf-8"))
         assert got == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_golden_index_trace_classification(tmp_path, monkeypatch):
+    # the index column of a trace on the 12-point table: 0, 1, 2, 3 repeated,
+    # which runs along the planted line {0, 1, 2, 3}
+    for name in ("table.json", "index_trace.csv"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--space=finite", "--table=table.json",
+                 "--input=index_trace.csv", "--out=."]) == 0
+    got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""',
+                 (tmp_path / "classification.json").read_text(encoding="utf-8"))
+    assert got == (GOLDEN / "classification.json").read_text(encoding="utf-8")
+    verdict = json.loads(got)["classification"]
+    assert verdict["tag"] == "LineCase" and verdict["notes"] == []
+    assert verdict["line"]["members"] == [0, 1, 2, 3]
