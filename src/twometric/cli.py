@@ -59,7 +59,8 @@ def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
     defaults; reject unknown config keys, file values of another type than
     the flag's and non-finite float values.
 
-    An int is a float, a bool is neither an int nor a float, and null is
+    An int is taken as that float for a float flag (one past the float range
+    is not finite), a bool is neither an int nor a float, and null is
     accepted only for a flag declared without a default, as echoed configs
     hold it there.
     """
@@ -80,6 +81,11 @@ def _resolve_config(args: argparse.Namespace, flags: dict) -> dict:
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"{key} must be {kind.__name__}, got {json.dumps(value)}")
+        if kind is float:
+            try:
+                file_cfg[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} must be finite, got {value}") from None
     resolved = {}
     for key, spec in flags.items():
         flag = getattr(args, key)
@@ -154,8 +160,7 @@ def cmd_audit(cfg) -> int:
 
 
 def cmd_demo_equator(cfg) -> int:
-    params = SphereContractionParams(cfg["k"], cfg["e"], cfg["theta"])
-    map_ = make_sphere_map(params)
+    map_ = make_sphere_map(SphereContractionParams(cfg["k"], cfg["e"], cfg["theta"]))
     if not map_.certified:
         print(f"warning: k={cfg['k']} >= e^3={cfg['e'] ** 3:.6g}; "
               f"claimed factor {map_.claimed_factor:.6g} is uncertified",
@@ -182,10 +187,9 @@ def cmd_demo_equator(cfg) -> int:
         if not ok:
             print("expected the equator as a fixed line")
             return 1
-    else:
-        if outcome.tag != "FixedPoint":
-            print("expected a fixed point for the pure squeeze")
-            return 1
+    elif outcome.tag != "FixedPoint":
+        print("expected a fixed point for the pure squeeze")
+        return 1
     return 0
 
 

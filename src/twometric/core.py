@@ -99,6 +99,12 @@ def apply_rows(f, points) -> np.ndarray:
     return np.array([f(p) for p in points])
 
 
+def _check_steps(steps: int) -> None:
+    """Refuse a negative step count, before any work, with a ``ValueError``."""
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
+
+
 def _index_points(*arrays) -> bool:
     """Whether the arrays hold index points, one per entry of an integer
     array, rather than coordinate points, which fill the last axis."""

@@ -23,8 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _d_many, _d_max, _strict, _worst_ratio,
-                   apply_rows, broadcasting, eval_phi, point_json)
+from .core import (TwoMetricSpace, WitnessSet, _check_steps, _d_many, _d_max, _strict,
+                   _worst_ratio, apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
 
@@ -174,6 +174,8 @@ class OrbitTrace:
         return len(self.points)
 
     def to_csv(self, path, vertical_column: bool = False) -> None:
+        """One row per point: coordinates as ``x1, x2, ...``, or an index
+        point as an integer in the ``index`` column."""
         import csv
 
         pts = np.asarray(self.points)
@@ -189,7 +191,7 @@ class OrbitTrace:
             writer.writerow(header)
             for i in range(len(pts)):
                 row = [i]
-                row += [repr(float(c)) for c in np.atleast_1d(pts[i])]
+                row += [repr(float(c)) for c in pts[i]] if pts.ndim > 1 else [str(int(pts[i]))]
                 row.append(repr(float(self.phi_steps[i])) if i < len(self.phi_steps) else "")
                 if vertical_column:
                     row.append(repr(abs(float(pts[i][2]))))
@@ -206,8 +208,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     triples are checked against the geometric decay
     d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
+    _check_steps(steps)
     if map_.domain_contains is not None and not map_.domain_contains(x0):
         raise ValueError("start point outside the map's restricted domain")
     pts = [x0]

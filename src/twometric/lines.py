@@ -209,8 +209,6 @@ class Classification:
     line: Line | None = None      # LineCase
     passers: list = field(default_factory=list)
     passer_residuals: list = field(default_factory=list)
-    derived_colinear_tol: float | None = None
-    passer_defect: float | None = None
     low_confidence: bool = False
     notes: list = field(default_factory=list)
 
@@ -342,7 +340,6 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         members = (None if space.size is None
                    else _members(space, g1, g2, thresholds.colinear))
         line = Line(g1, g2, thresholds.colinear, members)
-        return replace(base, tag="LineCase", line=line, derived_colinear_tol=derived,
-                       passer_defect=defect, low_confidence=bool(notes), notes=notes)
+        return replace(base, tag="LineCase", line=line, low_confidence=bool(notes), notes=notes)
     return replace(base, tag="UniquePoint", point=passers[0], low_confidence=bool(notes),
                    notes=notes)

@@ -23,7 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, _strict, apply_rows, eval_phi, point_json
+from .core import (TwoMetricSpace, WitnessSet, _check_steps, _strict, apply_rows, eval_phi,
+                   point_json)
 
 # Sampled pairs (and cost triples) behind each solver's factor check.
 _CHECK_SAMPLES = 100
@@ -213,11 +214,6 @@ def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
     )
 
 
-def _check_steps(max_steps: int) -> None:
-    if max_steps < 0:
-        raise ValueError(f"step count must be >= 0, got {max_steps}")
-
-
 def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
                   seed: int = 0) -> BanachRun:
     """Iterate a verified k-contraction with k < 1/C to its fixed point."""
@@ -252,7 +248,7 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
     """Fixed point for any verified factor k < 1: run the direct solver on
     the smallest power F^a with k^a < 1/C, then confirm the point is fixed
     by F itself."""
-    _check_steps(max_steps)
+    _check_steps(max_steps)   # again in banach_direct, but before the measurement here
     measured = _measure_factor(space, F, k, seed)
     a = minimal_power(k, space.C)
 

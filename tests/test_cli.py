@@ -451,6 +451,8 @@ def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
     ({"r": "0.2"}, 'r must be float, got "0.2"'),
     ({"seed": [1]}, "seed must be int, got [1]"),
     ({"out": 3}, "out must be str, got 3"),
+    # an int for a float flag that no float can hold
+    pytest.param({"r": 10 ** 400}, f"r must be finite, got {10 ** 400}", id="int-past-float"),
 ])
 def test_wrongly_typed_config_file_values_exit_2_before_any_work(
         tmp_path, capsys, monkeypatch, config, message):
@@ -473,7 +475,8 @@ def test_config_file_takes_an_int_for_a_float_and_null_without_a_default(tmp_pat
     assert main(["certify", "--json-config", str(cfg), "--samples", "50", "--triples", "200",
                  "--out", str(tmp_path)]) == 0
     config = load(tmp_path / "certify.json")["config"]
-    assert config["quad"] == 0 and config["c_prime"] is None
+    assert config["quad"] == 0.0 and isinstance(config["quad"], float)
+    assert config["c_prime"] is None
 
 
 def test_module_entry_point(tmp_path):

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sphere_points
-from twometric import FiniteTwoMetricSpace, det_metric, maximal_colinear_sets
+from twometric import (DDecreasingMap, FiniteTwoMetricSpace, WitnessSet, det_metric,
+                       maximal_colinear_sets, orbit)
 from twometric.cli import main
 
 NAN = float("nan")
@@ -233,3 +234,24 @@ def test_golden_index_trace_classification(tmp_path, monkeypatch):
     verdict = json.loads(got)["classification"]
     assert verdict["tag"] == "LineCase" and verdict["notes"] == []
     assert verdict["line"]["members"] == [0, 1, 2, 3]
+
+
+def test_index_orbit_written_by_to_csv_classifies_as_the_golden(tmp_path, monkeypatch):
+    # the orbit of i -> i + 1 mod 4 on the 12-point table, written by the
+    # library, is the golden index trace with a phi_step column
+    finite = FiniteTwoMetricSpace.load(GOLDEN / "table.json")
+    cycle = DDecreasingMap(
+        name="cycle", f=lambda i: (int(i) + 1) % 4, space=finite.as_space(),
+        claimed_factor=0.5, certified=False, domain_contains=lambda i: True,
+        domain_sample=lambda r, n: r.integers(0, 4, size=n))
+    trace = orbit(cycle, 0, 59, WitnessSet.all_of(finite))
+    (tmp_path / "table.json").write_bytes((GOLDEN / "table.json").read_bytes())
+    trace.to_csv(tmp_path / "index_trace.csv")
+    rows = (tmp_path / "index_trace.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "step,index,phi_step" and rows[6].split(",")[:2] == ["5", "1"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--space=finite", "--table=table.json",
+                 "--input=index_trace.csv", "--out=."]) == 0
+    got = json.loads((tmp_path / "classification.json").read_text(encoding="utf-8"))
+    golden = json.loads((GOLDEN / "classification.json").read_text(encoding="utf-8"))
+    assert got["classification"] == golden["classification"]
