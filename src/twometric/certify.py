@@ -24,24 +24,27 @@ import numpy as np
 from .core import _strict, _worst_ratio, apply_rows
 from .spaces import SpherePatch
 
-# Finite-difference step of ``certify``'s Jacobian and second-derivative checks.
+# Finite-difference step of the Jacobian and second-derivative checks.
 _STEP = 1e-5
+# Slack of the conclusion check: the worst sampled ratio may exceed the
+# calibrated bound by this factor.
+_SLACK = 1.05
 
 
-def jacobian_fd(F, x, step: float = 1e-5, radius: float | None = None) -> np.ndarray:
+def jacobian_fd(F, x, radius: float | None = None) -> np.ndarray:
     """Central-difference Jacobian at x, or at each point of a stack x of
-    shape (..., d); O(step^2) error for C^3 maps.
+    shape (..., d), with step ``_STEP``; O(step^2) error for C^3 maps.
 
     F is evaluated through ``apply_rows``: once per shifted stack when it is
     marked ``broadcasting``, else once per point.  ``radius`` bounds the
     admissible domain: every point needs margin >= step.
     """
     x = np.asarray(x, dtype=float)
-    if radius is not None and np.linalg.norm(x, axis=-1).max(initial=0.0) + step > radius:
+    if radius is not None and np.linalg.norm(x, axis=-1).max(initial=0.0) + _STEP > radius:
         raise ValueError("insufficient margin for central differences")
     rows = x.reshape(-1, x.shape[-1])
-    J = np.stack([(apply_rows(F, rows + e) - apply_rows(F, rows - e)) / (2.0 * step)
-                  for e in step * np.eye(x.shape[-1])], axis=-1)
+    J = np.stack([(apply_rows(F, rows + e) - apply_rows(F, rows - e)) / (2.0 * _STEP)
+                  for e in _STEP * np.eye(x.shape[-1])], axis=-1)
     return J.reshape(x.shape[:-1] + J.shape[1:])
 
 
@@ -54,17 +57,15 @@ def _spectral_norms(M) -> np.ndarray:
     return np.where(finite, norms, np.nan)
 
 
-def hessian_bound_fd(F, points, step: float = 1e-5,
-                     radius: float | None = None) -> float:
+def hessian_bound_fd(F, points, radius: float | None = None) -> float:
     """Sampled sup of the Jacobian's derivative: the max over points and
-    directions of the spectral norm of dJ/dx_i by central differences.
-    NaN when a difference is not finite."""
+    directions of the spectral norm of dJ/dx_i by central differences with
+    step ``_STEP``.  NaN when a difference is not finite."""
     X = np.asarray(points, dtype=float)
-    if radius is not None and np.linalg.norm(X, axis=-1).max(initial=0.0) + 2.0 * step > radius:
+    if radius is not None and np.linalg.norm(X, axis=-1).max(initial=0.0) + 2.0 * _STEP > radius:
         raise ValueError("insufficient margin for central differences")
-    norms = [_spectral_norms((jacobian_fd(F, X + e, step) - jacobian_fd(F, X - e, step))
-                             / (2.0 * step))
-             for e in step * np.eye(X.shape[-1])]
+    norms = [_spectral_norms((jacobian_fd(F, X + e) - jacobian_fd(F, X - e)) / (2.0 * _STEP))
+             for e in _STEP * np.eye(X.shape[-1])]
     return float(np.max(norms, initial=0.0))
 
 
@@ -98,6 +99,9 @@ class CertInput:
             raise ValueError("inner radius must sit strictly inside the patch")
         if self.proximity is None:
             self.proximity = 0.01 * det / self.norm_bound
+        if not (self.ratio_constant > 0.0 and self.proximity > 0.0):
+            raise ValueError(f"ratio constant and proximity budget must be positive, got "
+                             f"{self.ratio_constant} and {self.proximity}")
 
 
 @dataclass
@@ -151,9 +155,9 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
 
     margin = 2.5 * _STEP
     pts = patch.sample(rng, samples, radius=max(rin - margin, rin * 0.5))
-    devs = _spectral_norms(jacobian_fd(inp.map, pts, _STEP, radius=rin) - A)
+    devs = _spectral_norms(jacobian_fd(inp.map, pts, radius=rin) - A)
     max_dev = float(devs.max())
-    hess = hessian_bound_fd(inp.map, pts, _STEP, radius=rin)
+    hess = hessian_bound_fd(inp.map, pts, radius=rin)
 
     # NaN fails both: it is not <= the budget, and argmax picks the first NaN
     failures = []
@@ -187,7 +191,7 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
             conclusion_ok=None, failures=failures, samples=samples,
         )
     worst, kept = _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ))
-    conclusion_ok = None if worst is None else bool(worst <= bound * 1.05)
+    conclusion_ok = None if worst is None else bool(worst <= bound * _SLACK)
     return CertResult(
         passes=True, max_jac_dev=max_dev, max_hessian=float(hess),
         c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,

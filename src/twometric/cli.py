@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import certifier_baseline, convexity_baseline, within_regression
-from .certify import CertInput, certify
+from .certify import _SLACK, CertInput, certify
 from .core import FiniteTwoMetricSpace, WitnessSet, audit, broadcasting
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
@@ -299,6 +299,10 @@ def cmd_classify(cfg) -> int:
 def cmd_certify(cfg) -> int:
     A = _parse_matrix2(cfg["A"])
     base = certifier_baseline()
+    # the calibrated C' holds only on the condition-bounded family
+    if not np.linalg.cond(A) <= base["max_condition"]:
+        raise ConfigError(f"--A has condition number {np.linalg.cond(A):.6g}, above the "
+                          f"calibrated family's cap {base['max_condition']:g}")
     C_prime = cfg["C_prime"] if cfg["C_prime"] is not None else base["C_prime"]
     mu = cfg["quad"]
 
@@ -318,12 +322,17 @@ def cmd_certify(cfg) -> int:
     result = certify(inp, samples=cfg["samples"], ratio_triples=cfg["triples"],
                      seed=cfg["seed"])
     _write_json(Path(cfg["out"]) / "certify.json", _report(cfg, result=result.to_json()))
-    if result.passes:
+    if not result.passes:
+        print(f"certificate FAILED: {[f['hypothesis'] for f in result.failures]}")
+    elif result.conclusion_ok:
         print(f"certificate PASSED: worst ratio {result.worst_ratio:.6g} "
               f"<= bound {result.bound:.6g}")
-        return 0 if result.conclusion_ok else 1
-    print(f"certificate FAILED: {[f['hypothesis'] for f in result.failures]}")
-    return 1
+    elif result.worst_ratio is None:
+        print("certificate conclusion FAILED: no nondegenerate sampled triple")
+    else:
+        print(f"certificate conclusion FAILED: worst ratio {result.worst_ratio:.6g} "
+              f"> bound {result.bound:.6g} * {_SLACK}")
+    return 0 if result.passes and result.conclusion_ok else 1
 
 
 def cmd_banach(cfg) -> int:

@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import operator
-from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -136,10 +135,9 @@ class TwoMetricSpace:
     value per row, and every check and verdict of the library reads the
     metric through it.  A ``d_batch`` marked with ``broadcasting`` also
     takes inputs that broadcast over their leading axes, and is then called
-    on many-by-many scans without materialising their rows.  ``d`` is the
-    scalar reference the kernel must agree with, up to rounding; the
-    library calls it only for a space without a kernel, one triple at a
-    time.
+    on many-by-many scans without materialising their rows.  ``d``, when
+    given, is a scalar metric for callers of their own; the library never
+    reads it.
     ``sample(rng, n)`` draws n domain points.
     ``canon`` maps a point to its equivalence-class representative (used by
     quotient constructions); it must be idempotent.  ``line_points``, when
@@ -147,10 +145,10 @@ class TwoMetricSpace:
     """
 
     name: str
-    d: Callable[[Any, Any, Any], float]
+    d_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     sample: Callable[[np.random.Generator, int], Any]
     size: int | None = None
-    d_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    d: Callable[[Any, Any, Any], float] | None = None
     canon: Callable[[Any], Any] | None = None
     contains: Callable[[Any], bool] | None = None
     line_points: Callable[[Any, Any, int], Any] | None = None
@@ -208,12 +206,8 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet):
 
 
 def _d_many(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
-    """d of the stacked triples (X[i], Y[i], Z[i]): the space's kernel, or,
-    for a space without one, the scalar ``d`` row by row.  No other library
-    code calls a space's ``d``."""
-    if space.d_batch is not None:
-        return np.asarray(space.d_batch(np.asarray(X), np.asarray(Y), np.asarray(Z)))
-    return np.array([float(space.d(x, y, z)) for x, y, z in zip(X, Y, Z)])
+    """d of the stacked triples (X[i], Y[i], Z[i]), by the space's kernel."""
+    return np.asarray(space.d_batch(np.asarray(X), np.asarray(Y), np.asarray(Z)))
 
 
 # Triples with d at or below this are left out of a worst ratio: their
@@ -250,8 +244,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
 
     A coordinate point fills the last axis of a float array; an index point
     is one entry of an integer array.  A kernel marked ``broadcasting`` gets
-    the broadcast inputs directly; any other kernel, or the scalar ``d`` of
-    a space without one, gets the materialised rows through ``_d_many``.
+    the broadcast inputs directly; any other kernel gets the materialised
+    rows through ``_d_many``.
     Every call covers about ``_ROW_BUDGET`` rows at most, split along the
     first axis.
     """
@@ -331,15 +325,23 @@ _ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n
 _SAVE_BLOCK = 1024
 
 
-class _Table(MutableMapping):
+def _entry_ok(entry) -> bool:
+    """Whether a parsed table file entry is an object with int ``i``,
+    ``j``, ``k`` and an int or float ``d``."""
+    return (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
+            and type(entry.get("d")) in (int, float))
+
+
+class _Table:
     """The stored entries of a ``FiniteTwoMetricSpace``: one float per
     triple i < j < k in ``_triples(n)`` order, 0.0 where no entry is
     stored, and a mask of the triples that hold one.
 
-    As a mapping, any index order of a key names its sorted triple, and
-    iteration yields the stored sorted triples in lexicographic order, from
-    a snapshot taken when it starts, so the loop may write entries.  A
-    write stores ``float(value)`` and drops the cached dense array.
+    ``table[key] = value`` stores ``float(value)`` at the sorted triple of
+    a key in any index order, and drops the cached dense array.  Iteration
+    yields the stored sorted triples in lexicographic order, from a
+    snapshot taken when it starts, so the loop may write entries.  Values
+    are read through ``FiniteTwoMetricSpace.dense``.
     """
 
     def __init__(self, n: int):
@@ -378,30 +380,14 @@ class _Table(MutableMapping):
         self.present[ranks[keep]] = True
         self.cached_dense = None
 
-    def __getitem__(self, key) -> float:
-        r = self.rank(key)
-        if not self.present[r]:
-            raise KeyError(key)
-        return float(self.vector[r])
-
     def __setitem__(self, key, value) -> None:
         r = self.rank(key)
         self.vector[r] = float(value)
         self.present[r] = True
         self.cached_dense = None
 
-    def __delitem__(self, key) -> None:
-        r = self.rank(key)
-        if not self.present[r]:
-            raise KeyError(key)
-        self.vector[r], self.present[r] = 0.0, False
-        self.cached_dense = None
-
     def __iter__(self):
         return map(tuple, self.rows[self.present].tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.present))
 
 
 class FiniteTwoMetricSpace:
@@ -410,9 +396,9 @@ class FiniteTwoMetricSpace:
     Triples with a repeated index are implicitly 0, so permutation symmetry
     and the degeneracy axiom hold by construction.  Entries live in [0, 1]
     for valid spaces, but out-of-range values are representable so the audit
-    can find planted defects.  ``table`` is a mutable mapping from index
-    triples to floats over the packed store (see ``_Table``); a triple it
-    does not hold reads as 0.
+    can find planted defects.  ``table`` is the packed store (see
+    ``_Table``): it takes writes and iterates over the stored triples, and
+    ``dense()`` reads it, with 0 on every triple it does not hold.
     """
 
     def __init__(self, n: int, entries: dict[tuple[int, int, int], float] | None = None):
@@ -445,7 +431,7 @@ class FiniteTwoMetricSpace:
         self._table.store(K, np.fromiter(map(float, entries.values()), float, len(keys)))
 
     @property
-    def table(self) -> MutableMapping:
+    def table(self) -> _Table:
         return self._table
 
     def d(self, i, j, k) -> float:
@@ -482,7 +468,6 @@ class FiniteTwoMetricSpace:
 
         return TwoMetricSpace(
             name="finite",
-            d=lambda i, j, k: float(T[int(i), int(j), int(k)]),
             d_batch=d_batch,
             sample=lambda rng, m: rng.integers(0, self.n, size=m),
             size=self.n,
@@ -509,33 +494,44 @@ class FiniteTwoMetricSpace:
 
     # -- JSON table format: {"n": int, "entries": [{"i","j","k","d"}, ...]} --
 
-    def _entries(self) -> tuple[list, list]:
-        """The stored triples and their values, as lists, in file order."""
-        t = self._table
-        return t.rows[t.present].tolist(), t.vector[t.present].tolist()
-
-    def to_json(self) -> dict:
-        rows, values = self._entries()
-        entries = [{"i": i, "j": j, "k": k, "d": v} for (i, j, k), v in zip(rows, values)]
-        return {"n": self.n, "entries": entries}
-
     @staticmethod
-    def from_json(payload: dict) -> "FiniteTwoMetricSpace":
-        entries = {
-            (e["i"], e["j"], e["k"]): e["d"] for e in payload.get("entries", [])
-        }
-        return FiniteTwoMetricSpace(payload["n"], entries)
+    def from_json(payload) -> "FiniteTwoMetricSpace":
+        """The table of a parsed table file: an object with an int ``n`` and
+        an optional list ``entries`` of objects with int ``i``, ``j``, ``k``
+        and an int or float ``d`` (a bool is neither).  Anything else is a
+        ``ValueError`` naming the first bad entry.
+
+        The types are checked over whole lists, by ``map`` and ``set``,
+        which keeps the check a small part of a load.
+        """
+        entries = payload.get("entries", []) if type(payload) is dict else None
+        if type(entries) is not list or type(payload.get("n")) is not int:
+            raise ValueError('a table file holds an object with an int "n" and a list "entries"')
+        try:
+            keys = list(map(operator.itemgetter("i", "j", "k"), entries))
+            values = list(map(operator.itemgetter("d"), entries))
+            ok = (set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+                  and set(map(type, values)) <= {int, float})
+        except (KeyError, TypeError):  # an entry without a field, or not an object
+            ok = False
+        if not ok:
+            number = next(n for n, entry in enumerate(entries) if not _entry_ok(entry))
+            raise ValueError(f"table entry {number} needs integer i, j, k and a number d, "
+                             f"got {json.dumps(entries[number])}")
+        return FiniteTwoMetricSpace(payload["n"], dict(zip(keys, values)))
 
     def save(self, path) -> None:
-        """Write ``to_json()`` in the bytes of ``json.dump(..., indent=2)``
-        followed by a newline.
+        """Write the table file, ``{"n": n, "entries": [{"i", "j", "k",
+        "d"}, ...]}`` with the stored triples in lexicographic order, in the
+        bytes of ``json.dump(..., indent=2)`` followed by a newline.
 
         That encoder runs in pure Python, so the entries are streamed
         instead, ``_SAVE_BLOCK`` per write: json's C encoder turns a
         block's values into tokens (``NaN`` and ``Infinity`` included),
         which go into the fixed entry layout.
         """
-        rows, values = self._entries()
+        t = self._table
+        rows, values = t.rows[t.present].tolist(), t.vector[t.present].tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{\n  "n": %d,\n  "entries": [' % self.n)
             for s in range(0, len(rows), _SAVE_BLOCK):

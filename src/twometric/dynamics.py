@@ -111,7 +111,7 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
     )
 
 
-def make_linear_map(M, k: float, radius: float = 0.5) -> DDecreasingMap:
+def make_linear_map(M, k: float) -> DDecreasingMap:
     """Orthogonal map times a scale k < 1 on the ball; factor k^2 for the
     area metric, with the origin as the unique fixed point."""
     M = np.asarray(M, dtype=float)
@@ -122,7 +122,7 @@ def make_linear_map(M, k: float, radius: float = 0.5) -> DDecreasingMap:
     if not 0.0 < k < 1.0:
         raise ValueError("scale must lie strictly in (0, 1) to be d-decreasing")
     dim = M.shape[0]
-    space = area_ball_space(dim=dim, radius=radius)
+    space = area_ball_space(dim=dim)
 
     @broadcasting
     def f(x):

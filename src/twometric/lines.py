@@ -208,7 +208,6 @@ class Classification:
     point: Any = None             # UniquePoint
     line: Line | None = None      # LineCase
     passers: list = field(default_factory=list)
-    passer_residuals: list = field(default_factory=list)
     low_confidence: bool = False
     notes: list = field(default_factory=list)
 
@@ -276,9 +275,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     # Tail residual of every candidate: one scan over candidates x pairs.
     residuals = _d_max(space, np.asarray(candidates)[:, None], seq[idx_i], seq[idx_j])
 
-    passing = [i for i in range(len(candidates)) if residuals[i] <= thresholds.lim]
-    passers = [candidates[i] for i in passing]
-    passer_residuals = [float(residuals[i]) for i in passing]
+    passers = [c for c, r in zip(candidates, residuals) if r <= thresholds.lim]
 
     # Every note lowers the confidence.  A NaN fails every threshold test
     # below, so it gets a note of its own rather than a clean tag.
@@ -303,7 +300,6 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         tri_cauchy_modulus=tri_modulus,
         thresholds=thresholds,
         passers=passers,
-        passer_residuals=passer_residuals,
         low_confidence=bool(notes),
         notes=notes,
     )

@@ -59,25 +59,25 @@ class QuasiSpace:
             raise ValueError("triangle constant must be >= 1")
 
 
-def interval_space(lo: float = 0.0, hi: float = 1.0, C: float = 1.0) -> QuasiSpace:
-    """The interval with |x - y|; any C >= 1 is a valid declared constant."""
+def interval_space(C: float = 1.0) -> QuasiSpace:
+    """The unit interval with |x - y|; any C >= 1 is a valid declared
+    constant."""
     return QuasiSpace(
-        name=f"interval[{lo},{hi}]",
+        name="interval[0.0,1.0]",
         phi=lambda x, y: np.abs(np.subtract(x, y, dtype=float)),
         C=C,
-        sample=lambda rng, n: lo + (hi - lo) * rng.random(n),
+        sample=lambda rng, n: rng.random(n),
     )
 
 
-def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet,
-                          C: float = 2.0) -> QuasiSpace:
+def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet) -> QuasiSpace:
     """Derived pair distance of a bounded 2-metric; satisfies the lopsided
     triangle inequality with C = 2, exactly on finite spaces audited with
     all points as witnesses."""
     return QuasiSpace(
         name=f"phi({space.name})",
         phi=lambda x, y: eval_phi(space, x, y, witnesses),
-        C=C,
+        C=2.0,
         sample=space.sample,
     )
 
@@ -117,7 +117,6 @@ def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> 
 class BanachRun:
     """Record of one solver run."""
 
-    iterates: list
     fixed_point: Any
     residual: float
     steps: int
@@ -207,9 +206,8 @@ def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
     ok, margin = _check_tail(space, iterates, lambda n, m: bound_for(first, n, m))
     return BanachRun(
-        iterates=iterates, fixed_point=iterates[-1],
-        residual=float(residual), steps=len(iterates) - 1, k_claimed=k,
-        k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
+        fixed_point=iterates[-1], residual=float(residual), steps=len(iterates) - 1,
+        k_claimed=k, k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
         variant=variant,
     )
 

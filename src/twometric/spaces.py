@@ -124,7 +124,6 @@ def great_circle_points(g1, g2, count: int) -> np.ndarray:
 def det_sphere_space() -> TwoMetricSpace:
     return TwoMetricSpace(
         name="det-sphere",
-        d=det_metric,
         d_batch=det_metric_batch,
         sample=sample_sphere,
         canon=antipodal_canon,
@@ -148,6 +147,10 @@ def sphere_witnesses(count: int, seed: int) -> WitnessSet:
 # ---------------------------------------------------------------------------
 # Euclidean area metric on bounded balls
 # ---------------------------------------------------------------------------
+
+# Radius of the ball of ``area_ball_space``: diameter 1 keeps every triangle
+# area <= 1, as the bound axiom asks.
+BALL_RADIUS = 0.5
 
 def area_metric(x, y, z) -> float:
     """Triangle area in R^n via the Gram determinant of two edge vectors."""
@@ -181,15 +184,14 @@ def area_metric_batch(X, Y, Z) -> np.ndarray:
     return np.multiply(g, 0.5, out=g)[()]
 
 
-def sample_ball(rng: np.random.Generator, count: int, dim: int = 3,
-                radius: float = 0.5) -> np.ndarray:
+def sample_ball(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:
     v = rng.normal(size=(count, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / dim)
+    r = BALL_RADIUS * rng.random(count) ** (1.0 / dim)
     return v * r[:, None]
 
 
-def chord_points(g1, g2, count: int, radius: float = 0.5) -> np.ndarray:
+def chord_points(g1, g2, count: int) -> np.ndarray:
     """Points of the full chord through g1, g2 inside the ball."""
     g1 = np.asarray(g1, dtype=float)
     u = np.asarray(g2, dtype=float) - g1
@@ -197,7 +199,7 @@ def chord_points(g1, g2, count: int, radius: float = 0.5) -> np.ndarray:
     if uu < 1e-18:
         raise ValueError("generators coincide; chord undefined")
     b = 2.0 * np.dot(g1, u)
-    c = np.dot(g1, g1) - radius * radius
+    c = np.dot(g1, g1) - BALL_RADIUS * BALL_RADIUS
     disc = b * b - 4.0 * uu * c
     lo = (-b - np.sqrt(max(disc, 0.0))) / (2.0 * uu)
     hi = (-b + np.sqrt(max(disc, 0.0))) / (2.0 * uu)
@@ -205,18 +207,15 @@ def chord_points(g1, g2, count: int, radius: float = 0.5) -> np.ndarray:
     return g1[None, :] + t[:, None] * u[None, :]
 
 
-def area_ball_space(dim: int = 3, radius: float = 0.5) -> TwoMetricSpace:
+def area_ball_space(dim: int = 3) -> TwoMetricSpace:
     if dim < 1:
         raise ValueError(f"ball dimension must be >= 1, got {dim}")
-    if radius > 0.5 + 1e-12:
-        raise ValueError("ball diameter must stay <= 1 for the bound axiom")
     return TwoMetricSpace(
         name=f"area-ball-{dim}d",
-        d=area_metric,
         d_batch=area_metric_batch,
-        sample=lambda rng, n: sample_ball(rng, n, dim=dim, radius=radius),
-        contains=lambda x: np.linalg.norm(x) <= radius + 1e-12,
-        line_points=lambda g1, g2, n: chord_points(g1, g2, n, radius=radius),
+        sample=lambda rng, n: sample_ball(rng, n, dim=dim),
+        contains=lambda x: np.linalg.norm(x) <= BALL_RADIUS + 1e-12,
+        line_points=chord_points,
     )
 
 

@@ -53,6 +53,16 @@ def arc_ladder_space() -> tuple[FiniteTwoMetricSpace, list[int]]:
     return space, mapping
 
 
+def trajectory(F, x0, steps: int) -> list:
+    """x0 and its first ``steps`` images under F: the iterates behind a
+    solver run of ``steps`` steps from x0, whose last one is the run's
+    fixed point."""
+    points = [x0]
+    for _ in range(steps):
+        points.append(F(points[-1]))
+    return points
+
+
 def patch_lift(p) -> np.ndarray:
     """Scalar oracle of ``SpherePatch.lift_batch``: one planar point lifted
     to the lower hemisphere."""
@@ -67,10 +77,24 @@ def patch_metric(x, y, z) -> float:
 
 
 def patch_space(patch: SpherePatch) -> TwoMetricSpace:
-    """A patch as a space: its kernel ``metric_batch``, with the scalar
-    oracle as ``d``."""
-    return TwoMetricSpace(name=f"sphere-patch-r{patch.radius}", d=patch_metric,
+    """A patch as a space with the kernel ``metric_batch``; ``patch_metric``
+    is its scalar oracle."""
+    return TwoMetricSpace(name=f"sphere-patch-r{patch.radius}",
                           d_batch=patch.metric_batch, sample=patch.sample)
+
+
+def table_items(space: FiniteTwoMetricSpace) -> list:
+    """The stored triples of a table, in lexicographic order, each with its
+    value read through ``dense()``."""
+    T = space.dense()
+    return [(t, float(T[t])) for t in space.table]
+
+
+def table_json(space: FiniteTwoMetricSpace) -> dict:
+    """The table file as a dict, whose ``json.dumps(..., indent=2)`` plus a
+    newline ``save`` must write byte for byte."""
+    return {"n": space.n, "entries": [{"i": i, "j": j, "k": k, "d": d}
+                                      for (i, j, k), d in table_items(space)]}
 
 
 def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
@@ -79,12 +103,12 @@ def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
     return float(np.max([space.d(i, j, k) for k in range(space.n)]))
 
 
-def tail_residual(space, y, sequence, start: int) -> float:
+def tail_residual(metric, y, sequence, start: int) -> float:
     """Worst d(y, x_i, x_j) over the tail pairs that ``classify`` scans
-    from ``start``, by a loop over the scalar ``d``."""
+    from ``start``, by a loop over a scalar metric."""
     seq = np.asarray(sequence)
     idx_i, idx_j = _pair_arrays(len(seq), start)
-    return max(float(space.d(y, seq[i], seq[j])) for i, j in zip(idx_i, idx_j))
+    return max(float(metric(y, seq[i], seq[j])) for i, j in zip(idx_i, idx_j))
 
 
 def oracle_maximal_colinear(space: FiniteTwoMetricSpace,

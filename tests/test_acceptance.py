@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import arc_ladder_space, oracle_maximal_colinear, random_sphere_table
+from conftest import arc_ladder_space, oracle_maximal_colinear, random_sphere_table, trajectory
 from twometric import (CertInput, SpherePatch, SphereContractionParams,
                        WitnessSet, audit, banach_direct, banach_multcost,
                        banach_power, certifier_baseline, certify, classify,
@@ -133,24 +133,25 @@ def test_criterion_06_alternating_sequence():
 
 
 def test_criterion_07_quasi_banach():
-    def verify_tail(space, run, k):
-        first = space.phi(run.iterates[0], run.iterates[1])
+    def verify_tail(space, F, x0, run, k):
+        iterates = trajectory(F, x0, run.steps)
+        assert iterates[-1] == run.fixed_point
+        first = space.phi(iterates[0], iterates[1])
         coeff = first / (1.0 - space.C * k)
-        for n in range(len(run.iterates)):
-            for m in range(n + 1, len(run.iterates)):
-                assert space.phi(run.iterates[n], run.iterates[m]) \
-                    < coeff * k ** n + 1e-12
+        for n in range(len(iterates)):
+            for m in range(n + 1, len(iterates)):
+                assert space.phi(iterates[n], iterates[m]) < coeff * k ** n + 1e-12
 
     interval = interval_space()
     direct = banach_direct(interval, lambda x: x / 3.0, 1.0, 1.0 / 3.0)
     assert direct.tail_bound_ok
-    verify_tail(interval, direct, 1.0 / 3.0)
+    verify_tail(interval, lambda x: x / 3.0, 1.0, direct, 1.0 / 3.0)
 
     table, mapping = arc_ladder_space()
-    quasi = quasi_from_two_metric(table.as_space(), WitnessSet.all_of(table), C=2.0)
+    quasi = quasi_from_two_metric(table.as_space(), WitnessSet.all_of(table))
     finite_run = banach_direct(quasi, lambda i: mapping[int(i)], 6, 0.4, seed=7)
     assert finite_run.tail_bound_ok and finite_run.residual <= 1e-12
-    verify_tail(quasi, finite_run, 0.4)
+    verify_tail(quasi, lambda i: mapping[int(i)], 6, finite_run, 0.4)
 
     power = banach_power(interval_space(C=2.0), lambda x: 0.6 * x, 1.0, 0.6)
     assert power.power == 2
@@ -160,7 +161,7 @@ def test_criterion_07_quasi_banach():
 
     zero_cost = replace(interval_space(), psi=lambda x, y, z: 0.0, psi_bound=0.0)
     mult = banach_multcost(zero_cost, lambda x: x / 3.0, 1.0, 1.0 / 3.0)
-    assert mult.iterates == direct.iterates
+    assert mult.steps == direct.steps
     assert mult.fixed_point == direct.fixed_point
     assert mult.residual == direct.residual
     print("[PASS] criterion 7: tail bounds on every recorded pair; power "

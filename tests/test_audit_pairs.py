@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twometric import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, area_ball_space,
-                       audit, det_metric, det_sphere_space, sphere_witnesses)
+from twometric import (FiniteTwoMetricSpace, WitnessSet, area_ball_space, audit,
+                       det_sphere_space, sphere_witnesses)
 from twometric import core
 from twometric.cli import main
 from twometric.core import (DEFAULT_TOLERANCE, PHI_AXIOMS, AxiomRecord, _record_from,
@@ -64,11 +64,6 @@ def skewed_unmarked(X, Y, Z):
     return det_metric_batch(X, Y, Z) * (1.0 + 0.5 * np.asarray(X)[..., 0])
 
 
-def scalar_only():
-    base = det_sphere_space()
-    return TwoMetricSpace("det-scalar", d=det_metric, sample=base.sample, canon=base.canon)
-
-
 def table12():
     return FiniteTwoMetricSpace.load(DATA / "table12" / "table.json")
 
@@ -86,7 +81,6 @@ CASES = {
                     (1, 2000, 8000)),
     "unmarked-kernel": (lambda: replace(det_sphere_space(), d_batch=skewed_unmarked),
                         lambda: sphere_witnesses(24, 3), (1, 500)),
-    "scalar-d": (scalar_only, lambda: sphere_witnesses(8, 4), (1, 60)),
     "finite-table": (lambda: table12().as_space(), lambda: WitnessSet.all_of(table12()),
                      (1, 2000, 8000)),
     "repeated-witness": (det_sphere_space, lambda: with_repeats(sphere_witnesses(40, 5)),

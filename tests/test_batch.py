@@ -4,8 +4,8 @@ A kernel marked ``broadcasting`` is called on broadcast inputs; any other
 kernel gets materialised rows, in the order ``np.repeat``/``np.tile`` built
 them before the broadcast path existed.  Per element the arithmetic is the
 same, so the two paths, and the stacked oracle written out here, must agree
-bit for bit.  The scalar ``d`` sums its products in another order, so it is
-compared within ATOL: values lie in [0, 1], and 1e-12 leaves room for the
+bit for bit.  The scalar oracle of each space sums its products in another
+order, so it is compared within ATOL: values lie in [0, 1], and 1e-12 leaves room for the
 area kernel's cancellation in uu*vv - uv^2 on the random (non-degenerate)
 triangles used here.
 """
@@ -18,14 +18,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import patch_space, random_sphere_table, table_phi
+from conftest import patch_metric, patch_space, random_sphere_table, table_phi
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
 from twometric import core
 from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
 from twometric.lines import Thresholds, _pair_arrays, classify
-from twometric.spaces import area_ball_space, det_sphere_space
+from twometric.spaces import area_ball_space, area_metric, det_metric, det_sphere_space
 
 ATOL = 1e-12
 
@@ -35,6 +35,9 @@ SPACES = {
     "area-ball-5": lambda: area_ball_space(5),
     "sphere-patch": lambda: patch_space(SpherePatch(0.2)),
 }
+# The scalar metric each space's kernel must agree with up to rounding.
+SCALAR = {"det-sphere": det_metric, "area-ball-3": area_metric, "area-ball-5": area_metric,
+          "sphere-patch": patch_metric}
 
 
 def recorded(space, marked):
@@ -63,9 +66,9 @@ def setup(name, pairs=60, witnesses=40, seed=0):
     return space, W, space.sample(rng, pairs), space.sample(rng, pairs)
 
 
-def scalar_phi(space, X, Y, W):
+def scalar_phi(metric, X, Y, W):
     X, Y = _lex_swap(X, Y, False)
-    return np.array([max(space.d(x, y, w) for w in W.points) for x, y in zip(X, Y)])
+    return np.array([max(metric(x, y, w) for w in W.points) for x, y in zip(X, Y)])
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +101,7 @@ def test_phi_many_paths_agree_bitwise(name):
     assert np.array_equal(slow, oracle)
     assert fast_calls and all(ndims == {3} for ndims in fast_calls)
     assert slow_calls and all(ndims == {2} for ndims in slow_calls)
-    np.testing.assert_allclose(fast, scalar_phi(space, X, Y, W), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(fast, scalar_phi(SCALAR[name], X, Y, W), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -145,7 +148,7 @@ def test_candidate_scan_paths_agree_bitwise(name):
     oracle = np.array([space.d_batch(np.broadcast_to(c, XI.shape), XI, XJ).max() for c in C])
     assert np.array_equal(fast, oracle)
     assert np.array_equal(slow, oracle)
-    scalar = [max(space.d(c, xi, xj) for xi, xj in zip(XI, XJ)) for c in C]
+    scalar = [max(SCALAR[name](c, xi, xj) for xi, xj in zip(XI, XJ)) for c in C]
     np.testing.assert_allclose(fast, scalar, rtol=0, atol=ATOL)
 
 
@@ -246,8 +249,8 @@ def test_audits_are_byte_identical_on_both_paths(name):
 # ---------------------------------------------------------------------------
 
 def test_index_scans_match_table_lookups(rng):
-    # the dense-array kernel, the stacked fallback and the scalar loop of a
-    # space without a kernel, each against lookups in the dict-backed table
+    # the dense-array kernel and the stacked fallback, each against lookups
+    # in the table
     table = random_sphere_table(rng, 9)
     fast = table.as_space()
     W = WitnessSet.all_of(table)
@@ -255,7 +258,7 @@ def test_index_scans_match_table_lookups(rng):
     J = rng.integers(0, table.n, size=30)
     seq = rng.integers(0, table.n, size=20)
     idx_i, idx_j = _pair_arrays(len(seq), 5)
-    for space in (fast, stacked(fast), replace(fast, d_batch=None)):
+    for space in (fast, stacked(fast)):
         assert eval_phi(space, I, J, W).tolist() == [table_phi(table, i, j) for i, j in zip(I, J)]
         got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
         assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))

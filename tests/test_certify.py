@@ -11,6 +11,7 @@ from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd, triangle_area2)
 from twometric.baselines import within_regression
+from twometric.certify import _STEP
 from twometric.core import broadcasting
 
 BASE = certifier_baseline()
@@ -79,17 +80,18 @@ def test_jacobian_on_quadratic_map():
 
 
 def test_jacobian_error_is_second_order_in_step():
+    # a central difference of x^3 with step h is 3 x^2 + h^2 exactly; the
+    # rounding error here is about 1e-15
     F = lambda x: np.array([x[0] ** 3, x[1]])  # noqa: E731
     x = np.array([0.05, 0.0])
     exact = 3 * 0.05 ** 2
-    err = [abs(jacobian_fd(F, x, step=h)[0, 0] - exact) for h in (1e-4, 5e-5)]
-    assert 3.0 <= err[0] / err[1] <= 5.5
+    err = jacobian_fd(F, x)[0, 0] - exact
+    assert abs(err - _STEP ** 2) <= 1e-12
 
 
 def test_jacobian_margin_enforcement():
     with pytest.raises(ValueError, match="margin"):
-        jacobian_fd(linear_map(np.eye(2)), np.array([0.0999999, 0.0]),
-                    step=1e-5, radius=0.1)
+        jacobian_fd(linear_map(np.eye(2)), np.array([0.0999999, 0.0]), radius=0.1)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5])
@@ -147,6 +149,18 @@ def make_input(F, A, proximity=None):
     return CertInput(map=F, jac_target=A, norm_bound=BASE["C_A"], patch=PATCH,
                      inner_radius=INNER, ratio_constant=BASE["C_prime"],
                      proximity=proximity)
+
+
+@pytest.mark.parametrize("field, value", [("ratio_constant", 0.0), ("ratio_constant", -1.0),
+                                          ("proximity", 0.0), ("proximity", -1e-3)])
+def test_cert_input_refuses_a_constant_or_budget_at_or_below_zero(field, value):
+    # a bound or a budget of 0 passes no map, and the verdict line would
+    # read "<= bound 0"
+    A = 0.25 * np.eye(2)
+    inp = dict(map=linear_map(A), jac_target=A, norm_bound=BASE["C_A"], patch=PATCH,
+               inner_radius=INNER, ratio_constant=BASE["C_prime"])
+    with pytest.raises(ValueError, match="must be positive"):
+        CertInput(**{**inp, field: value})
 
 
 def test_certify_quarter_identity_passes():

@@ -130,6 +130,36 @@ def test_certify_subcommand(tmp_path):
     assert result["worst_ratio"] <= result["bound"]
 
 
+def test_certify_prints_a_failed_conclusion(tmp_path, capsys):
+    # the hypotheses pass, but the ratio is far above a C' of 0.01
+    assert main(["certify", "--C-prime", "0.01", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out == ("certificate conclusion FAILED: worst ratio 0.0625 "
+                   "> bound 0.000625 * 1.05\n")
+    result = load(tmp_path / "certify.json")["result"]
+    assert result["pass"] is True and result["conclusion_ok"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--A", "0.5,0,0,0.02"], "config error: --A has condition number 25, "
+                 "above the calibrated family's cap 4", id="condition-25"),
+    pytest.param(["--A", "0,0,0,0"], "config error: --A has condition number inf",
+                 id="singular"),
+    pytest.param(["--C-prime", "0"], "error: ratio constant and proximity budget must be "
+                 "positive, got 0.0 and 0.0003125", id="zero-C-prime"),
+    pytest.param(["--C-prime", "-1"], "error: ratio constant and proximity budget must be "
+                 "positive, got -1.0 and 0.0003125", id="negative-C-prime"),
+    pytest.param(["--c-prime", "0"], "error: ratio constant and proximity budget must be "
+                 "positive, got 6.479293052481191 and 0.0", id="zero-c-prime"),
+])
+def test_certify_refuses_inputs_outside_the_calibration_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["certify", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("quad, code", [(0.0, 0), (0.5, 1)])
 def test_certify_artifact_matches_a_per_point_map(tmp_path, quad, code):
     # the subcommand maps stacks of points at once; a map called one point
@@ -219,6 +249,47 @@ def test_missing_table_is_a_usage_error(tmp_path, capsys):
     assert main(["audit", "--space", "finite", "--out", str(tmp_path)]) == 2
     assert main(["enumerate-lines", "--out", str(tmp_path)]) == 2
     assert main(["classify", "--space", "det-sphere", "--out", str(tmp_path)]) == 2
+
+
+def table_file(second: dict) -> dict:
+    """A four-point table file whose second entry is ``second``."""
+    return {"n": 4, "entries": [{"i": 0, "j": 1, "k": 2, "d": 0.5}, second]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    pytest.param({"n": 4.5, "entries": []}, 'int "n"', id="float-n"),
+    pytest.param({"n": "4", "entries": []}, 'int "n"', id="string-n"),
+    pytest.param([{"i": 0, "j": 1, "k": 2, "d": 0.5}], 'int "n"', id="top-level-list"),
+    pytest.param(table_file({"i": 0.5, "j": 2, "k": 3, "d": 0.25}), "table entry 1 ",
+                 id="float-index"),
+    pytest.param(table_file({"i": True, "j": 2, "k": 3, "d": 0.25}), "table entry 1 ",
+                 id="bool-index"),
+    pytest.param(table_file({"i": 1, "j": 2, "k": 3, "d": "0.5"}), "table entry 1 ",
+                 id="string-value"),
+    pytest.param(table_file({"i": 1, "j": 2, "k": 3, "d": True}), "table entry 1 ",
+                 id="bool-value"),
+    pytest.param(table_file({"i": 1, "j": 2, "k": 3, "d": None}), "table entry 1 ",
+                 id="null-value"),
+    pytest.param(table_file({"i": 1, "j": 2, "k": 3}), "table entry 1 ", id="entry-without-d"),
+    pytest.param(table_file([1, 2, 3, 0.25]), "table entry 1 ", id="entry-not-an-object"),
+])
+def test_malformed_table_files_exit_2(tmp_path, capsys, payload, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for argv in (["enumerate-lines"], ["audit", "--space", "finite"]):
+        assert main(argv + ["--table", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "unexpected" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_files_take_int_values_and_no_entries(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table_file({"i": 1, "j": 2, "k": 3, "d": 1})), encoding="utf-8")
+    assert main(["enumerate-lines", "--table", str(path), "--out", str(tmp_path)]) == 0
+    path.write_text(json.dumps({"n": 4}), encoding="utf-8")
+    assert main(["enumerate-lines", "--table", str(path), "--out", str(tmp_path)]) == 0
+    assert load(tmp_path / "lines.json")["lines"] == [[0, 1, 2, 3]]
 
 
 def test_audit_nan_table_fails_with_strict_json(tmp_path, capsys):

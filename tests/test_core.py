@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import random_sphere_table, table_phi
+from conftest import random_sphere_table, table_items, table_phi
 from twometric.core import _triples
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
@@ -200,8 +201,8 @@ def test_finite_space_json_round_trip(tmp_path, rng):
     space.save(path)
     loaded = FiniteTwoMetricSpace.load(path)
     assert loaded.n == space.n
-    assert loaded.table == space.table
-    payload = space.to_json()
+    assert table_items(loaded) == table_items(space)
+    payload = json.loads(path.read_text(encoding="utf-8"))
     assert set(payload) == {"n", "entries"}
     assert all(set(e) == {"i", "j", "k", "d"} for e in payload["entries"])
 

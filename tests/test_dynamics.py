@@ -10,7 +10,7 @@ import pytest
 from conftest import tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        SphereContractionParams, WitnessSet, area_metric,
-                       det_sphere_space, detect_outcome, eval_phi,
+                       det_metric, det_sphere_space, detect_outcome,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric.spaces import sample_sphere
@@ -83,8 +83,8 @@ def test_rotation_isometry_on_both_metrics(rng):
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     for _ in range(20):
         x, y, z = sample_sphere(rng, 3)
-        assert SPHERE.d(Q @ x, Q @ y, Q @ z) == pytest.approx(
-            SPHERE.d(x, y, z), abs=1e-12)
+        assert det_metric(Q @ x, Q @ y, Q @ z) == pytest.approx(
+            det_metric(x, y, z), abs=1e-12)
         u, v, w = rng.random((3, 3)) * 0.4 - 0.2
         assert area_metric(Q @ u, Q @ v, Q @ w) == pytest.approx(
             area_metric(u, v, w), abs=1e-12)
@@ -280,8 +280,8 @@ def test_mapped_candidate_inherits_the_tail_property():
                   witnesses=sphere_witnesses(32, seed=15))
     pts = np.asarray(trace.points)
     y = equatorial(0.3)
-    before = tail_residual(SPHERE, y, pts, 79)
-    after = tail_residual(SPHERE, m.f(y), pts, 80)
+    before = tail_residual(det_metric, y, pts, 79)
+    after = tail_residual(det_metric, m.f(y), pts, 80)
     assert after <= m.claimed_factor * before + 1e-12
 
 
@@ -289,10 +289,10 @@ def test_map_preserves_colinearity(rng):
     m = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
     triple = [equatorial(t) for t in (0.1, 1.3, 2.9)]
     images = [m.f(p) for p in triple]
-    assert SPHERE.d(*images) <= 1e-12
+    assert det_metric(*images) <= 1e-12
     X, Y, Z = (m.domain_sample(rng, 200) for _ in range(3))
     for x, y, z in zip(X, Y, Z):
-        assert SPHERE.d(m.f(x), m.f(y), m.f(z)) <= m.claimed_factor * SPHERE.d(x, y, z) + 1e-12
+        assert det_metric(m.f(x), m.f(y), m.f(z)) <= m.claimed_factor * det_metric(x, y, z) + 1e-12
 
 
 def test_outcome_carries_its_orbit_but_does_not_report_it(rng):

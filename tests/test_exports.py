@@ -1,6 +1,7 @@
-"""Every name the package exports, and every method of its classes, is
-reached from the package or the benchmark, not only from tests: a helper
-that only tests call is an oracle and belongs in ``tests/``."""
+"""Every name the package exports, and every method and field of its
+classes, is reached from the package or the benchmark, not only from
+tests: a helper that only tests call is an oracle and belongs in
+``tests/``, and a field that only tests read is dead weight."""
 
 from __future__ import annotations
 
@@ -30,10 +31,18 @@ def methods() -> set[str]:
             and not (f.name.startswith("__") and f.name.endswith("__"))}
 
 
+def fields() -> set[str]:
+    """The names of the annotated fields declared in the package's classes."""
+    return {f.target.id for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
+
+
 def reads(path: Path) -> list[tuple[str, frozenset, bool]]:
     """Each name a module reads, as a name or an attribute, with the names
-    of the defs and classes around the read and whether it is an
-    attribute."""
+    of the defs and classes around the read and whether it is an attribute
+    that is loaded (an assignment to an attribute does not read it)."""
     found = []
 
     def visit(node, inside):
@@ -42,7 +51,7 @@ def reads(path: Path) -> list[tuple[str, frozenset, bool]]:
         if isinstance(node, ast.Name):
             found.append((node.id, inside, False))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, inside, True))
+            found.append((node.attr, inside, isinstance(node.ctx, ast.Load)))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -80,3 +89,18 @@ def test_every_method_is_read_as_an_attribute_outside_its_own_definition():
     found = [(name, inside) for path in MODULES
              for name, inside, attribute in reads(path) if attribute]
     assert unreached(methods(), found) == []
+
+
+def test_every_field_is_read_as_an_attribute():
+    """Annotated class fields by the rule of the method check: each must be
+    loaded as an attribute somewhere in the package or the benchmark.
+
+    Reads match by name, not by class, as in the method check: a field
+    counts as read wherever an attribute of its name is loaded, so a field
+    that shares its name with an attribute read elsewhere, such as a
+    ``points`` or a ``name``, passes whatever reads it.  Passing a field to
+    a constructor by keyword is not a read.
+    """
+    found = [(name, inside) for path in MODULES
+             for name, inside, attribute in reads(path) if attribute]
+    assert unreached(fields(), found) == []

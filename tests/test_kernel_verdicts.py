@@ -4,10 +4,10 @@ Line membership, which decides colinearity, and the fixed-line
 uniqueness test threshold d evaluated by ``d_batch``.  Each is compared
 here against a loop, written out in the test, that evaluates one triple per
 kernel call.  Tolerances sit below, at and above each value: at the next
-float on either side the scalar ``d``, which sums in another order, can
+float on either side the scalar metric, which sums in another order, can
 disagree with the kernel, so the loop calls the kernel.  At a margin of
 1e-6 relative, or 1e-15 near zero, the verdict also matches the scalar
-``d`` (the scalar and batch metrics differ by about 1e-12 relative at
+metric (the scalar and batch metrics differ by about 1e-12 relative at
 most, and by rounding error near zero).
 
 The worst-ratio helper behind ``measured_contraction_factor``, ``certify``
@@ -24,13 +24,16 @@ from twometric import (Line, SphereContractionParams, SpherePatch, Thresholds,
                        calibrate_ratio_constant, detect_outcome, eval_phi,
                        make_sphere_map, sphere_witnesses)
 from twometric.core import _worst_ratio, apply_rows
-from twometric.spaces import area_ball_space, det_sphere_space, great_circle_points
+from twometric.spaces import (area_ball_space, area_metric, det_metric, det_sphere_space,
+                              great_circle_points)
 
 SPACES = {
     "det-sphere": det_sphere_space,
     "area-ball-3": lambda: area_ball_space(3),
     "area-ball-5": lambda: area_ball_space(5),
 }
+# The scalar metric each space's kernel must agree with up to rounding.
+SCALAR = {"det-sphere": det_metric, "area-ball-3": area_metric, "area-ball-5": area_metric}
 
 
 def kernel_one(space, x, y, z) -> float:
@@ -68,7 +71,7 @@ def test_is_colinear_thresholds_the_kernel(name):
         value = kernel_one(space, x, y, z)
         for tol in tolerances(value):
             assert Line(y, z, tol).contains_each(space, [x])[0] == (value <= tol)
-        scalar = space.d(x, y, z)
+        scalar = SCALAR[name](x, y, z)
         for tol in margins(scalar):
             assert Line(y, z, tol).contains_each(space, [x])[0] == (scalar <= tol)
 
@@ -86,7 +89,7 @@ def test_line_membership_thresholds_the_kernel(name):
             loop = [v <= tol for v in values]
             assert line.contains_each(space, points).tolist() == loop
             assert [line.contains_each(space, [p])[0] for p in points] == loop
-    scalar = [space.d(p, g1, g2) for p in points]
+    scalar = [SCALAR[name](p, g1, g2) for p in points]
     for tol in margins(np.median(scalar)):
         loop = [v <= tol for v in scalar]
         assert Line(g1, g2, tol).contains_each(space, points).tolist() == loop

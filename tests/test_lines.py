@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import oracle_maximal_colinear, random_sphere_table, table_phi, tail_residual
+from conftest import (oracle_maximal_colinear, random_sphere_table, table_items, table_phi,
+                      tail_residual)
 from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, classify,
                        demo_five_point_space, det_metric, det_sphere_space,
                        enumerate_lines, maximal_colinear_sets, sphere_witnesses)
@@ -61,7 +62,7 @@ def test_line_members_match_the_scalar_scan(rng):
         space = finite.as_space()
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         for tol in (1e-12, 0.7):
-            scan = tuple(a for a in range(n) if float(space.d(a, x, y)) <= tol)
+            scan = tuple(a for a in range(n) if finite.d(a, x, y) <= tol)
             assert lines_module._members(space, np.intp(x), y, tol) == scan
 
 
@@ -79,7 +80,7 @@ def test_demo_space_has_exactly_eight_lines():
 
 def test_all_positive_space_yields_all_pairs(rng):
     space = random_sphere_table(rng, 5)
-    assert all(v > 1e-6 for v in space.table.values())
+    assert all(v > 1e-6 for _, v in table_items(space))
     got = {frozenset(line.members) for line in enumerate_lines(space)}
     expected = {frozenset({i, j}) for i in range(5) for j in range(i + 1, 5)}
     assert got == expected
@@ -222,7 +223,7 @@ def test_passers_satisfy_derived_colinearity_bound():
     for a in range(min(6, len(P))):
         for b in range(a + 1, min(6, len(P))):
             for c in range(b + 1, min(6, len(P))):
-                assert SPHERE.d(P[a], P[b], P[c]) <= derived
+                assert det_metric(P[a], P[b], P[c]) <= derived
 
 
 def test_colinear_points_inherit_the_tail_property():
@@ -231,7 +232,7 @@ def test_colinear_points_inherit_the_tail_property():
     seq = np.array([E1, E2] * 30)
     thresholds = Thresholds()
     for t in np.linspace(0.2, 2 * np.pi, 8):
-        assert tail_residual(SPHERE, equatorial(t), seq, 30) <= 3.0 * thresholds.lim
+        assert tail_residual(det_metric, equatorial(t), seq, 30) <= 3.0 * thresholds.lim
 
 
 def test_accumulation_points_pass_on_three_phase_cycle():
@@ -242,7 +243,7 @@ def test_accumulation_points_pass_on_three_phase_cycle():
     assert verdict.tag == "LineCase"
     assert verdict.tri_cauchy_modulus == 0.0
     for accumulation_point in (E1, mid, E2):
-        assert tail_residual(SPHERE, accumulation_point, seq, 30) <= 1e-12
+        assert tail_residual(det_metric, accumulation_point, seq, 30) <= 1e-12
 
 
 def test_convergent_sequence_classifies_as_cauchy():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sphere_points
+from conftest import random_sphere_points, trajectory
 from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, SpherePatch,
                        SphereContractionParams, WitnessSet, audit, banach_direct,
                        banach_multcost, banach_power, certify, check_quasi_axioms, classify,
@@ -130,7 +130,15 @@ def test_a_planted_nan_stops_every_banach_solver(name, seed, i, n):
     # NaN at one iterate, the start included: the tail check fails
     clean = solver(space, F, 1.0, k, seed=seed)
     assert clean.tail_bound_ok
-    p = clean.iterates[n % len(clean.iterates)]
+
+    def Fa(x):  # the map the solver iterates: F^a for banach_power, else F
+        for _ in range(clean.power):
+            x = F(x)
+        return x
+
+    iterates = trajectory(Fa, 1.0, clean.steps)
+    assert iterates[-1] == clean.fixed_point
+    p = iterates[n % len(iterates)]
     run = solver(planted_phi(space, p), F, 1.0, k, seed=seed)
     assert not run.tail_bound_ok and np.isnan(run.tail_margin)
     # NaN in one sampled cost, or in its image: banach_multcost raises

@@ -8,20 +8,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arc_ladder_space
+from conftest import arc_ladder_space, trajectory
 from twometric import (ContractionViolation, QuasiSpace, WitnessSet,
                        banach_direct, banach_multcost, banach_power,
                        check_quasi_axioms, demo_five_point_space,
                        interval_space, minimal_power, quasi_from_two_metric)
 
 
-def tail_bound_oracle(space, run, k):
-    """Recompute the geometric tail bound on every recorded pair."""
-    first = space.phi(run.iterates[0], run.iterates[1])
+def tail_bound_oracle(space, F, x0, run, k):
+    """Rebuild the run's iterates from F and x0, and recompute the
+    geometric tail bound on every pair of them."""
+    iterates = trajectory(F, x0, run.steps)
+    assert iterates[-1] == run.fixed_point
+    first = space.phi(iterates[0], iterates[1])
     coeff = first / (1.0 - space.C * k)
-    for n in range(len(run.iterates)):
-        for m in range(n + 1, len(run.iterates)):
-            assert space.phi(run.iterates[n], run.iterates[m]) < coeff * k ** n + 1e-12
+    for n in range(len(iterates)):
+        for m in range(n + 1, len(iterates)):
+            assert space.phi(iterates[n], iterates[m]) < coeff * k ** n + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +91,8 @@ def test_tail_check_fails_on_a_nan_distance():
 
 def test_derived_distance_satisfies_lopsided_triangle_exactly():
     demo = demo_five_point_space()
-    space = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo), C=2.0)
+    space = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo))
+    assert space.C == 2.0
     report = check_quasi_axioms(space, samples=400, seed=2)
     assert report["triangle"] == 0.0
     assert report["symmetry"] == 0.0
@@ -100,12 +104,13 @@ def test_derived_distance_satisfies_lopsided_triangle_exactly():
 
 def test_direct_interval_contraction():
     space = interval_space()
-    run = banach_direct(space, lambda x: x / 3.0, 1.0, 1.0 / 3.0)
+    F = lambda x: x / 3.0  # noqa: E731
+    run = banach_direct(space, F, 1.0, 1.0 / 3.0)
     assert abs(run.fixed_point) <= 1e-11
     assert run.residual <= 1e-12
     assert run.steps <= 30
     assert run.tail_bound_ok
-    tail_bound_oracle(space, run, 1.0 / 3.0)
+    tail_bound_oracle(space, F, 1.0, run, 1.0 / 3.0)
 
 
 def test_direct_refuses_factor_at_or_above_threshold():
@@ -121,23 +126,23 @@ def test_direct_rejects_false_contraction_claim():
 
 def test_direct_on_finite_arc_ladder():
     space_table, mapping = arc_ladder_space()
-    quasi = quasi_from_two_metric(space_table.as_space(),
-                                  WitnessSet.all_of(space_table), C=2.0)
+    quasi = quasi_from_two_metric(space_table.as_space(), WitnessSet.all_of(space_table))
     measured = max(
         quasi.phi(mapping[i], mapping[j]) / quasi.phi(i, j)
         for i in range(space_table.n) for j in range(space_table.n)
         if quasi.phi(i, j) > 1e-15)
     assert measured == pytest.approx(0.4, abs=1e-12)
-    run = banach_direct(quasi, lambda i: mapping[int(i)], 6, 0.4, seed=3)
+    F = lambda i: mapping[int(i)]  # noqa: E731
+    run = banach_direct(quasi, F, 6, 0.4, seed=3)
     assert run.fixed_point == 5
     assert run.residual == 0.0
     assert run.tail_bound_ok
-    tail_bound_oracle(quasi, run, 0.4)
+    tail_bound_oracle(quasi, F, 6, run, 0.4)
 
 
 def test_direct_on_demo_space_with_collapse_map():
     demo = demo_five_point_space()
-    quasi = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo), C=2.0)
+    quasi = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo))
     run = banach_direct(quasi, lambda i: 0, 4, 0.4, seed=4)
     assert run.fixed_point == 0
     assert run.residual == 0.0
@@ -216,7 +221,6 @@ def test_multcost_with_zero_cost_matches_direct_exactly():
     F = lambda x: x / 3.0  # noqa: E731
     direct = banach_direct(interval_space(), F, 1.0, 1.0 / 3.0)
     mult = banach_multcost(zero_cost_space(), F, 1.0, 1.0 / 3.0)
-    assert mult.iterates == direct.iterates
     assert mult.fixed_point == direct.fixed_point
     assert mult.residual == direct.residual
     assert mult.steps == direct.steps
@@ -239,12 +243,14 @@ def test_multcost_tail_bound_matches_series_oracle():
                     psi_bound=0.1)
     k = 0.5
     run = banach_multcost(space, lambda x: x / 2.0, 1.0, k)
-    first = space.phi(run.iterates[0], run.iterates[1])
-    for n in range(len(run.iterates)):
-        for m in range(n + 1, len(run.iterates)):
+    iterates = trajectory(lambda x: x / 2.0, 1.0, run.steps)
+    assert iterates[-1] == run.fixed_point
+    first = space.phi(iterates[0], iterates[1])
+    for n in range(len(iterates)):
+        for m in range(n + 1, len(iterates)):
             total = sum(k ** j * math.exp(0.1 * sum(k ** (n + t) for t in range(j + 1)))
                         for j in range(m - n))
-            assert space.phi(run.iterates[n], run.iterates[m]) <= k ** n * first * total + 1e-12
+            assert space.phi(iterates[n], iterates[m]) <= k ** n * first * total + 1e-12
 
 
 def test_multcost_rejects_cost_expansion():

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from twometric import (SpherePatch, antipodal_canon, area_ball_space,
-                       area_metric, convexity_bound, convexity_baseline,
-                       det_metric, det_sphere_space,
+from twometric import (SpherePatch, antipodal_canon, area_metric,
+                       convexity_bound, convexity_baseline, det_metric, det_sphere_space,
                        great_circle_points, rho, sphere_witnesses,
                        triangle_area2, unit_sphere)
 from twometric.baselines import within_regression
@@ -146,11 +145,6 @@ def test_area_quadratic_scaling_exact_for_dyadic_factors(rng):
     lam = 0.3
     assert area_metric(lam * x, lam * y, lam * z) == pytest.approx(
         lam ** 2 * area_metric(x, y, z), rel=1e-12)
-
-
-def test_area_ball_space_rejects_oversized_ball():
-    with pytest.raises(ValueError):
-        area_ball_space(radius=0.6)
 
 
 # ---------------------------------------------------------------------------
