@@ -9,10 +9,10 @@ the regression checks in the test suite.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from .certify import calibrate_ratio_constant
+from .core import _write_json
 from .spaces import convexity_bound
 
 CONVEXITY_CONFIG = {"radius": 0.2, "samples": 10000, "seed": 20260808}
@@ -39,9 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=default_out)
     args = parser.parse_args(argv)
     payload = build_baselines()
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    _write_json(args.out, payload)
     print(f"wrote {args.out}")
     print(f"  convexity C       = {payload['convexity']['C']:.6f}")
     print(f"  certifier C_prime = {payload['certifier']['C_prime']:.6f}")

@@ -18,10 +18,11 @@ the calibration family (condition number <= the family cap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import _strict, _worst_ratio, apply_rows
+from .core import _at_least, _stacks, _strict, _worst_ratio, apply_rows
 from .spaces import SpherePatch
 
 # Finite-difference step of the Jacobian and second-derivative checks.
@@ -144,8 +145,8 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     sampled points; on pass, verify the contraction conclusion on sampled
     nondegenerate triples.  Failures carry the broken hypothesis and the
     witness point."""
-    if samples < 1 or ratio_triples < 1:
-        raise ValueError("sample counts must be >= 1")
+    _at_least(samples, 1, "sample counts")
+    _at_least(ratio_triples, 1, "sample counts")
     A = inp.jac_target
     det = abs(np.linalg.det(A))
     c_prime = float(inp.proximity)
@@ -177,26 +178,20 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
         })
 
     if not failures:
-        X, Y, Z = (patch.sample(rng, ratio_triples, radius=rin) for _ in range(3))
+        X, Y, Z = _stacks(partial(patch.sample, radius=rin), rng, ratio_triples, 3)
         FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
         # a NaN image norm is not <= the radius, so it fails the range too
         if not np.linalg.norm(np.concatenate((FX, FY, FZ)), axis=1).max() <= patch.radius:
             failures.append({"hypothesis": "range_containment", "value": None,
                              "budget": patch.radius, "witness": None})
-    if failures:
-        return CertResult(
-            passes=False, max_jac_dev=max_dev, max_hessian=float(hess),
-            c_prime=c_prime, ratio_constant=inp.ratio_constant,
-            det_target=det, worst_ratio=None, bound=bound,
-            conclusion_ok=None, failures=failures, samples=samples,
-        )
-    worst, kept = _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ))
-    conclusion_ok = None if worst is None else bool(worst <= bound * _SLACK)
+    worst, kept = ((None, 0) if failures
+                   else _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ)))
     return CertResult(
-        passes=True, max_jac_dev=max_dev, max_hessian=float(hess),
+        passes=not failures, max_jac_dev=max_dev, max_hessian=float(hess),
         c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,
-        worst_ratio=worst, bound=bound, conclusion_ok=conclusion_ok,
-        samples=samples, ratio_samples=kept,
+        worst_ratio=worst, bound=bound,
+        conclusion_ok=None if worst is None else bool(worst <= bound * _SLACK),
+        failures=failures, samples=samples, ratio_samples=kept,
     )
 
 
@@ -220,7 +215,7 @@ def calibrate_ratio_constant(patch_radius: float = 0.2, inner_radius: float = 0.
             continue
         det = abs(np.linalg.det(A))
         kept += 1
-        P = [patch.sample(rng, triples, radius=inner_radius) for _ in range(3)]
+        P = _stacks(partial(patch.sample, radius=inner_radius), rng, triples, 3)
         ratio, _ = _worst_ratio(patch.metric_batch, P, [Q @ A.T for Q in P])
         best = max(best, ratio / det)
     return {

@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import certifier_baseline, convexity_baseline, within_regression
 from .certify import _SLACK, CertInput, certify
-from .core import FiniteTwoMetricSpace, WitnessSet, audit, broadcasting
+from .core import FiniteTwoMetricSpace, WitnessSet, _write_json, audit, broadcasting
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
 from .lines import Thresholds, classify, enumerate_lines
@@ -36,12 +36,6 @@ from .spaces import (SpherePatch, area_ball_space, convexity_bound,
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
 
 
 def _report(config: dict, **payload) -> dict:

@@ -32,7 +32,8 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -75,6 +76,14 @@ def _strict(record: dict) -> dict:
     return {**record, **dict.fromkeys(bad), **({"non_finite": True} if bad else {})}
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """Write an artifact: sorted keys, two-space indents, a final newline;
+    a non-finite float raises rather than being written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
+
+
 def broadcasting(kernel):
     """Declare that a batch kernel, or a map of points, accepts inputs
     broadcasting over their leading axes, with each point on the last axis,
@@ -88,20 +97,44 @@ def broadcasting(kernel):
     return kernel
 
 
-def apply_rows(f, points) -> np.ndarray:
-    """f at each point stacked on the first axis of ``points``: one call on
-    the whole stack when f is marked ``broadcasting``, else one call per
-    point."""
-    points = np.asarray(points)
+def apply_rows(f, *stacks) -> np.ndarray:
+    """f row by row over stacks of points stacked on their first axis, the
+    i-th call taking the i-th point of each stack: one call on the whole
+    stacks when f is marked ``broadcasting``, else one call per row."""
+    stacks = [np.asarray(S) for S in stacks]
     if getattr(f, "broadcasts", False):
-        return np.asarray(f(points))
-    return np.array([f(p) for p in points])
+        return np.asarray(f(*stacks))
+    return np.array([f(*row) for row in zip(*stacks)])
 
 
-def _check_steps(steps: int) -> None:
-    """Refuse a negative step count, before any work, with a ``ValueError``."""
-    if steps < 0:
-        raise ValueError(f"step count must be >= 0, got {steps}")
+def _at_least(value: int, least: int, what: str) -> None:
+    """Refuse a count below ``least``, before any work, with a ``ValueError``."""
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
+def _stacks(sample, seed, count: int, arity: int) -> list:
+    """``arity`` stacks of ``count`` points, drawn in turn by
+    ``sample(rng, count)``; ``seed`` is an int or a Generator, which is
+    drawn from where it stands."""
+    rng = np.random.default_rng(seed)
+    return [np.asarray(sample(rng, count)) for _ in range(arity)]
+
+
+def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
+                      keep: int | None = None) -> np.ndarray:
+    """Index triples below m: of ``draws`` random rows, the first ``keep``
+    (all when None) whose three entries are distinct, each sorted."""
+    a, b, c = rng.integers(0, m, size=(draws, 3)).T
+    # a sorted row is strictly increasing exactly when its entries are
+    # distinct, so only the rows kept need sorting.  Gathering a, b, c frees
+    # the draws before the elementwise sort: with both alive the peak passes
+    # glibc's trim threshold, and each call faults its pages in again.
+    rows = np.flatnonzero((a != b) & (b != c) & (a != c))[:keep]
+    a, b, c = a[rows], b[rows], c[rows]
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return np.column_stack((lo, a + b + c - lo - hi, hi))
 
 
 def _index_points(*arrays) -> bool:
@@ -160,32 +193,28 @@ class WitnessSet:
     """Finite stand-in for the sup index set of the derived pair distance."""
 
     points: Any
-    descriptor: dict = field(default_factory=dict)
+    seed: int = 0   # the sampled points' seed; ``refined`` draws from seed + 1
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("witness set must be nonempty")
+        _at_least(len(self.points), 1, "witness count")
 
     def __len__(self) -> int:
         return len(self.points)
 
     @staticmethod
     def sampled(space: TwoMetricSpace, count: int, seed: int) -> "WitnessSet":
-        if count < 1:
-            raise ValueError("witness count must be >= 1")
-        pts = space.sample(np.random.default_rng(seed), count)
-        return WitnessSet(pts, {"kind": "sample", "count": count, "seed": seed})
+        _at_least(count, 1, "witness count")
+        return WitnessSet(space.sample(np.random.default_rng(seed), count), seed)
 
     @staticmethod
     def all_of(space: "FiniteTwoMetricSpace") -> "WitnessSet":
-        return WitnessSet(np.arange(space.n), {"kind": "all", "count": space.n})
+        return WitnessSet(np.arange(space.n))
 
     def refined(self, space: TwoMetricSpace) -> "WitnessSet":
         """The same witnesses plus an equal number of fresh samples."""
-        seed = int(self.descriptor.get("seed", 0)) + 1
-        fresh = space.sample(np.random.default_rng(seed), len(self.points))
-        pts = np.concatenate([np.asarray(self.points), np.asarray(fresh)])
-        return WitnessSet(pts, {"kind": "refined", "count": len(pts), "seed": seed})
+        fresh = space.sample(np.random.default_rng(self.seed + 1), len(self.points))
+        return WitnessSet(np.concatenate([np.asarray(self.points), np.asarray(fresh)]),
+                          self.seed + 1)
 
 
 def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet):
@@ -287,9 +316,7 @@ _GAP_SEED = 0
 def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet) -> float:
     """Empirical sup-truncation error: max increase of phi when the witness
     set is doubled.  Zero on finite spaces audited with all points."""
-    rng = np.random.default_rng(_GAP_SEED)
-    X = np.asarray(space.sample(rng, _GAP_PAIRS))
-    Y = np.asarray(space.sample(rng, _GAP_PAIRS))
+    X, Y = _stacks(space.sample, _GAP_SEED, _GAP_PAIRS, 2)
     refined = witnesses.refined(space)
     base = eval_phi(space, X, Y, witnesses)
     better = eval_phi(space, X, Y, refined)
@@ -402,8 +429,7 @@ class FiniteTwoMetricSpace:
     """
 
     def __init__(self, n: int, entries: dict[tuple[int, int, int], float] | None = None):
-        if n < 1:
-            raise ValueError("need at least one point")
+        _at_least(n, 1, "point count")
         self.n = int(n)
         self._table = _Table(self.n)
         entries = entries or {}
@@ -483,12 +509,7 @@ class FiniteTwoMetricSpace:
         """
         P = np.asarray(points, dtype=float)
         space = FiniteTwoMetricSpace(len(P))
-        rows = space._table.rows
-        if getattr(metric, "broadcasts", False):
-            space._table.vector[:] = metric(*(P[r] for r in rows.T))
-        else:
-            space._table.vector[:] = [float(metric(P[i], P[j], P[k]))
-                                      for i, j, k in rows.tolist()]
+        space._table.vector[:] = apply_rows(metric, *(P[r] for r in space._table.rows.T))
         space._table.present[:] = True
         return space
 
@@ -620,17 +641,12 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     distinct unordered pair is evaluated once, so their phi scan holds at
     most min(5 * triples, |W| (|W| + 1) / 2) * |W| kernel rows.
     """
-    if triples < 1:
-        raise ValueError("sample counts must be >= 1")
+    _at_least(triples, 1, "sample counts")
     rng = np.random.default_rng(seed)
-
-    def draw(count):
-        return np.asarray(space.sample(rng, count))
-
     records: list[AxiomRecord] = []
 
     # Sym: spread of d over argument permutations.
-    T = [draw(triples) for _ in range(3)]
+    T = _stacks(space.sample, rng, triples, 3)
     d0 = _d_many(space, *T)
     if space.symmetric_exact:
         records.append(AxiomRecord("Sym", 0.0, None, 0))
@@ -643,7 +659,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
         records.append(_record_from("Sym", spread, T, triples))
 
     # Tetr on quadruples.
-    Q = [draw(triples) for _ in range(4)]
+    Q = _stacks(space.sample, rng, triples, 4)
     lhs = _d_many(space, Q[0], Q[1], Q[2])
     rhs = (_d_many(space, Q[0], Q[1], Q[3])
            + _d_many(space, Q[1], Q[2], Q[3])
@@ -651,7 +667,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     records.append(_record_from("Tetr", lhs - rhs, Q, triples))
 
     # Z: repeated-argument degeneracy, plus positivity on generic triples.
-    P = [draw(triples) for _ in range(2)]
+    P = _stacks(space.sample, rng, triples, 2)
     z_viol = np.abs(_d_many(space, P[0], P[1], P[1]))
     pos_viol = -d0
     # NaN in either part must reach the record: NaN > x is always False
@@ -665,7 +681,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     records.append(_record_from("B", d0 - 1.0, T, triples))
 
     # Trans on quintuples: d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y).
-    V = [draw(triples) for _ in range(5)]
+    V = _stacks(space.sample, rng, triples, 5)
     a, b, c, x, y = V
     lhs = _d_many(space, a, b, x) * _d_many(space, c, x, y)
     rhs = _d_many(space, a, x, y) + _d_many(space, b, x, y)

@@ -23,8 +23,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _check_steps, _d_many, _d_max, _strict,
-                   _worst_ratio, apply_rows, broadcasting, eval_phi, point_json)
+from .core import (TwoMetricSpace, WitnessSet, _at_least, _d_many, _d_max, _distinct_triples,
+                   _stacks, _strict, _worst_ratio, apply_rows, broadcasting, eval_phi,
+                   point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
 
@@ -61,7 +62,6 @@ class DDecreasingMap:
     factors are always re-measured on samples before being relied on.
     """
 
-    name: str
     f: Callable[[Any], Any]
     space: TwoMetricSpace
     claimed_factor: float
@@ -85,9 +85,10 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
         u = t / np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0])
         return np.matmul(rot, u[..., None])[..., 0]
 
+    space = det_sphere_space()
+
     def contains(x):
-        return (np.hypot(x[0], x[1]) >= e - 1e-12
-                and abs(np.linalg.norm(x) - 1.0) <= 1e-9)
+        return np.hypot(x[0], x[1]) >= e - 1e-12 and space.contains(x)
 
     def sample(rng, count):
         out = np.empty((count, 3))
@@ -101,9 +102,8 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
         return out
 
     return DDecreasingMap(
-        name=f"sphere-squeeze(k={k},e={e},theta={theta})",
         f=f,
-        space=det_sphere_space(),
+        space=space,
         claimed_factor=k / e ** 3,
         certified=k < e ** 3,
         domain_contains=contains,
@@ -121,8 +121,7 @@ def make_linear_map(M, k: float) -> DDecreasingMap:
         raise ValueError("matrix is not orthogonal")
     if not 0.0 < k < 1.0:
         raise ValueError("scale must lie strictly in (0, 1) to be d-decreasing")
-    dim = M.shape[0]
-    space = area_ball_space(dim=dim)
+    space = area_ball_space(dim=M.shape[0])
 
     @broadcasting
     def f(x):
@@ -130,7 +129,6 @@ def make_linear_map(M, k: float) -> DDecreasingMap:
         return k * np.matmul(M, np.asarray(x, dtype=float)[..., None])[..., 0]
 
     return DDecreasingMap(
-        name=f"linear(k={k},dim={dim})",
         f=f,
         space=space,
         claimed_factor=k * k,
@@ -148,10 +146,8 @@ def measured_contraction_factor(map_: DDecreasingMap, samples: int = 2000,
     None when every sampled triple is degenerate.  A NaN d is not skipped,
     so its NaN ratio makes the factor NaN.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    triples = [np.asarray(map_.domain_sample(rng, samples)) for _ in range(3)]
+    _at_least(samples, 1, "samples")
+    triples = _stacks(map_.domain_sample, seed, samples, 3)
     images = [apply_rows(map_.f, P) for P in triples]
     return _worst_ratio(partial(_d_many, map_.space), triples, images)[0]
 
@@ -208,7 +204,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     triples are checked against the geometric decay
     d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
     """
-    _check_steps(steps)
+    _at_least(steps, 0, "step count")
     if map_.domain_contains is not None and not map_.domain_contains(x0):
         raise ValueError("start point outside the map's restricted domain")
     pts = [x0]
@@ -226,9 +222,7 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
 
     decay_margin = None
     if map_.certified and len(seq) >= 3:
-        rng = np.random.default_rng(seed + 1)
-        idx = np.sort(rng.integers(0, len(seq), size=(_DECAY_TRIPLES, 3)), axis=1)
-        idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+        idx = _distinct_triples(np.random.default_rng(seed + 1), len(seq), _DECAY_TRIPLES)
         if len(idx):
             vals = _d_many(map_.space, seq[idx[:, 0]], seq[idx[:, 1]], seq[idx[:, 2]])
             bound = map_.claimed_factor ** idx[:, 0]

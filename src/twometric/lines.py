@@ -15,14 +15,14 @@ verdict with thresholds recorded in the evidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .core import (_ROW_BUDGET, FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet,
-                   _d_many, _d_max, _strict, _triples, eval_phi, point_json, point_key)
+from .core import (_ROW_BUDGET, FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_many,
+                   _d_max, _distinct_triples, _strict, _triples, eval_phi, point_json,
+                   point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -158,40 +158,30 @@ def enumerate_lines(space: FiniteTwoMetricSpace) -> list[Line]:
 # tail residuals and classification
 # ---------------------------------------------------------------------------
 
-def _pair_arrays(length: int, start: int, cap: int = _MAX_PAIRS):
+def _pair_arrays(length: int, start: int):
     idx_i, idx_j = np.triu_indices(length - start, k=1)
     idx_i, idx_j = idx_i + start, idx_j + start
-    if len(idx_i) > cap:
+    if len(idx_i) > _MAX_PAIRS:
         pick = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-            len(idx_i), size=cap, replace=False)
+            len(idx_i), size=_MAX_PAIRS, replace=False)
         idx_i, idx_j = idx_i[pick], idx_j[pick]
     return idx_i, idx_j
 
 
-def _triple_arrays(length: int, start: int, cap: int = _MAX_TRIPLES):
+def _triple_arrays(length: int, start: int):
     """Index triples i < j < k of the tail from ``start``: all of them in
-    lexicographic order, a seeded subsample of ``cap`` of them when there
-    are more, or, past 120 tail points, the first ``cap`` rows of three
-    distinct entries among ``2 * cap`` random draws, each sorted."""
+    lexicographic order, a seeded subsample of ``_MAX_TRIPLES`` of them when
+    there are more, or, past 120 tail points, ``_distinct_triples`` of
+    ``2 * _MAX_TRIPLES`` random draws."""
     m = length - start
-    if m > 120 or math.comb(m, 3) > 4 * cap:
-        a, b, c = np.random.default_rng(_SUBSAMPLE_SEED).integers(
-            0, m, size=(cap * 2, 3)).T
-        # a sorted row is strictly increasing exactly when its entries are
-        # distinct, so only the rows kept need sorting.  Gathering a, b, c
-        # frees the draws before the elementwise sort: with both alive the
-        # peak passes glibc's trim threshold, and each call faults its pages
-        # in again.
-        keep = np.flatnonzero((a != b) & (b != c) & (a != c))[:cap]
-        a, b, c = a[keep], b[keep], c[keep]
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        combos = np.column_stack((lo, a + b + c - lo - hi, hi))
+    if m > 120:
+        combos = _distinct_triples(np.random.default_rng(_SUBSAMPLE_SEED), m,
+                                   2 * _MAX_TRIPLES, _MAX_TRIPLES)
     else:
         combos = _triples(m)
-        if len(combos) > cap:
+        if len(combos) > _MAX_TRIPLES:
             pick = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-                len(combos), size=cap, replace=False)
+                len(combos), size=_MAX_TRIPLES, replace=False)
             combos = combos[pick]
     return combos + start
 

@@ -23,8 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _check_steps, _strict, apply_rows, eval_phi,
-                   point_json)
+from .core import (TwoMetricSpace, WitnessSet, _at_least, _stacks, _strict, apply_rows,
+                   eval_phi, point_json)
 
 # Sampled pairs (and cost triples) behind each solver's factor check.
 _CHECK_SAMPLES = 100
@@ -47,7 +47,6 @@ class QuasiSpace:
     ``lambda x, y, z: 0.0`` broadcasts too.
     """
 
-    name: str
     phi: Callable[[Any, Any], float]
     C: float
     sample: Callable[[np.random.Generator, int], Any]
@@ -63,7 +62,6 @@ def interval_space(C: float = 1.0) -> QuasiSpace:
     """The unit interval with |x - y|; any C >= 1 is a valid declared
     constant."""
     return QuasiSpace(
-        name="interval[0.0,1.0]",
         phi=lambda x, y: np.abs(np.subtract(x, y, dtype=float)),
         C=C,
         sample=lambda rng, n: rng.random(n),
@@ -75,18 +73,10 @@ def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet) -> Quasi
     triangle inequality with C = 2, exactly on finite spaces audited with
     all points as witnesses."""
     return QuasiSpace(
-        name=f"phi({space.name})",
         phi=lambda x, y: eval_phi(space, x, y, witnesses),
         C=2.0,
         sample=space.sample,
     )
-
-
-def _sample_stack(space: QuasiSpace, seed: int, arity: int,
-                  count: int = _CHECK_SAMPLES) -> list:
-    """``arity`` stacks of ``count`` points drawn in turn from the seed."""
-    rng = np.random.default_rng(seed)
-    return [np.asarray(space.sample(rng, count)) for _ in range(arity)]
 
 
 def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> dict:
@@ -94,9 +84,8 @@ def check_quasi_axioms(space: QuasiSpace, samples: int = 200, seed: int = 0) -> 
     triangle inequality, and (when a cost is present) the multiplicative
     variant and the cost bound.  A NaN among the sampled values makes its
     entry NaN."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    X, Y, Z = _sample_stack(space, seed, 3, samples)
+    _at_least(samples, 1, "samples")
+    X, Y, Z = _stacks(space.sample, seed, samples, 3)
 
     def worst(values) -> float:
         # np.max keeps a NaN, and 0.0 is the floor of every entry
@@ -156,7 +145,7 @@ def _measure_factor(space: QuasiSpace, F, k: float, seed: int) -> float:
     """Largest sampled ratio phi(Fx, Fy) / phi(x, y); a ratio above k, or a
     NaN ratio (so a NaN distance on the pair or its image), is a violation
     naming the first such pair in draw order."""
-    X, Y = _sample_stack(space, seed, 2)
+    X, Y = _stacks(space.sample, seed, _CHECK_SAMPLES, 2)
     base = np.asarray(space.phi(X, Y))
     # a NaN base is not <= the floor, so its pair is kept
     keep = np.flatnonzero(~(base <= _FLOOR))
@@ -215,7 +204,7 @@ def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
 def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
                   seed: int = 0) -> BanachRun:
     """Iterate a verified k-contraction with k < 1/C to its fixed point."""
-    _check_steps(max_steps)
+    _at_least(max_steps, 0, "step count")
     if not 0.0 < k:
         raise ValueError("factor must be positive")
     if k >= 1.0 / space.C:
@@ -246,7 +235,8 @@ def banach_power(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
     """Fixed point for any verified factor k < 1: run the direct solver on
     the smallest power F^a with k^a < 1/C, then confirm the point is fixed
     by F itself."""
-    _check_steps(max_steps)   # again in banach_direct, but before the measurement here
+    # again in banach_direct, but before the measurement here
+    _at_least(max_steps, 0, "step count")
     measured = _measure_factor(space, F, k, seed)
     a = minimal_power(k, space.C)
 
@@ -272,13 +262,13 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
     its image is a violation.  The asserted tail bound is the cost-inflated
     geometric series with the cost capped by its bound.
     """
-    _check_steps(max_steps)
+    _at_least(max_steps, 0, "step count")
     if space.psi is None or space.psi_bound is None:
         raise ValueError("space carries no cost function / bound")
     if not 0.0 < k < 1.0:
         raise ValueError("factor must lie in (0, 1)")
     M = float(space.psi_bound)
-    X, Y, Z = _sample_stack(space, seed, 3)
+    X, Y, Z = _stacks(space.sample, seed, _CHECK_SAMPLES, 3)
     cost = np.broadcast_to(space.psi(X, Y, Z), len(X))
     mapped = np.broadcast_to(space.psi(*(apply_rows(F, P) for P in (X, Y, Z))), len(X))
     over = np.abs(cost) > M + 1e-12

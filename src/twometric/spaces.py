@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, broadcasting
+from .core import TwoMetricSpace, WitnessSet, _at_least, _stacks, broadcasting
 
 # ---------------------------------------------------------------------------
 # determinant metric on the unit sphere
@@ -138,10 +138,9 @@ AXIS_POINTS = np.concatenate([np.eye(3), -np.eye(3)])
 def sphere_witnesses(count: int, seed: int) -> WitnessSet:
     """The six axis points, so suprema attained at coordinate directions
     are hit exactly, then ``count`` seeded uniform witnesses."""
-    if count < 0:
-        raise ValueError("witness count must be >= 0")
+    _at_least(count, 0, "witness count")
     pts = np.concatenate([AXIS_POINTS, sample_sphere(np.random.default_rng(seed), count)])
-    return WitnessSet(pts, {"kind": "sphere", "count": len(pts), "seed": seed})
+    return WitnessSet(pts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +207,7 @@ def chord_points(g1, g2, count: int) -> np.ndarray:
 
 
 def area_ball_space(dim: int = 3) -> TwoMetricSpace:
-    if dim < 1:
-        raise ValueError(f"ball dimension must be >= 1, got {dim}")
+    _at_least(dim, 1, "ball dimension")
     return TwoMetricSpace(
         name=f"area-ball-{dim}d",
         d_batch=area_metric_batch,
@@ -306,13 +304,9 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
     Triples with a repeated point are skipped and counted: both sides vanish
     there and the bound holds trivially.
     """
-    if samples < 1:
-        raise ValueError("sample counts must be >= 1")
+    _at_least(samples, 1, "sample counts")
     patch = SpherePatch(radius)
-    rng = np.random.default_rng(seed)
-    X = patch.sample(rng, samples)
-    Y = patch.sample(rng, samples)
-    Z = patch.sample(rng, samples)
+    X, Y, Z = _stacks(patch.sample, seed, samples, 3)
     repeated = ((X == Y).all(axis=1) | (X == Z).all(axis=1) | (Y == Z).all(axis=1))
     X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
 

@@ -89,6 +89,32 @@ def test_golden_demo_equator_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "trace.csv").read_bytes() == (golden / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("golden, argv, code", [
+    ("iterate", ["iterate"], 0),
+    ("certify", ["certify"], 0),
+    ("certify_quad05", ["certify", "--quad", "0.5"], 1),
+    ("banach", ["banach"], 0),
+    ("banach_k09", ["banach", "--k", "0.9"], 0),
+    ("convexity", ["convexity"], 0),
+    # the 300-step demo-equator trace: classify's random triple draws
+    ("classify_demo300", ["classify", "--input=trace.csv"], 0),
+])
+def test_golden_artifact_bytes(tmp_path, monkeypatch, golden, argv, code):
+    # every file of the golden directory: a JSON artifact with its
+    # timestamp blanked, a CSV byte for byte (classify reads its trace
+    # from there); relative paths, so the echoed config matches
+    data = Path(__file__).parent / "data" / golden
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "classify":
+        (tmp_path / "trace.csv").write_bytes((data / "trace.csv").read_bytes())
+    assert main(argv + ["--out=."]) == code
+    for want in sorted(data.iterdir()):
+        got = (tmp_path / want.name).read_text(encoding="utf-8")
+        if want.suffix == ".json":
+            got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', got)
+        assert got == want.read_text(encoding="utf-8"), want.name
+
+
 def test_demo_equator_pure_squeeze_fixed_point(tmp_path):
     code = main(["demo-equator", "--theta", "0", "--x0", "1,0,0",
                  "--seed", "5", "--out", str(tmp_path)])
@@ -493,15 +519,16 @@ def test_classify_refuses_a_trace_of_two_rows(tmp_path, capsys):
     (["audit", "--witnesses", "-1"], "witness count must be >= 0"),
     (["demo-equator", "--witnesses", "-1"], "witness count must be >= 0"),
     (["classify", "--witnesses", "-1", "--input", "trace.csv"], "witness count must be >= 0"),
-    (["iterate", "--steps", "-3"], "step count must be >= 0, got -3"),
-    (["banach", "--steps", "-1"], "step count must be >= 0, got -1"),
+    (["iterate", "--steps", "-3"], "step count must be >= 0"),
+    (["banach", "--steps", "-1"], "step count must be >= 0"),
 ])
 def test_sample_counts_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    # one form for every count refusal: the bound, then the value refused
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}, got {argv[2]}\n"
     assert not out.exists()
 
 

@@ -13,6 +13,8 @@ from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        det_metric, det_sphere_space, detect_outcome,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
+from twometric.core import _distinct_triples
+from twometric.dynamics import _DECAY_TRIPLES
 from twometric.spaces import sample_sphere
 
 E1, E2, E3 = np.eye(3)
@@ -37,7 +39,7 @@ def swap_map_on_convex_boundary(rng) -> DDecreasingMap:
     finite = FiniteTwoMetricSpace.from_points(points, area_metric)
     mapping = [1, 0, 0, 0, 0, 0]
     return DDecreasingMap(
-        name="swap", f=lambda i: mapping[int(i)],
+        f=lambda i: mapping[int(i)],
         space=finite.as_space(), claimed_factor=0.5, certified=False,
         domain_contains=lambda i: True,
         domain_sample=lambda r, n: r.integers(0, 6, size=n),
@@ -96,7 +98,7 @@ def test_rotation_isometry_on_both_metrics(rng):
 
 def test_identity_map_measures_exactly_one():
     ident = DDecreasingMap(
-        name="identity", f=lambda x: x, space=SPHERE,
+        f=lambda x: x, space=SPHERE,
         claimed_factor=1.0, certified=False,
         domain_contains=lambda x: True, domain_sample=sample_sphere)
     assert measured_contraction_factor(ident, samples=500, seed=1) == 1.0
@@ -118,7 +120,7 @@ def test_linear_map_measured_factor_attains_square():
 def test_all_degenerate_triples_flagged_as_undefined(rng):
     m = swap_map_on_convex_boundary(rng)
     degenerate = DDecreasingMap(
-        name="const", f=lambda i: 0, space=m.space,
+        f=lambda i: 0, space=m.space,
         claimed_factor=0.5, certified=False, domain_contains=lambda i: True,
         domain_sample=lambda r, n: np.zeros(n, dtype=int))
     assert measured_contraction_factor(degenerate, samples=100, seed=4) is None
@@ -183,10 +185,26 @@ def test_orbit_decay_margin_for_certified_maps():
     assert trace.decay_margin <= 1e-9
 
 
+def old_decay_triples(length, seed):
+    """The decay check's index triples as orbit once drew them: the random
+    rows sorted, then filtered to i < j < k."""
+    rng = np.random.default_rng(seed + 1)
+    idx = np.sort(rng.integers(0, length, size=(_DECAY_TRIPLES, 3)), axis=1)
+    return idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+
+
+@pytest.mark.parametrize("length", [3, 4, 10, 201, 301])
+def test_distinct_triples_match_the_sort_and_filter_decay_draw(length):
+    for seed in range(20):
+        got = _distinct_triples(np.random.default_rng(seed + 1), length, _DECAY_TRIPLES)
+        want = old_decay_triples(length, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_orbit_truncates_when_leaving_domain():
     m = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.0))
     drift = DDecreasingMap(
-        name="drift",
         f=lambda x: (x + np.array([0.0, 0.0, 0.3])) / np.linalg.norm(x + np.array([0.0, 0.0, 0.3])),
         space=SPHERE, claimed_factor=0.9, certified=False,
         domain_contains=m.domain_contains, domain_sample=m.domain_sample)
@@ -267,7 +285,7 @@ def test_rotated_linear_iterates_are_not_colinear():
 
 def test_swap_map_fixes_a_two_point_line(rng):
     m = swap_map_on_convex_boundary(rng)
-    finite_witnesses = WitnessSet(np.arange(6), {"kind": "all"})
+    finite_witnesses = WitnessSet(np.arange(6))
     out = detect_outcome(m, 2, 60, witnesses=finite_witnesses, seed=14)
     assert out.tag == "FixedLine"
     assert set(out.line.members) == {0, 1}
@@ -307,7 +325,7 @@ def test_outcome_carries_its_orbit_but_does_not_report_it(rng):
     ]
     tags = []
     for m, x0, steps in cases:
-        W = (WitnessSet(np.arange(6)) if m.name == "swap"
+        W = (WitnessSet(np.arange(6)) if m.space.size is not None
              else WitnessSet.sampled(m.space, 32, seed=17))
         out = detect_outcome(m, x0, steps, witnesses=W, seed=17)
         again = orbit(m, x0, steps, witnesses=W, seed=17)

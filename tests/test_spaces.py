@@ -231,7 +231,7 @@ def test_sphere_witnesses_refuse_a_negative_count_and_keep_the_axes_at_zero():
         sphere_witnesses(-1, seed=0)
     W = sphere_witnesses(0, seed=0)
     assert np.array_equal(W.points, np.concatenate([np.eye(3), -np.eye(3)]))
-    assert W.descriptor["count"] == 6
+    assert len(W) == 6
 
 
 def test_det_sphere_space_audits_on_subsets(rng):

@@ -230,7 +230,7 @@ def test_index_orbit_written_by_to_csv_classifies_as_the_golden(tmp_path, monkey
     # library, is the golden index trace with a phi_step column
     finite = FiniteTwoMetricSpace.load(GOLDEN / "table.json")
     cycle = DDecreasingMap(
-        name="cycle", f=lambda i: (int(i) + 1) % 4, space=finite.as_space(),
+        f=lambda i: (int(i) + 1) % 4, space=finite.as_space(),
         claimed_factor=0.5, certified=False, domain_contains=lambda i: True,
         domain_sample=lambda r, n: r.integers(0, 4, size=n))
     trace = orbit(cycle, 0, 59, WitnessSet.all_of(finite))
