@@ -27,7 +27,6 @@ explicit seed recorded in the produced report.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -39,11 +38,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-
-# Axioms whose phi evaluations draw their sample tuples from the witness set
-# itself: the truncated sup then satisfies the derived inequalities exactly,
-# so a positive violation is a genuine defect, not truncation error.
-PHI_AXIOMS = ("N", "AT", "CostTriangle", "DphiLipschitz")
 
 AXIOM_ORDER = ("Sym", "Tetr", "Z", "N", "B", "Trans", "AT", "CostTriangle", "DphiLipschitz")
 
@@ -338,14 +332,6 @@ def _triples(n: int) -> np.ndarray:
     return np.column_stack((np.repeat(np.arange(n), counts), J[pick], K[pick]))
 
 
-def _rank(i, j, k, n: int):
-    """Position of the row (i, j, k), i < j < k, in ``_triples(n)``: the
-    triples whose first index is below i, then those with first index i and
-    second below j, then k - j - 1.  Ints or integer arrays."""
-    return (n * (n - 1) * (n - 2) - (n - i) * (n - i - 1) * (n - i - 2)) // 6 \
-        + ((n - i - 1) * (n - i - 2) - (n - j) * (n - j - 1)) // 2 + k - j - 1
-
-
 # One entry of the table file as ``json.dump(..., indent=2)`` lays it out,
 # and the number of entries formatted per write in ``save``.
 _ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n    }'
@@ -360,87 +346,71 @@ def _entry_ok(entry) -> bool:
 
 
 class _Table:
-    """The stored entries of a ``FiniteTwoMetricSpace``: one float per
-    triple i < j < k in ``_triples(n)`` order, 0.0 where no entry is
-    stored, and a mask of the triples that hold one.
+    """The write side of a ``FiniteTwoMetricSpace``.
 
     ``table[key] = value`` stores ``float(value)`` at the sorted triple of
-    a key in any index order, and drops the cached dense array.  Iteration
-    yields the stored sorted triples in lexicographic order, from a
-    snapshot taken when it starts, so the loop may write entries.  Values
-    are read through ``FiniteTwoMetricSpace.dense``.
+    a key in any index order, checked as the constructor checks keys;
+    ``operator.index`` converts each index.  Iteration yields the stored
+    sorted triples in lexicographic order, from a snapshot taken when it
+    starts, so the loop may write entries.  Values are read through
+    ``FiniteTwoMetricSpace.dense``.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.vector = np.zeros(n * (n - 1) * (n - 2) // 6)
-        self.present = np.zeros(len(self.vector), dtype=bool)
-        self.cached_dense = None
+    def __init__(self, space: "FiniteTwoMetricSpace"):
+        self.space = space
 
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """``_triples(n)``: the triple of each position."""
-        return _triples(self.n)
-
-    def rank(self, key) -> int:
-        """The position of a key's triple, checked as the constructor checks
-        keys; ``operator.index`` converts each index."""
+    def __setitem__(self, key, value) -> None:
+        s = self.space
         try:
             i, j, k = sorted(map(operator.index, key))
         except ValueError:
             raise ValueError(f"table keys must be index triples, got {key}") from None
-        if i < 0 or k >= self.n:
-            raise ValueError(f"triple {key} out of range for n={self.n}")
+        if i < 0 or k >= s.n:
+            raise ValueError(f"triple {key} out of range for n={s.n}")
         if i == j or j == k:
             raise ValueError(f"table stores distinct triples only, got {key}")
-        return _rank(i, j, k, self.n)
-
-    def store(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Write ``values`` at the sorted ``rows``; of two rows naming one
-        triple the later one wins, which numpy's fancy assignment alone does
-        not promise."""
-        ranks = _rank(*rows.T, self.n)
-        last = np.full(len(self.vector), -1)
-        np.maximum.at(last, ranks, np.arange(len(ranks)))
-        keep = last[ranks] == np.arange(len(ranks))
-        self.vector[ranks[keep]] = values[keep]
-        self.present[ranks[keep]] = True
-        self.cached_dense = None
-
-    def __setitem__(self, key, value) -> None:
-        r = self.rank(key)
-        self.vector[r] = float(value)
-        self.present[r] = True
-        self.cached_dense = None
+        value = float(value)
+        if not s._dense.flags.writeable:     # handed out by dense(): copy on write
+            s._dense, s._present = s._dense.copy(), s._present.copy()
+        for order in itertools.permutations((i, j, k)):
+            s._dense[order] = value
+        s._present[i, j, k] = True
 
     def __iter__(self):
-        return map(tuple, self.rows[self.present].tolist())
+        return zip(*(a.tolist() for a in np.nonzero(self.space._present)))
 
 
 class FiniteTwoMetricSpace:
     """A 2-metric on {0, ..., n-1} stored as a table over unordered triples.
 
-    Triples with a repeated index are implicitly 0, so permutation symmetry
-    and the degeneracy axiom hold by construction.  Entries live in [0, 1]
-    for valid spaces, but out-of-range values are representable so the audit
-    can find planted defects.  ``table`` is the packed store (see
-    ``_Table``): it takes writes and iterates over the stored triples, and
-    ``dense()`` reads it, with 0 on every triple it does not hold.
+    Triples with a repeated index are 0, so permutation symmetry and the
+    degeneracy axiom hold by construction.  Entries live in [0, 1] for valid
+    spaces, but out-of-range values are representable so the audit can find
+    planted defects.
+
+    The store is the symmetric (n, n, n) array that ``dense()`` returns and
+    a mask of the sorted triples that hold an entry.  ``table`` takes writes
+    and iterates over the stored triples (see ``_Table``).  A shallow copy
+    (``copy.copy``) shares both arrays, so it is for reading only.
     """
 
     def __init__(self, n: int, entries: dict[tuple[int, int, int], float] | None = None):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"point count must be an int, got {n!r}")
         _at_least(n, 1, "point count")
         self.n = int(n)
-        self._table = _Table(self.n)
+        self._dense = np.zeros((self.n,) * 3)
+        self._present = np.zeros((self.n,) * 3, dtype=bool)
         entries = entries or {}
         keys = list(entries)
-        # np.fromiter converts each index as int() does; an int beyond intp
-        # is out of range anyway, and clamping it keeps the first bad key
+        # np.fromiter stores each index as operator.index gives it; an int
+        # beyond intp is out of range anyway, and clamping it keeps the
+        # first bad key
         try:
-            K = np.fromiter(itertools.chain.from_iterable(keys), np.intp)
+            K = np.fromiter(map(operator.index, itertools.chain.from_iterable(keys)), np.intp)
         except OverflowError:
             big = np.iinfo(np.intp).max
-            K = np.array([min(max(int(v), -1), big)
+            K = np.array([min(max(operator.index(v), -1), big)
                           for v in itertools.chain.from_iterable(keys)], np.intp)
         if set(map(len, keys)) - {3}:
             key = next(key for key in keys if len(key) != 3)
@@ -454,31 +424,36 @@ class FiniteTwoMetricSpace:
             if not inside[bad[0]]:
                 raise ValueError(f"triple {key} out of range for n={n}")
             raise ValueError(f"table stores distinct triples only, got {key}")
-        self._table.store(K, np.fromiter(map(float, entries.values()), float, len(keys)))
+        self._store(K, np.fromiter(map(float, entries.values()), float, len(keys)))
+
+    def _store(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Write ``values`` at the sorted ``rows`` of a new table; of two
+        rows naming one triple the later one wins, which numpy's fancy
+        assignment alone does not promise."""
+        flat = np.ravel_multi_index(rows[::-1].T, self._dense.shape)
+        last = len(rows) - 1 - np.unique(flat, return_index=True)[1]
+        rows, values = rows[last].T, values[last]
+        for order in itertools.permutations(rows):
+            self._dense[order] = values
+        self._present[tuple(rows)] = True
 
     @property
     def table(self) -> _Table:
-        return self._table
+        return _Table(self)
 
     def d(self, i, j, k) -> float:
-        i, j, k = sorted((int(i), int(j), int(k)))
-        if i == j or j == k:
-            return 0.0
-        return float(self._table.vector[self._table.rank((i, j, k))])
+        key = (int(i), int(j), int(k))
+        if not all(0 <= v < self.n for v in key):
+            raise ValueError(f"triple {key} out of range for n={self.n}")
+        return float(self._dense[key])
 
     def dense(self) -> np.ndarray:
         """The table as a symmetric (n, n, n) array: each triple's value
         under all six orders of its indices, 0 on triples with a repeated
-        index.  Built once and kept until the next write to ``table``, which
-        leaves an array already returned as it was; read-only."""
-        T = self._table.cached_dense
-        if T is None:
-            T = np.zeros((self.n,) * 3)
-            for order in itertools.permutations(self._table.rows.T):
-                T[order] = self._table.vector
-            T.flags.writeable = False
-            self._table.cached_dense = T
-        return T
+        index or no entry.  Read-only: the next write to ``table`` copies
+        it first, so an array already returned never changes."""
+        self._dense.flags.writeable = False
+        return self._dense
 
     def as_space(self) -> TwoMetricSpace:
         """The table as a space on the indices, evaluated on its dense array.
@@ -509,8 +484,8 @@ class FiniteTwoMetricSpace:
         """
         P = np.asarray(points, dtype=float)
         space = FiniteTwoMetricSpace(len(P))
-        space._table.vector[:] = apply_rows(metric, *(P[r] for r in space._table.rows.T))
-        space._table.present[:] = True
+        rows = _triples(space.n)
+        space._store(rows, apply_rows(metric, *(P[r] for r in rows.T)))
         return space
 
     # -- JSON table format: {"n": int, "entries": [{"i","j","k","d"}, ...]} --
@@ -551,8 +526,7 @@ class FiniteTwoMetricSpace:
         block's values into tokens (``NaN`` and ``Infinity`` included),
         which go into the fixed entry layout.
         """
-        t = self._table
-        rows, values = t.rows[t.present].tolist(), t.vector[t.present].tolist()
+        rows, values = list(self.table), self._dense[self._present].tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{\n  "n": %d,\n  "entries": [' % self.n)
             for s in range(0, len(rows), _SAVE_BLOCK):
@@ -762,12 +736,13 @@ def quotient_by_zero_phi(space: FiniteTwoMetricSpace) -> FiniteTwoMetricSpace:
         return space
     index = {r: c for c, r in enumerate(roots)}
     cls = np.array([index[find(i)] for i in range(space.n)])
-    classes = np.sort(cls[space._table.rows], axis=1)
+    rows = _triples(space.n)
+    classes = np.sort(cls[rows], axis=1)
     distinct = (classes[:, 0] < classes[:, 1]) & (classes[:, 1] < classes[:, 2])
     out = FiniteTwoMetricSpace(len(roots))
     # the last value of a repeated class triple wins, as in the loop over
     # triples in lexicographic order
-    out._table.store(classes[distinct], space._table.vector[distinct])
+    out._store(classes[distinct], T[tuple(rows[distinct].T)])
     if np.triu(out.dense().max(axis=2) <= _ZERO_PHI, k=1).any():
         raise RuntimeError("quotient failed to become strictly reflexive")
     return out

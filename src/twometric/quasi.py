@@ -164,12 +164,14 @@ def _measure_factor(space: QuasiSpace, F, k: float, seed: int) -> float:
 
 
 def _iterate(space: QuasiSpace, F, x0, max_steps: int):
-    iterates = [x0]
-    residual = space.phi(x0, F(x0))
+    # each step maps once: the image of the last iterate is the next one
+    iterates, image = [x0], F(x0)
+    residual = space.phi(x0, image)
     # a NaN residual is no convergence: the run goes on to max_steps
     while not residual <= _TOL and len(iterates) <= max_steps:
-        iterates.append(F(iterates[-1]))
-        residual = space.phi(iterates[-1], F(iterates[-1]))
+        iterates.append(image)
+        image = F(image)
+        residual = space.phi(iterates[-1], image)
     return iterates, residual
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, _at_least, _stacks, broadcasting
+from .core import TwoMetricSpace, WitnessSet, _at_least, _stacks, _strict, broadcasting
 
 # ---------------------------------------------------------------------------
 # determinant metric on the unit sphere
@@ -286,7 +286,7 @@ class ConvexityBoundReport:
     degenerate_skipped: int
 
     def to_json(self) -> dict:
-        return {
+        return _strict({
             "r": float(self.r),
             "samples": int(self.samples),
             "seed": int(self.seed),
@@ -294,7 +294,7 @@ class ConvexityBoundReport:
             "lower_ratio": float(self.lower_ratio),
             "C": float(self.C),
             "degenerate_skipped": int(self.degenerate_skipped),
-        }
+        })
 
 
 def convexity_bound(radius: float = 0.2, samples: int = 10000,
@@ -312,8 +312,11 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
 
     h = patch.metric_batch(X, Y, Z)
     s = triangle_area2(X, Y, Z) + rho(X, Y, Z)
-    upper = float((h / s).max())
-    lower = float((s / h).max())
+    # at tiny radii the areas underflow to 0, and a ratio over 0 is NaN or
+    # infinite: the report carries it, and the CLI fails it, without warnings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = float((h / s).max())
+        lower = float((s / h).max())
     return ConvexityBoundReport(
         r=radius,
         samples=samples,

@@ -234,6 +234,17 @@ def test_convexity_subcommand_matches_baseline(tmp_path):
     assert payload["C"] >= 1.0
 
 
+def test_convexity_at_a_tiny_radius_is_a_failed_check(tmp_path):
+    # the areas underflow to 0 well inside the documented (0, 1/4): the
+    # constant is NaN, written as null, and the check fails without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["convexity", "--r", "1e-160", "--out", str(tmp_path)])
+    assert code == 1
+    payload = load(tmp_path / "convexity.json")["convexity"]
+    assert payload["C"] is None and payload["non_finite"] is True
+
+
 def test_enumerate_lines_subcommand(tmp_path, demo_table, capsys):
     code = main(["enumerate-lines", "--table", str(demo_table),
                  "--out", str(tmp_path)])

@@ -1,7 +1,8 @@
-"""Every name the package exports, and every method and field of its
-classes, is reached from the package or the benchmark, not only from
-tests: a helper that only tests call is an oracle and belongs in
-``tests/``, and a field that only tests read is dead weight."""
+"""Every name the package exports, every method and field of its classes
+and every UPPER_CASE module constant is reached from the package or the
+benchmark, not only from tests: a helper that only tests call is an oracle
+and belongs in ``tests/``, and a field or constant that only tests read is
+dead weight."""
 
 from __future__ import annotations
 
@@ -39,16 +40,27 @@ def fields() -> set[str]:
             for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
 
 
+def constants() -> set[str]:
+    """The UPPER_CASE names assigned at the top level of the package's
+    modules."""
+    return {t.id for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and t.id.isupper()}
+
+
 def reads(path: Path) -> list[tuple[str, frozenset, bool]]:
     """Each name a module reads, as a name or an attribute, with the names
     of the defs and classes around the read and whether it is an attribute
-    that is loaded (an assignment to an attribute does not read it)."""
+    that is loaded (an assignment to a name does not read it, nor does one
+    to an attribute)."""
     found = []
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.append((node.id, inside, False))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, inside, isinstance(node.ctx, ast.Load)))
@@ -104,3 +116,11 @@ def test_every_field_is_read_as_an_attribute():
     found = [(name, inside) for path in MODULES
              for name, inside, attribute in reads(path) if attribute]
     assert unreached(fields(), found) == []
+
+
+def test_every_module_constant_is_read_outside_its_own_definition():
+    """UPPER_CASE module constants by the rule of the export check: each
+    must be read, as a name or an attribute, in the package or the
+    benchmark.  A constant that only tests read belongs in the tests."""
+    found = [(name, inside) for path in MODULES for name, inside, _ in reads(path)]
+    assert unreached(constants(), found) == []

@@ -5,6 +5,7 @@ every artifact."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -192,11 +193,24 @@ def test_writes_refuse_keys_that_name_no_triple(tmp_path):
     assert table_items(space) == [((0, 1, 2), 0.5)]
 
 
+@pytest.mark.parametrize("n, entries, error", [
+    (4.5, None, ValueError), (True, None, ValueError), (np.float64(4), None, ValueError),
+    (4, {(0.5, 1.9, 2): 0.3}, TypeError),
+    (4, {(0, 1, 2): 0.5, (1, np.float64(2), 3): 0.25}, TypeError),
+])
+def test_point_counts_and_key_indices_are_ints(n, entries, error):
+    # refused, not truncated, as the table file reader refuses a fractional
+    # or bool count and a table write refuses a float index
+    with pytest.raises(error):
+        FiniteTwoMetricSpace(n, entries)
+    assert FiniteTwoMetricSpace(np.int64(4), {(np.int64(0), 1, 2): 0.5}).n == 4
+
+
 def per_key_table(n, entries):
     """The constructor as one key at a time: the oracle of its one pass."""
     table = {}
     for key, value in entries.items():
-        i, j, k = sorted(int(v) for v in key)
+        i, j, k = sorted(map(operator.index, key))
         if not (0 <= i < n and k < n):
             raise ValueError(f"triple {key} out of range for n={n}")
         if len({i, j, k}) < 3:

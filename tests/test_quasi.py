@@ -13,6 +13,7 @@ from twometric import (ContractionViolation, QuasiSpace, WitnessSet,
                        banach_direct, banach_multcost, banach_power,
                        check_quasi_axioms, demo_five_point_space,
                        interval_space, minimal_power, quasi_from_two_metric)
+from twometric.core import broadcasting
 
 
 def tail_bound_oracle(space, F, x0, run, k):
@@ -192,6 +193,20 @@ def test_power_with_factor_near_one():
     assert run.power == 69
     assert run.residual <= 1e-10
     assert abs(run.fixed_point) <= 1e-9
+
+
+def test_each_step_maps_once():
+    calls = []
+
+    @broadcasting
+    def F(x):
+        calls.append(x)
+        return 0.4 * x
+
+    run = banach_direct(interval_space(C=2.0), F, 1.0, 0.4)
+    # two stacked calls measure the factor, then each iterate x_0 ... x_steps
+    # is mapped once
+    assert run.steps > 10 and len(calls) == 2 + run.steps + 1
 
 
 def test_solvers_refuse_a_negative_step_count():

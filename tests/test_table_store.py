@@ -1,6 +1,6 @@
-"""The packed table store: its writes against a dict oracle, the
-byte-keyed closure dedupe against the boolean-row form it replaced, and a
-golden 12-point table with its audit and lines."""
+"""The table store, a dense array and a mask: its writes against a dict
+oracle, the byte-keyed closure dedupe against the boolean-row form it
+replaced, and a golden 12-point table with its audit and lines."""
 
 from __future__ import annotations
 
