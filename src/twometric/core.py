@@ -268,7 +268,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     A coordinate point fills the last axis of a float array; an index point
     is one entry of an integer array.  A kernel marked ``broadcasting`` gets
     the broadcast inputs directly; any other kernel gets the materialised
-    rows through ``_d_many``.
+    rows through ``_d_many``.  A kernel that declares ``factors`` computes
+    its inner part once per scan where ``_inner_table`` allows.
     Every call covers about ``_ROW_BUDGET`` rows at most, split along the
     first axis.
     """
@@ -296,10 +297,42 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
 
     out = np.empty(lead[:-1])
     step = max(1, _ROW_BUDGET // math.prod(lead[1:]))
+    table = _inner_table(space.d_batch, *arrays[1:], lead)
     for s in range(0, lead[0], step):
         parts = [A if len(A) == 1 else A[s:s + step] for A in arrays]
-        out[s:s + step] = evaluate(*parts).max(axis=-1)
+        if table is None:
+            values = evaluate(*parts)
+        else:
+            outer, T, inverse = table
+            values = outer(parts[0], T if inverse is None else T[inverse[s:s + step]])
+        out[s:s + step] = values.max(axis=-1)
     return out.reshape(shape[:-1])
+
+
+def _inner_table(kernel, Y, Z, lead) -> tuple | None:
+    """For a kernel that declares ``factors = (inner, outer)``, with
+    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, and Z fixed
+    along the first axis of ``_d_max``'s scan: ``(outer, T, inverse)``
+    where ``inner(Y, Z)`` is ``T``, or ``T[inverse]`` when Y repeats along
+    that axis; None where the scan keeps the kernel itself.
+
+    A repeating Y takes one table over its distinct rows, told apart by
+    their bytes so that -0.0 and 0.0, and NaN patterns, stay apart.  That
+    pays only with fewer distinct rows than scan entries, and the table
+    holds at most ``_ROW_BUDGET`` rows.
+    """
+    inner, outer = getattr(kernel, "factors", (None, None))
+    if inner is None or len(Z) != 1:
+        return None
+    if len(Y) == 1:
+        return outer, inner(Y, Z), None
+    rows = np.ascontiguousarray(Y).reshape(len(Y), math.prod(Y.shape[1:]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(Y) or len(first) * math.prod(lead[1:]) > _ROW_BUDGET:
+        return None
+    # a fancy index along the first axis gathers fastest from C order
+    return outer, np.ascontiguousarray(inner(Y[first], Z)), inverse
 
 
 # Sampled pairs, and their seed, behind ``witness_refinement_gap``.
@@ -431,8 +464,12 @@ class FiniteTwoMetricSpace:
         rows naming one triple the later one wins, which numpy's fancy
         assignment alone does not promise."""
         flat = np.ravel_multi_index(rows[::-1].T, self._dense.shape)
-        last = len(rows) - 1 - np.unique(flat, return_index=True)[1]
-        rows, values = rows[last].T, values[last]
+        # rows in strictly increasing order, as ``_triples`` and a saved
+        # file give them, name each triple once
+        if not (flat[1:] < flat[:-1]).all():
+            last = len(rows) - 1 - np.unique(flat, return_index=True)[1]
+            rows, values = rows[last], values[last]
+        rows = rows.T
         for order in itertools.permutations(rows):
             self._dense[order] = values
         self._present[tuple(rows)] = True

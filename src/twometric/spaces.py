@@ -78,21 +78,38 @@ def _differences(a, b) -> list:
     return [np.subtract(q, p, out=np.empty(shape)) for p, q in zip(a, b)]
 
 
+def _cross(Y, Z) -> np.ndarray:
+    """The cross products ``y x z`` of rows that broadcast, written out as
+    ``np.cross`` computes them, with the three coordinates on the last axis.
+    Each coordinate is one contiguous buffer, which ``_dot`` reads fastest."""
+    y, z = _coords(Y), _coords(Z)
+    shape = np.broadcast_shapes(np.shape(y[0]), np.shape(z[0]))
+    c, term = np.empty((3,) + shape), np.empty(shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(y[j], z[k], out=c[i, ...])
+        np.subtract(c[i, ...], np.multiply(y[k], z[j], out=term), out=c[i, ...])
+    return np.moveaxis(c, 0, -1)
+
+
+def _det_outer(X, C) -> np.ndarray:
+    """``|x . c|`` of rows that broadcast, with the dot product as ``_dot``."""
+    out = _dot(_coords(X), _coords(C))
+    return np.abs(out, out=out)[()]
+
+
 @broadcasting
 def det_metric_batch(X, Y, Z) -> np.ndarray:
     """|det [x y z]| row by row: ``x . (y x z)`` with the cross product
-    written out as ``np.cross`` computes it, into three buffers, and the
-    dot product as ``_dot``.  Each row has the bits of
+    written out as ``np.cross`` computes it, and the dot product as
+    ``_dot``.  Each row has the bits of
     ``abs(einsum("...j,...j->...", X, np.cross(Y, Z)))`` on C-ordered
     inputs, whatever the layout of the inputs."""
-    x, y, z = _coords(X), _coords(Y), _coords(Z)
-    shape = np.broadcast_shapes(np.shape(y[0]), np.shape(z[0]))
-    c, term = [np.empty(shape) for _ in range(3)], np.empty(shape)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(y[j], z[k], out=c[i])
-        np.subtract(c[i], np.multiply(y[k], z[j], out=term), out=c[i])
-    out = _dot(x, c)
-    return np.abs(out, out=out)[()]
+    return _det_outer(X, _cross(Y, Z))
+
+
+# kernel(X, Y, Z) == outer(X, inner(Y, Z)) bit for bit: ``core._d_max``
+# computes the inner part once for rows whose (y, z) repeat
+det_metric_batch.factors = (_cross, _det_outer)
 
 
 def antipodal_canon(x) -> np.ndarray:

@@ -47,6 +47,15 @@ def test_constructor_keeps_the_last_of_two_keys_for_one_triple():
     assert table_items(space) == [((0, 1, 2), 0.75), ((2, 3, 4), 0.5)]
 
 
+def test_keys_in_increasing_order_and_a_triple_named_twice_in_a_row():
+    # rows in strictly increasing order name each triple once, and skip the
+    # dedupe; a triple named twice in a row keeps its later value
+    entries = {(0, 1, 2): 0.25, (0, 1, 3): 0.5, (1, 2, 3): 0.125}
+    assert table_items(FiniteTwoMetricSpace(4, entries)) == sorted(entries.items())
+    space = FiniteTwoMetricSpace(4, {(0, 1, 2): 0.25, (2, 1, 0): 0.75, (1, 2, 3): 0.5})
+    assert table_items(space) == [((0, 1, 2), 0.75), ((1, 2, 3), 0.5)]
+
+
 def test_dense_is_cached_read_only_and_dropped_by_a_write():
     space = FiniteTwoMetricSpace(4, {(0, 1, 2): 0.5})
     T = space.dense()
