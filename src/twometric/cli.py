@@ -365,9 +365,7 @@ def cmd_convexity(cfg) -> int:
 
 
 def cmd_enumerate_lines(cfg) -> int:
-    if not cfg["table"]:
-        raise ConfigError("--table is required")
-    finite = FiniteTwoMetricSpace.load(cfg["table"])
+    _, _, finite = _space_for("finite", cfg)
     lines = enumerate_lines(finite)
     _write_json(Path(cfg["out"]) / "lines.json",
                 _report(cfg, lines=[list(line.members) for line in lines]))

@@ -205,14 +205,14 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
     """
     _at_least(steps, 0, "step count")
-    if map_.domain_contains is not None and not map_.domain_contains(x0):
+    if not map_.domain_contains(x0):
         raise ValueError("start point outside the map's restricted domain")
     pts = [x0]
     truncated = False
     diagnostic = None
     for i in range(steps):
         nxt = map_.f(pts[-1])
-        if map_.domain_contains is not None and not map_.domain_contains(nxt):
+        if not map_.domain_contains(nxt):
             truncated = True
             diagnostic = f"iterate {i + 1} left the domain; trace truncated"
             break

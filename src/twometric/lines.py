@@ -158,14 +158,18 @@ def enumerate_lines(space: FiniteTwoMetricSpace) -> list[Line]:
 # tail residuals and classification
 # ---------------------------------------------------------------------------
 
+def _subsample(count: int, size: int):
+    """An index of ``size`` of ``count`` rows, drawn without repeats from
+    ``_SUBSAMPLE_SEED``; of every row when there are no more."""
+    if count <= size:
+        return slice(None)
+    return np.random.default_rng(_SUBSAMPLE_SEED).choice(count, size=size, replace=False)
+
+
 def _pair_arrays(length: int, start: int):
     idx_i, idx_j = np.triu_indices(length - start, k=1)
-    idx_i, idx_j = idx_i + start, idx_j + start
-    if len(idx_i) > _MAX_PAIRS:
-        pick = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-            len(idx_i), size=_MAX_PAIRS, replace=False)
-        idx_i, idx_j = idx_i[pick], idx_j[pick]
-    return idx_i, idx_j
+    pick = _subsample(len(idx_i), _MAX_PAIRS)
+    return idx_i[pick] + start, idx_j[pick] + start
 
 
 def _triple_arrays(length: int, start: int):
@@ -179,10 +183,7 @@ def _triple_arrays(length: int, start: int):
                                    2 * _MAX_TRIPLES, _MAX_TRIPLES)
     else:
         combos = _triples(m)
-        if len(combos) > _MAX_TRIPLES:
-            pick = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-                len(combos), size=_MAX_TRIPLES, replace=False)
-            combos = combos[pick]
+        combos = combos[_subsample(len(combos), _MAX_TRIPLES)]
     return combos + start
 
 

@@ -1,11 +1,10 @@
 """The table store, a dense array and a mask: its writes against a dict
 oracle, the byte-keyed closure dedupe against the boolean-row form it
-replaced, and a golden 12-point table with its audit and lines."""
+replaced, and the bytes of a golden 12-point table."""
 
 from __future__ import annotations
 
 import json
-import re
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -204,34 +203,6 @@ def test_golden_table_bytes(tmp_path):
     FiniteTwoMetricSpace.load(GOLDEN / "table.json").save(tmp_path / "reloaded.json")
     assert (tmp_path / "tabulated.json").read_bytes() == want
     assert (tmp_path / "reloaded.json").read_bytes() == want
-
-
-def test_golden_table_audit_and_lines(tmp_path, monkeypatch):
-    # relative paths, so the echoed config matches the committed one
-    (tmp_path / "table.json").write_bytes((GOLDEN / "table.json").read_bytes())
-    monkeypatch.chdir(tmp_path)
-    assert main(["audit", "--space=finite", "--table=table.json", "--out=."]) == 0
-    assert main(["enumerate-lines", "--table=table.json", "--out=."]) == 0
-    for name in ("audit.json", "lines.json"):
-        got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""',
-                     (tmp_path / name).read_text(encoding="utf-8"))
-        assert got == (GOLDEN / name).read_text(encoding="utf-8")
-
-
-def test_golden_index_trace_classification(tmp_path, monkeypatch):
-    # the index column of a trace on the 12-point table: 0, 1, 2, 3 repeated,
-    # which runs along the planted line {0, 1, 2, 3}
-    for name in ("table.json", "index_trace.csv"):
-        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
-    monkeypatch.chdir(tmp_path)
-    assert main(["classify", "--space=finite", "--table=table.json",
-                 "--input=index_trace.csv", "--out=."]) == 0
-    got = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""',
-                 (tmp_path / "classification.json").read_text(encoding="utf-8"))
-    assert got == (GOLDEN / "classification.json").read_text(encoding="utf-8")
-    verdict = json.loads(got)["classification"]
-    assert verdict["tag"] == "LineCase" and verdict["notes"] == []
-    assert verdict["line"]["members"] == [0, 1, 2, 3]
 
 
 def test_index_orbit_written_by_to_csv_classifies_as_the_golden(tmp_path, monkeypatch):
