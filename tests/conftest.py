@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, area_metric, det_metric
+from twometric.cli import main
 from twometric.lines import _pair_arrays
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_sphere_points(rng: np.random.Generator, n: int,
@@ -126,6 +131,23 @@ def oracle_maximal_colinear(space: FiniteTwoMetricSpace,
         if not any(s < other for other in colinear_sets):
             maximal.add(s)
     return maximal
+
+
+def check_golden(tmp_path: Path, golden: str, inputs, commands, compared) -> None:
+    """Copy ``inputs`` from ``tests/data/<golden>`` into ``tmp_path``, run
+    each CLI command there with ``--out=.`` and assert its exit code, then
+    compare each of ``compared`` byte for byte with the golden, JSON with
+    the timestamp blanked.  The caller has chdir'd into ``tmp_path``, so
+    relative paths give the echoed config of the committed files."""
+    for name in inputs:
+        (tmp_path / name).write_bytes((DATA / golden / name).read_bytes())
+    for argv, code in commands:
+        assert main(argv + ["--out=."]) == code, argv
+    for name in compared:
+        got = (tmp_path / name).read_bytes()
+        if name.endswith(".json"):
+            got = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', got)
+        assert got == (DATA / golden / name).read_bytes(), name
 
 
 @pytest.fixture

@@ -1,18 +1,16 @@
 """The golden artifacts under ``tests/data/``: every CLI run whose files are
 compared byte for byte, JSON with the timestamp blanked, and classify of a
-demo trace against the classification its outcome holds."""
+demo trace against the classification its outcome holds.  The 12-point
+table's runs are checked in ``test_table_store.py``, beside its bytes."""
 
 from __future__ import annotations
 
 import json
-import re
-from pathlib import Path
 
 import pytest
 
+from conftest import check_golden
 from twometric.cli import main
-
-DATA = Path(__file__).parent / "data"
 
 # golden directory -> (files copied in from it, commands run there with
 # their exit codes, files compared with it).  The commands take relative
@@ -31,29 +29,13 @@ GOLDENS = {
     "audit_det_sphere": ((), [(["audit", "--space=det-sphere", "--samples=10000"], 0)],
                          ("audit.json",)),
     "audit_area_ball5": ((), [(["audit", "--space=area-ball", "--dim=5"], 0)], ("audit.json",)),
-    # the 12-point table with a planted line {0, 1, 2, 3}; its index trace
-    # is 0, 1, 2, 3 repeated, which runs along that line
-    "table12": (("table.json", "index_trace.csv"), [
-        (["audit", "--space=finite", "--table=table.json"], 0),
-        (["enumerate-lines", "--table=table.json"], 0),
-        (["classify", "--space=finite", "--table=table.json", "--input=index_trace.csv"], 0),
-    ], ("audit.json", "lines.json", "classification.json")),
 }
 
 
 @pytest.mark.parametrize("golden", GOLDENS)
 def test_golden_bytes(tmp_path, monkeypatch, golden):
-    inputs, commands, compared = GOLDENS[golden]
-    for name in inputs:
-        (tmp_path / name).write_bytes((DATA / golden / name).read_bytes())
     monkeypatch.chdir(tmp_path)
-    for argv, code in commands:
-        assert main(argv + ["--out=."]) == code, argv
-    for name in compared:
-        got = (tmp_path / name).read_bytes()
-        if name.endswith(".json"):
-            got = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', got)
-        assert got == (DATA / golden / name).read_bytes(), name
+    check_golden(tmp_path, golden, *GOLDENS[golden])
 
 
 @pytest.mark.parametrize("steps", [200, 300])

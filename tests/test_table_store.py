@@ -1,6 +1,6 @@
 """The table store, a dense array and a mask: its writes against a dict
 oracle, the byte-keyed closure dedupe against the boolean-row form it
-replaced, and the bytes of a golden 12-point table."""
+replaced, and a golden 12-point table with its audit and lines."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sphere_points, table_items, table_json
+from conftest import check_golden, random_sphere_points, table_items, table_json
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace, WitnessSet, det_metric,
                        maximal_colinear_sets, orbit)
 from twometric.cli import main
@@ -203,6 +203,27 @@ def test_golden_table_bytes(tmp_path):
     FiniteTwoMetricSpace.load(GOLDEN / "table.json").save(tmp_path / "reloaded.json")
     assert (tmp_path / "tabulated.json").read_bytes() == want
     assert (tmp_path / "reloaded.json").read_bytes() == want
+
+
+def test_golden_table_audit_and_lines(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_golden(tmp_path, "table12", ("table.json",), [
+        (["audit", "--space=finite", "--table=table.json"], 0),
+        (["enumerate-lines", "--table=table.json"], 0),
+    ], ("audit.json", "lines.json"))
+
+
+def test_golden_index_trace_classification(tmp_path, monkeypatch):
+    # the index column of a trace on the 12-point table: 0, 1, 2, 3 repeated,
+    # which runs along the planted line {0, 1, 2, 3}
+    monkeypatch.chdir(tmp_path)
+    check_golden(tmp_path, "table12", ("table.json", "index_trace.csv"), [
+        (["classify", "--space=finite", "--table=table.json", "--input=index_trace.csv"], 0),
+    ], ("classification.json",))
+    verdict = json.loads((tmp_path / "classification.json").read_text(
+        encoding="utf-8"))["classification"]
+    assert verdict["tag"] == "LineCase" and verdict["notes"] == []
+    assert verdict["line"]["members"] == [0, 1, 2, 3]
 
 
 def test_index_orbit_written_by_to_csv_classifies_as_the_golden(tmp_path, monkeypatch):
