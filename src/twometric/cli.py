@@ -297,6 +297,11 @@ def cmd_certify(cfg) -> int:
     if not np.linalg.cond(A) <= base["max_condition"]:
         raise ConfigError(f"--A has condition number {np.linalg.cond(A):.6g}, above the "
                           f"calibrated family's cap {base['max_condition']:g}")
+    # and only on the patch it was calibrated on
+    patch = (base["patch_r"], base["inner_radius"])
+    if cfg["C_prime"] is None and (cfg["r"], cfg["inner"]) != patch:
+        raise ConfigError(f"the calibrated C' holds for --r {patch[0]} --inner {patch[1]}; "
+                          f"give --C-prime for --r {cfg['r']} --inner {cfg['inner']}")
     C_prime = cfg["C_prime"] if cfg["C_prime"] is not None else base["C_prime"]
     mu = cfg["quad"]
 

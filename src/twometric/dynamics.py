@@ -284,11 +284,11 @@ class Outcome:
 
 def _fixed_point_outcome(map_, y, witnesses, thresholds, measured, cls):
     residual = eval_phi(map_.space, y, map_.f(y), witnesses)
-    if residual <= thresholds.fixed_point:
-        return Outcome("FixedPoint", measured, cls, point=y, residual=residual)
+    fixed = residual <= thresholds.fixed_point
     return Outcome(
-        "Indeterminate", measured, cls, point=y, residual=residual,
-        diagnostic=f"candidate residual {residual:.3g} exceeds {thresholds.fixed_point:.3g}")
+        "FixedPoint" if fixed else "Indeterminate", measured, cls, point=y, residual=residual,
+        diagnostic=None if fixed else
+        f"candidate residual {residual:.3g} exceeds {thresholds.fixed_point:.3g}")
 
 
 def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
@@ -317,10 +317,9 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
         return Outcome("Indeterminate", measured, diagnostic=trace.diagnostic)
     cls = classify(map_.space, trace.points, witnesses, thresholds)
 
-    if cls.tag == "CauchySequence":
-        return _fixed_point_outcome(map_, cls.limit, witnesses, thresholds, measured, cls)
-    if cls.tag == "UniquePoint":
-        return _fixed_point_outcome(map_, cls.point, witnesses, thresholds, measured, cls)
+    if cls.tag in ("CauchySequence", "UniquePoint"):
+        y = cls.limit if cls.tag == "CauchySequence" else cls.point
+        return _fixed_point_outcome(map_, y, witnesses, thresholds, measured, cls)
     if cls.tag != "LineCase":
         return Outcome("Indeterminate", measured, cls,
                        diagnostic="no candidate limit point passed the tail residual")
@@ -337,17 +336,15 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
     min_residual = float(eval_phi(map_.space, members, images, witnesses).min())
 
-    reported = replace(line, members=tuple(members))
+    base = Outcome("Indeterminate", measured, cls, line=replace(line, members=tuple(members)),
+                   invariance_defect=invariance_defect, min_point_residual=min_residual)
 
     # Two separated image points must regenerate the same line.  A NaN pair
     # distance is neither separated nor collapsed, so it decides nothing.
     spread = eval_phi(map_.space, images[:1], images, witnesses)
     if np.isnan(spread).any():
-        return Outcome(
-            "Indeterminate", measured, cls, line=reported,
-            invariance_defect=invariance_defect, min_point_residual=min_residual,
-            diagnostic=f"pair distance between mapped line members 0 and "
-                       f"{np.isnan(spread).argmax()} is NaN")
+        return replace(base, diagnostic=f"pair distance between mapped line members 0 and "
+                                        f"{np.isnan(spread).argmax()} is NaN")
     far = np.flatnonzero(spread > thresholds.min_phi)
     if not len(far):
         # The image collapses to one point, which must then be fixed.
@@ -356,12 +353,6 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     uniqueness_ok = bool(through.contains_each(map_.space, [line.g1, line.g2]).all())
 
     if invariance_defect <= thresholds.colinear and uniqueness_ok:
-        return Outcome("FixedLine", measured, cls, line=reported,
-                       invariance_defect=invariance_defect,
-                       uniqueness_ok=uniqueness_ok,
-                       min_point_residual=min_residual)
-    return Outcome(
-        "Indeterminate", measured, cls, line=reported,
-        invariance_defect=invariance_defect, uniqueness_ok=uniqueness_ok,
-        min_point_residual=min_residual,
-        diagnostic="line invariance or uniqueness check failed at tolerance")
+        return replace(base, tag="FixedLine", uniqueness_ok=uniqueness_ok)
+    return replace(base, uniqueness_ok=uniqueness_ok,
+                   diagnostic="line invariance or uniqueness check failed at tolerance")

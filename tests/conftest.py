@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, area_metric, det_metric
-from twometric.cli import main
+from twometric import cli
 from twometric.lines import _pair_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -142,12 +142,52 @@ def check_golden(tmp_path: Path, golden: str, inputs, commands, compared) -> Non
     for name in inputs:
         (tmp_path / name).write_bytes((DATA / golden / name).read_bytes())
     for argv, code in commands:
-        assert main(argv + ["--out=."]) == code, argv
+        assert cli.main(argv + ["--out=."]) == code, argv
     for name in compared:
         got = (tmp_path / name).read_bytes()
         if name.endswith(".json"):
             got = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', got)
         assert got == (DATA / golden / name).read_bytes(), name
+
+
+# the 12-point table's golden runs, in ``check_golden``'s form: checked in
+# ``test_table_store.py`` and at other row budgets in ``test_goldens.py``
+TABLE12 = {
+    "audit-and-lines": (("table.json",), [
+        (["audit", "--space=finite", "--table=table.json"], 0),
+        (["enumerate-lines", "--table=table.json"], 0),
+    ], ("audit.json", "lines.json")),
+    # the index column of a trace on the 12-point table: 0, 1, 2, 3
+    # repeated, which runs along the planted line {0, 1, 2, 3}
+    "index-trace": (("table.json", "index_trace.csv"), [
+        (["classify", "--space=finite", "--table=table.json", "--input=index_trace.csv"], 0),
+    ], ("classification.json",)),
+}
+
+
+@pytest.fixture
+def refuses(tmp_path, capsys, monkeypatch):
+    """``refuses(argv, message, unreached=(), match=str.__eq__)`` runs
+    ``cli.main`` on ``argv`` with ``--out`` a fresh directory and asserts the
+    refusal contract: exit 2, one line on stderr that ``match``es
+    ``message`` (``str.startswith`` for messages that carry computed
+    numbers) and is no unexpected error unless ``message`` is one, nothing
+    on stdout, no ``--out`` directory, and none of the ``cli`` functions
+    named in ``unreached`` called."""
+    def check(argv, message, unreached=(), match=str.__eq__):
+        for name in unreached:
+            # pytest.fail is no Exception, so main cannot turn it into exit 2
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(
+                f"reached cli.{name}"))
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        line, newline, rest = captured.err.partition("\n")
+        assert newline and not rest and match(line, message), captured.err
+        # a warning or a crash inside main gives an "error: unexpected ..." line
+        assert "unexpected" not in line or "unexpected" in message, line
+        assert captured.out == "" and not out.exists()
+    return check
 
 
 @pytest.fixture

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -299,6 +302,14 @@ def test_ratio_constant_baseline_regression():
         triples=BASE["triples"], max_condition=BASE["max_condition"],
         seed=BASE["seed"])
     assert within_regression(report["C_prime"], BASE["C_prime"])
+
+
+def test_calibration_reproduces_the_packaged_baselines(tmp_path):
+    out = tmp_path / "baselines.json"
+    subprocess.run([sys.executable, "-m", "twometric.calibrate", "--out", str(out)],
+                   check=True, capture_output=True)
+    packaged = resources.files("twometric").joinpath("data/baselines.json").read_bytes()
+    assert out.read_bytes() == packaged
 
 
 def test_cert_result_json_schema():

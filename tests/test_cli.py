@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -138,16 +137,27 @@ def test_certify_prints_a_failed_conclusion(tmp_path, capsys):
                  "positive, got -1.0 and 0.0003125", id="negative-C-prime"),
     pytest.param(["--c-prime", "0"], "error: ratio constant and proximity budget must be "
                  "positive, got 6.479293052481191 and 0.0", id="zero-c-prime"),
+    # C' is calibrated on the patch r 0.2, inner 0.1 only
+    pytest.param(["--r", "0.1", "--inner", "0.05"], "config error: the calibrated C' holds for "
+                 "--r 0.2 --inner 0.1; give --C-prime for --r 0.1 --inner 0.05", id="patch-r0.1"),
+    pytest.param(["--r", "0.24", "--inner", "0.2"], "config error: the calibrated C' holds for "
+                 "--r 0.2 --inner 0.1; give --C-prime for --r 0.24 --inner 0.2", id="patch-r0.24"),
+    pytest.param(["--inner", "0.19"], "config error: the calibrated C' holds for --r 0.2 "
+                 "--inner 0.1; give --C-prime for --r 0.2 --inner 0.19", id="inner-0.19"),
+    pytest.param(["--json-config", "CFG"], "config error: the calibrated C' holds for --r 0.2 "
+                 "--inner 0.1; give --C-prime for --r 0.1 --inner 0.05", id="patch-in-config"),
 ])
-def test_certify_refuses_inputs_outside_the_calibration_exit_2(tmp_path, capsys, argv, message):
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["certify", *argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(message) and captured.out == ""
-    assert "unexpected" not in captured.err
-    assert not out.exists()
+def test_certify_refuses_inputs_outside_the_calibration_exit_2(tmp_path, refuses, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 0.1, "inner": 0.05}))
+    refuses(["certify", *[str(cfg) if a == "CFG" else a for a in argv]], message,
+            unreached=("certify",), match=str.startswith)
+
+
+def test_certify_with_its_own_C_prime_takes_any_patch(tmp_path):
+    assert main(["certify", "--r", "0.1", "--inner", "0.05", "--C-prime", "6.5",
+                 "--samples", "50", "--triples", "200", "--out", str(tmp_path)]) == 0
+    assert load(tmp_path / "certify.json")["result"]["C_prime"] == 6.5
 
 
 @pytest.mark.parametrize("quad, code", [(0.0, 0), (0.5, 1)])
@@ -201,10 +211,7 @@ def test_convexity_subcommand_matches_baseline(tmp_path):
 def test_convexity_at_a_tiny_radius_is_a_failed_check(tmp_path):
     # the areas underflow to 0 well inside the documented (0, 1/4): the
     # constant is NaN, written as null, and the check fails without warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["convexity", "--r", "1e-160", "--out", str(tmp_path)])
-    assert code == 1
+    assert main(["convexity", "--r", "1e-160", "--out", str(tmp_path)]) == 1
     payload = load(tmp_path / "convexity.json")["convexity"]
     assert payload["C"] is None and payload["non_finite"] is True
 
@@ -238,20 +245,18 @@ def test_config_file_merging_and_flag_precedence(tmp_path):
     assert payload["config"]["seed"] == 9       # file fills the rest
 
 
-def test_unknown_config_fields_rejected(tmp_path, capsys):
+def test_unknown_config_fields_rejected(tmp_path, refuses):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"space": "det-sphere", "bogus": 1}))
-    code = main(["audit", "--json-config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2
-    assert "unknown config fields" in capsys.readouterr().err
+    refuses(["audit", "--json-config", str(cfg)], "unknown config fields",
+            unreached=("audit",), match=str.__contains__)
 
 
-def test_missing_table_is_a_usage_error(tmp_path, capsys):
+def test_missing_table_is_a_usage_error(refuses):
     # audit and enumerate-lines give one refusal
     for argv in (["audit", "--space", "finite"], ["enumerate-lines"]):
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "config error: --table is required for finite spaces\n"
-    assert main(["classify", "--space", "det-sphere", "--out", str(tmp_path)]) == 2
+        refuses(argv, "config error: --table is required for finite spaces")
+    refuses(["classify", "--space", "det-sphere"], "config error: --input trace CSV is required")
 
 
 def table_file(second: dict) -> dict:
@@ -278,16 +283,12 @@ def table_file(second: dict) -> dict:
                  id="first-entry-without-d"),
     pytest.param(table_file([1, 2, 3, 0.25]), "table entry 1 ", id="entry-not-an-object"),
 ])
-def test_malformed_table_files_exit_2(tmp_path, capsys, payload, message):
+def test_malformed_table_files_exit_2(tmp_path, refuses, payload, message):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     for argv in (["enumerate-lines"], ["audit", "--space", "finite"]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv + ["--table", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and "unexpected" not in err
-    assert not (tmp_path / "out").exists()
+        refuses([*argv, "--table", str(path)], message,
+                match=lambda line, message: line.startswith("error: ") and message in line)
 
 
 def test_table_files_take_int_values_and_no_entries(tmp_path):
@@ -317,29 +318,26 @@ def test_audit_nan_table_fails_with_strict_json(tmp_path, capsys):
     assert flagged and all(r["max_violation"] is None for r in flagged)
 
 
-def test_ball_dimension_below_one_is_a_usage_error(tmp_path, capsys):
+def test_ball_dimension_below_one_is_a_usage_error(refuses):
     for dim in ("0", "-1"):
-        assert main(["audit", "--space", "area-ball", "--dim", dim,
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "dimension must be >= 1" in err and "Traceback" not in err
+        refuses(["audit", "--space", "area-ball", "--dim", dim], "dimension must be >= 1",
+                unreached=("audit",), match=str.__contains__)
 
 
-def test_unexpected_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch):
+def test_unexpected_errors_exit_2_with_one_line(refuses, monkeypatch):
     from twometric import cli
 
     def broken(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
     monkeypatch.setattr(cli, "audit", broken)
-    assert main(["audit", "--space", "det-sphere", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: unexpected ZeroDivisionError: float division by zero\n"
+    refuses(["audit", "--space", "det-sphere"],
+            "error: unexpected ZeroDivisionError: float division by zero")
 
 
-def test_bad_vector_is_a_usage_error(tmp_path):
-    assert main(["demo-equator", "--x0", "not,a,vector",
-                 "--out", str(tmp_path)]) == 2
+def test_bad_vector_is_a_usage_error(refuses):
+    refuses(["demo-equator", "--x0", "not,a,vector"],
+            "config error: cannot parse vector 'not,a,vector'", unreached=("detect_outcome",))
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,37 +348,14 @@ def test_bad_vector_is_a_usage_error(tmp_path):
     ["demo-equator", "--x0=inf,0,0"],
     ["banach", "--x0=-inf"],
 ])
-def test_non_finite_flags_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
-    from twometric import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the computation")
-
-    for name in ("certify", "detect_outcome", "banach_direct", "banach_power"):
-        monkeypatch.setattr(cli, name, no_work)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(argv + ["--out", str(out)]) == 2
-    assert caught == []
-    assert capsys.readouterr().err.startswith("config error: ")
-    assert not out.exists()
+def test_non_finite_flags_exit_2_before_any_work(refuses, argv):
+    refuses(argv, "config error: ", match=str.startswith,
+            unreached=("certify", "detect_outcome", "banach_direct", "banach_power"))
 
 
-def test_iterate_x0_of_another_length_than_dim_exits_2_before_any_work(
-        tmp_path, capsys, monkeypatch):
-    from twometric import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the computation")
-
-    monkeypatch.setattr(cli, "orbit", no_work)
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["iterate", "--map", "linear", "--x0=0.1,0.1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: --x0 has 2 coordinates but --dim is 3\n"
-    assert not out.exists()
+def test_iterate_x0_of_another_length_than_dim_exits_2_before_any_work(refuses):
+    refuses(["iterate", "--map", "linear", "--x0=0.1,0.1"],
+            "config error: --x0 has 2 coordinates but --dim is 3", unreached=("orbit",))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -388,21 +363,9 @@ def test_iterate_x0_of_another_length_than_dim_exits_2_before_any_work(
     (["--dim", "-1"], "--dim must be at least 1, got -1"),
     (["--angle", "0.3", "--dim", "1"], "--angle rotates the first two coordinates; --dim is 1"),
 ])
-def test_iterate_linear_dim_out_of_range_exits_2_before_any_work(
-        tmp_path, capsys, monkeypatch, args, message):
-    from twometric import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the computation")
-
-    monkeypatch.setattr(cli, "make_linear_map", no_work)
-    monkeypatch.setattr(cli, "orbit", no_work)
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["iterate", "--map", "linear", *args, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+def test_iterate_linear_dim_out_of_range_exits_2_before_any_work(refuses, args, message):
+    refuses(["iterate", "--map", "linear", *args], f"config error: {message}",
+            unreached=("make_linear_map", "orbit"))
 
 
 def test_iterate_linear_in_one_dimension_runs(tmp_path):
@@ -410,14 +373,9 @@ def test_iterate_linear_in_one_dimension_runs(tmp_path):
                  "--witnesses", "8", "--out", str(tmp_path)]) == 0
 
 
-def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
-        tmp_path, capsys):
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["demo-equator", "--x0=1e308,1e308,0", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: need a nonzero 3-vector with a finite norm\n"
-    assert not out.exists()
+def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(refuses):
+    refuses(["demo-equator", "--x0=1e308,1e308,0"],
+            "error: need a nonzero 3-vector with a finite norm")
 
 
 @pytest.mark.parametrize("csv_text, args, message", [
@@ -451,24 +409,13 @@ def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(
     ("", [], "trace CSV has no coordinate columns"),
     ("", ["--space=finite", "--table=TABLE"], "trace CSV has no index column"),
 ])
-def test_classify_bad_trace_exits_2_before_any_work(
-        tmp_path, capsys, monkeypatch, csv_text, args, message):
-    from twometric import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the computation")
-
-    monkeypatch.setattr(cli, "classify", no_work)
+def test_classify_bad_trace_exits_2_before_any_work(tmp_path, refuses, csv_text, args, message):
     trace = tmp_path / "trace.csv"
     trace.write_text(csv_text)
     demo_five_point_space().save(tmp_path / "demo5.json")
     args = [a.replace("TABLE", str(tmp_path / "demo5.json")) for a in args]
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["classify", f"--input={trace}", *args, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+    refuses(["classify", f"--input={trace}", *args], f"config error: {message}",
+            unreached=("classify",))
 
 
 SHORT_TRACE = ["0.6,0.0,0.8", "0.0,0.6,0.8", "0.8,0.0,0.6", "0.0,0.8,0.6", "0.6,0.8,0.0"]
@@ -483,13 +430,11 @@ def test_classify_a_trace_of_min_length_rows(tmp_path, rows):
     assert load(tmp_path / "classification.json")["classification"]["tag"] == "NoPoint"
 
 
-def test_classify_refuses_a_trace_of_two_rows(tmp_path, capsys):
+def test_classify_refuses_a_trace_of_two_rows(tmp_path, refuses):
     trace = tmp_path / "trace.csv"
     trace.write_text("x0,x1,x2\n" + "".join(f"{row}\n" for row in SHORT_TRACE[:2]))
-    assert main(["classify", f"--input={trace}", "--min-length", "2",
-                 "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: sequence length 2 below minimum 3\n"
-    assert not (tmp_path / "classification.json").exists()
+    refuses(["classify", f"--input={trace}", "--min-length", "2"],
+            "error: sequence length 2 below minimum 3")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -503,22 +448,16 @@ def test_classify_refuses_a_trace_of_two_rows(tmp_path, capsys):
     (["iterate", "--steps", "-3"], "step count must be >= 0"),
     (["banach", "--steps", "-1"], "step count must be >= 0"),
 ])
-def test_sample_counts_out_of_range_exit_2(tmp_path, capsys, argv, message):
+def test_sample_counts_out_of_range_exit_2(refuses, argv, message):
     # one form for every count refusal: the bound, then the value refused
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}, got {argv[2]}\n"
-    assert not out.exists()
+    refuses(argv, f"error: {message}, got {argv[2]}")
 
 
-def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
+def test_non_finite_config_file_values_exit_2(tmp_path, refuses):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"quad": NaN}')
-    assert main(["certify", "--json-config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "config error: quad must be finite, got nan\n"
-    assert not (tmp_path / "out").exists()
+    refuses(["certify", "--json-config", str(cfg)], "config error: quad must be finite, got nan",
+            unreached=("certify",))
 
 
 @pytest.mark.parametrize("config, message", [
@@ -534,20 +473,11 @@ def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
     pytest.param({"r": 10 ** 400}, f"r must be finite, got {10 ** 400}", id="int-past-float"),
 ])
 def test_wrongly_typed_config_file_values_exit_2_before_any_work(
-        tmp_path, capsys, monkeypatch, config, message):
-    from twometric import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached the computation")
-
-    monkeypatch.setattr(cli, "convexity_bound", no_work)
+        tmp_path, refuses, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["convexity", "--json-config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (tmp_path / "out").exists()
+    refuses(["convexity", "--json-config", str(cfg)], f"config error: {message}",
+            unreached=("convexity_bound",))
 
 
 def test_config_file_takes_an_int_for_a_float_and_null_without_a_default(tmp_path):

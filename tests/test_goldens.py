@@ -1,7 +1,8 @@
 """The golden artifacts under ``tests/data/``: every CLI run whose files are
-compared byte for byte, JSON with the timestamp blanked, and classify of a
-demo trace against the classification its outcome holds.  The 12-point
-table's runs are checked in ``test_table_store.py``, beside its bytes."""
+compared byte for byte, JSON with the timestamp blanked, the same bytes at
+other row budgets, and classify of a demo trace against the classification
+its outcome holds.  The 12-point table's runs are checked in
+``test_table_store.py``, beside its bytes."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import json
 
 import pytest
 
-from conftest import check_golden
+from conftest import TABLE12, check_golden
+from twometric import core, lines
 from twometric.cli import main
 
 # golden directory -> (files copied in from it, commands run there with
@@ -36,6 +38,20 @@ GOLDENS = {
 def test_golden_bytes(tmp_path, monkeypatch, golden):
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *GOLDENS[golden])
+
+
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
+@pytest.mark.parametrize("golden, run", [
+    *(pytest.param(golden, run, id=golden) for golden, run in GOLDENS.items()),
+    *(pytest.param("table12", run, id=f"table12-{name}") for name, run in TABLE12.items()),
+])
+def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
+    # lines imports the name, so patching core alone would leave classify's
+    # triple-modulus blocks at the default budget
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    monkeypatch.setattr(lines, "_ROW_BUDGET", budget)
+    monkeypatch.chdir(tmp_path)
+    check_golden(tmp_path, golden, *run)
 
 
 @pytest.mark.parametrize("steps", [200, 300])

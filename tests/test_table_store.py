@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_golden, random_sphere_points, table_items, table_json
+from conftest import TABLE12, check_golden, random_sphere_points, table_items, table_json
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace, WitnessSet, det_metric,
                        maximal_colinear_sets, orbit)
 from twometric.cli import main
@@ -207,19 +207,12 @@ def test_golden_table_bytes(tmp_path):
 
 def test_golden_table_audit_and_lines(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    check_golden(tmp_path, "table12", ("table.json",), [
-        (["audit", "--space=finite", "--table=table.json"], 0),
-        (["enumerate-lines", "--table=table.json"], 0),
-    ], ("audit.json", "lines.json"))
+    check_golden(tmp_path, "table12", *TABLE12["audit-and-lines"])
 
 
 def test_golden_index_trace_classification(tmp_path, monkeypatch):
-    # the index column of a trace on the 12-point table: 0, 1, 2, 3 repeated,
-    # which runs along the planted line {0, 1, 2, 3}
     monkeypatch.chdir(tmp_path)
-    check_golden(tmp_path, "table12", ("table.json", "index_trace.csv"), [
-        (["classify", "--space=finite", "--table=table.json", "--input=index_trace.csv"], 0),
-    ], ("classification.json",))
+    check_golden(tmp_path, "table12", *TABLE12["index-trace"])
     verdict = json.loads((tmp_path / "classification.json").read_text(
         encoding="utf-8"))["classification"]
     assert verdict["tag"] == "LineCase" and verdict["notes"] == []
