@@ -28,6 +28,12 @@ GOLDENS = {
     # the 300-step demo-equator trace: classify's random triple draws
     "classify_demo300": (("trace.csv",), [(["classify", "--input=trace.csv"], 0)],
                          ("classification.json",)),
+    # linear-map traces on the area ball (``iterate --map=linear --k=0.95
+    # --angle=1.7``): 300 steps scan every pair of the tail, 500 steps a
+    # seeded subsample of the pairs
+    **{f"classify_linear{steps}": (("trace.csv",), [(
+        ["classify", "--space=area-ball", "--witnesses=64", "--input=trace.csv"], 0)],
+        ("classification.json",)) for steps in (300, 500)},
     "audit_det_sphere": ((), [(["audit", "--space=det-sphere", "--samples=10000"], 0)],
                          ("audit.json",)),
     "audit_area_ball5": ((), [(["audit", "--space=area-ball", "--dim=5"], 0)], ("audit.json",)),
