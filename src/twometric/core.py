@@ -137,16 +137,23 @@ def _index_points(*arrays) -> bool:
     return all(A.dtype.kind in "iu" for A in arrays)
 
 
-def _lex_swap(X: np.ndarray, Y: np.ndarray, index: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair of X and Y, broadcast against each other, in lexicographic
-    order: index points by value, coordinate points by their first
-    differing coordinate."""
+def _swapped(X, Y, index: bool) -> np.ndarray:
+    """Where Y comes before X in lexicographic order, with X and Y
+    broadcast against each other: index points by value, coordinate points
+    by their first differing coordinate."""
+    lt = Y < X
     if index:
-        return np.minimum(X, Y), np.maximum(X, Y)
+        return lt
     # Y comes first when the first coordinate where it is below X is the
     # first coordinate where the two differ
-    lt = Y < X
-    swap = ((lt.argmax(axis=-1) == (X != Y).argmax(axis=-1)) & lt.any(axis=-1))[..., None]
+    return (lt.argmax(axis=-1) == (X != Y).argmax(axis=-1)) & lt.any(axis=-1)
+
+
+def _lex_swap(X: np.ndarray, Y: np.ndarray, index: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair of X and Y, broadcast against each other, in lexicographic
+    order (``_swapped``)."""
+    swap = _swapped(X, Y, index)
+    swap = swap if index else swap[..., None]
     return np.where(swap, Y, X), np.where(swap, X, Y)
 
 
@@ -211,20 +218,29 @@ class WitnessSet:
                           self.seed + 1)
 
 
-def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet):
+def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     """Pair distance max_w d(x, y, w) over the witness set.
 
     x and y are points or stacks of points that broadcast against each
-    other over their leading axes; points follow ``_d_max``'s rule.  One
-    pair gives a float, anything else an array of the broadcast leading
-    shape.  Each pair is put in lexicographic order first, so the result is
-    exactly symmetric in x and y.
+    other over their leading axes; points follow ``_d_max``'s rule.  With
+    ``points``, x and y are integer arrays of row numbers of ``points``
+    instead, and the pairs are those of ``points[x]`` and ``points[y]``
+    (``_d_max``'s index form).  One pair gives a float, anything else an
+    array of the broadcast leading shape.  Each pair is put in
+    lexicographic order first, so the result is exactly symmetric in x and
+    y.
     """
     X, Y, W = np.asarray(x), np.asarray(y), np.asarray(witnesses.points)
-    index = _index_points(X, Y, W)
-    X, Y = _lex_swap(X, Y, index)
-    at = (..., None) if index else (..., None, slice(None))  # the witness axis
-    out = _d_max(space, X[at], Y[at], W)
+    if points is None:
+        index = _index_points(X, Y, W)
+        X, Y = _lex_swap(X, Y, index)
+        at = (..., None) if index else (..., None, slice(None))  # the witness axis
+        out = _d_max(space, X[at], Y[at], W)
+    else:
+        P = np.concatenate([np.asarray(points), W])
+        swap = _swapped(P[X], P[Y], _index_points(P))
+        X, Y = np.where(swap, Y, X)[..., None], np.where(swap, X, Y)[..., None]
+        out = _d_max(space, X, Y, np.arange(len(P) - len(W), len(P)), P)
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,34 +267,56 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max`` and in the blocks of ``classify``'s
-# triple modulus (``lines.classify``).  A buffered kernel call holds several
-# row-sized buffers (seven in the det kernel: 1.8 MB at 2**15 rows).  On a
-# 2-core Xeon (4 MB L2 per core, numpy 2.4), 20 s sampled-audit runs gave
-# 9.5-10.5 verdicts/s at 2**14 and 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at
-# 2**18, where the buffers no longer fit in cache; contraction-verdicts and
-# finite-tables stayed level from 2**14 to 2**16.
+# Rows per metric call in ``_d_max``, per block of its Gram scans, and in
+# the blocks of ``classify``'s triple modulus (``lines.classify``).  A
+# buffered kernel call holds several row-sized buffers (seven in the det
+# kernel: 1.8 MB at 2**15 rows).  On a 2-core Xeon (4 MB L2 per core, numpy
+# 2.4), 20 s sampled-audit runs gave 9.5-10.5 verdicts/s at 2**14 and
+# 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at 2**18, where the buffers no longer
+# fit in cache; contraction-verdicts and finite-tables stayed level from
+# 2**14 to 2**16.  A Gram scan's edge tables and the det kernel's cross
+# table are bounded by it too.
 _ROW_BUDGET = 1 << 15
 
 
-def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
+def _d_max(space: TwoMetricSpace, X, Y, Z, points=None) -> np.ndarray:
     """Max of d(x, y, z) over the last leading axis, with X, Y, Z broadcast
     against each other over their leading axes.
 
     A coordinate point fills the last axis of a float array; an index point
-    is one entry of an integer array.  A kernel marked ``broadcasting`` gets
-    the broadcast inputs directly; any other kernel gets the materialised
-    rows through ``_d_many``.  A kernel that declares ``factors`` computes
-    its inner part once per scan where ``_inner_table`` allows.
-    Every call covers about ``_ROW_BUDGET`` rows at most, split along the
-    first axis.
+    is one entry of an integer array.  In the index form, with ``points``,
+    X, Y and Z are integer arrays of row numbers of ``points``, and the
+    scan is that of ``points[X]``, ``points[Y]`` and ``points[Z]``.
+
+    A kernel marked ``broadcasting`` gets the broadcast inputs directly; any
+    other kernel gets the materialised rows through ``_d_many``.  Two
+    declared factorisations compute less than one kernel row per scan row,
+    with the same bits: in the index form, a kernel's ``gram`` split
+    evaluates the scan from the edges between its points (``_gram_max``),
+    and a kernel's ``factors`` compute its inner part once per scan where
+    ``_inner_table`` allows.  Any other kernel in the index form gets the
+    gathered rows, as a call on ``points[X]``, ``points[Y]`` and
+    ``points[Z]`` would give them.  Every call covers about ``_ROW_BUDGET``
+    rows at most, split along the first axis.
     """
+    keys = None
+    if points is not None:
+        P = np.asarray(points)
+        X, Y, Z = (np.asarray(A) for A in (X, Y, Z))
+        split = getattr(space.d_batch, "gram", None)
+        split = split(P.shape[-1]) if split is not None and P.ndim == 2 else None
+        out = None if split is None else _gram_max(split, P, X, Y, Z)
+        if out is not None:
+            return out.reshape(np.broadcast_shapes(X.shape, Y.shape, Z.shape)[:-1])
+        keys, X, Y, Z = Y, P[X], P[Y], P[Z]
     arrays = [np.asarray(A) for A in (X, Y, Z)]
     k = 0 if _index_points(*arrays) else 1
     shape = np.broadcast(*arrays).shape
     shape = shape[:len(shape) - k]
     lead = (1,) * (2 - len(shape)) + shape
     arrays = [A.reshape((1,) * (len(lead) + k - A.ndim) + A.shape) for A in arrays]
+    if keys is not None:
+        keys = keys.reshape((1,) * (len(lead) - keys.ndim) + keys.shape)
 
     if getattr(space.d_batch, "broadcasts", False):
         evaluate = space.d_batch
@@ -297,7 +335,7 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
 
     out = np.empty(lead[:-1])
     step = max(1, _ROW_BUDGET // math.prod(lead[1:]))
-    table = _inner_table(space.d_batch, *arrays[1:], lead)
+    table = _inner_table(space.d_batch, *arrays[1:], lead, keys)
     for s in range(0, lead[0], step):
         parts = [A if len(A) == 1 else A[s:s + step] for A in arrays]
         if table is None:
@@ -309,30 +347,97 @@ def _d_max(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
     return out.reshape(shape[:-1])
 
 
-def _inner_table(kernel, Y, Z, lead) -> tuple | None:
+def _inner_table(kernel, Y, Z, lead, keys) -> tuple | None:
     """For a kernel that declares ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, and Z fixed
     along the first axis of ``_d_max``'s scan: ``(outer, T, inverse)``
     where ``inner(Y, Z)`` is ``T``, or ``T[inverse]`` when Y repeats along
     that axis; None where the scan keeps the kernel itself.
 
-    A repeating Y takes one table over its distinct rows, told apart by
-    their bytes so that -0.0 and 0.0, and NaN patterns, stay apart.  That
-    pays only with fewer distinct rows than scan entries, and the table
-    holds at most ``_ROW_BUDGET`` rows.
+    The rows of a repeating Y are told apart by their row numbers ``keys``
+    in the index form, so a scan without them keeps the kernel.  The table
+    pays only with fewer distinct rows than scan entries, and it holds at
+    most ``_ROW_BUDGET`` rows.
     """
     inner, outer = getattr(kernel, "factors", (None, None))
     if inner is None or len(Z) != 1:
         return None
     if len(Y) == 1:
         return outer, inner(Y, Z), None
-    rows = np.ascontiguousarray(Y).reshape(len(Y), math.prod(Y.shape[1:]))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if keys is None or math.prod(keys.shape[1:]) != 1:
+        return None
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     if len(first) == len(Y) or len(first) * math.prod(lead[1:]) > _ROW_BUDGET:
         return None
     # a fancy index along the first axis gathers fastest from C order
     return outer, np.ascontiguousarray(inner(Y[first], Z)), inverse
+
+
+def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
+    """``_d_max`` in the index form, by a kernel's Gram split ``(edges,
+    gram, finish)``: d(x, y, z) is ``finish(gram(u, uu, v, vv))`` for the
+    edges u = y - x and v = z - x with their squared lengths, bit for bit.
+    ``finish`` is non-decreasing and keeps a NaN, so the max of d over a row
+    is ``finish`` of the max of g, which is taken first.
+
+    Two layouts of a 2-D scan, and None for any other:
+
+    * x along the first axis, y and z along the last (``classify``'s
+      candidate scan).  One table holds the edges from each x to every
+      distinct y and z.  The scan's columns are grouped by y, so u is one
+      column of the table and v a block of its columns: a slice where the
+      z of a group run in steps of one, as the tail pairs of a whole tail
+      do.
+    * x and y along the first axis, z along the last (a phi scan).  The
+      rows are grouped by x, so u is one edge per row and v the edges from
+      that x to every z.
+    """
+    edges, gram, finish = split
+    if max(A.ndim for A in (X, Y, Z)) > 2:
+        return None
+    X, Y, Z = (A.reshape((1,) * (2 - A.ndim) + A.shape) for A in (X, Y, Z))
+    a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
+    if not a * b:
+        return None
+    out = np.empty(a)
+    if X.shape[1] == 1 and Y.shape[0] == Z.shape[0] == 1:
+        targets, at = np.unique(np.concatenate([np.broadcast_to(Y[0], b),
+                                                np.broadcast_to(Z[0], b)]), return_inverse=True)
+        order = np.lexsort((at[b:], at[:b]))
+        y, z = at[:b][order], at[b:][order]
+        starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]]).tolist()
+        ends = starts[1:] + [b]
+        breaks = np.cumsum(np.r_[1, np.diff(z)] != 1)
+        groups = [(y[lo], slice(z[lo], z[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
+                   else z[lo:hi]) for lo, hi in zip(starts, ends)]
+        x = np.broadcast_to(X[:, 0], a)
+        step = max(1, _ROW_BUDGET // max(len(targets), max(np.subtract(ends, starts))))
+        for s in range(0, a, step):
+            # targets down, x across: a group's v is a block of whole rows
+            e, n = edges(P[x[s:s + step]], P[targets][:, None])
+            G = np.full(n.shape[1], -np.inf)
+            for i, c in groups:
+                g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
+                np.maximum(G, g.max(axis=0), out=G)
+            out[s:s + step] = finish(G)
+        return out
+    if X.shape[1] == Y.shape[1] == 1 and Z.shape[0] == 1:
+        x, y = np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[:, 0], a)
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        eu, nu = edges(P[x], P[y[order]])
+        PZ = P[np.broadcast_to(Z[0], b)]
+        step = max(1, _ROW_BUDGET // b)
+        for s in range(0, a, step):
+            # z down, rows across: the edges from each x to every z, repeated
+            # over its rows, which are contiguous in x order
+            xs, counts = np.unique(x[s:s + step], return_counts=True)
+            ev, nv = edges(P[xs], PZ[:, None])
+            g = gram([u[s:s + step] for u in eu], nu[s:s + step],
+                     [np.repeat(v, counts, axis=1) for v in ev], np.repeat(nv, counts, axis=1))
+            out[order[s:s + step]] = finish(g.max(axis=0))
+        return out
+    return None
 
 
 # Sampled pairs, and their seed, behind ``witness_refinement_gap``.
@@ -716,7 +821,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     I = np.concatenate([nidx[:, 0], tidx[:, 0], tidx[:, 0], tidx[:, 2], qidx[:, 2]])
     J = np.concatenate([nidx[:, 1], tidx[:, 1], tidx[:, 2], tidx[:, 1], qidx[:, 3]])
     keys, inverse = np.unique(np.minimum(I, J) * m + np.maximum(I, J), return_inverse=True)
-    phi = eval_phi(space, Wpts[keys // m], Wpts[keys % m], witnesses)[inverse]
+    phi = eval_phi(space, keys // m, keys % m, witnesses, Wpts)[inverse]
     phi_n, phi_xy, phi_xz, phi_zy, phi_q = np.split(phi, len(nidx) + np.arange(4) * triples)
 
     records.append(_record_from("N", np.where(phi_n > tolerance, 0.0, 1.0),

@@ -222,15 +222,12 @@ class Classification:
         return out
 
 
-def _dedupe_candidates(candidates):
-    seen = set()
-    out = []
-    for c in candidates:
-        key = point_key(c)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
+def _first_of_each(points) -> list[int]:
+    """The positions of the points that differ, by ``point_key``, from
+    every point before them."""
+    seen: set = set()
+    return [i for i, key in enumerate(map(point_key, points))
+            if key not in seen and not seen.add(key)]
 
 
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
@@ -253,7 +250,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     start = n - max(3, int(round(n * thresholds.tail_fraction)))
 
     idx_i, idx_j = _pair_arrays(n, start)
-    cauchy_modulus = float(eval_phi(space, seq[idx_i], seq[idx_j], witnesses).max())
+    cauchy_modulus = float(eval_phi(space, idx_i, idx_j, witnesses, seq).max())
     # in blocks of _ROW_BUDGET rows; np.max of the block maxima keeps a NaN.
     # np.take gathers (n, 3) rows about 4x faster than seq[idx].
     combos = _triple_arrays(n, start)
@@ -262,9 +259,14 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
                          for k in range(3))).max()
         for s in range(0, len(combos), _ROW_BUDGET)]))
 
-    candidates = _dedupe_candidates(list(np.asarray(witnesses.points)) + list(seq[start:]))
-    # Tail residual of every candidate: one scan over candidates x pairs.
-    residuals = _d_max(space, np.asarray(candidates)[:, None], seq[idx_i], seq[idx_j])
+    # Candidates are the witnesses and the tail, each point once.  Tail
+    # residual of every candidate: one scan over candidates x pairs.
+    points = np.concatenate([np.asarray(witnesses.points), seq])
+    m = len(points) - n
+    rows = np.r_[:m, m + start:len(points)]
+    pick = rows[_first_of_each(points[rows])]
+    candidates = list(points[pick])
+    residuals = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points)
 
     passers = [c for c, r in zip(candidates, residuals) if r <= thresholds.lim]
 
@@ -310,7 +312,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
         pi, pj = np.triu_indices(len(passers), k=1)
-        phis = eval_phi(space, P[pi], P[pj], witnesses)
+        phis = eval_phi(space, pi, pj, witnesses, P)
         best = int(np.argmax(phis))
         g1, g2 = passers[pi[best]], passers[pj[best]]
         # Anti-Cauchy gap feeds the derived colinearity tolerance for the

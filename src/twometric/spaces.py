@@ -177,6 +177,29 @@ def area_metric(x, y, z) -> float:
     return 0.5 * float(np.sqrt(max(g, 0.0)))
 
 
+def _edges(A, B) -> tuple[list, np.ndarray]:
+    """The edges ``b - a`` of points on the last axis that broadcast, as
+    coordinate arrays, and their squared lengths as ``_dot`` sums them."""
+    e = _differences(_coords(A), _coords(B))
+    return e, _dot(e, e)
+
+
+def _gram(u, uu, v, vv) -> np.ndarray:
+    """The Gram determinant ``uu * vv - (u . v)**2`` of two edges given as
+    coordinate arrays, with their squared lengths ``uu`` and ``vv``."""
+    uv = _dot(u, v)
+    g = np.multiply(uu, vv, out=np.empty(np.shape(uv)))
+    return np.subtract(g, np.multiply(uv, uv), out=g)
+
+
+def _half_root(g) -> np.ndarray:
+    """``0.5 * sqrt(max(g, 0))``, in place: the area of a triangle whose
+    edges have the Gram determinant g.  Non-decreasing in g, and NaN at a
+    NaN."""
+    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+    return np.multiply(g, 0.5, out=g)[()]
+
+
 @broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
     """Triangle areas row by row, from the Gram determinant of the edges
@@ -186,18 +209,26 @@ def area_metric_batch(X, Y, Z) -> np.ndarray:
     C-ordered edges, since its order there follows the memory layout."""
     X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
     if X.shape[-1] < 8:
-        x, y, z = _coords(X), _coords(Y), _coords(Z)
-        u, v = _differences(x, y), _differences(x, z)
-        uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
-    else:
-        U, V = np.subtract(Y, X, order="C"), np.subtract(Z, X, order="C")
-        uu = np.einsum("...j,...j->...", U, U)
-        vv = np.einsum("...j,...j->...", V, V)
-        uv = np.einsum("...j,...j->...", U, V)
+        return _half_root(_gram(*_edges(X, Y), *_edges(X, Z)))
+    U, V = np.subtract(Y, X, order="C"), np.subtract(Z, X, order="C")
+    uu = np.einsum("...j,...j->...", U, U)
+    vv = np.einsum("...j,...j->...", V, V)
+    uv = np.einsum("...j,...j->...", U, V)
     g = np.multiply(uu, vv, out=np.empty(np.shape(uv)))
-    np.subtract(g, np.multiply(uv, uv), out=g)
-    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
-    return np.multiply(g, 0.5, out=g)[()]
+    return _half_root(np.subtract(g, np.multiply(uv, uv), out=g))
+
+
+def _gram_split(dim: int) -> tuple | None:
+    """The split ``(edges, gram, finish)`` of ``area_metric_batch`` for
+    points of ``dim`` coordinates, with ``kernel(X, Y, Z) ==
+    finish(gram(*edges(X, Y), *edges(X, Z)))`` bit for bit; None from 8
+    coordinates on, where the kernel sums by ``einsum``."""
+    return (_edges, _gram, _half_root) if dim < 8 else None
+
+
+# ``core._d_max`` computes the edges of an index scan once per pair of
+# points, and the Gram determinants without the edges of each row
+area_metric_batch.gram = _gram_split
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:

@@ -108,9 +108,9 @@ def test_audit_phi_checks_match_one_call_per_slot(name, triples):
 def test_audit_makes_one_phi_call_on_the_distinct_pairs(monkeypatch):
     calls = []
 
-    def counted(space, x, y, witnesses):
-        calls.append((np.asarray(x), np.asarray(y)))
-        return eval_phi(space, x, y, witnesses)
+    def counted(space, x, y, witnesses, points):
+        calls.append((points[x], points[y]))
+        return eval_phi(space, x, y, witnesses, points)
 
     monkeypatch.setattr(core, "eval_phi", counted)
     W = sphere_witnesses(128, 0)

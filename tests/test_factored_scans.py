@@ -1,11 +1,14 @@
-"""Factored det scans against the det kernel itself.
+"""Factored scans against the plain kernel on gathered rows.
 
 The det kernel declares ``factors = (_cross, _det_outer)``: ``core._d_max``
 computes the cross products ``y x z`` once per scan when (y, z) is fixed
-along the scan's chunk axis, and once per distinct y when z is fixed and y
-repeats.  The oracle is the same kernel behind a plain ``broadcasting``
-wrapper, which has no ``factors`` and so takes the kernel on every chunk.
-Every value must have the same bits, compared with ``float.hex``.
+along the scan's chunk axis, and, in the index form (row numbers of a point
+array), once per distinct y row when z is fixed and y repeats.  The area
+kernel declares a Gram split, which the index form evaluates from the edges
+between its points.  The oracle is the same kernel behind a plain
+``broadcasting`` wrapper, which declares neither and so takes the kernel on
+every chunk, called on the gathered rows.  Every value must have the same
+bits, compared with ``float.hex``.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twometric import (SphereContractionParams, audit, make_sphere_map,
-                       sphere_witnesses)
+from twometric import (SphereContractionParams, WitnessSet, area_ball_space, audit,
+                       make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import core
 from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
 from twometric.dynamics import orbit
 from twometric.lines import Line, _pair_arrays, classify
-from twometric.spaces import _cross, _det_outer, det_metric_batch, det_sphere_space
+from twometric.spaces import (_cross, _det_outer, _gram_split, area_metric_batch,
+                              det_metric_batch, det_sphere_space)
 
 SPACE = det_sphere_space()
 
@@ -60,20 +64,21 @@ def sphere(rng, n):
 
 
 def witness_pairs(W, rng, count):
-    """Audit-like pairs: distinct unordered pairs of witness points, so the
-    second point of each pair (after the lexicographic swap) repeats."""
+    """Audit-like pairs: the row numbers of distinct unordered pairs of
+    witness points, so the second point of each pair (after the
+    lexicographic swap) repeats."""
     m = len(W)
     I, J = rng.integers(0, m, size=(2, count))
     keys = np.unique(np.minimum(I, J) * m + np.maximum(I, J))
-    P = np.asarray(W.points)
-    return P[keys // m], P[keys % m]
+    return keys // m, keys % m
 
 
 def demo_tail(steps=160):
+    """A demo orbit and the row numbers of its tail pairs, as classify
+    scans them."""
     map_ = make_sphere_map(SphereContractionParams(0.1, 0.5, 1.234))
     seq = np.asarray(orbit(map_, np.array([0.8, 0.0, 0.6]), steps, sphere_witnesses(8, 0)).points)
-    idx_i, idx_j = _pair_arrays(len(seq), len(seq) // 2)
-    return seq, seq[idx_i], seq[idx_j]
+    return (seq, *_pair_arrays(len(seq), len(seq) // 2))
 
 
 def test_the_kernel_is_its_factors_composed():
@@ -94,89 +99,99 @@ def test_the_kernel_is_its_factors_composed():
 def test_audit_like_phi_scan_has_the_kernel_bits():
     rng = np.random.default_rng(31)
     W = sphere_witnesses(60, 31)
-    X, Y = witness_pairs(W, rng, 3000)
+    P = np.asarray(W.points)
+    I, J = witness_pairs(W, rng, 3000)
     space, calls = counted()
-    fast = eval_phi(space, X, Y, W)
-    assert hexes(fast) == hexes(eval_phi(unfactored(SPACE), X, Y, W))
+    fast = eval_phi(space, I, J, W, P)
+    assert hexes(fast) == hexes(eval_phi(unfactored(SPACE), P[I], P[J], W))
     # one table over the distinct second points, and no kernel call
     assert calls["kernel"] == 0 and len(calls["inner"]) == 1
-    distinct = len(np.unique(_lex_swap(X, Y, False)[1], axis=0))
-    assert calls["inner"][0][0] == distinct < len(X)
+    distinct = len(np.unique(_lex_swap(P[I], P[J], False)[1], axis=0))
+    assert calls["inner"][0][0] == distinct < len(I)
 
 
 def test_classify_like_phi_scan_has_the_kernel_bits():
-    seq, XI, XJ = demo_tail()
+    seq, I, J = demo_tail()
     W = sphere_witnesses(40, 2)
     space, calls = counted()
-    assert hexes(eval_phi(space, XI, XJ, W)) == hexes(eval_phi(unfactored(SPACE), XI, XJ, W))
+    assert hexes(eval_phi(space, I, J, W, seq)) == hexes(
+        eval_phi(unfactored(SPACE), seq[I], seq[J], W))
     assert calls["kernel"] == 0 and len(calls["inner"]) == 1
     # passer-like pairs: every pair of a point set, and one point against all
     P = seq[-30:]
     pi, pj = np.triu_indices(len(P), k=1)
-    for X, Y in ((P[pi], P[pj]), (P[:1], P)):
-        assert hexes(eval_phi(SPACE, X, Y, W)) == hexes(eval_phi(unfactored(SPACE), X, Y, W))
+    plain = eval_phi(unfactored(SPACE), P[pi], P[pj], W)
+    assert hexes(eval_phi(SPACE, pi, pj, W, P)) == hexes(plain)
+    assert hexes(eval_phi(SPACE, P[pi], P[pj], W)) == hexes(plain)
+    assert hexes(eval_phi(SPACE, P[:1], P, W)) == hexes(eval_phi(unfactored(SPACE), P[:1], P, W))
 
 
 def test_distinct_y_keeps_the_kernel():
     rng = np.random.default_rng(32)
     W = sphere_witnesses(20, 32)
     X, Y = sphere(rng, 50), sphere(rng, 50)
-    space, calls = counted()
-    assert hexes(eval_phi(space, X, Y, W)) == hexes(eval_phi(unfactored(SPACE), X, Y, W))
-    assert calls["kernel"] > 0 and not calls["inner"]
+    # repeating y rows given as coordinates: a table is keyed by row numbers
+    # only, so this scan keeps the kernel too
+    for y in (Y, Y[rng.integers(0, 5, size=50)]):
+        space, calls = counted()
+        assert hexes(eval_phi(space, X, y, W)) == hexes(eval_phi(unfactored(SPACE), X, y, W))
+        assert calls["kernel"] > 0 and not calls["inner"]
 
 
 def test_signed_zeros_are_distinct_rows_of_the_table():
-    W = sphere_witnesses(10, 33)
-    Y = np.tile([0.0, 0.6, 0.8], (4, 1))
-    Y[1, 0] = -0.0
-    Y = Y[:, None]
-    X = np.array([[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[:, None]
+    # rows 4 and 6 are one point under two row numbers, row 5 its signed zero
+    W = np.asarray(sphere_witnesses(10, 33).points)
+    X = np.array([[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    Y = np.array([[0.0, 0.6, 0.8], [-0.0, 0.6, 0.8], [0.0, 0.6, 0.8]])
+    P = np.concatenate([X, Y, W])
+    xi, yi, wi = np.arange(4)[:, None], np.array([4, 5, 6, 4])[:, None], 7 + np.arange(len(W))
     space, calls = counted()
-    fast = _d_max(space, X, Y, np.asarray(W.points))
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), X, Y, np.asarray(W.points)))
-    assert calls["inner"] == [(2, 1, 3)]
+    fast = _d_max(space, xi, yi, wi, P)
+    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), P[xi], P[yi], W))
+    assert calls["inner"] == [(3, 1, 3)] and calls["kernel"] == 0
+
+
+def planted_scan(rng, witnesses, distinct, rows):
+    """Points and row numbers of a phi-like scan: ``rows`` x rows against
+    every witness, with y one of ``distinct`` points."""
+    W = np.asarray(witnesses.points)
+    P = np.concatenate([sphere(rng, distinct), sphere(rng, rows), W])
+    xi = distinct + np.arange(rows)
+    yi = rng.integers(0, distinct, size=rows)
+    return P, (xi[:, None], yi[:, None], distinct + rows + np.arange(len(W)))
 
 
 @pytest.mark.parametrize("where", ["x", "y", "w"])
 def test_a_planted_nan_stays_in_its_own_rows(where):
     rng = np.random.default_rng(34)
-    W = np.asarray(sphere_witnesses(30, 34).points).copy()
-    Y = sphere(rng, 6)[rng.integers(0, 6, size=80)][:, None]
-    X = sphere(rng, 80)[:, None]
+    P, (xi, yi, wi) = planted_scan(rng, sphere_witnesses(30, 34), 6, 80)
     expected = np.zeros(80, dtype=bool)
     if where == "x":
-        X[17, 0, 1] = np.nan
+        P[xi[17], 1] = np.nan
         expected[17] = True
     elif where == "y":
-        bad = Y[5, 0].copy()
-        rows = (Y[:, 0] == bad).all(axis=1)
-        Y[rows, 0, 2] = np.nan
-        expected[rows] = True
+        P[yi[5], 2] = np.nan
+        expected = yi[:, 0] == yi[5, 0]
     else:
-        W[7, 0] = np.nan
+        P[wi[7], 0] = np.nan
         expected[:] = True
     space, calls = counted()
-    fast = _d_max(space, X, Y, W)
+    fast = _d_max(space, xi, yi, wi, P)
     assert calls["kernel"] == 0
     assert np.array_equal(np.isnan(fast), expected)
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), X, Y, W))
+    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), P[xi], P[yi], P[wi]))
 
 
-@pytest.mark.parametrize("budget", [1, 7, 40, 6 * 30 - 1, 6 * 30, 10 ** 6])
+@pytest.mark.parametrize("budget", [1, 7, 40, 6 * 30 - 1, 6 * 30, 2 ** 9, 10 ** 6, 2 ** 20])
 def test_a_small_budget_keeps_the_bits(budget, monkeypatch):
     # 6 distinct y against 30 witnesses: a table of 180 rows, which fits
     # only from a budget of 180 on
-    rng = np.random.default_rng(35)
-    W = sphere_witnesses(24, 35)
-    Y = sphere(rng, 6)[rng.integers(0, 6, size=90)][:, None]
-    X = sphere(rng, 90)[:, None]
-    P = np.asarray(W.points)
-    whole = hexes(_d_max(SPACE, X, Y, P))
+    P, scan = planted_scan(np.random.default_rng(35), sphere_witnesses(24, 35), 6, 90)
+    whole = hexes(_d_max(SPACE, *scan, P))
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, calls = counted()
-    assert hexes(_d_max(space, X, Y, P)) == whole
-    assert hexes(_d_max(unfactored(SPACE), X, Y, P)) == whole
+    assert hexes(_d_max(space, *scan, P)) == whole
+    assert hexes(_d_max(unfactored(SPACE), *(P[A] for A in scan))) == whole
     assert (calls["kernel"] == 0) == (budget >= 180)
 
 
@@ -185,7 +200,8 @@ def test_a_small_budget_keeps_the_bits(budget, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_candidate_scan_computes_the_crosses_once(monkeypatch):
-    seq, XI, XJ = demo_tail()
+    seq, I, J = demo_tail()
+    XI, XJ = seq[I], seq[J]
     C = np.concatenate([np.asarray(sphere_witnesses(30, 3).points), seq[len(seq) // 2:]])
     crosses, outers = [], []
 
@@ -200,6 +216,11 @@ def test_candidate_scan_computes_the_crosses_once(monkeypatch):
     fast = _d_max(SPACE, C[:, None], XI, XJ)
     assert len(crosses) == 1 and len(outers) > 1
     assert hexes(fast) == hexes(_d_max(unfactored(SPACE), C[:, None], XI, XJ))
+    # the index form, as classify calls it
+    P = np.concatenate([C, seq])
+    assert hexes(_d_max(SPACE, np.arange(len(C))[:, None], len(C) + I, len(C) + J, P)) == hexes(
+        fast)
+    assert len(crosses) == 2
 
 
 @pytest.mark.parametrize("budget", [1, 100, 10 ** 6])
@@ -241,3 +262,120 @@ def test_audit_and_classify_are_byte_identical_without_factors():
     seq, _, _ = demo_tail(200)
     assert json.dumps(classify(SPACE, seq, W).to_json()) == json.dumps(
         classify(plain, seq, W).to_json())
+
+
+# ---------------------------------------------------------------------------
+# the area kernel's Gram split: index scans from the edges between points
+# ---------------------------------------------------------------------------
+
+def area(dim):
+    """The area ball's space, and the same kernel counting its calls, with
+    its Gram split."""
+    calls = []
+
+    @broadcasting
+    def kernel(X, Y, Z):
+        calls.append(1)
+        return area_metric_batch(X, Y, Z)
+
+    kernel.gram = area_metric_batch.gram
+    return replace(area_ball_space(dim), d_batch=kernel), calls
+
+
+def area_tail(dim, steps, seed):
+    """Witnesses and a linear-map orbit of the area ball, with signed zeros,
+    a candidate on the tail and one point twice, under two row numbers."""
+    rng = np.random.default_rng(seed)
+    space = area_ball_space(dim)
+    M = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    x0 = rng.normal(size=dim)
+    seq = orbit(make_linear_map(M, 0.97), 0.4 * x0 / np.linalg.norm(x0), steps,
+                WitnessSet.sampled(space, 4, seed)).points
+    W = np.asarray(WitnessSet.sampled(space, 40, seed).points)
+    W[0], W[1] = 0.0, -0.0
+    W[2, 0] = -0.0
+    W[3] = seq[-1]
+    seq[-5] = seq[-7]
+    return W, seq
+
+
+def area_scans(W, seq, subsample):
+    """The candidate scan and the Cauchy scan of ``classify`` in the index
+    form, on every tail pair or on a random subsample of them."""
+    P = np.concatenate([W, seq])
+    m, start = len(W), len(seq) // 2
+    I, J = np.triu_indices(len(seq) - start, k=1)
+    if subsample:
+        pick = np.random.default_rng(5).choice(len(I), size=len(I) // 3, replace=False)
+        I, J = I[pick], J[pick]
+    I, J = m + start + I, m + start + J
+    candidates = np.r_[:m, m + start:len(P)][:, None]
+    return P, (candidates, I, J), (I[:, None], J[:, None], np.arange(m))
+
+
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
+@pytest.mark.parametrize("subsample", [False, True], ids=["all-pairs", "subsampled"])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypatch):
+    W, seq = area_tail(dim, 90, dim)
+    P, candidate, phi = area_scans(W, seq, subsample)
+    plain = unfactored(area_ball_space(dim))
+    want = [hexes(_d_max(plain, *(P[A] for A in scan))) for scan in (candidate, phi)]
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    space, calls = area(dim)
+    for scan, bits in zip((candidate, phi), want):
+        assert hexes(_d_max(space, *scan, P)) == bits
+    # below 8 coordinates the split evaluates without the kernel
+    assert (not calls) == (_gram_split(dim) is not None) == (dim < 8)
+
+
+@pytest.mark.parametrize("where", ["candidate", "tail", "witness"])
+def test_area_index_scans_keep_a_planted_nan_in_its_own_rows(where):
+    W, seq = area_tail(3, 90, 7)
+    P, candidate, phi = area_scans(W, seq, False)
+    row = {"candidate": 5, "tail": len(W) + 80, "witness": 9}[where]
+    P[row, 1] = np.nan
+    plain = unfactored(area_ball_space(3))
+    space, calls = area(3)
+    for scan in (candidate, phi):
+        fast = _d_max(space, *scan, P)
+        assert np.isnan(fast).any()
+        assert hexes(fast) == hexes(_d_max(plain, *(P[A] for A in scan)))
+    assert not calls
+    if where == "candidate":
+        assert np.flatnonzero(np.isnan(_d_max(space, *candidate, P))).tolist() == [5]
+
+
+def test_a_kernel_without_the_split_gets_the_gathered_rows():
+    # a plain function, as a benchmark's timing wrapper gives it: no mark,
+    # no split, so it takes the stacked rows of the gathered points
+    W, seq = area_tail(3, 70, 8)
+    P, candidate, phi = area_scans(W, seq, True)
+    rows = []
+
+    def wrapped(X, Y, Z):
+        rows.append(np.shape(X))
+        return area_metric_batch(X, Y, Z)
+
+    space = replace(area_ball_space(3), d_batch=wrapped)
+    for scan in (candidate, phi):
+        rows.clear()
+        assert hexes(_d_max(space, *scan, P)) == hexes(
+            _d_max(area_ball_space(3), *(P[A] for A in scan)))
+        assert rows and all(len(shape) == 2 and shape[1] == 3 for shape in rows)
+        assert sum(shape[0] for shape in rows) == np.broadcast(*scan).size
+
+
+@pytest.mark.parametrize("steps", [120, 300, 500])
+def test_area_classify_and_audit_are_byte_identical_without_the_split(steps):
+    # 500 steps subsample the tail pairs; the LineCase verdicts also scan
+    # every pair of their passers
+    W, seq = area_tail(3, steps, steps)
+    space = area_ball_space(3)
+    plain = unfactored(space)
+    witnesses = WitnessSet(W)
+    assert json.dumps(classify(space, seq, witnesses).to_json()) == json.dumps(
+        classify(plain, seq, witnesses).to_json())
+    if steps == 120:
+        assert json.dumps(audit(space, witnesses=witnesses, triples=500, seed=5).to_json()) == (
+            json.dumps(audit(plain, witnesses=witnesses, triples=500, seed=5).to_json()))
