@@ -24,8 +24,8 @@ from twometric import (Line, SphereContractionParams, SpherePatch, Thresholds,
                        calibrate_ratio_constant, detect_outcome, eval_phi,
                        make_sphere_map, sphere_witnesses)
 from twometric.core import _worst_ratio, apply_rows
-from twometric.spaces import (area_ball_space, area_metric, det_metric, det_sphere_space,
-                              great_circle_points)
+from twometric.spaces import (area_ball_space, area_metric, area_metric_batch, det_metric,
+                              det_sphere_space, great_circle_points)
 
 SPACES = {
     "det-sphere": det_sphere_space,
@@ -189,6 +189,19 @@ def test_worst_ratio_is_none_when_every_triple_is_degenerate():
     assert _worst_ratio(PATCH.metric_batch, (X, X, X), images) == (None, 0)
     assert measured_block(PATCH.metric_batch, X, X, X, *images) is None
     assert certify_block(PATCH.metric_batch, X, X, X, *images) == (None, 0)
+
+
+def test_worst_ratio_keeps_a_small_triangle_above_the_degenerate_floor():
+    # a small triangle of area 1e-11 sits between core._DEGENERATE (1e-12)
+    # and 1e-10: it is kept, and its image ratio 0.9 beats the large one's
+    # 0.25
+    triples = [np.zeros((2, 2)), np.array([[0.4, 0.0], [1e-5, 0.0]]),
+               np.array([[0.0, 0.4], [0.0, 2e-6]])]
+    images = [triples[0], triples[1], np.array([[0.0, 0.1], [0.0, 1.8e-6]])]
+    d0, d1 = area_metric_batch(*triples), area_metric_batch(*images)
+    assert 1e-12 < d0[1] < 1e-10
+    assert _worst_ratio(area_metric_batch, triples, images) == (d1[1] / d0[1], 2)
+    assert 0.89 < d1[1] / d0[1] < 0.91 and d1[0] / d0[0] == 0.25
 
 
 def test_calibration_matches_its_old_loop():
