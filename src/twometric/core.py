@@ -751,7 +751,10 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     plain axioms are drawn from the space sampler; tuples for the phi-based
     checks are drawn from the witness set so the truncated sup is internally
     consistent and those inequalities are exact.  All sampling is sequential
-    from the given seed.
+    from the given seed.  On a space with a ``size`` (a table's
+    ``as_space()``), B and the positivity half of Z are decided exactly
+    instead, over each of the C(size, 3) distinct index triples, and their
+    ``samples`` count those triples.
 
     The phi checks draw up to 5 * ``triples`` witness pairs, and each
     distinct unordered pair is evaluated once, so their phi scan holds at
@@ -782,19 +785,27 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
            + _d_many(space, Q[0], Q[2], Q[3]))
     records.append(_record_from("Tetr", lhs - rhs, Q, triples))
 
-    # Z: repeated-argument degeneracy, plus positivity on generic triples.
+    # B and the positivity half of Z read the sampled triples, or every
+    # distinct triple of a space with a size.
+    if space.size is None:
+        values, tuples = d0, T
+    else:
+        tuples = tuple(_triples(space.size).T)
+        values = _d_many(space, *tuples)
+
+    # Z: repeated-argument degeneracy, plus positivity.
     P = _stacks(space.sample, rng, triples, 2)
     z_viol = np.abs(_d_many(space, P[0], P[1], P[1]))
-    pos_viol = -d0
+    pos_viol = -values
     # NaN in either part must reach the record: NaN > x is always False
-    pos_max = pos_viol.max()
+    pos_max = pos_viol.max(initial=-np.inf)
     if np.isnan(pos_max) or pos_max > z_viol.max():
-        records.append(_record_from("Z", pos_viol, T, triples))
+        records.append(_record_from("Z", pos_viol, tuples, len(values)))
     else:
         records.append(_record_from("Z", z_viol, (P[0], P[1], P[1]), triples))
 
     # B: global bound 1.
-    records.append(_record_from("B", d0 - 1.0, T, triples))
+    records.append(_record_from("B", values - 1.0, tuples, len(values)))
 
     # Trans on quintuples: d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y).
     V = _stacks(space.sample, rng, triples, 5)

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from twometric import (CertInput, SphereContractionParams, SpherePatch, certifier_baseline,
-                       certify, demo_five_point_space, make_sphere_map, orbit,
-                       sphere_witnesses, unit_sphere)
+from twometric import (CertInput, FiniteTwoMetricSpace, SphereContractionParams, SpherePatch,
+                       WitnessSet, audit, certifier_baseline, certify, demo_five_point_space,
+                       make_sphere_map, orbit, sphere_witnesses, unit_sphere)
 from twometric.cli import build_parser, main
 
 
@@ -60,6 +61,35 @@ def test_audit_corrupted_table_fails_with_witness(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "witness" in out
+
+
+def uniform_table(n, planted):
+    """d = 1 on every distinct triple of n points, except the ``planted``
+    entries."""
+    entries = dict.fromkeys(itertools.combinations(range(n), 3), 1.0)
+    return FiniteTwoMetricSpace(n, {**entries, **planted})
+
+
+def test_audit_finds_one_entry_above_one_at_every_seed(tmp_path, capsys):
+    # sampled triples missed this entry at most seeds; B reads every entry
+    path = tmp_path / "table.json"
+    uniform_table(40, {(5, 17, 33): 1.001}).save(path)
+    for seed in range(50):
+        assert main(["audit", "--space=finite", f"--table={path}", f"--seed={seed}",
+                     f"--out={tmp_path}"]) == 1
+        assert "audit FAILED: ['B']" in capsys.readouterr().out
+        record = load(tmp_path / "audit.json")["audit"]["axioms"][4]
+        assert record["axiom"] == "B" and record["witness"] == [5, 17, 33]
+        assert record["samples"] == 9880 and record["max_violation"] == 1.001 - 1.0
+
+
+def test_audit_finds_one_negative_entry_at_every_seed():
+    table = uniform_table(40, {(2, 9, 30): -0.001})
+    for seed in range(50):
+        report = audit(table.as_space(), witnesses=WitnessSet.all_of(table), seed=seed)
+        record = report.records[2]
+        assert record.axiom == "Z" and "Z" in report.failing()
+        assert record.witness == (2, 9, 30) and record.max_violation == 0.001
 
 
 def test_demo_equator_rotated(tmp_path):
