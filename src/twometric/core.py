@@ -383,14 +383,14 @@ def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
     Two layouts of a 2-D scan, and None for any other:
 
     * x along the first axis, y and z along the last (``classify``'s
-      candidate scan).  One table holds the edges from each x to every
-      distinct y and z.  The scan's columns are grouped by y, so u is one
-      column of the table and v a block of its columns: a slice where the
-      z of a group run in steps of one, as the tail pairs of a whole tail
-      do.
+      candidate scan).  One table holds the edges to every distinct y and
+      z (down) from each x (across).  The scan's columns are grouped by y,
+      so u is one row of the table and v a block of its rows: a slice
+      where the z of a group run in steps of one, as the pairs of a whole
+      tail do.
     * x and y along the first axis, z along the last (a phi scan).  The
       rows are grouped by x, so u is one edge per row and v the edges from
-      that x to every z.
+      that x to every z, repeated over its rows.
     """
     edges, gram, finish = split
     if max(A.ndim for A in (X, Y, Z)) > 2:
@@ -413,7 +413,6 @@ def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
         x = np.broadcast_to(X[:, 0], a)
         step = max(1, _ROW_BUDGET // max(len(targets), max(np.subtract(ends, starts))))
         for s in range(0, a, step):
-            # targets down, x across: a group's v is a block of whole rows
             e, n = edges(P[x[s:s + step]], P[targets][:, None])
             G = np.full(n.shape[1], -np.inf)
             for i, c in groups:
@@ -429,8 +428,7 @@ def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
         PZ = P[np.broadcast_to(Z[0], b)]
         step = max(1, _ROW_BUDGET // b)
         for s in range(0, a, step):
-            # z down, rows across: the edges from each x to every z, repeated
-            # over its rows, which are contiguous in x order
+            # z down, rows across; the rows of one x are contiguous
             xs, counts = np.unique(x[s:s + step], return_counts=True)
             ev, nv = edges(P[xs], PZ[:, None])
             g = gram([u[s:s + step] for u in eu], nu[s:s + step],

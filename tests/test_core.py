@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sphere_table, table_items, table_phi
+from twometric.cli import GLOBAL_FLAGS
 from twometric.core import _triples
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
@@ -291,6 +292,21 @@ def test_quotient_matches_scalar_loop(rng, tmp_path):
         got.save(tmp_path / "got.json")
         want.save(tmp_path / "want.json")
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+def test_quotient_merges_at_the_zero_floor_only():
+    # core._ZERO_PHI is 1e-12: a pair at pair distance 1e-11 stays apart,
+    # one at 1e-13 merges
+    for phi, n in ((1e-11, 4), (1e-12, 3), (1e-13, 3)):
+        space = FiniteTwoMetricSpace(4, {(0, 1, 2): phi, (0, 1, 3): phi, (0, 2, 3): 1.0,
+                                         (1, 2, 3): 1.0})
+        assert table_phi(space, 0, 1) == phi and quotient_by_zero_phi(space).n == n
+
+
+def test_audit_defaults_to_the_cli_tolerance():
+    table = demo_five_point_space()
+    report = audit(table.as_space(), witnesses=WitnessSet.all_of(table), triples=10)
+    assert report.tolerance == GLOBAL_FLAGS["tolerance"] == 1e-9
 
 
 def test_quotient_collapses_totally_degenerate_space():

@@ -92,6 +92,13 @@ def test_degenerate_space_is_a_single_line():
     assert len(lines) == 1 and frozenset(lines[0].members) == {0, 1, 2, 3}
 
 
+def test_a_small_entry_is_colinear_at_the_floor_only():
+    # lines._COLINEAR is 1e-12: an entry of 1e-11 is no line, its pairs are
+    for value, lines in ((1e-11, [[0, 1], [0, 2], [1, 2]]), (1e-12, [[0, 1, 2]])):
+        space = FiniteTwoMetricSpace(3, {(0, 1, 2): value})
+        assert [list(line.members) for line in enumerate_lines(space)] == lines
+
+
 def test_enumeration_matches_exhaustive_oracle(rng):
     for trial in range(25):
         n = int(rng.integers(3, 7))
