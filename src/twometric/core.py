@@ -342,7 +342,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points=None) -> np.ndarray:
             values = evaluate(*parts)
         else:
             outer, T, inverse = table
-            values = outer(parts[0], T if inverse is None else T[inverse[s:s + step]])
+            values = outer(parts[0], T if inverse is None
+                           else np.moveaxis(T[:, inverse[s:s + step]], 0, -1))
         out[s:s + step] = values.max(axis=-1)
     return out.reshape(shape[:-1])
 
@@ -351,8 +352,9 @@ def _inner_table(kernel, Y, Z, lead, keys) -> tuple | None:
     """For a kernel that declares ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, and Z fixed
     along the first axis of ``_d_max``'s scan: ``(outer, T, inverse)``
-    where ``inner(Y, Z)`` is ``T``, or ``T[inverse]`` when Y repeats along
-    that axis; None where the scan keeps the kernel itself.
+    where ``inner(Y, Z)`` is ``T``, or, when Y repeats along that axis,
+    ``T[:, inverse]`` with its first axis moved last; None where the scan
+    keeps the kernel itself.
 
     The rows of a repeating Y are told apart by their row numbers ``keys``
     in the index form, so a scan without them keeps the kernel.  The table
@@ -369,8 +371,9 @@ def _inner_table(kernel, Y, Z, lead, keys) -> tuple | None:
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     if len(first) == len(Y) or len(first) * math.prod(lead[1:]) > _ROW_BUDGET:
         return None
-    # a fancy index along the first axis gathers fastest from C order
-    return outer, np.ascontiguousarray(inner(Y[first], Z)), inverse
+    # kept as one contiguous plane per coordinate, which a gather copies
+    # row by row and ``outer`` reads without a stride
+    return outer, np.ascontiguousarray(np.moveaxis(inner(Y[first], Z), -1, 0)), inverse
 
 
 def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
