@@ -303,8 +303,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points=None) -> np.ndarray:
     if points is not None:
         P = np.asarray(points)
         X, Y, Z = (np.asarray(A) for A in (X, Y, Z))
-        split = getattr(space.d_batch, "gram", None)
-        split = split(P.shape[-1]) if split is not None and P.ndim == 2 else None
+        gram = getattr(space.d_batch, "gram", None)
+        split = gram(P.shape[-1]) if gram is not None and P.ndim == 2 else None
         out = None if split is None else _gram_max(split, P, X, Y, Z)
         if out is not None:
             return out.reshape(np.broadcast_shapes(X.shape, Y.shape, Z.shape)[:-1])

@@ -225,9 +225,10 @@ class Classification:
 def _first_of_each(points) -> list[int]:
     """The positions of the points that differ, by ``point_key``, from
     every point before them."""
-    seen: set = set()
-    return [i for i, key in enumerate(map(point_key, points))
-            if key not in seen and not seen.add(key)]
+    first: dict = {}
+    for i, key in enumerate(map(point_key, points)):
+        first.setdefault(key, i)
+    return list(first.values())
 
 
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
