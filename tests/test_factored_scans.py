@@ -237,6 +237,31 @@ def test_candidate_scan_has_the_kernel_bits_at_every_budget(budget, monkeypatch)
     assert hexes(_d_max(SPACE, C[:, None], A[:200], B[:200])) == whole
 
 
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
+@pytest.mark.parametrize("subsample", [False, True], ids=["all-pairs", "subsampled"])
+def test_det_index_scans_have_the_kernel_bits(subsample, budget, monkeypatch):
+    # classify's candidate and Cauchy scans by row numbers, with a point
+    # repeated under two row numbers and a signed zero among the witnesses
+    seq, I, J = demo_tail(200)
+    if subsample:
+        pick = np.random.default_rng(6).choice(len(I), size=len(I) // 3, replace=False)
+        I, J = I[pick], J[pick]
+    seq[-3] = seq[-9]
+    W = np.asarray(sphere_witnesses(20, 6).points).copy()
+    W[0, 1] = -0.0
+    P = np.concatenate([W, seq])
+    m, start = len(W), len(seq) // 2
+    candidate = (np.r_[:m, m + start:len(P)][:, None], m + I, m + J)
+    phi = ((m + I)[:, None], (m + J)[:, None], np.arange(m))
+    want = [hexes(_d_max(unfactored(SPACE), *(P[A] for A in scan))) for scan in (candidate, phi)]
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    space, calls = counted()
+    for scan, bits in zip((candidate, phi), want):
+        assert hexes(_d_max(space, *scan, P)) == bits
+    # at 2^9 rows the phi scan's table of distinct y does not fit
+    assert (calls["kernel"] == 0) == (budget == 2 ** 20)
+
+
 def test_contains_each_has_the_kernel_bits():
     rng = np.random.default_rng(37)
     g1, g2 = sphere(rng, 2)
