@@ -131,12 +131,6 @@ def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
     return np.column_stack((lo, a + b + c - lo - hi, hi))
 
 
-def _index_points(*arrays) -> bool:
-    """Whether the arrays hold index points, one per entry of an integer
-    array, rather than coordinate points, which fill the last axis."""
-    return all(A.dtype.kind in "iu" for A in arrays)
-
-
 def _swapped(X, Y, index: bool) -> np.ndarray:
     """Where Y comes before X in lexicographic order, with X and Y
     broadcast against each other: index points by value, coordinate points
@@ -147,14 +141,6 @@ def _swapped(X, Y, index: bool) -> np.ndarray:
     # Y comes first when the first coordinate where it is below X is the
     # first coordinate where the two differ
     return (lt.argmax(axis=-1) == (X != Y).argmax(axis=-1)) & lt.any(axis=-1)
-
-
-def _lex_swap(X: np.ndarray, Y: np.ndarray, index: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair of X and Y, broadcast against each other, in lexicographic
-    order (``_swapped``)."""
-    swap = _swapped(X, Y, index)
-    swap = swap if index else swap[..., None]
-    return np.where(swap, Y, X), np.where(swap, X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +158,10 @@ class TwoMetricSpace:
     on many-by-many scans without materialising their rows.  ``d``, when
     given, is a scalar metric for callers of their own; the library never
     reads it.
-    ``sample(rng, n)`` draws n domain points.
+    ``sample(rng, n)`` draws n domain points.  ``size``, when given, makes
+    the space a table's (``FiniteTwoMetricSpace.as_space()``) on the
+    indices below it, symmetric by construction: ``audit`` then takes Sym
+    as exact and decides B and Z over every distinct triple.
     ``canon`` maps a point to its equivalence-class representative (used by
     quotient constructions); it must be idempotent.  ``line_points``, when
     present, samples points of the line through two given generators.
@@ -186,7 +175,6 @@ class TwoMetricSpace:
     canon: Callable[[Any], Any] | None = None
     contains: Callable[[Any], bool] | None = None
     line_points: Callable[[Any, Any, int], Any] | None = None
-    symmetric_exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -222,26 +210,29 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     """Pair distance max_w d(x, y, w) over the witness set.
 
     x and y are points or stacks of points that broadcast against each
-    other over their leading axes; points follow ``_d_max``'s rule.  With
-    ``points``, x and y are integer arrays of row numbers of ``points``
-    instead, and the pairs are those of ``points[x]`` and ``points[y]``
-    (``_d_max``'s index form).  One pair gives a float, anything else an
+    other over their leading axes, points as the witnesses hold them: an
+    index point is one entry of an integer array, and a coordinate point
+    fills the last axis of a float array.  With ``points``, x and y are
+    integer arrays of row numbers of ``points`` instead, and the pairs are
+    those of ``points[x]`` and ``points[y]``; without, the x's and then
+    the y's are numbered so.  One pair gives a float, anything else an
     array of the broadcast leading shape.  Each pair is put in
     lexicographic order first, so the result is exactly symmetric in x and
     y.
     """
-    X, Y, W = np.asarray(x), np.asarray(y), np.asarray(witnesses.points)
+    W = np.asarray(witnesses.points)
     if points is None:
-        index = _index_points(X, Y, W)
-        X, Y = _lex_swap(X, Y, index)
-        at = (..., None) if index else (..., None, slice(None))  # the witness axis
-        out = _d_max(space, X[at], Y[at], W)
-    else:
-        P = np.concatenate([np.asarray(points), W])
-        swap = _swapped(P[X], P[Y], _index_points(P))
-        X, Y = np.where(swap, Y, X)[..., None], np.where(swap, X, Y)[..., None]
-        out = _d_max(space, X, Y, np.arange(len(P) - len(W), len(P)), P)
-    return float(out) if out.ndim == 0 else out
+        X, Y = np.asarray(x), np.asarray(y)
+        lead = [A.shape[:A.ndim + 1 - W.ndim] for A in (X, Y)]
+        points = np.concatenate([A.reshape((-1,) + W.shape[1:]) for A in (X, Y)])
+        n = math.prod(lead[0])
+        x, y = np.arange(n).reshape(lead[0]), np.arange(n, len(points)).reshape(lead[1])
+    P = np.concatenate([np.asarray(points), W])
+    X, Y = np.asarray(x), np.asarray(y)
+    swap = _swapped(P[X], P[Y], P.ndim == 1)
+    X, Y = np.where(swap, Y, X), np.where(swap, X, Y)
+    out = _d_max(space, X.reshape(-1, 1), Y.reshape(-1, 1), np.arange(len(P) - len(W), len(P)), P)
+    return float(out[0]) if X.ndim == 0 else out.reshape(X.shape)
 
 
 def _d_many(space: TwoMetricSpace, X, Y, Z) -> np.ndarray:
@@ -279,130 +270,128 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 _ROW_BUDGET = 1 << 15
 
 
-def _d_max(space: TwoMetricSpace, X, Y, Z, points=None) -> np.ndarray:
-    """Max of d(x, y, z) over the last leading axis, with X, Y, Z broadcast
-    against each other over their leading axes.
+def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
+    """Max of d(x, y, z) over the last axis of a scan of the rows of
+    ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
+    broadcast against each other, and the scan is that of ``points[X]``,
+    ``points[Y]`` and ``points[Z]``.  A row of ``points`` is a coordinate
+    point, or an index point where ``points`` is 1-D.
 
-    A coordinate point fills the last axis of a float array; an index point
-    is one entry of an integer array.  In the index form, with ``points``,
-    X, Y and Z are integer arrays of row numbers of ``points``, and the
-    scan is that of ``points[X]``, ``points[Y]`` and ``points[Z]``.
-
-    A kernel marked ``broadcasting`` gets the broadcast inputs directly; any
-    other kernel gets the materialised rows through ``_d_many``.  Two
-    declared factorisations compute less than one kernel row per scan row,
-    with the same bits: in the index form, a kernel's ``gram`` split
+    A kernel marked ``broadcasting`` gets the gathered rows, broadcast
+    against each other; any other kernel gets them stacked, through
+    ``_d_many``.  Two declared factorisations compute less than one kernel
+    row per scan row, with the same bits: a kernel's ``gram`` split
     evaluates the scan from the edges between its points (``_gram_max``),
     and a kernel's ``factors`` compute its inner part once per scan where
-    ``_inner_table`` allows.  Any other kernel in the index form gets the
-    gathered rows, as a call on ``points[X]``, ``points[Y]`` and
-    ``points[Z]`` would give them.  Every call covers about ``_ROW_BUDGET``
-    rows at most, split along the first axis.
+    ``_inner_table`` allows.  Every call covers about ``_ROW_BUDGET`` rows
+    at most, split along the first axis.
     """
-    keys = None
-    if points is not None:
-        P = np.asarray(points)
-        X, Y, Z = (np.asarray(A) for A in (X, Y, Z))
-        gram = getattr(space.d_batch, "gram", None)
-        split = gram(P.shape[-1]) if gram is not None and P.ndim == 2 else None
-        out = None if split is None else _gram_max(split, P, X, Y, Z)
-        if out is not None:
-            return out.reshape(np.broadcast_shapes(X.shape, Y.shape, Z.shape)[:-1])
-        keys, X, Y, Z = Y, P[X], P[Y], P[Z]
-    arrays = [np.asarray(A) for A in (X, Y, Z)]
-    k = 0 if _index_points(*arrays) else 1
-    shape = np.broadcast(*arrays).shape
-    shape = shape[:len(shape) - k]
-    lead = (1,) * (2 - len(shape)) + shape
-    arrays = [A.reshape((1,) * (len(lead) + k - A.ndim) + A.shape) for A in arrays]
-    if keys is not None:
-        keys = keys.reshape((1,) * (len(lead) - keys.ndim) + keys.shape)
+    P = np.asarray(points)
+    shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
+    X, Y, Z = (np.reshape(A, (1,) * (2 - np.ndim(A)) + np.shape(A)) for A in (X, Y, Z))
+    a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
+    gram = getattr(space.d_batch, "gram", None)
+    split = gram(P.shape[-1]) if gram is not None and P.ndim == 2 and a * b else None
+    out = None if split is None else _gram_max(split, P, X, Y, Z, a, b)
+    if out is not None:
+        return out.reshape(shape)
 
-    if getattr(space.d_batch, "broadcasts", False):
-        evaluate = space.d_batch
-    else:
-        def evaluate(*parts):
-            # np.repeat copies whole blocks, as np.repeat/np.tile did; a
-            # contiguous copy of a broadcast view runs ~1.7x slower
-            rows = np.broadcast(*(P[..., 0] if k else P for P in parts)).shape
-            stacked = []
-            for P in parts:
-                for axis, n in enumerate(rows):
-                    if P.shape[axis] != n:
-                        P = np.repeat(P, n, axis=axis)
-                stacked.append(P.reshape((-1,) + P.shape[len(rows):]))
-            return _d_many(space, *stacked).reshape(rows)
+    out = np.empty(a)
+    step = max(1, _ROW_BUDGET // b)
+    table = _inner_table(space.d_batch, P, Y, Z, b)
+    # rows fixed along the chunk axis are gathered once, the others per chunk
+    fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
 
-    out = np.empty(lead[:-1])
-    step = max(1, _ROW_BUDGET // math.prod(lead[1:]))
-    table = _inner_table(space.d_batch, *arrays[1:], lead, keys)
-    for s in range(0, lead[0], step):
-        parts = [A if len(A) == 1 else A[s:s + step] for A in arrays]
-        if table is None:
-            values = evaluate(*parts)
-        else:
+    def rows(i, s):
+        return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][s:s + step], axis=0)
+
+    for s in range(0, a, step):
+        if table is not None:
             outer, T, inverse = table
-            values = outer(parts[0], T if inverse is None
+            values = outer(rows(0, s), T if inverse is None
                            else np.moveaxis(T[:, inverse[s:s + step]], 0, -1))
+        elif getattr(space.d_batch, "broadcasts", False):
+            values = space.d_batch(rows(0, s), rows(1, s), rows(2, s))
+        else:
+            parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
+            n = np.broadcast_shapes(*(A.shape for A in parts))
+            values = _d_many(space, *(np.take(P, np.broadcast_to(A, n).ravel(), axis=0)
+                                      for A in parts)).reshape(n)
         out[s:s + step] = values.max(axis=-1)
-    return out.reshape(shape[:-1])
+    return out.reshape(shape)
 
 
-def _inner_table(kernel, Y, Z, lead, keys) -> tuple | None:
+def _inner_table(kernel, P, Y, Z, b) -> tuple | None:
     """For a kernel that declares ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, and Z fixed
-    along the first axis of ``_d_max``'s scan: ``(outer, T, inverse)``
-    where ``inner(Y, Z)`` is ``T``, or, when Y repeats along that axis,
-    ``T[:, inverse]`` with its first axis moved last; None where the scan
-    keeps the kernel itself.
+    along the first axis of ``_d_max``'s 2-D scan of ``b`` columns:
+    ``(outer, T, inverse)`` where ``inner`` of the rows of Y and Z is
+    ``T``, or, when Y repeats along that axis, ``T[:, inverse]`` with its
+    first axis moved last; None where the scan keeps the kernel itself.
 
-    The rows of a repeating Y are told apart by their row numbers ``keys``
-    in the index form, so a scan without them keeps the kernel.  The table
-    pays only with fewer distinct rows than scan entries, and it holds at
-    most ``_ROW_BUDGET`` rows.
+    The rows of a repeating Y are told apart by their row numbers.  The
+    table pays only with fewer distinct rows than scan entries, and it
+    holds at most ``_ROW_BUDGET`` rows.
     """
     inner, outer = getattr(kernel, "factors", (None, None))
     if inner is None or len(Z) != 1:
         return None
+    PZ = np.take(P, Z, axis=0)
     if len(Y) == 1:
-        return outer, inner(Y, Z), None
-    if keys is None or math.prod(keys.shape[1:]) != 1:
+        return outer, inner(np.take(P, Y, axis=0), PZ), None
+    if Y.shape[1] != 1:
         return None
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    if len(first) == len(Y) or len(first) * math.prod(lead[1:]) > _ROW_BUDGET:
+    _, first, inverse = np.unique(Y[:, 0], return_index=True, return_inverse=True)
+    if len(first) == len(Y) or len(first) * b > _ROW_BUDGET:
         return None
     # kept as one contiguous plane per coordinate, which a gather copies
     # row by row and ``outer`` reads without a stride
-    return outer, np.ascontiguousarray(np.moveaxis(inner(Y[first], Z), -1, 0)), inverse
+    return outer, np.ascontiguousarray(np.moveaxis(inner(np.take(P, Y[first], axis=0), PZ),
+                                                   -1, 0)), inverse
 
 
-def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
-    """``_d_max`` in the index form, by a kernel's Gram split ``(edges,
-    gram, finish)``: d(x, y, z) is ``finish(gram(u, uu, v, vv))`` for the
-    edges u = y - x and v = z - x with their squared lengths, bit for bit.
-    ``finish`` is non-decreasing and keeps a NaN, so the max of d over a row
-    is ``finish`` of the max of g, which is taken first.
+def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
+    """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)``, on its
+    2-D scan of ``a`` rows and ``b`` columns, neither of them 0: d(x, y, z)
+    is ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v = z - x
+    with their squared lengths, bit for bit.  ``finish`` is non-decreasing
+    and keeps a NaN, so the max of d over a row is ``finish`` of the max of
+    g, which is taken first.
 
-    Two layouts of a 2-D scan, and None for any other:
+    Two layouts, and None for any other:
 
+    * x and y along the first axis, z along the last (a phi scan).  The
+      rows are grouped by x, so u is one edge per row and v the edges from
+      that x to every z, repeated over its rows.  Where no x repeats, as in
+      a single pair or the numbered pairs of ``eval_phi``'s point form,
+      nothing is shared and the scan keeps the kernel, which is faster
+      there.
     * x along the first axis, y and z along the last (``classify``'s
       candidate scan).  One table holds the edges to every distinct y and
       z (down) from each x (across).  The scan's columns are grouped by y,
       so u is one row of the table and v a block of its rows: a slice
       where the z of a group run in steps of one, as the pairs of a whole
       tail do.
-    * x and y along the first axis, z along the last (a phi scan).  The
-      rows are grouped by x, so u is one edge per row and v the edges from
-      that x to every z, repeated over its rows.
     """
     edges, gram, finish = split
-    if max(A.ndim for A in (X, Y, Z)) > 2:
-        return None
-    X, Y, Z = (A.reshape((1,) * (2 - A.ndim) + A.shape) for A in (X, Y, Z))
-    a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
-    if not a * b:
-        return None
     out = np.empty(a)
+    if X.shape[1] == Y.shape[1] == 1 and Z.shape[0] == 1:
+        x, y = np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[:, 0], a)
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        if (x[1:] != x[:-1]).all():
+            return None
+        eu, nu = edges(P[x], P[y[order]])
+        PZ = P[np.broadcast_to(Z[0], b)]
+        step = max(1, _ROW_BUDGET // b)
+        for s in range(0, a, step):
+            # z down, rows across; the rows of one x are contiguous
+            xs, counts = np.unique(x[s:s + step], return_counts=True)
+            ev, nv = edges(P[xs], PZ[:, None])
+            g = gram([u[s:s + step] for u in eu], nu[s:s + step],
+                     [np.repeat(v, counts, axis=1) for v in ev], np.repeat(nv, counts, axis=1))
+            out[order[s:s + step]] = finish(g.max(axis=0))
+        return out
     if X.shape[1] == 1 and Y.shape[0] == Z.shape[0] == 1:
         targets, at = np.unique(np.concatenate([np.broadcast_to(Y[0], b),
                                                 np.broadcast_to(Z[0], b)]), return_inverse=True)
@@ -422,21 +411,6 @@ def _gram_max(split, P, X, Y, Z) -> np.ndarray | None:
                 g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
                 np.maximum(G, g.max(axis=0), out=G)
             out[s:s + step] = finish(G)
-        return out
-    if X.shape[1] == Y.shape[1] == 1 and Z.shape[0] == 1:
-        x, y = np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[:, 0], a)
-        order = np.argsort(x, kind="stable")
-        x = x[order]
-        eu, nu = edges(P[x], P[y[order]])
-        PZ = P[np.broadcast_to(Z[0], b)]
-        step = max(1, _ROW_BUDGET // b)
-        for s in range(0, a, step):
-            # z down, rows across; the rows of one x are contiguous
-            xs, counts = np.unique(x[s:s + step], return_counts=True)
-            ev, nv = edges(P[xs], PZ[:, None])
-            g = gram([u[s:s + step] for u in eu], nu[s:s + step],
-                     [np.repeat(v, counts, axis=1) for v in ev], np.repeat(nv, counts, axis=1))
-            out[order[s:s + step]] = finish(g.max(axis=0))
         return out
     return None
 
@@ -615,7 +589,6 @@ class FiniteTwoMetricSpace:
             d_batch=d_batch,
             sample=lambda rng, m: rng.integers(0, self.n, size=m),
             size=self.n,
-            symmetric_exact=True,
         )
 
     @staticmethod
@@ -765,10 +738,11 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     rng = np.random.default_rng(seed)
     records: list[AxiomRecord] = []
 
-    # Sym: spread of d over argument permutations.
+    # Sym: spread of d over argument permutations; a space with a size is a
+    # table's, symmetric by construction.
     T = _stacks(space.sample, rng, triples, 3)
     d0 = _d_many(space, *T)
-    if space.symmetric_exact:
+    if space.size is not None:
         records.append(AxiomRecord("Sym", 0.0, None, 0))
     else:
         spread = np.zeros(triples)

@@ -23,9 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _at_least, _d_many, _d_max, _distinct_triples,
-                   _stacks, _strict, _worst_ratio, apply_rows, broadcasting, eval_phi,
-                   point_json)
+from .core import (TwoMetricSpace, WitnessSet, _at_least, _d_many, _distinct_triples, _stacks,
+                   _strict, _worst_ratio, apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
 
@@ -333,7 +332,7 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     else:
         members = list(cls.passers)
     images = apply_rows(map_.f, members)
-    invariance_defect = float(_d_max(map_.space, images, line.g1, line.g2))
+    invariance_defect = float(line.defects(map_.space, images).max())
     min_residual = float(eval_phi(map_.space, members, images, witnesses).min())
 
     base = Outcome("Indeterminate", measured, cls, line=replace(line, members=tuple(members)),

@@ -20,9 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import (_ROW_BUDGET, FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_many,
-                   _d_max, _distinct_triples, _strict, _triples, eval_phi, point_json,
-                   point_key)
+from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _distinct_triples,
+                   _strict, _triples, eval_phi, point_json, point_key)
 
 # Deterministic stream for subsampling oversized pair/triple scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -65,12 +64,17 @@ class Line:
     tolerance: float
     members: tuple | None = None
 
+    def defects(self, space: TwoMetricSpace, points) -> np.ndarray:
+        """d(p, g1, g2) of each point p stacked on the first axis, in one
+        kernel scan."""
+        P = np.concatenate([np.asarray(points), [self.g1, self.g2]])
+        k = len(P) - 2
+        return _d_max(space, np.arange(k)[:, None], k, k + 1, P)
+
     def contains_each(self, space: TwoMetricSpace, points) -> np.ndarray:
         """Whether each point stacked on the first axis lies on the line,
-        d(p, g1, g2) <= tolerance, in one kernel scan; a NaN defect is not
-        contained."""
-        P = np.asarray(points)
-        return _d_max(space, P[:, None], self.g1, self.g2) <= self.tolerance
+        d(p, g1, g2) <= tolerance; a NaN defect is not contained."""
+        return self.defects(space, points) <= self.tolerance
 
     def to_json(self) -> dict:
         return {
@@ -81,11 +85,10 @@ class Line:
         }
 
 
-def _members(space: TwoMetricSpace, g1, g2, tolerance: float) -> tuple:
+def _members(space: TwoMetricSpace, line: Line) -> tuple:
     """The indices a of a space with ``size`` points (an ``as_space()``
-    table) where d(a, g1, g2) <= tolerance."""
-    near = Line(int(g1), int(g2), tolerance).contains_each(space, np.arange(space.size))
-    return tuple(np.flatnonzero(near).tolist())
+    table) that lie on the line."""
+    return tuple(np.flatnonzero(line.contains_each(space, np.arange(space.size))).tolist())
 
 
 # Table entries at or below this count as colinear in ``enumerate_lines``.
@@ -252,13 +255,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
 
     idx_i, idx_j = _pair_arrays(n, start)
     cauchy_modulus = float(eval_phi(space, idx_i, idx_j, witnesses, seq).max())
-    # in blocks of _ROW_BUDGET rows; np.max of the block maxima keeps a NaN.
-    # np.take gathers (n, 3) rows about 4x faster than seq[idx].
-    combos = _triple_arrays(n, start)
-    tri_modulus = float(np.max([
-        _d_many(space, *(np.take(seq, combos[s:s + _ROW_BUDGET, k], axis=0)
-                         for k in range(3))).max()
-        for s in range(0, len(combos), _ROW_BUDGET)]))
+    tri_modulus = float(_d_max(space, *np.hsplit(_triple_arrays(n, start), 3), seq).max())
 
     # Candidates are the witnesses and the tail, each point once.  Tail
     # residual of every candidate: one scan over candidates x pairs.
@@ -321,15 +318,15 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
         # distance >= gap force d(p, p', p'') <= 6*lim*(1 + 1/gap).
         gap = cauchy_modulus
         derived = 6.0 * thresholds.lim * (1.0 + 1.0 / gap)
-        defect = float(_d_max(space, P, g1, g2))
+        line = Line(g1, g2, thresholds.colinear)
+        defect = float(line.defects(space, P).max())
         if np.isnan(defect):
             notes = notes + ["passer membership defect is NaN"]
         elif defect > derived:
             notes = notes + [f"passer membership defect {defect:.3g} exceeds "
                              f"derived tolerance {derived:.3g}"]
-        members = (None if space.size is None
-                   else _members(space, g1, g2, thresholds.colinear))
-        line = Line(g1, g2, thresholds.colinear, members)
+        if space.size is not None:
+            line = replace(line, members=_members(space, line))
         return replace(base, tag="LineCase", line=line, low_confidence=bool(notes), notes=notes)
     return replace(base, tag="UniquePoint", point=passers[0], low_confidence=bool(notes),
                    notes=notes)

@@ -108,6 +108,24 @@ def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
     return float(np.max([space.d(i, j, k) for k in range(space.n)]))
 
 
+def lex_order(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair of points of the stacks X and Y (coordinate rows, or index
+    points) in lexicographic order, by Python's list comparison: the oracle
+    for the swap that ``eval_phi`` makes before it scans a pair."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    rows = zip(X.reshape(len(X), -1).tolist(), Y.reshape(len(Y), -1).tolist())
+    swap = np.array([y < x for x, y in rows], dtype=bool).reshape((-1,) + (1,) * (X.ndim - 1))
+    return np.where(swap, Y, X), np.where(swap, X, Y)
+
+
+def gathered_max(kernel, points, X, Y, Z) -> np.ndarray:
+    """The max over the last axis of ``kernel`` called once on the
+    gathered rows ``points[X]``, ``points[Y]`` and ``points[Z]``: the
+    plain-kernel oracle of an index scan."""
+    P = np.asarray(points)
+    return np.asarray(kernel(P[X], P[Y], P[Z])).max(axis=-1)
+
+
 def tail_residual(metric, y, sequence, start: int) -> float:
     """Worst d(y, x_i, x_j) over the tail pairs that ``classify`` scans
     from ``start``, by a loop over a scalar metric."""

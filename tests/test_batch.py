@@ -18,13 +18,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import patch_metric, patch_space, random_sphere_table, table_phi
+from conftest import (gathered_max, lex_order, patch_metric, patch_space, random_sphere_table,
+                      table_phi)
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
 from twometric import core
-from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
-from twometric.lines import Thresholds, _pair_arrays, classify
+from twometric.core import _d_max, broadcasting, eval_phi
+from twometric.lines import Line, Thresholds, _pair_arrays, classify
 from twometric.spaces import area_ball_space, area_metric, det_metric, det_sphere_space
 
 ATOL = 1e-12
@@ -67,7 +68,7 @@ def setup(name, pairs=60, witnesses=40, seed=0):
 
 
 def scalar_phi(metric, X, Y, W):
-    X, Y = _lex_swap(X, Y, False)
+    X, Y = lex_order(X, Y)
     return np.array([max(metric(x, y, w) for w in W.points) for x, y in zip(X, Y)])
 
 
@@ -93,7 +94,7 @@ def test_phi_many_paths_agree_bitwise(name):
     fast_space, fast_calls = recorded(space, marked=True)
     fast = eval_phi(fast_space, X, Y, W)
     slow = eval_phi(slow_space, X, Y, W)
-    Xs, Ys = _lex_swap(X, Y, False)
+    Xs, Ys = lex_order(X, Y)
     P = np.asarray(W.points)
     oracle = space.d_batch(np.repeat(Xs, len(P), axis=0), np.repeat(Ys, len(P), axis=0),
                            np.tile(P, (len(X), 1))).reshape(len(X), len(P)).max(axis=1)
@@ -111,7 +112,7 @@ def test_eval_phi_paths_agree_bitwise(name):
     rows = eval_phi(space, X, Y, W)
     P = np.asarray(W.points)
     for i, (x, y) in enumerate(zip(X, Y)):
-        x, y = _lex_swap(x[None], y[None], False)
+        x, y = lex_order(x[None], y[None])
         oracle = float(space.d_batch(np.repeat(x, len(P), axis=0),
                                      np.repeat(y, len(P), axis=0), P).max())
         assert eval_phi(space, X[i], Y[i], W) == oracle
@@ -143,8 +144,10 @@ def test_candidate_scan_paths_agree_bitwise(name):
     idx_i, idx_j = _pair_arrays(len(seq), start)
     XI, XJ = seq[idx_i], seq[idx_j]
     C = np.concatenate([np.asarray(W.points), seq[start:]])
-    fast = _d_max(space, C[:, None], XI, XJ)
-    slow = _d_max(stacked(space), C[:, None], XI, XJ)
+    scan = (np.arange(len(C))[:, None], len(C) + idx_i, len(C) + idx_j)
+    P = np.concatenate([C, seq])
+    fast = _d_max(space, *scan, P)
+    slow = _d_max(stacked(space), *scan, P)
     oracle = np.array([space.d_batch(np.broadcast_to(c, XI.shape), XI, XJ).max() for c in C])
     assert np.array_equal(fast, oracle)
     assert np.array_equal(slow, oracle)
@@ -260,6 +263,80 @@ def test_index_scans_match_table_lookups(rng):
     idx_i, idx_j = _pair_arrays(len(seq), 5)
     for space in (fast, stacked(fast)):
         assert eval_phi(space, I, J, W).tolist() == [table_phi(table, i, j) for i, j in zip(I, J)]
-        got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j])
+        # the index points of a table are the row numbers of np.arange(n)
+        got = _d_max(space, np.arange(table.n)[:, None], seq[idx_i], seq[idx_j],
+                     np.arange(table.n))
         assert got.tolist() == [max(table.d(c, seq[i], seq[j]) for i, j in zip(idx_i, idx_j))
                                 for c in range(table.n)]
+
+
+# ---------------------------------------------------------------------------
+# one scan form: the point form of eval_phi and line defects are index scans
+# ---------------------------------------------------------------------------
+
+def points_of(name, seed=11):
+    """A space, its witness set and a stack of 40 of its points with a NaN
+    planted in point 7: a coordinate of it, or, on a table (index points),
+    the entry of the points 0, 1 and 7, which only the first three of the
+    stack are."""
+    rng = np.random.default_rng(seed)
+    if name == "table":
+        table = random_sphere_table(rng, 12)
+        table.table[(0, 1, 7)] = np.nan
+        X = np.r_[0, 1, 7, rng.choice([2, 3, 4, 5, 6, 8, 9, 10, 11], size=37)]
+        return table.as_space(), WitnessSet.all_of(table), X
+    space, W, X, _ = setup(name, pairs=40, witnesses=30, seed=seed)
+    X = X.copy()
+    X[7, 1] = np.nan
+    return space, W, X
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def phi_oracle(space, X, Y, W):
+    """phi of each pair of the stacks X and Y, in lexicographic order, by
+    one kernel call on the stacked rows against every witness."""
+    X, Y = lex_order(X, Y)
+    P = np.asarray(W.points)
+    rows = np.repeat(np.arange(len(X)), len(P))
+    return np.asarray(space.d_batch(X[rows], Y[rows], np.tile(P, (len(X),) + (1,) * (P.ndim - 1))
+                                    )).reshape(len(X), len(P)).max(axis=1)
+
+
+@pytest.mark.parametrize("name", [*SPACES, "table"])
+def test_point_and_index_forms_of_eval_phi_have_the_same_bits(name):
+    space, W, X = points_of(name)
+    n = len(X)
+    every = np.arange(n)
+    # one pair, either way round, and through the planted NaN
+    for i, j in ((3, 5), (5, 3), (7, 2), (4, 4)):
+        want = float.hex(float(phi_oracle(space, X[[i]], X[[j]], W)[0]))
+        assert float.hex(eval_phi(space, X[i], X[j], W)) == want
+        assert float.hex(eval_phi(space, i, j, W, X)) == want
+    # one against many
+    want = hexes(phi_oracle(space, X[np.zeros(n, int)], X, W))
+    assert hexes(eval_phi(space, X[:1], X, W)) == want
+    assert hexes(eval_phi(space, np.zeros(1, int), every, W, X)) == want
+    assert hexes(eval_phi(stacked(space), X[:1], X, W)) == want
+    # stacked pairs, the NaN in the pairs through point 7 only
+    want = phi_oracle(space, X[:-1], X[1:], W)
+    assert np.flatnonzero(np.isnan(want)).tolist() == ([0, 1] if name == "table" else [6, 7])
+    for got in (eval_phi(space, X[:-1], X[1:], W), eval_phi(space, every[:-1], every[1:], W, X),
+                eval_phi(stacked(space), X[:-1], X[1:], W)):
+        assert hexes(got) == hexes(want)
+
+
+@pytest.mark.parametrize("name", [*SPACES, "table"])
+def test_line_defects_are_the_kernel_on_gathered_rows(name):
+    space, _, X = points_of(name)
+    g1, g2 = X[0], X[1]
+    line = Line(g1, g2, 0.05)
+    G1, G2 = (np.repeat(np.asarray(g)[None], len(X), axis=0) for g in (g1, g2))
+    want = np.asarray(space.d_batch(X, G1, G2))
+    assert np.isnan(want).any()
+    for space_ in (space, stacked(space)):
+        assert hexes(line.defects(space_, X)) == hexes(want)
+        assert line.contains_each(space_, X).tolist() == (want <= 0.05).tolist()
+    assert hexes(line.defects(space, X[5:6])) == hexes(want[5:6])

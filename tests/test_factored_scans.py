@@ -19,10 +19,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import gathered_max, lex_order
 from twometric import (SphereContractionParams, WitnessSet, area_ball_space, audit,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import core
-from twometric.core import _d_max, _lex_swap, broadcasting, eval_phi
+from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.dynamics import orbit
 from twometric.lines import Line, _pair_arrays, classify
 from twometric.spaces import (_cross, _det_outer, _gram_split, area_metric_batch,
@@ -106,7 +107,7 @@ def test_audit_like_phi_scan_has_the_kernel_bits():
     assert hexes(fast) == hexes(eval_phi(unfactored(SPACE), P[I], P[J], W))
     # one table over the distinct second points, and no kernel call
     assert calls["kernel"] == 0 and len(calls["inner"]) == 1
-    distinct = len(np.unique(_lex_swap(P[I], P[J], False)[1], axis=0))
+    distinct = len(np.unique(lex_order(P[I], P[J])[1], axis=0))
     assert calls["inner"][0][0] == distinct < len(I)
 
 
@@ -147,7 +148,8 @@ def test_signed_zeros_are_distinct_rows_of_the_table():
     xi, yi, wi = np.arange(4)[:, None], np.array([4, 5, 6, 4])[:, None], 7 + np.arange(len(W))
     space, calls = counted()
     fast = _d_max(space, xi, yi, wi, P)
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), P[xi], P[yi], W))
+    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), xi, yi, wi, P))
+    assert hexes(fast) == hexes(gathered_max(det_metric_batch, P, xi, yi, wi))
     assert calls["inner"] == [(3, 1, 3)] and calls["kernel"] == 0
 
 
@@ -179,7 +181,8 @@ def test_a_planted_nan_stays_in_its_own_rows(where):
     fast = _d_max(space, xi, yi, wi, P)
     assert calls["kernel"] == 0
     assert np.array_equal(np.isnan(fast), expected)
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), P[xi], P[yi], P[wi]))
+    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), xi, yi, wi, P))
+    assert hexes(fast) == hexes(gathered_max(det_metric_batch, P, xi, yi, wi))
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40, 6 * 30 - 1, 6 * 30, 2 ** 9, 10 ** 6, 2 ** 20])
@@ -191,7 +194,8 @@ def test_a_small_budget_keeps_the_bits(budget, monkeypatch):
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, calls = counted()
     assert hexes(_d_max(space, *scan, P)) == whole
-    assert hexes(_d_max(unfactored(SPACE), *(P[A] for A in scan))) == whole
+    assert hexes(_d_max(unfactored(SPACE), *scan, P)) == whole
+    assert hexes(gathered_max(det_metric_batch, P, *scan)) == whole
     assert (calls["kernel"] == 0) == (budget >= 180)
 
 
@@ -213,14 +217,14 @@ def test_candidate_scan_computes_the_crosses_once(monkeypatch):
         outers.append(1)
         return _det_outer(X, T)
     monkeypatch.setattr(det_metric_batch, "factors", (cross, outer))
-    fast = _d_max(SPACE, C[:, None], XI, XJ)
-    assert len(crosses) == 1 and len(outers) > 1
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), C[:, None], XI, XJ))
-    # the index form, as classify calls it
+    # by row numbers, as classify calls it
     P = np.concatenate([C, seq])
-    assert hexes(_d_max(SPACE, np.arange(len(C))[:, None], len(C) + I, len(C) + J, P)) == hexes(
-        fast)
-    assert len(crosses) == 2
+    fast = _d_max(SPACE, np.arange(len(C))[:, None], len(C) + I, len(C) + J, P)
+    assert len(crosses) == 1 and len(outers) > 1
+    assert hexes(fast) == hexes(
+        _d_max(unfactored(SPACE), np.arange(len(C))[:, None], len(C) + I, len(C) + J, P))
+    assert hexes(fast) == hexes(det_metric_batch(C[:, None], XI, XJ).max(axis=1))
+    assert len(crosses) == 1
 
 
 @pytest.mark.parametrize("budget", [1, 100, 10 ** 6])
@@ -228,13 +232,17 @@ def test_candidate_scan_has_the_kernel_bits_at_every_budget(budget, monkeypatch)
     rng = np.random.default_rng(36)
     C, A, B = sphere(rng, 70), sphere(rng, 300), sphere(rng, 300)
     C[11, 2] = A[250, 0] = np.nan
-    whole = _d_max(unfactored(SPACE), C[:, None], A[:200], B[:200])
+    P = np.concatenate([C, A, B])
+    X = np.arange(70)[:, None]
+    first, every = (X, 70 + np.arange(200), 370 + np.arange(200)), (X, 70 + np.arange(300),
+                                                                     370 + np.arange(300))
+    whole = gathered_max(det_metric_batch, P, *first)
     assert np.flatnonzero(np.isnan(whole)).tolist() == [11]
     whole = hexes(whole)
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    for X, Y, Z in ((C[:, None], A[:200], B[:200]), (C[:, None], A, B)):
-        assert hexes(_d_max(SPACE, X, Y, Z)) == hexes(_d_max(unfactored(SPACE), X, Y, Z))
-    assert hexes(_d_max(SPACE, C[:, None], A[:200], B[:200])) == whole
+    for scan in (first, every):
+        assert hexes(_d_max(SPACE, *scan, P)) == hexes(_d_max(unfactored(SPACE), *scan, P))
+    assert hexes(_d_max(SPACE, *first, P)) == whole
 
 
 @pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
@@ -253,11 +261,12 @@ def test_det_index_scans_have_the_kernel_bits(subsample, budget, monkeypatch):
     m, start = len(W), len(seq) // 2
     candidate = (np.r_[:m, m + start:len(P)][:, None], m + I, m + J)
     phi = ((m + I)[:, None], (m + J)[:, None], np.arange(m))
-    want = [hexes(_d_max(unfactored(SPACE), *(P[A] for A in scan))) for scan in (candidate, phi)]
+    want = [hexes(gathered_max(det_metric_batch, P, *scan)) for scan in (candidate, phi)]
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, calls = counted()
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
+        assert hexes(_d_max(unfactored(SPACE), *scan, P)) == bits
     # at 2^9 rows the phi scan's table of distinct y does not fit
     assert (calls["kernel"] == 0) == (budget == 2 ** 20)
 
@@ -270,8 +279,8 @@ def test_contains_each_has_the_kernel_bits():
     P[60, 1] = np.nan
     line = Line(g1, g2, 1e-6)
     assert np.array_equal(line.contains_each(SPACE, P), line.contains_each(unfactored(SPACE), P))
-    assert hexes(_d_max(SPACE, P[:, None], g1, g2)) == hexes(
-        _d_max(unfactored(SPACE), P[:, None], g1, g2))
+    assert hexes(line.defects(SPACE, P)) == hexes(line.defects(unfactored(SPACE), P))
+    assert hexes(line.defects(SPACE, P)) == hexes(det_metric_batch(P, g1, g2))
     assert not line.contains_each(SPACE, P)[60]
 
 
@@ -345,11 +354,12 @@ def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypat
     W, seq = area_tail(dim, 90, dim)
     P, candidate, phi = area_scans(W, seq, subsample)
     plain = unfactored(area_ball_space(dim))
-    want = [hexes(_d_max(plain, *(P[A] for A in scan))) for scan in (candidate, phi)]
+    want = [hexes(gathered_max(area_metric_batch, P, *scan)) for scan in (candidate, phi)]
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, calls = area(dim)
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
+        assert hexes(_d_max(plain, *scan, P)) == bits
     # below 8 coordinates the split evaluates without the kernel
     assert (not calls) == (_gram_split(dim) is not None) == (dim < 8)
 
@@ -365,7 +375,8 @@ def test_area_index_scans_keep_a_planted_nan_in_its_own_rows(where):
     for scan in (candidate, phi):
         fast = _d_max(space, *scan, P)
         assert np.isnan(fast).any()
-        assert hexes(fast) == hexes(_d_max(plain, *(P[A] for A in scan)))
+        assert hexes(fast) == hexes(_d_max(plain, *scan, P))
+        assert hexes(fast) == hexes(gathered_max(area_metric_batch, P, *scan))
     assert not calls
     if where == "candidate":
         assert np.flatnonzero(np.isnan(_d_max(space, *candidate, P))).tolist() == [5]
@@ -385,8 +396,7 @@ def test_a_kernel_without_the_split_gets_the_gathered_rows():
     space = replace(area_ball_space(3), d_batch=wrapped)
     for scan in (candidate, phi):
         rows.clear()
-        assert hexes(_d_max(space, *scan, P)) == hexes(
-            _d_max(area_ball_space(3), *(P[A] for A in scan)))
+        assert hexes(_d_max(space, *scan, P)) == hexes(gathered_max(area_metric_batch, P, *scan))
         assert rows and all(len(shape) == 2 and shape[1] == 3 for shape in rows)
         assert sum(shape[0] for shape in rows) == np.broadcast(*scan).size
 

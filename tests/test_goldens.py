@@ -11,7 +11,7 @@ import json
 import pytest
 
 from conftest import TABLE12, check_golden
-from twometric import core, lines
+from twometric import core
 from twometric.cli import main
 
 # golden directory -> (files copied in from it, commands run there with
@@ -52,10 +52,8 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
     *(pytest.param("table12", run, id=f"table12-{name}") for name, run in TABLE12.items()),
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
-    # lines imports the name, so patching core alone would leave classify's
-    # triple-modulus blocks at the default budget
+    # core owns the budget, classify's triple-modulus blocks included
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    monkeypatch.setattr(lines, "_ROW_BUDGET", budget)
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *run)
 

@@ -9,9 +9,10 @@ import pytest
 
 from conftest import (oracle_maximal_colinear, random_sphere_table, table_items, table_phi,
                       tail_residual)
-from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, classify,
-                       demo_five_point_space, det_metric, det_sphere_space,
+from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, area_ball_space,
+                       classify, demo_five_point_space, det_metric, det_sphere_space,
                        enumerate_lines, maximal_colinear_sets, sphere_witnesses)
+from twometric import core
 import twometric.lines as lines_module
 from twometric.core import _d_many
 from twometric.lines import _triple_arrays
@@ -63,7 +64,7 @@ def test_line_members_match_the_scalar_scan(rng):
         x, y = (int(v) for v in rng.choice(n, 2, replace=False))
         for tol in (1e-12, 0.7):
             scan = tuple(a for a in range(n) if finite.d(a, x, y) <= tol)
-            assert lines_module._members(space, np.intp(x), y, tol) == scan
+            assert lines_module._members(space, Line(np.intp(x), y, tol)) == scan
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,33 @@ def test_tri_modulus_blocks_match_one_kernel_call(length):
     c = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
     want = _d_many(SPHERE, seq[c[:, 0]], seq[c[:, 1]], seq[c[:, 2]]).max()
     got = classify(SPHERE, seq, sphere_witnesses(16, seed=1)).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
+
+
+def block_loop_tri_modulus(space, seq, combos, budget):
+    """The triple modulus as classify once took it: blocks of ``budget``
+    index triples, each gathered with np.take and evaluated in one kernel
+    call, and the NaN-keeping np.max of the block maxima."""
+    return float(np.max([
+        _d_many(space, *(np.take(seq, combos[s:s + budget, k], axis=0) for k in range(3))).max()
+        for s in range(0, len(combos), budget)]))
+
+
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
+@pytest.mark.parametrize("nan", [False, True], ids=["clean", "nan"])
+@pytest.mark.parametrize("space", [SPHERE, area_ball_space(3), area_ball_space(8)],
+                         ids=["det", "area-3", "area-8"])
+def test_tri_modulus_is_the_block_loop_at_every_budget(space, nan, budget, monkeypatch):
+    # 150 tail points: 200,000 random triple draws, 7 blocks at 2^15
+    length = 301
+    seq = np.asarray(space.sample(np.random.default_rng(budget), length))
+    if nan:
+        seq[-40, 1] = np.nan
+    combos = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
+    want = block_loop_tri_modulus(space, seq, combos, budget)
+    assert np.isnan(want) == nan
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
     assert float(got).hex() == float(want).hex()
 
 

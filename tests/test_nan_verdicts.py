@@ -197,8 +197,8 @@ def test_a_planted_nan_lowers_the_classify_confidence(case, mask, tag, notes):
 
 def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
     """classify evaluates the triple modulus in blocks of _ROW_BUDGET rows,
-    the only kernel calls it makes on row stacks; a kernel that is NaN only
-    on the last of them makes the modulus NaN."""
+    the only kernel calls whose three arguments are all (rows, 1, 3) stacks;
+    a kernel that is NaN only on the last of them makes the modulus NaN."""
     seq = orbit(make_sphere_map(SphereContractionParams(*ALTERNATING[0])),
                 unit_sphere(ALTERNATING[1]), 200, sphere_witnesses(16, seed=0)).points
     blocks = -(-len(_triple_arrays(200, 100)) // _ROW_BUDGET)
@@ -207,7 +207,7 @@ def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
     @broadcasting
     def d_batch(X, Y, Z):
         out = np.array(det_metric_batch(X, Y, Z))
-        if np.ndim(X) == 2:
+        if np.shape(X) == np.shape(Y) == np.shape(Z) == (len(X), 1, 3):
             rows.append(len(X))
             if len(rows) == blocks:
                 out[-1] = np.nan
