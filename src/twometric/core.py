@@ -258,8 +258,8 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max``, per block of its Gram scans, and in
-# the blocks of ``classify``'s triple modulus (``lines.classify``).  A
+# Rows per metric call in ``_d_max`` (so also triples per block of
+# ``classify``'s triple modulus) and per block of its Gram scans.  A
 # buffered kernel call holds several row-sized buffers (seven in the det
 # kernel: 1.8 MB at 2**15 rows).  On a 2-core Xeon (4 MB L2 per core, numpy
 # 2.4), 20 s sampled-audit runs gave 9.5-10.5 verdicts/s at 2**14 and
@@ -314,9 +314,9 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
             values = space.d_batch(rows(0, s), rows(1, s), rows(2, s))
         else:
             parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
-            n = np.broadcast_shapes(*(A.shape for A in parts))
-            values = _d_many(space, *(np.take(P, np.broadcast_to(A, n).ravel(), axis=0)
-                                      for A in parts)).reshape(n)
+            grid = np.broadcast_shapes(*(A.shape for A in parts))
+            values = _d_many(space, *(np.take(P, np.broadcast_to(A, grid).ravel(), axis=0)
+                                      for A in parts)).reshape(grid)
         out[s:s + step] = values.max(axis=-1)
     return out.reshape(shape)
 

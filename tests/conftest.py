@@ -108,6 +108,12 @@ def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:
     return float(np.max([space.d(i, j, k) for k in range(space.n)]))
 
 
+def hexes(values) -> list[str]:
+    """Each value as ``float.hex`` gives it: a comparison of these lists is
+    a comparison of bits, NaN included."""
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
 def lex_order(X, Y) -> tuple[np.ndarray, np.ndarray]:
     """Each pair of points of the stacks X and Y (coordinate rows, or index
     points) in lexicographic order, by Python's list comparison: the oracle

@@ -18,8 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (gathered_max, lex_order, patch_metric, patch_space, random_sphere_table,
-                      table_phi)
+from conftest import hexes, lex_order, patch_metric, patch_space, random_sphere_table, table_phi
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
@@ -289,10 +288,6 @@ def points_of(name, seed=11):
     X = X.copy()
     X[7, 1] = np.nan
     return space, W, X
-
-
-def hexes(values) -> list[str]:
-    return [float.hex(float(v)) for v in np.ravel(values)]
 
 
 def phi_oracle(space, X, Y, W):

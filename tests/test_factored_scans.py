@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import gathered_max, lex_order
+from conftest import gathered_max, hexes, lex_order
 from twometric import (SphereContractionParams, WitnessSet, area_ball_space, audit,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import core
@@ -30,10 +30,6 @@ from twometric.spaces import (_cross, _det_outer, _gram_split, area_metric_batch
                               det_metric_batch, det_sphere_space)
 
 SPACE = det_sphere_space()
-
-
-def hexes(values) -> list[str]:
-    return [float.hex(float(v)) for v in np.ravel(values)]
 
 
 def unfactored(space):
