@@ -296,8 +296,8 @@ def phi_oracle(space, X, Y, W):
     X, Y = lex_order(X, Y)
     P = np.asarray(W.points)
     rows = np.repeat(np.arange(len(X)), len(P))
-    return np.asarray(space.d_batch(X[rows], Y[rows], np.tile(P, (len(X),) + (1,) * (P.ndim - 1))
-                                    )).reshape(len(X), len(P)).max(axis=1)
+    values = space.d_batch(X[rows], Y[rows], np.tile(P, (len(X),) + (1,) * (P.ndim - 1)))
+    return np.asarray(values).reshape(len(X), len(P)).max(axis=1)
 
 
 @pytest.mark.parametrize("name", [*SPACES, "table"])
@@ -315,7 +315,7 @@ def test_point_and_index_forms_of_eval_phi_have_the_same_bits(name):
     assert hexes(eval_phi(space, X[:1], X, W)) == want
     assert hexes(eval_phi(space, np.zeros(1, int), every, W, X)) == want
     assert hexes(eval_phi(stacked(space), X[:1], X, W)) == want
-    # stacked pairs, the NaN in the pairs through point 7 only
+    # stacked pairs, the NaN only in the pairs that reach it
     want = phi_oracle(space, X[:-1], X[1:], W)
     assert np.flatnonzero(np.isnan(want)).tolist() == ([0, 1] if name == "table" else [6, 7])
     for got in (eval_phi(space, X[:-1], X[1:], W), eval_phi(space, every[:-1], every[1:], W, X),
