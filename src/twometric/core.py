@@ -115,11 +115,38 @@ def _stacks(sample, seed, count: int, arity: int) -> list:
     return [np.asarray(sample(rng, count)) for _ in range(arity)]
 
 
+# The short draw of ``_distinct_triples`` is sized to hold ``keep`` distinct
+# rows with this many standard deviations of their count to spare.
+_SHORT_DRAW_SIGMAS = 6.0
+
+
 def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
                       keep: int | None = None) -> np.ndarray:
     """Index triples below m: of ``draws`` random rows, the first ``keep``
-    (all when None) whose three entries are distinct, each sorted."""
-    a, b, c = rng.integers(0, m, size=(draws, 3)).T
+    (all when None) whose three entries are distinct, each sorted.
+
+    The first rows of a draw are the rows of a shorter draw.  So with
+    ``keep``, the rows expected to hold ``keep`` distinct ones (a share
+    (m - 1)(m - 2) / m^2 of them is distinct), plus a margin, are drawn
+    first; only when they hold fewer is the generator put back and all
+    ``draws`` rows drawn.  The triples are the same either way, but the
+    generator is left after the draw that was kept."""
+    if keep is not None and m >= 3:
+        p = (m - 1) * (m - 2) / (m * m)
+        short = math.ceil((keep + _SHORT_DRAW_SIGMAS * math.sqrt(keep * (1 - p))) / p)
+        if short < draws:
+            state = rng.bit_generator.state
+            rows = _sorted_distinct(rng.integers(0, m, size=(short, 3)), keep)
+            if len(rows) == keep:
+                return rows
+            rng.bit_generator.state = state
+    return _sorted_distinct(rng.integers(0, m, size=(draws, 3)), keep)
+
+
+def _sorted_distinct(draw: np.ndarray, keep: int | None) -> np.ndarray:
+    """The first ``keep`` rows of an (n, 3) draw whose entries are
+    distinct, each sorted."""
+    a, b, c = draw.T
     # a sorted row is strictly increasing exactly when its entries are
     # distinct, so only the rows kept need sorting.  Gathering a, b, c frees
     # the draws before the elementwise sort: with both alive the peak passes
@@ -128,7 +155,8 @@ def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
     a, b, c = a[rows], b[rows], c[rows]
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
-    return np.column_stack((lo, a + b + c - lo - hi, hi))
+    # one contiguous column per index (Fortran order)
+    return np.array([lo, a + b + c - lo - hi, hi]).T
 
 
 def _swapped(X, Y, index: bool) -> np.ndarray:
@@ -283,7 +311,9 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
     row per scan row, with the same bits: a kernel's ``gram`` split
     evaluates the scan from the edges between its points (``_gram_max``),
     and a kernel's ``factors`` compute its inner part once per scan where
-    ``_inner_table`` allows.  Every call covers about ``_ROW_BUDGET`` rows
+    ``_inner_table`` allows.  Both tabulate a scan of triples, one per row
+    (``classify``'s triple modulus), over the pairs of the rows they span,
+    where ``_span`` allows.  Every call covers about ``_ROW_BUDGET`` rows
     at most, split along the first axis.
     """
     P = np.asarray(points)
@@ -298,44 +328,87 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
 
     out = np.empty(a)
     step = max(1, _ROW_BUDGET // b)
-    table = _inner_table(space.d_batch, P, Y, Z, b)
+    table = _inner_table(space.d_batch, P, X, Y, Z, a, b)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
 
     def rows(i, s):
         return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][s:s + step], axis=0)
 
+    def stacked(A, grid):
+        # each row gathered once, then copied in whole blocks along the
+        # broadcast axes: a gather of the broadcast row numbers runs slower
+        G = np.take(P, A, axis=0)
+        for axis, n in enumerate(grid):
+            if G.shape[axis] != n:
+                G = np.repeat(G, n, axis=axis)
+        return G.reshape((-1,) + P.shape[1:])
+
     for s in range(0, a, step):
         if table is not None:
             outer, T, inverse = table
             values = outer(rows(0, s), T if inverse is None
-                           else np.moveaxis(T[:, inverse[s:s + step]], 0, -1))
+                           else np.moveaxis(np.take(T, inverse[s:s + step], axis=1), 0, -1))
         elif getattr(space.d_batch, "broadcasts", False):
             values = space.d_batch(rows(0, s), rows(1, s), rows(2, s))
         else:
             parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
-            values = _d_many(space, *(np.take(P, np.broadcast_to(A, grid).ravel(), axis=0)
-                                      for A in parts)).reshape(grid)
+            values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
         out[s:s + step] = values.max(axis=-1)
     return out.reshape(shape)
 
 
-def _inner_table(kernel, P, Y, Z, b) -> tuple | None:
-    """For a kernel that declares ``factors = (inner, outer)``, with
-    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, and Z fixed
-    along the first axis of ``_d_max``'s 2-D scan of ``b`` columns:
-    ``(outer, T, inverse)`` where ``inner`` of the rows of Y and Z is
-    ``T``, or, when Y repeats along that axis, ``T[:, inverse]`` with its
-    first axis moved last; None where the scan keeps the kernel itself.
+def _span(X, Y, Z, a) -> tuple | None:
+    """For a 2-D scan of ``a`` rows and one column whose X, Y and Z all run
+    along the rows: ``(lo, s)``, the first and the count of the row numbers
+    from the least to the greatest, when a table over their s * s ordered
+    pairs holds at most ``_ROW_BUDGET`` entries and fewer than the scan's
+    rows; else None.  The pair (i, j) is entry ``(i - lo) * s + j - lo``."""
+    if not X.shape == Y.shape == Z.shape == (a, 1):
+        return None
+    lo = min(X.min(), Y.min(), Z.min())
+    s = max(X.max(), Y.max(), Z.max()) + 1 - lo
+    return (int(lo), int(s)) if s * s <= min(_ROW_BUDGET, a - 1) else None
 
-    The rows of a repeating Y are told apart by their row numbers.  The
-    table pays only with fewer distinct rows than scan entries, and it
-    holds at most ``_ROW_BUDGET`` rows.
+
+def _span_pairs(P, lo: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``P`` of each ordered pair of a ``_span`` table, first
+    and second, in the order of its entries."""
+    r = np.arange(lo, lo + s)
+    return np.take(P, np.repeat(r, s), axis=0), np.take(P, np.tile(r, s), axis=0)
+
+
+def _inner_table(kernel, P, X, Y, Z, a, b) -> tuple | None:
+    """For a kernel that declares ``factors = (inner, outer)``, with
+    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, on
+    ``_d_max``'s 2-D scan of ``a`` rows and ``b`` columns: ``(outer, T,
+    inverse)``, where ``inner`` of the rows of Y and Z is ``T``, or
+    ``T[:, inverse]`` with its first axis moved last; None where the scan
+    keeps the kernel itself.  Three layouts:
+
+    * Y and Z fixed along the rows: T is ``inner`` of them.
+    * Z fixed along the rows and Y one column that repeats there: T holds
+      one row per distinct Y, told apart by row numbers, and ``inverse``
+      picks it for each row of the scan.
+    * X, Y and Z one column each, running along the rows: T holds every
+      ordered pair of the rows they span (``_span``), and ``inverse`` is
+      the entry of each row's (y, z).
+
+    The table pays only with fewer entries than scan rows, and it holds at
+    most ``_ROW_BUDGET`` rows.
     """
     inner, outer = getattr(kernel, "factors", (None, None))
-    if inner is None or len(Z) != 1:
+    if inner is None:
         return None
+    if len(Z) != 1:
+        span = _span(X, Y, Z, a)
+        if span is None:
+            return None
+        lo, s = span
+        # kept as one contiguous plane per coordinate, which a gather copies
+        # row by row and ``outer`` reads without a stride
+        return outer, np.ascontiguousarray(inner(*_span_pairs(P, lo, s)).T), (Y - lo) * s + Z - lo
     PZ = np.take(P, Z, axis=0)
     if len(Y) == 1:
         return outer, inner(np.take(P, Y, axis=0), PZ), None
@@ -344,8 +417,6 @@ def _inner_table(kernel, P, Y, Z, b) -> tuple | None:
     _, first, inverse = np.unique(Y[:, 0], return_index=True, return_inverse=True)
     if len(first) == len(Y) or len(first) * b > _ROW_BUDGET:
         return None
-    # kept as one contiguous plane per coordinate, which a gather copies
-    # row by row and ``outer`` reads without a stride
     return outer, np.ascontiguousarray(np.moveaxis(inner(np.take(P, Y[first], axis=0), PZ),
                                                    -1, 0)), inverse
 
@@ -358,7 +429,7 @@ def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
     and keeps a NaN, so the max of d over a row is ``finish`` of the max of
     g, which is taken first.
 
-    Two layouts, and None for any other:
+    Three layouts, and None for any other:
 
     * x and y along the first axis, z along the last (a phi scan).  The
       rows are grouped by x, so u is one edge per row and v the edges from
@@ -372,6 +443,9 @@ def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
       so u is one row of the table and v a block of its rows: a slice
       where the z of a group run in steps of one, as the pairs of a whole
       tail do.
+    * x, y and z one column each, running along the rows (``classify``'s
+      triple modulus).  One table holds the edges of every ordered pair of
+      the rows they span (``_span``), and u and v are gathered from it.
     """
     edges, gram, finish = split
     out = np.empty(a)
@@ -411,6 +485,15 @@ def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
                 g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
                 np.maximum(G, g.max(axis=0), out=G)
             out[s:s + step] = finish(G)
+        return out
+    span = _span(X, Y, Z, a)
+    if span is not None:
+        lo, s = span
+        e, n = edges(*_span_pairs(P, lo, s))
+        xy, xz = ((X[:, 0] - lo) * s + A[:, 0] - lo for A in (Y, Z))
+        for t in range(0, a, _ROW_BUDGET):
+            i, j = xy[t:t + _ROW_BUDGET], xz[t:t + _ROW_BUDGET]
+            out[t:t + _ROW_BUDGET] = finish(gram([u[i] for u in e], n[i], [v[j] for v in e], n[j]))
         return out
     return None
 

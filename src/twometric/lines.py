@@ -187,7 +187,8 @@ def _triple_arrays(length: int, start: int):
     else:
         combos = _triples(m)
         combos = combos[_subsample(len(combos), _MAX_TRIPLES)]
-    return combos + start
+    # one contiguous column per index, which ``_d_max`` reads fastest
+    return np.add(combos, start, order="F")
 
 
 @dataclass
@@ -234,6 +235,30 @@ def _first_of_each(points) -> list[int]:
     return list(first.values())
 
 
+def _farthest_pair(space: TwoMetricSpace, witnesses: WitnessSet, P, tail, k: int,
+                   tail_phi) -> tuple[int, int]:
+    """The positions of the two passers of P farthest apart in pair
+    distance: the first pair, in ``np.triu_indices`` order, whose phi is
+    the largest or NaN.  The witness passers come first; ``tail`` holds
+    each passer's position in the tail of ``k`` points, negative for a
+    witness.  When ``tail_phi`` holds phi of every tail pair, in that
+    order, a pair of two tail passers is looked up there, with the bits a
+    scan would give, and only the pairs with a witness passer are
+    scanned; when it is None, every pair is."""
+    pi, pj = np.triu_indices(len(P), k=1)
+    if tail_phi is None:
+        phis = eval_phi(space, pi, pj, witnesses, P)
+    else:
+        # the pairs of a witness passer are the first ones in this order
+        w = int(np.count_nonzero(tail < 0))
+        own = w * len(P) - w * (w + 1) // 2
+        a, b = tail[pi[own:]], tail[pj[own:]]
+        phis = np.concatenate([eval_phi(space, pi[:own], pj[:own], witnesses, P),
+                               tail_phi[a * k - a * (a + 1) // 2 + b - a - 1]])
+    best = int(np.argmax(phis))
+    return int(pi[best]), int(pj[best])
+
+
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
              thresholds: Thresholds = Thresholds()) -> Classification:
     """Classify a sequence tail.
@@ -254,7 +279,8 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     start = n - max(3, int(round(n * thresholds.tail_fraction)))
 
     idx_i, idx_j = _pair_arrays(n, start)
-    cauchy_modulus = float(eval_phi(space, idx_i, idx_j, witnesses, seq).max())
+    tail_phi = eval_phi(space, idx_i, idx_j, witnesses, seq)
+    cauchy_modulus = float(tail_phi.max())
     tri_modulus = float(_d_max(space, *np.hsplit(_triple_arrays(n, start), 3), seq).max())
 
     # Candidates are the witnesses and the tail, each point once.  Tail
@@ -263,10 +289,10 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     m = len(points) - n
     rows = np.r_[:m, m + start:len(points)]
     pick = rows[_first_of_each(points[rows])]
-    candidates = list(points[pick])
     residuals = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points)
 
-    passers = [c for c, r in zip(candidates, residuals) if r <= thresholds.lim]
+    passing = pick[residuals <= thresholds.lim]
+    passers = list(points[passing])
 
     # Every note lowers the confidence.  A NaN fails every threshold test
     # below, so it gets a note of its own rather than a clean tag.
@@ -307,12 +333,13 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     if np.isnan(spread).any():
         notes = notes + ["pair distance from the first passer is NaN"]
     if (spread > thresholds.min_phi).any():
-        # Generators: the two passers farthest apart in pair distance.
+        # Generators: the two passers farthest apart in pair distance.  An
+        # unsampled tail's Cauchy scan holds every pair of tail passers.
         P = np.asarray(passers)
-        pi, pj = np.triu_indices(len(passers), k=1)
-        phis = eval_phi(space, pi, pj, witnesses, P)
-        best = int(np.argmax(phis))
-        g1, g2 = passers[pi[best]], passers[pj[best]]
+        k = n - start
+        i, j = _farthest_pair(space, witnesses, P, passing - m - start, k,
+                              tail_phi if len(tail_phi) == k * (k - 1) // 2 else None)
+        g1, g2 = passers[i], passers[j]
         # Anti-Cauchy gap feeds the derived colinearity tolerance for the
         # passer set: residual <= lim on tail pairs plus a witnessed pair at
         # distance >= gap force d(p, p', p'') <= 6*lim*(1 + 1/gap).

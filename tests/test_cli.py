@@ -625,3 +625,36 @@ def test_echoed_config_reproduces_the_artifact(one_run_each, tmp_path):
         assert main([name, "--json-config", str(config)]) in (0, 1)
         assert blanked(artifact) == first
 
+
+
+def parsed(capsys, parse, argv):
+    """The exit code, stdout and stderr of ``parse(argv)``: 0 when it
+    returns, the code of its SystemExit otherwise."""
+    try:
+        parse(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in PARSER_FLAGS), ["no-such-command"],
+    ["audit", "--no-such-flag"], ["audit", "--samples", "many"], ["certify", "--triples", "2.5"],
+    [],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the named command's parser; its help and usage
+    # errors must read as those of the parser of every command
+    want = parsed(capsys, build_parser().parse_args, argv)
+    assert want[0] in (0, 2) and (want[1] or want[2])
+    assert parsed(capsys, main, argv) == want
+
+
+def test_a_command_parser_holds_that_command_alone():
+    parser = build_parser("classify")
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == ["classify"]
+    assert parser_flags(action.choices["classify"]) == parser_flags(subparsers()["classify"])
+    assert parser.format_usage() == build_parser().format_usage()

@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import gathered_max, hexes, lex_order
-from twometric import (SphereContractionParams, WitnessSet, area_ball_space, audit,
-                       make_linear_map, make_sphere_map, sphere_witnesses)
-from twometric import core
+from conftest import gathered_max, hexes, lex_order, patch_space
+from test_nan_verdicts import nan_where
+from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatch, WitnessSet,
+                       area_ball_space, audit, make_linear_map, make_sphere_map,
+                       sphere_witnesses)
+from twometric import core, lines
 from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.dynamics import orbit
-from twometric.lines import Line, _pair_arrays, classify
+from twometric.lines import Line, _pair_arrays, _triple_arrays, classify
 from twometric.spaces import (_cross, _det_outer, _gram_split, area_metric_batch,
                               det_metric_batch, det_sphere_space)
 
@@ -410,3 +413,136 @@ def test_area_classify_and_audit_are_byte_identical_without_the_split(steps):
     if steps == 120:
         assert json.dumps(audit(space, witnesses=witnesses, triples=500, seed=5).to_json()) == (
             json.dumps(audit(plain, witnesses=witnesses, triples=500, seed=5).to_json()))
+
+
+# ---------------------------------------------------------------------------
+# x, y and z along the rows: the triple modulus through a pair table
+# ---------------------------------------------------------------------------
+
+def triple_scans(length):
+    """Row numbers of three triple scans of ``length`` points, as classify's
+    triple modulus makes them: the draw over the last 150 rows, every
+    triple of the last 20, and the first 40 rows of that draw, each with
+    rows of repeated indices added."""
+    scans = []
+    for start, rows in ((length - 150, None), (length - 20, None), (length - 150, 40)):
+        c = _triple_arrays(length, start)[:rows]
+        # with the NaN rows of ``test_triple_scans_have_the_kernel_bits``
+        extra = np.array([[start, start, start + 9], [start, start + 9, start + 9],
+                          [start + 9, start, start + 9], [length - 5] * 3,
+                          [start, length - 10, length - 1],
+                          [length - 20, length - 19, length - 18]])
+        scans.append(tuple(np.concatenate([c, extra])[:, [k]] for k in range(3)))
+    return scans
+
+
+def table_space():
+    """A 40-point sphere table with NaN at one triple, and an index trace
+    of 301 points on it."""
+    rng = np.random.default_rng(38)
+    T = FiniteTwoMetricSpace.from_points(sphere(rng, 40), det_metric_batch).dense()
+    entries = {t: float(T[t]) for t in combinations(range(40), 3)}
+    entries[(3, 17, 29)] = np.nan
+    space = FiniteTwoMetricSpace(40, entries).as_space()
+    trace = rng.integers(0, 40, size=301)
+    trace[-20:-14] = [3, 17, 29, 3, 17, 29]
+    return space, space.d_batch, trace, lambda: None
+
+
+def factored(kind):
+    """A space with the kernel of ``kind``, its points, and whether its
+    factorised path ran: ``(space, kernel, points, ran)``."""
+    rng = np.random.default_rng(39)
+    if kind == "table":
+        return table_space()
+    if kind == "det":
+        space, calls = counted()
+        return space, det_metric_batch, sphere(rng, 301), lambda: calls["kernel"] == 0
+    if kind == "patch":
+        patch = SpherePatch(0.2)
+        return patch_space(patch), patch.metric_batch, patch.sample(rng, 301), lambda: None
+    dim = int(kind[-1])
+    space, calls = area(dim)
+    return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: not calls
+
+
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
+@pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "patch", "table"])
+def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
+    # a NaN tail point (a NaN entry of the table), and one point under two
+    # row numbers
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    for scan in triple_scans(301):
+        space, kernel, P, ran = factored(kind)
+        if P.ndim == 2:
+            P[-10, 1] = np.nan
+            P[-7] = P[-12]
+        want = hexes(gathered_max(kernel, P, *scan))
+        assert "nan" in want
+        got = hexes(_d_max(space, *scan, P))
+        assert got == want
+        # a table of the s * s pairs of the s rows spanned pays with fewer
+        # entries than triples and fits the budget: the 20-row scan's 400
+        # pairs at every budget, the 150-row draw's 22,500 pairs from 2^15
+        # on, and never for 46 triples
+        span = np.ptp(np.concatenate(scan)) + 1
+        assert ran() in (None, span ** 2 <= min(budget, len(scan[0]) - 1))
+
+
+# ---------------------------------------------------------------------------
+# the line generators: passer pairs looked up in the Cauchy scan
+# ---------------------------------------------------------------------------
+
+def farthest_of_every_pair(space, witnesses, P, tail, k, tail_phi):
+    """The generators as an oracle classify finds them: the argmax of a
+    scan of every pair of passers."""
+    pi, pj = np.triu_indices(len(P), k=1)
+    best = int(np.argmax(eval_phi(space, pi, pj, witnesses, P)))
+    return int(pi[best]), int(pj[best])
+
+
+def hit(A, p):
+    return (np.asarray(A) == p).all(axis=-1)
+
+
+@pytest.mark.parametrize("steps, theta, nan", [
+    (200, np.pi / 7, False), (300, np.pi / 7, False), (300, 1.234, False),
+    (460, np.pi / 7, False),    # a tail of 230 points, whose pairs are subsampled
+    (300, 1.234, True),         # phi NaN on one pair of tail passers
+], ids=["200", "300", "300-irrational", "460-subsampled", "300-nan"])
+def test_classify_generators_are_those_of_every_passer_pair(steps, theta, nan, monkeypatch):
+    W = sphere_witnesses(128, 0)
+    seq = orbit(make_sphere_map(SphereContractionParams(0.1, 0.5, theta)),
+                np.array([0.8, 0.0, 0.6]), steps, W).points
+    space = SPACE
+    k = len(seq) - (len(seq) - round(len(seq) / 2))
+    if nan:
+        # NaN at the phi of the 5th and 9th tail passers, and nowhere else:
+        # only the witnesses off the equator have |z| above 1e-3
+        passers = classify(SPACE, seq, W).passers
+        pa, pb = passers[-k + 5], passers[-k + 9]
+        space = replace(SPACE, d_batch=nan_where(det_metric_batch, lambda X, Y, Z: (
+            (hit(X, pa) & hit(Y, pb) | hit(X, pb) & hit(Y, pa)) & (np.abs(Z[..., 2]) > 1e-3))))
+    sizes = []
+
+    def recorded(space, x, y, witnesses, points=None):
+        sizes.append(np.size(x) if points is not None else None)
+        return eval_phi(space, x, y, witnesses, points)
+    monkeypatch.setattr(lines, "eval_phi", recorded)
+    verdict = classify(space, seq, W)
+    scanned = sizes[-1]
+    monkeypatch.setattr(lines, "_farthest_pair", farthest_of_every_pair)
+    oracle = classify(space, seq, W)
+    assert json.dumps(verdict.to_json()) == json.dumps(oracle.to_json())
+
+    assert verdict.tag == "LineCase"
+    witness = sum(bool(hit(W.points, p).any()) for p in verdict.passers)
+    K = len(verdict.passers)
+    assert witness and K - witness > 2
+    # the first scan is the Cauchy scan, the last the passer pairs
+    subsampled = k * (k - 1) // 2 > lines._MAX_PAIRS
+    own = witness * K - witness * (witness + 1) // 2
+    assert scanned == (K * (K - 1) // 2 if subsampled else own)
+    if nan:
+        assert [list(g) for g in (verdict.line.g1, verdict.line.g2)] == [list(pa), list(pb)]
+        assert "cauchy modulus is NaN" in verdict.notes

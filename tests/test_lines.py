@@ -188,6 +188,46 @@ def test_triple_arrays_match_the_grid_and_sort_forms(length, start):
     assert np.array_equal(got, want)
 
 
+def full_draw(seed, m, draws, keep):
+    """The first ``keep`` distinct rows of all ``draws`` random rows, each
+    sorted: the oracle of a draw sized to what it keeps."""
+    rows = np.random.default_rng(seed).integers(0, m, size=(draws, 3))
+    rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
+                & (rows[:, 0] != rows[:, 2])]
+    return np.sort(rows, axis=1)[:keep]
+
+
+@pytest.mark.parametrize("sigmas", [None, 0.0, -3.0], ids=["default", "even", "short"])
+@pytest.mark.parametrize("m", [3, 4, 5, 10, 121, 150, 151, 301, 1000])
+def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, sigmas, monkeypatch):
+    # a margin of 0 or -3 standard deviations makes the short draw fall
+    # short about half the time or nearly always, so the full draw runs too
+    if sigmas is not None:
+        monkeypatch.setattr(core, "_SHORT_DRAW_SIGMAS", sigmas)
+    sizes = []
+    sort = core._sorted_distinct
+
+    def recorded(draw, keep):
+        rows = sort(draw, keep)
+        sizes.append((len(draw), len(rows)))
+        return rows
+    monkeypatch.setattr(core, "_sorted_distinct", recorded)
+    cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
+    cases += [(0, 2 * lines_module._MAX_TRIPLES, lines_module._MAX_TRIPLES)] if m >= 121 else []
+    short = fell_short = 0
+    for seed, draws, keep in cases:
+        sizes.clear()
+        got = core._distinct_triples(np.random.default_rng(seed), m, draws, keep)
+        want = full_draw(seed, m, draws, keep)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert sizes[-1][0] == draws or sizes[-1][1] == keep
+        short += sizes[0][0] < draws
+        fell_short += len(sizes) == 2 and sizes[0][1] < keep
+    if sigmas is None:
+        assert not fell_short and (short or m == 3)
+    elif sigmas == -3.0:
+        assert fell_short or m == 3
+
 @pytest.mark.parametrize("length", [
     201,    # 100 tail points: every triple, in blocks
     241,    # 120 tail points: a subsample of the triples
