@@ -417,6 +417,7 @@ def _inner_table(kernel, P, X, Y, Z, a, b) -> tuple | None:
     _, first, inverse = np.unique(Y[:, 0], return_index=True, return_inverse=True)
     if len(first) == len(Y) or len(first) * b > _ROW_BUDGET:
         return None
+    # one plane per coordinate, as above
     return outer, np.ascontiguousarray(np.moveaxis(inner(np.take(P, Y[first], axis=0), PZ),
                                                    -1, 0)), inverse
 

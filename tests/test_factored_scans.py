@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from conftest import gathered_max, hexes, lex_order, patch_space
-from test_nan_verdicts import nan_where
 from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatch, WitnessSet,
                        area_ball_space, audit, make_linear_map, make_sphere_map,
                        sphere_witnesses)
@@ -521,8 +520,10 @@ def test_classify_generators_are_those_of_every_passer_pair(steps, theta, nan, m
         # only the witnesses off the equator have |z| above 1e-3
         passers = classify(SPACE, seq, W).passers
         pa, pb = passers[-k + 5], passers[-k + 9]
-        space = replace(SPACE, d_batch=nan_where(det_metric_batch, lambda X, Y, Z: (
-            (hit(X, pa) & hit(Y, pb) | hit(X, pb) & hit(Y, pa)) & (np.abs(Z[..., 2]) > 1e-3))))
+        at_pair = (lambda X, Y, Z: (hit(X, pa) & hit(Y, pb) | hit(X, pb) & hit(Y, pa))
+                   & (np.abs(Z[..., 2]) > 1e-3))
+        space = replace(SPACE, d_batch=broadcasting(lambda X, Y, Z: np.where(
+            at_pair(X, Y, Z), np.nan, det_metric_batch(X, Y, Z))))
     sizes = []
 
     def recorded(space, x, y, witnesses, points=None):
