@@ -365,7 +365,7 @@ def _span(X, Y, Z, a) -> tuple | None:
     from the least to the greatest, when a table over their s * s ordered
     pairs holds at most ``_ROW_BUDGET`` entries and fewer than the scan's
     rows; else None.  The pair (i, j) is entry ``(i - lo) * s + j - lo``."""
-    if not X.shape == Y.shape == Z.shape == (a, 1):
+    if a < 2 or not X.shape == Y.shape == Z.shape == (a, 1):
         return None
     lo = min(X.min(), Y.min(), Z.min())
     s = max(X.max(), Y.max(), Z.max()) + 1 - lo

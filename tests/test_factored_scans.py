@@ -486,6 +486,10 @@ def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
         # on, and never for 46 triples
         span = np.ptp(np.concatenate(scan)) + 1
         assert ran() in (None, span ** 2 <= min(budget, len(scan[0]) - 1))
+    # no triple, and one
+    for rows in (0, 1):
+        scan = [np.full((rows, 1), k) for k in (3, 9, 12)]
+        assert hexes(_d_max(space, *scan, P)) == hexes(gathered_max(kernel, P, *scan))
 
 
 # ---------------------------------------------------------------------------
