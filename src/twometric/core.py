@@ -320,9 +320,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
     X, Y, Z = (np.reshape(A, (1,) * (2 - np.ndim(A)) + np.shape(A)) for A in (X, Y, Z))
     a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
-    gram = getattr(space.d_batch, "gram", None)
-    split = gram(P.shape[-1]) if gram is not None and P.ndim == 2 and a * b else None
-    out = None if split is None else _gram_max(split, P, X, Y, Z, a, b)
+    split = getattr(space.d_batch, "gram", None)
+    out = _gram_max(split, P, X, Y, Z, a, b) if split and P.ndim == 2 and a * b else None
     if out is not None:
         return out.reshape(shape)
 

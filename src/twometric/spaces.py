@@ -35,21 +35,6 @@ def unit_sphere(v) -> np.ndarray:
     return v / n
 
 
-@broadcasting
-def det_metric(x, y, z) -> float:
-    """|det [x y z]| for unit column vectors; 0 exactly on great circles.
-
-    Also takes stacks of points that broadcast, one value per row.  The
-    matmul of a row by a column reaches the same dot kernel as ``np.dot``,
-    so a stacked call gives each row the bits of a single call.
-    ``det_metric_batch`` adds the products in another order and can differ
-    in the last bit: tables tabulated with ``det_metric`` keep its bits.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.abs(np.matmul(x[..., None, :], np.cross(y, z)[..., :, None])[..., 0, 0])
-    return float(out) if out.ndim == 0 else out
-
-
 def _coords(A) -> list:
     """The coordinate arrays ``A[..., j]`` of points on the last axis."""
     A = np.asarray(A, dtype=float)
@@ -57,11 +42,11 @@ def _coords(A) -> list:
 
 
 def _dot(a, b) -> np.ndarray:
-    """Dot products of points given as coordinate arrays, fewer than 8 of
-    them, added as ``einsum("...j,...j->...")`` adds a unit-stride last
-    axis that short: the even terms ``p0 + p2 + p4 + p6`` in one running
-    sum, the odd terms ``p1 + p3 + p5`` in another, then the two sums.
-    The order decides the last bit, so this gives einsum's bits without
+    """Dot products of points given as coordinate arrays: the even terms
+    ``p0 + p2 + p4 + ...`` in one running sum, the odd terms ``p1 + p3 +
+    ...`` in another, then the two sums.  The order decides the last bit.
+    Below 8 coordinates it is the order in which ``einsum("...j,...j->...")``
+    adds a unit-stride last axis, so there it gives einsum's bits without
     its per-call cost.  Every term is written into one buffer sized from
     the operands, which may be smaller than the scan they feed."""
     shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
@@ -110,6 +95,8 @@ def det_metric_batch(X, Y, Z) -> np.ndarray:
 # kernel(X, Y, Z) == outer(X, inner(Y, Z)) bit for bit: ``core._d_max``
 # computes the inner part once for rows whose (y, z) repeat
 det_metric_batch.factors = (_cross, _det_outer)
+# the one definition of each metric is its kernel, exported under both names
+det_metric = det_metric_batch
 
 
 def antipodal_canon(x) -> np.ndarray:
@@ -168,15 +155,6 @@ def sphere_witnesses(count: int, seed: int) -> WitnessSet:
 # area <= 1, as the bound axiom asks.
 BALL_RADIUS = 0.5
 
-def area_metric(x, y, z) -> float:
-    """Triangle area in R^n via the Gram determinant of two edge vectors."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(y, dtype=float) - x
-    v = np.asarray(z, dtype=float) - x
-    g = np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2
-    return 0.5 * float(np.sqrt(max(g, 0.0)))
-
-
 def _edges(A, B) -> tuple[list, np.ndarray]:
     """The edges ``b - a`` of points on the last axis that broadcast, as
     coordinate arrays, and their squared lengths as ``_dot`` sums them."""
@@ -203,32 +181,16 @@ def _half_root(g) -> np.ndarray:
 @broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
     """Triangle areas row by row, from the Gram determinant of the edges
-    u = y - x and v = z - x.  Below 8 dimensions the edges and their dot
-    products are written into buffers, the dot products as ``_dot`` sums
-    with the bits of ``einsum``; from 8 on they are ``einsum`` itself, on
-    C-ordered edges, since its order there follows the memory layout."""
-    X, Y, Z = (np.asarray(A, dtype=float) for A in (X, Y, Z))
-    if X.shape[-1] < 8:
-        return _half_root(_gram(*_edges(X, Y), *_edges(X, Z)))
-    U, V = np.subtract(Y, X, order="C"), np.subtract(Z, X, order="C")
-    uu = np.einsum("...j,...j->...", U, U)
-    vv = np.einsum("...j,...j->...", V, V)
-    uv = np.einsum("...j,...j->...", U, V)
-    g = np.multiply(uu, vv, out=np.empty(np.shape(uv)))
-    return _half_root(np.subtract(g, np.multiply(uv, uv), out=g))
+    u = y - x and v = z - x, with their dot products summed as ``_dot``
+    sums them, in every dimension."""
+    return _half_root(_gram(*_edges(X, Y), *_edges(X, Z)))
 
 
-def _gram_split(dim: int) -> tuple | None:
-    """The split ``(edges, gram, finish)`` of ``area_metric_batch`` for
-    points of ``dim`` coordinates, with ``kernel(X, Y, Z) ==
-    finish(gram(*edges(X, Y), *edges(X, Z)))`` bit for bit; None from 8
-    coordinates on, where the kernel sums by ``einsum``."""
-    return (_edges, _gram, _half_root) if dim < 8 else None
-
-
+# kernel(X, Y, Z) == finish(gram(*edges(X, Y), *edges(X, Z))) bit for bit:
 # ``core._d_max`` computes the edges of an index scan once per pair of
 # points, and the Gram determinants without the edges of each row
-area_metric_batch.gram = _gram_split
+area_metric_batch.gram = (_edges, _gram, _half_root)
+area_metric = area_metric_batch
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import combinations
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, area_metric, det_metric
+from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, det_metric
 from twometric import cli
 from twometric.lines import _pair_arrays
 
@@ -68,6 +69,50 @@ def trajectory(F, x0, steps: int) -> list:
     return points
 
 
+# ---------------------------------------------------------------------------
+# pure-Python references of the metric kernels, in the kernels' order
+# ---------------------------------------------------------------------------
+
+def _dot_reference(a, b) -> float:
+    """The dot product of two coordinate lists as the kernels sum it: the
+    even terms in one running sum, the odd terms in another, then the two
+    sums."""
+    sums = [p * q for p, q in zip(a[:2], b[:2])]
+    for j in range(2, len(a)):
+        sums[j % 2] = sums[j % 2] + a[j] * b[j]
+    return sums[0] if len(sums) == 1 else sums[0] + sums[1]
+
+
+def det_reference(x, y, z) -> float:
+    """|x . (y x z)| of one triple by a loop over Python floats: the cross
+    product as ``np.cross`` writes it, the dot product in the kernels'
+    order.  CPython rounds every product and sum on its own and never
+    fuses them, so this shares neither code nor a BLAS with the kernel."""
+    x, y, z = ([float(c) for c in p] for p in (x, y, z))
+    c = [y[(i + 1) % 3] * z[(i + 2) % 3] - y[(i + 2) % 3] * z[(i + 1) % 3] for i in range(3)]
+    return abs(_dot_reference(x, c))
+
+
+def area_reference(x, y, z) -> float:
+    """The area of one triangle by a loop over Python floats: the edges
+    u = y - x and v = z - x, their dot products in the kernels' order, and
+    ``0.5 * sqrt(max(uu * vv - uv * uv, 0))`` with a NaN kept."""
+    x, y, z = ([float(c) for c in p] for p in (x, y, z))
+    u = [q - p for p, q in zip(x, y)]
+    v = [q - p for p, q in zip(x, z)]
+    uv = _dot_reference(u, v)
+    g = _dot_reference(u, u) * _dot_reference(v, v) - uv * uv
+    return 0.5 * math.sqrt(0.0 if g <= 0.0 else g)
+
+
+def reference_rows(metric, X, Y, Z) -> np.ndarray:
+    """A scalar reference called once per row of X, Y and Z broadcast
+    against each other: the values a kernel gives that stack."""
+    X, Y, Z = np.broadcast_arrays(*(np.asarray(P, dtype=float) for P in (X, Y, Z)))
+    rows = zip(*(P.reshape(-1, P.shape[-1]).tolist() for P in (X, Y, Z)))
+    return np.array([metric(*t) for t in rows]).reshape(X.shape[:-1])
+
+
 def patch_lift(p) -> np.ndarray:
     """Scalar oracle of ``SpherePatch.lift_batch``: one planar point lifted
     to the lower hemisphere."""
@@ -77,8 +122,8 @@ def patch_lift(p) -> np.ndarray:
 
 def patch_metric(x, y, z) -> float:
     """Scalar oracle of ``SpherePatch.metric_batch``: the area of one
-    lifted triangle."""
-    return area_metric(patch_lift(x), patch_lift(y), patch_lift(z))
+    lifted triangle, by ``area_reference``."""
+    return area_reference(patch_lift(x), patch_lift(y), patch_lift(z))
 
 
 def patch_space(patch: SpherePatch) -> TwoMetricSpace:

@@ -4,10 +4,8 @@ A kernel marked ``broadcasting`` is called on broadcast inputs; any other
 kernel gets materialised rows, in the order ``np.repeat``/``np.tile`` built
 them before the broadcast path existed.  Per element the arithmetic is the
 same, so the two paths, and the stacked oracle written out here, must agree
-bit for bit.  The scalar oracle of each space sums its products in another
-order, so it is compared within ATOL: values lie in [0, 1], and 1e-12 leaves room for the
-area kernel's cancellation in uu*vv - uv^2 on the random (non-degenerate)
-triangles used here.
+bit for bit.  So must the scalar oracle of each space, a loop over the
+pure-Python reference of ``conftest``, which sums in the kernel's order.
 """
 
 from __future__ import annotations
@@ -18,16 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import hexes, lex_order, patch_metric, patch_space, random_sphere_table, table_phi
+from conftest import (area_reference, det_reference, hexes, lex_order, patch_metric, patch_space,
+                      random_sphere_table, table_phi)
 from twometric import (SphereContractionParams, SpherePatch, WitnessSet, audit,
                        detect_outcome, make_linear_map, make_sphere_map,
                        sphere_witnesses)
 from twometric import core
 from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.lines import Line, Thresholds, _pair_arrays, classify
-from twometric.spaces import area_ball_space, area_metric, det_metric, det_sphere_space
-
-ATOL = 1e-12
+from twometric.spaces import area_ball_space, det_sphere_space
 
 SPACES = {
     "det-sphere": det_sphere_space,
@@ -35,9 +32,9 @@ SPACES = {
     "area-ball-5": lambda: area_ball_space(5),
     "sphere-patch": lambda: patch_space(SpherePatch(0.2)),
 }
-# The scalar metric each space's kernel must agree with up to rounding.
-SCALAR = {"det-sphere": det_metric, "area-ball-3": area_metric, "area-ball-5": area_metric,
-          "sphere-patch": patch_metric}
+# The scalar reference each space's kernel must agree with bit for bit.
+SCALAR = {"det-sphere": det_reference, "area-ball-3": area_reference,
+          "area-ball-5": area_reference, "sphere-patch": patch_metric}
 
 
 def recorded(space, marked):
@@ -101,7 +98,7 @@ def test_phi_many_paths_agree_bitwise(name):
     assert np.array_equal(slow, oracle)
     assert fast_calls and all(ndims == {3} for ndims in fast_calls)
     assert slow_calls and all(ndims == {2} for ndims in slow_calls)
-    np.testing.assert_allclose(fast, scalar_phi(SCALAR[name], X, Y, W), rtol=0, atol=ATOL)
+    assert hexes(fast) == hexes(scalar_phi(SCALAR[name], X, Y, W))
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -151,7 +148,7 @@ def test_candidate_scan_paths_agree_bitwise(name):
     assert np.array_equal(fast, oracle)
     assert np.array_equal(slow, oracle)
     scalar = [max(SCALAR[name](c, xi, xj) for xi, xj in zip(XI, XJ)) for c in C]
-    np.testing.assert_allclose(fast, scalar, rtol=0, atol=ATOL)
+    assert hexes(fast) == hexes(scalar)
 
 
 def greedy_reps(space, points, W, min_phi):

@@ -156,6 +156,14 @@ def test_certify_prints_a_failed_conclusion(tmp_path, capsys):
     assert result["pass"] is True and result["conclusion_ok"] is False
 
 
+@pytest.mark.parametrize("excess, code", [(1.04, 0), (1.06, 1)])
+def test_certify_conclusion_has_a_slack_of_5_percent(tmp_path, excess, code):
+    # the worst ratio 0.0625 against a bound of 0.0625 / excess
+    assert main(["certify", "--C-prime", repr(1 / excess), "--out", str(tmp_path)]) == code
+    result = load(tmp_path / "certify.json")["result"]
+    assert result["worst_ratio"] == pytest.approx(excess * result["bound"])
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--A", "0.5,0,0,0.02"], "config error: --A has condition number 25, "
                  "above the calibrated family's cap 4", id="condition-25"),

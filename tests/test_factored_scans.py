@@ -28,8 +28,8 @@ from twometric import core, lines
 from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.dynamics import orbit
 from twometric.lines import Line, _pair_arrays, _triple_arrays, classify
-from twometric.spaces import (_cross, _det_outer, _gram_split, area_metric_batch,
-                              det_metric_batch, det_sphere_space)
+from twometric.spaces import (_cross, _det_outer, area_metric_batch, det_metric_batch,
+                              det_sphere_space)
 
 SPACE = det_sphere_space()
 
@@ -347,7 +347,7 @@ def area_scans(W, seq, subsample):
 
 @pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
 @pytest.mark.parametrize("subsample", [False, True], ids=["all-pairs", "subsampled"])
-@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 9, 12])
 def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypatch):
     W, seq = area_tail(dim, 90, dim)
     P, candidate, phi = area_scans(W, seq, subsample)
@@ -358,18 +358,20 @@ def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypat
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
         assert hexes(_d_max(plain, *scan, P)) == bits
-    # below 8 coordinates the split evaluates without the kernel
-    assert (not calls) == (_gram_split(dim) is not None) == (dim < 8)
+    # the split evaluates without the kernel, in every dimension
+    assert not calls
 
 
-@pytest.mark.parametrize("where", ["candidate", "tail", "witness"])
-def test_area_index_scans_keep_a_planted_nan_in_its_own_rows(where):
-    W, seq = area_tail(3, 90, 7)
+def check_planted_nan(where, dim):
+    """A NaN coordinate at a candidate, a tail point or a witness: the
+    index scans by the split give the plain kernel's bits, NaN rows
+    included, without calling the kernel."""
+    W, seq = area_tail(dim, 90, 7)
     P, candidate, phi = area_scans(W, seq, False)
     row = {"candidate": 5, "tail": len(W) + 80, "witness": 9}[where]
     P[row, 1] = np.nan
-    plain = unfactored(area_ball_space(3))
-    space, calls = area(3)
+    plain = unfactored(area_ball_space(dim))
+    space, calls = area(dim)
     for scan in (candidate, phi):
         fast = _d_max(space, *scan, P)
         assert np.isnan(fast).any()
@@ -378,6 +380,17 @@ def test_area_index_scans_keep_a_planted_nan_in_its_own_rows(where):
     assert not calls
     if where == "candidate":
         assert np.flatnonzero(np.isnan(_d_max(space, *candidate, P))).tolist() == [5]
+
+
+@pytest.mark.parametrize("where", ["candidate", "tail", "witness"])
+def test_area_index_scans_keep_a_planted_nan_in_its_own_rows(where):
+    check_planted_nan(where, 3)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 12])
+@pytest.mark.parametrize("where", ["candidate", "tail", "witness"])
+def test_area_index_scans_keep_a_planted_nan_past_8_coordinates(where, dim):
+    check_planted_nan(where, dim)
 
 
 def test_a_kernel_without_the_split_gets_the_gathered_rows():
@@ -460,13 +473,14 @@ def factored(kind):
     if kind == "patch":
         patch = SpherePatch(0.2)
         return patch_space(patch), patch.metric_batch, patch.sample(rng, 301), lambda: None
-    dim = int(kind[-1])
+    dim = int(kind.split("-")[1])
     space, calls = area(dim)
     return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: not calls
 
 
 @pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
-@pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "patch", "table"])
+@pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "area-8", "area-9", "area-12",
+                                  "patch", "table"])
 def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
     # a NaN tail point (a NaN entry of the table), and one point under two
     # row numbers

@@ -1,25 +1,32 @@
 """Bit pins: the metric kernels and the built-in maps against the forms
 they replace.
 
-Below 8 dimensions the kernels add their products in the order
-``einsum("...j,...j->...")`` uses on a unit-stride last axis that short:
-even terms in one running sum, odd terms in another, then the two.  The det
-kernel writes out ``np.cross``; the maps evaluate stacks with
-row-by-column ``matmul``.  Each must give the bits of the old form, written
-out here as the oracle.  If a numpy release sums in another order, these
-tests fail instead of the artifacts moving silently.
+The kernels add their products in one order: even terms in one running
+sum, odd terms in another, then the two.  Below 8 dimensions that is the
+order ``einsum("...j,...j->...")`` uses on a unit-stride last axis that
+short, so there each kernel must give the bits of its einsum form, written
+out here as the oracle; from 8 on, einsum adds in wider lanes, and the
+oracle is the pure-Python reference of ``conftest``.  The det kernel writes
+out ``np.cross``; the maps evaluate stacks with row-by-column ``matmul``.
+If a numpy release sums in another order, these tests fail instead of the
+artifacts moving silently.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twometric import (SphereContractionParams, SpherePatch, WitnessSet, detect_outcome,
-                       make_linear_map, make_sphere_map, sphere_witnesses)
+from conftest import area_reference, det_reference, hexes, reference_rows
+from twometric import (SphereContractionParams, SpherePatch, WitnessSet, area_metric,
+                       det_metric, detect_outcome, make_linear_map, make_sphere_map,
+                       sphere_witnesses)
+from twometric import spaces
 from twometric.core import apply_rows
 from twometric.dynamics import measured_contraction_factor
 from twometric.spaces import _dot, area_metric_batch, det_metric_batch
@@ -39,8 +46,11 @@ def area_einsum(X, Y, Z):
     return 0.5 * np.sqrt(np.maximum(uu * vv - uv * uv, 0.0))
 
 
-PATCH = SpherePatch(0.2)
+def area_loop(X, Y, Z):
+    return reference_rows(area_reference, X, Y, Z)
 
+
+PATCH = SpherePatch(0.2)
 
 
 def normal(dim):
@@ -55,9 +65,9 @@ KERNELS = {
               lambda X, Y, Z: area_einsum(*(PATCH.lift_batch(P) for P in (X, Y, Z))),
               lambda rng, n: PATCH.sample(rng, n)),
 }
-# with the area kernel in 5-d (the lane order) and 9-d (einsum itself)
+# with the area kernel in 5-d (einsum's lane order) and 9-d (the reference)
 ALL_KERNELS = {**KERNELS, "area-5d": (area_metric_batch, area_einsum, normal(5)),
-               "area-9d": (area_metric_batch, area_einsum, normal(9))}
+               "area-9d": (area_metric_batch, area_loop, normal(9))}
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -108,15 +118,64 @@ def test_dot_adds_in_the_einsum_lane_order(dim):
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_area_kernel_has_the_einsum_bits_in_every_dimension(dim):
-    # dims 1-7 add in the lane order, dims 8 and 9 call einsum itself
+    # dims 1-7 have the bits of einsum; from 8 on einsum adds in wider
+    # lanes, and the kernel keeps its order, the reference's
+    oracle = area_einsum if dim < 8 else area_loop
     rng = np.random.default_rng(14 + dim)
     X, Y, Z = (rng.normal(size=(20_000, dim)) for _ in range(3))
-    assert np.array_equal(area_metric_batch(X, Y, Z), area_einsum(X, Y, Z))
+    assert np.array_equal(area_metric_batch(X, Y, Z), oracle(X, Y, Z))
     # the phi scan (pairs x witnesses) and classify's candidate scan
     for scan in ((X[:200, None], Y[:200, None], Z[:300]), (X[:200, None], Y[:300], Z[:300])):
         out = area_metric_batch(*scan)
         assert out.shape == (200, 300)
-        assert np.array_equal(out, area_einsum(*scan))
+        assert np.array_equal(out, oracle(*scan))
+
+
+def signed_rows(rng, count, dim):
+    """Normal rows with whole-row and single-coordinate signed zeros,
+    equal rows, and one NaN and one inf coordinate each in X, Y and Z."""
+    X, Y, Z = (rng.normal(size=(count, dim)) for _ in range(3))
+    for A in (X, Y, Z):
+        A[rng.integers(0, count, 40), rng.integers(0, dim, 40)] = -0.0
+        A[rng.integers(0, count, 40), rng.integers(0, dim, 40)] = 0.0
+        A[rng.integers(0, count, 20)] = -0.0
+    X[:30], Y[30:60], Z[60:90] = Y[:30], Z[30:60], X[60:90]
+    for k, A in enumerate((X, Y, Z)):
+        A[100 + k, -1] = np.nan
+        A[200 + k, 0] = np.inf if k % 2 else -np.inf
+    return X, Y, Z
+
+
+def test_det_kernel_has_the_bits_of_the_reference():
+    X, Y, Z = signed_rows(np.random.default_rng(30), 3000, 3)
+    with np.errstate(invalid="ignore"):
+        got = det_metric_batch(X, Y, Z)
+    want = reference_rows(det_reference, X, Y, Z)
+    assert hexes(got) == hexes(want)
+    assert {"nan", "inf", "0x0.0p+0"} <= set(hexes(got))
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_area_kernel_has_the_bits_of_the_reference(dim):
+    X, Y, Z = signed_rows(np.random.default_rng(30 + dim), 3000, dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = area_metric_batch(X, Y, Z)
+    want = reference_rows(area_reference, X, Y, Z)
+    assert hexes(got) == hexes(want)
+    assert {"nan", "0x0.0p+0"} <= set(hexes(got))
+
+
+def test_each_metric_has_one_definition():
+    assert det_metric is det_metric_batch and area_metric is area_metric_batch
+    # the kernels and every helper they call: elementwise ufuncs only, no
+    # dot, matmul or einsum, whose summation order numpy picks at run time
+    parts = {det_metric_batch, *det_metric_batch.factors, area_metric_batch,
+             *area_metric_batch.gram, spaces._dot, spaces._coords, spaces._differences}
+    for part in parts:
+        tree = ast.parse(inspect.getsource(part))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"einsum", "matmul", "dot"}, part.__name__
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), part.__name__
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

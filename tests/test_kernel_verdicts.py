@@ -3,12 +3,9 @@
 Line membership, which decides colinearity, and the fixed-line
 uniqueness test threshold d evaluated by ``d_batch``.  Each is compared
 here against a loop, written out in the test, that evaluates one triple per
-kernel call.  Tolerances sit below, at and above each value: at the next
-float on either side the scalar metric, which sums in another order, can
-disagree with the kernel, so the loop calls the kernel.  At a margin of
-1e-6 relative, or 1e-15 near zero, the verdict also matches the scalar
-metric (the scalar and batch metrics differ by about 1e-12 relative at
-most, and by rounding error near zero).
+kernel call, and against a loop over the pure-Python reference of
+``conftest``, which sums in the kernel's order.  Tolerances sit below, at
+and above each value, at the next float on either side.
 
 The worst-ratio helper behind ``measured_contraction_factor``, ``certify``
 and ``calibrate_ratio_constant`` is compared against the three blocks it
@@ -24,16 +21,18 @@ from twometric import (Line, SphereContractionParams, SpherePatch, Thresholds,
                        calibrate_ratio_constant, detect_outcome, eval_phi,
                        make_sphere_map, sphere_witnesses)
 from twometric.core import _worst_ratio, apply_rows
-from twometric.spaces import (area_ball_space, area_metric, area_metric_batch, det_metric,
-                              det_sphere_space, great_circle_points)
+from conftest import area_reference, det_reference
+from twometric.spaces import (area_ball_space, area_metric_batch, det_sphere_space,
+                              great_circle_points)
 
 SPACES = {
     "det-sphere": det_sphere_space,
     "area-ball-3": lambda: area_ball_space(3),
     "area-ball-5": lambda: area_ball_space(5),
 }
-# The scalar metric each space's kernel must agree with up to rounding.
-SCALAR = {"det-sphere": det_metric, "area-ball-3": area_metric, "area-ball-5": area_metric}
+# The scalar reference each space's kernel must agree with bit for bit.
+SCALAR = {"det-sphere": det_reference, "area-ball-3": area_reference,
+          "area-ball-5": area_reference}
 
 
 def kernel_one(space, x, y, z) -> float:
@@ -44,13 +43,6 @@ def kernel_one(space, x, y, z) -> float:
 def tolerances(value: float) -> list[float]:
     """Tolerances with the value above, at and below them."""
     return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
-
-
-def margins(value: float) -> list[float]:
-    """Tolerances clear of the value on either side, by more than the
-    scalar and batch metrics differ."""
-    gap = max(1e-6 * value, 1e-15)
-    return [value - gap, value + gap]
 
 
 def triples(space, rng, count=12):
@@ -72,7 +64,7 @@ def test_is_colinear_thresholds_the_kernel(name):
         for tol in tolerances(value):
             assert Line(y, z, tol).contains_each(space, [x])[0] == (value <= tol)
         scalar = SCALAR[name](x, y, z)
-        for tol in margins(scalar):
+        for tol in tolerances(scalar):
             assert Line(y, z, tol).contains_each(space, [x])[0] == (scalar <= tol)
 
 
@@ -90,9 +82,10 @@ def test_line_membership_thresholds_the_kernel(name):
             assert line.contains_each(space, points).tolist() == loop
             assert [line.contains_each(space, [p])[0] for p in points] == loop
     scalar = [SCALAR[name](p, g1, g2) for p in points]
-    for tol in margins(np.median(scalar)):
-        loop = [v <= tol for v in scalar]
-        assert Line(g1, g2, tol).contains_each(space, points).tolist() == loop
+    for value in scalar[::3]:
+        for tol in tolerances(value):
+            loop = [v <= tol for v in scalar]
+            assert Line(g1, g2, tol).contains_each(space, points).tolist() == loop
 
 
 def test_fixed_line_members_and_uniqueness_threshold_the_kernel():

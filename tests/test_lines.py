@@ -7,8 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import (oracle_maximal_colinear, random_sphere_table, table_items, table_phi,
-                      tail_residual)
+from conftest import (det_reference, oracle_maximal_colinear, random_sphere_table, table_items,
+                      table_phi, tail_residual)
 from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, area_ball_space,
                        classify, demo_five_point_space, det_metric, det_sphere_space,
                        enumerate_lines, maximal_colinear_sets, sphere_witnesses)
@@ -306,7 +306,7 @@ def test_colinear_points_inherit_the_tail_property():
     seq = np.array([E1, E2] * 30)
     thresholds = Thresholds()
     for t in np.linspace(0.2, 2 * np.pi, 8):
-        assert tail_residual(det_metric, equatorial(t), seq, 30) <= 3.0 * thresholds.lim
+        assert tail_residual(det_reference, equatorial(t), seq, 30) <= 3.0 * thresholds.lim
 
 
 def test_accumulation_points_pass_on_three_phase_cycle():
@@ -317,7 +317,7 @@ def test_accumulation_points_pass_on_three_phase_cycle():
     assert verdict.tag == "LineCase"
     assert verdict.tri_cauchy_modulus == 0.0
     for accumulation_point in (E1, mid, E2):
-        assert tail_residual(det_metric, accumulation_point, seq, 30) <= 1e-12
+        assert tail_residual(det_reference, accumulation_point, seq, 30) <= 1e-12
 
 
 def test_convergent_sequence_classifies_as_cauchy():

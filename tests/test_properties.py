@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import json
 import operator
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import oracle_maximal_colinear, table_items, table_json, table_phi
+from conftest import det_reference, oracle_maximal_colinear, table_items, table_json, table_phi
 from twometric import (AxiomReport, BanachRun, CertResult, Classification,
                        FiniteTwoMetricSpace, Line, Outcome, Thresholds, WitnessSet, audit,
                        det_metric, det_sphere_space, eval_phi, maximal_colinear_sets,
@@ -102,11 +105,10 @@ def test_table_kernel_matches_lookups_on_every_triple(space):
 @given(hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(3)),
                   elements=st.floats(-1.0, 1.0)))
 def test_tabulation_in_one_call_matches_the_scalar_loop(tmp_path_factory, points):
-    # the parent form of det_metric, one np.dot per triple, is the oracle
+    # the pure-Python reference, one call per triple, is the oracle
     fast = FiniteTwoMetricSpace.from_points(points, det_metric)
-    slow = FiniteTwoMetricSpace.from_points(points, lambda x, y, z: det_metric(x, y, z))
-    want = {t: float(abs(np.dot(points[t[0]], np.cross(points[t[1]], points[t[2]]))))
-            for t in combinations(range(len(points)), 3)}
+    slow = FiniteTwoMetricSpace.from_points(points, det_reference)
+    want = {t: det_reference(*points[list(t)]) for t in combinations(range(len(points)), 3)}
     assert table_items(fast) == table_items(slow) == list(want.items())
     path = tmp_path_factory.mktemp("tables")
     fast.save(path / "fast.json")
@@ -350,3 +352,33 @@ def test_an_artifact_holding_nan_round_trips(name):
     text = json.dumps(NAN_ARTIFACTS[name].to_json(), indent=2, sort_keys=True, allow_nan=False)
     assert '"non_finite": true' in text
     assert dumps(json.loads(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# the suite's own settings
+# ---------------------------------------------------------------------------
+
+FORCED_FAILURE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_given_test_fails_and_the_session_goes_on(tmp_path):
+    # under the repo's warning filters, reporting a failing @given test must
+    # raise no warning: one would end the session with an internal error
+    (tmp_path / "test_forced.py").write_text(FORCED_FAILURE, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(config), "--rootdir", str(tmp_path), "test_forced.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -173,6 +173,30 @@ def test_minimal_power_matches_log_oracle():
     assert minimal_power(0.99, 2.0) == 69
 
 
+@pytest.mark.parametrize("gap, caught", [(5e-16, False), (5e-15, True)])
+def test_a_measured_factor_leaves_out_pairs_below_the_floor_of_1e_15(gap, caught):
+    # one sampled pair ``gap`` apart, which the map tears apart: a violation
+    # when the pair is kept, none when it is left out
+    near = 0.5 + gap
+    draws = iter([np.array([0.1, 0.5, 0.7]), np.array([0.4, near, 0.2])])
+    space = replace(interval_space(), sample=lambda rng, n: next(draws))
+
+    def F(x):
+        return 0.9 if x == near else 0.3 * x
+    if caught:
+        with pytest.raises(ContractionViolation, match="claimed factor 0.5 violated"):
+            banach_direct(space, F, 0.2, 0.5)
+    else:
+        assert banach_direct(space, F, 0.2, 0.5).k_measured == pytest.approx(0.3)
+
+
+def test_minimal_power_refuses_past_its_cap_of_100000():
+    # k^a < 1/2 first at a = 100000, and at 100001 for the second k
+    assert minimal_power(0.5 ** (1 / 99999.5), 2.0) == 100000
+    with pytest.raises(ValueError, match="no admissible power below cap"):
+        minimal_power(0.5 ** (1 / 100000.5), 2.0)
+
+
 def test_power_run_with_declared_constant_two():
     run = banach_power(interval_space(C=2.0), lambda x: 0.6 * x, 1.0, 0.6)
     assert run.power == 2

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import area_reference, det_reference, hexes
 from twometric import (SpherePatch, antipodal_canon, area_metric,
                        convexity_bound, convexity_baseline, det_metric, det_sphere_space,
                        great_circle_points, rho, sphere_witnesses,
@@ -40,9 +41,8 @@ def test_det_matches_linalg_oracle(rng):
     for x, y, z in zip(X, Y, Z):
         expected = abs(np.linalg.det(np.column_stack([x, y, z])))
         assert det_metric(x, y, z) == pytest.approx(expected, abs=1e-13)
-    assert np.allclose(det_metric_batch(X, Y, Z),
-                       [det_metric(x, y, z) for x, y, z in zip(X, Y, Z)],
-                       atol=0.0)
+    assert hexes(det_metric_batch(X, Y, Z)) == hexes(
+        [det_reference(x, y, z) for x, y, z in zip(X, Y, Z)])
 
 
 def test_det_permutation_and_negation_invariance(rng):
@@ -122,9 +122,8 @@ def test_area_matches_cross_product_oracle(rng):
     for x, y, z in zip(X, Y, Z):
         expected = 0.5 * np.linalg.norm(np.cross(y - x, z - x))
         assert area_metric(x, y, z) == pytest.approx(expected, rel=1e-10, abs=1e-14)
-    assert np.allclose(area_metric_batch(X, Y, Z),
-                       [area_metric(x, y, z) for x, y, z in zip(X, Y, Z)],
-                       atol=0.0)
+    assert hexes(area_metric_batch(X, Y, Z)) == hexes(
+        [area_reference(x, y, z) for x, y, z in zip(X, Y, Z)])
 
 
 def test_area_translation_rotation_invariance(rng):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TABLE12, check_golden, random_sphere_points, table_items, table_json
+from conftest import (TABLE12, check_golden, det_reference, random_sphere_points, table_items,
+                      table_json)
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace, WitnessSet, det_metric,
                        maximal_colinear_sets, orbit)
 from twometric.cli import main
@@ -200,9 +201,11 @@ def test_golden_table_bytes(tmp_path):
     want = (GOLDEN / "table.json").read_bytes()
     points = json.loads((GOLDEN / "points.json").read_text(encoding="utf-8"))
     FiniteTwoMetricSpace.from_points(points, det_metric).save(tmp_path / "tabulated.json")
+    # one pure-Python call per triple, in the kernel's order
+    FiniteTwoMetricSpace.from_points(points, det_reference).save(tmp_path / "reference.json")
     FiniteTwoMetricSpace.load(GOLDEN / "table.json").save(tmp_path / "reloaded.json")
-    assert (tmp_path / "tabulated.json").read_bytes() == want
-    assert (tmp_path / "reloaded.json").read_bytes() == want
+    for name in ("tabulated.json", "reference.json", "reloaded.json"):
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 def test_golden_table_audit_and_lines(tmp_path, monkeypatch):
