@@ -34,14 +34,13 @@ from .spaces import (SpherePatch, area_ball_space, convexity_bound,
                      det_sphere_space, sphere_witnesses, unit_sphere)
 
 
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _report(config: dict, **payload) -> dict:
-    out = {"config": config, "timestamp": _now()}
-    out.update(payload)
-    return out
+def _write(cfg: dict, name: str, **payload) -> Path:
+    """Write the artifact ``<--out>/<name>``: the resolved config, the time
+    and ``payload``.  Returns the ``--out`` directory, which it creates."""
+    out_dir = Path(cfg["out"])
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    _write_json(out_dir / name, {"config": cfg, "timestamp": timestamp, **payload})
+    return out_dir
 
 
 class ConfigError(Exception):
@@ -136,10 +135,10 @@ def cmd_audit(cfg) -> int:
     report = audit(space, witnesses=witnesses, triples=cfg["samples"],
                    seed=cfg["seed"], tolerance=cfg["tolerance"])
     non_fatal = ("N",) if cfg["space"] == "det-sphere" else ()
-    payload = _report(cfg, audit=report.to_json())
+    payload = {"audit": report.to_json()}
     if finite is not None:
         payload["lines"] = [list(line.members) for line in enumerate_lines(finite)]
-    _write_json(Path(cfg["out"]) / "audit.json", payload)
+    _write(cfg, "audit.json", **payload)
     failing = report.failing(non_fatal)
     for rec in report.records:
         status = "ok" if rec.max_violation <= cfg["tolerance"] else "VIOLATED"
@@ -155,18 +154,17 @@ def cmd_audit(cfg) -> int:
 
 def cmd_demo_equator(cfg) -> int:
     map_ = make_sphere_map(SphereContractionParams(cfg["k"], cfg["e"], cfg["theta"]))
-    if not map_.certified:
-        print(f"warning: k={cfg['k']} >= e^3={cfg['e'] ** 3:.6g}; "
-              f"claimed factor {map_.claimed_factor:.6g} is uncertified",
-              file=sys.stderr)
     x0 = unit_sphere(_parse_vector(cfg["x0"]))
     witnesses = sphere_witnesses(cfg["witnesses"], cfg["seed"])
     outcome = detect_outcome(map_, x0, cfg["steps"], witnesses=witnesses,
                              seed=cfg["seed"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _write(cfg, "outcome.json", outcome=outcome.to_json())
     outcome.trace.to_csv(out_dir / "trace.csv", vertical_column=True)
-    _write_json(out_dir / "outcome.json", _report(cfg, outcome=outcome.to_json()))
+    # after the outcome, so that a refusal stays one line on stderr
+    if not map_.certified:
+        print(f"warning: k={cfg['k']} >= e^3={cfg['e'] ** 3:.6g}; "
+              f"claimed factor {map_.claimed_factor:.6g} is uncertified",
+              file=sys.stderr)
     factor = ("n/a" if outcome.measured_factor is None
               else f"{outcome.measured_factor:.6g}")
     print(f"outcome: {outcome.tag} (measured factor {factor})")
@@ -211,17 +209,10 @@ def cmd_iterate(cfg) -> int:
         raise ConfigError(f"unknown map {cfg['map']!r}")
     witnesses = WitnessSet.sampled(map_.space, cfg["witnesses"], cfg["seed"])
     trace = orbit(map_, x0, cfg["steps"], witnesses=witnesses, seed=cfg["seed"])
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _write(cfg, "iterate.json", steps=len(trace) - 1, truncated=trace.truncated,
+                     diagnostic=trace.diagnostic, decay_margin=trace.decay_margin,
+                     final_phi_step=float(trace.phi_steps[-1]) if len(trace.phi_steps) else None)
     trace.to_csv(out_dir / "trace.csv", vertical_column=vertical)
-    _write_json(out_dir / "iterate.json", _report(
-        cfg,
-        steps=len(trace) - 1,
-        truncated=trace.truncated,
-        diagnostic=trace.diagnostic,
-        final_phi_step=float(trace.phi_steps[-1]) if len(trace.phi_steps) else None,
-        decay_margin=trace.decay_margin,
-    ))
     print(f"wrote {out_dir / 'trace.csv'} ({len(trace)} points"
           f"{', truncated' if trace.truncated else ''})")
     return 0
@@ -283,8 +274,7 @@ def cmd_classify(cfg) -> int:
     thresholds = Thresholds(lim=cfg["eps_lim"], cauchy=cfg["eps_cauchy"],
                             tri_cauchy=cfg["eps_tri"], min_length=cfg["min_length"])
     verdict = classify(space, seq, witnesses, thresholds)
-    _write_json(Path(cfg["out"]) / "classification.json",
-                _report(cfg, classification=verdict.to_json()))
+    _write(cfg, "classification.json", classification=verdict.to_json())
     print(f"classification: {verdict.tag} "
           f"(cauchy {verdict.cauchy_modulus:.3e}, tri {verdict.tri_cauchy_modulus:.3e})")
     return 0
@@ -320,17 +310,16 @@ def cmd_certify(cfg) -> int:
                     ratio_constant=C_prime, proximity=cfg["c_prime"])
     result = certify(inp, samples=cfg["samples"], ratio_triples=cfg["triples"],
                      seed=cfg["seed"])
-    _write_json(Path(cfg["out"]) / "certify.json", _report(cfg, result=result.to_json()))
+    _write(cfg, "certify.json", result=result.to_json())
     if not result.passes:
         print(f"certificate FAILED: {[f['hypothesis'] for f in result.failures]}")
-    elif result.conclusion_ok:
-        print(f"certificate PASSED: worst ratio {result.worst_ratio:.6g} "
-              f"<= bound {result.bound:.6g}")
     elif result.worst_ratio is None:
         print("certificate conclusion FAILED: no nondegenerate sampled triple")
     else:
-        print(f"certificate conclusion FAILED: worst ratio {result.worst_ratio:.6g} "
-              f"> bound {result.bound:.6g} * {_SLACK}")
+        verdict, relation = (("PASSED", "<=") if result.conclusion_ok
+                             else ("conclusion FAILED", ">"))
+        print(f"certificate {verdict}: worst ratio {result.worst_ratio:.6g} "
+              f"{relation} bound {result.bound:.6g} * {_SLACK}")
     return 0 if result.passes and result.conclusion_ok else 1
 
 
@@ -347,7 +336,7 @@ def cmd_banach(cfg) -> int:
     # the canonical interval contraction x -> k x
     run = solvers[variant](space, lambda x: k * x, cfg["x0"], k, max_steps=cfg["steps"],
                            seed=cfg["seed"])
-    _write_json(Path(cfg["out"]) / "banach.json", _report(cfg, run=run.to_json()))
+    _write(cfg, "banach.json", run=run.to_json())
     print(f"{variant}: fixed point {run.fixed_point!r}, residual {run.residual:.3e}, "
           f"steps {run.steps}, tail bound {'ok' if run.tail_bound_ok else 'VIOLATED'}")
     return 0 if run.tail_bound_ok and run.residual <= cfg["residual_tol"] else 1
@@ -361,7 +350,7 @@ def cmd_convexity(cfg) -> int:
             and cfg["seed"] == base["seed"]):
         payload["baseline_C"] = base["C"]
         payload["within_regression"] = within_regression(report.C, base["C"])
-    _write_json(Path(cfg["out"]) / "convexity.json", _report(cfg, convexity=payload))
+    _write(cfg, "convexity.json", convexity=payload)
     print(f"sandwich constant C = {report.C:.6f} "
           f"(upper {report.upper_ratio:.6f}, lower {report.lower_ratio:.6f})")
     ok = np.isfinite(report.C) and report.C >= 1.0
@@ -372,8 +361,7 @@ def cmd_convexity(cfg) -> int:
 def cmd_enumerate_lines(cfg) -> int:
     _, _, finite = _space_for("finite", cfg)
     lines = enumerate_lines(finite)
-    _write_json(Path(cfg["out"]) / "lines.json",
-                _report(cfg, lines=[list(line.members) for line in lines]))
+    _write(cfg, "lines.json", lines=[list(line.members) for line in lines])
     for line in lines:
         print(f"line: {list(line.members)}")
     print(f"{len(lines)} lines on {finite.n} points")

@@ -157,11 +157,15 @@ def test_certify_prints_a_failed_conclusion(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("excess, code", [(1.04, 0), (1.06, 1)])
-def test_certify_conclusion_has_a_slack_of_5_percent(tmp_path, excess, code):
+def test_certify_conclusion_has_a_slack_of_5_percent(tmp_path, capsys, excess, code):
     # the worst ratio 0.0625 against a bound of 0.0625 / excess
     assert main(["certify", "--C-prime", repr(1 / excess), "--out", str(tmp_path)]) == code
     result = load(tmp_path / "certify.json")["result"]
     assert result["worst_ratio"] == pytest.approx(excess * result["bound"])
+    if code == 0:
+        # the pass line states the inequality the verdict checks, slack included
+        assert capsys.readouterr().out == ("certificate PASSED: worst ratio 0.0625 "
+                                           "<= bound 0.0600962 * 1.05\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -414,6 +418,17 @@ def test_iterate_linear_in_one_dimension_runs(tmp_path):
 def test_demo_equator_x0_with_an_overflowing_norm_exits_2_without_a_warning(refuses):
     refuses(["demo-equator", "--x0=1e308,1e308,0"],
             "error: need a nonzero 3-vector with a finite norm")
+
+
+@pytest.mark.parametrize("argv, message, match", [
+    pytest.param(["--k", "0.5"], "error: map is not contractive on samples (measured ",
+                 str.startswith, id="measured-factor"),
+    pytest.param(["--k", "0.5", "--x0", "0,0,0"],
+                 "error: need a nonzero 3-vector with a finite norm", str.__eq__, id="zero-x0"),
+])
+def test_demo_equator_uncertified_refusals_print_no_warning(refuses, argv, message, match):
+    # the uncertified-factor warning waits for the outcome
+    refuses(["demo-equator", *argv], message, match=match)
 
 
 @pytest.mark.parametrize("csv_text, args, message", [

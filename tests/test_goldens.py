@@ -20,10 +20,12 @@ from twometric.cli import main
 GOLDENS = {
     "demo_equator": ((), [(["demo-equator"], 0)], ("outcome.json", "trace.csv")),
     "iterate": ((), [(["iterate"], 0)], ("iterate.json", "trace.csv")),
+    "iterate_linear": ((), [(["iterate", "--map=linear"], 0)], ("iterate.json", "trace.csv")),
     "certify": ((), [(["certify"], 0)], ("certify.json",)),
     "certify_quad05": ((), [(["certify", "--quad=0.5"], 1)], ("certify.json",)),
     "banach": ((), [(["banach"], 0)], ("banach.json",)),
     "banach_k09": ((), [(["banach", "--k=0.9"], 0)], ("banach.json",)),
+    "banach_multcost": ((), [(["banach", "--variant=multcost"], 0)], ("banach.json",)),
     "convexity": ((), [(["convexity"], 0)], ("convexity.json",)),
     # the 300-step demo-equator trace: classify's random triple draws
     "classify_demo300": (("trace.csv",), [(["classify", "--input=trace.csv"], 0)],
