@@ -115,48 +115,31 @@ def _stacks(sample, seed, count: int, arity: int) -> list:
     return [np.asarray(sample(rng, count)) for _ in range(arity)]
 
 
-# The short draw of ``_distinct_triples`` is sized to hold ``keep`` distinct
-# rows with this many standard deviations of their count to spare.
-_SHORT_DRAW_SIGMAS = 6.0
-
-
 def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
                       keep: int | None = None) -> np.ndarray:
     """Index triples below m: of ``draws`` random rows, the first ``keep``
     (all when None) whose three entries are distinct, each sorted.
 
-    The first rows of a draw are the rows of a shorter draw.  So with
-    ``keep``, the rows expected to hold ``keep`` distinct ones (a share
-    (m - 1)(m - 2) / m^2 of them is distinct), plus a margin, are drawn
-    first; only when they hold fewer is the generator put back and all
-    ``draws`` rows drawn.  The triples are the same either way, but the
-    generator is left after the draw that was kept."""
-    if keep is not None and m >= 3:
-        p = (m - 1) * (m - 2) / (m * m)
-        short = math.ceil((keep + _SHORT_DRAW_SIGMAS * math.sqrt(keep * (1 - p))) / p)
-        if short < draws:
-            state = rng.bit_generator.state
-            rows = _sorted_distinct(rng.integers(0, m, size=(short, 3)), keep)
-            if len(rows) == keep:
-                return rows
-            rng.bit_generator.state = state
-    return _sorted_distinct(rng.integers(0, m, size=(draws, 3)), keep)
-
-
-def _sorted_distinct(draw: np.ndarray, keep: int | None) -> np.ndarray:
-    """The first ``keep`` rows of an (n, 3) draw whose entries are
-    distinct, each sorted."""
-    a, b, c = draw.T
-    # a sorted row is strictly increasing exactly when its entries are
-    # distinct, so only the rows kept need sorting.  Gathering a, b, c frees
-    # the draws before the elementwise sort: with both alive the peak passes
-    # glibc's trim threshold, and each call faults its pages in again.
-    rows = np.flatnonzero((a != b) & (b != c) & (a != c))[:keep]
-    a, b, c = a[rows], b[rows], c[rows]
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    # one contiguous column per index (Fortran order)
-    return np.array([lo, a + b + c - lo - hi, hi]).T
+    The rows are drawn in blocks of ``_ROW_BUDGET``, which are the rows of
+    one draw, and the draw stops once ``keep`` rows are distinct, so the
+    generator is left wherever that happens.  Each block's distinct rows
+    are sorted into the next columns of one (3, rows) array, whose
+    transpose is returned: one contiguous column per index."""
+    out = np.empty((3, draws if keep is None else min(draws, keep)), dtype=np.int64)
+    n = s = 0
+    while n < out.shape[1] and s < draws:
+        a, b, c = rng.integers(0, m, size=(min(_ROW_BUDGET, draws - s), 3)).T
+        s += _ROW_BUDGET
+        # a sorted row is strictly increasing exactly when its entries are
+        # distinct, so only the rows kept need sorting
+        rows = np.flatnonzero((a != b) & (b != c) & (a != c))[:out.shape[1] - n]
+        a, b, c = a[rows], b[rows], c[rows]
+        lo, mid, hi = out[:, n:n + len(rows)]
+        np.minimum(np.minimum(a, b), c, out=lo)
+        np.maximum(np.maximum(a, b), c, out=hi)
+        np.subtract(a + b + c - lo, hi, out=mid)
+        n += len(rows)
+    return out[:, :n].T
 
 
 def _swapped(X, Y, index: bool) -> np.ndarray:
@@ -518,14 +501,18 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet) -> floa
 # ---------------------------------------------------------------------------
 
 def _triples(n: int) -> np.ndarray:
-    """Rows (i, j, k) with i < j < k < n, in lexicographic order."""
-    J, K = np.triu_indices(n, 1)
-    # the pairs (j, k) with j > i are the last C(n - 1 - i, 2) of the
-    # lexicographic pairs (J, K); the rows with first index i take them in
-    # turn, so row r of that block reads pair r + len(J) - cumsum(counts)[i]
-    counts = (n - 1 - np.arange(n)) * (n - 2 - np.arange(n)) // 2
-    pick = np.arange(counts.sum()) + np.repeat(len(J) - np.cumsum(counts), counts)
-    return np.column_stack((np.repeat(np.arange(n), counts), J[pick], K[pick]))
+    """Rows (i, j, k) with i < j < k < n, in lexicographic order, with one
+    contiguous column per index (Fortran order)."""
+    JK = np.array(np.triu_indices(n, 1))
+    out = np.empty((3, n * (n - 1) * (n - 2) // 6), dtype=JK.dtype)
+    # the pairs (j, k) with j > i are the last C(n - 1 - i, 2) columns of the
+    # lexicographic pairs JK, and the rows with first index i take them
+    r = 0
+    for i in range(n - 2):
+        c = (n - 1 - i) * (n - 2 - i) // 2
+        out[0, r:r + c], out[1:, r:r + c] = i, JK[:, -c:]
+        r += c
+    return out.T
 
 
 # One entry of the table file as ``json.dump(..., indent=2)`` lays it out,

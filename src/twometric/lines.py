@@ -186,9 +186,10 @@ def _triple_arrays(length: int, start: int):
                                    2 * _MAX_TRIPLES, _MAX_TRIPLES)
     else:
         combos = _triples(m)
-        combos = combos[_subsample(len(combos), _MAX_TRIPLES)]
+        if len(combos) > _MAX_TRIPLES:
+            combos = np.take(combos.T, _subsample(len(combos), _MAX_TRIPLES), axis=1).T
     # one contiguous column per index, which ``_d_max`` reads fastest
-    return np.add(combos, start, order="F")
+    return np.add(combos, start, out=combos)
 
 
 @dataclass

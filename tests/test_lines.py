@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -197,36 +198,51 @@ def full_draw(seed, m, draws, keep):
     return np.sort(rows, axis=1)[:keep]
 
 
-@pytest.mark.parametrize("sigmas", [None, 0.0, -3.0], ids=["default", "even", "short"])
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
+@pytest.mark.parametrize("keep", ["all", "some"])
 @pytest.mark.parametrize("m", [3, 4, 5, 10, 121, 150, 151, 301, 1000])
-def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, sigmas, monkeypatch):
-    # a margin of 0 or -3 standard deviations makes the short draw fall
-    # short about half the time or nearly always, so the full draw runs too
-    if sigmas is not None:
-        monkeypatch.setattr(core, "_SHORT_DRAW_SIGMAS", sigmas)
-    sizes = []
-    sort = core._sorted_distinct
-
-    def recorded(draw, keep):
-        rows = sort(draw, keep)
-        sizes.append((len(draw), len(rows)))
-        return rows
-    monkeypatch.setattr(core, "_sorted_distinct", recorded)
+def test_a_draw_in_blocks_is_the_full_draw(m, keep, budget, monkeypatch):
+    # keep=None; keep reached in the first block (10 of 40 rows) or later;
+    # keep never reached (m = 3 and 4 have too few distinct rows); and
+    # draws that are no multiple of any budget
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
+    cases += [(seed, 5 * 2 ** 9 + 7, 2 ** 11) for seed in range(3)]
     cases += [(0, 2 * lines_module._MAX_TRIPLES, lines_module._MAX_TRIPLES)] if m >= 121 else []
-    short = fell_short = 0
-    for seed, draws, keep in cases:
-        sizes.clear()
-        got = core._distinct_triples(np.random.default_rng(seed), m, draws, keep)
-        want = full_draw(seed, m, draws, keep)
+    for seed, draws, k in cases:
+        k = None if keep == "all" else k
+        got = core._distinct_triples(np.random.default_rng(seed), m, draws, k)
+        want = full_draw(seed, m, draws, k)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert sizes[-1][0] == draws or sizes[-1][1] == keep
-        short += sizes[0][0] < draws
-        fell_short += len(sizes) == 2 and sizes[0][1] < keep
-    if sigmas is None:
-        assert not fell_short and (short or m == 3)
-    elif sigmas == -3.0:
-        assert fell_short or m == 3
+        assert all(got[:, j].flags.c_contiguous for j in range(3))
+
+
+@pytest.mark.parametrize("block", [4096, 10923, 32768])
+@pytest.mark.parametrize("m", [121, 150, 151, 301, 1000])
+def test_numpy_draws_in_blocks_are_the_rows_of_one_draw(m, block):
+    # _distinct_triples rests on this; a numpy release that breaks it
+    # fails here before it moves a golden
+    draws = 2 * lines_module._MAX_TRIPLES
+    rng = np.random.default_rng(0x5EED)
+    blocks = [rng.integers(0, m, size=(min(block, draws - s), 3)) for s in range(0, draws, block)]
+    assert np.array_equal(np.concatenate(blocks),
+                          np.random.default_rng(0x5EED).integers(0, m, size=(draws, 3)))
+
+
+@pytest.mark.parametrize("tail", [
+    101,        # every triple
+    150, 250,   # random draws
+])
+def test_tail_triples_peak_at_most_twice_what_they_return(tail):
+    # built block by block into one array: no temporary of every row
+    tracemalloc.start()
+    try:
+        combos = _triple_arrays(2 * tail, tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * combos.nbytes
+
 
 @pytest.mark.parametrize("length", [
     201,    # 100 tail points: every triple, in blocks
