@@ -217,6 +217,44 @@ def test_a_draw_in_blocks_is_the_full_draw(m, keep, budget, monkeypatch):
         assert all(got[:, j].flags.c_contiguous for j in range(3))
 
 
+class CountingRng:
+    """A generator that records the rows of each ``integers`` draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size[0])
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("budget", [None, 40, 37], ids=["default", "even", "short"])
+@pytest.mark.parametrize("m", [3, 4, 5, 10, 121, 150, 151, 301, 1000])
+def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, budget, monkeypatch):
+    # blocks of the default budget, of 40 rows (which divide every draw
+    # evenly) or of 37 (every draw ends on a short block); the draw stops
+    # with the block that holds the keep-th distinct row, or after all draws
+    if budget is not None:
+        monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    budget = core._ROW_BUDGET
+    cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
+    cases += [(0, 2 * lines_module._MAX_TRIPLES, lines_module._MAX_TRIPLES)] if m >= 121 else []
+    for seed, draws, keep in cases:
+        rng = CountingRng(seed)
+        got = core._distinct_triples(rng, m, draws, keep)
+        want = full_draw(seed, m, draws, keep)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        drawn = sum(rng.sizes)
+        assert rng.sizes == [min(budget, drawn - s) for s in range(0, drawn, budget)]
+        rows = np.random.default_rng(seed).integers(0, m, size=(draws, 3))
+        distinct = np.flatnonzero((rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
+                                  & (rows[:, 0] != rows[:, 2]))
+        if len(distinct) < keep:
+            assert drawn == draws
+        else:
+            assert drawn - rng.sizes[-1] <= distinct[keep - 1] < drawn
+
+
 @pytest.mark.parametrize("block", [4096, 10923, 32768])
 @pytest.mark.parametrize("m", [121, 150, 151, 301, 1000])
 def test_numpy_draws_in_blocks_are_the_rows_of_one_draw(m, block):
