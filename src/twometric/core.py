@@ -585,7 +585,12 @@ class FiniteTwoMetricSpace:
         self._dense = np.zeros((self.n,) * 3)
         self._present = np.zeros((self.n,) * 3, dtype=bool)
         entries = entries or {}
-        keys = list(entries)
+        self._put(list(entries), entries.values())
+
+    def _put(self, keys: list, values) -> None:
+        """Check ``keys``, index triples in any order, and store ``values``
+        at them in the order given: of two keys naming one triple the later
+        one wins."""
         # np.fromiter stores each index as operator.index gives it; an int
         # beyond intp is out of range anyway, and clamping it keeps the
         # first bad key
@@ -599,15 +604,15 @@ class FiniteTwoMetricSpace:
             key = next(key for key in keys if len(key) != 3)
             raise ValueError(f"table keys must be index triples, got {key}")
         K = np.sort(K.reshape(-1, 3), axis=1)
-        inside = (K[:, 0] >= 0) & (K[:, 2] < n)
+        inside = (K[:, 0] >= 0) & (K[:, 2] < self.n)
         distinct = (K[:, 0] < K[:, 1]) & (K[:, 1] < K[:, 2])
         bad = np.flatnonzero(~(inside & distinct))
         if len(bad):
             key = keys[bad[0]]
             if not inside[bad[0]]:
-                raise ValueError(f"triple {key} out of range for n={n}")
+                raise ValueError(f"triple {key} out of range for n={self.n}")
             raise ValueError(f"table stores distinct triples only, got {key}")
-        self._store(K, np.fromiter(map(float, entries.values()), float, len(keys)))
+        self._store(K, np.fromiter(map(float, values), float, len(keys)))
 
     def _store(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write ``values`` at the sorted ``rows`` of a new table; of two
@@ -700,7 +705,10 @@ class FiniteTwoMetricSpace:
             number = next(n for n, entry in enumerate(entries) if not _entry_ok(entry))
             raise ValueError(f"table entry {number} needs integer i, j, k and a number d, "
                              f"got {json.dumps(entries[number])}")
-        return FiniteTwoMetricSpace(payload["n"], dict(zip(keys, values)))
+        # not through a dict, which keeps a repeated key at its first place
+        space = FiniteTwoMetricSpace(payload["n"])
+        space._put(keys, values)
+        return space
 
     def save(self, path) -> None:
         """Write the table file, ``{"n": n, "entries": [{"i", "j", "k",

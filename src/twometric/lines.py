@@ -161,33 +161,34 @@ def enumerate_lines(space: FiniteTwoMetricSpace) -> list[Line]:
 # tail residuals and classification
 # ---------------------------------------------------------------------------
 
-def _subsample(count: int, size: int):
-    """An index of ``size`` of ``count`` rows, drawn without repeats from
-    ``_SUBSAMPLE_SEED``; of every row when there are no more."""
-    if count <= size:
-        return slice(None)
-    return np.random.default_rng(_SUBSAMPLE_SEED).choice(count, size=size, replace=False)
-
-
 def _pair_arrays(length: int, start: int):
-    idx_i, idx_j = np.triu_indices(length - start, k=1)
-    pick = _subsample(len(idx_i), _MAX_PAIRS)
-    return idx_i[pick] + start, idx_j[pick] + start
+    """Index pairs i < j of the tail from ``start``, in lexicographic
+    order: all of them, or, when there are more than ``_MAX_PAIRS``, those
+    at the positions in ``np.triu_indices`` order of a seeded draw of
+    ``_MAX_PAIRS`` without repeats.  A position turns into its pair by the
+    start ``i * k - i * (i + 1) / 2`` of each row i of the k tail points,
+    so no array holds every pair."""
+    k = length - start
+    count = k * (k - 1) // 2
+    if count <= _MAX_PAIRS:
+        i, j = np.triu_indices(k, k=1)
+    else:
+        pick = np.sort(np.random.default_rng(_SUBSAMPLE_SEED).choice(count, _MAX_PAIRS,
+                                                                     replace=False))
+        rows = np.arange(k)
+        starts = rows * k - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, pick, side="right") - 1
+        j = pick - starts[i] + i + 1
+    return i + start, j + start
 
 
 def _triple_arrays(length: int, start: int):
     """Index triples i < j < k of the tail from ``start``: all of them in
-    lexicographic order, a seeded subsample of ``_MAX_TRIPLES`` of them when
-    there are more, or, past 120 tail points, ``_distinct_triples`` of
-    ``2 * _MAX_TRIPLES`` random draws."""
+    lexicographic order up to 120 tail points, and past that
+    ``_distinct_triples`` of ``2 * _MAX_TRIPLES`` random draws."""
     m = length - start
-    if m > 120:
-        combos = _distinct_triples(np.random.default_rng(_SUBSAMPLE_SEED), m,
-                                   2 * _MAX_TRIPLES, _MAX_TRIPLES)
-    else:
-        combos = _triples(m)
-        if len(combos) > _MAX_TRIPLES:
-            combos = np.take(combos.T, _subsample(len(combos), _MAX_TRIPLES), axis=1).T
+    combos = _triples(m) if m <= 120 else _distinct_triples(
+        np.random.default_rng(_SUBSAMPLE_SEED), m, 2 * _MAX_TRIPLES, _MAX_TRIPLES)
     # one contiguous column per index, which ``_d_max`` reads fastest
     return np.add(combos, start, out=combos)
 
@@ -237,25 +238,21 @@ def _first_of_each(points) -> list[int]:
 
 
 def _farthest_pair(space: TwoMetricSpace, witnesses: WitnessSet, P, tail, k: int,
-                   tail_phi) -> tuple[int, int]:
+                   keys, tail_phi) -> tuple[int, int]:
     """The positions of the two passers of P farthest apart in pair
     distance: the first pair, in ``np.triu_indices`` order, whose phi is
-    the largest or NaN.  The witness passers come first; ``tail`` holds
-    each passer's position in the tail of ``k`` points, negative for a
-    witness.  When ``tail_phi`` holds phi of every tail pair, in that
-    order, a pair of two tail passers is looked up there, with the bits a
-    scan would give, and only the pairs with a witness passer are
-    scanned; when it is None, every pair is."""
+    the largest or NaN.  ``tail`` holds each passer's position in the tail
+    of ``k`` points, negative for a witness, and increases, as the passers
+    do; ``tail_phi`` holds phi of the tail pairs (a, b) of the increasing
+    ``keys`` a * k + b.  A pair of passers whose key is there takes its
+    phi, with the bits a scan would give; every other pair is scanned."""
     pi, pj = np.triu_indices(len(P), k=1)
-    if tail_phi is None:
-        phis = eval_phi(space, pi, pj, witnesses, P)
-    else:
-        # the pairs of a witness passer are the first ones in this order
-        w = int(np.count_nonzero(tail < 0))
-        own = w * len(P) - w * (w + 1) // 2
-        a, b = tail[pi[own:]], tail[pj[own:]]
-        phis = np.concatenate([eval_phi(space, pi[:own], pj[:own], witnesses, P),
-                               tail_phi[a * k - a * (a + 1) // 2 + b - a - 1]])
+    # a pair with a witness passer has a negative key, which no tail pair has
+    key = tail[pi] * k + tail[pj]
+    at = np.searchsorted(keys, key)
+    held = keys.take(at, mode="clip") == key
+    phis = tail_phi.take(at, mode="clip")
+    phis[~held] = eval_phi(space, pi[~held], pj[~held], witnesses, P)
     best = int(np.argmax(phis))
     return int(pi[best]), int(pj[best])
 
@@ -334,12 +331,11 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     if np.isnan(spread).any():
         notes = notes + ["pair distance from the first passer is NaN"]
     if (spread > thresholds.min_phi).any():
-        # Generators: the two passers farthest apart in pair distance.  An
-        # unsampled tail's Cauchy scan holds every pair of tail passers.
+        # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
         k = n - start
         i, j = _farthest_pair(space, witnesses, P, passing - m - start, k,
-                              tail_phi if len(tail_phi) == k * (k - 1) // 2 else None)
+                              (idx_i - start) * k + idx_j - start, tail_phi)
         g1, g2 = passers[i], passers[j]
         # Anti-Cauchy gap feeds the derived colinearity tolerance for the
         # passer set: residual <= lim on tail pairs plus a witnessed pair at

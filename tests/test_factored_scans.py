@@ -510,7 +510,7 @@ def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
 # the line generators: passer pairs looked up in the Cauchy scan
 # ---------------------------------------------------------------------------
 
-def farthest_of_every_pair(space, witnesses, P, tail, k, tail_phi):
+def farthest_of_every_pair(space, witnesses, P, tail, k, keys, tail_phi):
     """The generators as an oracle classify finds them: the argmax of a
     scan of every pair of passers."""
     pi, pj = np.triu_indices(len(P), k=1)
@@ -558,10 +558,14 @@ def test_classify_generators_are_those_of_every_passer_pair(steps, theta, nan, m
     witness = sum(bool(hit(W.points, p).any()) for p in verdict.passers)
     K = len(verdict.passers)
     assert witness and K - witness > 2
-    # the first scan is the Cauchy scan, the last the passer pairs
-    subsampled = k * (k - 1) // 2 > lines._MAX_PAIRS
-    own = witness * K - witness * (witness + 1) // 2
-    assert scanned == (K * (K - 1) // 2 if subsampled else own)
+    # the first scan is the Cauchy scan, the last the passer pairs it does
+    # not hold: on a full tail, those with a witness passer
+    start = len(seq) - k
+    held = set(zip(*(A.tolist() for A in _pair_arrays(len(seq), start))))
+    rows = [start + int(np.flatnonzero(hit(seq[start:], p))[0]) for p in verdict.passers[witness:]]
+    assert scanned == K * (K - 1) // 2 - len(held.intersection(combinations(rows, 2)))
+    if k * (k - 1) // 2 <= lines._MAX_PAIRS:
+        assert scanned == witness * K - witness * (witness + 1) // 2
     if nan:
         assert [list(g) for g in (verdict.line.g1, verdict.line.g2)] == [list(pa), list(pb)]
         assert "cauchy modulus is NaN" in verdict.notes

@@ -16,7 +16,7 @@ from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, area_
 from twometric import core
 import twometric.lines as lines_module
 from twometric.core import _d_many
-from twometric.lines import _triple_arrays
+from twometric.lines import _pair_arrays, _triple_arrays
 
 E1, E2, E3 = np.eye(3)
 SPHERE = det_sphere_space()
@@ -156,12 +156,11 @@ def test_lines_intersect_in_at_most_one_separated_point(rng):
 # ---------------------------------------------------------------------------
 
 def old_triple_arrays(length, start, cap=200000):
-    """The tail triples as classify once drew them: every row of the m^3
-    grid filtered to i < j < k, or the sorted rows of 2 * cap random draws
-    filtered the same way."""
+    """The tail triples as classify once drew them: up to 120 tail points
+    every row of the m^3 grid filtered to i < j < k, and past that the
+    sorted rows of 2 * cap random draws filtered the same way."""
     m = length - start
-    total = m * (m - 1) * (m - 2) // 6
-    if m > 120 or total > 4 * cap:
+    if m > 120:
         rng = np.random.default_rng(0x5EED)
         combos = np.sort(rng.integers(0, m, size=(cap * 2, 3)), axis=1)
         combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
@@ -170,16 +169,13 @@ def old_triple_arrays(length, start, cap=200000):
         combos = np.array(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
                                       indexing="ij")).reshape(3, -1).T
         combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
-        if len(combos) > cap:
-            pick = np.random.default_rng(0x5EED).choice(len(combos), size=cap, replace=False)
-            combos = combos[pick]
     return combos + start
 
 
 @pytest.mark.parametrize("length, start", [
     (2, 0), (40, 37), (60, 10), (106, 0),
-    (120, 13),                  # every triple, up to C(107, 3) <= 200,000
-    (108, 0), (140, 20),        # a subsample of the grid: 108..120
+    (120, 13),                  # every triple: C(107, 3) <= 200,000
+    (108, 0), (140, 20),        # every triple, past 200,000: 108..120
     (121, 0), (300, 150), (500, 100),   # random draws
 ])
 def test_triple_arrays_match_the_grid_and_sort_forms(length, start):
@@ -284,7 +280,7 @@ def test_tail_triples_peak_at_most_twice_what_they_return(tail):
 
 @pytest.mark.parametrize("length", [
     201,    # 100 tail points: every triple, in blocks
-    241,    # 120 tail points: a subsample of the triples
+    241,    # 120 tail points: every triple, more than _MAX_TRIPLES
     401,    # 200 tail points: random draws
 ])
 def test_tri_modulus_blocks_match_one_kernel_call(length):
@@ -292,6 +288,16 @@ def test_tri_modulus_blocks_match_one_kernel_call(length):
     c = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
     want = _d_many(SPHERE, seq[c[:, 0]], seq[c[:, 1]], seq[c[:, 2]]).max()
     got = classify(SPHERE, seq, sphere_witnesses(16, seed=1)).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("tail", [108, 114, 120])
+@pytest.mark.parametrize("space", [SPHERE, area_ball_space(3)], ids=["det", "area"])
+def test_tri_modulus_of_a_tail_to_120_points_is_that_of_every_triple(space, tail):
+    seq = np.asarray(space.sample(np.random.default_rng(tail), 2 * tail))
+    combos = np.array(list(combinations(range(tail, 2 * tail), 3)))
+    want = _d_many(space, *(seq[combos[:, c]] for c in range(3))).max()
+    got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
     assert float(got).hex() == float(want).hex()
 
 
@@ -320,6 +326,45 @@ def test_tri_modulus_is_the_block_loop_at_every_budget(space, nan, budget, monke
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
     assert float(got).hex() == float(want).hex()
+
+
+# ---------------------------------------------------------------------------
+# tail pairs
+# ---------------------------------------------------------------------------
+
+def triu_pick_pairs(length, start, cap=20000):
+    """The tail pairs as classify once picked them: all of them in
+    ``np.triu_indices`` order, or those at ``cap`` positions of a seeded
+    ``choice`` from that order when there are more."""
+    i, j = np.triu_indices(length - start, k=1)
+    if len(i) > cap:
+        pick = np.random.default_rng(0x5EED).choice(len(i), size=cap, replace=False)
+        i, j = i[pick], j[pick]
+    return i + start, j + start
+
+
+@pytest.mark.parametrize("tail", [199, 200, 201, 250, 1000, 4000])
+def test_tail_pairs_are_the_triu_pick_in_key_order(tail):
+    # 199 and 200 tail points keep every pair, 201 and more a pick
+    i, j = _pair_arrays(2 * tail, tail)
+    want_i, want_j = triu_pick_pairs(2 * tail, tail)
+    keys = (i - tail) * tail + j - tail
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(keys, np.sort((want_i - tail) * tail + want_j - tail))
+
+
+@pytest.mark.parametrize("tail", [201, 1000, 1414, 4000, 10000])
+def test_tail_pairs_peak_under_16_mb(tail):
+    # no array of every tail pair, which took 144 MB at 4,000 points; the
+    # seeded pick itself peaks at 1,414 points (8.2 MB), the last tail
+    # whose pairs number at most 50 times the pick
+    tracemalloc.start()
+    try:
+        _pair_arrays(2 * tail, tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,37 @@ def test_save_writes_the_indenting_encoders_bytes(tmp_path_factory, space):
     assert repr(table_items(loaded)) == repr(table_items(space))
 
 
+@st.composite
+def repeating_table_files(draw):
+    """A parsed table file whose keys name few triples, each key in any
+    index order, so that keys often name one triple, in one order or in
+    two."""
+    n = draw(st.integers(3, 5))
+    key = st.sampled_from(list(combinations(range(n), 3))).flatmap(st.permutations)
+    keys = draw(st.lists(key, min_size=1, max_size=12))
+    values = draw(st.lists(st.sampled_from(FILE_VALUES), min_size=len(keys),
+                           max_size=len(keys)))
+    return {"n": n, "entries": [{"i": i, "j": j, "k": k, "d": d}
+                                for (i, j, k), d in zip(keys, values)]}
+
+
+def last_in_file(payload):
+    """The table of a parsed file by a loop over its entries: each triple
+    with the value of the last entry that names it."""
+    table = {}
+    for entry in payload["entries"]:
+        table[tuple(sorted(entry[c] for c in "ijk"))] = float(entry["d"])
+    return sorted(table.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_table_files())
+def test_a_table_file_keeps_the_last_value_of_each_triple(payload):
+    # reprs compare NaN equal to NaN
+    loaded = FiniteTwoMetricSpace.from_json(payload)
+    assert repr(table_items(loaded)) == repr(last_in_file(payload))
+
+
 def test_save_streams_tables_of_several_blocks(tmp_path, rng):
     space = FiniteTwoMetricSpace.from_points(rng.normal(size=(22, 3)), det_metric)
     assert len(list(space.table)) > _SAVE_BLOCK

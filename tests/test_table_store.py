@@ -56,6 +56,18 @@ def test_keys_in_increasing_order_and_a_triple_named_twice_in_a_row():
     assert table_items(space) == [((0, 1, 2), 0.75), ((1, 2, 3), 0.5)]
 
 
+def test_a_file_naming_a_triple_twice_keeps_the_last_value(tmp_path):
+    # a dict of the file's keys keeps (0, 1, 2) at its first place, before
+    # (1, 0, 2), which would then win with 0.2
+    payload = {"n": 3, "entries": [{"i": 0, "j": 1, "k": 2, "d": 0.1},
+                                   {"i": 1, "j": 0, "k": 2, "d": 0.2},
+                                   {"i": 0, "j": 1, "k": 2, "d": 0.3}]}
+    (tmp_path / "table.json").write_text(json.dumps(payload), encoding="utf-8")
+    for space in (FiniteTwoMetricSpace.load(tmp_path / "table.json"),
+                  FiniteTwoMetricSpace.from_json(payload)):
+        assert table_items(space) == [((0, 1, 2), 0.3)]
+
+
 def test_dense_is_cached_read_only_and_dropped_by_a_write():
     space = FiniteTwoMetricSpace(4, {(0, 1, 2): 0.5})
     T = space.dense()
