@@ -25,7 +25,8 @@ import numpy as np
 
 from .baselines import certifier_baseline, convexity_baseline, within_regression
 from .certify import _SLACK, CertInput, certify
-from .core import FiniteTwoMetricSpace, WitnessSet, _write_json, audit, broadcasting
+from .core import (DEFAULT_TOLERANCE, FiniteTwoMetricSpace, WitnessSet, _write_json, audit,
+                   broadcasting)
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
 from .lines import Thresholds, classify, enumerate_lines
@@ -374,7 +375,7 @@ def cmd_enumerate_lines(cfg) -> int:
 
 # Every flag is declared once, mapped to its default, or to its type when it
 # has no default; the parser, the config merge and the echoed config read it.
-GLOBAL_FLAGS = {"seed": 0, "out": ".", "tolerance": 1e-9, "json_config": str}
+GLOBAL_FLAGS = {"seed": 0, "out": ".", "tolerance": DEFAULT_TOLERANCE, "json_config": str}
 COMMANDS = {
     "audit": (cmd_audit, {"space": "det-sphere", "table": str, "samples": 2000,
                           "witnesses": 128, "dim": 3}),

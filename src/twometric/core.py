@@ -521,21 +521,32 @@ _ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n
 _SAVE_BLOCK = 1024
 
 
-def _entry_ok(entry) -> bool:
-    """Whether a parsed table file entry is an object with int ``i``,
-    ``j``, ``k`` and an int or float ``d``."""
-    return (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
-            and type(entry.get("d")) in (int, float))
+def _sorted_key(key, n: int) -> tuple[int, int, int]:
+    """The sorted index triple that a table key names, in any index order.
+
+    The one rule for table keys: each index is read with ``operator.index``
+    (a float or string index is a ``TypeError``), and a key of other than
+    three indices, one outside ``range(n)`` or one with a repeated index is
+    a ``ValueError`` naming the key.
+    """
+    try:
+        i, j, k = sorted(map(operator.index, key))
+    except ValueError:
+        raise ValueError(f"table keys must be index triples, got {key}") from None
+    if i < 0 or k >= n:
+        raise ValueError(f"triple {key} out of range for n={n}")
+    if i == j or j == k:
+        raise ValueError(f"table stores distinct triples only, got {key}")
+    return i, j, k
 
 
 class _Table:
     """The write side of a ``FiniteTwoMetricSpace``.
 
     ``table[key] = value`` stores ``float(value)`` at the sorted triple of
-    a key in any index order, checked as the constructor checks keys;
-    ``operator.index`` converts each index.  Iteration yields the stored
-    sorted triples in lexicographic order, from a snapshot taken when it
-    starts, so the loop may write entries.  Values are read through
+    a key in any index order, checked by ``_sorted_key``.  Iteration yields
+    the stored sorted triples in lexicographic order, from a snapshot taken
+    when it starts, so the loop may write entries.  Values are read through
     ``FiniteTwoMetricSpace.dense``.
     """
 
@@ -544,14 +555,7 @@ class _Table:
 
     def __setitem__(self, key, value) -> None:
         s = self.space
-        try:
-            i, j, k = sorted(map(operator.index, key))
-        except ValueError:
-            raise ValueError(f"table keys must be index triples, got {key}") from None
-        if i < 0 or k >= s.n:
-            raise ValueError(f"triple {key} out of range for n={s.n}")
-        if i == j or j == k:
-            raise ValueError(f"table stores distinct triples only, got {key}")
+        i, j, k = _sorted_key(key, s.n)
         value = float(value)
         if not s._dense.flags.writeable:     # handed out by dense(): copy on write
             s._dense, s._present = s._dense.copy(), s._present.copy()
@@ -588,30 +592,20 @@ class FiniteTwoMetricSpace:
         self._put(list(entries), entries.values())
 
     def _put(self, keys: list, values) -> None:
-        """Check ``keys``, index triples in any order, and store ``values``
-        at them in the order given: of two keys naming one triple the later
-        one wins."""
-        # np.fromiter stores each index as operator.index gives it; an int
-        # beyond intp is out of range anyway, and clamping it keeps the
-        # first bad key
+        """Check ``keys``, index triples in any order, by ``_sorted_key`` and
+        store ``values`` at them in the order given: of two keys naming one
+        triple the later one wins."""
+        # One vectorised pass takes a list of valid keys: all of length 3,
+        # checked before the reshape (keys (0, 1) and (2, 3, 4, 5) give six
+        # indices too), whose sorted rows have -1 < i < j < k < n.  Anything
+        # else runs the rule key by key, which names the first bad key.
         try:
             K = np.fromiter(map(operator.index, itertools.chain.from_iterable(keys)), np.intp)
-        except OverflowError:
-            big = np.iinfo(np.intp).max
-            K = np.array([min(max(operator.index(v), -1), big)
-                          for v in itertools.chain.from_iterable(keys)], np.intp)
-        if set(map(len, keys)) - {3}:
-            key = next(key for key in keys if len(key) != 3)
-            raise ValueError(f"table keys must be index triples, got {key}")
-        K = np.sort(K.reshape(-1, 3), axis=1)
-        inside = (K[:, 0] >= 0) & (K[:, 2] < self.n)
-        distinct = (K[:, 0] < K[:, 1]) & (K[:, 1] < K[:, 2])
-        bad = np.flatnonzero(~(inside & distinct))
-        if len(bad):
-            key = keys[bad[0]]
-            if not inside[bad[0]]:
-                raise ValueError(f"triple {key} out of range for n={self.n}")
-            raise ValueError(f"table stores distinct triples only, got {key}")
+            K = np.sort(K.reshape(-1, 3), axis=1) if set(map(len, keys)) <= {3} else None
+        except (TypeError, OverflowError):
+            K = None
+        if K is None or not (np.diff(K, prepend=-1, append=self.n) > 0).all():
+            K = np.array([_sorted_key(key, self.n) for key in keys], np.intp)
         self._store(K, np.fromiter(map(float, values), float, len(keys)))
 
     def _store(self, rows: np.ndarray, values: np.ndarray) -> None:
@@ -634,9 +628,11 @@ class FiniteTwoMetricSpace:
         return _Table(self)
 
     def d(self, i, j, k) -> float:
-        key = (int(i), int(j), int(k))
-        if not all(0 <= v < self.n for v in key):
-            raise ValueError(f"triple {key} out of range for n={self.n}")
+        """The value at (i, j, k), 0 on a repeated index.  The indices are
+        read with ``operator.index``, as table writes read them."""
+        key = tuple(map(operator.index, (i, j, k)))
+        if min(key) < 0 or max(key) >= self.n:
+            _sorted_key(key, self.n)         # raises: the key is out of range
         return float(self._dense[key])
 
     def dense(self) -> np.ndarray:
@@ -685,15 +681,19 @@ class FiniteTwoMetricSpace:
     def from_json(payload) -> "FiniteTwoMetricSpace":
         """The table of a parsed table file: an object with an int ``n`` and
         an optional list ``entries`` of objects with int ``i``, ``j``, ``k``
-        and an int or float ``d`` (a bool is neither).  Anything else is a
-        ``ValueError`` naming the first bad entry.
+        and an int or float ``d`` (a bool is neither), whose keys pass
+        ``_sorted_key``.  Anything else is a ``ValueError`` naming the first
+        bad entry, whatever is wrong with it.
 
-        The types are checked over whole lists, by ``map`` and ``set``,
-        which keeps the check a small part of a load.
+        ``n`` is checked first, as the constructor checks it.  The entry
+        types are checked over whole lists, by ``map`` and ``set``, which
+        keeps the check a small part of a load; only a file that fails it is
+        checked entry by entry, types then key, in file order.
         """
         entries = payload.get("entries", []) if type(payload) is dict else None
         if type(entries) is not list or type(payload.get("n")) is not int:
             raise ValueError('a table file holds an object with an int "n" and a list "entries"')
+        space = FiniteTwoMetricSpace(payload["n"])
         try:
             keys = list(map(operator.itemgetter("i", "j", "k"), entries))
             values = list(map(operator.itemgetter("d"), entries))
@@ -702,11 +702,13 @@ class FiniteTwoMetricSpace:
         except (KeyError, TypeError):  # an entry without a field, or not an object
             ok = False
         if not ok:
-            number = next(n for n, entry in enumerate(entries) if not _entry_ok(entry))
-            raise ValueError(f"table entry {number} needs integer i, j, k and a number d, "
-                             f"got {json.dumps(entries[number])}")
+            for number, entry in enumerate(entries):
+                if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
+                        and type(entry.get("d")) in (int, float)):
+                    raise ValueError(f"table entry {number} needs integer i, j, k and a "
+                                     f"number d, got {json.dumps(entry)}")
+                _sorted_key(operator.itemgetter("i", "j", "k")(entry), space.n)
         # not through a dict, which keeps a repeated key at its first place
-        space = FiniteTwoMetricSpace(payload["n"])
         space._put(keys, values)
         return space
 

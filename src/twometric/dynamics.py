@@ -298,7 +298,10 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     from orbit convergence alone, since the map need not be continuous for
     the pair distance.  A fixed line requires the sampled membership defect
     of mapped members to stay within tolerance, plus a uniqueness check that
-    two separated image points regenerate the same line.
+    two separated image points regenerate the same line.  When neither case
+    is certified on an untruncated orbit, its last point gets the same
+    residual test: a FixedPoint from it keeps, as its diagnostic, why the
+    classified case failed.
     """
     measured = measured_contraction_factor(map_, samples=_FACTOR_SAMPLES, seed=seed)
     if measured is not None and not measured < 1.0:  # NaN is refused too
@@ -306,6 +309,11 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)
     outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured)
+    if outcome.tag == "Indeterminate" and not trace.truncated:
+        last = _fixed_point_outcome(map_, trace.points[-1], witnesses, thresholds, measured,
+                                    outcome.classification)
+        if last.tag == "FixedPoint":
+            outcome = replace(last, diagnostic=outcome.diagnostic)
     outcome.trace = trace
     return outcome
 

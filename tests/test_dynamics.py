@@ -13,7 +13,7 @@ from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        det_metric, det_sphere_space, detect_outcome,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
-from twometric.core import _distinct_triples
+from twometric.core import _distinct_triples, eval_phi
 from twometric.dynamics import _DECAY_TRIPLES
 from twometric.spaces import sample_sphere
 
@@ -274,6 +274,25 @@ def test_linear_map_contracts_to_origin():
     assert out.tag == "FixedPoint"
     assert out.residual <= 1e-9
     assert np.linalg.norm(out.point) <= 1e-9
+
+
+@pytest.mark.parametrize("steps, tag, residual", [
+    (200, "Indeterminate", 4.06e-6), (300, "Indeterminate", 2.45e-8),
+    (500, "FixedPoint", 8.56e-13),
+])
+def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):
+    # the classified case fails at each length (no candidate limit at 200,
+    # the line check at 300 and 500); the residual of the last orbit point
+    # alone decides, against fixed_point = 1e-8
+    m = make_linear_map(rotation_z(1.7), 0.95)
+    W = WitnessSet.sampled(m.space, 64, seed=0)
+    out = detect_outcome(m, 0.4 / np.sqrt(3) * np.ones(3), steps, witnesses=W, seed=0)
+    last = out.trace.points[-1]
+    assert eval_phi(m.space, last, m.f(last), W) == pytest.approx(residual, rel=1e-2)
+    assert out.tag == tag and out.diagnostic
+    if tag == "FixedPoint":
+        assert np.array_equal(out.point, last) and out.residual <= 1e-8
+        assert out.diagnostic == "line invariance or uniqueness check failed at tolerance"
 
 
 def test_rotated_linear_iterates_are_not_colinear():

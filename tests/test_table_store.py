@@ -68,6 +68,19 @@ def test_a_file_naming_a_triple_twice_keeps_the_last_value(tmp_path):
         assert table_items(space) == [((0, 1, 2), 0.3)]
 
 
+def test_a_file_names_its_first_bad_entry_whatever_is_wrong(tmp_path):
+    # entry 0 fails the key rule and entry 1 the type check: the order of
+    # the entries decides which is named, not the kind of fault
+    payload = {"n": 4, "entries": [{"i": 0, "j": 1, "k": 9, "d": 0.5},
+                                   {"i": 0, "j": 1.5, "k": 2, "d": 0.5}]}
+    (tmp_path / "table.json").write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^triple \(0, 1, 9\) out of range for n=4$"):
+        FiniteTwoMetricSpace.load(tmp_path / "table.json")
+    payload["entries"].reverse()
+    with pytest.raises(ValueError, match="^table entry 0 needs integer i, j, k"):
+        FiniteTwoMetricSpace.from_json(payload)
+
+
 def test_dense_is_cached_read_only_and_dropped_by_a_write():
     space = FiniteTwoMetricSpace(4, {(0, 1, 2): 0.5})
     T = space.dense()
