@@ -1,10 +1,11 @@
 """Experiment harness.
 
 Subcommands: audit, demo-equator, iterate, classify, certify, banach,
-convexity, enumerate-lines.  Global flags: --seed, --out, --tolerance,
---json-config.  Flag values override the JSON config file; unknown config
-keys are rejected.  Every JSON artifact echoes the fully resolved config and
-is byte-stable for a fixed config and seed, apart from the timestamp field.
+convexity, enumerate-lines.  Global flags: --out, --json-config; every
+subcommand but enumerate-lines takes --seed, and audit alone --tolerance.
+Flag values override the JSON config file; unknown config keys are rejected.
+Every JSON artifact echoes the fully resolved config and is byte-stable for
+a fixed config and seed, apart from the timestamp field.
 
 Exit codes: 0 the run's checks passed, 1 a check failed, 2 bad usage, bad
 input or an unexpected error (one line on stderr, never a traceback).
@@ -375,24 +376,26 @@ def cmd_enumerate_lines(cfg) -> int:
 
 # Every flag is declared once, mapped to its default, or to its type when it
 # has no default; the parser, the config merge and the echoed config read it.
-GLOBAL_FLAGS = {"seed": 0, "out": ".", "tolerance": DEFAULT_TOLERANCE, "json_config": str}
+# Each command has only the flags it reads; --json-config is read by the merge.
+GLOBAL_FLAGS = {"out": ".", "json_config": str}
 COMMANDS = {
-    "audit": (cmd_audit, {"space": "det-sphere", "table": str, "samples": 2000,
-                          "witnesses": 128, "dim": 3}),
-    "demo-equator": (cmd_demo_equator, {"k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
-                                        "x0": "0.8,0,0.6", "steps": 200, "witnesses": 128}),
-    "iterate": (cmd_iterate, {"map": "sphere", "k": 0.1, "e": 0.5, "theta": float(np.pi / 7),
-                              "dim": 3, "angle": 0.0, "x0": str, "steps": 200,
-                              "witnesses": 64}),
-    "classify": (cmd_classify, {"space": "det-sphere", "input": str, "witnesses": 128,
-                                "eps_lim": 1e-6, "eps_cauchy": 1e-8, "eps_tri": 1e-8,
-                                "min_length": 50, "dim": 3, "table": str}),
-    "certify": (cmd_certify, {"A": "0.25I", "r": 0.2, "inner": 0.1, "c_prime": float,
-                              "quad": 0.0, "samples": 400, "triples": 2000,
+    "audit": (cmd_audit, {"seed": 0, "tolerance": DEFAULT_TOLERANCE, "space": "det-sphere",
+                          "table": str, "samples": 2000, "witnesses": 128, "dim": 3}),
+    "demo-equator": (cmd_demo_equator, {"seed": 0, "k": 0.1, "e": 0.5,
+                                        "theta": float(np.pi / 7), "x0": "0.8,0,0.6",
+                                        "steps": 200, "witnesses": 128}),
+    "iterate": (cmd_iterate, {"seed": 0, "map": "sphere", "k": 0.1, "e": 0.5,
+                              "theta": float(np.pi / 7), "dim": 3, "angle": 0.0, "x0": str,
+                              "steps": 200, "witnesses": 64}),
+    "classify": (cmd_classify, {"seed": 0, "space": "det-sphere", "input": str,
+                                "witnesses": 128, "eps_lim": 1e-6, "eps_cauchy": 1e-8,
+                                "eps_tri": 1e-8, "min_length": 50, "dim": 3, "table": str}),
+    "certify": (cmd_certify, {"seed": 0, "A": "0.25I", "r": 0.2, "inner": 0.1,
+                              "c_prime": float, "quad": 0.0, "samples": 400, "triples": 2000,
                               "C_prime": float}),
-    "banach": (cmd_banach, {"C": 2.0, "k": 0.4, "x0": 1.0, "steps": 200, "variant": "auto",
-                            "residual_tol": 1e-10}),
-    "convexity": (cmd_convexity, {"r": 0.2, "samples": 10000}),
+    "banach": (cmd_banach, {"seed": 0, "C": 2.0, "k": 0.4, "x0": 1.0, "steps": 200,
+                            "variant": "auto", "residual_tol": 1e-10}),
+    "convexity": (cmd_convexity, {"seed": 0, "r": 0.2, "samples": 10000}),
     "enumerate-lines": (cmd_enumerate_lines, {"table": str}),
 }
 

@@ -687,8 +687,10 @@ class FiniteTwoMetricSpace:
 
         ``n`` is checked first, as the constructor checks it.  The entry
         types are checked over whole lists, by ``map`` and ``set``, which
-        keeps the check a small part of a load; only a file that fails it is
-        checked entry by entry, types then key, in file order.
+        keeps the check a small part of a load; only a file that fails it,
+        or whose keys ``_put`` refuses, is checked entry by entry, types then
+        key, in file order, up to the bad entry.  A key message is
+        ``_sorted_key``'s, after the entry number.
         """
         entries = payload.get("entries", []) if type(payload) is dict else None
         if type(entries) is not list or type(payload.get("n")) is not int:
@@ -701,16 +703,22 @@ class FiniteTwoMetricSpace:
                   and set(map(type, values)) <= {int, float})
         except (KeyError, TypeError):  # an entry without a field, or not an object
             ok = False
-        if not ok:
-            for number, entry in enumerate(entries):
-                if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
-                        and type(entry.get("d")) in (int, float)):
-                    raise ValueError(f"table entry {number} needs integer i, j, k and a "
-                                     f"number d, got {json.dumps(entry)}")
+        if ok:
+            try:
+                # not through a dict, which keeps a repeated key at its first place
+                space._put(keys, values)
+                return space
+            except ValueError:   # a bad key: the loop below names its entry
+                pass
+        for number, entry in enumerate(entries):
+            if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
+                    and type(entry.get("d")) in (int, float)):
+                raise ValueError(f"table entry {number} needs integer i, j, k and a "
+                                 f"number d, got {json.dumps(entry)}")
+            try:
                 _sorted_key(operator.itemgetter("i", "j", "k")(entry), space.n)
-        # not through a dict, which keeps a repeated key at its first place
-        space._put(keys, values)
-        return space
+            except ValueError as exc:
+                raise ValueError(f"table entry {number}: {exc}") from None
 
     def save(self, path) -> None:
         """Write the table file, ``{"n": n, "entries": [{"i", "j", "k",

@@ -300,7 +300,8 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     of mapped members to stay within tolerance, plus a uniqueness check that
     two separated image points regenerate the same line.  When neither case
     is certified on an untruncated orbit, its last point gets the same
-    residual test: a FixedPoint from it keeps, as its diagnostic, why the
+    residual test, unless the failed case was a CauchySequence, whose limit
+    is that point: a FixedPoint from it keeps, as its diagnostic, why the
     classified case failed.
     """
     measured = measured_contraction_factor(map_, samples=_FACTOR_SAMPLES, seed=seed)
@@ -309,7 +310,8 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)
     outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured)
-    if outcome.tag == "Indeterminate" and not trace.truncated:
+    if (outcome.tag == "Indeterminate" and not trace.truncated
+            and outcome.classification.tag != "CauchySequence"):
         last = _fixed_point_outcome(map_, trace.points[-1], witnesses, thresholds, measured,
                                     outcome.classification)
         if last.tag == "FixedPoint":

@@ -175,13 +175,12 @@ def _iterate(space: QuasiSpace, F, x0, max_steps: int):
     return iterates, residual
 
 
-def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
-    """bound_for(n, m) gives the admissible phi(x_n, x_m); returns the pass
-    flag and the worst excess over the bound, NaN (and no pass) once an
-    excess is NaN."""
+def _check_tail(space: QuasiSpace, iterates, bounds) -> tuple[bool, float]:
+    """``bounds`` holds the admissible phi(x_n, x_m) of every pair n < m of
+    ``iterates`` in ``np.triu_indices`` order; returns the pass flag and the
+    worst excess over the bound, NaN (and no pass) once an excess is NaN."""
     n, m = np.triu_indices(len(iterates), k=1)
     P = np.asarray(iterates)
-    bounds = [bound_for(a, b) for a, b in zip(n.tolist(), m.tolist())]
     excess = space.phi(P[n], P[m]) - np.array(bounds, dtype=float)
     margin = float(np.max(excess, initial=-np.inf))
     if margin == -np.inf:
@@ -189,13 +188,16 @@ def _check_tail(space: QuasiSpace, iterates, bound_for) -> tuple[bool, float]:
     return margin <= 1e-12, margin
 
 
-def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_for,
+def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_row,
            max_steps: int, variant: str) -> BanachRun:
-    """Iterate F from x0, then check every recorded pair against
-    ``bound_for(first, n, m)``, where first = phi(x_0, x_1)."""
+    """Iterate F from x0, then check every recorded pair against its bound:
+    ``bound_row(first, n, count)`` gives the bounds of phi(x_n, x_m) for
+    m = n+1, ..., n+count, where first = phi(x_0, x_1)."""
     iterates, residual = _iterate(space, F, x0, max_steps)
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
-    ok, margin = _check_tail(space, iterates, lambda n, m: bound_for(first, n, m))
+    last = len(iterates) - 1
+    bounds = [b for n in range(last) for b in bound_row(first, n, last - n)]
+    ok, margin = _check_tail(space, iterates, bounds)
     return BanachRun(
         fixed_point=iterates[-1], residual=float(residual), steps=len(iterates) - 1,
         k_claimed=k, k_measured=measured, C=space.C, tail_bound_ok=ok, tail_margin=margin,
@@ -215,7 +217,7 @@ def banach_direct(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             "use banach_power")
     measured = _measure_factor(space, F, k, seed)
     return _solve(space, F, x0, k, measured,
-                  lambda first, n, m: first / (1.0 - space.C * k) * k ** n,
+                  lambda first, n, count: [first / (1.0 - space.C * k) * k ** n] * count,
                   max_steps, "direct")
 
 
@@ -290,12 +292,14 @@ def banach_multcost(space: QuasiSpace, F, x0, k: float, max_steps: int = 200,
             f"cost contraction violated: {mapped[i]:.6g} > {k} * {cost[i]:.6g}", witness)
     measured = _measure_factor(space, F, k, seed + 1)
 
-    def bound_for(first: float, n: int, m: int) -> float:
-        total = 0.0
-        exponent = 0.0
-        for j in range(m - n):
+    def bound_row(first: float, n: int, count: int) -> list:
+        # the bound of phi(x_n, x_m) sums the series up to j = m - n - 1, so
+        # one running sum gives the whole row
+        row, total, exponent = [], 0.0, 0.0
+        for j in range(count):
             exponent += M * k ** (n + j)
             total += k ** j * np.exp(exponent)
-        return k ** n * first * total
+            row.append(k ** n * first * total)
+        return row
 
-    return _solve(space, F, x0, k, measured, bound_for, max_steps, "multcost")
+    return _solve(space, F, x0, k, measured, bound_row, max_steps, "multcost")

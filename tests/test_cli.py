@@ -10,9 +10,11 @@ import re
 import numpy as np
 import pytest
 
+from conftest import DATA
 from twometric import (CertInput, FiniteTwoMetricSpace, SphereContractionParams, SpherePatch,
                        WitnessSet, audit, certifier_baseline, certify, demo_five_point_space,
                        make_sphere_map, orbit, sphere_witnesses, unit_sphere)
+from twometric import cli
 from twometric.cli import build_parser, main
 
 
@@ -564,23 +566,23 @@ def test_csv_uses_plain_decimal_points(tmp_path):
         assert "," not in token
 
 
-# Every subcommand's flags and their types, as the parser declared them
-# before the flags were declared once per subcommand.
-GLOBAL_FLAGS = {"seed": int, "out": str, "tolerance": float, "json_config": str}
+# Every subcommand's flags and their types, each a flag its command reads.
+GLOBAL_FLAGS = {"out": str, "json_config": str}
 PARSER_FLAGS = {
-    "audit": {"space": str, "table": str, "samples": int, "witnesses": int, "dim": int},
-    "demo-equator": {"k": float, "e": float, "theta": float, "x0": str, "steps": int,
-                     "witnesses": int},
-    "iterate": {"map": str, "k": float, "e": float, "theta": float, "dim": int,
+    "audit": {"seed": int, "tolerance": float, "space": str, "table": str, "samples": int,
+              "witnesses": int, "dim": int},
+    "demo-equator": {"seed": int, "k": float, "e": float, "theta": float, "x0": str,
+                     "steps": int, "witnesses": int},
+    "iterate": {"seed": int, "map": str, "k": float, "e": float, "theta": float, "dim": int,
                 "angle": float, "x0": str, "steps": int, "witnesses": int},
-    "classify": {"space": str, "input": str, "witnesses": int, "eps_lim": float,
-                 "eps_cauchy": float, "eps_tri": float, "min_length": int, "dim": int,
-                 "table": str},
-    "certify": {"A": str, "r": float, "inner": float, "c_prime": float, "quad": float,
-                "samples": int, "triples": int, "C_prime": float},
-    "banach": {"C": float, "k": float, "x0": float, "steps": int, "variant": str,
-               "residual_tol": float},
-    "convexity": {"r": float, "samples": int},
+    "classify": {"seed": int, "space": str, "input": str, "witnesses": int,
+                 "eps_lim": float, "eps_cauchy": float, "eps_tri": float, "min_length": int,
+                 "dim": int, "table": str},
+    "certify": {"seed": int, "A": str, "r": float, "inner": float, "c_prime": float,
+                "quad": float, "samples": int, "triples": int, "C_prime": float},
+    "banach": {"seed": int, "C": float, "k": float, "x0": float, "steps": int,
+               "variant": str, "residual_tol": float},
+    "convexity": {"seed": int, "r": float, "samples": int},
     "enumerate-lines": {"table": str},
 }
 
@@ -623,7 +625,8 @@ def one_run_each(tmp_path, demo_table):
     }
     artifacts = {}
     for name, (argv, artifact) in runs.items():
-        assert main([name, *argv, "--seed", "3", "--out", str(tmp_path / name)]) in (0, 1)
+        seed = ["--seed", "3"] if "seed" in PARSER_FLAGS[name] else []
+        assert main([name, *argv, *seed, "--out", str(tmp_path / name)]) in (0, 1)
         artifacts[name] = tmp_path / name / artifact
     return artifacts
 
@@ -647,6 +650,71 @@ def test_echoed_config_reproduces_the_artifact(one_run_each, tmp_path):
         artifact.unlink()
         assert main([name, "--json-config", str(config)]) in (0, 1)
         assert blanked(artifact) == first
+
+
+class ReadKeys(dict):
+    """A resolved config that adds each key read as ``cfg[key]`` to ``seen``."""
+
+    def __init__(self, cfg: dict, seen: set):
+        super().__init__(cfg)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_declared_flag_is_read_in_some_mode(tmp_path, monkeypatch, demo_table):
+    table12 = DATA / "table12"
+    small = ["--witnesses", "16"]
+    modes = {
+        "audit": [["--samples", "200", *small], ["--space", "area-ball", "--samples", "200"],
+                  ["--space", "finite", "--table", str(demo_table)]],
+        "demo-equator": [["--steps", "60", *small]],
+        "iterate": [["--steps", "60", "--x0", "0.8,0,0.6", *small],
+                    ["--map", "linear", "--angle", "0.3", "--steps", "60", *small]],
+        "classify": [["--input", str(tmp_path / "iterate0" / "trace.csv"), *small],
+                     ["--space", "area-ball", "--input", str(tmp_path / "iterate1" / "trace.csv"),
+                      *small],
+                     ["--space", "finite", "--table", str(table12 / "table.json"),
+                      "--input", str(table12 / "index_trace.csv")]],
+        "certify": [["--samples", "50", "--triples", "200"],
+                    ["--samples", "50", "--triples", "200", "--C-prime", "30"]],
+        "banach": [["--variant", variant] for variant in ("auto", "direct", "power", "multcost")],
+        "convexity": [["--samples", "500"]],
+        "enumerate-lines": [["--table", str(demo_table)]],
+    }
+    assert list(modes) == list(cli.COMMANDS)
+    seen = {name: set() for name in modes}
+    resolve = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config",
+                        lambda args, flags: ReadKeys(resolve(args, flags), seen[args.command]))
+    for name, runs in modes.items():
+        for number, argv in enumerate(runs):
+            assert main([name, *argv, "--out", str(tmp_path / f"{name}{number}")]) in (0, 1)
+        declared = {**cli.GLOBAL_FLAGS, **cli.COMMANDS[name][1]}
+        assert set(declared) - {"json_config"} == seen[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--tolerance", "1"], ["banach", "--tolerance", "1e-9"],
+    ["enumerate-lines", "--seed", "1", "--table", "table.json"],
+], ids=" ".join)
+def test_a_flag_its_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in captured.err
+
+
+def test_a_config_file_with_a_tolerance_is_refused_outside_audit(tmp_path, refuses):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1e-9}))
+    refuses(["certify", "--json-config", str(cfg)],
+            "config error: unknown config fields: ['tolerance']", unreached=("certify",))
+    assert main(["audit", "--json-config", str(cfg), "--samples", "200", "--witnesses", "16",
+                 "--out", str(tmp_path)]) == 0
 
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sphere_table, table_items, table_phi
-from twometric.cli import GLOBAL_FLAGS
+from twometric.cli import COMMANDS
 from twometric.core import _triples
 from twometric import (FiniteTwoMetricSpace, WitnessSet, audit,
                        demo_five_point_space, det_metric, det_sphere_space, eval_phi,
@@ -306,7 +306,7 @@ def test_quotient_merges_at_the_zero_floor_only():
 def test_audit_defaults_to_the_cli_tolerance():
     table = demo_five_point_space()
     report = audit(table.as_space(), witnesses=WitnessSet.all_of(table), triples=10)
-    assert report.tolerance == GLOBAL_FLAGS["tolerance"] == 1e-9
+    assert report.tolerance == COMMANDS["audit"][1]["tolerance"] == 1e-9
 
 
 def test_quotient_collapses_totally_degenerate_space():

@@ -9,10 +9,11 @@ import pytest
 
 from conftest import det_reference, tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
-                       SphereContractionParams, WitnessSet, area_metric,
+                       SphereContractionParams, Thresholds, WitnessSet, area_metric,
                        det_metric, det_sphere_space, detect_outcome,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
+from twometric import dynamics
 from twometric.core import _distinct_triples, eval_phi
 from twometric.dynamics import _DECAY_TRIPLES
 from twometric.spaces import sample_sphere
@@ -293,6 +294,28 @@ def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):
     if tag == "FixedPoint":
         assert np.array_equal(out.point, last) and out.residual <= 1e-8
         assert out.diagnostic == "line invariance or uniqueness check failed at tolerance"
+
+
+def test_a_failed_cauchy_limit_gets_one_residual_test(monkeypatch):
+    # a CauchySequence's limit is the last orbit point: when its residual
+    # test fails, the fall-back on the last point does not test it again
+    residual_points = []
+    phi = dynamics.eval_phi
+
+    def counting(space, x, *args, **kwargs):
+        if np.ndim(x) == 1:          # one pair: a residual phi(y, F(y))
+            residual_points.append(x)
+        return phi(space, x, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eval_phi", counting)
+    m = make_linear_map(np.eye(3), 0.5)
+    W = WitnessSet.sampled(m.space, 32, seed=0)
+    out = detect_outcome(m, np.array([0.3, 0.1, 0.2]), 60, witnesses=W,
+                         thresholds=Thresholds(fixed_point=1e-25), seed=0)
+    assert out.tag == "Indeterminate" and out.classification.tag == "CauchySequence"
+    assert out.residual > 1e-25 and out.diagnostic.startswith("candidate residual")
+    assert len(residual_points) == 1
+    assert np.array_equal(residual_points[0], out.trace.points[-1])
 
 
 def test_rotated_linear_iterates_are_not_colinear():

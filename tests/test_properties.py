@@ -202,9 +202,9 @@ def first_bad_entry(payload) -> str | None:
                     f"got {json.dumps(entry)}")
         key = tuple(entry[c] for c in "ijk")
         if not all(0 <= v < n for v in key):
-            return f"triple {key} out of range for n={n}"
+            return f"table entry {number}: triple {key} out of range for n={n}"
         if len(set(key)) < 3:
-            return f"table stores distinct triples only, got {key}"
+            return f"table entry {number}: table stores distinct triples only, got {key}"
     return None
 
 

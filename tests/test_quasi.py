@@ -13,6 +13,7 @@ from twometric import (ContractionViolation, QuasiSpace, WitnessSet,
                        banach_direct, banach_multcost, banach_power,
                        check_quasi_axioms, demo_five_point_space,
                        interval_space, minimal_power, quasi_from_two_metric)
+from twometric import quasi
 from twometric.core import broadcasting
 
 
@@ -290,6 +291,52 @@ def test_multcost_tail_bound_matches_series_oracle():
             total = sum(k ** j * math.exp(0.1 * sum(k ** (n + t) for t in range(j + 1)))
                         for j in range(m - n))
             assert space.phi(iterates[n], iterates[m]) <= k ** n * first * total + 1e-12
+
+
+def per_pair_bound(variant, space, k, first, n, m):
+    """The tail bound of phi(x_n, x_m) from the formula of that one pair,
+    the multcost series summed from its first term."""
+    if variant == "direct":
+        return first / (1.0 - space.C * k) * k ** n
+    total = 0.0
+    exponent = 0.0
+    for j in range(m - n):
+        exponent += space.psi_bound * k ** (n + j)
+        total += k ** j * np.exp(exponent)
+    return k ** n * first * total
+
+
+@pytest.mark.parametrize("variant, solver", [("direct", banach_direct),
+                                             ("multcost", banach_multcost)])
+def test_tail_bounds_have_the_bits_of_the_per_pair_formula(monkeypatch, variant, solver):
+    checked = []
+    check = quasi._check_tail
+
+    def recording(space, iterates, bounds):
+        checked.append((iterates, bounds))
+        return check(space, iterates, bounds)
+
+    monkeypatch.setattr(quasi, "_check_tail", recording)
+    k = 0.7
+    space = replace(interval_space(), psi=lambda x, y, z: 0.3 * np.abs(z), psi_bound=0.3)
+    run = solver(space, lambda x: k * x, 1.0, k, max_steps=60)
+    [(iterates, bounds)] = checked
+    assert run.steps == 60 and len(iterates) == 61
+    first = space.phi(iterates[0], iterates[1])
+    # every pair n < m in ``np.triu_indices`` order, with Python int indices
+    want = [per_pair_bound(variant, space, k, first, n, m)
+            for n in range(len(iterates)) for m in range(n + 1, len(iterates))]
+    assert [float(b).hex() for b in bounds] == [float(b).hex() for b in want]
+
+
+def test_multcost_tail_bounds_take_one_exp_per_pair(monkeypatch):
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: calls.append(x) or exp(x))
+    space = replace(interval_space(), psi=lambda x, y, z: 0.1 * np.abs(z), psi_bound=0.1)
+    run = banach_multcost(space, lambda x: 0.97 * x, 1.0, 0.97, max_steps=300)
+    N = run.steps + 1
+    assert N == 301 and len(calls) == N * (N - 1) // 2
 
 
 def test_multcost_rejects_cost_expansion():

@@ -74,11 +74,33 @@ def test_a_file_names_its_first_bad_entry_whatever_is_wrong(tmp_path):
     payload = {"n": 4, "entries": [{"i": 0, "j": 1, "k": 9, "d": 0.5},
                                    {"i": 0, "j": 1.5, "k": 2, "d": 0.5}]}
     (tmp_path / "table.json").write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^triple \(0, 1, 9\) out of range for n=4$"):
+    with pytest.raises(ValueError,
+                       match=r"^table entry 0: triple \(0, 1, 9\) out of range for n=4$"):
         FiniteTwoMetricSpace.load(tmp_path / "table.json")
     payload["entries"].reverse()
     with pytest.raises(ValueError, match="^table entry 0 needs integer i, j, k"):
         FiniteTwoMetricSpace.from_json(payload)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 1, 9), "triple (0, 1, 9) out of range for n=4"),
+    ((2, 1, 2), "table stores distinct triples only, got (2, 1, 2)"),
+], ids=["out-of-range", "repeated-index"])
+def test_a_bad_key_is_named_by_its_entry_number(tmp_path, bad, message):
+    # every entry has the right types, so the whole file takes the one-pass
+    # path until its keys are refused; the key message follows the number
+    keys = list(combinations(range(4), 3)) * 2
+    entries = [{"i": i, "j": j, "k": k, "d": 0.5} for i, j, k in keys[:7]]
+    entries.append(dict(zip("ijk", bad), d=0.5))
+    (tmp_path / "table.json").write_text(json.dumps({"n": 4, "entries": entries}),
+                                         encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        FiniteTwoMetricSpace.load(tmp_path / "table.json")
+    assert str(error.value) == f"table entry 7: {message}"
+    # the constructor and table writes keep the key message alone
+    with pytest.raises(ValueError) as error:
+        FiniteTwoMetricSpace(4, {bad: 0.5})
+    assert str(error.value) == message
 
 
 def test_dense_is_cached_read_only_and_dropped_by_a_write():
