@@ -13,9 +13,10 @@ throughout:
   Trans -- d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y)
 
 From a bounded 2-metric one derives a pair distance
-phi(x, y) = sup_z d(x, y, z), approximated here as a max over an explicit
-finite witness set (exact on finite spaces when the witness set is the whole
-point set).  Derived inequalities audited alongside the axioms:
+phi(x, y) = sup_z d(x, y, z), taken from the space's closed form where it
+declares one, and otherwise approximated as a max over an explicit finite
+witness set (exact on finite spaces when the witness set is the whole point
+set).  Derived inequalities audited alongside the axioms:
 
   AT             -- phi(x,y) <= phi(x,z) + 2*phi(z,y)
   CostTriangle   -- phi(x,y) <= phi(x,z) + phi(z,y) + d(x,y,z)
@@ -176,6 +177,12 @@ class TwoMetricSpace:
     ``canon`` maps a point to its equivalence-class representative (used by
     quotient constructions); it must be idempotent.  ``line_points``, when
     present, samples points of the line through two given generators.
+    ``phi``, when given, is the exact pair distance sup_z d(x, y, z) over
+    the whole domain, of stacked coordinate points (n, dim) that broadcast,
+    exactly symmetric in x and y; ``eval_phi`` then reads it instead of a
+    witness scan.  A copy made with ``dataclasses.replace`` keeps it, so a
+    copy that replaces ``d_batch`` with a different metric must set ``phi``
+    too, or ``phi=None``.
     """
 
     name: str
@@ -186,6 +193,7 @@ class TwoMetricSpace:
     canon: Callable[[Any], Any] | None = None
     contains: Callable[[Any], bool] | None = None
     line_points: Callable[[Any, Any, int], Any] | None = None
+    phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -218,7 +226,9 @@ class WitnessSet:
 
 
 def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
-    """Pair distance max_w d(x, y, w) over the witness set.
+    """Pair distance max_w d(x, y, w) over the witness set, or the space's
+    declared ``phi`` for coordinate points, which then ignores the
+    witnesses.
 
     x and y are points or stacks of points that broadcast against each
     other over their leading axes, points as the witnesses hold them: an
@@ -227,9 +237,10 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     integer arrays of row numbers of ``points`` instead, and the pairs are
     those of ``points[x]`` and ``points[y]``; without, the x's and then
     the y's are numbered so.  One pair gives a float, anything else an
-    array of the broadcast leading shape.  Each pair is put in
+    array of the broadcast leading shape.  A declared ``phi`` is called on
+    blocks of ``_ROW_BUDGET`` pairs.  A witness scan puts each pair in
     lexicographic order first, so the result is exactly symmetric in x and
-    y.
+    y, as a declared ``phi`` is.
     """
     W = np.asarray(witnesses.points)
     if points is None:
@@ -238,6 +249,14 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
         points = np.concatenate([A.reshape((-1,) + W.shape[1:]) for A in (X, Y)])
         n = math.prod(lead[0])
         x, y = np.arange(n).reshape(lead[0]), np.arange(n, len(points)).reshape(lead[1])
+    if space.phi is not None and W.ndim > 1:
+        P, shape = np.asarray(points), np.broadcast_shapes(np.shape(x), np.shape(y))
+        X, Y = (np.broadcast_to(A, shape).ravel() for A in (x, y))
+        out = np.empty(len(X))
+        for s in range(0, len(X), _ROW_BUDGET):
+            out[s:s + _ROW_BUDGET] = space.phi(*(np.take(P, A[s:s + _ROW_BUDGET], axis=0)
+                                                 for A in (X, Y)))
+        return float(out[0]) if not shape else out.reshape(shape)
     P = np.concatenate([np.asarray(points), W])
     X, Y = np.asarray(x), np.asarray(y)
     swap = _swapped(P[X], P[Y], P.ndim == 1)
@@ -310,7 +329,7 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
 
     out = np.empty(a)
     step = max(1, _ROW_BUDGET // b)
-    table = _inner_table(space.d_batch, P, X, Y, Z, a, b)
+    table = _inner_table(space.d_batch, P, X, Y, Z, a)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
 
@@ -361,47 +380,32 @@ def _span_pairs(P, lo: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take(P, np.repeat(r, s), axis=0), np.take(P, np.tile(r, s), axis=0)
 
 
-def _inner_table(kernel, P, X, Y, Z, a, b) -> tuple | None:
+def _inner_table(kernel, P, X, Y, Z, a) -> tuple | None:
     """For a kernel that declares ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, on
-    ``_d_max``'s 2-D scan of ``a`` rows and ``b`` columns: ``(outer, T,
-    inverse)``, where ``inner`` of the rows of Y and Z is ``T``, or
-    ``T[:, inverse]`` with its first axis moved last; None where the scan
-    keeps the kernel itself.  Three layouts:
+    ``_d_max``'s 2-D scan of ``a`` rows: ``(outer, T, inverse)``, where
+    ``inner`` of the rows of Y and Z is ``T``, or ``T[:, inverse]`` with its
+    first axis moved last; None where the scan keeps the kernel itself.
+    Two layouts:
 
     * Y and Z fixed along the rows: T is ``inner`` of them.
-    * Z fixed along the rows and Y one column that repeats there: T holds
-      one row per distinct Y, told apart by row numbers, and ``inverse``
-      picks it for each row of the scan.
     * X, Y and Z one column each, running along the rows: T holds every
       ordered pair of the rows they span (``_span``), and ``inverse`` is
-      the entry of each row's (y, z).
-
-    The table pays only with fewer entries than scan rows, and it holds at
-    most ``_ROW_BUDGET`` rows.
+      the entry of each row's (y, z).  The table pays only with fewer
+      entries than scan rows, and it holds at most ``_ROW_BUDGET`` rows.
     """
     inner, outer = getattr(kernel, "factors", (None, None))
     if inner is None:
         return None
-    if len(Z) != 1:
-        span = _span(X, Y, Z, a)
-        if span is None:
-            return None
-        lo, s = span
-        # kept as one contiguous plane per coordinate, which a gather copies
-        # row by row and ``outer`` reads without a stride
-        return outer, np.ascontiguousarray(inner(*_span_pairs(P, lo, s)).T), (Y - lo) * s + Z - lo
-    PZ = np.take(P, Z, axis=0)
-    if len(Y) == 1:
-        return outer, inner(np.take(P, Y, axis=0), PZ), None
-    if Y.shape[1] != 1:
+    if len(Y) == len(Z) == 1:
+        return outer, inner(np.take(P, Y, axis=0), np.take(P, Z, axis=0)), None
+    span = _span(X, Y, Z, a)
+    if span is None:
         return None
-    _, first, inverse = np.unique(Y[:, 0], return_index=True, return_inverse=True)
-    if len(first) == len(Y) or len(first) * b > _ROW_BUDGET:
-        return None
-    # one plane per coordinate, as above
-    return outer, np.ascontiguousarray(np.moveaxis(inner(np.take(P, Y[first], axis=0), PZ),
-                                                   -1, 0)), inverse
+    lo, s = span
+    # kept as one contiguous plane per coordinate, which a gather copies
+    # row by row and ``outer`` reads without a stride
+    return outer, np.ascontiguousarray(inner(*_span_pairs(P, lo, s)).T), (Y - lo) * s + Z - lo
 
 
 def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
@@ -412,14 +416,8 @@ def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
     and keeps a NaN, so the max of d over a row is ``finish`` of the max of
     g, which is taken first.
 
-    Three layouts, and None for any other:
+    Two layouts, and None for any other:
 
-    * x and y along the first axis, z along the last (a phi scan).  The
-      rows are grouped by x, so u is one edge per row and v the edges from
-      that x to every z, repeated over its rows.  Where no x repeats, as in
-      a single pair or the numbered pairs of ``eval_phi``'s point form,
-      nothing is shared and the scan keeps the kernel, which is faster
-      there.
     * x along the first axis, y and z along the last (``classify``'s
       candidate scan).  One table holds the edges to every distinct y and
       z (down) from each x (across).  The scan's columns are grouped by y,
@@ -432,23 +430,6 @@ def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
     """
     edges, gram, finish = split
     out = np.empty(a)
-    if X.shape[1] == Y.shape[1] == 1 and Z.shape[0] == 1:
-        x, y = np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[:, 0], a)
-        order = np.argsort(x, kind="stable")
-        x = x[order]
-        if (x[1:] != x[:-1]).all():
-            return None
-        eu, nu = edges(P[x], P[y[order]])
-        PZ = P[np.broadcast_to(Z[0], b)]
-        step = max(1, _ROW_BUDGET // b)
-        for s in range(0, a, step):
-            # z down, rows across; the rows of one x are contiguous
-            xs, counts = np.unique(x[s:s + step], return_counts=True)
-            ev, nv = edges(P[xs], PZ[:, None])
-            g = gram([u[s:s + step] for u in eu], nu[s:s + step],
-                     [np.repeat(v, counts, axis=1) for v in ev], np.repeat(nv, counts, axis=1))
-            out[order[s:s + step]] = finish(g.max(axis=0))
-        return out
     if X.shape[1] == 1 and Y.shape[0] == Z.shape[0] == 1:
         targets, at = np.unique(np.concatenate([np.broadcast_to(Y[0], b),
                                                 np.broadcast_to(Z[0], b)]), return_inverse=True)
@@ -488,7 +469,9 @@ _GAP_SEED = 0
 
 def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet) -> float:
     """Empirical sup-truncation error: max increase of phi when the witness
-    set is doubled.  Zero on finite spaces audited with all points."""
+    set is doubled.  Zero on finite spaces audited with all points, and on
+    a space with a declared ``phi``, which ``eval_phi`` reads for
+    coordinate points without the witnesses."""
     X, Y = _stacks(space.sample, _GAP_SEED, _GAP_PAIRS, 2)
     refined = witnesses.refined(space)
     base = eval_phi(space, X, Y, witnesses)
@@ -681,7 +664,8 @@ class FiniteTwoMetricSpace:
     def from_json(payload) -> "FiniteTwoMetricSpace":
         """The table of a parsed table file: an object with an int ``n`` and
         an optional list ``entries`` of objects with int ``i``, ``j``, ``k``
-        and an int or float ``d`` (a bool is neither), whose keys pass
+        and an int or float ``d`` (a bool is neither, and an int past the
+        float range is not a number either), whose keys pass
         ``_sorted_key``.  Anything else is a ``ValueError`` naming the first
         bad entry, whatever is wrong with it.
 
@@ -708,13 +692,17 @@ class FiniteTwoMetricSpace:
                 # not through a dict, which keeps a repeated key at its first place
                 space._put(keys, values)
                 return space
-            except ValueError:   # a bad key: the loop below names its entry
+            except (ValueError, OverflowError):  # a bad key or d: the loop below names its entry
                 pass
         for number, entry in enumerate(entries):
-            if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
-                    and type(entry.get("d")) in (int, float)):
+            try:
+                if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
+                        and type(entry.get("d")) in (int, float)):
+                    raise TypeError
+                float(entry["d"])    # an int past the float range raises OverflowError
+            except (TypeError, OverflowError):
                 raise ValueError(f"table entry {number} needs integer i, j, k and a "
-                                 f"number d, got {json.dumps(entry)}")
+                                 f"number d, got {json.dumps(entry)}") from None
             try:
                 _sorted_key(operator.itemgetter("i", "j", "k")(entry), space.n)
             except ValueError as exc:
@@ -811,8 +799,12 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
 
     Each axiom samples ``triples`` tuples of its own arity.  Tuples for the
     plain axioms are drawn from the space sampler; tuples for the phi-based
-    checks are drawn from the witness set so the truncated sup is internally
-    consistent and those inequalities are exact.  All sampling is sequential
+    checks are drawn from the witness set.  Without a declared ``phi``, the
+    truncated sup over the witnesses is then internally consistent and
+    those inequalities are exact.  With one, the checks test the space's
+    own phi on the same seeded draw: the witness set is a sample of the
+    domain like any other, and N's classes, the sample counts and the
+    records keep one meaning for every space.  All sampling is sequential
     from the given seed.  On a space with a ``size`` (a table's
     ``as_space()``), B and the positivity half of Z are decided exactly
     instead, over each of the C(size, 3) distinct index triples, and their

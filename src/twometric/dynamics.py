@@ -337,7 +337,11 @@ def _certified_outcome(map_, trace, witnesses, thresholds, measured):
     if line.members is not None:
         members = list(line.members)
     elif map_.space.line_points is not None:
-        sampled = np.asarray(map_.space.line_points(line.g1, line.g2, _LINE_SAMPLES))
+        try:
+            sampled = np.asarray(map_.space.line_points(line.g1, line.g2, _LINE_SAMPLES))
+        except ValueError as exc:  # generators that span no line, as a NaN phi may pick
+            return Outcome("Indeterminate", measured, cls,
+                           diagnostic=f"no line through the generators: {exc}")
         members = list(sampled[line.contains_each(map_.space, sampled)])
     else:
         members = list(cls.passers)

@@ -69,9 +69,10 @@ def interval_space(C: float = 1.0) -> QuasiSpace:
 
 
 def quasi_from_two_metric(space: TwoMetricSpace, witnesses: WitnessSet) -> QuasiSpace:
-    """Derived pair distance of a bounded 2-metric; satisfies the lopsided
-    triangle inequality with C = 2, exactly on finite spaces audited with
-    all points as witnesses."""
+    """Derived pair distance of a bounded 2-metric, by ``eval_phi``;
+    satisfies the lopsided triangle inequality with C = 2, exactly on
+    spaces that declare their phi and on finite spaces audited with all
+    points as witnesses."""
     return QuasiSpace(
         phi=lambda x, y: eval_phi(space, x, y, witnesses),
         C=2.0,

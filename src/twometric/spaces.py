@@ -99,6 +99,16 @@ det_metric_batch.factors = (_cross, _det_outer)
 det_metric = det_metric_batch
 
 
+def _det_phi(X, Y) -> np.ndarray:
+    """The det sphere's pair distance |x x y|, the sup of |(x x y) . w|
+    over unit w, of rows that broadcast: the cross product as ``_cross``
+    writes it, its squared length as ``_dot`` sums it.  Exactly symmetric,
+    since ``y x x`` is ``-(x x y)`` bit for bit."""
+    c = _coords(_cross(X, Y))
+    out = _dot(c, c)
+    return np.sqrt(out, out=out)[()]
+
+
 def antipodal_canon(x) -> np.ndarray:
     """Deterministic representative of {x, -x}: the first coordinate larger
     than 1e-12 in magnitude is made nonnegative.  Idempotent."""
@@ -130,6 +140,7 @@ def det_sphere_space() -> TwoMetricSpace:
         name="det-sphere",
         d_batch=det_metric_batch,
         sample=sample_sphere,
+        phi=_det_phi,
         canon=antipodal_canon,
         contains=lambda x: abs(np.linalg.norm(x) - 1.0) <= 1e-9,
         line_points=great_circle_points,
@@ -193,6 +204,28 @@ area_metric_batch.gram = (_edges, _gram, _half_root)
 area_metric = area_metric_batch
 
 
+def _area_phi(X, Y) -> np.ndarray:
+    """The area ball's pair distance, of rows that broadcast: the sup of
+    the area of (x, y, z) over the ball is ``0.5 * |e| * (R + dist(0,
+    line xy))`` for e = y - x, at the boundary point farthest from the
+    line, with R = ``BALL_RADIUS``.  Computed as ``0.5 * (R * |e| +
+    sqrt(max(g, 0)))``, where g = |e|^2 |m|^2 - (e . m)^2 is ``_gram`` of e
+    and the midpoint m = (x + y) / 2, and every dot product is summed as
+    ``_dot`` sums it.  g equals |x|^2 |y|^2 - (x . y)^2, but keeps its
+    relative accuracy where x and y are close, where that form cancels to
+    an error of about sqrt(eps) |x| |y| in its root.  Exactly symmetric,
+    since y - x is -(x - y) and x + y is y + x bit for bit."""
+    x, y = _coords(X), _coords(Y)
+    e = _differences(x, y)
+    m = [np.multiply(np.add(p, q), 0.5) for p, q in zip(x, y)]
+    length = _dot(e, e)
+    root = _gram(e, length, m, _dot(m, m))
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    np.sqrt(length, out=length)
+    out = np.add(np.multiply(length, BALL_RADIUS, out=length), root, out=length)
+    return np.multiply(out, 0.5, out=out)[()]
+
+
 def sample_ball(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:
     v = rng.normal(size=(count, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -222,6 +255,8 @@ def area_ball_space(dim: int = 3) -> TwoMetricSpace:
         name=f"area-ball-{dim}d",
         d_batch=area_metric_batch,
         sample=lambda rng, n: sample_ball(rng, n, dim=dim),
+        # on a line every triangle is flat, so phi is 0, as every witness scan gives it
+        phi=_area_phi if dim > 1 else None,
         contains=lambda x: np.linalg.norm(x) <= BALL_RADIUS + 1e-12,
         line_points=chord_points,
     )

@@ -105,6 +105,27 @@ def area_reference(x, y, z) -> float:
     return 0.5 * math.sqrt(0.0 if g <= 0.0 else g)
 
 
+def det_phi_reference(x, y) -> float:
+    """|x x y| of one pair by a loop over Python floats: the cross product
+    as ``np.cross`` writes it, its squared length in the kernels' order."""
+    x, y = ([float(c) for c in p] for p in (x, y))
+    c = [x[(i + 1) % 3] * y[(i + 2) % 3] - x[(i + 2) % 3] * y[(i + 1) % 3] for i in range(3)]
+    return math.sqrt(_dot_reference(c, c))
+
+
+def area_phi_reference(x, y, radius: float = 0.5) -> float:
+    """The area ball's pair distance of one pair by a loop over Python
+    floats: ``0.5 * (radius * |e| + sqrt(max(g, 0)))`` with e = y - x and
+    g the Gram determinant of e and the midpoint m = (x + y) / 2, dot
+    products in the kernels' order, a NaN kept."""
+    x, y = ([float(c) for c in p] for p in (x, y))
+    e = [q - p for p, q in zip(x, y)]
+    m = [(p + q) * 0.5 for p, q in zip(x, y)]
+    ee, em = _dot_reference(e, e), _dot_reference(e, m)
+    g = ee * _dot_reference(m, m) - em * em
+    return 0.5 * (radius * math.sqrt(ee) + math.sqrt(0.0 if g <= 0.0 else g))
+
+
 def reference_rows(metric, X, Y, Z) -> np.ndarray:
     """A scalar reference called once per row of X, Y and Z broadcast
     against each other: the values a kernel gives that stack."""

@@ -79,8 +79,13 @@ CASES = {
                     (1, 2000)),
     "area-ball-5": (lambda: area_ball_space(5), lambda: WitnessSet.sampled(area_ball_space(5), 128, 0),
                     (1, 2000, 8000)),
-    "unmarked-kernel": (lambda: replace(det_sphere_space(), d_batch=skewed_unmarked),
+    "unmarked-kernel": (lambda: replace(det_sphere_space(), d_batch=skewed_unmarked, phi=None),
                         lambda: sphere_witnesses(24, 3), (1, 500)),
+    # the witness scans of the two spaces that declare their phi
+    "det-sphere-witnesses": (lambda: replace(det_sphere_space(), phi=None),
+                             lambda: sphere_witnesses(128, 0), (1, 2000)),
+    "area-ball-5-witnesses": (lambda: replace(area_ball_space(5), phi=None),
+                              lambda: WitnessSet.sampled(area_ball_space(5), 128, 0), (1, 2000)),
     "finite-table": (lambda: table12().as_space(), lambda: WitnessSet.all_of(table12()),
                      (1, 2000, 8000)),
     "repeated-witness": (det_sphere_space, lambda: with_repeats(sphere_witnesses(40, 5)),
@@ -123,7 +128,10 @@ def test_audit_makes_one_phi_call_on_the_distinct_pairs(monkeypatch):
         assert len(pairs) == len(X) <= min(5 * triples, m * (m + 1) // 2)
 
 
-def test_a_nan_on_one_witness_pair_reaches_every_record_that_drew_it():
+def nan_pair_case():
+    """A det space, its witnesses, the audit's size and seed, and a test of
+    whether stacked point pairs are the witness pair (a, b) that every phi
+    check draws at that seed, either way round."""
     space = det_sphere_space()
     W = WitnessSet.sampled(space, 12, 1)
     pts = np.asarray(W.points)
@@ -134,12 +142,29 @@ def test_a_nan_on_one_witness_pair_reaches_every_record_that_drew_it():
     def at(P, i):
         return (np.asarray(P) == pts[i]).all(axis=-1)
 
+    def pair(X, Y):
+        return (at(X, a) & at(Y, b)) | (at(X, b) & at(Y, a))
+    return space, W, triples, seed, pair
+
+
+def test_a_nan_on_one_witness_pair_reaches_every_record_that_drew_it():
+    # NaN in d on the pair, against every witness: the witness scan's phi
+    space, W, triples, seed, pair = nan_pair_case()
+
     @broadcasting
     def d_batch(X, Y, Z):
-        pair = (at(X, a) & at(Y, b)) | (at(X, b) & at(Y, a))
-        return np.where(pair, np.nan, det_metric_batch(X, Y, Z))
+        return np.where(pair(X, Y), np.nan, det_metric_batch(X, Y, Z))
 
-    planted = replace(space, d_batch=d_batch)
+    check_nan_pair_records(space, replace(space, d_batch=d_batch, phi=None), W, triples, seed)
+
+
+def test_a_nan_in_the_declared_phi_of_one_pair_reaches_every_record_that_drew_it():
+    space, W, triples, seed, pair = nan_pair_case()
+    planted = replace(space, phi=lambda X, Y: np.where(pair(X, Y), np.nan, space.phi(X, Y)))
+    check_nan_pair_records(space, planted, W, triples, seed)
+
+
+def check_nan_pair_records(space, planted, W, triples, seed):
     report = audit(planted, witnesses=W, triples=triples, seed=seed)
     assert phi_records(report) == phi_records_per_slot(planted, W, triples, seed)
     # the pair is drawn by every phi check at this seed: N counts its NaN phi

@@ -26,10 +26,12 @@ from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.lines import Line, Thresholds, _pair_arrays, classify
 from twometric.spaces import area_ball_space, det_sphere_space
 
+# Without their declared phi, so that eval_phi scans the witnesses by the
+# kernel paths compared here.
 SPACES = {
-    "det-sphere": det_sphere_space,
-    "area-ball-3": lambda: area_ball_space(3),
-    "area-ball-5": lambda: area_ball_space(5),
+    "det-sphere": lambda: replace(det_sphere_space(), phi=None),
+    "area-ball-3": lambda: replace(area_ball_space(3), phi=None),
+    "area-ball-5": lambda: replace(area_ball_space(5), phi=None),
     "sphere-patch": lambda: patch_space(SpherePatch(0.2)),
 }
 # The scalar reference each space's kernel must agree with bit for bit.
@@ -217,17 +219,31 @@ def test_classify_tag_and_point_match_greedy_reps(name):
     assert counts[0] == len(points) and counts[-1] == 1
 
 
+def witness_scans(map_):
+    """The map, on its space without the declared phi."""
+    return replace(map_, space=replace(map_.space, phi=None))
+
+
 def test_classify_and_outcomes_are_byte_identical_on_both_paths():
+    for declared in (True, False):
+        check_outcomes_on_both_paths(declared)
+
+
+def check_outcomes_on_both_paths(declared):
+    """detect_outcome on each kernel path, with the declared phi of the
+    maps' spaces or with their witness scans."""
     W = sphere_witnesses(48, seed=4)
     x0 = np.array([0.8, 0.0, 0.6])
     for theta in (0.0, np.pi / 7, 1.08):
         map_ = make_sphere_map(SphereContractionParams(0.1, 0.5, theta))
+        map_ = map_ if declared else witness_scans(map_)
         slow = replace(map_, space=stacked(map_.space))
         fast = detect_outcome(map_, x0, 120, witnesses=W, seed=4).to_json()
         assert json.dumps(fast) == json.dumps(
             detect_outcome(slow, x0, 120, witnesses=W, seed=4).to_json())
     q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
     linear = make_linear_map(q, 0.6)
+    linear = linear if declared else witness_scans(linear)
     slow = replace(linear, space=stacked(linear.space))
     x0 = np.array([0.2, -0.1, 0.15])
     W = WitnessSet.sampled(linear.space, 64, 4)

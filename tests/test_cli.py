@@ -326,6 +326,12 @@ def table_file(second: dict) -> dict:
     pytest.param({"n": 4, "entries": [{"i": 0, "j": 1, "k": 2}]}, "table entry 0 ",
                  id="first-entry-without-d"),
     pytest.param(table_file([1, 2, 3, 0.25]), "table entry 1 ", id="entry-not-an-object"),
+    # an int that float() refuses: JSON reads 1 followed by 400 zeros as one
+    pytest.param(table_file({"i": 1, "j": 2, "k": 3, "d": 10 ** 400}), "table entry 1 ",
+                 id="int-value-past-the-float-range"),
+    pytest.param({"n": 3, "entries": [{"i": 0, "j": 1, "k": 2, "d": 10 ** 400}]},
+                 "table entry 0 needs integer i, j, k and a number d",
+                 id="first-entry-int-value-past-the-float-range"),
 ])
 def test_malformed_table_files_exit_2(tmp_path, refuses, payload, message):
     path = tmp_path / "table.json"

@@ -278,7 +278,7 @@ def test_linear_map_contracts_to_origin():
 
 
 @pytest.mark.parametrize("steps, tag, residual", [
-    (200, "Indeterminate", 4.06e-6), (300, "Indeterminate", 2.45e-8),
+    (200, "Indeterminate", 4.195e-6), (300, "Indeterminate", 2.484e-8),
     (500, "FixedPoint", 8.56e-13),
 ])
 def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):

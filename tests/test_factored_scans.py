@@ -2,13 +2,15 @@
 
 The det kernel declares ``factors = (_cross, _det_outer)``: ``core._d_max``
 computes the cross products ``y x z`` once per scan when (y, z) is fixed
-along the scan's chunk axis, and, in the index form (row numbers of a point
-array), once per distinct y row when z is fixed and y repeats.  The area
-kernel declares a Gram split, which the index form evaluates from the edges
-between its points.  The oracle is the same kernel behind a plain
-``broadcasting`` wrapper, which declares neither and so takes the kernel on
-every chunk, called on the gathered rows.  Every value must have the same
-bits, compared with ``float.hex``.
+along the scan's chunk axis.  The area kernel declares a Gram split, which
+the index form (row numbers of a point array) of the candidate scan and the
+triple modulus evaluates from the edges between its points.  A phi scan
+(x and y along the rows, the witnesses along the columns) keeps the kernel.
+The oracle is the same kernel behind a plain ``broadcasting`` wrapper,
+which declares neither and so takes the kernel on every chunk, called on
+the gathered rows.  Every value must have the same bits, compared with
+``float.hex``.  The spaces here have no declared phi, so that ``eval_phi``
+scans the witnesses.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import gathered_max, hexes, lex_order, patch_space
+from conftest import gathered_max, hexes, patch_space
 from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatch, WitnessSet,
                        area_ball_space, audit, make_linear_map, make_sphere_map,
                        sphere_witnesses)
@@ -31,13 +33,14 @@ from twometric.lines import Line, _pair_arrays, _triple_arrays, classify
 from twometric.spaces import (_cross, _det_outer, area_metric_batch, det_metric_batch,
                               det_sphere_space)
 
-SPACE = det_sphere_space()
+SPACE = replace(det_sphere_space(), phi=None)
 
 
 def unfactored(space):
-    """The space with its kernel behind a marked wrapper without ``factors``."""
+    """The space with its kernel behind a marked wrapper without ``factors``,
+    and without a declared phi."""
     kernel = space.d_batch
-    return replace(space, d_batch=broadcasting(lambda X, Y, Z: kernel(X, Y, Z)))
+    return replace(space, d_batch=broadcasting(lambda X, Y, Z: kernel(X, Y, Z)), phi=None)
 
 
 def counted():
@@ -62,16 +65,6 @@ def sphere(rng, n):
     return SPACE.sample(rng, n)
 
 
-def witness_pairs(W, rng, count):
-    """Audit-like pairs: the row numbers of distinct unordered pairs of
-    witness points, so the second point of each pair (after the
-    lexicographic swap) repeats."""
-    m = len(W)
-    I, J = rng.integers(0, m, size=(2, count))
-    keys = np.unique(np.minimum(I, J) * m + np.maximum(I, J))
-    return keys // m, keys % m
-
-
 def demo_tail(steps=160):
     """A demo orbit and the row numbers of its tail pairs, as classify
     scans them."""
@@ -92,22 +85,8 @@ def test_the_kernel_is_its_factors_composed():
 
 
 # ---------------------------------------------------------------------------
-# z fixed, y repeating: phi scans
+# x and y along the rows, the witnesses along the columns: phi scans
 # ---------------------------------------------------------------------------
-
-def test_audit_like_phi_scan_has_the_kernel_bits():
-    rng = np.random.default_rng(31)
-    W = sphere_witnesses(60, 31)
-    P = np.asarray(W.points)
-    I, J = witness_pairs(W, rng, 3000)
-    space, calls = counted()
-    fast = eval_phi(space, I, J, W, P)
-    assert hexes(fast) == hexes(eval_phi(unfactored(SPACE), P[I], P[J], W))
-    # one table over the distinct second points, and no kernel call
-    assert calls["kernel"] == 0 and len(calls["inner"]) == 1
-    distinct = len(np.unique(lex_order(P[I], P[J])[1], axis=0))
-    assert calls["inner"][0][0] == distinct < len(I)
-
 
 def test_classify_like_phi_scan_has_the_kernel_bits():
     seq, I, J = demo_tail()
@@ -115,7 +94,8 @@ def test_classify_like_phi_scan_has_the_kernel_bits():
     space, calls = counted()
     assert hexes(eval_phi(space, I, J, W, seq)) == hexes(
         eval_phi(unfactored(SPACE), seq[I], seq[J], W))
-    assert calls["kernel"] == 0 and len(calls["inner"]) == 1
+    # the kernel on the gathered rows, without the crosses of a table
+    assert calls["kernel"] > 0 and not calls["inner"]
     # passer-like pairs: every pair of a point set, and one point against all
     P = seq[-30:]
     pi, pj = np.triu_indices(len(P), k=1)
@@ -123,32 +103,6 @@ def test_classify_like_phi_scan_has_the_kernel_bits():
     assert hexes(eval_phi(SPACE, pi, pj, W, P)) == hexes(plain)
     assert hexes(eval_phi(SPACE, P[pi], P[pj], W)) == hexes(plain)
     assert hexes(eval_phi(SPACE, P[:1], P, W)) == hexes(eval_phi(unfactored(SPACE), P[:1], P, W))
-
-
-def test_distinct_y_keeps_the_kernel():
-    rng = np.random.default_rng(32)
-    W = sphere_witnesses(20, 32)
-    X, Y = sphere(rng, 50), sphere(rng, 50)
-    # repeating y rows given as coordinates: a table is keyed by row numbers
-    # only, so this scan keeps the kernel too
-    for y in (Y, Y[rng.integers(0, 5, size=50)]):
-        space, calls = counted()
-        assert hexes(eval_phi(space, X, y, W)) == hexes(eval_phi(unfactored(SPACE), X, y, W))
-        assert calls["kernel"] > 0 and not calls["inner"]
-
-
-def test_signed_zeros_are_distinct_rows_of_the_table():
-    # rows 4 and 6 are one point under two row numbers, row 5 its signed zero
-    W = np.asarray(sphere_witnesses(10, 33).points)
-    X = np.array([[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    Y = np.array([[0.0, 0.6, 0.8], [-0.0, 0.6, 0.8], [0.0, 0.6, 0.8]])
-    P = np.concatenate([X, Y, W])
-    xi, yi, wi = np.arange(4)[:, None], np.array([4, 5, 6, 4])[:, None], 7 + np.arange(len(W))
-    space, calls = counted()
-    fast = _d_max(space, xi, yi, wi, P)
-    assert hexes(fast) == hexes(_d_max(unfactored(SPACE), xi, yi, wi, P))
-    assert hexes(fast) == hexes(gathered_max(det_metric_batch, P, xi, yi, wi))
-    assert calls["inner"] == [(3, 1, 3)] and calls["kernel"] == 0
 
 
 def planted_scan(rng, witnesses, distinct, rows):
@@ -177,7 +131,7 @@ def test_a_planted_nan_stays_in_its_own_rows(where):
         expected[:] = True
     space, calls = counted()
     fast = _d_max(space, xi, yi, wi, P)
-    assert calls["kernel"] == 0
+    assert not calls["inner"]
     assert np.array_equal(np.isnan(fast), expected)
     assert hexes(fast) == hexes(_d_max(unfactored(SPACE), xi, yi, wi, P))
     assert hexes(fast) == hexes(gathered_max(det_metric_batch, P, xi, yi, wi))
@@ -185,8 +139,7 @@ def test_a_planted_nan_stays_in_its_own_rows(where):
 
 @pytest.mark.parametrize("budget", [1, 7, 40, 6 * 30 - 1, 6 * 30, 2 ** 9, 10 ** 6, 2 ** 20])
 def test_a_small_budget_keeps_the_bits(budget, monkeypatch):
-    # 6 distinct y against 30 witnesses: a table of 180 rows, which fits
-    # only from a budget of 180 on
+    # 6 distinct y against 30 witnesses, split in blocks of every size
     P, scan = planted_scan(np.random.default_rng(35), sphere_witnesses(24, 35), 6, 90)
     whole = hexes(_d_max(SPACE, *scan, P))
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
@@ -194,7 +147,7 @@ def test_a_small_budget_keeps_the_bits(budget, monkeypatch):
     assert hexes(_d_max(space, *scan, P)) == whole
     assert hexes(_d_max(unfactored(SPACE), *scan, P)) == whole
     assert hexes(gathered_max(det_metric_batch, P, *scan)) == whole
-    assert (calls["kernel"] == 0) == (budget >= 180)
+    assert not calls["inner"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +218,8 @@ def test_det_index_scans_have_the_kernel_bits(subsample, budget, monkeypatch):
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
         assert hexes(_d_max(unfactored(SPACE), *scan, P)) == bits
-    # at 2^9 rows the phi scan's table of distinct y does not fit
-    assert (calls["kernel"] == 0) == (budget == 2 ** 20)
+        # the candidate scan from the crosses of the tail pairs alone
+        assert (calls["kernel"] == 0) == (scan is candidate)
 
 
 def test_contains_each_has_the_kernel_bits():
@@ -311,7 +264,7 @@ def area(dim):
         return area_metric_batch(X, Y, Z)
 
     kernel.gram = area_metric_batch.gram
-    return replace(area_ball_space(dim), d_batch=kernel), calls
+    return replace(area_ball_space(dim), d_batch=kernel, phi=None), calls
 
 
 def area_tail(dim, steps, seed):
@@ -358,14 +311,15 @@ def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypat
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
         assert hexes(_d_max(plain, *scan, P)) == bits
-    # the split evaluates without the kernel, in every dimension
-    assert not calls
+        # the split evaluates the candidate scan without the kernel, in
+        # every dimension; the phi scan keeps the kernel
+        assert (not calls) == (scan is candidate)
 
 
 def check_planted_nan(where, dim):
     """A NaN coordinate at a candidate, a tail point or a witness: the
-    index scans by the split give the plain kernel's bits, NaN rows
-    included, without calling the kernel."""
+    index scans give the plain kernel's bits, NaN rows included, the
+    candidate scan by the split without calling the kernel."""
     W, seq = area_tail(dim, 90, 7)
     P, candidate, phi = area_scans(W, seq, False)
     row = {"candidate": 5, "tail": len(W) + 80, "witness": 9}[where]
@@ -377,7 +331,7 @@ def check_planted_nan(where, dim):
         assert np.isnan(fast).any()
         assert hexes(fast) == hexes(_d_max(plain, *scan, P))
         assert hexes(fast) == hexes(gathered_max(area_metric_batch, P, *scan))
-    assert not calls
+        assert (not calls) == (scan is candidate)
     if where == "candidate":
         assert np.flatnonzero(np.isnan(_d_max(space, *candidate, P))).tolist() == [5]
 
@@ -417,7 +371,7 @@ def test_area_classify_and_audit_are_byte_identical_without_the_split(steps):
     # 500 steps subsample the tail pairs; the LineCase verdicts also scan
     # every pair of their passers
     W, seq = area_tail(3, steps, steps)
-    space = area_ball_space(3)
+    space = replace(area_ball_space(3), phi=None)
     plain = unfactored(space)
     witnesses = WitnessSet(W)
     assert json.dumps(classify(space, seq, witnesses).to_json()) == json.dumps(

@@ -183,13 +183,28 @@ ALTERNATING = ((0.1, 0.5, np.pi / 2), [1.0, 0.0, 0.0])  # rotates e1 to e2 and b
     (ALTERNATING, one_pair, "LineCase", ["passer membership defect is NaN"]),
 ])
 def test_a_planted_nan_lowers_the_classify_confidence(case, mask, tag, notes):
+    # phi by the witness scan, which meets the NaN of the kernel
+    sphere = replace(det_sphere_space(), phi=None)
+    planted = replace(sphere, d_batch=nan_where(det_metric_batch, mask))
+    check_classify_confidence(case, sphere, planted, tag, notes)
+
+
+def test_a_nan_in_the_declared_phi_lowers_the_classify_confidence():
+    # the NaN that a witness above y = 0.95 puts into every pair's phi,
+    # planted in the declared phi
+    sphere = det_sphere_space()
+    planted = replace(sphere, phi=lambda X, Y: np.full(np.shape(sphere.phi(X, Y)), np.nan))
+    check_classify_confidence(EQUATOR_ORBIT, sphere, planted, "CauchySequence", [
+        "cauchy modulus is NaN", "pair distance from the first passer is NaN"])
+
+
+def check_classify_confidence(case, space, planted, tag, notes):
     params, x0 = case
     W = sphere_witnesses(128, seed=0)
     seq = orbit(make_sphere_map(SphereContractionParams(*params)), unit_sphere(x0), 200, W).points
-    clean = classify(det_sphere_space(), seq, W)
+    clean = classify(space, seq, W)
     assert clean.tag == tag and not clean.low_confidence
-    space = replace(det_sphere_space(), d_batch=nan_where(det_metric_batch, mask))
-    verdict = classify(space, seq, W)
+    verdict = classify(planted, seq, W)
     assert verdict.low_confidence
     for note in notes:
         assert any(note in n for n in verdict.notes), verdict.notes
@@ -240,7 +255,21 @@ def at_point(slot, p):
 
 
 def planted_kernel(map_, mask):
-    return replace(map_, space=replace(map_.space, d_batch=nan_where(det_metric_batch, mask)))
+    return replace(map_, space=replace(map_.space, d_batch=nan_where(det_metric_batch, mask),
+                                       phi=None))
+
+
+def either_is(p):
+    """Whether either point of the pair is p."""
+    return lambda X, Y: at_point(0, p)(X, Y) | at_point(1, p)(X, Y)
+
+
+def phi_nan_where(map_, mask):
+    """The map on its space with the declared phi NaN on the pairs where
+    ``mask`` holds."""
+    phi = map_.space.phi
+    return replace(map_, space=replace(map_.space, phi=lambda X, Y: np.where(
+        mask(X, Y), np.nan, phi(X, Y))))
 
 
 SQUEEZE = (SphereContractionParams(0.1, 0.5, np.pi / 7), [0.8, 0.0, 0.6])
@@ -258,14 +287,27 @@ def test_a_planted_nan_reaches_the_measured_factor(seed, i, slot, in_map):
     assert np.isnan(measured_contraction_factor(planted, samples=500, seed=seed))
 
 
-@pytest.fixture(scope="module")
-def clean_outcomes():
+def outcomes(declared):
+    """The map, the witnesses and the clean outcome of each squeeze angle,
+    with phi declared by the map's space or scanned over the witnesses."""
     W = sphere_witnesses(32, seed=0)
     runs = {}
     for theta in (0.0, np.pi / 7):
         map_ = make_sphere_map(replace(SQUEEZE[0], theta=theta))
+        if not declared:
+            map_ = replace(map_, space=replace(map_.space, phi=None))
         runs[theta] = (map_, W, detect_outcome(map_, unit_sphere(SQUEEZE[1]), 120, witnesses=W))
     return runs
+
+
+@pytest.fixture(scope="module")
+def clean_outcomes():
+    return outcomes(declared=False)
+
+
+@pytest.fixture(scope="module")
+def declared_outcomes():
+    return outcomes(declared=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,6 +321,34 @@ def test_a_planted_nan_in_detect_outcome_fails_or_is_reported(
     # NaN in d whenever one orbit point fills a slot, or in the map's image of it
     planted = (replace(map_, f=nan_at(map_.f, p)) if in_map
                else planted_kernel(map_, at_point(slot, p)))
+    check_fails_or_reported(planted, W, clean)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0.0, np.pi / 7]), st.integers(0, 120))
+def test_a_planted_nan_in_the_declared_phi_fails_or_is_reported(declared_outcomes, theta, step):
+    map_, W, clean = declared_outcomes[theta]
+    assert clean.tag == ("FixedPoint" if theta == 0.0 else "FixedLine")
+    p = clean.trace.points[step]
+    # NaN in phi whenever one orbit point is either point of the pair
+    check_fails_or_reported(phi_nan_where(map_, either_is(p)), W, clean)
+
+
+def test_generators_that_span_no_line_leave_the_outcome_indeterminate(declared_outcomes):
+    # NaN in phi on every pair with orbit point 63: classify takes the first
+    # NaN pair of passers, which span no great circle, as its generators
+    map_, W, clean = declared_outcomes[np.pi / 7]
+    p = clean.trace.points[63]
+    outcome = detect_outcome(phi_nan_where(map_, either_is(p)), unit_sphere(SQUEEZE[1]), 120,
+                             witnesses=W)
+    assert outcome.classification.tag == "LineCase"
+    assert "cauchy modulus is NaN" in outcome.classification.notes
+    assert outcome.tag == "Indeterminate" and outcome.line is None
+    assert outcome.diagnostic == ("no line through the generators: generators are "
+                                  "(anti)parallel; circle undefined")
+
+
+def check_fails_or_reported(planted, W, clean):
     outcome = detect_outcome(planted, unit_sphere(SQUEEZE[1]), 120, witnesses=W)
     if outcome.tag != "Indeterminate":
         cls = outcome.classification
@@ -292,18 +362,27 @@ def test_a_nan_pair_distance_between_mapped_line_members_is_reported(clean_outco
     separated from the others; a NaN pair distance is neither separated
     nor collapsed to one point, and the verdict names it."""
     map_, W, clean = clean_outcomes[np.pi / 7]
+    check_mapped_members_nan(planted_kernel, map_, W, clean)
+
+
+def test_a_nan_in_the_declared_phi_between_mapped_line_members_is_reported(declared_outcomes):
+    map_, W, clean = declared_outcomes[np.pi / 7]
+    check_mapped_members_nan(phi_nan_where, map_, W, clean)
+
+
+def check_mapped_members_nan(plant, map_, W, clean):
+    """NaN where slots 0 and 1 hold the first mapped member and a mapped
+    member, as only the separation scan fills them, planted by ``plant``."""
     images = map_.f(np.asarray(clean.line.members))
 
     def is_image(P):
         return (np.asarray(P)[..., None, :] == images).all(axis=-1).any(axis=-1)
 
-    def first_image_pair(X, Y, Z):
-        """Whether slots 0 and 1 hold the first mapped member and a mapped
-        member, as only the separation scan fills them."""
-        first = at_point(0, images[0])(X, Y, Z) | at_point(1, images[0])(X, Y, Z)
+    def first_image_pair(X, Y, *rest):
+        first = at_point(0, images[0])(X, Y) | at_point(1, images[0])(X, Y)
         return first & is_image(X) & is_image(Y)
 
-    outcome = detect_outcome(planted_kernel(map_, first_image_pair), unit_sphere(SQUEEZE[1]),
+    outcome = detect_outcome(plant(map_, first_image_pair), unit_sphere(SQUEEZE[1]),
                              120, witnesses=W)
     assert outcome.tag == "Indeterminate"
     assert outcome.diagnostic == "pair distance between mapped line members 0 and 0 is NaN"
