@@ -288,48 +288,52 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max`` (so also triples per block of
-# ``classify``'s triple modulus) and per block of its Gram scans.  A
+# Rows per metric call in ``_d_max`` and per block of its Gram scans.  A
 # buffered kernel call holds several row-sized buffers (seven in the det
 # kernel: 1.8 MB at 2**15 rows).  On a 2-core Xeon (4 MB L2 per core, numpy
 # 2.4), 20 s sampled-audit runs gave 9.5-10.5 verdicts/s at 2**14 and
 # 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at 2**18, where the buffers no longer
 # fit in cache; contraction-verdicts and finite-tables stayed level from
-# 2**14 to 2**16.  A Gram scan's edge tables and the det kernel's cross
-# table are bounded by it too.
+# 2**14 to 2**16.  A Gram scan's edge tables are bounded by it too.
 _ROW_BUDGET = 1 << 15
 
 
-def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
-    """Max of d(x, y, z) over the last axis of a scan of the rows of
-    ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
-    broadcast against each other, and the scan is that of ``points[X]``,
-    ``points[Y]`` and ``points[Z]``.  A row of ``points`` is a coordinate
-    point, or an index point where ``points`` is 1-D.
+def _d_max(space: TwoMetricSpace, X, Y, Z, points, runs=None) -> np.ndarray:
+    """Max of d(x, y, z) over each run of the last axis of a scan of the
+    rows of ``points``: X, Y and Z are integer arrays of row numbers, at
+    most 2-D, broadcast against each other, and the scan is that of
+    ``points[X]``, ``points[Y]`` and ``points[Z]``.  A row of ``points`` is
+    a coordinate point, or an index point where ``points`` is 1-D.
+
+    ``runs`` holds the increasing starts of the runs, the first 0, and the
+    result has one more axis, the max of each run in turn; without it the
+    whole last axis is one run, and the result has the leading shape.  The
+    one reduction is ``np.maximum.reduceat``, which keeps a NaN.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
     ``_d_many``.  Two declared factorisations compute less than one kernel
-    row per scan row, with the same bits: a kernel's ``gram`` split
-    evaluates the scan from the edges between its points (``_gram_max``),
-    and a kernel's ``factors`` compute its inner part once per scan where
-    ``_inner_table`` allows.  Both tabulate a scan of triples, one per row
-    (``classify``'s triple modulus), over the pairs of the rows they span,
-    where ``_span`` allows.  Every call covers about ``_ROW_BUDGET`` rows
-    at most, split along the first axis.
+    row per scan row, with the same bits, on a scan with x along the first
+    axis and y and z along the last (``classify``'s candidate scan and
+    ``Line.defects``): a kernel's ``gram`` split evaluates it from the edges
+    between its points (``_gram_max``), and a kernel's ``factors`` compute
+    its inner part once per scan (``_inner_table``).  Every call covers
+    about ``_ROW_BUDGET`` rows at most, split along the first axis.
     """
     P = np.asarray(points)
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
     X, Y, Z = (np.reshape(A, (1,) * (2 - np.ndim(A)) + np.shape(A)) for A in (X, Y, Z))
     a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
+    starts = np.zeros(1, dtype=np.intp) if runs is None else np.asarray(runs)
+    shape = shape if runs is None else shape + (len(starts),)
     split = getattr(space.d_batch, "gram", None)
-    out = _gram_max(split, P, X, Y, Z, a, b) if split and P.ndim == 2 and a * b else None
-    if out is not None:
-        return out.reshape(shape)
+    if split and P.ndim == 2 and a * b and X.shape[1] == 1 and len(Y) == len(Z) == 1:
+        return _gram_max(split, P, np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[0], b),
+                         np.broadcast_to(Z[0], b), starts).reshape(shape)
 
-    out = np.empty(a)
+    out = np.empty((a, len(starts)))
     step = max(1, _ROW_BUDGET // b)
-    table = _inner_table(space.d_batch, P, X, Y, Z, a)
+    table = _inner_table(space.d_batch, P, Y, Z)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
 
@@ -347,119 +351,66 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points) -> np.ndarray:
 
     for s in range(0, a, step):
         if table is not None:
-            outer, T, inverse = table
-            values = outer(rows(0, s), T if inverse is None
-                           else np.moveaxis(np.take(T, inverse[s:s + step], axis=1), 0, -1))
+            outer, T = table
+            values = outer(rows(0, s), T)
         elif getattr(space.d_batch, "broadcasts", False):
             values = space.d_batch(rows(0, s), rows(1, s), rows(2, s))
         else:
             parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
             values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
-        out[s:s + step] = values.max(axis=-1)
+        out[s:s + step] = np.maximum.reduceat(values, starts, axis=-1)
     return out.reshape(shape)
 
 
-def _span(X, Y, Z, a) -> tuple | None:
-    """For a 2-D scan of ``a`` rows and one column whose X, Y and Z all run
-    along the rows: ``(lo, s)``, the first and the count of the row numbers
-    from the least to the greatest, when a table over their s * s ordered
-    pairs holds at most ``_ROW_BUDGET`` entries and fewer than the scan's
-    rows; else None.  The pair (i, j) is entry ``(i - lo) * s + j - lo``."""
-    if a < 2 or not X.shape == Y.shape == Z.shape == (a, 1):
-        return None
-    lo = min(X.min(), Y.min(), Z.min())
-    s = max(X.max(), Y.max(), Z.max()) + 1 - lo
-    return (int(lo), int(s)) if s * s <= min(_ROW_BUDGET, a - 1) else None
-
-
-def _span_pairs(P, lo: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``P`` of each ordered pair of a ``_span`` table, first
-    and second, in the order of its entries."""
-    r = np.arange(lo, lo + s)
-    return np.take(P, np.repeat(r, s), axis=0), np.take(P, np.tile(r, s), axis=0)
-
-
-def _inner_table(kernel, P, X, Y, Z, a) -> tuple | None:
+def _inner_table(kernel, P, Y, Z) -> tuple | None:
     """For a kernel that declares ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, on
-    ``_d_max``'s 2-D scan of ``a`` rows: ``(outer, T, inverse)``, where
-    ``inner`` of the rows of Y and Z is ``T``, or ``T[:, inverse]`` with its
-    first axis moved last; None where the scan keeps the kernel itself.
-    Two layouts:
-
-    * Y and Z fixed along the rows: T is ``inner`` of them.
-    * X, Y and Z one column each, running along the rows: T holds every
-      ordered pair of the rows they span (``_span``), and ``inverse`` is
-      the entry of each row's (y, z).  The table pays only with fewer
-      entries than scan rows, and it holds at most ``_ROW_BUDGET`` rows.
-    """
+    ``_d_max``'s 2-D scan with Y and Z fixed along the rows: ``(outer,
+    T)``, where T is ``inner`` of the rows of Y and Z; None where the scan
+    keeps the kernel itself."""
     inner, outer = getattr(kernel, "factors", (None, None))
-    if inner is None:
+    if inner is None or not len(Y) == len(Z) == 1:
         return None
-    if len(Y) == len(Z) == 1:
-        return outer, inner(np.take(P, Y, axis=0), np.take(P, Z, axis=0)), None
-    span = _span(X, Y, Z, a)
-    if span is None:
-        return None
-    lo, s = span
-    # kept as one contiguous plane per coordinate, which a gather copies
-    # row by row and ``outer`` reads without a stride
-    return outer, np.ascontiguousarray(inner(*_span_pairs(P, lo, s)).T), (Y - lo) * s + Z - lo
+    return outer, inner(np.take(P, Y, axis=0), np.take(P, Z, axis=0))
 
 
-def _gram_max(split, P, X, Y, Z, a, b) -> np.ndarray | None:
-    """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)``, on its
-    2-D scan of ``a`` rows and ``b`` columns, neither of them 0: d(x, y, z)
-    is ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v = z - x
+def _gram_max(split, P, x, y, z, starts) -> np.ndarray:
+    """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)`` on a
+    scan of the rows ``x`` against the columns of ``y`` and ``z``, neither
+    empty, with the runs of columns from ``starts``: d(x, y, z) is
+    ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v = z - x
     with their squared lengths, bit for bit.  ``finish`` is non-decreasing
-    and keeps a NaN, so the max of d over a row is ``finish`` of the max of
+    and keeps a NaN, so the max of d over a run is ``finish`` of the max of
     g, which is taken first.
 
-    Two layouts, and None for any other:
-
-    * x along the first axis, y and z along the last (``classify``'s
-      candidate scan).  One table holds the edges to every distinct y and
-      z (down) from each x (across).  The scan's columns are grouped by y,
-      so u is one row of the table and v a block of its rows: a slice
-      where the z of a group run in steps of one, as the pairs of a whole
-      tail do.
-    * x, y and z one column each, running along the rows (``classify``'s
-      triple modulus).  One table holds the edges of every ordered pair of
-      the rows they span (``_span``), and u and v are gathered from it.
+    One table holds the edges to every distinct y and z (down) from each x
+    (across).  The columns of each run are grouped by y, so u is one row of
+    the table and v a block of its rows: a slice where the z of a group run
+    in steps of one, as the pairs of a whole tail do.  ``classify``'s pairs
+    come in lexicographic order, so each of its runs is one group.
     """
     edges, gram, finish = split
-    out = np.empty(a)
-    if X.shape[1] == 1 and Y.shape[0] == Z.shape[0] == 1:
-        targets, at = np.unique(np.concatenate([np.broadcast_to(Y[0], b),
-                                                np.broadcast_to(Z[0], b)]), return_inverse=True)
-        order = np.lexsort((at[b:], at[:b]))
-        y, z = at[:b][order], at[b:][order]
-        starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]]).tolist()
-        ends = starts[1:] + [b]
-        breaks = np.cumsum(np.r_[1, np.diff(z)] != 1)
-        groups = [(y[lo], slice(z[lo], z[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
-                   else z[lo:hi]) for lo, hi in zip(starts, ends)]
-        x = np.broadcast_to(X[:, 0], a)
-        step = max(1, _ROW_BUDGET // max(len(targets), max(np.subtract(ends, starts))))
-        for s in range(0, a, step):
-            e, n = edges(P[x[s:s + step]], P[targets][:, None])
-            G = np.full(n.shape[1], -np.inf)
-            for i, c in groups:
-                g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
-                np.maximum(G, g.max(axis=0), out=G)
-            out[s:s + step] = finish(G)
-        return out
-    span = _span(X, Y, Z, a)
-    if span is not None:
-        lo, s = span
-        e, n = edges(*_span_pairs(P, lo, s))
-        xy, xz = ((X[:, 0] - lo) * s + A[:, 0] - lo for A in (Y, Z))
-        for t in range(0, a, _ROW_BUDGET):
-            i, j = xy[t:t + _ROW_BUDGET], xz[t:t + _ROW_BUDGET]
-            out[t:t + _ROW_BUDGET] = finish(gram([u[i] for u in e], n[i], [v[j] for v in e], n[j]))
-        return out
-    return None
+    a, b = len(x), len(y)
+    targets, at = np.unique(np.concatenate([y, z]), return_inverse=True)
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=b))
+    order = np.lexsort((at[b:], at[:b], run))
+    run, y, z = run[order], at[:b][order], at[b:][order]
+    firsts = np.flatnonzero(np.r_[True, (y[1:] != y[:-1]) | (run[1:] != run[:-1])]).tolist()
+    ends = firsts[1:] + [b]
+    breaks = np.cumsum(np.r_[1, np.diff(z)] != 1)
+    groups = [(run[lo], y[lo], slice(z[lo], z[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
+               else z[lo:hi]) for lo, hi in zip(firsts, ends)]
+    out = np.empty((a, len(starts)))
+    step = max(1, _ROW_BUDGET // max(len(targets), max(np.subtract(ends, firsts))))
+    for s in range(0, a, step):
+        e, n = edges(P[x[s:s + step]], P[targets][:, None])
+        G = np.full((len(starts), n.shape[1]), -np.inf)
+        for r, i, c in groups:
+            g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
+            np.maximum(G[r], g.max(axis=0), out=G[r])
+        out[s:s + step] = finish(G).T
+    return out
 
 
 # Sampled pairs, and their seed, behind ``witness_refinement_gap``.
@@ -496,12 +447,6 @@ def _triples(n: int) -> np.ndarray:
         out[0, r:r + c], out[1:, r:r + c] = i, JK[:, -c:]
         r += c
     return out.T
-
-
-# One entry of the table file as ``json.dump(..., indent=2)`` lays it out,
-# and the number of entries formatted per write in ``save``.
-_ENTRY = '    {\n      "i": %d,\n      "j": %d,\n      "k": %d,\n      "d": %s\n    }'
-_SAVE_BLOCK = 1024
 
 
 def _sorted_key(key, n: int) -> tuple[int, int, int]:
@@ -713,21 +658,24 @@ class FiniteTwoMetricSpace:
         "d"}, ...]}`` with the stored triples in lexicographic order, in the
         bytes of ``json.dump(..., indent=2)`` followed by a newline.
 
-        That encoder runs in pure Python, so the entries are streamed
-        instead, ``_SAVE_BLOCK`` per write: json's C encoder turns a
-        block's values into tokens (``NaN`` and ``Infinity`` included),
-        which go into the fixed entry layout.
+        That encoder runs in pure Python, so the file is built from parts
+        instead, in one join: json's C encoder turns all values into tokens
+        in one call (``NaN`` and ``Infinity`` included), and each index is
+        written once per point.
         """
-        rows, values = list(self.table), self._dense[self._present].tolist()
+        values = self._dense[self._present].tolist()
+        names = [str(i) for i in range(self.n)]
+        # nine parts per entry, its separator first, after the file's head
+        parts = ['{\n  "n": %d,\n  "entries": [' % self.n] + [
+            ',\n    {\n      "i": ', "", ',\n      "j": ', "", ',\n      "k": ', "",
+            ',\n      "d": ', "", "\n    }"] * len(values) + ["\n  ]\n}\n" if values else "]\n}\n"]
+        for slot, column in zip((2, 4, 6), np.nonzero(self._present)):
+            parts[slot::9] = [names[i] for i in column.tolist()]
+        if values:
+            parts[1] = parts[1][1:]          # no comma before the first entry
+            parts[8::9] = json.dumps(values)[1:-1].split(", ")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{\n  "n": %d,\n  "entries": [' % self.n)
-            for s in range(0, len(rows), _SAVE_BLOCK):
-                block = rows[s:s + _SAVE_BLOCK]
-                tokens = json.dumps(values[s:s + _SAVE_BLOCK])[1:-1].split(", ")
-                fields = [x for (i, j, k), d in zip(block, tokens) for x in (i, j, k, d)]
-                fh.write((",\n" if s else "\n")
-                         + ",\n".join([_ENTRY] * len(block)) % tuple(fields))
-            fh.write("\n  ]\n}\n" if rows else "]\n}\n")
+            fh.write("".join(parts))
 
     @staticmethod
     def load(path) -> "FiniteTwoMetricSpace":

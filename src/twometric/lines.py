@@ -20,13 +20,12 @@ from typing import Any
 
 import numpy as np
 
-from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _distinct_triples,
-                   _strict, _triples, eval_phi, point_json, point_key)
+from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _strict, eval_phi,
+                   point_json, point_key)
 
-# Deterministic stream for subsampling oversized pair/triple scans.
+# Deterministic stream for subsampling oversized pair scans.
 _SUBSAMPLE_SEED = 0x5EED
 _MAX_PAIRS = 20000
-_MAX_TRIPLES = 200000
 
 
 @dataclass(frozen=True)
@@ -182,17 +181,6 @@ def _pair_arrays(length: int, start: int):
     return i + start, j + start
 
 
-def _triple_arrays(length: int, start: int):
-    """Index triples i < j < k of the tail from ``start``: all of them in
-    lexicographic order up to 120 tail points, and past that
-    ``_distinct_triples`` of ``2 * _MAX_TRIPLES`` random draws."""
-    m = length - start
-    combos = _triples(m) if m <= 120 else _distinct_triples(
-        np.random.default_rng(_SUBSAMPLE_SEED), m, 2 * _MAX_TRIPLES, _MAX_TRIPLES)
-    # one contiguous column per index, which ``_d_max`` reads fastest
-    return np.add(combos, start, out=combos)
-
-
 @dataclass
 class Classification:
     """Tagged verdict for a sequence, with the numbers that produced it."""
@@ -228,13 +216,18 @@ class Classification:
         return out
 
 
-def _first_of_each(points) -> list[int]:
+def _first_of_each(points, m: int) -> tuple[list[int], np.ndarray]:
     """The positions of the points that differ, by ``point_key``, from
-    every point before them."""
+    every point before them, and the tail position of each: that of the
+    first point from position ``m`` on with its key, less ``m``, or the
+    number of those points where none has it."""
     first: dict = {}
+    tail: dict = {}
     for i, key in enumerate(map(point_key, points)):
         first.setdefault(key, i)
-    return list(first.values())
+        if i >= m:
+            tail.setdefault(key, i - m)
+    return list(first.values()), np.array([tail.get(key, len(points) - m) for key in first])
 
 
 def _farthest_pair(space: TwoMetricSpace, witnesses: WitnessSet, P, tail, k: int,
@@ -264,7 +257,11 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     The tail is the last ``tail_fraction`` of the sequence, and at least 3
     points; a sequence shorter than 3 points or than ``min_length`` is
     refused with a ``ValueError``.  Candidates for the limit search are the
-    witness points plus all tail points.  A sequence can land in several
+    witness points plus all tail points, each point once.  The Cauchy
+    modulus and the candidates' residuals are taken over the tail pairs of
+    ``_pair_arrays``, and the triple modulus over every tail triple i < j <
+    k whose pair (j, k) is one of them (every triple up to 200 tail
+    points), read off the candidate scan.  A sequence can land in several
     cases at once; ties resolve by the fixed priority Cauchy > Line >
     UniquePoint > NoPoint, since a Cauchy tail makes the tail property hold
     everywhere.
@@ -279,15 +276,21 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     idx_i, idx_j = _pair_arrays(n, start)
     tail_phi = eval_phi(space, idx_i, idx_j, witnesses, seq)
     cauchy_modulus = float(tail_phi.max())
-    tri_modulus = float(_d_max(space, *np.hsplit(_triple_arrays(n, start), 3), seq).max())
 
-    # Candidates are the witnesses and the tail, each point once.  Tail
-    # residual of every candidate: one scan over candidates x pairs.
+    # Candidates are the witnesses and the tail, each point once, with its
+    # tail position.  One scan over candidates x pairs gives the max of each
+    # run of pairs (i, j) that share i: a candidate's residual is the max of
+    # its runs, and a candidate at tail position t holds the triples (t, i,
+    # j) in its runs with i past t.
     points = np.concatenate([np.asarray(witnesses.points), seq])
     m = len(points) - n
     rows = np.r_[:m, m + start:len(points)]
-    pick = rows[_first_of_each(points[rows])]
-    residuals = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points)
+    first, position = _first_of_each(points[rows], m)
+    pick = rows[first]
+    runs = np.flatnonzero(np.diff(idx_i, prepend=-1))
+    run_max = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, runs)
+    residuals = run_max.max(axis=1)
+    tri_modulus = float(run_max[position[:, None] < idx_i[runs] - start].max())
 
     passing = pick[residuals <= thresholds.lim]
     passers = list(points[passing])

@@ -278,8 +278,8 @@ def test_linear_map_contracts_to_origin():
 
 
 @pytest.mark.parametrize("steps, tag, residual", [
-    (200, "Indeterminate", 4.195e-6), (300, "Indeterminate", 2.484e-8),
-    (500, "FixedPoint", 8.56e-13),
+    (200, "Indeterminate", 4.1952513488401716e-06), (300, "Indeterminate", 2.4837575699328352e-08),
+    (500, "FixedPoint", 8.70623140254777e-13),
 ])
 def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):
     # the classified case fails at each length (no candidate limit at 200,
@@ -289,7 +289,9 @@ def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):
     W = WitnessSet.sampled(m.space, 64, seed=0)
     out = detect_outcome(m, 0.4 / np.sqrt(3) * np.ones(3), steps, witnesses=W, seed=0)
     last = out.trace.points[-1]
-    assert eval_phi(m.space, last, m.f(last), W) == pytest.approx(residual, rel=1e-2)
+    # abs=0: approx's default absolute slack of 1e-12 would pass any
+    # residual below about 1.9e-12
+    assert eval_phi(m.space, last, m.f(last), W) == pytest.approx(residual, rel=1e-2, abs=0)
     assert out.tag == tag and out.diagnostic
     if tag == "FixedPoint":
         assert np.array_equal(out.point, last) and out.residual <= 1e-8

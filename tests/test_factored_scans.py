@@ -3,8 +3,9 @@
 The det kernel declares ``factors = (_cross, _det_outer)``: ``core._d_max``
 computes the cross products ``y x z`` once per scan when (y, z) is fixed
 along the scan's chunk axis.  The area kernel declares a Gram split, which
-the index form (row numbers of a point array) of the candidate scan and the
-triple modulus evaluates from the edges between its points.  A phi scan
+the index form (row numbers of a point array) of the candidate scan
+evaluates from the edges between its points, also when it takes the max of
+each run of its columns, as ``classify`` does.  A phi scan
 (x and y along the rows, the witnesses along the columns) keeps the kernel.
 The oracle is the same kernel behind a plain ``broadcasting`` wrapper,
 which declares neither and so takes the kernel on every chunk, called on
@@ -29,7 +30,7 @@ from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatc
 from twometric import core, lines
 from twometric.core import _d_max, broadcasting, eval_phi
 from twometric.dynamics import orbit
-from twometric.lines import Line, _pair_arrays, _triple_arrays, classify
+from twometric.lines import Line, _pair_arrays, classify
 from twometric.spaces import (_cross, _det_outer, area_metric_batch, det_metric_batch,
                               det_sphere_space)
 
@@ -382,25 +383,9 @@ def test_area_classify_and_audit_are_byte_identical_without_the_split(steps):
 
 
 # ---------------------------------------------------------------------------
-# x, y and z along the rows: the triple modulus through a pair table
+# runs of the last axis: the max of each, as classify's candidate scan
+# takes them
 # ---------------------------------------------------------------------------
-
-def triple_scans(length):
-    """Row numbers of three triple scans of ``length`` points, as classify's
-    triple modulus makes them: the draw over the last 150 rows, every
-    triple of the last 20, and the first 40 rows of that draw, each with
-    rows of repeated indices added."""
-    scans = []
-    for start, rows in ((length - 150, None), (length - 20, None), (length - 150, 40)):
-        c = _triple_arrays(length, start)[:rows]
-        # with the NaN rows of ``test_triple_scans_have_the_kernel_bits``
-        extra = np.array([[start, start, start + 9], [start, start + 9, start + 9],
-                          [start + 9, start, start + 9], [length - 5] * 3,
-                          [start, length - 10, length - 1],
-                          [length - 20, length - 19, length - 18]])
-        scans.append(tuple(np.concatenate([c, extra])[:, [k]] for k in range(3)))
-    return scans
-
 
 def table_space():
     """A 40-point sphere table with NaN at one triple, and an index trace
@@ -427,37 +412,57 @@ def factored(kind):
     if kind == "patch":
         patch = SpherePatch(0.2)
         return patch_space(patch), patch.metric_batch, patch.sample(rng, 301), lambda: None
+    if kind == "stacked":
+        # no mark: the kernel gets the stacked rows
+        return (replace(SPACE, d_batch=lambda X, Y, Z: det_metric_batch(X, Y, Z)),
+                det_metric_batch, sphere(rng, 301), lambda: None)
     dim = int(kind.split("-")[1])
     space, calls = area(dim)
     return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: not calls
 
 
+def run_scans(rng):
+    """Row numbers of scans of 301 points, each with its run starts: the
+    candidate scan of the first 40 rows over every pair of the last 150,
+    in lexicographic order with a run per first row of a pair, as
+    ``classify`` makes it; the same over a shuffled pick of those pairs,
+    cut into runs at random; line membership, one run; and a phi-like scan
+    with runs over its witnesses."""
+    I, J = np.triu_indices(150, k=1)
+    I, J = I + 151, J + 151
+    pick = rng.permutation(len(I))[:3000]
+    return [
+        ((np.arange(40)[:, None], I, J), np.flatnonzero(np.diff(I, prepend=-1))),
+        ((np.arange(40)[:, None], I[pick], J[pick]),
+         np.r_[0, np.sort(rng.choice(np.arange(1, 3000), 40, replace=False))]),
+        ((np.arange(301)[:, None], [[5]], [[9]]), np.array([0])),
+        ((np.arange(100, 160)[:, None], np.arange(200, 260)[:, None], np.arange(40)),
+         np.array([0, 7, 8, 30])),
+    ]
+
+
 @pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
 @pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "area-8", "area-9", "area-12",
-                                  "patch", "table"])
-def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
-    # a NaN tail point (a NaN entry of the table), and one point under two
-    # row numbers
+                                  "patch", "table", "stacked"])
+def test_run_maxima_have_the_kernel_bits(kind, budget, monkeypatch):
+    # the max of each run is np.maximum.reduceat of the kernel values, on
+    # every layout, with a NaN tail point (a NaN entry of the table) and
+    # one point under two row numbers; without runs, the whole axis is one
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    for scan in triple_scans(301):
-        space, kernel, P, ran = factored(kind)
-        if P.ndim == 2:
-            P[-10, 1] = np.nan
-            P[-7] = P[-12]
-        want = hexes(gathered_max(kernel, P, *scan))
-        assert "nan" in want
-        got = hexes(_d_max(space, *scan, P))
-        assert got == want
-        # a table of the s * s pairs of the s rows spanned pays with fewer
-        # entries than triples and fits the budget: the 20-row scan's 400
-        # pairs at every budget, the 150-row draw's 22,500 pairs from 2^15
-        # on, and never for 46 triples
-        span = np.ptp(np.concatenate(scan)) + 1
-        assert ran() in (None, span ** 2 <= min(budget, len(scan[0]) - 1))
-    # no triple, and one
-    for rows in (0, 1):
-        scan = [np.full((rows, 1), k) for k in (3, 9, 12)]
-        assert hexes(_d_max(space, *scan, P)) == hexes(gathered_max(kernel, P, *scan))
+    space, kernel, P, ran = factored(kind)
+    if P.ndim == 2:
+        P[-10, 1] = np.nan
+        P[-7] = P[-12]
+    for number, (scan, runs) in enumerate(run_scans(np.random.default_rng(40))):
+        values = np.asarray(kernel(*(P[np.asarray(A)] for A in scan)))
+        want = hexes(np.maximum.reduceat(values, runs, axis=-1))
+        assert number > 1 or "nan" in want
+        got = _d_max(space, *scan, P, runs)
+        assert got.shape == values.shape[:-1] + (len(runs),)
+        assert hexes(got) == want
+        assert hexes(_d_max(space, *scan, P)) == hexes(values.max(axis=-1))
+        # the factorised paths serve the scans with y and z along the columns
+        assert number == 3 or ran() in (None, True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ GOLDENS = {
     "banach_k09": ((), [(["banach", "--k=0.9"], 0)], ("banach.json",)),
     "banach_multcost": ((), [(["banach", "--variant=multcost"], 0)], ("banach.json",)),
     "convexity": ((), [(["convexity"], 0)], ("convexity.json",)),
-    # the 300-step demo-equator trace: classify's random triple draws
+    # the 300-step demo-equator trace: a 150-point tail, past 120 points,
+    # whose triple modulus is read off the candidate scan over every triple
     "classify_demo300": (("trace.csv",), [(["classify", "--input=trace.csv"], 0)],
                          ("classification.json",)),
     # linear-map traces on the area ball (``iterate --map=linear --k=0.95
@@ -54,7 +55,7 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
     *(pytest.param("table12", run, id=f"table12-{name}") for name, run in TABLE12.items()),
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
-    # core owns the budget, classify's triple-modulus blocks included
+    # core owns the budget, classify's candidate scan and its runs included
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *run)
@@ -62,7 +63,7 @@ def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, 
 
 @pytest.mark.parametrize("steps", [200, 300])
 def test_classify_of_a_demo_trace_gives_its_outcome_classification(tmp_path, steps):
-    # 200 steps take every triple of the tail, 300 random triple draws
+    # tails of 100 and 150 points: the triple modulus over every tail triple
     assert main(["demo-equator", "--steps", str(steps), "--out", str(tmp_path)]) == 0
     assert main(["classify", "--input", str(tmp_path / "trace.csv"),
                  "--out", str(tmp_path)]) == 0

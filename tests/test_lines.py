@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import (det_reference, oracle_maximal_colinear, random_sphere_table, table_items,
-                      table_phi, tail_residual)
-from twometric import (FiniteTwoMetricSpace, Line, Thresholds, WitnessSet, area_ball_space,
-                       classify, demo_five_point_space, det_metric, det_sphere_space,
-                       enumerate_lines, maximal_colinear_sets, sphere_witnesses)
+from conftest import (DATA, det_reference, oracle_maximal_colinear, patch_space,
+                      random_sphere_table, table_items, table_phi, tail_residual)
+from twometric import (FiniteTwoMetricSpace, Line, SpherePatch, Thresholds, WitnessSet,
+                       area_ball_space, classify, demo_five_point_space, det_metric,
+                       det_sphere_space, enumerate_lines, maximal_colinear_sets,
+                       sphere_witnesses)
 from twometric import core
 import twometric.lines as lines_module
 from twometric.core import _d_many
-from twometric.lines import _pair_arrays, _triple_arrays
+from twometric.lines import _pair_arrays
 
 E1, E2, E3 = np.eye(3)
 SPHERE = det_sphere_space()
@@ -152,37 +154,11 @@ def test_lines_intersect_in_at_most_one_separated_point(rng):
 
 
 # ---------------------------------------------------------------------------
-# tail triples
+# the triple draw of _distinct_triples
 # ---------------------------------------------------------------------------
 
-def old_triple_arrays(length, start, cap=200000):
-    """The tail triples as classify once drew them: up to 120 tail points
-    every row of the m^3 grid filtered to i < j < k, and past that the
-    sorted rows of 2 * cap random draws filtered the same way."""
-    m = length - start
-    if m > 120:
-        rng = np.random.default_rng(0x5EED)
-        combos = np.sort(rng.integers(0, m, size=(cap * 2, 3)), axis=1)
-        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
-        combos = combos[:cap]
-    else:
-        combos = np.array(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
-                                      indexing="ij")).reshape(3, -1).T
-        combos = combos[(combos[:, 0] < combos[:, 1]) & (combos[:, 1] < combos[:, 2])]
-    return combos + start
-
-
-@pytest.mark.parametrize("length, start", [
-    (2, 0), (40, 37), (60, 10), (106, 0),
-    (120, 13),                  # every triple: C(107, 3) <= 200,000
-    (108, 0), (140, 20),        # every triple, past 200,000: 108..120
-    (121, 0), (300, 150), (500, 100),   # random draws
-])
-def test_triple_arrays_match_the_grid_and_sort_forms(length, start):
-    got = _triple_arrays(length, start)
-    want = old_triple_arrays(length, start)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+# 200,000 distinct rows of 400,000 draws: a draw of many blocks
+KEEP = 200000
 
 
 def full_draw(seed, m, draws, keep):
@@ -204,7 +180,7 @@ def test_a_draw_in_blocks_is_the_full_draw(m, keep, budget, monkeypatch):
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
     cases += [(seed, 5 * 2 ** 9 + 7, 2 ** 11) for seed in range(3)]
-    cases += [(0, 2 * lines_module._MAX_TRIPLES, lines_module._MAX_TRIPLES)] if m >= 121 else []
+    cases += [(0, 2 * KEEP, KEEP)] if m >= 121 else []
     for seed, draws, k in cases:
         k = None if keep == "all" else k
         got = core._distinct_triples(np.random.default_rng(seed), m, draws, k)
@@ -234,7 +210,7 @@ def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, budget, monkeypatch):
         monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     budget = core._ROW_BUDGET
     cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
-    cases += [(0, 2 * lines_module._MAX_TRIPLES, lines_module._MAX_TRIPLES)] if m >= 121 else []
+    cases += [(0, 2 * KEEP, KEEP)] if m >= 121 else []
     for seed, draws, keep in cases:
         rng = CountingRng(seed)
         got = core._distinct_triples(rng, m, draws, keep)
@@ -256,75 +232,112 @@ def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, budget, monkeypatch):
 def test_numpy_draws_in_blocks_are_the_rows_of_one_draw(m, block):
     # _distinct_triples rests on this; a numpy release that breaks it
     # fails here before it moves a golden
-    draws = 2 * lines_module._MAX_TRIPLES
+    draws = 2 * KEEP
     rng = np.random.default_rng(0x5EED)
     blocks = [rng.integers(0, m, size=(min(block, draws - s), 3)) for s in range(0, draws, block)]
     assert np.array_equal(np.concatenate(blocks),
                           np.random.default_rng(0x5EED).integers(0, m, size=(draws, 3)))
 
 
+# ---------------------------------------------------------------------------
+# the triple modulus, read off the candidate scan
+# ---------------------------------------------------------------------------
+
+def held_triples(length, start):
+    """Row numbers (t, i, j) of every tail triple t < i < j from ``start``
+    whose pair (i, j) is one of the tail pairs of ``_pair_arrays``."""
+    I, J = _pair_arrays(length, start)
+    count = I - start
+    t = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + start
+    return t, np.repeat(I, count), np.repeat(J, count)
+
+
+def held_triples_max(space, seq, start, block=1 << 16):
+    """The rule's triple modulus by brute force: the NaN-keeping max of d
+    over every held tail triple, by the kernel on gathered rows, in blocks
+    that keep the gathered rows small."""
+    P, T = np.asarray(seq), held_triples(len(seq), start)
+    return float(np.max([_d_many(space, *(np.take(P, A[s:s + block], axis=0) for A in T)).max()
+                         for s in range(0, len(T[0]), block)]))
+
+
+def table_case():
+    """The 12-point table and a random index trace on it, with every point
+    as a witness."""
+    table = FiniteTwoMetricSpace.load(DATA / "table12" / "table.json")
+    return table.as_space(), WitnessSet.all_of(table), lambda rng, n: rng.integers(0, 12, n)
+
+
+def tri_case(kind):
+    """A space, its witnesses and a sampler of its sequences."""
+    if kind == "table":
+        return table_case()
+    space = {"det": SPHERE, "area": area_ball_space(3), "area-9": area_ball_space(9),
+             "patch": patch_space(SpherePatch(0.2))}[kind]
+    return space, WitnessSet.sampled(space, 16, 1), space.sample
+
+
 @pytest.mark.parametrize("tail", [
-    101,        # every triple
-    150, 250,   # random draws
+    3, 4, 100, 108, 114, 120, 121, 150, 200,   # every triple
+    201, 250,                                  # the triples over the picked pairs
 ])
-def test_tail_triples_peak_at_most_twice_what_they_return(tail):
-    # built block by block into one array: no temporary of every row
-    tracemalloc.start()
-    try:
-        combos = _triple_arrays(2 * tail, tail)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * combos.nbytes
+@pytest.mark.parametrize("kind", ["det", "area", "area-9", "patch", "table"])
+def test_tri_modulus_of_a_tail_to_120_points_is_that_of_every_triple(kind, tail, monkeypatch):
+    # every tail triple up to 200 tail points, and past that the triples
+    # whose pair is one of _pair_arrays' seeded pick, at every row budget
+    # (area-9 takes the Gram split past 8 coordinates)
+    space, witnesses, sample = tri_case(kind)
+    seq = np.asarray(sample(np.random.default_rng(tail), 2 * tail))
+    if tail <= 200:
+        assert len(held_triples(2 * tail, tail)[0]) == comb(tail, 3)
+    want = held_triples_max(space, seq, tail)
+    for budget in (2 ** 9, 2 ** 15, 2 ** 20):
+        monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+        got = classify(space, seq, witnesses, Thresholds(min_length=3)).tri_cauchy_modulus
+        assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("steps", [60, 1000])
+def test_tri_modulus_of_a_trace_that_repeats_points(steps):
+    # an index trace cycling over 4 points of the 12-point table: every
+    # tail point is a witness (all of the table), at the tail position of
+    # its first occurrence; 1,000 steps pick the tail pairs
+    space, witnesses, _ = table_case()
+    seq = np.resize([0, 1, 2, 5], steps)
+    want = held_triples_max(space, seq, steps // 2)
+    assert want > 0
+    got = classify(space, seq, witnesses).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["once", "again"])
+def test_tri_modulus_with_a_tail_point_equal_to_a_witness(repeat):
+    # a tail that spirals into E3, so its widest triples start at its
+    # first point x_30; a witness equal to x_30 stands for it as a
+    # candidate, at its tail position, also when x_30 comes again at 35
+    t = np.arange(60)[:, None]
+    seq = E3 + 0.9 ** t * (np.cos(2.0 * t) * E1 + np.sin(2.0 * t) * E2)
+    seq /= np.linalg.norm(seq, axis=1, keepdims=True)
+    if repeat:
+        seq[35] = seq[30]
+    W = np.asarray(sphere_witnesses(16, 1).points).copy()
+    W[3] = seq[30]
+    want = held_triples_max(SPHERE, seq, 30)
+    assert want > held_triples_max(SPHERE, seq, 31)
+    got = classify(SPHERE, seq, WitnessSet(W)).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("length", [
-    201,    # 100 tail points: every triple, in blocks
-    241,    # 120 tail points: every triple, more than _MAX_TRIPLES
-    401,    # 200 tail points: random draws
+    201,    # 100 tail points
+    241,    # 120 tail points
 ])
 def test_tri_modulus_blocks_match_one_kernel_call(length):
     seq = np.asarray(SPHERE.sample(np.random.default_rng(length), length))
-    c = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
+    start = length - round(length * Thresholds().tail_fraction)
+    c = core._triples(length - start) + start
     want = _d_many(SPHERE, seq[c[:, 0]], seq[c[:, 1]], seq[c[:, 2]]).max()
     got = classify(SPHERE, seq, sphere_witnesses(16, seed=1)).tri_cauchy_modulus
-    assert float(got).hex() == float(want).hex()
-
-
-@pytest.mark.parametrize("tail", [108, 114, 120])
-@pytest.mark.parametrize("space", [SPHERE, area_ball_space(3)], ids=["det", "area"])
-def test_tri_modulus_of_a_tail_to_120_points_is_that_of_every_triple(space, tail):
-    seq = np.asarray(space.sample(np.random.default_rng(tail), 2 * tail))
-    combos = np.array(list(combinations(range(tail, 2 * tail), 3)))
-    want = _d_many(space, *(seq[combos[:, c]] for c in range(3))).max()
-    got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
-    assert float(got).hex() == float(want).hex()
-
-
-def block_loop_tri_modulus(space, seq, combos, budget):
-    """The triple modulus as classify once took it: blocks of ``budget``
-    index triples, each gathered with np.take and evaluated in one kernel
-    call, and the NaN-keeping np.max of the block maxima."""
-    return float(np.max([
-        _d_many(space, *(np.take(seq, combos[s:s + budget, k], axis=0) for k in range(3))).max()
-        for s in range(0, len(combos), budget)]))
-
-
-@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
-@pytest.mark.parametrize("nan", [False, True], ids=["clean", "nan"])
-@pytest.mark.parametrize("space", [SPHERE, area_ball_space(3), area_ball_space(8)],
-                         ids=["det", "area-3", "area-8"])
-def test_tri_modulus_is_the_block_loop_at_every_budget(space, nan, budget, monkeypatch):
-    # 150 tail points: 200,000 random triple draws, 7 blocks at 2^15
-    length = 301
-    seq = np.asarray(space.sample(np.random.default_rng(budget), length))
-    if nan:
-        seq[-40, 1] = np.nan
-    combos = _triple_arrays(length, length - round(length * Thresholds().tail_fraction))
-    want = block_loop_tri_modulus(space, seq, combos, budget)
-    assert np.isnan(want) == nan
-    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
     assert float(got).hex() == float(want).hex()
 
 

@@ -25,8 +25,7 @@ from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, Sp
                        quotient_by_zero_phi, sphere_witnesses, unit_sphere)
 from twometric.baselines import certifier_baseline
 from twometric.certify import _STEP
-from twometric.core import _ROW_BUDGET, broadcasting
-from twometric.lines import _triple_arrays
+from twometric.core import broadcasting
 from twometric.spaces import det_metric_batch
 
 
@@ -210,29 +209,42 @@ def check_classify_confidence(case, space, planted, tag, notes):
         assert any(note in n for n in verdict.notes), verdict.notes
 
 
-def test_a_nan_in_the_last_triple_block_reaches_the_tri_modulus():
-    """classify evaluates the triple modulus in blocks of _ROW_BUDGET rows,
-    the only kernel calls whose three arguments are all (rows, 1, 3) stacks;
-    a kernel that is NaN only on the last of them makes the modulus NaN."""
-    seq = orbit(make_sphere_map(SphereContractionParams(*ALTERNATING[0])),
-                unit_sphere(ALTERNATING[1]), 200, sphere_witnesses(16, seed=0)).points
-    blocks = -(-len(_triple_arrays(200, 100)) // _ROW_BUDGET)
-    rows = []
+def last_run_case():
+    """200 random sphere points, whose tail starts at 100: the last run of
+    classify's candidate scan holds the tail pair (198, 199) alone."""
+    return np.asarray(det_sphere_space().sample(np.random.default_rng(3), 200))
+
+
+def check_tri_modulus_is_nan(space, seq):
+    verdict = classify(space, seq, sphere_witnesses(16, seed=0))
+    assert np.isnan(verdict.tri_cauchy_modulus) and verdict.low_confidence
+    assert "tri-cauchy modulus is NaN" in verdict.notes
+    return verdict
+
+
+def test_a_nan_in_a_triple_of_the_last_run_reaches_the_tri_modulus():
+    """classify reads the triple modulus off its candidate scan, by runs of
+    the tail pairs that share their first point; a kernel that is NaN only
+    at (x_100, x_198, x_199), which the last run of the candidate x_100
+    alone holds, makes the modulus NaN, with its note."""
+    seq = last_run_case()
 
     @broadcasting
     def d_batch(X, Y, Z):
-        out = np.array(det_metric_batch(X, Y, Z))
-        if np.shape(X) == np.shape(Y) == np.shape(Z) == (len(X), 1, 3):
-            rows.append(len(X))
-            if len(rows) == blocks:
-                out[-1] = np.nan
-        return out
+        hit = ((X == seq[100]).all(axis=-1) & (Y == seq[198]).all(axis=-1)
+               & (Z == seq[199]).all(axis=-1))
+        return np.where(hit, np.nan, det_metric_batch(X, Y, Z))
 
-    verdict = classify(replace(det_sphere_space(), d_batch=d_batch), seq,
-                       sphere_witnesses(128, seed=0))
-    assert len(rows) == blocks > 1 and max(rows) <= _ROW_BUDGET
-    assert np.isnan(verdict.tri_cauchy_modulus) and verdict.low_confidence
-    assert "tri-cauchy modulus is NaN" in verdict.notes
+    verdict = check_tri_modulus_is_nan(replace(det_sphere_space(), d_batch=d_batch, phi=None),
+                                       seq)
+    assert not np.isnan(verdict.cauchy_modulus)
+    assert "1 candidate residuals are NaN" in verdict.notes
+
+
+def test_a_nan_point_in_the_last_run_reaches_the_tri_modulus():
+    seq = last_run_case()
+    seq[198, 1] = np.nan
+    check_tri_modulus_is_nan(det_sphere_space(), seq)
 
 
 # ---------------------------------------------------------------------------
