@@ -278,8 +278,10 @@ def test_linear_map_contracts_to_origin():
 
 
 @pytest.mark.parametrize("steps, tag, residual", [
-    (200, "Indeterminate", 4.1952513488401716e-06), (300, "Indeterminate", 2.4837575699328352e-08),
-    (500, "FixedPoint", 8.70623140254777e-13),
+    # ids name each case by its residual to four figures
+    pytest.param(200, "Indeterminate", 4.1952513488401716e-06, id="200-Indeterminate-4.195e-06"),
+    pytest.param(300, "Indeterminate", 2.4837575699328352e-08, id="300-Indeterminate-2.484e-08"),
+    pytest.param(500, "FixedPoint", 8.70623140254777e-13, id="500-FixedPoint-8.706e-13"),
 ])
 def test_a_failed_case_falls_back_on_the_last_orbit_point(steps, tag, residual):
     # the classified case fails at each length (no candidate limit at 200,

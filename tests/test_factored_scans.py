@@ -444,9 +444,10 @@ def run_scans(rng):
 @pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
 @pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "area-8", "area-9", "area-12",
                                   "patch", "table", "stacked"])
-def test_run_maxima_have_the_kernel_bits(kind, budget, monkeypatch):
-    # the max of each run is np.maximum.reduceat of the kernel values, on
-    # every layout, with a NaN tail point (a NaN entry of the table) and
+def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
+    # triple scans with runs, as classify's candidate scan takes them: the
+    # max of each run is np.maximum.reduceat of the kernel values, on every
+    # layout, with a NaN tail point (a NaN entry of the table) and
     # one point under two row numbers; without runs, the whole axis is one
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, kernel, P, ran = factored(kind)

@@ -328,6 +328,26 @@ def test_tri_modulus_with_a_tail_point_equal_to_a_witness(repeat):
     assert float(got).hex() == float(want).hex()
 
 
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
+@pytest.mark.parametrize("nan", [False, True], ids=["clean", "nan"])
+@pytest.mark.parametrize("space", [SPHERE, area_ball_space(3), area_ball_space(8)],
+                         ids=["det", "area-3", "area-8"])
+def test_tri_modulus_is_the_block_loop_at_every_budget(space, nan, budget, monkeypatch):
+    # 150 tail points: the 551,300 tail triples in blocks of the row
+    # budget, each evaluated in one kernel call, and the NaN-keeping max of
+    # the block maxima; a NaN tail point reaches the modulus
+    length = 301
+    seq = np.asarray(space.sample(np.random.default_rng(budget), length))
+    if nan:
+        seq[-40, 1] = np.nan
+    want = held_triples_max(space, seq, length - round(length * Thresholds().tail_fraction),
+                            block=budget)
+    assert np.isnan(want) == nan
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    got = classify(space, seq, WitnessSet.sampled(space, 16, 1)).tri_cauchy_modulus
+    assert float(got).hex() == float(want).hex()
+
+
 @pytest.mark.parametrize("length", [
     201,    # 100 tail points
     241,    # 120 tail points
