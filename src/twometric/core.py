@@ -298,17 +298,17 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 _ROW_BUDGET = 1 << 15
 
 
-def _d_max(space: TwoMetricSpace, X, Y, Z, points, runs=None) -> np.ndarray:
-    """Max of d(x, y, z) over each run of the last axis of a scan of the
-    rows of ``points``: X, Y and Z are integer arrays of row numbers, at
-    most 2-D, broadcast against each other, and the scan is that of
-    ``points[X]``, ``points[Y]`` and ``points[Z]``.  A row of ``points`` is
-    a coordinate point, or an index point where ``points`` is 1-D.
+def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
+    """Max of d(x, y, z) over the last axis of a scan of the rows of
+    ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
+    broadcast against each other, and the scan is that of ``points[X]``,
+    ``points[Y]`` and ``points[Z]``.  A row of ``points`` is a coordinate
+    point, or an index point where ``points`` is 1-D.
 
-    ``runs`` holds the increasing starts of the runs, the first 0, and the
-    result has one more axis, the max of each run in turn; without it the
-    whole last axis is one run, and the result has the leading shape.  The
-    one reduction is ``np.maximum.reduceat``, which keeps a NaN.
+    ``cuts`` holds a column for each row of a 2-D scan, and the result then
+    has a last axis of two: the max of the row, and the max of its columns
+    from the cut on, -inf where the cut is past the last column.  Both keep
+    a NaN.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
@@ -318,24 +318,30 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, runs=None) -> np.ndarray:
     ``Line.defects``): a kernel's ``gram`` split evaluates it from the edges
     between its points (``_gram_max``), and a kernel's ``factors`` compute
     its inner part once per scan (``_inner_table``).  Every call covers
-    about ``_ROW_BUDGET`` rows at most, split along the first axis.
+    about ``_ROW_BUDGET`` rows at most, split along the first axis, and
+    each block of rows is reduced before the next is scanned.
     """
     P = np.asarray(points)
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
+    shape = shape if cuts is None else shape + (2,)
     X, Y, Z = (np.reshape(A, (1,) * (2 - np.ndim(A)) + np.shape(A)) for A in (X, Y, Z))
     a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
-    starts = np.zeros(1, dtype=np.intp) if runs is None else np.asarray(runs)
-    shape = shape if runs is None else shape + (len(starts),)
     split = getattr(space.d_batch, "gram", None)
     if split and P.ndim == 2 and a * b and X.shape[1] == 1 and len(Y) == len(Z) == 1:
         return _gram_max(split, P, np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[0], b),
-                         np.broadcast_to(Z[0], b), starts).reshape(shape)
+                         np.broadcast_to(Z[0], b), cuts).reshape(shape)
 
-    out = np.empty((a, len(starts)))
+    out = np.empty((a, 2) if cuts is not None else a)
     step = max(1, _ROW_BUDGET // b)
     table = _inner_table(space.d_batch, P, Y, Z)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
+    if cuts is not None:
+        # a row's columns before its cut and from it on are two runs of the
+        # chunk laid flat; a cut past the last column moves onto it, and
+        # the run from it on is emptied below
+        row = np.arange(a) % step * b
+        flat = np.stack([row, row + np.minimum(cuts, b - 1)], axis=1)
 
     def rows(i, s):
         return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][s:s + step], axis=0)
@@ -359,7 +365,11 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, runs=None) -> np.ndarray:
             parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
             values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
-        out[s:s + step] = np.maximum.reduceat(values, starts, axis=-1)
+        out[s:s + step] = (values.max(axis=-1) if cuts is None else np.maximum.reduceat(
+            values.ravel(), flat[s:s + step].ravel()).reshape(-1, 2))
+    if cuts is not None:
+        np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
+        out[np.asarray(cuts) >= b, 1] = -np.inf
     return out.reshape(shape)
 
 
@@ -375,23 +385,30 @@ def _inner_table(kernel, P, Y, Z) -> tuple | None:
     return outer, inner(np.take(P, Y, axis=0), np.take(P, Z, axis=0))
 
 
-def _gram_max(split, P, x, y, z, starts) -> np.ndarray:
+def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:
     """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)`` on a
     scan of the rows ``x`` against the columns of ``y`` and ``z``, neither
-    empty, with the runs of columns from ``starts``: d(x, y, z) is
+    empty, with ``_d_max``'s ``cuts`` or None: d(x, y, z) is
     ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v = z - x
     with their squared lengths, bit for bit.  ``finish`` is non-decreasing
-    and keeps a NaN, so the max of d over a run is ``finish`` of the max of
-    g, which is taken first.
+    and keeps a NaN, so the max of d over some columns is ``finish`` of the
+    max of g, which is taken first.
 
     One table holds the edges to every distinct y and z (down) from each x
-    (across).  The columns of each run are grouped by y, so u is one row of
-    the table and v a block of its rows: a slice where the z of a group run
-    in steps of one, as the pairs of a whole tail do.  ``classify``'s pairs
-    come in lexicographic order, so each of its runs is one group.
+    (across).  The columns are cut into runs at every cut, and the columns
+    of each run grouped by y, so u is one row of the table and v a block of
+    its rows: a slice where the z of a group run in steps of one, as the
+    pairs of a whole tail do.  ``classify``'s pairs come in lexicographic
+    order and its cuts fall between first points, so each of its groups is
+    one first point.  The max of g over each run, and then from each run
+    on, is taken block by block of rows.
     """
     edges, gram, finish = split
     a, b = len(x), len(y)
+    whole = cuts is None
+    cuts = np.zeros(a, dtype=np.intp) if whole else np.asarray(cuts)
+    starts = np.unique(np.r_[0, cuts[cuts < b]])
+    since = np.searchsorted(starts, cuts)
     targets, at = np.unique(np.concatenate([y, z]), return_inverse=True)
     run = np.repeat(np.arange(len(starts)), np.diff(starts, append=b))
     order = np.lexsort((at[b:], at[:b], run))
@@ -401,15 +418,22 @@ def _gram_max(split, P, x, y, z, starts) -> np.ndarray:
     breaks = np.cumsum(np.r_[1, np.diff(z)] != 1)
     groups = [(run[lo], y[lo], slice(z[lo], z[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
                else z[lo:hi]) for lo, hi in zip(firsts, ends)]
-    out = np.empty((a, len(starts)))
-    step = max(1, _ROW_BUDGET // max(len(targets), max(np.subtract(ends, firsts))))
+    out = np.empty((a, 2))
+    step = max(1, _ROW_BUDGET // max(len(targets), len(starts) + 1,
+                                     max(np.subtract(ends, firsts))))
     for s in range(0, a, step):
         e, n = edges(P[x[s:s + step]], P[targets][:, None])
-        G = np.full((len(starts), n.shape[1]), -np.inf)
+        # a run per row, and an empty one last, for the cuts past every column
+        G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
         for r, i, c in groups:
             g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
             np.maximum(G[r], g.max(axis=0), out=G[r])
-        out[s:s + step] = finish(G).T
+        G = np.maximum.accumulate(G[::-1], axis=0)[::-1]
+        out[s:s + step, 1] = finish(G[since[s:s + step], np.arange(n.shape[1])])
+        out[s:s + step, 0] = finish(G[0])
+    if whole:
+        return out[:, 0]
+    out[cuts >= b, 1] = -np.inf
     return out
 
 
@@ -661,7 +685,9 @@ class FiniteTwoMetricSpace:
         That encoder runs in pure Python, so the file is built from parts
         instead, in one join: json's C encoder turns all values into tokens
         in one call (``NaN`` and ``Infinity`` included), and each index is
-        written once per point.
+        written once per point.  The parts and the joined text are held at
+        once: an 82,160-entry table (7.2 MB of file) peaked at 30.5 MB under
+        ``tracemalloc``, against 9.1 MB written 1,024 entries at a time.
         """
         values = self._dense[self._present].tolist()
         names = [str(i) for i in range(self.n)]

@@ -278,19 +278,18 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     cauchy_modulus = float(tail_phi.max())
 
     # Candidates are the witnesses and the tail, each point once, with its
-    # tail position.  One scan over candidates x pairs gives the max of each
-    # run of pairs (i, j) that share i: a candidate's residual is the max of
-    # its runs, and a candidate at tail position t holds the triples (t, i,
-    # j) in its runs with i past t.
+    # tail position.  One scan over candidates x pairs gives each
+    # candidate's residual, the max over its row, and the triples it holds,
+    # the max from its cut on: a candidate at tail position t holds the
+    # triples (t, i, j) with i past t, which follow the pairs before them.
     points = np.concatenate([np.asarray(witnesses.points), seq])
     m = len(points) - n
     rows = np.r_[:m, m + start:len(points)]
     first, position = _first_of_each(points[rows], m)
     pick = rows[first]
-    runs = np.flatnonzero(np.diff(idx_i, prepend=-1))
-    run_max = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, runs)
-    residuals = run_max.max(axis=1)
-    tri_modulus = float(run_max[position[:, None] < idx_i[runs] - start].max())
+    cuts = np.searchsorted(idx_i, start + position, side="right")
+    residuals, held = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, cuts).T
+    tri_modulus = float(held.max())
 
     passing = pick[residuals <= thresholds.lim]
     passers = list(points[passing])

@@ -383,8 +383,8 @@ def test_area_classify_and_audit_are_byte_identical_without_the_split(steps):
 
 
 # ---------------------------------------------------------------------------
-# runs of the last axis: the max of each, as classify's candidate scan
-# takes them
+# cuts of the last axis: the max of each row and of its columns from its
+# cut on, as classify's candidate scan takes them
 # ---------------------------------------------------------------------------
 
 def table_space():
@@ -421,23 +421,23 @@ def factored(kind):
     return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: not calls
 
 
-def run_scans(rng):
-    """Row numbers of scans of 301 points, each with its run starts: the
-    candidate scan of the first 40 rows over every pair of the last 150,
-    in lexicographic order with a run per first row of a pair, as
-    ``classify`` makes it; the same over a shuffled pick of those pairs,
-    cut into runs at random; line membership, one run; and a phi-like scan
-    with runs over its witnesses."""
+def cut_scans(rng):
+    """Row numbers of scans of 301 points, each with a cut per row: the
+    candidate scan of the first 40 rows over every pair of the last 150, in
+    lexicographic order, cut between first points of pairs as ``classify``
+    cuts it; the same over a shuffled pick of those pairs, cut anywhere;
+    line membership; and a phi-like scan over its witnesses.  Some cuts are
+    at the first column and some past the last."""
     I, J = np.triu_indices(150, k=1)
     I, J = I + 151, J + 151
     pick = rng.permutation(len(I))[:3000]
     return [
-        ((np.arange(40)[:, None], I, J), np.flatnonzero(np.diff(I, prepend=-1))),
-        ((np.arange(40)[:, None], I[pick], J[pick]),
-         np.r_[0, np.sort(rng.choice(np.arange(1, 3000), 40, replace=False))]),
-        ((np.arange(301)[:, None], [[5]], [[9]]), np.array([0])),
+        ((np.arange(40)[:, None], I, J),
+         np.searchsorted(I, 151 + np.r_[-1, 150, rng.integers(0, 151, 38)], side="right")),
+        ((np.arange(40)[:, None], I[pick], J[pick]), np.r_[0, 3000, rng.integers(0, 3001, 38)]),
+        ((np.arange(301)[:, None], [[5]], [[9]]), rng.integers(0, 2, 301)),
         ((np.arange(100, 160)[:, None], np.arange(200, 260)[:, None], np.arange(40)),
-         np.array([0, 7, 8, 30])),
+         np.r_[0, 40, rng.integers(0, 41, 58)]),
     ]
 
 
@@ -445,22 +445,22 @@ def run_scans(rng):
 @pytest.mark.parametrize("kind", ["det", "area-3", "area-5", "area-8", "area-9", "area-12",
                                   "patch", "table", "stacked"])
 def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
-    # triple scans with runs, as classify's candidate scan takes them: the
-    # max of each run is np.maximum.reduceat of the kernel values, on every
-    # layout, with a NaN tail point (a NaN entry of the table) and
-    # one point under two row numbers; without runs, the whole axis is one
+    # scans with a cut per row, as classify's candidate scan takes them:
+    # the max of each row and of its columns from the cut on are those of
+    # the kernel values, on every layout, with a NaN tail point (a NaN
+    # entry of the table) and one point under two row numbers; without
+    # cuts, the max of each row alone
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     space, kernel, P, ran = factored(kind)
     if P.ndim == 2:
         P[-10, 1] = np.nan
         P[-7] = P[-12]
-    for number, (scan, runs) in enumerate(run_scans(np.random.default_rng(40))):
+    for number, (scan, cuts) in enumerate(cut_scans(np.random.default_rng(40))):
         values = np.asarray(kernel(*(P[np.asarray(A)] for A in scan)))
-        want = hexes(np.maximum.reduceat(values, runs, axis=-1))
+        want = hexes([[row.max(), row[c:].max(initial=-np.inf)] for row, c in zip(values, cuts)])
         assert number > 1 or "nan" in want
-        got = _d_max(space, *scan, P, runs)
-        assert got.shape == values.shape[:-1] + (len(runs),)
-        assert hexes(got) == want
+        assert "-inf" in want
+        assert hexes(_d_max(space, *scan, P, cuts)) == want
         assert hexes(_d_max(space, *scan, P)) == hexes(values.max(axis=-1))
         # the factorised paths serve the scans with y and z along the columns
         assert number == 3 or ran() in (None, True)

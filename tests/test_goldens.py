@@ -55,7 +55,7 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
     *(pytest.param("table12", run, id=f"table12-{name}") for name, run in TABLE12.items()),
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
-    # core owns the budget, classify's candidate scan and its runs included
+    # core owns the budget, classify's candidate scan and its cuts included
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *run)

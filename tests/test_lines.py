@@ -361,6 +361,22 @@ def test_tri_modulus_blocks_match_one_kernel_call(length):
     assert float(got).hex() == float(want).hex()
 
 
+@pytest.mark.parametrize("length", [4000, 20000])
+def test_classify_of_a_long_tail_peaks_under_16_mb(length):
+    # the candidate scan reduces each block of rows before the next: an
+    # array of the candidates x the first points of the 20,000 tail pairs
+    # would take 52 MB at 4,000 points and about 1 GB at 20,000
+    seq = np.asarray(SPHERE.sample(np.random.default_rng(1), length))
+    W = sphere_witnesses(128, seed=0)
+    tracemalloc.start()
+    try:
+        classify(SPHERE, seq, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 # ---------------------------------------------------------------------------
 # tail pairs
 # ---------------------------------------------------------------------------

@@ -223,10 +223,11 @@ def check_tri_modulus_is_nan(space, seq):
 
 
 def test_a_nan_in_a_triple_of_the_last_run_reaches_the_tri_modulus():
-    """classify reads the triple modulus off its candidate scan, by runs of
-    the tail pairs that share their first point; a kernel that is NaN only
-    at (x_100, x_198, x_199), which the last run of the candidate x_100
-    alone holds, makes the modulus NaN, with its note."""
+    """classify reads the triple modulus off its candidate scan, each
+    candidate from its cut on; a kernel that is NaN only at (x_100, x_198,
+    x_199), in the last run of pairs (those with first point x_198), which
+    the candidate x_100 alone holds, makes the modulus NaN, with its
+    note."""
     seq = last_run_case()
 
     @broadcasting
