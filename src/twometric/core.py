@@ -423,7 +423,8 @@ def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:
                                      max(np.subtract(ends, firsts))))
     for s in range(0, a, step):
         e, n = edges(P[x[s:s + step]], P[targets][:, None])
-        # a run per row, and an empty one last, for the cuts past every column
+        # a row of G per run, and an empty one last for the cuts past every
+        # column; each row then becomes the max from its run on
         G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
         for r, i, c in groups:
             g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
