@@ -23,13 +23,14 @@ import numpy as np
 import pytest
 
 from conftest import area_reference, det_reference, hexes, reference_rows
-from twometric import (SphereContractionParams, SpherePatch, WitnessSet, area_metric,
-                       det_metric, detect_outcome, make_linear_map, make_sphere_map,
-                       sphere_witnesses)
+from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatch, WitnessSet,
+                       area_metric, convexity_bound, det_metric, detect_outcome,
+                       make_linear_map, make_sphere_map, rho, sphere_witnesses,
+                       triangle_area2)
 from twometric import spaces
-from twometric.core import apply_rows
+from twometric.core import _stacks, apply_rows
 from twometric.dynamics import measured_contraction_factor
-from twometric.spaces import _dot, area_metric_batch, det_metric_batch
+from twometric.spaces import _dot, area_metric_batch, det_metric_batch, sample_sphere
 
 
 def det_einsum(X, Y, Z):
@@ -291,3 +292,98 @@ def test_measured_factor_maps_each_stack_in_one_call():
     slow, per_point_calls = per_point(map_)
     assert factor == measured_contraction_factor(slow, samples=500, seed=6)
     assert len(per_point_calls) == sum(shape[0] for shape in calls)
+
+
+# ---------------------------------------------------------------------------
+# planar patch stacks: one coordinate column at a time, the bits of the
+# norm, concatenate and mask forms they replace
+# ---------------------------------------------------------------------------
+
+def norm_rho(x, y, z):
+    x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
+    return (np.linalg.norm(x - y, axis=-1) * np.linalg.norm(x - z, axis=-1)
+            * np.linalg.norm(y - z, axis=-1))
+
+
+def concatenated_lift(P):
+    P = np.asarray(P, dtype=float)
+    h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
+    return np.concatenate([P, h[..., None]], axis=-1)
+
+
+def masked_convexity(radius, samples, seed):
+    """The sandwich scan with whole-row repeat tests, an unconditional
+    mask and concatenated lifts."""
+    patch = SpherePatch(radius)
+    X, Y, Z = _stacks(patch.sample, seed, samples, 3)
+    repeated = (X == Y).all(axis=1) | (X == Z).all(axis=1) | (Y == Z).all(axis=1)
+    X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
+    h = area_metric_batch(*(concatenated_lift(P) for P in (X, Y, Z)))
+    s = triangle_area2(X, Y, Z) + norm_rho(X, Y, Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper, lower = float((h / s).max()), float((s / h).max())
+    return ConvexityBoundReport(r=radius, samples=samples, seed=seed, upper_ratio=upper,
+                                lower_ratio=lower, C=max(upper, lower),
+                                degenerate_skipped=int(repeated.sum()))
+
+
+def report_bytes(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("radius", [1e-160, 1e-5, 0.1, 0.2])
+@pytest.mark.parametrize("samples", [1, 2, 50, 10_000])
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_convexity_report_has_the_masked_scan_bytes(radius, samples, seed):
+    got = convexity_bound(radius=radius, samples=samples, seed=seed)
+    assert report_bytes(got) == report_bytes(masked_convexity(radius, samples, seed))
+
+
+def test_convexity_on_a_three_point_grid_skips_as_the_masked_scan(monkeypatch):
+    grid = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, -0.05]])
+    monkeypatch.setattr(SpherePatch, "sample",
+                        lambda self, rng, count, radius=None: grid[rng.integers(0, 3, count)])
+    got = convexity_bound(radius=0.2, samples=500, seed=4)
+    assert got.degenerate_skipped > 0 and got.degenerate_skipped < 500
+    assert report_bytes(got) == report_bytes(masked_convexity(0.2, 500, 4))
+
+
+def test_rho_has_the_norm_bits_on_points_and_stacks():
+    rng = np.random.default_rng(21)
+    x, y, z = rng.normal(size=(3, 2))
+    assert float(rho(x, y, z)).hex() == float(norm_rho(x, y, z)).hex()
+    X, Y, Z = (rng.normal(size=(50_000, 2)) for _ in range(3))
+    X[7, 1] = np.nan
+    Y[9] = X[9]
+    got = rho(X, Y, Z)
+    assert hexes(got) == hexes(norm_rho(X, Y, Z))
+    assert np.isnan(got[7]) and got[9] == 0.0
+    A, B, C = X[:600].reshape(20, 30, 2), Y[:30], Z[:600].reshape(20, 30, 2)
+    assert rho(A, B, C).shape == (20, 30)
+    assert hexes(rho(A, B, C)) == hexes(norm_rho(A, B, C))
+
+
+def test_patch_metric_has_the_bits_of_the_area_kernel_on_concatenated_lifts():
+    rng = np.random.default_rng(22)
+    X, Y, Z = (PATCH.sample(rng, 20_000) for _ in range(3))
+    X[5, 0] = np.nan
+
+    def lifted(*points):
+        return area_metric_batch(*(concatenated_lift(P) for P in points))
+
+    assert float(PATCH.metric_batch(X[0], Y[0], Z[0])).hex() == float(lifted(X[0], Y[0], Z[0])).hex()
+    got = PATCH.metric_batch(X, Y, Z)
+    assert hexes(got) == hexes(lifted(X, Y, Z)) and np.isnan(got[5])
+    scan = (X[:200, None], Y[:300], Z[:300])
+    assert PATCH.metric_batch(*scan).shape == (200, 300)
+    assert hexes(PATCH.metric_batch(*scan)) == hexes(lifted(*scan))
+    assert hexes(PATCH.lift_batch(X)) == hexes(concatenated_lift(X))
+    assert PATCH.lift_batch(X[:200, None] + 0 * Y[:300]).shape == (200, 300, 3)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 100_000])
+def test_sample_sphere_has_the_norm_bits(count):
+    v = np.random.default_rng(23).normal(size=(count, 3))
+    want = v / np.linalg.norm(v, axis=1, keepdims=True)
+    got = sample_sphere(np.random.default_rng(23), count)
+    assert got.shape == (count, 3) and hexes(got) == hexes(want)
