@@ -23,13 +23,20 @@ from functools import partial
 import numpy as np
 
 from .core import _at_least, _stacks, _strict, _worst_ratio, apply_rows
-from .spaces import SpherePatch
+from .spaces import SpherePatch, _coords, _lengths
 
 # Finite-difference step of the Jacobian and second-derivative checks.
 _STEP = 1e-5
 # Slack of the conclusion check: the worst sampled ratio may exceed the
 # calibrated bound by this factor.
 _SLACK = 1.05
+
+
+def _max_radius(P) -> float:
+    """The largest distance from 0 of planar points on the last axis, 0 for
+    none and NaN if one is NaN: ``_lengths`` of the coordinate columns, with
+    the bits of ``np.linalg.norm(P, axis=-1).max(initial=0.0)``."""
+    return np.max(_lengths(_coords(P)), initial=0.0)
 
 
 def jacobian_fd(F, x, radius: float | None = None) -> np.ndarray:
@@ -41,7 +48,7 @@ def jacobian_fd(F, x, radius: float | None = None) -> np.ndarray:
     admissible domain: every point needs margin >= step.
     """
     x = np.asarray(x, dtype=float)
-    if radius is not None and np.linalg.norm(x, axis=-1).max(initial=0.0) + _STEP > radius:
+    if radius is not None and _max_radius(x) + _STEP > radius:
         raise ValueError("insufficient margin for central differences")
     rows = x.reshape(-1, x.shape[-1])
     J = np.stack([(apply_rows(F, rows + e) - apply_rows(F, rows - e)) / (2.0 * _STEP)
@@ -63,7 +70,7 @@ def hessian_bound_fd(F, points, radius: float | None = None) -> float:
     directions of the spectral norm of dJ/dx_i by central differences with
     step ``_STEP``.  NaN when a difference is not finite."""
     X = np.asarray(points, dtype=float)
-    if radius is not None and np.linalg.norm(X, axis=-1).max(initial=0.0) + 2.0 * _STEP > radius:
+    if radius is not None and _max_radius(X) + 2.0 * _STEP > radius:
         raise ValueError("insufficient margin for central differences")
     norms = [_spectral_norms((jacobian_fd(F, X + e) - jacobian_fd(F, X - e)) / (2.0 * _STEP))
              for e in _STEP * np.eye(X.shape[-1])]
@@ -180,8 +187,9 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     if not failures:
         X, Y, Z = _stacks(partial(patch.sample, radius=rin), rng, ratio_triples, 3)
         FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
-        # a NaN image norm is not <= the radius, so it fails the range too
-        if not np.linalg.norm(np.concatenate((FX, FY, FZ)), axis=1).max() <= patch.radius:
+        # a NaN image norm is not <= the radius, so it fails the range too:
+        # np.max keeps a NaN, where Python's max may drop it
+        if not np.max([_max_radius(F) for F in (FX, FY, FZ)]) <= patch.radius:
             failures.append({"hypothesis": "range_containment", "value": None,
                              "budget": patch.radius, "witness": None})
     worst, kept = ((None, 0) if failures

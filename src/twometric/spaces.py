@@ -99,14 +99,20 @@ det_metric_batch.factors = (_cross, _det_outer)
 det_metric = det_metric_batch
 
 
+def _lengths(e) -> np.ndarray:
+    """The lengths of vectors given as coordinate arrays, their squares
+    summed as ``_dot`` sums them.  Up to 2 coordinates that is left to
+    right, so planar lengths have the bits of ``np.linalg.norm(axis=-1)``."""
+    out = _dot(e, e)
+    return np.sqrt(out, out=out)[()]
+
+
 def _det_phi(X, Y) -> np.ndarray:
     """The det sphere's pair distance |x x y|, the sup of |(x x y) . w|
     over unit w, of rows that broadcast: the cross product as ``_cross``
-    writes it, its squared length as ``_dot`` sums it.  Exactly symmetric,
+    writes it, its length as ``_lengths`` takes it.  Exactly symmetric,
     since ``y x x`` is ``-(x x y)`` bit for bit."""
-    c = _coords(_cross(X, Y))
-    out = _dot(c, c)
-    return np.sqrt(out, out=out)[()]
+    return _lengths(_coords(_cross(X, Y)))
 
 
 def antipodal_canon(x) -> np.ndarray:
@@ -120,8 +126,16 @@ def antipodal_canon(x) -> np.ndarray:
 
 
 def sample_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` normal 3-vectors, each divided by its length: the squares
+    summed left to right from the columns, as ``np.linalg.norm(axis=1)``
+    sums them below 8 columns, so the points have its bits."""
     v = rng.normal(size=(count, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v0, v1, v2 = v.T
+    n = v0 * v0
+    n += v1 * v1
+    n += v2 * v2
+    v /= np.sqrt(n, out=n)[:, None]
+    return v
 
 
 def great_circle_points(g1, g2, count: int) -> np.ndarray:
@@ -189,12 +203,19 @@ def _half_root(g) -> np.ndarray:
     return np.multiply(g, 0.5, out=g)[()]
 
 
+def _area(x, y, z) -> np.ndarray:
+    """Triangle areas of points given as coordinate arrays that broadcast,
+    from the Gram determinant of the edges u = y - x and v = z - x, with
+    their dot products summed as ``_dot`` sums them."""
+    u, v = _differences(x, y), _differences(x, z)
+    return _half_root(_gram(u, _dot(u, u), v, _dot(v, v)))
+
+
 @broadcasting
 def area_metric_batch(X, Y, Z) -> np.ndarray:
-    """Triangle areas row by row, from the Gram determinant of the edges
-    u = y - x and v = z - x, with their dot products summed as ``_dot``
-    sums them, in every dimension."""
-    return _half_root(_gram(*_edges(X, Y), *_edges(X, Z)))
+    """Triangle areas row by row, ``_area`` of the coordinate arrays, in
+    every dimension."""
+    return _area(_coords(X), _coords(Y), _coords(Z))
 
 
 # kernel(X, Y, Z) == finish(gram(*edges(X, Y), *edges(X, Z))) bit for bit:
@@ -227,6 +248,8 @@ def _area_phi(X, Y) -> np.ndarray:
 
 
 def sample_ball(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:
+    # the norm, not a column sum as in ``sample_sphere``: from 8 columns on
+    # it adds in eight pairwise lanes, which ``--dim 9`` reaches
     v = rng.normal(size=(count, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     r = BALL_RADIUS * rng.random(count) ** (1.0 / dim)
@@ -277,20 +300,30 @@ def triangle_area2(x, y, z):
 def rho(x, y, z):
     """Product of the three pairwise distances, of each row for stacked
     points; permutation invariant and zero exactly when two points
-    coincide."""
-    x, y, z = (np.asarray(p, dtype=float) for p in (x, y, z))
-    return (np.linalg.norm(x - y, axis=-1) * np.linalg.norm(x - z, axis=-1)
-            * np.linalg.norm(y - z, axis=-1))
+    coincide.  Each distance is ``_lengths`` of the coordinate
+    differences, which on planar points has the bits of
+    ``np.linalg.norm(axis=-1)``."""
+    x, y, z = _coords(x), _coords(y), _coords(z)
+    return (_lengths(_differences(x, y)) * _lengths(_differences(x, z))
+            * _lengths(_differences(y, z)))
+
+
+def _lift(P) -> list:
+    """The lift of planar points to the lower hemisphere, as the
+    coordinate arrays of the lifted points."""
+    P = np.asarray(P, dtype=float)
+    x, y = P[..., 0], P[..., 1]
+    return [x, y, -np.sqrt(1.0 - x ** 2 - y ** 2)]
 
 
 @dataclass(frozen=True)
 class SpherePatch:
     """Planar chart of a south-pole cap of the unit sphere, radius < 1/4.
 
-    ``lift_batch`` is the inverse vertical projection to the lower
-    hemisphere; ``metric_batch`` is the Euclidean triangle area of the
-    lifted points, which is strictly positive for distinct points since a
-    line meets the sphere in at most two of them.
+    ``metric_batch`` is the Euclidean triangle area of the points lifted
+    by the inverse vertical projection to the lower hemisphere (``_lift``),
+    which is strictly positive for distinct points since a line meets the
+    sphere in at most two of them.
     """
 
     radius: float = 0.2
@@ -299,15 +332,10 @@ class SpherePatch:
         if not 0.0 < self.radius < 0.25:
             raise ValueError("patch radius must lie in (0, 1/4)")
 
-    def lift_batch(self, P) -> np.ndarray:
-        P = np.asarray(P, dtype=float)
-        h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
-        return np.concatenate([P, h[..., None]], axis=-1)
-
     @broadcasting
     def metric_batch(self, X, Y, Z) -> np.ndarray:
-        return area_metric_batch(self.lift_batch(X), self.lift_batch(Y),
-                                 self.lift_batch(Z))
+        """``_area`` of the lifts' coordinate arrays."""
+        return _area(_lift(X), _lift(Y), _lift(Z))
 
     def sample(self, rng: np.random.Generator, count: int,
                radius: float | None = None) -> np.ndarray:
@@ -352,8 +380,12 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
     _at_least(samples, 1, "sample counts")
     patch = SpherePatch(radius)
     X, Y, Z = _stacks(patch.sample, seed, samples, 3)
-    repeated = ((X == Y).all(axis=1) | (X == Z).all(axis=1) | (Y == Z).all(axis=1))
-    X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
+    repeated = np.zeros(samples, dtype=bool)
+    for A, B in ((X, Y), (X, Z), (Y, Z)):
+        repeated |= (A[:, 0] == B[:, 0]) & (A[:, 1] == B[:, 1])
+    # continuous samples almost never repeat: copy the stacks only if they do
+    if repeated.any():
+        X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
 
     h = patch.metric_batch(X, Y, Z)
     s = triangle_area2(X, Y, Z) + rho(X, Y, Z)

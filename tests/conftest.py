@@ -134,11 +134,13 @@ def reference_rows(metric, X, Y, Z) -> np.ndarray:
     return np.array([metric(*t) for t in rows]).reshape(X.shape[:-1])
 
 
-def patch_lift(p) -> np.ndarray:
-    """Scalar oracle of ``SpherePatch.lift_batch``: one planar point lifted
-    to the lower hemisphere."""
-    p = np.asarray(p, dtype=float)
-    return np.array([p[0], p[1], -np.sqrt(1.0 - p[0] ** 2 - p[1] ** 2)])
+def patch_lift(P) -> np.ndarray:
+    """Oracle of the patch lift: planar points on the last axis, one or a
+    stack, lifted to the lower hemisphere, with the height concatenated as
+    a third coordinate."""
+    P = np.asarray(P, dtype=float)
+    h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
+    return np.concatenate([P, h[..., None]], axis=-1)
 
 
 def patch_metric(x, y, z) -> float:

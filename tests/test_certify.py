@@ -14,7 +14,7 @@ from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd, triangle_area2)
 from twometric.baselines import within_regression
-from twometric.certify import _STEP
+from twometric.certify import _STEP, _max_radius
 from twometric.core import broadcasting
 
 BASE = certifier_baseline()
@@ -318,6 +318,20 @@ def test_cert_result_json_schema():
     assert {"pass", "max_jac_dev", "max_hessian", "c_prime", "C_prime",
             "det_A", "worst_ratio", "bound"} <= set(payload)
     assert payload["pass"] is True
+
+
+def test_max_radius_has_the_bits_of_the_norm_of_a_concatenation():
+    rng = np.random.default_rng(24)
+    stacks = [rng.normal(size=(20_000, 2)) * 0.1 for _ in range(3)]
+    want = np.linalg.norm(np.concatenate(stacks), axis=1).max()
+    assert float(np.max([_max_radius(F) for F in stacks])).hex() == float(want).hex()
+    stacks[1][5, 0] = np.nan
+    assert np.isnan(np.max([_max_radius(F) for F in stacks]))
+    x = np.array([0.03, -0.04])
+    assert float(_max_radius(x)).hex() == float(np.linalg.norm(x)).hex()
+    assert _max_radius(np.zeros((0, 2))) == 0.0
+    grid = stacks[0][:600].reshape(20, 30, 2)
+    assert _max_radius(grid) == np.linalg.norm(grid, axis=-1).max()
 
 
 def test_certify_fails_range_on_nan_images():

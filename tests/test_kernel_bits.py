@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import area_reference, det_reference, hexes, reference_rows
+from conftest import area_reference, det_reference, hexes, patch_lift, reference_rows
 from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatch, WitnessSet,
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, rho, sphere_witnesses,
@@ -63,7 +63,7 @@ KERNELS = {
     "det": (det_metric_batch, det_einsum, normal(3)),
     "area": (area_metric_batch, area_einsum, normal(3)),
     "patch": (PATCH.metric_batch,
-              lambda X, Y, Z: area_einsum(*(PATCH.lift_batch(P) for P in (X, Y, Z))),
+              lambda X, Y, Z: area_einsum(*(patch_lift(P) for P in (X, Y, Z))),
               lambda rng, n: PATCH.sample(rng, n)),
 }
 # with the area kernel in 5-d (einsum's lane order) and 9-d (the reference)
@@ -171,7 +171,8 @@ def test_each_metric_has_one_definition():
     # the kernels and every helper they call: elementwise ufuncs only, no
     # dot, matmul or einsum, whose summation order numpy picks at run time
     parts = {det_metric_batch, *det_metric_batch.factors, area_metric_batch,
-             *area_metric_batch.gram, spaces._dot, spaces._coords, spaces._differences}
+             *area_metric_batch.gram, spaces._area, spaces._dot, spaces._coords,
+             spaces._differences, spaces._lengths, spaces._lift}
     for part in parts:
         tree = ast.parse(inspect.getsource(part))
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -305,12 +306,6 @@ def norm_rho(x, y, z):
             * np.linalg.norm(y - z, axis=-1))
 
 
-def concatenated_lift(P):
-    P = np.asarray(P, dtype=float)
-    h = -np.sqrt(1.0 - P[..., 0] ** 2 - P[..., 1] ** 2)
-    return np.concatenate([P, h[..., None]], axis=-1)
-
-
 def masked_convexity(radius, samples, seed):
     """The sandwich scan with whole-row repeat tests, an unconditional
     mask and concatenated lifts."""
@@ -318,7 +313,7 @@ def masked_convexity(radius, samples, seed):
     X, Y, Z = _stacks(patch.sample, seed, samples, 3)
     repeated = (X == Y).all(axis=1) | (X == Z).all(axis=1) | (Y == Z).all(axis=1)
     X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
-    h = area_metric_batch(*(concatenated_lift(P) for P in (X, Y, Z)))
+    h = area_metric_batch(*(patch_lift(P) for P in (X, Y, Z)))
     s = triangle_area2(X, Y, Z) + norm_rho(X, Y, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
         upper, lower = float((h / s).max()), float((s / h).max())
@@ -369,7 +364,7 @@ def test_patch_metric_has_the_bits_of_the_area_kernel_on_concatenated_lifts():
     X[5, 0] = np.nan
 
     def lifted(*points):
-        return area_metric_batch(*(concatenated_lift(P) for P in points))
+        return area_metric_batch(*(patch_lift(P) for P in points))
 
     assert float(PATCH.metric_batch(X[0], Y[0], Z[0])).hex() == float(lifted(X[0], Y[0], Z[0])).hex()
     got = PATCH.metric_batch(X, Y, Z)
@@ -377,8 +372,7 @@ def test_patch_metric_has_the_bits_of_the_area_kernel_on_concatenated_lifts():
     scan = (X[:200, None], Y[:300], Z[:300])
     assert PATCH.metric_batch(*scan).shape == (200, 300)
     assert hexes(PATCH.metric_batch(*scan)) == hexes(lifted(*scan))
-    assert hexes(PATCH.lift_batch(X)) == hexes(concatenated_lift(X))
-    assert PATCH.lift_batch(X[:200, None] + 0 * Y[:300]).shape == (200, 300, 3)
+    assert hexes(np.stack(spaces._lift(X), axis=-1)) == hexes(patch_lift(X))
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 100_000])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from twometric import (SpherePatch, antipodal_canon, area_metric,
                        great_circle_points, rho, sphere_witnesses,
                        triangle_area2, unit_sphere)
 from twometric.baselines import within_regression
-from twometric.spaces import area_metric_batch, det_metric_batch, sample_sphere
+from twometric.spaces import _lift, area_metric_batch, det_metric_batch, sample_sphere
 
 E1, E2, E3 = np.eye(3)
 
@@ -156,8 +157,7 @@ def test_patch_radius_validation():
 
 
 def test_patch_lift_hits_lower_hemisphere():
-    patch = SpherePatch(0.2)
-    p = patch.lift_batch([[0.1, -0.05], [0.0, 0.0]])
+    p = np.stack(_lift([[0.1, -0.05], [0.0, 0.0]]), axis=-1)
     assert (p[:, 2] < 0).all()
     assert np.linalg.norm(p, axis=1) == pytest.approx(1.0, abs=1e-12)
 
@@ -215,6 +215,18 @@ def test_convexity_bound_non_increasing_in_radius():
 def test_convexity_bound_counts_degenerate_triples():
     report = convexity_bound(radius=0.2, samples=3000, seed=1)
     assert report.degenerate_skipped == 0  # continuous sampling never repeats
+
+
+def test_convexity_of_100k_triples_peaks_under_18_mb():
+    # the three (N, 2) stacks take 4.8 MB; a mask copy of them or
+    # concatenated (N, 3) lifts on top lift the peak past 20 MB
+    tracemalloc.start()
+    try:
+        convexity_bound(samples=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
 
 
 @pytest.mark.parametrize("samples", [0, -2])
