@@ -131,10 +131,7 @@ def sample_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
     sums them below 8 columns, so the points have its bits."""
     v = rng.normal(size=(count, 3))
     v0, v1, v2 = v.T
-    n = v0 * v0
-    n += v1 * v1
-    n += v2 * v2
-    v /= np.sqrt(n, out=n)[:, None]
+    v /= np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)[:, None]
     return v
 
 
@@ -311,8 +308,7 @@ def rho(x, y, z):
 def _lift(P) -> list:
     """The lift of planar points to the lower hemisphere, as the
     coordinate arrays of the lifted points."""
-    P = np.asarray(P, dtype=float)
-    x, y = P[..., 0], P[..., 1]
+    x, y = _coords(P)
     return [x, y, -np.sqrt(1.0 - x ** 2 - y ** 2)]
 
 
