@@ -72,8 +72,10 @@ def hessian_bound_fd(F, points, radius: float | None = None) -> float:
     X = np.asarray(points, dtype=float)
     if radius is not None and _max_radius(X) + 2.0 * _STEP > radius:
         raise ValueError("insufficient margin for central differences")
-    norms = [_spectral_norms((jacobian_fd(F, X + e) - jacobian_fd(F, X - e)) / (2.0 * _STEP))
-             for e in _STEP * np.eye(X.shape[-1])]
+    # Jacobians that overflowed give a NaN norm, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [_spectral_norms((jacobian_fd(F, X + e) - jacobian_fd(F, X - e)) / (2.0 * _STEP))
+                 for e in _STEP * np.eye(X.shape[-1])]
     return float(np.max(norms, initial=0.0))
 
 

@@ -85,8 +85,9 @@ def broadcasting(kernel):
     and computes every output entry from its own rows only.
 
     The mark lives on the function object, not on the space: a space copied
-    with ``dataclasses.replace(space, d_batch=...)`` carries a wrapped or
-    replaced kernel without it, which then gets materialised rows instead.
+    with ``dataclasses.replace(space, d_batch=...)`` carries a replaced
+    kernel without it, or a wrapper that does not copy it (``functools.wraps``
+    does), which then gets materialised rows instead.
     """
     kernel.broadcasts = True
     return kernel
@@ -114,33 +115,6 @@ def _stacks(sample, seed, count: int, arity: int) -> list:
     drawn from where it stands."""
     rng = np.random.default_rng(seed)
     return [np.asarray(sample(rng, count)) for _ in range(arity)]
-
-
-def _distinct_triples(rng: np.random.Generator, m: int, draws: int,
-                      keep: int | None = None) -> np.ndarray:
-    """Index triples below m: of ``draws`` random rows, the first ``keep``
-    (all when None) whose three entries are distinct, each sorted.
-
-    The rows are drawn in blocks of ``_ROW_BUDGET``, which are the rows of
-    one draw, and the draw stops once ``keep`` rows are distinct, so the
-    generator is left wherever that happens.  Each block's distinct rows
-    are sorted into the next columns of one (3, rows) array, whose
-    transpose is returned: one contiguous column per index."""
-    out = np.empty((3, draws if keep is None else min(draws, keep)), dtype=np.int64)
-    n = s = 0
-    while n < out.shape[1] and s < draws:
-        a, b, c = rng.integers(0, m, size=(min(_ROW_BUDGET, draws - s), 3)).T
-        s += _ROW_BUDGET
-        # a sorted row is strictly increasing exactly when its entries are
-        # distinct, so only the rows kept need sorting
-        rows = np.flatnonzero((a != b) & (b != c) & (a != c))[:out.shape[1] - n]
-        a, b, c = a[rows], b[rows], c[rows]
-        lo, mid, hi = out[:, n:n + len(rows)]
-        np.minimum(np.minimum(a, b), c, out=lo)
-        np.maximum(np.maximum(a, b), c, out=hi)
-        np.subtract(a + b + c - lo, hi, out=mid)
-        n += len(rows)
-    return out[:, :n].T
 
 
 def _swapped(X, Y, index: bool) -> np.ndarray:
@@ -316,9 +290,13 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
     row per scan row, with the same bits, on a scan with x along the first
     axis and y and z along the last (``classify``'s candidate scan and
     ``Line.defects``): a kernel's ``gram`` split evaluates it from the edges
-    between its points (``_gram_max``), and a kernel's ``factors`` compute
-    its inner part once per scan (``_inner_table``).  Every call covers
-    about ``_ROW_BUDGET`` rows at most, split along the first axis, and
+    between its points (``_gram_max``), and a kernel's ``factors = (inner,
+    outer)``, with ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for
+    bit, compute the inner part once per scan.  The three declarations are
+    read off the kernel once, before any row is scanned: a metric put in by
+    ``dataclasses.replace`` has none unless it declares them, and a
+    ``functools.wraps`` wrapper copies all three.  Every call covers about
+    ``_ROW_BUDGET`` rows at most, split along the first axis, and
     each block of rows is reduced before the next is scanned.
     """
     P = np.asarray(points)
@@ -326,16 +304,19 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
     shape = shape if cuts is None else shape + (2,)
     X, Y, Z = (np.reshape(A, (1,) * (2 - np.ndim(A)) + np.shape(A)) for A in (X, Y, Z))
     a, b = np.broadcast_shapes(X.shape, Y.shape, Z.shape)
-    split = getattr(space.d_batch, "gram", None)
+    kernel = space.d_batch
+    split = getattr(kernel, "gram", None)
+    inner, outer = getattr(kernel, "factors", (None, None))
+    broadcasts = getattr(kernel, "broadcasts", False)
     if split and P.ndim == 2 and a * b and X.shape[1] == 1 and len(Y) == len(Z) == 1:
         return _gram_max(split, P, np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[0], b),
                          np.broadcast_to(Z[0], b), cuts).reshape(shape)
 
     out = np.empty((a, 2) if cuts is not None else a)
     step = max(1, _ROW_BUDGET // b)
-    table = _inner_table(space.d_batch, P, Y, Z)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
+    T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
     if cuts is not None:
         # a row's columns before its cut and from it on are two runs of the
         # chunk laid flat; a cut past the last column moves onto it, and
@@ -356,11 +337,10 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
         return G.reshape((-1,) + P.shape[1:])
 
     for s in range(0, a, step):
-        if table is not None:
-            outer, T = table
+        if T is not None:
             values = outer(rows(0, s), T)
-        elif getattr(space.d_batch, "broadcasts", False):
-            values = space.d_batch(rows(0, s), rows(1, s), rows(2, s))
+        elif broadcasts:
+            values = kernel(rows(0, s), rows(1, s), rows(2, s))
         else:
             parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
@@ -371,18 +351,6 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
         out[np.asarray(cuts) >= b, 1] = -np.inf
     return out.reshape(shape)
-
-
-def _inner_table(kernel, P, Y, Z) -> tuple | None:
-    """For a kernel that declares ``factors = (inner, outer)``, with
-    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, on
-    ``_d_max``'s 2-D scan with Y and Z fixed along the rows: ``(outer,
-    T)``, where T is ``inner`` of the rows of Y and Z; None where the scan
-    keeps the kernel itself."""
-    inner, outer = getattr(kernel, "factors", (None, None))
-    if inner is None or not len(Y) == len(Z) == 1:
-        return None
-    return outer, inner(np.take(P, Y, axis=0), np.take(P, Z, axis=0))
 
 
 def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:

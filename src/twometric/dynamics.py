@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import (TwoMetricSpace, WitnessSet, _at_least, _d_many, _distinct_triples, _stacks,
+from .core import (TwoMetricSpace, WitnessSet, _at_least, _d_many, _stacks,
                    _strict, _worst_ratio, apply_rows, broadcasting, eval_phi, point_json)
 from .lines import Classification, Line, Thresholds, classify
 from .spaces import area_ball_space, det_sphere_space, sample_sphere
@@ -221,7 +221,9 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
 
     decay_margin = None
     if map_.certified and len(seq) >= 3:
-        idx = _distinct_triples(np.random.default_rng(seed + 1), len(seq), _DECAY_TRIPLES)
+        idx = np.sort(np.random.default_rng(seed + 1).integers(0, len(seq), (_DECAY_TRIPLES, 3)),
+                      axis=1)
+        idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
         if len(idx):
             vals = _d_many(map_.space, seq[idx[:, 0]], seq[idx[:, 1]], seq[idx[:, 2]])
             bound = map_.claimed_factor ** idx[:, 0]

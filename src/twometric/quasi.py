@@ -179,13 +179,16 @@ def _iterate(space: QuasiSpace, F, x0, max_steps: int):
 def _check_tail(space: QuasiSpace, iterates, bounds) -> tuple[bool, float]:
     """``bounds`` holds the admissible phi(x_n, x_m) of every pair n < m of
     ``iterates`` in ``np.triu_indices`` order; returns the pass flag and the
-    worst excess over the bound, NaN (and no pass) once an excess is NaN."""
+    worst excess over the bound (0.0 with no pair), NaN (and no pass) once
+    an excess is NaN or a bound is not finite."""
     n, m = np.triu_indices(len(iterates), k=1)
     P = np.asarray(iterates)
-    excess = space.phi(P[n], P[m]) - np.array(bounds, dtype=float)
-    margin = float(np.max(excess, initial=-np.inf))
-    if margin == -np.inf:
-        margin = 0.0
+    bounds = np.array(bounds, dtype=float)
+    # a bound past the float range bounds nothing: its excess is NaN, and
+    # so is that of an inf phi against it
+    with np.errstate(invalid="ignore"):
+        excess = np.where(np.isfinite(bounds), space.phi(P[n], P[m]) - bounds, np.nan)
+    margin = float(excess.max()) if len(excess) else 0.0
     return margin <= 1e-12, margin
 
 
@@ -197,7 +200,9 @@ def _solve(space: QuasiSpace, F, x0, k: float, measured: float, bound_row,
     iterates, residual = _iterate(space, F, x0, max_steps)
     first = space.phi(iterates[0], iterates[1]) if len(iterates) > 1 else 0.0
     last = len(iterates) - 1
-    bounds = [b for n in range(last) for b in bound_row(first, n, last - n)]
+    # a far start overflows a bound, which then fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = [b for n in range(last) for b in bound_row(first, n, last - n)]
     ok, margin = _check_tail(space, iterates, bounds)
     return BanachRun(
         fixed_point=iterates[-1], residual=float(residual), steps=len(iterates) - 1,

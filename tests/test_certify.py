@@ -409,3 +409,13 @@ def test_finite_results_carry_no_non_finite_flag():
     out = certify(make_input(quad_map(A, 0.5), A), seed=1).to_json()
     assert "non_finite" not in out and out["failures"]
     assert all("non_finite" not in record for record in out["failures"])
+
+
+def test_hessian_bound_of_an_overflowing_map_is_nan_without_a_warning():
+    # the second differences of 1e308 x0 x pass the float range; a warning
+    # fails this test
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return x + 1e308 * x[0] * x
+
+    assert np.isnan(hessian_bound_fd(F, np.array([[0.1, 0.05]])))

@@ -243,6 +243,19 @@ def test_banach_subcommand_variants(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["banach", "--x0", "1e308", "--steps", "1000"], id="banach-direct"),
+    pytest.param(["banach", "--variant", "power", "--k", "0.9", "--x0", "1e308",
+                  "--steps", "3000"], id="banach-power"),
+    pytest.param(["certify", "--quad", "1e308"], id="certify"),
+])
+def test_overflowing_runs_fail_their_check_without_a_warning(tmp_path, capsys, argv):
+    # a banach tail bound and certify's second differences pass the float
+    # range; a numpy warning would be an unexpected error, exit 2
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_convexity_subcommand_matches_baseline(tmp_path):
     code = main(["convexity", "--r", "0.2", "--samples", "10000",
                  "--seed", "20260808", "--out", str(tmp_path)])

@@ -14,8 +14,7 @@ from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric import dynamics
-from twometric.core import _distinct_triples, eval_phi
-from twometric.dynamics import _DECAY_TRIPLES
+from twometric.core import eval_phi
 from twometric.spaces import sample_sphere
 
 E1, E2, E3 = np.eye(3)
@@ -184,23 +183,6 @@ def test_orbit_decay_margin_for_certified_maps():
                   witnesses=sphere_witnesses(32, seed=8))
     assert trace.decay_margin is not None
     assert trace.decay_margin <= 1e-9
-
-
-def old_decay_triples(length, seed):
-    """The decay check's index triples as orbit once drew them: the random
-    rows sorted, then filtered to i < j < k."""
-    rng = np.random.default_rng(seed + 1)
-    idx = np.sort(rng.integers(0, length, size=(_DECAY_TRIPLES, 3)), axis=1)
-    return idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
-
-
-@pytest.mark.parametrize("length", [3, 4, 10, 201, 301])
-def test_distinct_triples_match_the_sort_and_filter_decay_draw(length):
-    for seed in range(20):
-        got = _distinct_triples(np.random.default_rng(seed + 1), length, _DECAY_TRIPLES)
-        want = old_decay_triples(length, seed)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
 
 
 def test_orbit_truncates_when_leaving_domain():

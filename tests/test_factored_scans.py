@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import wraps
 from itertools import combinations
 
 import numpy as np
@@ -464,6 +465,55 @@ def test_triple_scans_have_the_kernel_bits(kind, budget, monkeypatch):
         assert hexes(_d_max(space, *scan, P)) == hexes(values.max(axis=-1))
         # the factorised paths serve the scans with y and z along the columns
         assert number == 3 or ran() in (None, True)
+
+
+# ---------------------------------------------------------------------------
+# the declarations live on the kernel: a ``functools.wraps`` wrapper keeps
+# them, and a metric put in by ``replace`` has none of the old kernel's
+# ---------------------------------------------------------------------------
+
+def declaring(kind):
+    """A space whose kernel declares ``factors`` (det), ``gram`` (area) or
+    only ``broadcasts`` (table), and 301 points of it."""
+    if kind == "table":
+        space, _, trace, _ = table_space()
+        return space, trace
+    space = SPACE if kind == "det" else area_ball_space(3)
+    return space, space.sample(np.random.default_rng(41), 301)
+
+
+@pytest.mark.parametrize("kind", ["det", "area", "table"])
+def test_a_wrapped_kernel_keeps_its_declarations(kind):
+    space, P = declaring(kind)
+    kernel, calls = space.d_batch, []
+
+    @wraps(kernel)
+    def wrapper(X, Y, Z):
+        calls.append(np.shape(X))
+        return kernel(X, Y, Z)
+
+    for name in ("broadcasts", "factors", "gram"):
+        assert getattr(wrapper, name, None) is getattr(kernel, name, None)
+    wrapped = replace(space, d_batch=wrapper)
+    for number, (scan, cuts) in enumerate(cut_scans(np.random.default_rng(42))):
+        for c in (cuts, None):
+            calls.clear()
+            assert hexes(_d_max(wrapped, *scan, P, c)) == hexes(_d_max(space, *scan, P, c))
+            # the factor and Gram layouts serve the scans with y and z
+            # along the columns from the declared parts alone
+            assert bool(calls) == (kind == "table" or number == 3)
+
+
+@pytest.mark.parametrize("kind", ["det", "area", "table"])
+def test_a_replaced_metric_is_computed_without_the_old_declarations(kind):
+    # as a planted defect is put in: 1.5 times the kernel, with no phi
+    space, P = declaring(kind)
+    kernel = space.d_batch
+    planted = replace(space, d_batch=lambda X, Y, Z: 1.5 * kernel(X, Y, Z), phi=None)
+    for scan, cuts in cut_scans(np.random.default_rng(43)):
+        for c in (cuts, None):
+            # x -> 1.5 x rounds monotonically, so it commutes with the max
+            assert hexes(_d_max(planted, *scan, P, c)) == hexes(1.5 * _d_max(space, *scan, P, c))
 
 
 # ---------------------------------------------------------------------------

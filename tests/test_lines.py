@@ -154,92 +154,6 @@ def test_lines_intersect_in_at_most_one_separated_point(rng):
 
 
 # ---------------------------------------------------------------------------
-# the triple draw of _distinct_triples
-# ---------------------------------------------------------------------------
-
-# 200,000 distinct rows of 400,000 draws: a draw of many blocks
-KEEP = 200000
-
-
-def full_draw(seed, m, draws, keep):
-    """The first ``keep`` distinct rows of all ``draws`` random rows, each
-    sorted: the oracle of a draw sized to what it keeps."""
-    rows = np.random.default_rng(seed).integers(0, m, size=(draws, 3))
-    rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
-                & (rows[:, 0] != rows[:, 2])]
-    return np.sort(rows, axis=1)[:keep]
-
-
-@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
-@pytest.mark.parametrize("keep", ["all", "some"])
-@pytest.mark.parametrize("m", [3, 4, 5, 10, 121, 150, 151, 301, 1000])
-def test_a_draw_in_blocks_is_the_full_draw(m, keep, budget, monkeypatch):
-    # keep=None; keep reached in the first block (10 of 40 rows) or later;
-    # keep never reached (m = 3 and 4 have too few distinct rows); and
-    # draws that are no multiple of any budget
-    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
-    cases += [(seed, 5 * 2 ** 9 + 7, 2 ** 11) for seed in range(3)]
-    cases += [(0, 2 * KEEP, KEEP)] if m >= 121 else []
-    for seed, draws, k in cases:
-        k = None if keep == "all" else k
-        got = core._distinct_triples(np.random.default_rng(seed), m, draws, k)
-        want = full_draw(seed, m, draws, k)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert all(got[:, j].flags.c_contiguous for j in range(3))
-
-
-class CountingRng:
-    """A generator that records the rows of each ``integers`` draw."""
-
-    def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
-
-    def integers(self, low, high, size):
-        self.sizes.append(size[0])
-        return self.rng.integers(low, high, size=size)
-
-
-@pytest.mark.parametrize("budget", [None, 40, 37], ids=["default", "even", "short"])
-@pytest.mark.parametrize("m", [3, 4, 5, 10, 121, 150, 151, 301, 1000])
-def test_a_draw_sized_to_what_it_keeps_is_the_full_draw(m, budget, monkeypatch):
-    # blocks of the default budget, of 40 rows (which divide every draw
-    # evenly) or of 37 (every draw ends on a short block); the draw stops
-    # with the block that holds the keep-th distinct row, or after all draws
-    if budget is not None:
-        monkeypatch.setattr(core, "_ROW_BUDGET", budget)
-    budget = core._ROW_BUDGET
-    cases = [(seed, 40, 10) for seed in range(6)] + [(seed, 4000, 1000) for seed in range(6)]
-    cases += [(0, 2 * KEEP, KEEP)] if m >= 121 else []
-    for seed, draws, keep in cases:
-        rng = CountingRng(seed)
-        got = core._distinct_triples(rng, m, draws, keep)
-        want = full_draw(seed, m, draws, keep)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        drawn = sum(rng.sizes)
-        assert rng.sizes == [min(budget, drawn - s) for s in range(0, drawn, budget)]
-        rows = np.random.default_rng(seed).integers(0, m, size=(draws, 3))
-        distinct = np.flatnonzero((rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
-                                  & (rows[:, 0] != rows[:, 2]))
-        if len(distinct) < keep:
-            assert drawn == draws
-        else:
-            assert drawn - rng.sizes[-1] <= distinct[keep - 1] < drawn
-
-
-@pytest.mark.parametrize("block", [4096, 10923, 32768])
-@pytest.mark.parametrize("m", [121, 150, 151, 301, 1000])
-def test_numpy_draws_in_blocks_are_the_rows_of_one_draw(m, block):
-    # _distinct_triples rests on this; a numpy release that breaks it
-    # fails here before it moves a golden
-    draws = 2 * KEEP
-    rng = np.random.default_rng(0x5EED)
-    blocks = [rng.integers(0, m, size=(min(block, draws - s), 3)) for s in range(0, draws, block)]
-    assert np.array_equal(np.concatenate(blocks),
-                          np.random.default_rng(0x5EED).integers(0, m, size=(draws, 3)))
-
-
-# ---------------------------------------------------------------------------
 # the triple modulus, read off the candidate scan
 # ---------------------------------------------------------------------------
 

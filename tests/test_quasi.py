@@ -91,6 +91,22 @@ def test_tail_check_fails_on_a_nan_distance():
     assert math.isnan(run.tail_margin)
 
 
+@pytest.mark.parametrize("solver, k, steps", [(banach_direct, 0.4, 1000),
+                                               (banach_power, 0.9, 3000)])
+def test_a_tail_bound_past_the_float_range_fails_the_check(solver, k, steps):
+    # from 1e308 the bound first / (1 - C k) overflows to inf: every excess
+    # over it would be -inf and pass; the run still converges
+    run = solver(interval_space(C=2.0), lambda x: k * x, 1e308, k, max_steps=steps)
+    assert run.residual <= 1e-12
+    assert not run.tail_bound_ok
+    assert math.isnan(run.tail_margin)
+
+
+def test_a_run_with_no_tail_pair_has_margin_zero():
+    run = banach_direct(interval_space(), lambda x: 0.5 * x, 0.0, 0.5)
+    assert run.steps == 0 and run.tail_bound_ok and run.tail_margin == 0.0
+
+
 def test_derived_distance_satisfies_lopsided_triangle_exactly():
     demo = demo_five_point_space()
     space = quasi_from_two_metric(demo.as_space(), WitnessSet.all_of(demo))
