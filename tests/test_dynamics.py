@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import det_reference, tail_residual
+from conftest import area_reference, det_reference, tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        SphereContractionParams, Thresholds, WitnessSet, area_metric,
                        det_metric, det_sphere_space, detect_outcome,
@@ -15,6 +15,7 @@ from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric import dynamics
 from twometric.core import eval_phi
+from twometric.dynamics import _DECAY_TRIPLES
 from twometric.spaces import sample_sphere
 
 E1, E2, E3 = np.eye(3)
@@ -183,6 +184,42 @@ def test_orbit_decay_margin_for_certified_maps():
                   witnesses=sphere_witnesses(32, seed=8))
     assert trace.decay_margin is not None
     assert trace.decay_margin <= 1e-9
+
+
+def old_decay_triples(length, seed):
+    """The decay check's index triples as orbit once drew them: the random
+    rows sorted, then filtered to i < j < k."""
+    rng = np.random.default_rng(seed + 1)
+    idx = np.sort(rng.integers(0, length, size=(_DECAY_TRIPLES, 3)), axis=1)
+    return idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+
+
+@pytest.mark.parametrize("length", [3, 4, 10, 201, 301])
+def test_distinct_triples_match_the_sort_and_filter_decay_draw(length, monkeypatch):
+    # orbit's decay check evaluates the points of exactly these triples, and
+    # its margin is the worst d - factor^i over them by the scalar area
+    # formula; the iterates of a linear map with scale 0.5 are all distinct,
+    # so the point stacks name the index triples
+    m = make_linear_map(rotation_z(1.0), 0.5)
+    seen = []
+    d_many = dynamics._d_many
+
+    def spy(space, X, Y, Z):
+        seen.append((X, Y, Z))
+        return d_many(space, X, Y, Z)
+
+    monkeypatch.setattr(dynamics, "_d_many", spy)
+    witnesses = WitnessSet.sampled(m.space, 8, seed=7)
+    for seed in range(20):
+        seen.clear()
+        trace = orbit(m, np.array([0.3, 0.2, 0.1]), length - 1, witnesses, seed=seed)
+        pts = np.asarray(trace.points)
+        want = old_decay_triples(length, seed)
+        assert len(pts) == length and len(seen) == 1 and len(want) > 0
+        for got, column in zip(seen[0], want.T):
+            assert np.array_equal(got, pts[column])
+        margin = max(area_reference(*pts[row]) - 0.25 ** int(row[0]) for row in want)
+        assert trace.decay_margin == margin
 
 
 def test_orbit_truncates_when_leaving_domain():
