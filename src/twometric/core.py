@@ -272,7 +272,48 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 _ROW_BUDGET = 1 << 15
 
 
-def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
+def _factor_bound(outer, X, T) -> np.ndarray:
+    """``outer(|x|, m)`` for each row x of X, where m is the coordinatewise
+    max of ``|t|`` over the rows t of T (the last axis but one), NaN kept.
+    For the det kernel's ``_det_outer`` it is at least ``outer(x, t)`` of
+    every t, bit for bit, and NaN or inf where some value may be NaN: the
+    dot product runs in one fixed order, |fl(p + q)| <= fl(|p| + |q|) and
+    |fl(p q)| = fl(|p| |q|), and rounding to nearest is monotone."""
+    return outer(np.abs(X), np.abs(T).max(axis=-2))
+
+
+def _gram_bound(finish, n) -> np.ndarray:
+    """``finish(N * N)`` for each column of the squared edge lengths n,
+    with N the max of the column, NaN kept.  For the area kernel's Gram
+    split it is at least ``finish(gram(u, uu, v, vv))`` of every two edges
+    of the column, and not finite where one may be NaN: gram is
+    fl(fl(uu vv) - fl(uv uv)) <= fl(uu vv) <= fl(N N), and ``finish`` is
+    non-decreasing."""
+    N = n.max(axis=0)
+    return finish(np.multiply(N, N, out=N))
+
+
+def _settle(classes, bound, cuts, end, head) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of ``_d_max``'s ``classes = (lo, hi)`` for rows with a
+    kernel ``bound`` and a cut each (a column, or a run of columns, with
+    ``end`` past the last): where each row is scanned from, and a value its
+    first output is raised to.  A row whose bound is finite and at most lo
+    is scanned from its cut and reports the bound.  A row cut at ``end``
+    whose bound is finite, so that none of its values is NaN, is not
+    scanned when ``head(rows)``, the max of a first block of those rows,
+    passes hi, and reports that max.  Every other row is scanned from 0."""
+    lo, hi = classes
+    start, floor = np.zeros(len(bound), dtype=np.intp), np.full(len(bound), -np.inf)
+    low = (bound <= lo) & (bound < np.inf)
+    start[low], floor[low] = cuts[low], bound[low]
+    unheld = np.flatnonzero(~low & (cuts >= end) & (bound < np.inf))
+    if len(unheld):
+        top = head(unheld)
+        start[unheld[top > hi]], floor[unheld[top > hi]] = end, top[top > hi]
+    return start, floor
+
+
+def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> np.ndarray:
     """Max of d(x, y, z) over the last axis of a scan of the rows of
     ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
     broadcast against each other, and the scan is that of ``points[X]``,
@@ -283,6 +324,16 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
     has a last axis of two: the max of the row, and the max of its columns
     from the cut on, -inf where the cut is past the last column.  Both keep
     a NaN.
+
+    ``classes = (lo, hi)``, given with ``cuts``, asks for each row's max
+    only up to its class: at most lo, in (lo, hi], above hi, or NaN.  The
+    first output of a row is then exact or another value of the same
+    class; the second stays exact.  A declared factorisation bounds each
+    row (``_factor_bound``, ``_gram_bound``).  A row whose bound is finite
+    and at most lo reports the bound and is scanned from its cut on only.
+    A row with no column from its cut on and a finite bound, so no NaN,
+    reports the max of a first block of its columns when that is above hi.
+    Other kernels ignore ``classes``.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
@@ -310,22 +361,23 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
     broadcasts = getattr(kernel, "broadcasts", False)
     if split and P.ndim == 2 and a * b and X.shape[1] == 1 and len(Y) == len(Z) == 1:
         return _gram_max(split, P, np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[0], b),
-                         np.broadcast_to(Z[0], b), cuts).reshape(shape)
+                         np.broadcast_to(Z[0], b), cuts, classes).reshape(shape)
 
-    out = np.empty((a, 2) if cuts is not None else a)
-    step = max(1, _ROW_BUDGET // b)
+    out = np.full((a, 2) if cuts is not None else a, -np.inf)
+    cuts = None if cuts is None else np.asarray(cuts)
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
     T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
-    if cuts is not None:
-        # a row's columns before its cut and from it on are two runs of the
-        # chunk laid flat; a cut past the last column moves onto it, and
-        # the run from it on is emptied below
-        row = np.arange(a) % step * b
-        flat = np.stack([row, row + np.minimum(cuts, b - 1)], axis=1)
+    # the column each row is scanned from (a row from the last column on is
+    # not scanned), and a value its first output is raised to
+    start, floor = np.zeros(a, dtype=np.intp), np.full(a, -np.inf)
+    if classes is not None and T is not None and X.shape[1] == 1:
+        x = np.take(P, X[:, 0], axis=0)
+        start, floor = _settle(classes, _factor_bound(outer, x, T), cuts, b, lambda rows: outer(
+            x[rows, None], T[:, :max(1, _ROW_BUDGET // len(rows))]).max(axis=-1))
 
-    def rows(i, s):
-        return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][s:s + step], axis=0)
+    def rows(i, sel):
+        return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][sel], axis=0)
 
     def stacked(A, grid):
         # each row gathered once, then copied in whole blocks along the
@@ -336,31 +388,46 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None) -> np.ndarray:
                 G = np.repeat(G, n, axis=axis)
         return G.reshape((-1,) + P.shape[1:])
 
-    for s in range(0, a, step):
+    # the rows in order of their first column, in blocks of about
+    # _ROW_BUDGET values; only the factor layout starts a row past column 0
+    order = np.argsort(start, kind="stable")
+    i, end = 0, np.searchsorted(start[order], b)
+    while i < end:
+        c = start[order[i]]
+        sel = order[i:min(end, i + max(1, _ROW_BUDGET // (b - c)))]
+        i += len(sel)
         if T is not None:
-            values = outer(rows(0, s), T)
+            values = outer(rows(0, sel), T[:, c:])
         elif broadcasts:
-            values = kernel(rows(0, s), rows(1, s), rows(2, s))
+            values = kernel(rows(0, sel), rows(1, sel), rows(2, sel))
         else:
-            parts = [A if len(A) == 1 else A[s:s + step] for A in (X, Y, Z)]
+            parts = [A if len(A) == 1 else A[sel] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
             values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
-        out[s:s + step] = (values.max(axis=-1) if cuts is None else np.maximum.reduceat(
-            values.ravel(), flat[s:s + step].ravel()).reshape(-1, 2))
+        if cuts is None:
+            out[sel] = values.max(axis=-1)
+            continue
+        # a row's columns before its cut and from it on are two runs of the
+        # block laid flat; a cut past the last column moves onto it, and the
+        # run from it on is emptied below
+        row = np.arange(len(sel)) * (b - c)
+        flat = np.stack([row, row + np.minimum(cuts[sel] - c, b - c - 1)], axis=1)
+        out[sel] = np.maximum.reduceat(values.ravel(), flat.ravel()).reshape(-1, 2)
     if cuts is not None:
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
-        out[np.asarray(cuts) >= b, 1] = -np.inf
+        np.maximum(out[:, 0], floor, out=out[:, 0])
+        out[cuts >= b, 1] = -np.inf
     return out.reshape(shape)
 
 
-def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:
+def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)`` on a
     scan of the rows ``x`` against the columns of ``y`` and ``z``, neither
-    empty, with ``_d_max``'s ``cuts`` or None: d(x, y, z) is
-    ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v = z - x
-    with their squared lengths, bit for bit.  ``finish`` is non-decreasing
-    and keeps a NaN, so the max of d over some columns is ``finish`` of the
-    max of g, which is taken first.
+    empty, with ``_d_max``'s ``cuts`` or None and its ``classes``: d(x, y,
+    z) is ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v =
+    z - x with their squared lengths, bit for bit.  ``finish`` is
+    non-decreasing and keeps a NaN, so the max of d over some columns is
+    ``finish`` of the max of g, which is taken first.
 
     One table holds the edges to every distinct y and z (down) from each x
     (across).  The columns are cut into runs at every cut, and the columns
@@ -369,7 +436,13 @@ def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:
     pairs of a whole tail do.  ``classify``'s pairs come in lexicographic
     order and its cuts fall between first points, so each of its groups is
     one first point.  The max of g over each run, and then from each run
-    on, is taken block by block of rows.
+    on, is taken block by block of rows.  With ``classes``, the rows of a
+    block whose ``_gram_bound`` is finite and at most lo need only the runs
+    from their cut's on, and a row with no run of its own and a finite
+    bound settles once the groups of a first block of columns pass hi: the
+    table's columns are put in order, every other row first and then those
+    by the run they need from, and each group scans the columns of the rows
+    that need its run, a prefix.
     """
     edges, gram, finish = split
     a, b = len(x), len(y)
@@ -389,17 +462,46 @@ def _gram_max(split, P, x, y, z, cuts) -> np.ndarray:
     out = np.empty((a, 2))
     step = max(1, _ROW_BUDGET // max(len(targets), len(starts) + 1,
                                      max(np.subtract(ends, firsts))))
-    for s in range(0, a, step):
-        e, n = edges(P[x[s:s + step]], P[targets][:, None])
+    reach = np.cumsum(np.subtract(ends, firsts))     # the columns up to each group
+
+    def scan(e, n, need, groups):
         # a row of G per run, and an empty one last for the cuts past every
-        # column; each row then becomes the max from its run on
+        # column: the max of g over the run's groups, of the first need[r]
+        # columns of the table
         G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
         for r, i, c in groups:
-            g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
-            np.maximum(G[r], g.max(axis=0), out=G[r])
+            k = need[r]
+            g = gram([u[i, :k] for u in e], n[i, :k], [v[c, :k] for v in e], n[c, :k])
+            np.maximum(G[r, :k], g.max(axis=0), out=G[r, :k])
+        return G
+
+    def head(e, n, rows):
+        # the max of d of the table's columns ``rows`` over the groups of a
+        # first block of about _ROW_BUDGET // len(rows) columns, one at least
+        width = max(1, np.searchsorted(reach, _ROW_BUDGET // len(rows), side="right"))
+        G = scan([np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1),
+                 np.full(len(starts), len(rows)), groups[:width])
+        return finish(G.max(axis=0))
+
+    for s in range(0, a, step):
+        sel = np.arange(s, min(a, s + step))
+        e, n = edges(P[x[sel]], P[targets][:, None])
+        # the run each row is scanned from (none past the last), and a value
+        # its first output is raised to
+        first, floor = np.zeros(len(sel), dtype=np.intp), np.full(len(sel), -np.inf)
+        if classes is not None:
+            first, floor = _settle(classes, _gram_bound(finish, n), since[sel], len(starts),
+                                   lambda rows: head(e, n, rows))
+            if first.any():
+                # C-ordered copies: a fancy index gives Fortran order, slower
+                by_run = np.argsort(first, kind="stable")
+                e, n = [np.take(u, by_run, axis=1) for u in e], np.take(n, by_run, axis=1)
+                sel, first, floor = sel[by_run], first[by_run], floor[by_run]
+        # each row becomes the max from its run on
+        G = scan(e, n, np.searchsorted(first, np.arange(len(starts)), side="right"), groups)
         G = np.maximum.accumulate(G[::-1], axis=0)[::-1]
-        out[s:s + step, 1] = finish(G[since[s:s + step], np.arange(n.shape[1])])
-        out[s:s + step, 0] = finish(G[0])
+        out[sel, 1] = finish(G[since[sel], np.arange(len(sel))])
+        out[sel, 0] = np.maximum(finish(G[0]), floor)
     if whole:
         return out[:, 0]
     out[cuts >= b, 1] = -np.inf

@@ -261,7 +261,13 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     modulus and the candidates' residuals are taken over the tail pairs of
     ``_pair_arrays``, and the triple modulus over every tail triple i < j <
     k whose pair (j, k) is one of them (every triple up to 200 tail
-    points), read off the candidate scan.  A sequence can land in several
+    points), read off the candidate scan.  A residual is read only against
+    ``lim``, against 10 ``lim`` and for NaN, so the scan is asked for it up
+    to that class (``core._d_max``'s ``classes``): a kernel that declares
+    a factorisation proves a candidate's residual under ``lim`` from a
+    bound and then scans only its held triples, and settles a witness
+    whose first columns already pass 10 ``lim``.  The triple modulus stays
+    exact in its bits.  A sequence can land in several
     cases at once; ties resolve by the fixed priority Cauchy > Line >
     UniquePoint > NoPoint, since a Cauchy tail makes the tail property hold
     everywhere.
@@ -288,7 +294,8 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     first, position = _first_of_each(points[rows], m)
     pick = rows[first]
     cuts = np.searchsorted(idx_i, start + position, side="right")
-    residuals, held = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, cuts).T
+    residuals, held = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, cuts,
+                             (thresholds.lim, 10.0 * thresholds.lim)).T
     tri_modulus = float(held.max())
 
     passing = pick[residuals <= thresholds.lim]

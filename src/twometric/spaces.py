@@ -269,6 +269,13 @@ def chord_points(g1, g2, count: int) -> np.ndarray:
     return g1[None, :] + t[:, None] * u[None, :]
 
 
+def _in_ball(x) -> bool:
+    """Whether x lies in the ball, up to 1e-12; a norm that overflows is
+    outside, without a floating-point warning, as in ``unit_sphere``."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x) <= BALL_RADIUS + 1e-12
+
+
 def area_ball_space(dim: int = 3) -> TwoMetricSpace:
     _at_least(dim, 1, "ball dimension")
     return TwoMetricSpace(
@@ -277,7 +284,7 @@ def area_ball_space(dim: int = 3) -> TwoMetricSpace:
         sample=lambda rng, n: sample_ball(rng, n, dim=dim),
         # on a line every triangle is flat, so phi is 0, as every witness scan gives it
         phi=_area_phi if dim > 1 else None,
-        contains=lambda x: np.linalg.norm(x) <= BALL_RADIUS + 1e-12,
+        contains=_in_ball,
         line_points=chord_points,
     )
 

@@ -256,6 +256,13 @@ def test_overflowing_runs_fail_their_check_without_a_warning(tmp_path, capsys, a
     assert capsys.readouterr().err == ""
 
 
+def test_a_start_whose_norm_overflows_is_refused_in_one_line(tmp_path, capsys):
+    # the ball's membership test squares 1e300: outside, without a warning
+    # (which the test settings turn into an unexpected error)
+    assert main(["iterate", "--map", "linear", "--x0=1e300,0,0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: start point outside the map's restricted domain\n"
+
+
 def test_convexity_subcommand_matches_baseline(tmp_path):
     code = main(["convexity", "--r", "0.2", "--samples", "10000",
                  "--seed", "20260808", "--out", str(tmp_path)])
