@@ -327,12 +327,12 @@ def cmd_certify(cfg) -> int:
 
 def cmd_banach(cfg) -> int:
     k, variant = cfg["k"], cfg["variant"]
+    space = interval_space(C=cfg["C"])     # refuses C < 1 before 1 / C is taken
     if variant == "auto":
         variant = "direct" if k < 1.0 / cfg["C"] else "power"
     solvers = {"direct": banach_direct, "power": banach_power, "multcost": banach_multcost}
     if variant not in solvers:
         raise ConfigError(f"unknown variant {variant!r}")
-    space = interval_space(C=cfg["C"])
     if variant == "multcost":
         space = replace(space, psi=lambda x, y, z: 0.1 * abs(z), psi_bound=0.1)
     # the canonical interval contraction x -> k x

@@ -298,7 +298,8 @@ def _settle(classes, bound, cuts, end, head) -> tuple[np.ndarray, np.ndarray]:
     kernel ``bound`` and a cut each (a column, or a run of columns, with
     ``end`` past the last): where each row is scanned from, and a value its
     first output is raised to.  A row whose bound is finite and at most lo
-    is scanned from its cut and reports the bound.  A row cut at ``end``
+    is scanned from its cut and reports the bound; its callers leave those
+    columns to ``_held``.  A row cut at ``end``
     whose bound is finite, so that none of its values is NaN, is not
     scanned when ``head(rows)``, the max of a first block of those rows,
     passes hi, and reports that max.  Every other row is scanned from 0."""
@@ -311,6 +312,33 @@ def _settle(classes, bound, cuts, end, head) -> tuple[np.ndarray, np.ndarray]:
         top = head(unheld)
         start[unheld[top > hi]], floor[unheld[top > hi]] = end, top[top > hi]
     return start, floor
+
+
+def _held(bound, cuts, end, top, values) -> np.ndarray:
+    """The second output of ``_d_max``'s ``classes`` for rows scanned from
+    their cut only, each with a finite ``bound`` at least every value from
+    its cut on, and a cut before ``end``: the max of those values, or the
+    bound.  The rows are scanned in descending order of their bound, in
+    blocks of about ``_ROW_BUDGET`` values, each from the least cut c among
+    its rows by one call of ``values(rows, c)``, and the scan stops once
+    the next bound is at or below the running max, seeded by ``top``, the
+    max of every other row.  A row not scanned reports its bound, so the
+    max over all rows keeps its value, and its bits, since no value or
+    bound of the det or Gram layouts is -0.0: det values are absolute
+    values, and g = fl(uu vv) - fl(uv uv) is never -0.0."""
+    order = np.argsort(-bound, kind="stable")
+    held, i = bound.copy(), 0
+    while i < len(order) and bound[order[i]] > top:
+        least = np.minimum.accumulate(cuts[order[i:i + _ROW_BUDGET]])
+        size = np.arange(1, len(least) + 1) * (end - least)
+        rows = order[i:i + max(1, np.searchsorted(size, _ROW_BUDGET, side="right"))]
+        c = least[len(rows) - 1]
+        # each row's columns before its cut and from it on, as in ``_d_max``
+        row = np.arange(len(rows)) * (end - c)
+        flat = np.stack([row, row + cuts[rows] - c], axis=1).ravel()
+        held[rows] = np.maximum.reduceat(values(rows, c).ravel(), flat)[1::2]
+        top, i = np.maximum(top, held[rows].max()), i + len(rows)
+    return held
 
 
 def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> np.ndarray:
@@ -326,14 +354,19 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     a NaN.
 
     ``classes = (lo, hi)``, given with ``cuts``, asks for each row's max
-    only up to its class: at most lo, in (lo, hi], above hi, or NaN.  The
-    first output of a row is then exact or another value of the same
-    class; the second stays exact.  A declared factorisation bounds each
-    row (``_factor_bound``, ``_gram_bound``).  A row whose bound is finite
-    and at most lo reports the bound and is scanned from its cut on only.
-    A row with no column from its cut on and a finite bound, so no NaN,
-    reports the max of a first block of its columns when that is above hi.
-    Other kernels ignore ``classes``.
+    only up to its class: at most lo, in (lo, hi], above hi, or NaN, and
+    for the max over rows of the second output.  The first output of a row
+    is then exact or another value of the same class.  The second is NaN
+    where the exact one is, else at least the exact one and at most the
+    max over rows, which keeps its bits.  A declared factorisation bounds
+    each row (``_factor_bound``, ``_gram_bound``).  A row whose bound is
+    finite and at most lo reports the bound, and its columns from its cut
+    on, with a finite bound of their own, go to ``_held``: outer(|x|,
+    S[cut]) in the factor layout, with S the max of |T| over the columns
+    from each on, and in the Gram layout ``_gram_max``'s.  A row with no
+    column from its cut on and a finite bound, so no NaN, reports the max
+    of a first block of its columns when that is above hi.  Other kernels
+    ignore ``classes``.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
@@ -371,10 +404,20 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     # the column each row is scanned from (a row from the last column on is
     # not scanned), and a value its first output is raised to
     start, floor = np.zeros(a, dtype=np.intp), np.full(a, -np.inf)
+    held = np.zeros(0, dtype=np.intp)
     if classes is not None and T is not None and X.shape[1] == 1:
         x = np.take(P, X[:, 0], axis=0)
         start, floor = _settle(classes, _factor_bound(outer, x, T), cuts, b, lambda rows: outer(
             x[rows, None], T[:, :max(1, _ROW_BUDGET // len(rows))]).max(axis=-1))
+        held = np.flatnonzero((start < b) & (floor > -np.inf))
+    if len(held):
+        # rows bounded under lo keep their bound whatever their held columns
+        # give, which are left to ``_held``: the bound of each is outer(|x|,
+        # S[cut]), with S the max of |T| over the columns from each on
+        S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
+        bound = outer(np.abs(x[held]), S[cuts[held]])
+        held, bound = held[bound < np.inf], bound[bound < np.inf]
+        start[held] = b
 
     def rows(i, sel):
         return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][sel], axis=0)
@@ -417,6 +460,9 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
         np.maximum(out[:, 0], floor, out=out[:, 0])
         out[cuts >= b, 1] = -np.inf
+    if len(held):
+        out[held, 1] = _held(bound, cuts[held], b, out[:, 1].max(),
+                             lambda some, c: outer(x[held[some], None], T[:, c:]))
     return out.reshape(shape)
 
 
@@ -436,13 +482,18 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     pairs of a whole tail do.  ``classify``'s pairs come in lexicographic
     order and its cuts fall between first points, so each of its groups is
     one first point.  The max of g over each run, and then from each run
-    on, is taken block by block of rows.  With ``classes``, the rows of a
-    block whose ``_gram_bound`` is finite and at most lo need only the runs
-    from their cut's on, and a row with no run of its own and a finite
-    bound settles once the groups of a first block of columns pass hi: the
-    table's columns are put in order, every other row first and then those
-    by the run they need from, and each group scans the columns of the rows
-    that need its run, a prefix.
+    on, is taken block by block of rows.  A row whose edges are all one
+    edge, value for value, and whose fl(n n) is finite for its squared
+    length n is not scanned: uv is then the same ``_dot`` as uu, so every g
+    is fl(n n) - fl(n n) = +0, and the row reports ``finish(0)``.  With
+    ``classes``, a row with no run of its own and a finite ``_gram_bound``
+    settles once the groups of a first block of columns pass hi: the
+    table's columns are put in order, by the run each row needs from, and
+    each group scans the columns of the rows that need its run, a prefix.
+    A row whose ``_gram_bound`` is finite and at most lo reports it, and
+    its runs go to ``_held`` with the bound ``finish(N N)``, N the max of
+    its n over the targets that those runs read, which scans their values
+    in one Gram call per block.
     """
     edges, gram, finish = split
     a, b = len(x), len(y)
@@ -452,17 +503,20 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     since = np.searchsorted(starts, cuts)
     targets, at = np.unique(np.concatenate([y, z]), return_inverse=True)
     run = np.repeat(np.arange(len(starts)), np.diff(starts, append=b))
+    last = np.zeros(len(targets), dtype=np.intp)    # the last run that reads each target
+    np.maximum.at(last, at, np.tile(run, 2))
     order = np.lexsort((at[b:], at[:b], run))
-    run, y, z = run[order], at[:b][order], at[b:][order]
-    firsts = np.flatnonzero(np.r_[True, (y[1:] != y[:-1]) | (run[1:] != run[:-1])]).tolist()
+    run, ys, zs = run[order], at[:b][order], at[b:][order]
+    firsts = np.flatnonzero(np.r_[True, (ys[1:] != ys[:-1]) | (run[1:] != run[:-1])]).tolist()
     ends = firsts[1:] + [b]
-    breaks = np.cumsum(np.r_[1, np.diff(z)] != 1)
-    groups = [(run[lo], y[lo], slice(z[lo], z[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
-               else z[lo:hi]) for lo, hi in zip(firsts, ends)]
+    breaks = np.cumsum(np.r_[1, np.diff(zs)] != 1)
+    groups = [(run[lo], ys[lo], slice(zs[lo], zs[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
+               else zs[lo:hi]) for lo, hi in zip(firsts, ends)]
     out = np.empty((a, 2))
     step = max(1, _ROW_BUDGET // max(len(targets), len(starts) + 1,
                                      max(np.subtract(ends, firsts))))
     reach = np.cumsum(np.subtract(ends, firsts))     # the columns up to each group
+    held, bounds = [], []                            # the rows left to ``_held``
 
     def scan(e, n, need, groups):
         # a row of G per run, and an empty one last for the cuts past every
@@ -471,8 +525,9 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
         G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
         for r, i, c in groups:
             k = need[r]
-            g = gram([u[i, :k] for u in e], n[i, :k], [v[c, :k] for v in e], n[c, :k])
-            np.maximum(G[r, :k], g.max(axis=0), out=G[r, :k])
+            if k:
+                g = gram([u[i, :k] for u in e], n[i, :k], [v[c, :k] for v in e], n[c, :k])
+                np.maximum(G[r, :k], g.max(axis=0), out=G[r, :k])
         return G
 
     def head(e, n, rows):
@@ -486,25 +541,52 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     for s in range(0, a, step):
         sel = np.arange(s, min(a, s + step))
         e, n = edges(P[x[sel]], P[targets][:, None])
+        # a row whose edges are one edge, value for value, has every g fl(n n) -
+        # fl(n n), +0 where that is finite, and is not scanned
+        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
         # the run each row is scanned from (none past the last), and a value
-        # its first output is raised to
-        first, floor = np.zeros(len(sel), dtype=np.intp), np.full(len(sel), -np.inf)
+        # each output of a row not scanned takes and the first of a row
+        # scanned is raised to
+        first = np.where(one, len(starts), 0)
+        floor = np.where(one, finish(np.zeros(len(sel))), -np.inf)
         if classes is not None:
-            first, floor = _settle(classes, _gram_bound(finish, n), since[sel], len(starts),
-                                   lambda rows: head(e, n, rows))
-            if first.any():
-                # C-ordered copies: a fancy index gives Fortran order, slower
-                by_run = np.argsort(first, kind="stable")
-                e, n = [np.take(u, by_run, axis=1) for u in e], np.take(n, by_run, axis=1)
-                sel, first, floor = sel[by_run], first[by_run], floor[by_run]
+            rest = np.flatnonzero(~one)
+            first[rest], floor[rest] = _settle(classes, _gram_bound(finish, n)[rest],
+                                               since[sel[rest]], len(starts),
+                                               lambda rows: head(e, n, rest[rows]))
+            # rows bounded under lo keep their bound, and their held columns
+            # are left to ``_held``: the bound of each is that of the targets
+            # that its runs read
+            low = np.flatnonzero((first < len(starts)) & (floor > -np.inf))
+            bound = _gram_bound(finish, np.where(last[:, None] >= first[low], n[:, low], -np.inf))
+            low, bound = low[bound < np.inf], bound[bound < np.inf]
+            held.append(sel[low])
+            bounds.append(bound)
+            first[low] = len(starts)
+        out[sel] = floor[:, None]
+        by_run = np.argsort(first, kind="stable")
+        need = np.searchsorted(first[by_run], np.arange(len(starts)), side="right")
+        rows = by_run[:need[-1]]
+        if first.any():
+            # C-ordered copies of the rows scanned: a fancy index gives
+            # Fortran order, slower
+            e, n = [np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1)
         # each row becomes the max from its run on
-        G = scan(e, n, np.searchsorted(first, np.arange(len(starts)), side="right"), groups)
-        G = np.maximum.accumulate(G[::-1], axis=0)[::-1]
-        out[sel, 1] = finish(G[since[sel], np.arange(len(sel))])
-        out[sel, 0] = np.maximum(finish(G[0]), floor)
+        G = np.maximum.accumulate(scan(e, n, need, groups)[::-1], axis=0)[::-1]
+        out[sel[rows], 1] = finish(G[since[sel[rows]], np.arange(len(rows))])
+        out[sel[rows], 0] = np.maximum(finish(G[0]), floor[rows])
     if whole:
         return out[:, 0]
     out[cuts >= b, 1] = -np.inf
+    if held:
+        rows, bound = np.concatenate(held), np.concatenate(bounds)
+
+        def values(some, c):
+            X = P[x[rows[some]]][:, None]
+            return finish(gram(*edges(X, P[y[c:]]), *edges(X, P[z[c:]])))
+
+        out[rows, 1] = -np.inf
+        out[rows, 1] = _held(bound, cuts[rows], b, out[:, 1].max(), values)
     return out
 
 

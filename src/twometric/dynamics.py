@@ -51,6 +51,8 @@ class SphereContractionParams:
             raise ValueError("vertical contraction k must lie in (0, 1)")
         if not 0.0 < self.e < 1.0:
             raise ValueError("tube parameter e must lie in (0, 1)")
+        if self.e ** 3 == 0.0:
+            raise ValueError(f"tube parameter e={self.e} has a cube that underflows to 0")
 
 
 @dataclass(frozen=True)

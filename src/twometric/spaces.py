@@ -146,6 +146,13 @@ def great_circle_points(g1, g2, count: int) -> np.ndarray:
     return np.outer(np.cos(t), b1) + np.outer(np.sin(t), b2)
 
 
+def _on_sphere(x) -> bool:
+    """Whether x lies on the unit sphere, up to 1e-9; a norm that overflows
+    is off it, without a floating-point warning, as in ``unit_sphere``."""
+    with np.errstate(over="ignore"):
+        return abs(np.linalg.norm(x) - 1.0) <= 1e-9
+
+
 def det_sphere_space() -> TwoMetricSpace:
     return TwoMetricSpace(
         name="det-sphere",
@@ -153,7 +160,7 @@ def det_sphere_space() -> TwoMetricSpace:
         sample=sample_sphere,
         phi=_det_phi,
         canon=antipodal_canon,
-        contains=lambda x: abs(np.linalg.norm(x) - 1.0) <= 1e-9,
+        contains=_on_sphere,
         line_points=great_circle_points,
     )
 

@@ -6,6 +6,7 @@ import argparse
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -775,3 +776,68 @@ def test_a_command_parser_holds_that_command_alone():
     assert list(action.choices) == ["classify"]
     assert parser_flags(action.choices["classify"]) == parser_flags(subparsers()["classify"])
     assert parser.format_usage() == build_parser().format_usage()
+
+
+# ---------------------------------------------------------------------------
+# every settable value at its extremes
+# ---------------------------------------------------------------------------
+
+# a small run of each command, which the sweep sets one flag of at a time
+SWEEP_RUNS = {
+    "audit": ["--samples", "100", "--witnesses", "8"],
+    "demo-equator": ["--steps", "60", "--witnesses", "8"],
+    "iterate": ["--steps", "60", "--witnesses", "8"],
+    "classify": ["--witnesses", "8", "--input", "TRACE"],
+    "certify": ["--samples", "20", "--triples", "100"],
+    "banach": ["--steps", "50"],
+    "convexity": ["--samples", "200"],
+    "enumerate-lines": ["--table", str(DATA / "table12" / "table.json")],
+}
+SWEEP_VALUES = {float: ["0.0", "-0.0", "-1.0", "1e-320", "1e308", "nan", "inf", "-inf"],
+                int: ["0", "-1", "1", "2"],
+                "x0": ["nan,0,0", "0,inf,0", "-inf,0,0", "1e300,0,0", "1e308,1e308,1e308"]}
+
+
+def sweep_cases():
+    """(command, extra arguments, flag=value) for every float and int flag
+    of every command and for each ``--x0`` point; iterate's points under
+    both maps."""
+    for name, (_, flags) in cli.COMMANDS.items():
+        for flag, spec in flags.items():
+            kind = cli._spec(spec)[1]
+            values = SWEEP_VALUES.get("x0" if flag == "x0" and kind is str else kind, [])
+            for value in values:
+                arg = f"--{flag.replace('_', '-')}={value}"
+                maps = [[], ["--map", "linear"]] if (name, flag) == ("iterate", "x0") else [[]]
+                for extra in maps:
+                    yield pytest.param(name, extra, arg, id=" ".join([name, *extra, arg]))
+
+
+@pytest.fixture(scope="module")
+def sweep_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep-trace")
+    assert main(["iterate", "--steps", "60", "--witnesses", "8", "--out", str(out)]) == 0
+    return str(out / "trace.csv")
+
+
+@pytest.mark.parametrize("name, extra, arg", sweep_cases())
+def test_every_settable_value_keeps_the_exit_contract(name, extra, arg, sweep_trace, tmp_path,
+                                                      capsys):
+    argv = [name, *[sweep_trace if a == "TRACE" else a for a in SWEEP_RUNS[name]], *extra, arg]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "unexpected" not in err, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    value = np.array([float(v) for v in arg.partition("=")[2].split(",")])
+    assert code != 0 or np.isfinite(value).all(), err
+
+
+def test_the_sweep_sets_every_float_and_int_flag():
+    swept = {(c.values[0], c.values[2].partition("=")[0]) for c in sweep_cases()}
+    for name, (_, flags) in cli.COMMANDS.items():
+        for flag, spec in flags.items():
+            if cli._spec(spec)[1] in (float, int) or flag == "x0":
+                assert (name, f"--{flag.replace('_', '-')}") in swept

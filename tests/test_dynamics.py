@@ -56,6 +56,18 @@ def test_sphere_params_validation():
         SphereContractionParams(0.0, 0.5)
     with pytest.raises(ValueError):
         SphereContractionParams(0.1, 1.5)
+    # a tube whose e^3 underflows has no claimed factor k / e^3
+    with pytest.raises(ValueError, match="cube that underflows"):
+        SphereContractionParams(0.1, 1e-320)
+
+
+@pytest.mark.parametrize("x0", [[1e300, 0.0, 0.0], [1e200, 1e200, 1e200]])
+def test_a_sphere_start_whose_norm_overflows_is_outside_without_a_warning(x0):
+    # every warning fails a test here, so the norm is taken without one
+    assert not det_sphere_space().contains(np.array(x0))
+    with pytest.raises(ValueError, match="outside the map's restricted domain"):
+        orbit(make_sphere_map(SphereContractionParams(0.1, 0.5, 0.3)), np.array(x0), 10,
+              sphere_witnesses(4, 0))
 
 
 def test_sphere_map_claimed_factor_and_certification():
