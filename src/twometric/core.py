@@ -296,36 +296,46 @@ def _gram_bound(finish, n) -> np.ndarray:
 def _settle(classes, bound, cuts, end, head) -> tuple[np.ndarray, np.ndarray]:
     """The rule of ``_d_max``'s ``classes = (lo, hi)`` for rows with a
     kernel ``bound`` and a cut each (a column, or a run of columns, with
-    ``end`` past the last): where each row is scanned from, and a value its
-    first output is raised to.  A row whose bound is finite and at most lo
-    is scanned from its cut and reports the bound; its callers leave those
-    columns to ``_held``.  A row cut at ``end``
-    whose bound is finite, so that none of its values is NaN, is not
+    ``end`` past the last): which rows are scanned, all from column 0, and
+    a value the first output of each other row takes.  A row whose bound is
+    finite and at most lo is not scanned and takes the bound; its callers
+    leave its columns from its cut on, if any, to ``_held``.  A row cut at
+    ``end`` whose bound is finite, so that none of its values is NaN, is not
     scanned when ``head(rows)``, the max of a first block of those rows,
-    passes hi, and reports that max.  Every other row is scanned from 0."""
+    passes hi, and takes that max.  Every other row is scanned."""
     lo, hi = classes
-    start, floor = np.zeros(len(bound), dtype=np.intp), np.full(len(bound), -np.inf)
+    scan, floor = np.ones(len(bound), dtype=bool), np.full(len(bound), -np.inf)
     low = (bound <= lo) & (bound < np.inf)
-    start[low], floor[low] = cuts[low], bound[low]
+    scan[low], floor[low] = False, bound[low]
     unheld = np.flatnonzero(~low & (cuts >= end) & (bound < np.inf))
     if len(unheld):
         top = head(unheld)
-        start[unheld[top > hi]], floor[unheld[top > hi]] = end, top[top > hi]
-    return start, floor
+        scan[unheld[top > hi]], floor[unheld[top > hi]] = False, top[top > hi]
+    return scan, floor
+
+
+def _split_max(values, cuts) -> np.ndarray:
+    """The max of each row of the 2-D ``values`` over its columns before its
+    cut and over those from it on, as two columns, NaN kept.  A cut at 0
+    gives the row's first value as its first max, and a cut past the last
+    column moves onto it."""
+    row = np.arange(len(values)) * values.shape[1]
+    flat = np.stack([row, row + np.minimum(cuts, values.shape[1] - 1)], axis=1)
+    return np.maximum.reduceat(values.ravel(), flat.ravel()).reshape(-1, 2)
 
 
 def _held(bound, cuts, end, top, values) -> np.ndarray:
-    """The second output of ``_d_max``'s ``classes`` for rows scanned from
-    their cut only, each with a finite ``bound`` at least every value from
-    its cut on, and a cut before ``end``: the max of those values, or the
-    bound.  The rows are scanned in descending order of their bound, in
-    blocks of about ``_ROW_BUDGET`` values, each from the least cut c among
-    its rows by one call of ``values(rows, c)``, and the scan stops once
-    the next bound is at or below the running max, seeded by ``top``, the
-    max of every other row.  A row not scanned reports its bound, so the
-    max over all rows keeps its value, and its bits, since no value or
-    bound of the det or Gram layouts is -0.0: det values are absolute
-    values, and g = fl(uu vv) - fl(uv uv) is never -0.0."""
+    """The second output of ``_d_max``'s ``classes`` for rows not scanned,
+    each with a finite ``bound`` at least every value from its cut on, and
+    a cut before ``end``: the max of those values, or the bound.  The rows
+    are scanned in descending order of their bound, in blocks of about
+    ``_ROW_BUDGET`` values, each from the least cut c among its rows by one
+    call of ``values(rows, c)``, and the scan stops once the next bound is
+    at or below the running max, seeded by ``top``, the max of every other
+    row.  A row not scanned reports its bound, so the max over all rows
+    keeps its value, and its bits, since no value or bound of the det or
+    Gram layouts is -0.0: det values are absolute values, and g = fl(uu vv)
+    - fl(uv uv) is never -0.0."""
     order = np.argsort(-bound, kind="stable")
     held, i = bound.copy(), 0
     while i < len(order) and bound[order[i]] > top:
@@ -333,10 +343,7 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
         size = np.arange(1, len(least) + 1) * (end - least)
         rows = order[i:i + max(1, np.searchsorted(size, _ROW_BUDGET, side="right"))]
         c = least[len(rows) - 1]
-        # each row's columns before its cut and from it on, as in ``_d_max``
-        row = np.arange(len(rows)) * (end - c)
-        flat = np.stack([row, row + cuts[rows] - c], axis=1).ravel()
-        held[rows] = np.maximum.reduceat(values(rows, c).ravel(), flat)[1::2]
+        held[rows] = _split_max(values(rows, c), cuts[rows] - c)[:, 1]
         top, i = np.maximum(top, held[rows].max()), i + len(rows)
     return held
 
@@ -361,12 +368,13 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     max over rows, which keeps its bits.  A declared factorisation bounds
     each row (``_factor_bound``, ``_gram_bound``).  A row whose bound is
     finite and at most lo reports the bound, and its columns from its cut
-    on, with a finite bound of their own, go to ``_held``: outer(|x|,
-    S[cut]) in the factor layout, with S the max of |T| over the columns
-    from each on, and in the Gram layout ``_gram_max``'s.  A row with no
-    column from its cut on and a finite bound, so no NaN, reports the max
-    of a first block of its columns when that is above hi.  Other kernels
-    ignore ``classes``.
+    on go to ``_held`` with a bound of their own, at most the row's and so
+    finite: outer(|x|, S[cut]) in the factor layout, with S the max of |T|
+    over the columns from each on, and in the Gram layout ``_gram_max``'s.
+    A row with no column from its cut on and a finite bound, so no NaN,
+    reports the max of a first block of its columns when that is above hi.
+    Every other row is scanned whole (``_settle``).  Other kernels ignore
+    ``classes``.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
@@ -401,23 +409,20 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     # rows fixed along the chunk axis are gathered once, the others per chunk
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
     T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
-    # the column each row is scanned from (a row from the last column on is
-    # not scanned), and a value its first output is raised to
-    start, floor = np.zeros(a, dtype=np.intp), np.full(a, -np.inf)
+    scan, floor = np.ones(a, dtype=bool), np.full(a, -np.inf)
     held = np.zeros(0, dtype=np.intp)
     if classes is not None and T is not None and X.shape[1] == 1:
         x = np.take(P, X[:, 0], axis=0)
-        start, floor = _settle(classes, _factor_bound(outer, x, T), cuts, b, lambda rows: outer(
+        scan, floor = _settle(classes, _factor_bound(outer, x, T), cuts, b, lambda rows: outer(
             x[rows, None], T[:, :max(1, _ROW_BUDGET // len(rows))]).max(axis=-1))
-        held = np.flatnonzero((start < b) & (floor > -np.inf))
+        held = np.flatnonzero(~scan & (cuts < b))
     if len(held):
-        # rows bounded under lo keep their bound whatever their held columns
+        # rows bounded under lo take their bound whatever their held columns
         # give, which are left to ``_held``: the bound of each is outer(|x|,
-        # S[cut]), with S the max of |T| over the columns from each on
+        # S[cut]), with S the max of |T| over the columns from each on, and
+        # at most the row's, so finite
         S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
         bound = outer(np.abs(x[held]), S[cuts[held]])
-        held, bound = held[bound < np.inf], bound[bound < np.inf]
-        start[held] = b
 
     def rows(i, sel):
         return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][sel], axis=0)
@@ -431,16 +436,12 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
                 G = np.repeat(G, n, axis=axis)
         return G.reshape((-1,) + P.shape[1:])
 
-    # the rows in order of their first column, in blocks of about
-    # _ROW_BUDGET values; only the factor layout starts a row past column 0
-    order = np.argsort(start, kind="stable")
-    i, end = 0, np.searchsorted(start[order], b)
-    while i < end:
-        c = start[order[i]]
-        sel = order[i:min(end, i + max(1, _ROW_BUDGET // (b - c)))]
-        i += len(sel)
+    # the rows scanned, in blocks of about _ROW_BUDGET values
+    scanned, step = np.flatnonzero(scan), max(1, _ROW_BUDGET // max(b, 1))
+    for i in range(0, len(scanned) if b else 0, step):
+        sel = scanned[i:i + step]
         if T is not None:
-            values = outer(rows(0, sel), T[:, c:])
+            values = outer(rows(0, sel), T)
         elif broadcasts:
             values = kernel(rows(0, sel), rows(1, sel), rows(2, sel))
         else:
@@ -449,13 +450,8 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
             values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
         if cuts is None:
             out[sel] = values.max(axis=-1)
-            continue
-        # a row's columns before its cut and from it on are two runs of the
-        # block laid flat; a cut past the last column moves onto it, and the
-        # run from it on is emptied below
-        row = np.arange(len(sel)) * (b - c)
-        flat = np.stack([row, row + np.minimum(cuts[sel] - c, b - c - 1)], axis=1)
-        out[sel] = np.maximum.reduceat(values.ravel(), flat.ravel()).reshape(-1, 2)
+        else:
+            out[sel] = _split_max(values.reshape(len(sel), b), cuts[sel])
     if cuts is not None:
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
         np.maximum(out[:, 0], floor, out=out[:, 0])
@@ -487,13 +483,19 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     length n is not scanned: uv is then the same ``_dot`` as uu, so every g
     is fl(n n) - fl(n n) = +0, and the row reports ``finish(0)``.  With
     ``classes``, a row with no run of its own and a finite ``_gram_bound``
-    settles once the groups of a first block of columns pass hi: the
-    table's columns are put in order, by the run each row needs from, and
-    each group scans the columns of the rows that need its run, a prefix.
-    A row whose ``_gram_bound`` is finite and at most lo reports it, and
-    its runs go to ``_held`` with the bound ``finish(N N)``, N the max of
-    its n over the targets that those runs read, which scans their values
-    in one Gram call per block.
+    settles once the groups of a first block of columns pass hi.  A row
+    whose ``_gram_bound`` is finite and at most lo reports it, and its runs
+    go to ``_held`` with the bound ``finish(N N)``, N the max of its n over
+    the targets that those runs read, which scans their values in one Gram
+    call per block.  Every other row is scanned whole, each group over the
+    table's columns of the rows scanned.  Both paths are kept: a group
+    reads its edges and their lengths off the table, and on a 2-core Xeon
+    (numpy 2.4) the whole rows of ``classify``'s scan of 300-step random
+    and spiral area-ball tails took 14.5-15.1 ms by the groups against
+    42.4-42.5 ms by one broadcast call per block, in 9 coordinates 31.6-33.0
+    against 113-121 ms; the few held rows that outlast their bound pay the
+    call per group instead, 3.5 ms against 0.35 ms for one row of a
+    150-point tail.
     """
     edges, gram, finish = split
     a, b = len(x), len(y)
@@ -518,24 +520,20 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     reach = np.cumsum(np.subtract(ends, firsts))     # the columns up to each group
     held, bounds = [], []                            # the rows left to ``_held``
 
-    def scan(e, n, need, groups):
+    def scan(e, n, groups):
         # a row of G per run, and an empty one last for the cuts past every
-        # column: the max of g over the run's groups, of the first need[r]
-        # columns of the table
+        # column: the max of g over the run's groups
         G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
         for r, i, c in groups:
-            k = need[r]
-            if k:
-                g = gram([u[i, :k] for u in e], n[i, :k], [v[c, :k] for v in e], n[c, :k])
-                np.maximum(G[r, :k], g.max(axis=0), out=G[r, :k])
+            g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
+            np.maximum(G[r], g.max(axis=0), out=G[r])
         return G
 
     def head(e, n, rows):
         # the max of d of the table's columns ``rows`` over the groups of a
         # first block of about _ROW_BUDGET // len(rows) columns, one at least
         width = max(1, np.searchsorted(reach, _ROW_BUDGET // len(rows), side="right"))
-        G = scan([np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1),
-                 np.full(len(starts), len(rows)), groups[:width])
+        G = scan([np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1), groups[:width])
         return finish(G.max(axis=0))
 
     for s in range(0, a, step):
@@ -544,37 +542,33 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
         # a row whose edges are one edge, value for value, has every g fl(n n) -
         # fl(n n), +0 where that is finite, and is not scanned
         one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
-        # the run each row is scanned from (none past the last), and a value
-        # each output of a row not scanned takes and the first of a row
-        # scanned is raised to
-        first = np.where(one, len(starts), 0)
+        # the rows scanned, and a value both outputs of each other row take
+        scanned = ~one
         floor = np.where(one, finish(np.zeros(len(sel))), -np.inf)
         if classes is not None:
             rest = np.flatnonzero(~one)
-            first[rest], floor[rest] = _settle(classes, _gram_bound(finish, n)[rest],
-                                               since[sel[rest]], len(starts),
-                                               lambda rows: head(e, n, rest[rows]))
-            # rows bounded under lo keep their bound, and their held columns
+            scanned[rest], floor[rest] = _settle(classes, _gram_bound(finish, n)[rest],
+                                                 since[sel[rest]], len(starts),
+                                                 lambda rows: head(e, n, rest[rows]))
+            # rows bounded under lo take their bound, and their held columns
             # are left to ``_held``: the bound of each is that of the targets
-            # that its runs read
-            low = np.flatnonzero((first < len(starts)) & (floor > -np.inf))
-            bound = _gram_bound(finish, np.where(last[:, None] >= first[low], n[:, low], -np.inf))
-            low, bound = low[bound < np.inf], bound[bound < np.inf]
+            # that its runs read, at most the row's and so finite
+            low = rest[~scanned[rest] & (since[sel[rest]] < len(starts))]
             held.append(sel[low])
-            bounds.append(bound)
-            first[low] = len(starts)
+            bounds.append(_gram_bound(finish, np.where(last[:, None] >= since[sel[low]],
+                                                       n[:, low], -np.inf)))
         out[sel] = floor[:, None]
-        by_run = np.argsort(first, kind="stable")
-        need = np.searchsorted(first[by_run], np.arange(len(starts)), side="right")
-        rows = by_run[:need[-1]]
-        if first.any():
+        rows = np.flatnonzero(scanned)
+        if not len(rows):
+            continue
+        if len(rows) < len(sel):
             # C-ordered copies of the rows scanned: a fancy index gives
             # Fortran order, slower
             e, n = [np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1)
         # each row becomes the max from its run on
-        G = np.maximum.accumulate(scan(e, n, need, groups)[::-1], axis=0)[::-1]
+        G = np.maximum.accumulate(scan(e, n, groups)[::-1], axis=0)[::-1]
         out[sel[rows], 1] = finish(G[since[sel[rows]], np.arange(len(rows))])
-        out[sel[rows], 0] = np.maximum(finish(G[0]), floor[rows])
+        out[sel[rows], 0] = finish(G[0])
     if whole:
         return out[:, 0]
     out[cuts >= b, 1] = -np.inf

@@ -125,10 +125,21 @@ def check_held(fast, exact):
     assert np.isnan(top) or (fast <= top).all()
 
 
+def finite_bounds(held):
+    """``core._held`` that first checks that every bound it is given is
+    finite: a row bounded under lo has a finite bound, and the bound of its
+    held columns is at most that one."""
+    def spy(bound, *rest):
+        assert np.isfinite(bound).all()
+        return held(bound, *rest)
+    return spy
+
+
 def check_scan(space, scan, lims=LIMS):
     """For each lim, the bounded scan against the exact one: the same class
     in every row, and held maxima as ``check_held`` asks."""
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_held", finite_bounds(core._held))
         exact = _d_max(space, *scan)
         for lim in lims:
             lo, hi = lim, 10.0 * lim
