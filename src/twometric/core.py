@@ -503,12 +503,22 @@ def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
     cuts = np.zeros(a, dtype=np.intp) if whole else np.asarray(cuts)
     starts = np.unique(np.r_[0, cuts[cuts < b]])
     since = np.searchsorted(starts, cuts)
-    targets, at = np.unique(np.concatenate([y, z]), return_inverse=True)
+    # ``np.unique(v, return_inverse=True)`` without its sort: v numbers
+    # rows of P, so a mark per row gives each its rank among the targets
+    v = np.concatenate([y, z])
+    seen = np.zeros(len(P) + 1, dtype=np.intp)
+    seen[v + 1] = 1
+    targets, at = np.flatnonzero(seen) - 1, np.cumsum(seen)[v]
     run = np.repeat(np.arange(len(starts)), np.diff(starts, append=b))
     last = np.zeros(len(targets), dtype=np.intp)    # the last run that reads each target
     np.maximum.at(last, at, np.tile(run, 2))
-    order = np.lexsort((at[b:], at[:b], run))
-    run, ys, zs = run[order], at[:b][order], at[b:][order]
+    ys, zs = at[:b], at[b:]
+    # the columns by run, then y, then z: ``classify``'s come so, and a
+    # stable sort would leave them as they are
+    dy = np.diff(ys)
+    if not ((np.diff(run) > 0) | (dy > 0) | ((dy == 0) & (np.diff(zs) >= 0))).all():
+        order = np.lexsort((zs, ys, run))
+        run, ys, zs = run[order], ys[order], zs[order]
     firsts = np.flatnonzero(np.r_[True, (ys[1:] != ys[:-1]) | (run[1:] != run[:-1])]).tolist()
     ends = firsts[1:] + [b]
     breaks = np.cumsum(np.r_[1, np.diff(zs)] != 1)

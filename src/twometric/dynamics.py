@@ -10,15 +10,18 @@ classification suggests by direct residual checks.
 Two constructions cover the standard examples: an orthogonal map composed
 with a uniform scaling on a ball (factor k^2 for the area metric, fixed
 point at the origin), and a vertical squeeze toward the sphere's equator
-composed with a rotation (factor k/e^3 on the tube where the horizontal
-norm stays >= e; the equator is invariant, and a nontrivial rotation leaves
-no fixed point on it).
+composed with a rotation (factor k / (e^2 + k^2 (1 - e^2))^(3/2) on the
+tube where the horizontal norm stays >= e; the equator is invariant, and a
+nontrivial rotation leaves no fixed point on it).  Each writes its formula
+once, on coordinates, which orbits run on Python floats.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +43,8 @@ _LINE_SAMPLES = 64
 class SphereContractionParams:
     """Vertical contraction k on the equatorial tube of horizontal radius e,
     optionally composed with a rotation about the vertical axis.  The
-    composite factor k/e^3 is below one exactly when k < e^3."""
+    composite factor is k / (e^2 + k^2 (1 - e^2))^(3/2), below one for
+    k < e^3 and for somewhat larger k (k < 0.13546 at e = 0.5)."""
 
     k: float
     e: float
@@ -60,7 +64,10 @@ class DDecreasingMap:
     """A self-map of a restricted domain with a claimed contraction factor.
 
     ``certified`` marks factors backed by the constructor's bound; claimed
-    factors are always re-measured on samples before being relied on.
+    factors are always re-measured on samples before being relied on.  An
+    ``f`` may declare ``step``, the map on a tuple of Python floats, and a
+    ``domain_contains`` may declare ``floats``, that it reads such a tuple
+    as it reads an array; ``orbit`` steps on floats when both do.
     """
 
     f: Callable[[Any], Any]
@@ -71,25 +78,51 @@ class DDecreasingMap:
     domain_sample: Callable[[np.random.Generator, int], Any]
 
 
-def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
-    """Squeeze-toward-equator composed with a vertical-axis rotation."""
-    k, e, theta = params.k, params.e, params.theta
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    squeeze = np.array([1.0, 1.0, k])
+def _coordinate_map(formula):
+    """The map of points that ``formula(coords, sqrt)`` writes once on the
+    coordinates of one point.  ``f`` runs it on the coordinate columns of
+    points on the last axis, with ``np.sqrt``, and is marked
+    ``broadcasting``; ``f.step`` runs it on a tuple of Python floats, with
+    ``math.sqrt``, and gives one.  Elementwise ufuncs and Python floats
+    round each operation alike, so the two give the same bits, whatever
+    the BLAS build.  ``step`` is declared on ``f``, as ``broadcasts`` is,
+    so ``replace(map_, f=...)`` drops it."""
 
     @broadcasting
     def f(x):
-        # matmul of a row by a column, and of rot by a column, gives each
-        # point the bits of np.linalg.norm(t) and rot @ u
-        t = np.asarray(x, dtype=float) * squeeze
-        u = t / np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0])
-        return np.matmul(rot, u[..., None])[..., 0]
+        x = np.asarray(x, dtype=float)
+        return np.stack(formula([x[..., j] for j in range(x.shape[-1])], np.sqrt), axis=-1)
+
+    f.step = lambda p: tuple(formula(p, math.sqrt))
+    return f
+
+
+def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
+    """Squeeze-toward-equator composed with a vertical-axis rotation.
+
+    Its factor is exact: d(Fx, Fy, Fz) / d(x, y, z) is k / (|Sx| |Sy| |Sz|)
+    for S = diag(1, 1, k), whose sup over the domain, as ``domain_contains``
+    reads it, is k / (h^2 (1 - k^2) + k^2 r^2)^(3/2) at its edges: the
+    horizontal radius h = e - 1e-12 and the length r = 1 - 1e-9.  That is
+    k / (e^2 + k^2 (1 - e^2))^(3/2) up to the tolerances, and it is
+    certified whether or not it is below one."""
+    k, e, theta = params.k, params.e, params.theta
+    c, s = math.cos(theta), math.sin(theta)
+
+    def formula(p, sqrt):
+        x, y, z = p
+        z = k * z
+        n = sqrt(x * x + y * y + z * z)
+        x, y, z = x / n, y / n, z / n
+        return c * x - s * y, s * x + c * y, z
 
     space = det_sphere_space()
+    edge = e - 1e-12
 
     def contains(x):
-        return np.hypot(x[0], x[1]) >= e - 1e-12 and space.contains(x)
+        return math.hypot(x[0], x[1]) >= edge and space.contains(x)
+
+    contains.floats = True   # read by ``orbit``: a tuple of floats is a point too
 
     def sample(rng, count):
         out = np.empty((count, 3))
@@ -102,11 +135,14 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
             have += take
         return out
 
+    h, r = max(edge, 0.0), 1.0 - 1e-9
+    denominator = (h * h * (1.0 - k * k) + k * k * r * r) ** 1.5
     return DDecreasingMap(
-        f=f,
+        f=_coordinate_map(formula),
         space=space,
-        claimed_factor=k / e ** 3,
-        certified=k < e ** 3,
+        # a denominator that underflows bounds a factor past the float range
+        claimed_factor=k / denominator if denominator else math.inf,
+        certified=True,
         domain_contains=contains,
         domain_sample=sample,
     )
@@ -114,23 +150,26 @@ def make_sphere_map(params: SphereContractionParams) -> DDecreasingMap:
 
 def make_linear_map(M, k: float) -> DDecreasingMap:
     """Orthogonal map times a scale k < 1 on the ball; factor k^2 for the
-    area metric, with the origin as the unique fixed point."""
+    area metric, with the origin as the unique fixed point.  Each image
+    coordinate is k times one row of ``M x``, summed left to right."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("need a square matrix")
-    if np.abs(M.T @ M - np.eye(M.shape[0])).max() > 1e-12:
+    # M^T M entry by entry, without a matrix product
+    if np.abs((M[:, :, None] * M[:, None, :]).sum(axis=0) - np.eye(len(M))).max() > 1e-12:
         raise ValueError("matrix is not orthogonal")
     if not 0.0 < k < 1.0:
         raise ValueError("scale must lie strictly in (0, 1) to be d-decreasing")
     space = area_ball_space(dim=M.shape[0])
+    rows = M.tolist()
 
-    @broadcasting
-    def f(x):
-        # matmul of M by a column gives each point the bits of M @ x
-        return k * np.matmul(M, np.asarray(x, dtype=float)[..., None])[..., 0]
+    def formula(p, sqrt):
+        if len(p) != len(rows):
+            raise ValueError(f"need a point with {len(rows)} coordinates, got {len(p)}")
+        return [k * reduce(operator.add, map(operator.mul, row, p)) for row in rows]
 
     return DDecreasingMap(
-        f=f,
+        f=_coordinate_map(formula),
         space=space,
         claimed_factor=k * k,
         certified=True,
@@ -172,27 +211,24 @@ class OrbitTrace:
 
     def to_csv(self, path, vertical_column: bool = False) -> None:
         """One row per point: coordinates as ``x1, x2, ...``, or an index
-        point as an integer in the ``index`` column."""
+        point as an integer in the ``index`` column.  Floats are written
+        as ``repr`` writes them, by the ``csv`` module's ``str``."""
         import csv
 
         pts = np.asarray(self.points)
+        phi = np.asarray(self.phi_steps, dtype=float).tolist()[:len(pts)]
+        phi += [""] * (len(pts) - len(phi))
+        if pts.ndim > 1:
+            header = [f"x{i + 1}" for i in range(pts.shape[1])]
+            rows = [[i, *p, phi[i], *([abs(p[2])] if vertical_column else [])]
+                    for i, p in enumerate(np.asarray(pts, dtype=float).tolist())]
+        else:
+            header = ["index"]
+            rows = [[i, int(p), phi[i]] for i, p in enumerate(pts.tolist())]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if pts.ndim > 1:
-                coords = [f"x{i + 1}" for i in range(pts.shape[1])]
-            else:
-                coords = ["index"]
-            header = ["step"] + coords + ["phi_step"]
-            if vertical_column:
-                header.append("x3_abs")
-            writer.writerow(header)
-            for i in range(len(pts)):
-                row = [i]
-                row += [repr(float(c)) for c in pts[i]] if pts.ndim > 1 else [str(int(pts[i]))]
-                row.append(repr(float(self.phi_steps[i])) if i < len(self.phi_steps) else "")
-                if vertical_column:
-                    row.append(repr(abs(float(pts[i][2]))))
-                writer.writerow(row)
+            writer.writerow(["step", *header, "phi_step", *(["x3_abs"] if vertical_column else [])])
+            writer.writerows(rows)
 
 
 def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
@@ -204,15 +240,23 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     trace truncates with a diagnostic.  For certified maps, sampled index
     triples are checked against the geometric decay
     d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
+
+    The iterates are tuples of Python floats, stepped by ``f.step``, when
+    ``f`` declares ``step`` and ``domain_contains`` declares ``floats``, as
+    the built-in maps do; otherwise each is what ``f`` gives.  Both give
+    the same bits on the built-in maps.
     """
     _at_least(steps, 0, "step count")
+    f = map_.f
+    if hasattr(f, "step") and getattr(map_.domain_contains, "floats", False):
+        f, x0 = f.step, tuple(map(float, x0))
     if not map_.domain_contains(x0):
         raise ValueError("start point outside the map's restricted domain")
     pts = [x0]
     truncated = False
     diagnostic = None
     for i in range(steps):
-        nxt = map_.f(pts[-1])
+        nxt = f(pts[-1])
         if not map_.domain_contains(nxt):
             truncated = True
             diagnostic = f"iterate {i + 1} left the domain; trace truncated"
@@ -306,11 +350,15 @@ def detect_outcome(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     is certified on an untruncated orbit, its last point gets the same
     residual test, unless the failed case was a CauchySequence, whose limit
     is that point: a FixedPoint from it keeps, as its diagnostic, why the
-    classified case failed.
+    classified case failed.  A map whose measured factor, or whose certified
+    claimed factor, is not below one is refused with a ``ValueError``.
     """
     measured = measured_contraction_factor(map_, samples=_FACTOR_SAMPLES, seed=seed)
     if measured is not None and not measured < 1.0:  # NaN is refused too
         raise ValueError(f"map is not contractive on samples (measured {measured:.6g})")
+    if map_.certified and not map_.claimed_factor < 1.0:
+        raise ValueError(f"map is not contractive: its certified factor is "
+                         f"{map_.claimed_factor:.6g}")
 
     trace = orbit(map_, x0, steps, witnesses=witnesses, seed=seed)
     outcome = _certified_outcome(map_, trace, witnesses, thresholds, measured)

@@ -13,6 +13,7 @@ Three families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,25 @@ from .core import TwoMetricSpace, WitnessSet, _at_least, _stacks, _strict, broad
 # determinant metric on the unit sphere
 # ---------------------------------------------------------------------------
 
+def _length(x) -> float:
+    """The length of one point, a tuple or an array, its squares summed
+    left to right on Python floats, as ``sample_sphere`` sums them: the
+    same bits for both, whatever the BLAS build, and inf where the sum
+    overflows, without a floating-point warning."""
+    out = 0.0
+    for c in x:
+        c = float(c)
+        out += c * c
+    return math.sqrt(out)
+
+
 def unit_sphere(v) -> np.ndarray:
     """Normalize to a unit 3-vector.  A vector whose norm is not finite
     (a NaN or infinite entry, or entries so large that the norm overflows)
     is refused like the zero vector, without a floating-point warning."""
     v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v)
-    if v.shape != (3,) or not 1e-12 <= n < np.inf:
+    n = _length(v) if v.shape == (3,) else math.nan
+    if not 1e-12 <= n < math.inf:
         raise ValueError("need a nonzero 3-vector with a finite norm")
     return v / n
 
@@ -138,19 +150,19 @@ def sample_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
 def great_circle_points(g1, g2, count: int) -> np.ndarray:
     """Evenly spaced points on the great circle through two generators."""
     b1 = unit_sphere(g1)
-    raw = np.asarray(g2, dtype=float) - np.dot(g2, b1) * b1
-    if np.linalg.norm(raw) < 1e-9:
+    raw = np.asarray(g2, dtype=float) - _dot(_coords(g2), _coords(b1)) * b1
+    n = _lengths(_coords(raw))
+    if n < 1e-9:
         raise ValueError("generators are (anti)parallel; circle undefined")
-    b2 = raw / np.linalg.norm(raw)
+    b2 = raw / n
     t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     return np.outer(np.cos(t), b1) + np.outer(np.sin(t), b2)
 
 
 def _on_sphere(x) -> bool:
-    """Whether x lies on the unit sphere, up to 1e-9; a norm that overflows
-    is off it, without a floating-point warning, as in ``unit_sphere``."""
-    with np.errstate(over="ignore"):
-        return abs(np.linalg.norm(x) - 1.0) <= 1e-9
+    """Whether x lies on the unit sphere, up to 1e-9, by ``_length``; a
+    norm that overflows is off it, without a floating-point warning."""
+    return abs(_length(x) - 1.0) <= 1e-9
 
 
 def det_sphere_space() -> TwoMetricSpace:
@@ -264,11 +276,12 @@ def chord_points(g1, g2, count: int) -> np.ndarray:
     """Points of the full chord through g1, g2 inside the ball."""
     g1 = np.asarray(g1, dtype=float)
     u = np.asarray(g2, dtype=float) - g1
-    uu = np.dot(u, u)
+    x, e = _coords(g1), _coords(u)
+    uu = _dot(e, e)
     if uu < 1e-18:
         raise ValueError("generators coincide; chord undefined")
-    b = 2.0 * np.dot(g1, u)
-    c = np.dot(g1, g1) - BALL_RADIUS * BALL_RADIUS
+    b = 2.0 * _dot(x, e)
+    c = _dot(x, x) - BALL_RADIUS * BALL_RADIUS
     disc = b * b - 4.0 * uu * c
     lo = (-b - np.sqrt(max(disc, 0.0))) / (2.0 * uu)
     hi = (-b + np.sqrt(max(disc, 0.0))) / (2.0 * uu)
@@ -277,10 +290,12 @@ def chord_points(g1, g2, count: int) -> np.ndarray:
 
 
 def _in_ball(x) -> bool:
-    """Whether x lies in the ball, up to 1e-12; a norm that overflows is
-    outside, without a floating-point warning, as in ``unit_sphere``."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(x) <= BALL_RADIUS + 1e-12
+    """Whether x lies in the ball, up to 1e-12, by ``_length``; a norm
+    that overflows is outside, without a floating-point warning."""
+    return _length(x) <= BALL_RADIUS + 1e-12
+
+
+_in_ball.floats = True   # read by ``orbit``: a tuple of floats is a point too
 
 
 def area_ball_space(dim: int = 3) -> TwoMetricSpace:

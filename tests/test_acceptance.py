@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from conftest import arc_ladder_space, oracle_maximal_colinear, random_sphere_table, trajectory
 from twometric import (CertInput, SpherePatch, SphereContractionParams,
@@ -66,14 +67,17 @@ def test_criterion_02_cramer_identities(rng):
 
 def test_criterion_03_contraction_bound():
     squeeze = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
-    assert squeeze.claimed_factor == 0.1 / 0.5 ** 3 == 0.8
+    # the exact factor k / (e^2 + k^2 (1 - e^2))^(3/2), not the bound k / e^3 = 0.8
+    exact = 0.1 / (0.25 + 0.01 * 0.75) ** 1.5
+    assert squeeze.claimed_factor == pytest.approx(exact, rel=1e-9)
+    assert round(squeeze.claimed_factor, 4) == 0.7653
     measured = measured_contraction_factor(squeeze, samples=2000, seed=3)
-    assert measured <= 0.8 + 1e-9
+    assert measured <= squeeze.claimed_factor
     trace = orbit(squeeze, np.array([0.8, 0.0, 0.6]), 150,
                   witnesses=sphere_witnesses(64, seed=3), seed=3)
     assert trace.decay_margin is not None
     assert trace.decay_margin <= 1e-9
-    print(f"[PASS] criterion 3: measured factor {measured:.4f} <= 0.8, "
+    print(f"[PASS] criterion 3: measured factor {measured:.4f} <= {exact:.4f}, "
           f"orbit decay margin {trace.decay_margin:.2e}")
 
 

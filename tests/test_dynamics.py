@@ -70,13 +70,59 @@ def test_a_sphere_start_whose_norm_overflows_is_outside_without_a_warning(x0):
               sphere_witnesses(4, 0))
 
 
+def exact_sphere_factor(k, e):
+    return k / (e * e + k * k * (1.0 - e * e)) ** 1.5
+
+
+def edge_triple(e):
+    """Three points of the unit sphere at horizontal radius e, two above
+    the equator and one below: a triple that spans."""
+    z = (1.0 - e * e) ** 0.5
+    return [np.array([e * np.cos(t), e * np.sin(t), sign * z])
+            for t, sign in ((0.3, 1.0), (2.1, 1.0), (4.2, -1.0))]
+
+
 def test_sphere_map_claimed_factor_and_certification():
-    certified = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.0))
-    assert certified.claimed_factor == pytest.approx(0.8)
-    assert certified.certified
-    uncertified = make_sphere_map(SphereContractionParams(0.2, 0.5))
-    assert not uncertified.certified
-    assert uncertified.claimed_factor == pytest.approx(1.6)
+    # the factor is exact, so it is certified whether or not it is below one
+    demo = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.0))
+    assert demo.claimed_factor == pytest.approx(exact_sphere_factor(0.1, 0.5), rel=1e-9)
+    assert round(demo.claimed_factor, 4) == 0.7653
+    assert demo.certified
+    steep = make_sphere_map(SphereContractionParams(0.2, 0.5))
+    assert steep.certified
+    assert round(steep.claimed_factor, 4) == 1.3499
+
+
+@pytest.mark.parametrize("k, e", [(0.1, 0.5), (0.14, 0.5), (0.02, 0.2), (0.5, 0.9), (0.9, 0.1)])
+def test_sphere_map_factor_is_its_ratio_at_the_tube_edge(k, e):
+    # d(Fx, Fy, Fz) / d(x, y, z) = k / (|Sx| |Sy| |Sz|), S = diag(1, 1, k),
+    # whose |Sx| is least on the edge of the tube: the ratio's sup is there
+    map_ = make_sphere_map(SphereContractionParams(k, e, 0.7))
+    x, y, z = edge_triple(e)
+    assert all(map_.domain_contains(p) for p in (x, y, z))
+    ratio = det_metric(map_.f(x), map_.f(y), map_.f(z)) / det_metric(x, y, z)
+    assert ratio == pytest.approx(exact_sphere_factor(k, e), rel=1e-9)
+    # the claim is taken at the domain's edges, 1e-12 inside the tube and
+    # 1e-9 inside the sphere, which move it by less than 1e-8
+    assert ratio <= map_.claimed_factor
+    assert map_.claimed_factor == pytest.approx(exact_sphere_factor(k, e), rel=1e-8)
+
+
+@pytest.mark.parametrize("k", [0.14, 0.2])
+def test_a_sphere_map_whose_factor_reaches_one_is_refused_at_every_seed(k):
+    map_ = make_sphere_map(SphereContractionParams(k, 0.5, np.pi / 7))
+    W = sphere_witnesses(8, seed=0)
+    for seed in range(50):
+        with pytest.raises(ValueError, match="map is not contractive"):
+            detect_outcome(map_, np.array([0.8, 0.0, 0.6]), 60, witnesses=W, seed=seed)
+
+
+def test_a_factor_past_the_float_range_is_refused():
+    # the factor's denominator underflows: a factor past any float
+    map_ = make_sphere_map(SphereContractionParams(1e-170, 1e-100))
+    assert map_.claimed_factor == np.inf and map_.certified
+    with pytest.raises(ValueError, match="map is not contractive"):
+        detect_outcome(map_, np.array([0.8, 0.0, 0.6]), 10, witnesses=sphere_witnesses(8, 0))
 
 
 def test_sphere_map_fixes_equator_pointwise_without_rotation():
@@ -120,7 +166,7 @@ def test_identity_map_measures_exactly_one():
 def test_sphere_map_measured_factor_within_claimed():
     m = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
     measured = measured_contraction_factor(m, samples=2000, seed=2)
-    assert measured <= 0.8 + 1e-9
+    assert measured <= m.claimed_factor
 
 
 def test_linear_map_measured_factor_attains_square():

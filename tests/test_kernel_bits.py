@@ -7,9 +7,10 @@ order ``einsum("...j,...j->...")`` uses on a unit-stride last axis that
 short, so there each kernel must give the bits of its einsum form, written
 out here as the oracle; from 8 on, einsum adds in wider lanes, and the
 oracle is the pure-Python reference of ``conftest``.  The det kernel writes
-out ``np.cross``; the maps evaluate stacks with row-by-column ``matmul``.
-If a numpy release sums in another order, these tests fail instead of the
-artifacts moving silently.
+out ``np.cross``; each built-in map writes one formula, which it runs on
+Python floats and on coordinate columns, and a pure-Python reference that
+adds in the written order pins both.  If a numpy release sums in another
+order, these tests fail instead of the artifacts moving silently.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +30,9 @@ from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatc
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, rho, sphere_witnesses,
                        triangle_area2)
-from twometric import spaces
-from twometric.core import _stacks, apply_rows
-from twometric.dynamics import measured_contraction_factor
+from twometric import dynamics, spaces
+from twometric.core import _stacks, apply_rows, broadcasting
+from twometric.dynamics import measured_contraction_factor, orbit
 from twometric.spaces import _dot, area_metric_batch, det_metric_batch, sample_sphere
 
 
@@ -206,16 +209,38 @@ def test_a_single_triple_gives_a_float64(name):
 
 
 # ---------------------------------------------------------------------------
-# built-in maps: one stacked call, the bits of a per-point call
+# built-in maps: one formula, run on Python floats by ``f.step`` and on
+# coordinate columns by the stacked ``f``, with the bits of a pure-Python
+# reference that adds in the written order
 # ---------------------------------------------------------------------------
 
-def sphere_oracle(k, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def sphere_reference(k, theta):
+    """z scaled by k, each coordinate divided by the root of the squares
+    summed left to right, then the rotation by theta, on Python floats."""
+    c, s = math.cos(theta), math.sin(theta)
 
-    def f(x):
-        t = np.array([x[0], x[1], k * x[2]])
-        return rot @ (t / np.linalg.norm(t))
+    def f(p):
+        x, y, z = map(float, p)
+        z = k * z
+        n = math.sqrt(x * x + y * y + z * z)
+        x, y, z = x / n, y / n, z / n
+        return [c * x - s * y, s * x + c * y, z]
+    return f
+
+
+def linear_reference(M, k):
+    """k times each row of ``M x``, its products summed left to right, on
+    Python floats."""
+    rows = np.asarray(M, dtype=float).tolist()
+
+    def f(p):
+        out = []
+        for row in rows:
+            acc = row[0] * float(p[0])
+            for m, c in zip(row[1:], p[1:]):
+                acc += m * float(c)
+            out.append(k * acc)
+        return out
     return f
 
 
@@ -226,13 +251,13 @@ def random_orthogonal(rng, dim):
 @pytest.mark.parametrize("theta", [0.0, np.pi / 7, 1.2345])
 def test_sphere_map_stack_equals_per_point_calls(theta):
     map_ = make_sphere_map(SphereContractionParams(0.1, 0.5, theta))
-    oracle = sphere_oracle(0.1, theta)
+    reference = sphere_reference(0.1, theta)
     P = map_.domain_sample(np.random.default_rng(15), 100_000)
     assert map_.f.broadcasts
-    assert np.array_equal(apply_rows(map_.f, P), np.array([oracle(p) for p in P]))
+    assert hexes(apply_rows(map_.f, P)) == hexes([reference(p) for p in P.tolist()])
     for p in P[:300]:
         out = map_.f(p)
-        assert out.shape == (3,) and np.array_equal(out, oracle(p))
+        assert out.shape == (3,) and hexes(out) == hexes(reference(p))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -240,12 +265,80 @@ def test_linear_map_stack_equals_per_point_calls(dim):
     rng = np.random.default_rng(16 + dim)
     M, k = random_orthogonal(rng, dim), 0.63
     map_ = make_linear_map(M, k)
+    reference = linear_reference(M, k)
     P = map_.domain_sample(rng, 50_000)
     assert map_.f.broadcasts
-    assert np.array_equal(apply_rows(map_.f, P), np.array([k * (M @ p) for p in P]))
+    assert hexes(apply_rows(map_.f, P)) == hexes([reference(p) for p in P.tolist()])
     for p in P[:300]:
         out = map_.f(p)
-        assert out.shape == (dim,) and np.array_equal(out, k * (M @ p))
+        assert out.shape == (dim,) and hexes(out) == hexes(reference(p))
+
+
+def check_step(map_, reference, P):
+    """``f.step`` on tuples of Python floats gives tuples of them, with
+    the bits of the stacked ``f`` and of the reference."""
+    want = hexes(apply_rows(map_.f, P))
+    steps = [map_.f.step(p) for p in map(tuple, P.tolist())]
+    assert all(type(q) is tuple and all(type(c) is float for c in q) for q in steps)
+    assert hexes(steps) == want == hexes([reference(p) for p in P.tolist()])
+
+
+@pytest.mark.parametrize("k, e, theta", [
+    (0.1, 0.5, 0.0), (0.1, 0.5, np.pi / 7), (0.05, 0.3, 1.2345), (0.3, 0.9, 2.5),
+    (0.9, 0.2, -0.7), (1e-3, 0.99, 3.0)])
+def test_sphere_map_step_has_the_stack_bits(k, e, theta):
+    map_ = make_sphere_map(SphereContractionParams(k, e, theta))
+    check_step(map_, sphere_reference(k, theta),
+               map_.domain_sample(np.random.default_rng(31), 10_000))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
+def test_linear_map_step_has_the_stack_bits(dim):
+    rng = np.random.default_rng(32 + dim)
+    M, k = random_orthogonal(rng, dim), 0.71
+    map_ = make_linear_map(M, k)
+    check_step(map_, linear_reference(M, k), map_.domain_sample(rng, 10_000))
+
+
+def domain_cases():
+    """(map, points) pairs: points on both sides of one edge of the
+    built-in domain checks, the sphere's 1e-9 and the tube's and the
+    ball's 1e-12, and points with a NaN, an inf or a norm that overflows,
+    all outside."""
+    tiny = np.linspace(-1e-13, 1e-13, 41)
+    cases = []
+    for e in (0.5, 0.3):
+        sphere = make_sphere_map(SphereContractionParams(0.1, e, 0.4))
+        u = sphere.domain_sample(np.random.default_rng(33), 20)
+        radial = [p * (1.0 + t) for p in u for t in np.r_[1e-9 + tiny, -1e-9 + tiny]]
+        h = e - 1e-12 + tiny
+        tube = np.column_stack([h * math.cos(1.1), h * math.sin(1.1), np.sqrt(1.0 - h * h)])
+        cases += [(sphere, np.array(radial)), (sphere, tube)]
+    for dim in (1, 3, 9):
+        ball = make_linear_map(np.eye(dim), 0.5)
+        u = ball.domain_sample(np.random.default_rng(34), 20)
+        u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
+        cases.append((ball, np.concatenate([u * (0.5 + 1e-12 + t) for t in tiny])))
+    bad = [[np.nan, 0.6, 0.8], [0.6, 0.8, np.nan], [np.inf, 0.0, 0.0], [0.6, -np.inf, 0.8],
+           [1e300, 0.0, 0.0], [1e200, 1e200, 1e200], [1e308, 1e308, 0.0]]
+    cases += [(make_sphere_map(SphereContractionParams(0.1, 0.5)), np.array(bad)),
+              (make_linear_map(np.eye(3), 0.5), np.array(bad))]
+    return cases
+
+
+def test_domain_checks_read_tuples_as_arrays_at_every_edge():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for map_, P in domain_cases():
+            contains = map_.domain_contains
+            assert contains.floats
+            on_arrays = [contains(p) for p in P]
+            assert on_arrays == [contains(p) for p in map(tuple, P.tolist())]
+            assert all(type(answer) is bool for answer in on_arrays)
+            if np.isfinite(P).all() and (P < 1e200).all():
+                assert True in on_arrays and False in on_arrays   # both sides of an edge
+            else:
+                assert not any(on_arrays)
 
 
 def per_point(map_):
@@ -274,10 +367,56 @@ def test_marked_maps_give_the_per_point_outcomes():
         fast = detect_outcome(map_, x0, 150, witnesses=witnesses, seed=5)
         ref = detect_outcome(slow, x0, 150, witnesses=witnesses, seed=5)
         assert json.dumps(fast.to_json()) == json.dumps(ref.to_json())
-        assert np.array_equal(fast.trace.points, ref.trace.points)
+        assert hexes(fast.trace.points) == hexes(ref.trace.points)
         assert set(calls) == {1}
         tags.append(fast.tag)
     assert tags == ["FixedPoint", "FixedLine", "FixedLine", "FixedPoint"]
+
+
+def test_builtin_orbits_have_the_bits_of_their_array_paths():
+    """A built-in map steps its orbit on tuples of Python floats; its
+    per-point copy, a marked wrapper without ``step`` and a replaced domain
+    check step it on arrays, with the same bits, and a declared ``step``
+    is what the tuple path calls."""
+    rng = np.random.default_rng(35)
+    cases = [(make_sphere_map(SphereContractionParams(0.1, 0.5, theta)),
+              spaces.unit_sphere([0.8, 0.1, 0.6])) for theta in (0.0, 0.3, 2.5)]
+    cases += [(make_linear_map(random_orthogonal(rng, dim), 0.6), np.full(dim, 0.4 / dim ** 0.5))
+              for dim in (1, 3, 9)]
+    for map_, x0 in cases:
+        W = WitnessSet.sampled(map_.space, 16, 35)
+        fast = orbit(map_, x0, 300, W, seed=35)
+        assert len(fast) == 301 and not fast.truncated
+        slow, calls = per_point(map_)
+        seen, stepped = [], []
+
+        def contains(x):
+            seen.append(type(x))
+            return map_.domain_contains(x)
+        stepping = broadcasting(lambda x: map_.f(x))
+        stepping.step = lambda p: stepped.append(type(p)) or map_.f.step(p)
+        others = [slow, replace(map_, f=broadcasting(lambda x: map_.f(x))),
+                  replace(map_, domain_contains=contains), replace(map_, f=stepping)]
+        for other in others:
+            ref = orbit(other, x0, 300, W, seed=35)
+            assert hexes(ref.points) == hexes(fast.points)
+            assert hexes(ref.phi_steps) == hexes(fast.phi_steps)
+            assert ref.decay_margin == fast.decay_margin
+        assert calls == [1] * 300 and set(seen) == {np.ndarray} and stepped == [tuple] * 300
+
+
+def test_orbit_paths_sum_in_a_fixed_order():
+    # the maps, orbits and outcomes, and the spaces helpers that an orbit
+    # or its outcome reaches: no dot, matmul, @ or norm, whose summation
+    # order numpy's BLAS build picks at run time
+    for part in (dynamics, spaces.unit_sphere, spaces._length, spaces._on_sphere,
+                 spaces._in_ball, spaces.great_circle_points, spaces.chord_points):
+        tree = ast.parse(inspect.getsource(part))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "norm"}, \
+            part.__name__
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), part.__name__
 
 
 def test_measured_factor_maps_each_stack_in_one_call():

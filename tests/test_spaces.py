@@ -76,9 +76,11 @@ def test_unit_sphere_rejects_a_non_finite_norm(v):
 
 
 def test_unit_sphere_divides_by_the_norm(rng):
+    # the squares summed left to right on Python floats, whatever the BLAS build
     scales = 10.0 ** rng.integers(-10, 10, size=(200, 1))
     for v in rng.normal(size=(200, 3)) * scales:
-        assert np.array_equal(unit_sphere(v), v / np.linalg.norm(v))
+        a, b, c = v.tolist()
+        assert hexes(unit_sphere(v)) == hexes(v / math.sqrt(a * a + b * b + c * c))
 
 
 def test_antipodal_canon_idempotent_and_pair_collapsing(rng):
