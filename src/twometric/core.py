@@ -262,13 +262,14 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max`` and per block of its Gram scans.  A
+# Rows per metric call in ``_d_max``, and per block of its Gram bounds.  A
 # buffered kernel call holds several row-sized buffers (seven in the det
 # kernel: 1.8 MB at 2**15 rows).  On a 2-core Xeon (4 MB L2 per core, numpy
 # 2.4), 20 s sampled-audit runs gave 9.5-10.5 verdicts/s at 2**14 and
 # 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at 2**18, where the buffers no longer
 # fit in cache; contraction-verdicts and finite-tables stayed level from
-# 2**14 to 2**16.  A Gram scan's edge tables are bounded by it too.
+# 2**14 to 2**16.  The edge tables of ``_gram_bounds`` are bounded by it
+# too.
 _ROW_BUDGET = 1 << 15
 
 
@@ -295,10 +296,10 @@ def _gram_bound(finish, n) -> np.ndarray:
 
 def _settle(classes, bound, cuts, end, head) -> tuple[np.ndarray, np.ndarray]:
     """The rule of ``_d_max``'s ``classes = (lo, hi)`` for rows with a
-    kernel ``bound`` and a cut each (a column, or a run of columns, with
-    ``end`` past the last): which rows are scanned, all from column 0, and
-    a value the first output of each other row takes.  A row whose bound is
-    finite and at most lo is not scanned and takes the bound; its callers
+    kernel ``bound`` and a cut each (a column, with ``end`` past the
+    last): which rows are scanned, all from column 0, and a value the
+    first output of each other row takes.  A row whose bound is finite
+    and at most lo is not scanned and takes the bound; its callers
     leave its columns from its cut on, if any, to ``_held``.  A row cut at
     ``end`` whose bound is finite, so that none of its values is NaN, is not
     scanned when ``head(rows)``, the max of a first block of those rows,
@@ -348,6 +349,32 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
     return held
 
 
+def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
+    """Two bounds of d(x, P[y], P[z]) over the columns of each row x, NaN
+    kept, for a kernel's Gram split ``(edges, gram, finish)``: over every
+    column, and over the columns from the row's cut on.  Each is
+    ``_gram_bound`` over the squared lengths of the edges from x to the
+    rows of P that those columns read.  A row whose edges to all of them
+    are one edge, value for value, with fl(n n) finite for its squared
+    length n, is bounded by ``finish(0)``, its every value: uv is then the
+    same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
+    fails the equality and an inf one the finiteness."""
+    edges, _, finish = split
+    last = np.full(len(P), -1)          # the last column that reads each row of P
+    np.maximum.at(last, np.r_[y, z], np.tile(np.arange(len(y)), 2))
+    targets = np.flatnonzero(last >= 0)
+    last, T = last[targets, None], P[targets][:, None]
+    out = np.empty((2, len(x)))
+    step = max(1, _ROW_BUDGET // len(targets))
+    for s in range(0, len(x), step):
+        e, n = edges(x[s:s + step], T)
+        out[0, s:s + step] = _gram_bound(finish, n)
+        out[1, s:s + step] = _gram_bound(finish, np.where(last >= cuts[s:s + step], n, -np.inf))
+        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
+        out[:, s:s + step][:, one] = finish(np.zeros(1))
+    return out
+
+
 def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> np.ndarray:
     """Max of d(x, y, z) over the last axis of a scan of the rows of
     ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
@@ -365,31 +392,24 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     for the max over rows of the second output.  The first output of a row
     is then exact or another value of the same class.  The second is NaN
     where the exact one is, else at least the exact one and at most the
-    max over rows, which keeps its bits.  A declared factorisation bounds
-    each row (``_factor_bound``, ``_gram_bound``).  A row whose bound is
-    finite and at most lo reports the bound, and its columns from its cut
-    on go to ``_held`` with a bound of their own, at most the row's and so
-    finite: outer(|x|, S[cut]) in the factor layout, with S the max of |T|
-    over the columns from each on, and in the Gram layout ``_gram_max``'s.
-    A row with no column from its cut on and a finite bound, so no NaN,
-    reports the max of a first block of its columns when that is above hi.
-    Every other row is scanned whole (``_settle``).  Other kernels ignore
+    max over rows, which keeps its bits.  On a scan with x along the first
+    axis and y and z along the last, a kernel's declared factorisation
+    bounds each row and its columns from its cut on (``_factor_bound``,
+    ``_gram_bounds``); ``_settle`` then picks the rows scanned whole, and
+    ``_held`` scans the held columns of the others.  Other kernels ignore
     ``classes``.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
-    ``_d_many``.  Two declared factorisations compute less than one kernel
-    row per scan row, with the same bits, on a scan with x along the first
-    axis and y and z along the last (``classify``'s candidate scan and
-    ``Line.defects``): a kernel's ``gram`` split evaluates it from the edges
-    between its points (``_gram_max``), and a kernel's ``factors = (inner,
-    outer)``, with ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for
-    bit, compute the inner part once per scan.  The three declarations are
-    read off the kernel once, before any row is scanned: a metric put in by
+    ``_d_many``.  A kernel's ``factors = (inner, outer)``, with
+    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, compute the
+    inner part once per scan where y and z are fixed along the first axis;
+    its ``gram`` split only bounds rows.  The three declarations are read
+    off the kernel once, before any row is scanned: a metric put in by
     ``dataclasses.replace`` has none unless it declares them, and a
     ``functools.wraps`` wrapper copies all three.  Every call covers about
-    ``_ROW_BUDGET`` rows at most, split along the first axis, and
-    each block of rows is reduced before the next is scanned.
+    ``_ROW_BUDGET`` rows at most, split along the first axis, and each
+    block of rows is reduced before the next is scanned.
     """
     P = np.asarray(points)
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
@@ -400,9 +420,6 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     split = getattr(kernel, "gram", None)
     inner, outer = getattr(kernel, "factors", (None, None))
     broadcasts = getattr(kernel, "broadcasts", False)
-    if split and P.ndim == 2 and a * b and X.shape[1] == 1 and len(Y) == len(Z) == 1:
-        return _gram_max(split, P, np.broadcast_to(X[:, 0], a), np.broadcast_to(Y[0], b),
-                         np.broadcast_to(Z[0], b), cuts, classes).reshape(shape)
 
     out = np.full((a, 2) if cuts is not None else a, -np.inf)
     cuts = None if cuts is None else np.asarray(cuts)
@@ -411,18 +428,34 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
     scan, floor = np.ones(a, dtype=bool), np.full(a, -np.inf)
     held = np.zeros(0, dtype=np.intp)
-    if classes is not None and T is not None and X.shape[1] == 1:
+    # each declared layout gives a bound of each row, one of the held columns
+    # of some rows, and ``values(rows, c, w)``, those rows over columns c to w
+    if (classes is not None and b and X.shape[1] == 1 and len(Y) == len(Z) == 1
+            and (T is not None or split and P.ndim == 2)):
         x = np.take(P, X[:, 0], axis=0)
-        scan, floor = _settle(classes, _factor_bound(outer, x, T), cuts, b, lambda rows: outer(
-            x[rows, None], T[:, :max(1, _ROW_BUDGET // len(rows))]).max(axis=-1))
+        if T is not None:
+            bound = _factor_bound(outer, x, T)
+
+            def held_bound(rows):
+                # outer(|x|, S[cut]), S the max of |T| over the columns from each on
+                S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
+                return outer(np.abs(x[rows]), S[cuts[rows]])
+
+            def values(rows, c, w):
+                return outer(x[rows, None], T[:, c:w])
+        else:
+            edges, gram, finish = split
+            bound, from_cut = _gram_bounds(split, P, x, Y[0], Z[0], cuts)
+
+            def held_bound(rows):
+                return from_cut[rows]
+
+            def values(rows, c, w):
+                return finish(gram(*edges(x[rows, None], fixed[1][:, c:w]),
+                                   *edges(x[rows, None], fixed[2][:, c:w])))
+        scan, floor = _settle(classes, bound, cuts, b, lambda rows: values(
+            rows, 0, max(1, _ROW_BUDGET // len(rows))).max(axis=-1))
         held = np.flatnonzero(~scan & (cuts < b))
-    if len(held):
-        # rows bounded under lo take their bound whatever their held columns
-        # give, which are left to ``_held``: the bound of each is outer(|x|,
-        # S[cut]), with S the max of |T| over the columns from each on, and
-        # at most the row's, so finite
-        S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
-        bound = outer(np.abs(x[held]), S[cuts[held]])
 
     def rows(i, sel):
         return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][sel], axis=0)
@@ -441,157 +474,25 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     for i in range(0, len(scanned) if b else 0, step):
         sel = scanned[i:i + step]
         if T is not None:
-            values = outer(rows(0, sel), T)
+            block = outer(rows(0, sel), T)
         elif broadcasts:
-            values = kernel(rows(0, sel), rows(1, sel), rows(2, sel))
+            block = kernel(rows(0, sel), rows(1, sel), rows(2, sel))
         else:
             parts = [A if len(A) == 1 else A[sel] for A in (X, Y, Z)]
             grid = np.broadcast_shapes(*(A.shape for A in parts))
-            values = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
+            block = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
         if cuts is None:
-            out[sel] = values.max(axis=-1)
+            out[sel] = block.max(axis=-1)
         else:
-            out[sel] = _split_max(values.reshape(len(sel), b), cuts[sel])
+            out[sel] = _split_max(block.reshape(len(sel), b), cuts[sel])
     if cuts is not None:
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
         np.maximum(out[:, 0], floor, out=out[:, 0])
         out[cuts >= b, 1] = -np.inf
     if len(held):
-        out[held, 1] = _held(bound, cuts[held], b, out[:, 1].max(),
-                             lambda some, c: outer(x[held[some], None], T[:, c:]))
+        out[held, 1] = _held(held_bound(held), cuts[held], b, out[:, 1].max(),
+                             lambda some, c: values(held[some], c, b))
     return out.reshape(shape)
-
-
-def _gram_max(split, P, x, y, z, cuts, classes) -> np.ndarray:
-    """``_d_max`` by a kernel's Gram split ``(edges, gram, finish)`` on a
-    scan of the rows ``x`` against the columns of ``y`` and ``z``, neither
-    empty, with ``_d_max``'s ``cuts`` or None and its ``classes``: d(x, y,
-    z) is ``finish(gram(u, uu, v, vv))`` for the edges u = y - x and v =
-    z - x with their squared lengths, bit for bit.  ``finish`` is
-    non-decreasing and keeps a NaN, so the max of d over some columns is
-    ``finish`` of the max of g, which is taken first.
-
-    One table holds the edges to every distinct y and z (down) from each x
-    (across).  The columns are cut into runs at every cut, and the columns
-    of each run grouped by y, so u is one row of the table and v a block of
-    its rows: a slice where the z of a group run in steps of one, as the
-    pairs of a whole tail do.  ``classify``'s pairs come in lexicographic
-    order and its cuts fall between first points, so each of its groups is
-    one first point.  The max of g over each run, and then from each run
-    on, is taken block by block of rows.  A row whose edges are all one
-    edge, value for value, and whose fl(n n) is finite for its squared
-    length n is not scanned: uv is then the same ``_dot`` as uu, so every g
-    is fl(n n) - fl(n n) = +0, and the row reports ``finish(0)``.  With
-    ``classes``, a row with no run of its own and a finite ``_gram_bound``
-    settles once the groups of a first block of columns pass hi.  A row
-    whose ``_gram_bound`` is finite and at most lo reports it, and its runs
-    go to ``_held`` with the bound ``finish(N N)``, N the max of its n over
-    the targets that those runs read, which scans their values in one Gram
-    call per block.  Every other row is scanned whole, each group over the
-    table's columns of the rows scanned.  Both paths are kept: a group
-    reads its edges and their lengths off the table, and on a 2-core Xeon
-    (numpy 2.4) the whole rows of ``classify``'s scan of 300-step random
-    and spiral area-ball tails took 14.5-15.1 ms by the groups against
-    42.4-42.5 ms by one broadcast call per block, in 9 coordinates 31.6-33.0
-    against 113-121 ms; the few held rows that outlast their bound pay the
-    call per group instead, 3.5 ms against 0.35 ms for one row of a
-    150-point tail.
-    """
-    edges, gram, finish = split
-    a, b = len(x), len(y)
-    whole = cuts is None
-    cuts = np.zeros(a, dtype=np.intp) if whole else np.asarray(cuts)
-    starts = np.unique(np.r_[0, cuts[cuts < b]])
-    since = np.searchsorted(starts, cuts)
-    # ``np.unique(v, return_inverse=True)`` without its sort: v numbers
-    # rows of P, so a mark per row gives each its rank among the targets
-    v = np.concatenate([y, z])
-    seen = np.zeros(len(P) + 1, dtype=np.intp)
-    seen[v + 1] = 1
-    targets, at = np.flatnonzero(seen) - 1, np.cumsum(seen)[v]
-    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=b))
-    last = np.zeros(len(targets), dtype=np.intp)    # the last run that reads each target
-    np.maximum.at(last, at, np.tile(run, 2))
-    ys, zs = at[:b], at[b:]
-    # the columns by run, then y, then z: ``classify``'s come so, and a
-    # stable sort would leave them as they are
-    dy = np.diff(ys)
-    if not ((np.diff(run) > 0) | (dy > 0) | ((dy == 0) & (np.diff(zs) >= 0))).all():
-        order = np.lexsort((zs, ys, run))
-        run, ys, zs = run[order], ys[order], zs[order]
-    firsts = np.flatnonzero(np.r_[True, (ys[1:] != ys[:-1]) | (run[1:] != run[:-1])]).tolist()
-    ends = firsts[1:] + [b]
-    breaks = np.cumsum(np.r_[1, np.diff(zs)] != 1)
-    groups = [(run[lo], ys[lo], slice(zs[lo], zs[lo] + hi - lo) if breaks[hi - 1] == breaks[lo]
-               else zs[lo:hi]) for lo, hi in zip(firsts, ends)]
-    out = np.empty((a, 2))
-    step = max(1, _ROW_BUDGET // max(len(targets), len(starts) + 1,
-                                     max(np.subtract(ends, firsts))))
-    reach = np.cumsum(np.subtract(ends, firsts))     # the columns up to each group
-    held, bounds = [], []                            # the rows left to ``_held``
-
-    def scan(e, n, groups):
-        # a row of G per run, and an empty one last for the cuts past every
-        # column: the max of g over the run's groups
-        G = np.full((len(starts) + 1, n.shape[1]), -np.inf)
-        for r, i, c in groups:
-            g = gram([u[i] for u in e], n[i], [v[c] for v in e], n[c])
-            np.maximum(G[r], g.max(axis=0), out=G[r])
-        return G
-
-    def head(e, n, rows):
-        # the max of d of the table's columns ``rows`` over the groups of a
-        # first block of about _ROW_BUDGET // len(rows) columns, one at least
-        width = max(1, np.searchsorted(reach, _ROW_BUDGET // len(rows), side="right"))
-        G = scan([np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1), groups[:width])
-        return finish(G.max(axis=0))
-
-    for s in range(0, a, step):
-        sel = np.arange(s, min(a, s + step))
-        e, n = edges(P[x[sel]], P[targets][:, None])
-        # a row whose edges are one edge, value for value, has every g fl(n n) -
-        # fl(n n), +0 where that is finite, and is not scanned
-        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
-        # the rows scanned, and a value both outputs of each other row take
-        scanned = ~one
-        floor = np.where(one, finish(np.zeros(len(sel))), -np.inf)
-        if classes is not None:
-            rest = np.flatnonzero(~one)
-            scanned[rest], floor[rest] = _settle(classes, _gram_bound(finish, n)[rest],
-                                                 since[sel[rest]], len(starts),
-                                                 lambda rows: head(e, n, rest[rows]))
-            # rows bounded under lo take their bound, and their held columns
-            # are left to ``_held``: the bound of each is that of the targets
-            # that its runs read, at most the row's and so finite
-            low = rest[~scanned[rest] & (since[sel[rest]] < len(starts))]
-            held.append(sel[low])
-            bounds.append(_gram_bound(finish, np.where(last[:, None] >= since[sel[low]],
-                                                       n[:, low], -np.inf)))
-        out[sel] = floor[:, None]
-        rows = np.flatnonzero(scanned)
-        if not len(rows):
-            continue
-        if len(rows) < len(sel):
-            # C-ordered copies of the rows scanned: a fancy index gives
-            # Fortran order, slower
-            e, n = [np.take(u, rows, axis=1) for u in e], np.take(n, rows, axis=1)
-        # each row becomes the max from its run on
-        G = np.maximum.accumulate(scan(e, n, groups)[::-1], axis=0)[::-1]
-        out[sel[rows], 1] = finish(G[since[sel[rows]], np.arange(len(rows))])
-        out[sel[rows], 0] = finish(G[0])
-    if whole:
-        return out[:, 0]
-    out[cuts >= b, 1] = -np.inf
-    if held:
-        rows, bound = np.concatenate(held), np.concatenate(bounds)
-
-        def values(some, c):
-            X = P[x[rows[some]]][:, None]
-            return finish(gram(*edges(X, P[y[c:]]), *edges(X, P[z[c:]])))
-
-        out[rows, 1] = -np.inf
-        out[rows, 1] = _held(bound, cuts[rows], b, out[:, 1].max(), values)
-    return out
 
 
 # Sampled pairs, and their seed, behind ``witness_refinement_gap``.

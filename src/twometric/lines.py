@@ -262,19 +262,12 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     ``_pair_arrays``, and the triple modulus over every tail triple i < j <
     k whose pair (j, k) is one of them (every triple up to 200 tail
     points), read off the candidate scan.  A residual is read only against
-    ``lim``, against 10 ``lim`` and for NaN, so the scan is asked for it up
-    to that class (``core._d_max``'s ``classes``): a kernel that declares
-    a factorisation proves a candidate's residual under ``lim`` from a
-    bound, and settles a witness whose first columns already pass 10
-    ``lim``.  Only the max of the held triples is read, so a candidate
-    proved under ``lim`` has them scanned only while their own bound is
-    above the largest found so far.  Under the Gram split a candidate
-    whose edges to the tail are one edge, value for value, reads 0
-    unscanned, as on a tail within about 1e-24 of its limit.  The triple
-    modulus stays exact in its bits.  A sequence can land in several
-    cases at once; ties resolve by the fixed priority Cauchy > Line >
-    UniquePoint > NoPoint, since a Cauchy tail makes the tail property hold
-    everywhere.
+    ``lim``, against 10 ``lim`` and for NaN, and of the held triples only
+    their max, so the scan is asked for no more (``core._d_max``'s
+    ``classes``); the triple modulus stays exact in its bits.  A sequence
+    can land in several cases at once; ties resolve by the fixed priority
+    Cauchy > Line > UniquePoint > NoPoint, since a Cauchy tail makes the
+    tail property hold everywhere.
     """
     seq = np.asarray(sequence)
     n = len(seq)

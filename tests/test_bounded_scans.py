@@ -5,12 +5,12 @@
 (``classes=(lim, 10 * lim)``).  A kernel's declared factorisation bounds
 every value of a row: ``core._factor_bound`` for the det kernel's
 ``factors``, ``core._gram_bound`` for the area kernel's Gram split.  A row
-whose bound is finite and at most lo reports the bound; in the factor
-layout a row with no column from its cut on and a finite bound reports the
-max of a first block of columns when that is above hi.  The held columns of
-a row bounded under lo are scanned only while their own bound is above the
-running max, and a row not scanned reports that bound; in the Gram layout a
-row whose edges are one edge, value for value, reports 0 unscanned.  Every
+whose bound is finite and at most lo reports the bound, and a row with no
+column from its cut on and a finite bound reports the max of a first block
+of columns when that is above hi.  The held columns of a row bounded under
+lo are scanned only while their own bound is above the running max, and a
+row not scanned reports that bound; in the Gram layout a row whose edges
+are one edge, value for value, is bounded by 0 and so unscanned.  Every
 test here compares the class of each row's first output with that of the
 exact scan, the max over rows of the second output, the max from the cut
 on, by ``float.hex``, and each row's second output with its exact value and
@@ -24,8 +24,8 @@ import pytest
 
 from conftest import DATA, hexes, patch_space
 from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatch, WitnessSet,
-                       area_ball_space, det_sphere_space, make_sphere_map, orbit,
-                       sphere_witnesses)
+                       area_ball_space, det_sphere_space, detect_outcome, make_linear_map,
+                       make_sphere_map, orbit, sphere_witnesses)
 from twometric import core, lines
 from twometric.core import _d_max, _factor_bound, _gram_bound
 from twometric.lines import classify
@@ -272,6 +272,28 @@ def test_a_tail_of_zero_triples_scans_one_block_of_held_rows(monkeypatch):
     assert len(blocks) == 1 and blocks[0] < len(seq) // 2 - 1
 
 
+def test_the_benchmark_tails_scan_no_row_whole(monkeypatch):
+    # a 300-step linear tail of the benchmark's shape and the demo's 300-step
+    # FixedLine tail: ``_settle`` proves every row's class, so no row is
+    # scanned whole, in either layout
+    marks, settle = [], core._settle
+
+    def spy(*args):
+        scan, floor = settle(*args)
+        marks.append(scan)
+        return scan, floor
+    monkeypatch.setattr(core, "_settle", spy)
+    linear = make_linear_map(np.eye(3), 0.6)
+    witnesses = WitnessSet.sampled(linear.space, 64, 0)
+    seq = orbit(linear, np.full(3, 0.4 / np.sqrt(3)), 300, witnesses).points
+    assert classify(linear.space, seq, witnesses).tag == "CauchySequence"
+    demo = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
+    outcome = detect_outcome(demo, np.array([0.8, 0.0, 0.6]), 300, sphere_witnesses(128, 0))
+    assert outcome.tag == "FixedLine"
+    assert len(marks) == 2
+    assert not any(scan.any() for scan in marks)
+
+
 @pytest.mark.parametrize("name", ["det", "area-3", "area-9"])
 def test_random_tails_keep_every_held_max(name):
     # no row of a random tail is bounded under lim, so none is pruned
@@ -323,12 +345,8 @@ def test_a_witness_row_whose_first_block_is_hi_is_scanned(name, budget, monkeypa
     X, Y, Z, P, cuts = scan = candidate_scan(space, seq, witnesses)
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     witness = np.flatnonzero(cuts >= len(Y))
-    # the first block: columns in the factor layout, whole groups of pairs
-    # with one first point in the Gram layout (one block of rows here)
+    # the first block: ``_ROW_BUDGET // rows`` columns in both layouts
     width = budget // len(witness)
-    if name != "det":
-        reach = np.cumsum(np.unique(Y, return_counts=True)[1])
-        width = reach[max(1, np.searchsorted(reach, width, side="right")) - 1]
     values = space.d_batch(P[X[witness]], P[Y], P[Z])
     first = values[:, :width].max(axis=1)
     r = int(np.flatnonzero(values.max(axis=1) > first)[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,9 +57,23 @@ def test_sphere_params_validation():
         SphereContractionParams(0.0, 0.5)
     with pytest.raises(ValueError):
         SphereContractionParams(0.1, 1.5)
-    # a tube whose e^3 underflows has no claimed factor k / e^3
-    with pytest.raises(ValueError, match="cube that underflows"):
-        SphereContractionParams(0.1, 1e-320)
+    # a tube of radius 1e-320 is the whole sphere: the certified factor is
+    # 1 / (k^2 r^3), 100.0000003 at k = 0.1, and the map is refused
+    tube = make_sphere_map(SphereContractionParams(0.1, 1e-320))
+    assert tube.claimed_factor == pytest.approx(100.0000003, abs=1e-6)
+    with pytest.raises(ValueError, match="map is not contractive"):
+        detect_outcome(tube, np.array([0.8, 0.0, 0.6]), 100, sphere_witnesses(8, 0))
+
+
+@pytest.mark.parametrize("e", [1e-320, 1e-5])
+def test_the_decay_check_of_a_map_that_does_not_contract_overflows_without_a_warning(e):
+    # the certified factor is about 100, whose powers pass the float range
+    # within the 200 steps of a default ``iterate``
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = orbit(make_sphere_map(SphereContractionParams(0.1, e)), np.array([0.8, 0.0, 0.6]),
+                      200, sphere_witnesses(4, 0))
+    assert np.isfinite(trace.decay_margin)
 
 
 @pytest.mark.parametrize("x0", [[1e300, 0.0, 0.0], [1e200, 1e200, 1e200]])

@@ -3,10 +3,9 @@
 The det kernel declares ``factors = (_cross, _det_outer)``: ``core._d_max``
 computes the cross products ``y x z`` once per scan when (y, z) is fixed
 along the scan's chunk axis.  The area kernel declares a Gram split, which
-the index form (row numbers of a point array) of the candidate scan
-evaluates from the edges between its points, also when it takes the max of
-each run of its columns, as ``classify`` does.  A phi scan
-(x and y along the rows, the witnesses along the columns) keeps the kernel.
+only bounds the rows of a scan asked for classes, so its index scans
+(row numbers of a point array) call the kernel.  A phi scan (x and y along
+the rows, the witnesses along the columns) keeps the kernel.
 The oracle is the same kernel behind a plain ``broadcasting`` wrapper,
 which declares neither and so takes the kernel on every chunk, called on
 the gathered rows.  Every value must have the same bits, compared with
@@ -252,7 +251,7 @@ def test_audit_and_classify_are_byte_identical_without_factors():
 
 
 # ---------------------------------------------------------------------------
-# the area kernel's Gram split: index scans from the edges between points
+# the area kernel's Gram split: index scans by the kernel, with the split
 # ---------------------------------------------------------------------------
 
 def area(dim):
@@ -313,15 +312,14 @@ def test_area_index_scans_have_the_kernel_bits(dim, subsample, budget, monkeypat
     for scan, bits in zip((candidate, phi), want):
         assert hexes(_d_max(space, *scan, P)) == bits
         assert hexes(_d_max(plain, *scan, P)) == bits
-        # the split evaluates the candidate scan without the kernel, in
-        # every dimension; the phi scan keeps the kernel
-        assert (not calls) == (scan is candidate)
+        # without classes the split is not read: the kernel serves both
+        assert calls
 
 
 def check_planted_nan(where, dim):
     """A NaN coordinate at a candidate, a tail point or a witness: the
-    index scans give the plain kernel's bits, NaN rows included, the
-    candidate scan by the split without calling the kernel."""
+    index scans give the plain kernel's bits, NaN rows included, both by
+    the kernel."""
     W, seq = area_tail(dim, 90, 7)
     P, candidate, phi = area_scans(W, seq, False)
     row = {"candidate": 5, "tail": len(W) + 80, "witness": 9}[where]
@@ -333,7 +331,7 @@ def check_planted_nan(where, dim):
         assert np.isnan(fast).any()
         assert hexes(fast) == hexes(_d_max(plain, *scan, P))
         assert hexes(fast) == hexes(gathered_max(area_metric_batch, P, *scan))
-        assert (not calls) == (scan is candidate)
+        assert calls
     if where == "candidate":
         assert np.flatnonzero(np.isnan(_d_max(space, *candidate, P))).tolist() == [5]
 
@@ -417,9 +415,10 @@ def factored(kind):
         # no mark: the kernel gets the stacked rows
         return (replace(SPACE, d_batch=lambda X, Y, Z: det_metric_batch(X, Y, Z)),
                 det_metric_batch, sphere(rng, 301), lambda: None)
+    # the Gram split only bounds rows, so no path here runs without the kernel
     dim = int(kind.split("-")[1])
-    space, calls = area(dim)
-    return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: not calls
+    space, _ = area(dim)
+    return space, area_metric_batch, area_ball_space(dim).sample(rng, 301), lambda: None
 
 
 def cut_scans(rng):
@@ -499,9 +498,10 @@ def test_a_wrapped_kernel_keeps_its_declarations(kind):
         for c in (cuts, None):
             calls.clear()
             assert hexes(_d_max(wrapped, *scan, P, c)) == hexes(_d_max(space, *scan, P, c))
-            # the factor and Gram layouts serve the scans with y and z
-            # along the columns from the declared parts alone
-            assert bool(calls) == (kind == "table" or number == 3)
+            # the factor layout serves the scans with y and z along the
+            # columns from the declared parts alone; the Gram split only
+            # bounds rows of a scan asked for classes
+            assert bool(calls) == (kind != "det" or number == 3)
 
 
 @pytest.mark.parametrize("kind", ["det", "area", "table"])
