@@ -273,23 +273,13 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 _ROW_BUDGET = 1 << 15
 
 
-def _factor_bound(outer, X, T) -> np.ndarray:
-    """``outer(|x|, m)`` for each row x of X, where m is the coordinatewise
-    max of ``|t|`` over the rows t of T (the last axis but one), NaN kept.
-    For the det kernel's ``_det_outer`` it is at least ``outer(x, t)`` of
-    every t, bit for bit, and NaN or inf where some value may be NaN: the
-    dot product runs in one fixed order, |fl(p + q)| <= fl(|p| + |q|) and
-    |fl(p q)| = fl(|p| |q|), and rounding to nearest is monotone."""
-    return outer(np.abs(X), np.abs(T).max(axis=-2))
-
-
 def _gram_bound(finish, n) -> np.ndarray:
     """``finish(N * N)`` for each column of the squared edge lengths n,
     with N the max of the column, NaN kept.  For the area kernel's Gram
-    split it is at least ``finish(gram(u, uu, v, vv))`` of every two edges
-    of the column, and not finite where one may be NaN: gram is
-    fl(fl(uu vv) - fl(uv uv)) <= fl(uu vv) <= fl(N N), and ``finish`` is
-    non-decreasing."""
+    split it is at least the kernel's value on every two edges of the
+    column, and not finite where one may be NaN: that value is ``finish``
+    of g = fl(fl(uu vv) - fl(uv uv)) <= fl(uu vv) <= fl(N N), and
+    ``finish`` is non-decreasing."""
     N = n.max(axis=0)
     return finish(np.multiply(N, N, out=N))
 
@@ -351,7 +341,7 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
 
 def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     """Two bounds of d(x, P[y], P[z]) over the columns of each row x, NaN
-    kept, for a kernel's Gram split ``(edges, gram, finish)``: over every
+    kept, for a kernel's Gram split ``(edges, finish)``: over every
     column, and over the columns from the row's cut on.  Each is
     ``_gram_bound`` over the squared lengths of the edges from x to the
     rows of P that those columns read.  A row whose edges to all of them
@@ -359,7 +349,7 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     length n, is bounded by ``finish(0)``, its every value: uv is then the
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
     fails the equality and an inf one the finiteness."""
-    edges, _, finish = split
+    edges, finish = split
     last = np.full(len(P), -1)          # the last column that reads each row of P
     np.maximum.at(last, np.r_[y, z], np.tile(np.arange(len(y)), 2))
     targets = np.flatnonzero(last >= 0)
@@ -394,18 +384,20 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     where the exact one is, else at least the exact one and at most the
     max over rows, which keeps its bits.  On a scan with x along the first
     axis and y and z along the last, a kernel's declared factorisation
-    bounds each row and its columns from its cut on (``_factor_bound``,
+    bounds each row and its columns from its cut on (``outer(|x|, S[c])``,
     ``_gram_bounds``); ``_settle`` then picks the rows scanned whole, and
-    ``_held`` scans the held columns of the others.  Other kernels ignore
-    ``classes``.
+    ``_held`` scans the held columns of the others, both by one
+    ``values``: the det factors, or the kernel itself.  Other kernels
+    ignore ``classes``.
 
     A kernel marked ``broadcasting`` gets the gathered rows, broadcast
     against each other; any other kernel gets them stacked, through
     ``_d_many``.  A kernel's ``factors = (inner, outer)``, with
     ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, compute the
     inner part once per scan where y and z are fixed along the first axis;
-    its ``gram`` split only bounds rows.  The three declarations are read
-    off the kernel once, before any row is scanned: a metric put in by
+    a ``gram`` split only bounds rows, of a kernel that broadcasts.  The
+    three declarations are read off the kernel once, before any row is
+    scanned: a metric put in by
     ``dataclasses.replace`` has none unless it declares them, and a
     ``functools.wraps`` wrapper copies all three.  Every call covers about
     ``_ROW_BUDGET`` rows at most, split along the first axis, and each
@@ -428,31 +420,27 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
     scan, floor = np.ones(a, dtype=bool), np.full(a, -np.inf)
     held = np.zeros(0, dtype=np.intp)
-    # each declared layout gives a bound of each row, one of the held columns
-    # of some rows, and ``values(rows, c, w)``, those rows over columns c to w
+    # each declared layout bounds every row over all its columns and over
+    # those from its cut on; ``values(rows, c, w)`` are rows over columns c to w
     if (classes is not None and b and X.shape[1] == 1 and len(Y) == len(Z) == 1
             and (T is not None or split and P.ndim == 2)):
         x = np.take(P, X[:, 0], axis=0)
         if T is not None:
-            bound = _factor_bound(outer, x, T)
-
-            def held_bound(rows):
-                # outer(|x|, S[cut]), S the max of |T| over the columns from each on
-                S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
-                return outer(np.abs(x[rows]), S[cuts[rows]])
-
-            def values(rows, c, w):
-                return outer(x[rows, None], T[:, c:w])
+            # S[c] is the max of |t| over the columns from c on, NaN kept, and
+            # outer(|x|, S[c]) is at least the computed outer(x, t) of each,
+            # and NaN or inf where one may be NaN: the dot product runs in one
+            # fixed order, |fl(p + q)| <= fl(|p| + |q|), |fl(p q)| = fl(|p| |q|)
+            # and rounding to nearest is monotone.  A row cut past the last
+            # column holds nothing, and its cut is clipped.
+            S = np.maximum.accumulate(np.abs(T[0, ::-1]), axis=0)[::-1]
+            bound, from_cut = (outer(np.abs(x), S[c]) for c in (0, np.minimum(cuts, b - 1)))
         else:
-            edges, gram, finish = split
             bound, from_cut = _gram_bounds(split, P, x, Y[0], Z[0], cuts)
 
-            def held_bound(rows):
-                return from_cut[rows]
-
-            def values(rows, c, w):
-                return finish(gram(*edges(x[rows, None], fixed[1][:, c:w]),
-                                   *edges(x[rows, None], fixed[2][:, c:w])))
+        def values(rows, c, w):
+            if T is not None:
+                return outer(x[rows, None], T[:, c:w])
+            return kernel(x[rows, None], fixed[1][:, c:w], fixed[2][:, c:w])
         scan, floor = _settle(classes, bound, cuts, b, lambda rows: values(
             rows, 0, max(1, _ROW_BUDGET // len(rows))).max(axis=-1))
         held = np.flatnonzero(~scan & (cuts < b))
@@ -490,7 +478,7 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
         np.maximum(out[:, 0], floor, out=out[:, 0])
         out[cuts >= b, 1] = -np.inf
     if len(held):
-        out[held, 1] = _held(held_bound(held), cuts[held], b, out[:, 1].max(),
+        out[held, 1] = _held(from_cut[held], cuts[held], b, out[:, 1].max(),
                              lambda some, c: values(held[some], c, b))
     return out.reshape(shape)
 

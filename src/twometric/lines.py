@@ -230,26 +230,6 @@ def _first_of_each(points, m: int) -> tuple[list[int], np.ndarray]:
     return list(first.values()), np.array([tail.get(key, len(points) - m) for key in first])
 
 
-def _farthest_pair(space: TwoMetricSpace, witnesses: WitnessSet, P, tail, k: int,
-                   keys, tail_phi) -> tuple[int, int]:
-    """The positions of the two passers of P farthest apart in pair
-    distance: the first pair, in ``np.triu_indices`` order, whose phi is
-    the largest or NaN.  ``tail`` holds each passer's position in the tail
-    of ``k`` points, negative for a witness, and increases, as the passers
-    do; ``tail_phi`` holds phi of the tail pairs (a, b) of the increasing
-    ``keys`` a * k + b.  A pair of passers whose key is there takes its
-    phi, with the bits a scan would give; every other pair is scanned."""
-    pi, pj = np.triu_indices(len(P), k=1)
-    # a pair with a witness passer has a negative key, which no tail pair has
-    key = tail[pi] * k + tail[pj]
-    at = np.searchsorted(keys, key)
-    held = keys.take(at, mode="clip") == key
-    phis = tail_phi.take(at, mode="clip")
-    phis[~held] = eval_phi(space, pi[~held], pj[~held], witnesses, P)
-    best = int(np.argmax(phis))
-    return int(pi[best]), int(pj[best])
-
-
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
              thresholds: Thresholds = Thresholds()) -> Classification:
     """Classify a sequence tail.
@@ -264,10 +244,12 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     points), read off the candidate scan.  A residual is read only against
     ``lim``, against 10 ``lim`` and for NaN, and of the held triples only
     their max, so the scan is asked for no more (``core._d_max``'s
-    ``classes``); the triple modulus stays exact in its bits.  A sequence
-    can land in several cases at once; ties resolve by the fixed priority
-    Cauchy > Line > UniquePoint > NoPoint, since a Cauchy tail makes the
-    tail property hold everywhere.
+    ``classes``); the triple modulus stays exact in its bits.  A line's
+    generators are the first pair of passers, in ``np.triu_indices`` order,
+    whose phi is the largest or NaN, by one ``eval_phi`` over every passer
+    pair.  A sequence can land in several cases at once; ties resolve by the
+    fixed priority Cauchy > Line > UniquePoint > NoPoint, since a Cauchy
+    tail makes the tail property hold everywhere.
     """
     seq = np.asarray(sequence)
     n = len(seq)
@@ -277,8 +259,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     start = n - max(3, int(round(n * thresholds.tail_fraction)))
 
     idx_i, idx_j = _pair_arrays(n, start)
-    tail_phi = eval_phi(space, idx_i, idx_j, witnesses, seq)
-    cauchy_modulus = float(tail_phi.max())
+    cauchy_modulus = float(eval_phi(space, idx_i, idx_j, witnesses, seq).max())
 
     # Candidates are the witnesses and the tail, each point once, with its
     # tail position.  One scan over candidates x pairs gives each
@@ -294,9 +275,7 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     residuals, held = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, cuts,
                              (thresholds.lim, 10.0 * thresholds.lim)).T
     tri_modulus = float(held.max())
-
-    passing = pick[residuals <= thresholds.lim]
-    passers = list(points[passing])
+    passers = list(points[pick[residuals <= thresholds.lim]])
 
     # Every note lowers the confidence.  A NaN fails every threshold test
     # below, so it gets a note of its own rather than a clean tag.
@@ -339,10 +318,9 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     if (spread > thresholds.min_phi).any():
         # Generators: the two passers farthest apart in pair distance.
         P = np.asarray(passers)
-        k = n - start
-        i, j = _farthest_pair(space, witnesses, P, passing - m - start, k,
-                              (idx_i - start) * k + idx_j - start, tail_phi)
-        g1, g2 = passers[i], passers[j]
+        pi, pj = np.triu_indices(len(P), k=1)
+        best = int(np.argmax(eval_phi(space, pi, pj, witnesses, P)))
+        g1, g2 = passers[pi[best]], passers[pj[best]]
         # Anti-Cauchy gap feeds the derived colinearity tolerance for the
         # passer set: residual <= lim on tail pairs plus a witnessed pair at
         # distance >= gap force d(p, p', p'') <= 6*lim*(1 + 1/gap).

@@ -234,10 +234,11 @@ def area_metric_batch(X, Y, Z) -> np.ndarray:
     return _area(_coords(X), _coords(Y), _coords(Z))
 
 
-# kernel(X, Y, Z) == finish(gram(*edges(X, Y), *edges(X, Z))) bit for bit:
-# ``core._d_max`` computes the edges of an index scan once per pair of
-# points, and the Gram determinants without the edges of each row
-area_metric_batch.gram = (_edges, _gram, _half_root)
+# The Gram split bounds the rows of ``core._d_max``'s scans: ``edges(X, Y)``
+# gives the edges y - x and their squared lengths n, and kernel(X, Y, Z) is
+# ``finish`` of a Gram determinant at most fl(n(X, Y) n(X, Z)), +0 where the
+# two edges are one, with ``finish`` non-decreasing
+area_metric_batch.gram = (_edges, _half_root)
 area_metric = area_metric_batch
 
 

@@ -3,8 +3,9 @@
 ``classify`` reads each candidate's residual only against lim, against
 10 lim and for NaN, and asks ``core._d_max`` for it only up to that class
 (``classes=(lim, 10 * lim)``).  A kernel's declared factorisation bounds
-every value of a row: ``core._factor_bound`` for the det kernel's
-``factors``, ``core._gram_bound`` for the area kernel's Gram split.  A row
+every value of a row: ``outer(|x|, m)``, with m the coordinatewise max of
+|t| over the columns, for the det kernel's ``factors = (inner, outer)``,
+``core._gram_bound`` for the area kernel's Gram split.  A row
 whose bound is finite and at most lo reports the bound, and a row with no
 column from its cut on and a finite bound reports the max of a first block
 of columns when that is above hi.  The held columns of a row bounded under
@@ -27,7 +28,7 @@ from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatc
                        area_ball_space, det_sphere_space, detect_outcome, make_linear_map,
                        make_sphere_map, orbit, sphere_witnesses)
 from twometric import core, lines
-from twometric.core import _d_max, _factor_bound, _gram_bound
+from twometric.core import _d_max, _gram_bound
 from twometric.lines import classify
 from twometric.spaces import _cross, _det_outer, _edges, _gram, _half_root
 
@@ -317,7 +318,7 @@ def test_a_row_whose_bound_is_lo_reports_the_bound(name):
     X, Y, Z, P, cuts = scan = candidate_scan(space, seq, witnesses)
     x = P[X[:, 0]]
     if name == "det":
-        bound = _factor_bound(_det_outer, x, _cross(P[Y], P[Z]))
+        bound = _det_outer(np.abs(x), np.abs(_cross(P[Y], P[Z])).max(axis=-2))
     else:
         bound = _gram_bound(_half_root, _edges(x, P[np.unique(np.r_[Y, Z])][:, None])[1])
     exact = _d_max(space, *scan)
@@ -396,7 +397,7 @@ def test_the_factor_bound_is_at_least_every_value(kind):
     with np.errstate(all="ignore"):
         T = _cross(Y, Z)
         values = _det_outer(X[:, None], T)
-        bound = _factor_bound(_det_outer, X, T)
+        bound = _det_outer(np.abs(X), np.abs(T).max(axis=-2))
     check_bound(bound, values)
 
 
