@@ -199,6 +199,7 @@ class WitnessSet:
                           self.seed + 1)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     """Pair distance max_w d(x, y, w) over the witness set, or the space's
     declared ``phi`` for coordinate points, which then ignores the
@@ -214,7 +215,8 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     array of the broadcast leading shape.  A declared ``phi`` is called on
     blocks of ``_ROW_BUDGET`` pairs.  A witness scan puts each pair in
     lexicographic order first, so the result is exactly symmetric in x and
-    y, as a declared ``phi`` is.
+    y, as a declared ``phi`` is.  An inf or overflowing coordinate gives
+    its NaN or inf without a numpy warning.
     """
     W = np.asarray(witnesses.points)
     if points is None:
@@ -365,6 +367,7 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     return out
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> np.ndarray:
     """Max of d(x, y, z) over the last axis of a scan of the rows of
     ``points``: X, Y and Z are integer arrays of row numbers, at most 2-D,
@@ -385,23 +388,27 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
     max over rows, which keeps its bits.  On a scan with x along the first
     axis and y and z along the last, a kernel's declared factorisation
     bounds each row and its columns from its cut on (``outer(|x|, S[c])``,
-    ``_gram_bounds``); ``_settle`` then picks the rows scanned whole, and
-    ``_held`` scans the held columns of the others, both by one
-    ``values``: the det factors, or the kernel itself.  Other kernels
-    ignore ``classes``.
+    ``_gram_bounds``); ``_settle`` then picks the rows scanned whole, from
+    the max of a first block of each, and ``_held`` scans the held columns
+    of the others.  Other kernels ignore ``classes``.
 
-    A kernel marked ``broadcasting`` gets the gathered rows, broadcast
-    against each other; any other kernel gets them stacked, through
-    ``_d_many``.  A kernel's ``factors = (inner, outer)``, with
-    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, compute the
-    inner part once per scan where y and z are fixed along the first axis;
-    a ``gram`` split only bounds rows, of a kernel that broadcasts.  The
+    One ``values(rows, c, w)``, the rows over columns c to w, evaluates
+    every block: whole rows, ``_settle``'s first blocks and ``_held``'s
+    held columns.  Where a kernel's ``factors = (inner, outer)``, with
+    ``kernel(X, Y, Z) == outer(X, inner(Y, Z))`` bit for bit, apply, the
+    inner part T is computed once per scan, as y and z are fixed along the
+    first axis, and a block is ``outer(x, T[:, c:w])``.  Else a kernel
+    marked ``broadcasting`` gets the gathered rows, broadcast against each
+    other, and any other kernel gets them stacked, through ``_d_many``.  A
+    ``gram`` split only bounds rows, of a kernel that broadcasts.  The
     three declarations are read off the kernel once, before any row is
-    scanned: a metric put in by
-    ``dataclasses.replace`` has none unless it declares them, and a
-    ``functools.wraps`` wrapper copies all three.  Every call covers about
-    ``_ROW_BUDGET`` rows at most, split along the first axis, and each
-    block of rows is reduced before the next is scanned.
+    scanned: a metric put in by ``dataclasses.replace`` has none unless it
+    declares them, and a ``functools.wraps`` wrapper copies all three.
+    Rows fixed along the first axis are gathered once per scan.  Every call
+    covers about ``_ROW_BUDGET`` rows at most, split along the first axis,
+    and each block of rows is reduced before the next is scanned.  An inf
+    or overflowing coordinate gives its values, NaN or inf, without a numpy
+    warning.
     """
     P = np.asarray(points)
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z))[:-1]
@@ -415,13 +422,29 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
 
     out = np.full((a, 2) if cuts is not None else a, -np.inf)
     cuts = None if cuts is None else np.asarray(cuts)
-    # rows fixed along the chunk axis are gathered once, the others per chunk
+    # rows fixed along the first axis are gathered once, the others per block
     fixed = [np.take(P, A, axis=0) if len(A) == 1 else None for A in (X, Y, Z)]
     T = inner(fixed[1], fixed[2]) if inner and len(Y) == len(Z) == 1 else None
-    scan, floor = np.ones(a, dtype=bool), np.full(a, -np.inf)
-    held = np.zeros(0, dtype=np.intp)
+
+    def values(rows, c=0, w=b):
+        """d of the scan's ``rows`` over its columns c to w."""
+        g = [F if F is not None else np.take(P, A[rows], axis=0) for F, A in zip(fixed, (X, Y, Z))]
+        if c or w < b:
+            g = [G[:, c:w] if G.shape[1] > 1 else G for G in g]
+        if T is not None:
+            return outer(g[0], T[:, c:w])
+        if broadcasts:
+            return kernel(*g)
+        # stacked by copying whole rows along the broadcast axes: a copy of
+        # the broadcast views runs slower
+        grid = np.broadcast_shapes(*(G.shape[:2] for G in g))
+        for axis, n in enumerate(grid):
+            g = [G if G.shape[axis] == n else np.repeat(G, n, axis=axis) for G in g]
+        return _d_many(space, *(G.reshape((-1,) + P.shape[1:]) for G in g)).reshape(grid)
+
+    scan, floor, held = np.ones(a, dtype=bool), np.full(a, -np.inf), np.zeros(0, dtype=np.intp)
     # each declared layout bounds every row over all its columns and over
-    # those from its cut on; ``values(rows, c, w)`` are rows over columns c to w
+    # those from its cut on
     if (classes is not None and b and X.shape[1] == 1 and len(Y) == len(Z) == 1
             and (T is not None or split and P.ndim == 2)):
         x = np.take(P, X[:, 0], axis=0)
@@ -436,50 +459,23 @@ def _d_max(space: TwoMetricSpace, X, Y, Z, points, cuts=None, classes=None) -> n
             bound, from_cut = (outer(np.abs(x), S[c]) for c in (0, np.minimum(cuts, b - 1)))
         else:
             bound, from_cut = _gram_bounds(split, P, x, Y[0], Z[0], cuts)
-
-        def values(rows, c, w):
-            if T is not None:
-                return outer(x[rows, None], T[:, c:w])
-            return kernel(x[rows, None], fixed[1][:, c:w], fixed[2][:, c:w])
         scan, floor = _settle(classes, bound, cuts, b, lambda rows: values(
             rows, 0, max(1, _ROW_BUDGET // len(rows))).max(axis=-1))
         held = np.flatnonzero(~scan & (cuts < b))
-
-    def rows(i, sel):
-        return fixed[i] if fixed[i] is not None else np.take(P, (X, Y, Z)[i][sel], axis=0)
-
-    def stacked(A, grid):
-        # each row gathered once, then copied in whole blocks along the
-        # broadcast axes: a gather of the broadcast row numbers runs slower
-        G = np.take(P, A, axis=0)
-        for axis, n in enumerate(grid):
-            if G.shape[axis] != n:
-                G = np.repeat(G, n, axis=axis)
-        return G.reshape((-1,) + P.shape[1:])
 
     # the rows scanned, in blocks of about _ROW_BUDGET values
     scanned, step = np.flatnonzero(scan), max(1, _ROW_BUDGET // max(b, 1))
     for i in range(0, len(scanned) if b else 0, step):
         sel = scanned[i:i + step]
-        if T is not None:
-            block = outer(rows(0, sel), T)
-        elif broadcasts:
-            block = kernel(rows(0, sel), rows(1, sel), rows(2, sel))
-        else:
-            parts = [A if len(A) == 1 else A[sel] for A in (X, Y, Z)]
-            grid = np.broadcast_shapes(*(A.shape for A in parts))
-            block = _d_many(space, *(stacked(A, grid) for A in parts)).reshape(grid)
-        if cuts is None:
-            out[sel] = block.max(axis=-1)
-        else:
-            out[sel] = _split_max(block.reshape(len(sel), b), cuts[sel])
+        block = values(sel)
+        out[sel] = block.max(axis=-1) if cuts is None else _split_max(block, cuts[sel])
     if cuts is not None:
         np.maximum(out[:, 0], out[:, 1], out=out[:, 0])
         np.maximum(out[:, 0], floor, out=out[:, 0])
         out[cuts >= b, 1] = -np.inf
     if len(held):
         out[held, 1] = _held(from_cut[held], cuts[held], b, out[:, 1].max(),
-                             lambda some, c: values(held[some], c, b))
+                             lambda some, c: values(held[some], c))
     return out.reshape(shape)
 
 

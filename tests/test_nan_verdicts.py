@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sphere_points, trajectory
-from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, SpherePatch,
-                       SphereContractionParams, WitnessSet, audit, banach_direct,
-                       banach_multcost, banach_power, certify, check_quasi_axioms, classify,
-                       det_metric, det_sphere_space, detect_outcome, enumerate_lines,
-                       interval_space, make_sphere_map, measured_contraction_factor, orbit,
+from twometric import (CertInput, ContractionViolation, FiniteTwoMetricSpace, Line,
+                       SpherePatch, SphereContractionParams, WitnessSet, area_ball_space, audit,
+                       banach_direct, banach_multcost, banach_power, certify,
+                       check_quasi_axioms, classify, det_metric, det_sphere_space,
+                       detect_outcome, enumerate_lines, eval_phi, interval_space,
+                       make_sphere_map, measured_contraction_factor, orbit,
                        quotient_by_zero_phi, sphere_witnesses, unit_sphere)
 from twometric.baselines import certifier_baseline
 from twometric.certify import _STEP
@@ -246,6 +247,30 @@ def test_a_nan_point_in_the_last_run_reaches_the_tri_modulus():
     seq = last_run_case()
     seq[198, 1] = np.nan
     check_tri_modulus_is_nan(det_sphere_space(), seq)
+
+
+@pytest.mark.parametrize("space, bad, notes", [
+    (area_ball_space(3), np.inf,
+     ["cauchy modulus is NaN", "tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
+    (area_ball_space(3), 1e200,
+     ["cauchy modulus is NaN", "tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
+    (det_sphere_space(), np.inf, ["tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
+    # the det kernel on a coordinate of 1e200 overflows to inf, not NaN
+    (det_sphere_space(), 1e200, []),
+], ids=["ball-inf", "ball-1e200", "sphere-inf", "sphere-1e200"])
+def test_an_inf_or_overflowing_point_reaches_its_verdict_without_a_warning(space, bad, notes):
+    """A coordinate of inf or 1e200 at x_198 of 200 random points: classify,
+    eval_phi and Line.defects give NaN or a large value there and raise no
+    numpy warning, which the test run turns into an error."""
+    seq = np.asarray(space.sample(np.random.default_rng(3), 200))
+    seq[198, 0] = bad
+    W = WitnessSet.sampled(space, 16, seed=0)
+    verdict = classify(space, seq, W)
+    assert verdict.tag == "NoPoint" and verdict.notes == notes
+    assert verdict.low_confidence == bool(notes)
+    assert not (eval_phi(space, seq[198], seq[:3], W) <= 1.0).any()
+    defects = Line(seq[0], seq[1], 1e-9).defects(space, seq[196:200])
+    assert np.isfinite(defects[[0, 1, 3]]).all() and not defects[2] <= 1.0
 
 
 # ---------------------------------------------------------------------------
