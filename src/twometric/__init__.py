@@ -16,7 +16,6 @@ from .quasi import (BanachRun, ContractionViolation, QuasiSpace, banach_direct,
                     interval_space, minimal_power, quasi_from_two_metric)
 from .spaces import (ConvexityBoundReport, SpherePatch, antipodal_canon,
                      area_ball_space, area_metric, convexity_bound, det_metric,
-                     det_sphere_space, great_circle_points, rho, sphere_witnesses,
-                     triangle_area2, unit_sphere)
+                     det_sphere_space, great_circle_points, sphere_witnesses, unit_sphere)
 
 __version__ = "0.1.0"

@@ -800,11 +800,13 @@ class AxiomReport:
 
 
 def _record_from(axiom: str, violations: np.ndarray, tuples, samples: int) -> AxiomRecord:
+    """The record of the worst violation, whose witness copies its points,
+    so the record holds none of the stacks alive."""
     if len(violations) == 0:
         return AxiomRecord(axiom, 0.0, None, samples)
     worst = int(np.argmax(violations))
     value = float(violations[worst])
-    witness = tuple(t[worst] for t in tuples) if not value <= 0 else None
+    witness = tuple(t[worst].copy() for t in tuples) if not value <= 0 else None
     return AxiomRecord(axiom, max(value, 0.0), witness, samples)
 
 
@@ -855,6 +857,9 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
            + _d_many(space, Q[1], Q[2], Q[3])
            + _d_many(space, Q[0], Q[2], Q[3]))
     records.append(_record_from("Tetr", lhs - rhs, Q, triples))
+    # each axiom's stacks go once its record is made (a record's witness
+    # is a copy), so at most two draws' stacks are held at once
+    del Q
 
     # B and the positivity half of Z read the sampled triples, or every
     # distinct triple of a space with a size.
@@ -877,6 +882,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
 
     # B: global bound 1.
     records.append(_record_from("B", values - 1.0, tuples, len(values)))
+    del T, P, tuples
 
     # Trans on quintuples: d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y).
     V = _stacks(space.sample, rng, triples, 5)
@@ -884,6 +890,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
     lhs = _d_many(space, a, b, x) * _d_many(space, c, x, y)
     rhs = _d_many(space, a, x, y) + _d_many(space, b, x, y)
     records.append(_record_from("Trans", lhs - rhs, V, triples))
+    del V, a, b, c, x, y
 
     # phi-based checks, sampled from the witness set: N on pairs of distinct
     # classes (after canonicalization) from seed + 1, AT and CostTriangle on
@@ -915,6 +922,7 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
                                 (PX, PY, PZ), triples))
     records.append(_record_from("CostTriangle", phi_xy - phi_xz - phi_zy - d_xyz,
                                 (PX, PY, PZ), triples))
+    del PX, PY, PZ
 
     DA, DB = Wpts[qidx[:, 0]], Wpts[qidx[:, 1]]
     DX, DY = Wpts[qidx[:, 2]], Wpts[qidx[:, 3]]

@@ -277,11 +277,13 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     tri_modulus = float(held.max())
     passers = list(points[pick[residuals <= thresholds.lim]])
 
-    # Every note lowers the confidence.  A NaN fails every threshold test
-    # below, so it gets a note of its own rather than a clean tag.
-    notes = [f"{name} is NaN" for name, value in (("cauchy modulus", cauchy_modulus),
-                                                 ("tri-cauchy modulus", tri_modulus))
-             if np.isnan(value)]
+    # Every note lowers the confidence.  A NaN or infinite modulus fails
+    # every threshold test below, so it gets a note of its own rather than
+    # a clean tag.
+    notes = [f"{name} is {'NaN' if np.isnan(value) else value}"
+             for name, value in (("cauchy modulus", cauchy_modulus),
+                                 ("tri-cauchy modulus", tri_modulus))
+             if not np.isfinite(value)]
     if thresholds.cauchy < cauchy_modulus <= 10.0 * thresholds.cauchy:
         notes.append("cauchy modulus within 10x of threshold")
     if thresholds.tri_cauchy < tri_modulus <= 10.0 * thresholds.tri_cauchy:

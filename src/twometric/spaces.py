@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TwoMetricSpace, WitnessSet, _at_least, _stacks, _strict, broadcasting
+from .core import (_ROW_BUDGET, TwoMetricSpace, WitnessSet, _at_least, _stacks, _strict,
+                   broadcasting)
 
 # ---------------------------------------------------------------------------
 # determinant metric on the unit sphere
@@ -219,12 +220,17 @@ def _half_root(g) -> np.ndarray:
     return np.multiply(g, 0.5, out=g)[()]
 
 
+def _edge_area(u, v) -> np.ndarray:
+    """Triangle areas from their edges u = y - x and v = z - x, given as
+    coordinate arrays, by the Gram determinant of u and v, with their dot
+    products summed as ``_dot`` sums them."""
+    return _half_root(_gram(u, _dot(u, u), v, _dot(v, v)))
+
+
 def _area(x, y, z) -> np.ndarray:
     """Triangle areas of points given as coordinate arrays that broadcast,
-    from the Gram determinant of the edges u = y - x and v = z - x, with
-    their dot products summed as ``_dot`` sums them."""
-    u, v = _differences(x, y), _differences(x, z)
-    return _half_root(_gram(u, _dot(u, u), v, _dot(v, v)))
+    ``_edge_area`` of the edges y - x and z - x."""
+    return _edge_area(_differences(x, y), _differences(x, z))
 
 
 @broadcasting
@@ -316,25 +322,6 @@ def area_ball_space(dim: int = 3) -> TwoMetricSpace:
 # spherical patch pullback and its convexity sandwich
 # ---------------------------------------------------------------------------
 
-def triangle_area2(x, y, z):
-    """Flat area of a planar triangle; of each row for stacked points."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(y, dtype=float) - x
-    v = np.asarray(z, dtype=float) - x
-    return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-
-
-def rho(x, y, z):
-    """Product of the three pairwise distances, of each row for stacked
-    points; permutation invariant and zero exactly when two points
-    coincide.  Each distance is ``_lengths`` of the coordinate
-    differences, which on planar points has the bits of
-    ``np.linalg.norm(axis=-1)``."""
-    x, y, z = _coords(x), _coords(y), _coords(z)
-    return (_lengths(_differences(x, y)) * _lengths(_differences(x, z))
-            * _lengths(_differences(y, z)))
-
-
 def _lift(P) -> list:
     """The lift of planar points to the lower hemisphere, as the
     coordinate arrays of the lifted points."""
@@ -365,16 +352,26 @@ class SpherePatch:
 
     def sample(self, rng: np.random.Generator, count: int,
                radius: float | None = None) -> np.ndarray:
+        """``count`` points uniform on the disc of ``radius``, the patch's
+        by default: polar coordinates from an angle 2 pi u and a radius
+        ``radius * sqrt(u')``, u and u' two draws of ``count``, each
+        written in place into one ``(count, 2)`` array."""
         radius = self.radius if radius is None else radius
-        ang = rng.random(count) * 2.0 * np.pi
-        rad = radius * np.sqrt(rng.random(count))
-        return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+        ang = rng.random(count)
+        np.multiply(np.multiply(ang, 2.0, out=ang), np.pi, out=ang)
+        rad = rng.random(count)
+        np.multiply(radius, np.sqrt(rad, out=rad), out=rad)
+        out = np.empty((count, 2))
+        for j, trig in enumerate((np.cos, np.sin)):
+            np.multiply(rad, trig(ang, out=out[:, j]), out=out[:, j])
+        return out
 
 
 @dataclass
 class ConvexityBoundReport:
-    """Empirical two-sided comparison of the lifted area h against flat area
-    plus distance product: 1/C * (area2 + rho) <= h <= C * (area2 + rho)."""
+    """Empirical two-sided comparison of the lifted area h against s, the
+    flat area plus the distance product (``_sandwich``): 1/C * s <= h <=
+    C * s."""
 
     r: float
     samples: int
@@ -396,30 +393,59 @@ class ConvexityBoundReport:
         })
 
 
+# Rows per block of the sandwich scan.  A det kernel call holds 7 row-sized
+# buffers at ``_ROW_BUDGET`` rows, and ``_sandwich`` 16 at its peak under
+# tracemalloc, so a block holds as much as one det kernel call.
+_SANDWICH_ROWS = _ROW_BUDGET * 7 // 16
+
+
+def _sandwich(X, Y, Z) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of the sandwich for each row of planar stacks, from
+    one set of the planar edges u = y - x, v = z - x and w = z - y: the
+    lifted area h, with the bits of ``SpherePatch.metric_batch``, and s,
+    the flat area ``0.5 * |u0 v1 - u1 v0|`` plus the product of the three
+    distances, each distance ``_lengths`` of its edge, which on planar
+    edges has the bits of ``np.linalg.norm(axis=-1)``.  s vanishes exactly
+    when two points coincide."""
+    x, y, z = _lift(X), _lift(Y), _lift(Z)
+    u, v, w = _differences(x[:2], y[:2]), _differences(x[:2], z[:2]), _differences(y[:2], z[:2])
+    h = _edge_area(u + [np.subtract(y[2], x[2])], v + [np.subtract(z[2], x[2])])
+    flat = 0.5 * np.abs(u[0] * v[1] - u[1] * v[0])
+    return h, flat + _lengths(u) * _lengths(v) * _lengths(w)
+
+
 def convexity_bound(radius: float = 0.2, samples: int = 10000,
                     seed: int = 0) -> ConvexityBoundReport:
     """Measure the sandwich constant on seeded patch triples.
 
     Triples with a repeated point are skipped and counted: both sides vanish
-    there and the bound holds trivially.
+    there and the bound holds trivially.  The triples are scanned in blocks
+    of ``_SANDWICH_ROWS``, each ratio's running max kept by ``np.maximum``,
+    which keeps a NaN; a sample whose every triple is skipped reports
+    ratios of -inf, the max over no triple.
     """
     _at_least(samples, 1, "sample counts")
     patch = SpherePatch(radius)
-    X, Y, Z = _stacks(patch.sample, seed, samples, 3)
-    repeated = np.zeros(samples, dtype=bool)
-    for A, B in ((X, Y), (X, Z), (Y, Z)):
-        repeated |= (A[:, 0] == B[:, 0]) & (A[:, 1] == B[:, 1])
-    # continuous samples almost never repeat: copy the stacks only if they do
-    if repeated.any():
-        X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
-
-    h = patch.metric_batch(X, Y, Z)
-    s = triangle_area2(X, Y, Z) + rho(X, Y, Z)
-    # at tiny radii the areas underflow to 0, and a ratio over 0 is NaN or
-    # infinite: the report carries it, and the CLI fails it, without warnings
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = float((h / s).max())
-        lower = float((s / h).max())
+    stacks = _stacks(patch.sample, seed, samples, 3)
+    upper = lower = -np.inf
+    skipped = 0
+    for i in range(0, samples, _SANDWICH_ROWS):
+        X, Y, Z = (S[i:i + _SANDWICH_ROWS] for S in stacks)
+        repeated = np.zeros(len(X), dtype=bool)
+        for A, B in ((X, Y), (X, Z), (Y, Z)):
+            repeated |= (A[:, 0] == B[:, 0]) & (A[:, 1] == B[:, 1])
+        # continuous samples almost never repeat: copy the rows only if they do
+        if repeated.any():
+            skipped += int(repeated.sum())
+            X, Y, Z = X[~repeated], Y[~repeated], Z[~repeated]
+        h, s = _sandwich(X, Y, Z)
+        # at tiny radii the areas underflow to 0, and a ratio over 0 is NaN
+        # or infinite: the report carries it, and the CLI fails it, without
+        # warnings
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.maximum(upper, (h / s).max(initial=-np.inf))
+            lower = np.maximum(lower, (s / h).max(initial=-np.inf))
+    upper, lower = float(upper), float(lower)
     return ConvexityBoundReport(
         r=radius,
         samples=samples,
@@ -427,5 +453,5 @@ def convexity_bound(radius: float = 0.2, samples: int = 10000,
         upper_ratio=upper,
         lower_ratio=lower,
         C=max(upper, lower),
-        degenerate_skipped=int(repeated.sum()),
+        degenerate_skipped=skipped,
     )

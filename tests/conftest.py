@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, det_metric
-from twometric import cli
+from twometric import cli, spaces
 from twometric.lines import _pair_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +154,26 @@ def patch_space(patch: SpherePatch) -> TwoMetricSpace:
     is its scalar oracle."""
     return TwoMetricSpace(name=f"sphere-patch-r{patch.radius}",
                           d_batch=patch.metric_batch, sample=patch.sample)
+
+
+def triangle_area2(x, y, z):
+    """Oracle of the sandwich's flat area, of one planar triangle or of each
+    row for stacked points."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(y, dtype=float) - x
+    v = np.asarray(z, dtype=float) - x
+    return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+
+
+def rho(x, y, z):
+    """Oracle of the sandwich's distance product, of one planar triple or of
+    each row for stacked points: permutation invariant and zero exactly when
+    two points coincide.  Each distance is ``spaces._lengths`` of the
+    coordinate differences, as ``spaces._sandwich`` takes it."""
+    x, y, z = spaces._coords(x), spaces._coords(y), spaces._coords(z)
+    return (spaces._lengths(spaces._differences(x, y))
+            * spaces._lengths(spaces._differences(x, z))
+            * spaces._lengths(spaces._differences(y, z)))
 
 
 def table_items(space: FiniteTwoMetricSpace) -> list:

@@ -10,9 +10,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import triangle_area2
 from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
-                       jacobian_fd, triangle_area2)
+                       jacobian_fd)
 from twometric.baselines import within_regression
 from twometric.certify import _STEP, _max_radius
 from twometric.core import broadcasting

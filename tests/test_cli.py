@@ -17,6 +17,7 @@ from twometric import (CertInput, FiniteTwoMetricSpace, SphereContractionParams,
                        make_sphere_map, orbit, sphere_witnesses, unit_sphere)
 from twometric import cli
 from twometric.cli import build_parser, main
+from twometric.spaces import _SANDWICH_ROWS
 
 
 def load(path):
@@ -276,10 +277,16 @@ def test_convexity_subcommand_matches_baseline(tmp_path):
 
 def test_convexity_at_a_tiny_radius_is_a_failed_check(tmp_path):
     # the areas underflow to 0 well inside the documented (0, 1/4): the
-    # constant is NaN, written as null, and the check fails without warnings
-    assert main(["convexity", "--r", "1e-160", "--out", str(tmp_path)]) == 1
-    payload = load(tmp_path / "convexity.json")["convexity"]
-    assert payload["C"] is None and payload["non_finite"] is True
+    # constant is NaN, written as null, and the check fails without warnings;
+    # so it does over four blocks of the sandwich scan, the last one short,
+    # and where every point is 0 or the least subnormal, so the one triple
+    # repeats a point and the ratios over no triple are -inf
+    for argv in (["--r", "1e-160"],
+                 ["--r", "1e-160", "--samples", str(3 * _SANDWICH_ROWS + 7)],
+                 ["--r", "5e-324", "--samples", "1", "--seed", "8"]):
+        assert main(["convexity", *argv, "--out", str(tmp_path)]) == 1
+        payload = load(tmp_path / "convexity.json")["convexity"]
+        assert payload["C"] is None and payload["non_finite"] is True
 
 
 def test_enumerate_lines_subcommand(tmp_path, demo_table, capsys):

@@ -20,20 +20,21 @@ import inspect
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from conftest import area_reference, det_reference, hexes, patch_lift, reference_rows
+from conftest import (area_reference, det_reference, hexes, patch_lift, reference_rows, rho,
+                      triangle_area2)
 from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatch, WitnessSet,
                        area_metric, convexity_bound, det_metric, detect_outcome,
-                       make_linear_map, make_sphere_map, rho, sphere_witnesses,
-                       triangle_area2)
+                       make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import dynamics, spaces
 from twometric.core import _stacks, apply_rows, broadcasting
 from twometric.dynamics import measured_contraction_factor, orbit
-from twometric.spaces import _dot, area_metric_batch, det_metric_batch, sample_sphere
+from twometric.spaces import (_SANDWICH_ROWS, _dot, area_metric_batch, det_metric_batch,
+                              sample_sphere)
 
 
 def det_einsum(X, Y, Z):
@@ -446,8 +447,8 @@ def norm_rho(x, y, z):
 
 
 def masked_convexity(radius, samples, seed):
-    """The sandwich scan with whole-row repeat tests, an unconditional
-    mask and concatenated lifts."""
+    """The sandwich scan in one pass over whole stacks, with whole-row
+    repeat tests, an unconditional mask and concatenated lifts."""
     patch = SpherePatch(radius)
     X, Y, Z = _stacks(patch.sample, seed, samples, 3)
     repeated = (X == Y).all(axis=1) | (X == Z).all(axis=1) | (Y == Z).all(axis=1)
@@ -461,25 +462,61 @@ def masked_convexity(radius, samples, seed):
                                 degenerate_skipped=int(repeated.sum()))
 
 
-def report_bytes(report) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, allow_nan=False)
+def report_hexes(report) -> list:
+    """Each field of a report, every float as ``float.hex`` gives it."""
+    return [float.hex(v) if isinstance(v, float) else v for v in astuple(report)]
+
+
+# the block scan's edges: one row, a block less one, one block, a block and
+# one row, and three blocks with a short fourth
+BLOCK_EDGES = [1, _SANDWICH_ROWS - 1, _SANDWICH_ROWS, _SANDWICH_ROWS + 1, 3 * _SANDWICH_ROWS + 7]
 
 
 @pytest.mark.parametrize("radius", [1e-160, 1e-5, 0.1, 0.2])
-@pytest.mark.parametrize("samples", [1, 2, 50, 10_000])
+@pytest.mark.parametrize("samples", sorted({1, 2, 50, 10_000, *BLOCK_EDGES}))
 @pytest.mark.parametrize("seed", [0, 3, 41])
 def test_convexity_report_has_the_masked_scan_bytes(radius, samples, seed):
     got = convexity_bound(radius=radius, samples=samples, seed=seed)
-    assert report_bytes(got) == report_bytes(masked_convexity(radius, samples, seed))
+    assert report_hexes(got) == report_hexes(masked_convexity(radius, samples, seed))
+    # the lifted areas underflow to 0 at r = 1e-160, so s / h is inf, or NaN
+    # in a row whose s underflows too, as some row of a block's size does
+    assert math.isfinite(got.C) == (radius != 1e-160)
+    if radius == 1e-160 and samples >= _SANDWICH_ROWS - 1:
+        assert math.isnan(got.C)
 
 
 def test_convexity_on_a_three_point_grid_skips_as_the_masked_scan(monkeypatch):
     grid = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, -0.05]])
     monkeypatch.setattr(SpherePatch, "sample",
                         lambda self, rng, count, radius=None: grid[rng.integers(0, 3, count)])
-    got = convexity_bound(radius=0.2, samples=500, seed=4)
-    assert got.degenerate_skipped > 0 and got.degenerate_skipped < 500
-    assert report_bytes(got) == report_bytes(masked_convexity(0.2, 500, 4))
+    samples = BLOCK_EDGES[-1]
+    got = convexity_bound(radius=0.2, samples=samples, seed=4)
+    assert got.degenerate_skipped > 0 and got.degenerate_skipped < samples
+    assert report_hexes(got) == report_hexes(masked_convexity(0.2, samples, 4))
+
+
+def test_convexity_with_every_triple_skipped_has_ratios_of_minus_inf():
+    # at r = 5e-324 the points are 0 or the least subnormal: seed 8 repeats
+    # a point of its one triple, and the max over no triple is -inf
+    got = convexity_bound(radius=5e-324, samples=1, seed=8)
+    assert got.degenerate_skipped == 1
+    assert got.upper_ratio == got.lower_ratio == got.C == -math.inf
+
+
+def column_stack_sample(rng, count, radius):
+    """The patch sampler as four temporaries and ``np.column_stack``."""
+    ang = rng.random(count) * 2.0 * np.pi
+    rad = radius * np.sqrt(rng.random(count))
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+@pytest.mark.parametrize("count", [1, 7, 100_000])
+def test_patch_sample_has_the_column_stack_bits(count):
+    for seed in range(30):
+        got = PATCH.sample(np.random.default_rng(seed), count)
+        want = column_stack_sample(np.random.default_rng(seed), count, PATCH.radius)
+        assert got.shape == (count, 2) and got.flags.c_contiguous
+        assert hexes(got) == hexes(want)
 
 
 def test_rho_has_the_norm_bits_on_points_and_stacks():
@@ -495,6 +532,17 @@ def test_rho_has_the_norm_bits_on_points_and_stacks():
     A, B, C = X[:600].reshape(20, 30, 2), Y[:30], Z[:600].reshape(20, 30, 2)
     assert rho(A, B, C).shape == (20, 30)
     assert hexes(rho(A, B, C)) == hexes(norm_rho(A, B, C))
+
+
+def test_sandwich_has_the_bits_of_the_lifted_area_and_the_flat_forms():
+    rng = np.random.default_rng(24)
+    X, Y, Z = (PATCH.sample(rng, 50_000) for _ in range(3))
+    X[7, 1] = np.nan
+    Y[9] = X[9]
+    h, s = spaces._sandwich(X, Y, Z)
+    assert hexes(h) == hexes(area_metric_batch(*(patch_lift(P) for P in (X, Y, Z))))
+    assert hexes(s) == hexes(triangle_area2(X, Y, Z) + norm_rho(X, Y, Z))
+    assert np.isnan(h[7]) and np.isnan(s[7]) and h[9] == s[9] == 0.0
 
 
 def test_patch_metric_has_the_bits_of_the_area_kernel_on_concatenated_lifts():

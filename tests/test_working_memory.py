@@ -1,0 +1,72 @@
+"""Working memory of the sampled checks: the sandwich scan holds its
+stacks and one block of rows, and ``audit`` holds one or two draws' stacks
+at a time and lets its report hold none of them.
+
+Peaks are taken with ``tracemalloc``, which sees numpy's data buffers, after
+one untraced call, so one-time allocations of the first call do not count.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+
+from twometric import WitnessSet, area_ball_space, audit, convexity_bound
+from twometric.core import AXIOM_ORDER
+
+MB = 1e6
+
+
+def traced_peak(f) -> float:
+    """The peak of the memory that ``f()`` allocates, in MB."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_sandwich_scan_holds_its_stacks_and_one_block():
+    # the three stacks of 10**5 planar points are 4.8 MB; the one-pass scan
+    # peaked at about 16 MB, over every row's temporaries at once
+    assert traced_peak(lambda: convexity_bound(samples=10 ** 5)) <= 8.0
+
+
+def test_the_audit_holds_a_few_stacks_at_a_time():
+    # the one-pass audit held all 14 sampled stacks to its end: about 10 MB
+    space = area_ball_space(5)
+    W = WitnessSet.sampled(space, 128, 0)
+    assert traced_peak(lambda: audit(space, witnesses=W, triples=8000)) <= 7.0
+
+
+def noise(X, Y, Z):
+    """A value in [0, 2) that is not symmetric and not 0 on repeated
+    points."""
+    return (1e3 * (X[..., 0] + 2.0 * Y[..., 0] + 3.0 * Z[..., 0])) % 2.0
+
+
+def zero(X, Y):
+    return np.zeros(np.broadcast_shapes(X.shape, Y.shape)[:-1])
+
+
+def quartic(X, Y):
+    return 1e3 * np.sum((X - Y) ** 2, axis=-1) ** 2
+
+
+def test_each_witness_owns_its_points():
+    # the noise breaks the five sampled axioms; a pair distance of 0 breaks
+    # N and DphiLipschitz, and one that grows as the fourth power AT and
+    # CostTriangle, each with a witness drawn from the witness set
+    ball = area_ball_space(5)
+    W = WitnessSet.sampled(ball, 16, 0)
+    failed = set()
+    for space in (replace(ball, d_batch=noise, phi=zero), replace(ball, phi=quartic)):
+        for record in audit(space, witnesses=W, triples=300, seed=2).records:
+            if record.witness is not None:
+                failed.add(record.axiom)
+                assert all(p.base is None for p in record.witness)
+    assert failed == set(AXIOM_ORDER)
