@@ -57,18 +57,30 @@ def jacobian_fd(F, x, radius: float | None = None) -> np.ndarray:
 
 
 def _spectral_norms(M) -> np.ndarray:
-    """Spectral norm of each matrix on the last two axes, NaN for a matrix
-    with a non-finite entry (the SVD behind the norm does not converge on
-    one)."""
-    finite = np.isfinite(M).all(axis=(-2, -1))
-    norms = np.linalg.norm(np.where(finite[..., None, None], M, 0.0), 2, axis=(-2, -1))
-    return np.where(finite, norms, np.nan)
+    """Spectral norm of each 2 x 2 matrix [[a, b], [c, d]] on the last two
+    axes, NaN for a matrix with a non-finite entry: the larger singular
+    value in closed form, (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2
+    (Blinn, "Consider the lowly 2x2 matrix", 1996), elementwise over the
+    stack.  Each matrix is first scaled by the power of two that brings its
+    largest entry into [0.5, 1), which is exact, so no sum overflows and
+    every norm that is a float comes out finite."""
+    M = np.asarray(M, dtype=float)
+    if M.shape[-2:] != (2, 2):
+        raise ValueError(f"need 2 x 2 matrices, got shape {M.shape}")
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    top = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    e = np.frexp(top)[1]
+    # a non-finite entry makes its sums NaN, and its norm is set to NaN below
+    with np.errstate(invalid="ignore"):
+        a, b, c, d = (np.ldexp(x, -e) for x in (a, b, c, d))
+        half = (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2.0
+    return np.where(np.isfinite(top), np.ldexp(half, e), np.nan)
 
 
 def hessian_bound_fd(F, points, radius: float | None = None) -> float:
-    """Sampled sup of the Jacobian's derivative: the max over points and
-    directions of the spectral norm of dJ/dx_i by central differences with
-    step ``_STEP``.  NaN when a difference is not finite."""
+    """Sampled sup of a planar map's second derivative: the max over points
+    and directions of the spectral norm of dJ/dx_i by central differences
+    with step ``_STEP``.  NaN when a difference is not finite."""
     X = np.asarray(points, dtype=float)
     if radius is not None and _max_radius(X) + 2.0 * _STEP > radius:
         raise ValueError("insufficient margin for central differences")

@@ -62,6 +62,21 @@ def point_json(p):
     return [float(c) for c in np.asarray(p).ravel()]
 
 
+def points_json(points) -> list:
+    """``point_json`` of each point of a sequence: by one ``tolist`` when
+    the points stack into index points (ints) or coordinate vectors
+    (written as floats), point by point when they do not."""
+    try:
+        P = np.asarray(points)
+    except ValueError:  # points of different shapes do not stack
+        return [point_json(p) for p in points]
+    if P.ndim == 1 and P.dtype.kind in "iu":
+        return P.tolist()
+    if P.ndim > 1 and P.dtype.kind in "iuf":
+        return P.astype(float).reshape(len(P), math.prod(P.shape[1:])).tolist()
+    return [point_json(p) for p in points]
+
+
 def _strict(record: dict) -> dict:
     """The one rule for non-finite numbers in artifacts: each float value
     of ``record`` that is not finite is written as null, and the record

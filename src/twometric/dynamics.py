@@ -210,23 +210,23 @@ class OrbitTrace:
     def to_csv(self, path, vertical_column: bool = False) -> None:
         """One row per point: coordinates as ``x1, x2, ...``, or an index
         point as an integer in the ``index`` column.  Floats are written
-        as ``repr`` writes them, by the ``csv`` module's ``str``."""
-        import csv
-
+        as ``repr`` writes them, and ``x3_abs`` is x3's string without its
+        sign: the bytes of the ``csv`` module's default writer."""
         pts = np.asarray(self.points)
-        phi = np.asarray(self.phi_steps, dtype=float).tolist()[:len(pts)]
+        phi = list(map(repr, np.asarray(self.phi_steps, dtype=float).tolist()[:len(pts)]))
         phi += [""] * (len(pts) - len(phi))
         if pts.ndim > 1:
             header = [f"x{i + 1}" for i in range(pts.shape[1])]
-            rows = [[i, *p, phi[i], *([abs(p[2])] if vertical_column else [])]
-                    for i, p in enumerate(np.asarray(pts, dtype=float).tolist())]
+            coords = [list(map(repr, c)) for c in np.asarray(pts, dtype=float).T.tolist()]
         else:
-            header = ["index"]
-            rows = [[i, int(p), phi[i]] for i, p in enumerate(pts.tolist())]
+            header, coords = ["index"], [[str(int(p)) for p in pts.tolist()]]
+        header = ["step", *header, "phi_step"]
+        columns = [list(map(str, range(len(pts)))), *coords, phi]
+        if vertical_column:
+            header.append("x3_abs")
+            columns.append([x.removeprefix("-") for x in coords[2]])
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", *header, "phi_step", *(["x3_abs"] if vertical_column else [])])
-            writer.writerows(rows)
+            fh.write("\r\n".join(map(",".join, [header, *zip(*columns)])) + "\r\n")
 
 
 def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,

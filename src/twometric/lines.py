@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _strict, eval_phi,
-                   point_json, point_key)
+                   point_json, points_json)
 
 # Deterministic stream for subsampling oversized pair scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -80,7 +80,7 @@ class Line:
             "generators": [point_json(self.g1), point_json(self.g2)],
             "tolerance": float(self.tolerance),
             "members": None if self.members is None
-            else [point_json(m) for m in self.members],
+            else points_json(self.members),
         }
 
 
@@ -203,7 +203,7 @@ class Classification:
             "cauchy_modulus": float(self.cauchy_modulus),
             "tri_cauchy_modulus": float(self.tri_cauchy_modulus),
             "thresholds": self.thresholds.to_json(),
-            "passers": [point_json(p) for p in self.passers],
+            "passers": points_json(self.passers),
             "low_confidence": bool(self.low_confidence),
             "notes": list(self.notes),
         })
@@ -217,13 +217,14 @@ class Classification:
 
 
 def _first_of_each(points, m: int) -> tuple[list[int], np.ndarray]:
-    """The positions of the points that differ, by ``point_key``, from
-    every point before them, and the tail position of each: that of the
-    first point from position ``m`` on with its key, less ``m``, or the
-    number of those points where none has it."""
+    """The positions of the points of a stack that differ, by their
+    ``points_json`` values, from every point before them, and the tail
+    position of each: that of the first point from position ``m`` on with
+    its key, less ``m``, or the number of those points where none has it."""
+    keys = points_json(points)
     first: dict = {}
     tail: dict = {}
-    for i, key in enumerate(map(point_key, points)):
+    for i, key in enumerate(map(tuple, keys) if np.ndim(points) > 1 else keys):
         first.setdefault(key, i)
         if i >= m:
             tail.setdefault(key, i - m)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from itertools import combinations
@@ -200,6 +201,26 @@ def hexes(values) -> list[str]:
     """Each value as ``float.hex`` gives it: a comparison of these lists is
     a comparison of bits, NaN included."""
     return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def csv_trace(trace, path, vertical_column: bool = False) -> None:
+    """Oracle of ``OrbitTrace.to_csv``: its rows through the ``csv``
+    module's default writer, which writes a float as ``repr`` does and ends
+    each row with ``\\r\\n``; ``x3_abs`` is ``abs`` of x3."""
+    pts = np.asarray(trace.points)
+    phi = np.asarray(trace.phi_steps, dtype=float).tolist()[:len(pts)]
+    phi += [""] * (len(pts) - len(phi))
+    if pts.ndim > 1:
+        header = [f"x{i + 1}" for i in range(pts.shape[1])]
+        rows = [[i, *p, phi[i], *([abs(p[2])] if vertical_column else [])]
+                for i, p in enumerate(np.asarray(pts, dtype=float).tolist())]
+    else:
+        header = ["index"]
+        rows = [[i, int(p), phi[i]] for i, p in enumerate(pts.tolist())]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", *header, "phi_step", *(["x3_abs"] if vertical_column else [])])
+        writer.writerows(rows)
 
 
 def lex_order(X, Y) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from importlib import resources
 
 import numpy as np
@@ -15,7 +17,7 @@ from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd)
 from twometric.baselines import within_regression
-from twometric.certify import _STEP, _max_radius
+from twometric.certify import _STEP, _max_radius, _spectral_norms
 from twometric.core import broadcasting
 
 BASE = certifier_baseline()
@@ -143,6 +145,100 @@ def test_hessian_bound_monotone_in_sample_set():
     pts = PATCH.sample(np.random.default_rng(3), 40, radius=0.05)
     small = hessian_bound_fd(F, pts[:10])
     assert hessian_bound_fd(F, pts) >= small
+
+
+# ---------------------------------------------------------------------------
+# spectral norms of 2 x 2 matrices, in closed form
+# ---------------------------------------------------------------------------
+
+# The closed form's error, argued as in Higham, *Accuracy and Stability of
+# Numerical Algorithms* (2002), section 3.1, with u = 2^-53: the scaled
+# entries are exact, each of the four sums rounds once (a relative error of
+# at most u), ``hypot`` adds at most one ulp (2u) to its rounded arguments,
+# the last sum rounds once more, and the halving and the power-of-two
+# scalings are exact.  So the relative error is at most 4u + O(u^2), which
+# is under 2 ulps of a normal result; a subnormal result rounds once more,
+# by at most half an ulp.
+ULP_BOUND = 2.0
+SUBNORMAL_ULP_BOUND = 2.5
+
+
+def spectral_norm_reference(M) -> Decimal:
+    """The larger singular value of a 2 x 2 float matrix to 50 digits, from
+    the larger eigenvalue of M^T M: sqrt((t + sqrt(t^2 - 4 det^2)) / 2),
+    with t the sum of the squared entries."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, d = (Decimal(x) for x in np.ravel(M).tolist())
+        t = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        return ((t + max(t * t - 4 * det * det, Decimal(0)).sqrt()) / 2).sqrt()
+
+
+def ulps_off(norms, M) -> np.ndarray:
+    """Each norm against the reference of its matrix, in ulps of the
+    reference."""
+    want = [spectral_norm_reference(m) for m in M]
+    return np.array([float(abs(Decimal(g) - w) / Decimal(math.ulp(float(w))))
+                     for g, w in zip(norms.tolist(), want)])
+
+
+def matrix_families() -> dict:
+    rng = np.random.default_rng(61)
+    n = 10 ** 4
+    angles, scales = rng.uniform(0, 2 * np.pi, 500), rng.lognormal(0, 3, 500)
+    a, b = rng.normal(size=(2, 500))
+    u, v = rng.normal(size=(2, 500, 2))
+    k = np.ldexp(1.0, rng.integers(-5, 5, 500))
+    return {
+        "random": rng.normal(size=(n, 2, 2)) * rng.lognormal(0, 2, (n, 1, 1)),
+        # sigma_1 = sigma_2: rounded rotations, and [[a, -b], [b, a]] exactly
+        "scaled rotations": np.concatenate([
+            scales[:, None, None] * np.stack([np.cos(angles), -np.sin(angles),
+                                              np.sin(angles), np.cos(angles)], -1).reshape(-1, 2, 2),
+            np.stack([a, -b, b, a], -1).reshape(-1, 2, 2)]),
+        # rank 1: rounded outer products, and rows that are exact multiples
+        "rank 1": np.concatenate([u[:, :, None] * v[:, None, :],
+                                  np.stack([a, b, k * a, k * b], -1).reshape(-1, 2, 2)]),
+        # entries whose sums would overflow unscaled; the norm is a float
+        "near 1e308": rng.uniform(-8e307, 8e307, (2000, 2, 2)),
+        "near 1e300": rng.normal(size=(2000, 2, 2)) * 1e300,
+        "subnormal": rng.integers(-1000, 1000, (2000, 2, 2)) * 5e-324,
+        "mixed scales": rng.normal(size=(2000, 2, 2)) * 10.0 ** rng.integers(-310, 300, (2000, 2, 2)),
+    }
+
+
+@pytest.mark.parametrize("family", matrix_families())
+def test_spectral_norms_are_within_the_ulp_bound_of_a_50_digit_reference(family):
+    M = matrix_families()[family]
+    norms = _spectral_norms(M)      # an overflow warning fails the test
+    off = ulps_off(norms, M)
+    subnormal = norms < np.finfo(float).tiny
+    assert np.isfinite(norms).all()
+    assert off[~subnormal].max(initial=0.0) <= ULP_BOUND
+    assert off[subnormal].max(initial=0.0) <= SUBNORMAL_ULP_BOUND
+
+
+def test_spectral_norms_of_exact_cases():
+    assert _spectral_norms(np.zeros((3, 2, 2))).tolist() == [0.0] * 3
+    assert _spectral_norms(np.eye(2)) == 1.0
+    assert _spectral_norms(np.array([[3.0, 0.0], [0.0, -4.0]])) == 4.0
+    assert _spectral_norms(np.array([[5e-324, 0.0], [0.0, 0.0]])) == 5e-324
+    assert _spectral_norms(np.array([[1e308, 0.0], [0.0, -1e308]])) == 1e308
+    with pytest.raises(ValueError, match="2 x 2"):
+        _spectral_norms(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_gives_a_nan_norm_without_a_warning(bad):
+    M = np.random.default_rng(62).normal(size=(12, 2, 2))
+    rows = [1, 4, 7, 10]
+    for row, (i, j) in zip(rows, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        M[row, i, j] = bad
+    norms = _spectral_norms(M)
+    assert np.flatnonzero(np.isnan(norms)).tolist() == rows
+    finite = np.setdiff1d(np.arange(12), rows)
+    assert norms[finite].tolist() == [float(_spectral_norms(M[r])) for r in finite]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import area_reference, det_reference, tail_residual
+from conftest import area_reference, csv_trace, det_reference, tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        SphereContractionParams, Thresholds, WitnessSet, area_metric,
                        det_metric, det_sphere_space, detect_outcome,
@@ -16,7 +16,7 @@ from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric import dynamics
 from twometric.core import eval_phi
-from twometric.dynamics import _DECAY_TRIPLES
+from twometric.dynamics import _DECAY_TRIPLES, OrbitTrace
 from twometric.spaces import sample_sphere
 
 E1, E2, E3 = np.eye(3)
@@ -334,6 +334,38 @@ def test_orbit_csv_format(tmp_path):
     first = rows[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.8
     assert rows[-1].split(",")[4] == ""  # no pair distance after the last point
+
+
+def csv_cases() -> dict:
+    """Traces whose rows ``to_csv`` must write as the ``csv`` module does:
+    an orbit, a truncated trace whose phi is shorter than its points, odd
+    floats in every column, and index traces."""
+    m = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
+    trace = orbit(m, np.array([0.8, 0.0, 0.6]), 60, witnesses=sphere_witnesses(16, seed=10))
+    odd = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030,
+           -1e-300, 1e300, -1.5, 0.1, 1e16, -123456789.125]
+    rng = np.random.default_rng(33)
+    odd_points = np.array([rng.permutation(odd) for _ in range(3)]).T
+    return {
+        "orbit": trace,
+        "truncated": replace(trace, points=trace.points[:20], phi_steps=trace.phi_steps[:7],
+                             truncated=True),
+        "odd floats": OrbitTrace(odd_points, np.array(odd[:-1])[::-1]),
+        "planar": OrbitTrace(odd_points[:, :2], np.array(odd)),
+        "empty": OrbitTrace(np.zeros((0, 3)), np.zeros(0)),
+        "index": OrbitTrace(np.array([0, 3, 3, 1, 2, 2]), np.array([0.5, np.nan, 0.0, -0.0, 1e-9])),
+        "index, truncated": OrbitTrace(np.array([4, 0, 1]), np.array([np.inf])),
+    }
+
+
+@pytest.mark.parametrize("name, vertical_column", [
+    *[(name, v) for name in ("orbit", "truncated", "odd floats", "empty") for v in (False, True)],
+    ("planar", False), ("index", False), ("index, truncated", False)])
+def test_to_csv_writes_the_bytes_of_the_csv_module(tmp_path, name, vertical_column):
+    trace = csv_cases()[name]
+    trace.to_csv(tmp_path / "got.csv", vertical_column=vertical_column)
+    csv_trace(trace, tmp_path / "want.csv", vertical_column=vertical_column)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

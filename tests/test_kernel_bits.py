@@ -31,6 +31,7 @@ from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatc
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import dynamics, spaces
+from twometric.certify import _max_radius, _spectral_norms, hessian_bound_fd, jacobian_fd
 from twometric.core import _stacks, apply_rows, broadcasting
 from twometric.dynamics import measured_contraction_factor, orbit
 from twometric.spaces import (_SANDWICH_ROWS, _dot, area_metric_batch, det_metric_batch,
@@ -170,18 +171,28 @@ def test_area_kernel_has_the_bits_of_the_reference(dim):
     assert {"nan", "0x0.0p+0"} <= set(hexes(got))
 
 
-def test_each_metric_has_one_definition():
-    assert det_metric is det_metric_batch and area_metric is area_metric_batch
-    # the kernels and every helper they call: elementwise ufuncs only, no
-    # dot, matmul or einsum, whose summation order numpy picks at run time
-    parts = {det_metric_batch, *det_metric_batch.factors, area_metric_batch,
-             *area_metric_batch.gram, spaces._area, spaces._dot, spaces._coords,
-             spaces._differences, spaces._lengths, spaces._lift}
+def assert_elementwise(parts):
+    """No part names ``linalg``, ``dot``, ``matmul`` or ``einsum``, or uses
+    ``@``: numpy picks the summation order of those at run time, by the
+    BLAS build and the CPU."""
     for part in parts:
         tree = ast.parse(inspect.getsource(part))
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not names & {"einsum", "matmul", "dot"}, part.__name__
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"linalg", "einsum", "matmul", "dot"}, part.__name__
         assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), part.__name__
+
+
+def test_each_metric_has_one_definition():
+    assert det_metric is det_metric_batch and area_metric is area_metric_batch
+    # the kernels and every helper they call: elementwise ufuncs only
+    assert_elementwise({det_metric_batch, *det_metric_batch.factors, area_metric_batch,
+                        *area_metric_batch.gram, spaces._area, spaces._dot, spaces._coords,
+                        spaces._differences, spaces._lengths, spaces._lift})
+
+
+def test_certify_norms_and_differences_are_elementwise():
+    assert_elementwise({_spectral_norms, jacobian_fd, hessian_bound_fd, _max_radius})
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -18,7 +20,7 @@ from twometric import (FiniteTwoMetricSpace, Line, SpherePatch, Thresholds, Witn
 from twometric import core
 import twometric.lines as lines_module
 from twometric.core import _d_many
-from twometric.lines import _pair_arrays
+from twometric.lines import Classification, _first_of_each, _pair_arrays
 
 E1, E2, E3 = np.eye(3)
 SPHERE = det_sphere_space()
@@ -466,3 +468,59 @@ def test_classification_json_schema():
     assert {"cauchy_modulus", "tri_cauchy_modulus", "thresholds",
             "passers", "line"} <= set(payload)
     assert set(payload["line"]) == {"generators", "tolerance", "members"}
+
+
+ODD = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-300, 1e300, 0.1]
+
+
+@pytest.mark.parametrize("points", [
+    [], (), np.zeros((0, 3)),
+    [np.array([1, 0, 0]), np.array([0, 2, 0])],
+    np.array([[1, 0], [0, -3]]),
+    [np.int64(3), np.int64(0), np.int64(3)], (1, 4, 2), np.arange(5),
+    [np.array(ODD[i:i + 3]) for i in range(8)],
+    np.array(ODD).reshape(5, 2),
+    np.array(ODD), [0.5, -0.0],
+    np.arange(12.0).reshape(2, 3, 2),
+    # no stack: each point on its own
+    [0, np.array([0.0, 1.0, 2.0])], [3, 1.5, np.int64(2)], [np.array([1.0, 2.0]), np.array([3.0])],
+    np.array([True, False]),
+], ids=lambda p: type(p).__name__)
+def test_points_json_is_point_json_of_each_point(points):
+    # json.dumps tells 1 from 1.0 and compares NaN by its spelling
+    got = core.points_json(points)
+    assert json.dumps(got) == json.dumps([core.point_json(p) for p in points])
+
+
+def test_passers_and_members_write_int_coordinates_as_floats():
+    passers = [np.array([1, 0, 0]), np.array([0, 1, 0])]
+    verdict = Classification("NoPoint", 1.0, 1.0, Thresholds(), passers=passers)
+    assert json.dumps(verdict.to_json()["passers"]) == "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]"
+    assert replace(verdict, passers=[]).to_json()["passers"] == []
+    line = Line(E1, E2, 1e-6, members=tuple(passers))
+    assert json.dumps(line.to_json()["members"]) == "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]"
+    assert Line(0, 1, 1e-6, members=(0, 1, 4)).to_json()["members"] == [0, 1, 4]
+    assert Line(0, 1, 1e-6, members=()).to_json()["members"] == []
+
+
+def first_of_each_by_key(points, m):
+    """``_first_of_each`` keyed by ``core.point_key``, one point at a
+    time."""
+    first, tail = {}, {}
+    for i, key in enumerate(map(core.point_key, points)):
+        first.setdefault(key, i)
+        if i >= m:
+            tail.setdefault(key, i - m)
+    return list(first.values()), [tail.get(key, len(points) - m) for key in first]
+
+
+@pytest.mark.parametrize("points", [
+    np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 0.0], [np.nan, 0.0], [2.0, 3.0], [0.0, 1.0],
+              [2.0, 3.0], [5.0, 5.0]]),
+    np.array([3, 1, 3, 0, 1, 1, 4, 2]),
+    np.array([[1, 2], [1, 2], [2, 1]]),
+])
+@pytest.mark.parametrize("m", [0, 2, 5])
+def test_first_of_each_keys_points_as_point_key_does(points, m):
+    first, position = _first_of_each(points, m)
+    assert (first, position.tolist()) == first_of_each_by_key(points, m)
