@@ -39,6 +39,13 @@ def _max_radius(P) -> float:
     return np.max(_lengths(_coords(P)), initial=0.0)
 
 
+def _abs_det(A) -> float:
+    """|det A| of a 2 x 2 matrix [[a, b], [c, d]], as abs(a d - b c) in that
+    order on Python floats: the same bits whatever the LAPACK build."""
+    (a, b), (c, d) = np.asarray(A, dtype=float).tolist()
+    return abs(a * d - b * c)
+
+
 def jacobian_fd(F, x, radius: float | None = None) -> np.ndarray:
     """Central-difference Jacobian at x, or at each point of a stack x of
     shape (..., d), with step ``_STEP``; O(step^2) error for C^3 maps.
@@ -112,7 +119,7 @@ class CertInput:
         self.jac_target = np.asarray(self.jac_target, dtype=float)
         if self.jac_target.shape != (2, 2):
             raise ValueError("reference matrix must be 2x2")
-        det = abs(np.linalg.det(self.jac_target))
+        det = _abs_det(self.jac_target)
         if det < 1e-15:
             raise ValueError("reference matrix must be invertible")
         if np.linalg.norm(self.jac_target, 2) > self.norm_bound + 1e-12:
@@ -169,7 +176,7 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     _at_least(samples, 1, "sample counts")
     _at_least(ratio_triples, 1, "sample counts")
     A = inp.jac_target
-    det = abs(np.linalg.det(A))
+    det = _abs_det(A)
     c_prime = float(inp.proximity)
     bound = inp.ratio_constant * det
     patch, rin = inp.patch, inp.inner_radius

@@ -279,15 +279,19 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
     return float((d1 / d0[keep]).max()), int(keep.sum())
 
 
-# Rows per metric call in ``_d_max``, and per block of its Gram bounds.  A
-# buffered kernel call holds several row-sized buffers (seven in the det
-# kernel: 1.8 MB at 2**15 rows).  On a 2-core Xeon (4 MB L2 per core, numpy
-# 2.4), 20 s sampled-audit runs gave 9.5-10.5 verdicts/s at 2**14 and
-# 2**15, 9.6-9.9 at 2**16 and 5.3-5.6 at 2**18, where the buffers no longer
-# fit in cache; contraction-verdicts and finite-tables stayed level from
-# 2**14 to 2**16.  The edge tables of ``_gram_bounds`` are bounded by it
-# too.
-_ROW_BUDGET = 1 << 15
+# Values per metric call in ``_d_max``, rows per block of its Gram bounds,
+# pairs per call of a declared phi, and, through ``spaces._SANDWICH_ROWS``,
+# rows per block of the convexity sandwich.  A kernel call holds row-sized
+# buffers besides its inputs, by ``tracemalloc``: 6 in the det kernel and
+# 2 dim + 5 in the area kernel, so 0.8 MB and 1.4 MB in 3-d at 2**14
+# values, where a 2-core Xeon holds 2 MB of L2 per core
+# (``/sys/devices/system/cpu/cpu0/cache/index2/size``).  By
+# ``tools/row_budget_sweep.py`` (``BENCH_43.json``), kernels on stacked
+# rows cost up to 1.5x per value past 2**14, and in a fresh process glibc's
+# malloc faults in a buffer of 128 KiB or more afresh: ``detect_outcome`` on
+# linear maps faulted 503 pages per call at 2**14, 988 at 2**15.  Below
+# 2**14 the wide scans and the sandwich pay more per call instead.
+_ROW_BUDGET = 1 << 14
 
 
 def _gram_bound(finish, n) -> np.ndarray:
@@ -356,6 +360,18 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
     return held
 
 
+def _last_reads(size, y, z) -> np.ndarray:
+    """For each of ``size`` rows, the last column of a scan whose columns
+    read the rows y and z, -1 for a row that no column reads.  Each column
+    writes its number at its rows, y and z apart, in column order, so a
+    later column overwrites an earlier one, and the larger of the two is
+    kept: 0.055 ms on the 11,175 pairs of a 150-point tail, against 0.095 ms
+    by ``np.maximum.at`` over both."""
+    last, other = np.full((2, size), -1)
+    last[y] = other[z] = np.arange(len(y))
+    return np.maximum(last, other, out=last)
+
+
 def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     """Two bounds of d(x, P[y], P[z]) over the columns of each row x, NaN
     kept, for a kernel's Gram split ``(edges, finish)``: over every
@@ -367,8 +383,7 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
     fails the equality and an inf one the finiteness."""
     edges, finish = split
-    last = np.full(len(P), -1)          # the last column that reads each row of P
-    np.maximum.at(last, np.r_[y, z], np.tile(np.arange(len(y)), 2))
+    last = _last_reads(len(P), y, z)
     targets = np.flatnonzero(last >= 0)
     last, T = last[targets, None], P[targets][:, None]
     out = np.empty((2, len(x)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Any, Callable
 
 import numpy as np
@@ -202,7 +202,15 @@ class OrbitTrace:
     phi_steps: np.ndarray
     truncated: bool = False
     diagnostic: str | None = None
-    decay_margin: float | None = None
+    # the decay check that the first read of ``decay_margin`` runs; a
+    # ``dataclasses.replace`` copy keeps it
+    _decay: Callable[[], float | None] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def decay_margin(self) -> float | None:
+        """The worst margin of the geometric decay check that ``orbit``
+        runs on a certified map, or None."""
+        return None if self._decay is None else self._decay()
 
     def __len__(self) -> int:
         return len(self.points)
@@ -237,7 +245,8 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     Iterates are never projected back into the domain; if one leaves, the
     trace truncates with a diagnostic.  For certified maps, sampled index
     triples are checked against the geometric decay
-    d(x_i, x_j, x_k) <= factor^min(i,j,k) and the worst margin recorded.
+    d(x_i, x_j, x_k) <= factor^min(i,j,k), and the worst margin is the
+    trace's ``decay_margin``, checked when that is first read.
 
     The iterates are tuples of Python floats, stepped by ``f.step``, when
     ``f`` declares ``step`` and ``domain_contains`` declares ``floats``, as
@@ -263,26 +272,30 @@ def orbit(map_: DDecreasingMap, x0, steps: int, witnesses: WitnessSet,
     seq = np.asarray(pts)
     phi_steps = eval_phi(map_.space, seq[:-1], seq[1:], witnesses)
 
-    decay_margin = None
-    if map_.certified and len(seq) >= 3:
-        idx = np.sort(np.random.default_rng(seed + 1).integers(0, len(seq), (_DECAY_TRIPLES, 3)),
-                      axis=1)
-        idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
-        if len(idx):
-            vals = _d_many(map_.space, seq[idx[:, 0]], seq[idx[:, 1]], seq[idx[:, 2]])
-            # a factor of at least 1 (a map that does not contract) may
-            # overflow: an inf bound holds, and bounds nothing
-            with np.errstate(over="ignore"):
-                bound = map_.claimed_factor ** idx[:, 0]
-            decay_margin = float((vals - bound).max())
-
     return OrbitTrace(
         points=seq,
         phi_steps=phi_steps,
         truncated=truncated,
         diagnostic=diagnostic,
-        decay_margin=decay_margin,
+        _decay=partial(_decay_margin, map_, seq, seed) if map_.certified else None,
     )
+
+
+def _decay_margin(map_: DDecreasingMap, seq: np.ndarray, seed: int) -> float | None:
+    """The worst d(x_i, x_j, x_k) - factor^i over a seeded draw of the
+    orbit's index triples, sorted and kept where i < j < k; None when none
+    is kept."""
+    idx = np.sort(np.random.default_rng(seed + 1).integers(0, len(seq), (_DECAY_TRIPLES, 3)),
+                  axis=1)
+    idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+    if not len(idx):
+        return None
+    vals = _d_many(map_.space, seq[idx[:, 0]], seq[idx[:, 1]], seq[idx[:, 2]])
+    # a factor of at least 1 (a map that does not contract) may overflow: an
+    # inf bound holds, and bounds nothing
+    with np.errstate(over="ignore"):
+        bound = map_.claimed_factor ** idx[:, 0]
+    return float((vals - bound).max())
 
 
 # ---------------------------------------------------------------------------

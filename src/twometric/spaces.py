@@ -393,9 +393,10 @@ class ConvexityBoundReport:
         })
 
 
-# Rows per block of the sandwich scan.  A det kernel call holds 7 row-sized
-# buffers at ``_ROW_BUDGET`` rows, and ``_sandwich`` 16 at its peak under
-# tracemalloc, so a block holds as much as one det kernel call.
+# Rows per block of the sandwich scan.  ``_sandwich`` holds 16 row-sized
+# buffers at its peak under tracemalloc, so a block holds 7 buffers of
+# ``_ROW_BUDGET`` rows: about a det kernel call's 6, under a 3-d area kernel
+# call's 11.
 _SANDWICH_ROWS = _ROW_BUDGET * 7 // 16
 
 

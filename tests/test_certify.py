@@ -263,6 +263,33 @@ def test_cert_input_refuses_a_constant_or_budget_at_or_below_zero(field, value):
         CertInput(**{**inp, field: value})
 
 
+@pytest.mark.parametrize("family", ["random", "cancelling", "quarter identity"])
+def test_det_is_abs_of_ad_minus_bc_in_that_order(family):
+    # |det A| gives every certify artifact's det_A and bound, and the default
+    # budget c_prime: abs(a*d - b*c) on Python floats, whatever the LAPACK
+    # build, where an LU factorisation rounds in its own order
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for _ in range(10):
+        if family == "random":
+            A = rng.uniform(-1.0, 1.0, (2, 2))
+        elif family == "cancelling":
+            # rows a relative 2^-30 from parallel: the two products cancel
+            A = rng.uniform(0.2, 0.7) * np.array([[1.0, 1.0 + 2.0 ** -30], [1.0, 1.0]])
+            A = A[rng.permutation(2)]
+        else:
+            A = 0.25 * np.eye(2)
+        (a, b), (c, d) = A.tolist()
+        want = abs(a * d - b * c)
+        inp = make_input(linear_map(A), A)
+        assert float(inp.proximity).hex() == (0.01 * want / BASE["C_A"]).hex()
+        result = certify(inp, samples=4, ratio_triples=4, seed=3)
+        assert float(result.det_target).hex() == want.hex()
+        assert float(result.bound).hex() == (BASE["C_prime"] * want).hex()
+        assert result.to_json()["det_A"] == want
+    if family == "quarter identity":
+        assert want == 0.0625
+
+
 def test_certify_quarter_identity_passes():
     A = 0.25 * np.eye(2)
     result = certify(make_input(linear_map(A), A), seed=5)

@@ -286,13 +286,48 @@ def test_distinct_triples_match_the_sort_and_filter_decay_draw(length, monkeypat
     for seed in range(20):
         seen.clear()
         trace = orbit(m, np.array([0.3, 0.2, 0.1]), length - 1, witnesses, seed=seed)
+        # the check runs when the margin is first read
+        decay_margin = trace.decay_margin
         pts = np.asarray(trace.points)
         want = old_decay_triples(length, seed)
         assert len(pts) == length and len(seen) == 1 and len(want) > 0
         for got, column in zip(seen[0], want.T):
             assert np.array_equal(got, pts[column])
         margin = max(area_reference(*pts[row]) - 0.25 ** int(row[0]) for row in want)
-        assert trace.decay_margin == margin
+        assert decay_margin == margin
+
+
+@pytest.mark.parametrize("case", ["sphere", "linear", "linear, 9-d"])
+def test_detect_outcome_leaves_the_decay_check_to_the_first_read_of_its_margin(case,
+                                                                               monkeypatch):
+    # no verdict reads the decay margin, so detect_outcome makes no decay-check
+    # kernel call; the first read of the margin makes it, once, with the bits
+    # of the check orbit once ran eagerly
+    if case == "sphere":
+        m, x0 = make_sphere_map(SphereContractionParams(0.1, 0.5, 0.9)), np.array([0.8, 0.0, 0.6])
+        witnesses = sphere_witnesses(32, seed=8)
+    else:
+        dim = 3 if case == "linear" else 9
+        m, x0 = make_linear_map(rotation_z(1.0, dim), 0.6), np.full(dim, 0.4 / dim ** 0.5)
+        witnesses = WitnessSet.sampled(m.space, 16, seed=9)
+    seen = []
+    d_many = dynamics._d_many
+    monkeypatch.setattr(dynamics, "_d_many",
+                        lambda space, *P: seen.append(P) or d_many(space, *P))
+    outcome = detect_outcome(m, x0, 300, witnesses, seed=4)
+    pts = np.asarray(outcome.trace.points)
+    idx = old_decay_triples(len(pts), 4)
+    assert seen and not any(np.array_equal(P[0], pts[idx[:, 0]]) for P in seen)
+    during = len(seen)
+    margin = outcome.trace.decay_margin
+    assert len(seen) == during + 1
+    for got, column in zip(seen[-1], idx.T):
+        assert np.array_equal(got, pts[column])
+    eager = m.space.d_batch(*(pts[column] for column in idx.T)) - m.claimed_factor ** idx[:, 0]
+    assert margin.hex() == float(eager.max()).hex()
+    assert outcome.trace.decay_margin == margin and len(seen) == during + 1
+    # a trace the orbit alone gives reads the same margin
+    assert orbit(m, x0, 300, witnesses, seed=4).decay_margin.hex() == margin.hex()
 
 
 def test_orbit_truncates_when_leaving_domain():

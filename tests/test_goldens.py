@@ -49,13 +49,14 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
     check_golden(tmp_path, golden, *GOLDENS[golden])
 
 
-@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 20])
+@pytest.mark.parametrize("budget", [2 ** 9, 2 ** 15, 2 ** 20])
 @pytest.mark.parametrize("golden, run", [
     *(pytest.param(golden, run, id=golden) for golden, run in GOLDENS.items()),
     *(pytest.param("table12", run, id=f"table12-{name}") for name, run in TABLE12.items()),
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
-    # core owns the budget, classify's candidate scan and its cuts included
+    # core owns the budget, classify's candidate scan and its cuts included;
+    # 2 ** 15 was the budget before 2 ** 14
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *run)

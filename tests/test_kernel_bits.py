@@ -31,7 +31,8 @@ from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatc
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import dynamics, spaces
-from twometric.certify import _max_radius, _spectral_norms, hessian_bound_fd, jacobian_fd
+from twometric.certify import (_abs_det, _max_radius, _spectral_norms, certify, hessian_bound_fd,
+                               jacobian_fd)
 from twometric.core import _stacks, apply_rows, broadcasting
 from twometric.dynamics import measured_contraction_factor, orbit
 from twometric.spaces import (_SANDWICH_ROWS, _dot, area_metric_batch, det_metric_batch,
@@ -192,7 +193,9 @@ def test_each_metric_has_one_definition():
 
 
 def test_certify_norms_and_differences_are_elementwise():
-    assert_elementwise({_spectral_norms, jacobian_fd, hessian_bound_fd, _max_radius})
+    # and |det A|, which gives every certify artifact's det_A and bound
+    assert_elementwise({_spectral_norms, jacobian_fd, hessian_bound_fd, _max_radius, _abs_det,
+                        certify})
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -481,10 +484,14 @@ def report_hexes(report) -> list:
 # the block scan's edges: one row, a block less one, one block, a block and
 # one row, and three blocks with a short fourth
 BLOCK_EDGES = [1, _SANDWICH_ROWS - 1, _SANDWICH_ROWS, _SANDWICH_ROWS + 1, 3 * _SANDWICH_ROWS + 7]
+# the same edges at two blocks, and six blocks with a short seventh: the
+# block edges of the sandwich at the row budget of 2 ** 15
+DOUBLE_EDGES = [2 * _SANDWICH_ROWS - 1, 2 * _SANDWICH_ROWS, 2 * _SANDWICH_ROWS + 1,
+                6 * _SANDWICH_ROWS + 7]
 
 
 @pytest.mark.parametrize("radius", [1e-160, 1e-5, 0.1, 0.2])
-@pytest.mark.parametrize("samples", sorted({1, 2, 50, 10_000, *BLOCK_EDGES}))
+@pytest.mark.parametrize("samples", sorted({1, 2, 50, 10_000, *BLOCK_EDGES, *DOUBLE_EDGES}))
 @pytest.mark.parametrize("seed", [0, 3, 41])
 def test_convexity_report_has_the_masked_scan_bytes(radius, samples, seed):
     got = convexity_bound(radius=radius, samples=samples, seed=seed)
