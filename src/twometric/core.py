@@ -86,12 +86,56 @@ def _strict(record: dict) -> dict:
     return {**record, **dict.fromkeys(bad), **({"non_finite": True} if bad else {})}
 
 
+_NUMBERS = {float, int}
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``,
+    indented for ``level``, with the same bytes or the same exception.
+
+    json's indenting encoder is pure Python, one call per value.  Here a
+    list of floats, or of equal-length rows of floats and ints, is joined
+    from ``float.__repr__`` and ``int.__repr__`` at C level, a row by one
+    ``%`` template; dicts with str keys, lists and tuples recurse.  What
+    else there is (bools, NaN and inf, numpy scalars, other keys) goes to
+    json itself, re-indented: a JSON string holds no raw newline.
+    """
+    pad = "\n" + "  " * (level + 1)
+    kind = type(obj)
+    if kind is str:
+        return json.encoder.encode_basestring_ascii(obj)
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = [json.encoder.encode_basestring_ascii(k) + ": " + _json_text(obj[k], level + 1)
+                 for k in sorted(obj)]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if (kind is list or kind is tuple) and obj:
+        types = set(map(type, obj))
+        if types <= _NUMBERS:
+            text = ("," + pad).join(map(repr, obj))
+        elif types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0] \
+                and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS:
+            inner = "\n" + "  " * (level + 2)
+            row = "[" + inner + ("," + inner).join(["%r"] * len(obj[0])) + pad + "]"
+            text = ("," + pad).join(map(row.__mod__, map(tuple, obj)))
+        else:
+            return "[" + pad + ("," + pad).join([_json_text(v, level + 1) for v in obj]) \
+                + pad[:-2] + "]"
+        # only "nan" and "inf" put an n in a number's repr; json raises on them
+        if "n" not in text:
+            return "[" + pad + text + pad[:-2] + "]"
+    if kind is int or kind is float and math.isfinite(obj):
+        return repr(obj)
+    if kind is bool or obj is None:
+        return _SCALARS[obj]
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad[:-2])
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """Write an artifact: sorted keys, two-space indents, a final newline;
     a non-finite float raises rather than being written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def broadcasting(kernel):
@@ -845,30 +889,45 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
           tolerance: float = DEFAULT_TOLERANCE) -> AxiomReport:
     """Score every axiom as the worst sampled max(0, LHS - RHS).
 
-    Each axiom samples ``triples`` tuples of its own arity.  Tuples for the
-    plain axioms are drawn from the space sampler; tuples for the phi-based
-    checks are drawn from the witness set.  Without a declared ``phi``, the
-    truncated sup over the witnesses is then internally consistent and
-    those inequalities are exact.  With one, the checks test the space's
-    own phi on the same seeded draw: the witness set is a sample of the
-    domain like any other, and N's classes, the sample counts and the
-    records keep one meaning for every space.  All sampling is sequential
-    from the given seed.  On a space with a ``size`` (a table's
-    ``as_space()``), B and the positivity half of Z are decided exactly
-    instead, over each of the C(size, 3) distinct index triples, and their
-    ``samples`` count those triples.
+    Each axiom reads ``triples`` i.i.d. uniform tuples of its own arity.
+    The plain axioms read them from one draw of five stacks from the space
+    sampler, each a prefix of it: Sym and B the first three stacks, Tetr
+    four, Z two and Trans all five.  So their tuples are dependent across
+    axioms, but each axiom's tuples keep their law, and so each record
+    keeps its distribution.  Tuples for the phi-based checks are drawn
+    from the witness set.  Without a declared ``phi``, the truncated sup
+    over the witnesses is then internally consistent and those
+    inequalities are exact.  With one, the checks test the space's own phi
+    on the same seeded draw: the witness set is a sample of the domain like
+    any other, and N's classes, the sample counts and the records keep one
+    meaning for every space.  All sampling is sequential from the given
+    seed.  On a space with a ``size`` (a table's ``as_space()``), B and the
+    positivity half of Z are decided exactly instead, over each of the
+    C(size, 3) distinct index triples, and their ``samples`` count those
+    triples.
 
     The phi checks draw up to 5 * ``triples`` witness pairs, and each
     distinct unordered pair is evaluated once, so their phi scan holds at
-    most min(5 * triples, |W| (|W| + 1) / 2) * |W| kernel rows.
+    most min(5 * triples, |W| (|W| + 1) / 2) * |W| kernel rows.  Each
+    stage's arrays go when its records are made (a record's witness is a
+    copy), so the working memory is the larger stage's, not their sum.
     """
     _at_least(triples, 1, "sample counts")
-    rng = np.random.default_rng(seed)
+    records = _sampled_records(space, triples, seed) \
+        + _phi_records(space, witnesses, triples, seed, tolerance)
+    order = {name: i for i, name in enumerate(AXIOM_ORDER)}
+    records.sort(key=lambda r: order[r.axiom])
+    return AxiomReport(seed=seed, tolerance=tolerance, records=records)
+
+
+def _sampled_records(space: TwoMetricSpace, triples: int, seed: int) -> list[AxiomRecord]:
+    """Sym, Tetr, Z, B and Trans of ``audit``, from one draw of five stacks."""
     records: list[AxiomRecord] = []
+    V = _stacks(space.sample, seed, triples, 5)
+    T = V[:3]
 
     # Sym: spread of d over argument permutations; a space with a size is a
     # table's, symmetric by construction.
-    T = _stacks(space.sample, rng, triples, 3)
     d0 = _d_many(space, *T)
     if space.size is not None:
         records.append(AxiomRecord("Sym", 0.0, None, 0))
@@ -880,16 +939,11 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
             spread = np.maximum(spread, np.abs(dp - d0))
         records.append(_record_from("Sym", spread, T, triples))
 
-    # Tetr on quadruples.
-    Q = _stacks(space.sample, rng, triples, 4)
-    lhs = _d_many(space, Q[0], Q[1], Q[2])
-    rhs = (_d_many(space, Q[0], Q[1], Q[3])
-           + _d_many(space, Q[1], Q[2], Q[3])
-           + _d_many(space, Q[0], Q[2], Q[3]))
-    records.append(_record_from("Tetr", lhs - rhs, Q, triples))
-    # each axiom's stacks go once its record is made (a record's witness
-    # is a copy), so at most two draws' stacks are held at once
-    del Q
+    # Tetr on quadruples; its left side is d0.
+    rhs = (_d_many(space, V[0], V[1], V[3])
+           + _d_many(space, V[1], V[2], V[3])
+           + _d_many(space, V[0], V[2], V[3]))
+    records.append(_record_from("Tetr", d0 - rhs, V[:4], triples))
 
     # B and the positivity half of Z read the sampled triples, or every
     # distinct triple of a space with a size.
@@ -900,51 +954,59 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
         values = _d_many(space, *tuples)
 
     # Z: repeated-argument degeneracy, plus positivity.
-    P = _stacks(space.sample, rng, triples, 2)
-    z_viol = np.abs(_d_many(space, P[0], P[1], P[1]))
+    z_viol = np.abs(_d_many(space, V[0], V[1], V[1]))
     pos_viol = -values
     # NaN in either part must reach the record: NaN > x is always False
     pos_max = pos_viol.max(initial=-np.inf)
     if np.isnan(pos_max) or pos_max > z_viol.max():
         records.append(_record_from("Z", pos_viol, tuples, len(values)))
     else:
-        records.append(_record_from("Z", z_viol, (P[0], P[1], P[1]), triples))
+        records.append(_record_from("Z", z_viol, (V[0], V[1], V[1]), triples))
 
     # B: global bound 1.
     records.append(_record_from("B", values - 1.0, tuples, len(values)))
-    del T, P, tuples
 
     # Trans on quintuples: d(a,b,x) * d(c,x,y) <= d(a,x,y) + d(b,x,y).
-    V = _stacks(space.sample, rng, triples, 5)
     a, b, c, x, y = V
     lhs = _d_many(space, a, b, x) * _d_many(space, c, x, y)
     rhs = _d_many(space, a, x, y) + _d_many(space, b, x, y)
     records.append(_record_from("Trans", lhs - rhs, V, triples))
-    del V, a, b, c, x, y
+    return records
 
-    # phi-based checks, sampled from the witness set: N on pairs of distinct
-    # classes (after canonicalization) from seed + 1, AT and CostTriangle on
-    # triples, then DphiLipschitz on quadruples, from seed + 2.  phi is
-    # exactly symmetric and computed row by row, so each distinct unordered
-    # pair is evaluated once, in one call, and scattered back in draw order.
+
+def _phi_records(space: TwoMetricSpace, witnesses: WitnessSet, triples: int, seed: int,
+                 tolerance: float) -> list[AxiomRecord]:
+    """N, AT, CostTriangle and DphiLipschitz of ``audit``, sampled from the
+    witness set: N on pairs of distinct classes (after canonicalization)
+    from seed + 1, AT and CostTriangle on triples, then DphiLipschitz on
+    quadruples, from seed + 2.  phi is exactly symmetric and computed row
+    by row, so each distinct unordered pair is evaluated once, in one call,
+    and scattered back in draw order."""
     m, Wpts = len(witnesses), np.asarray(witnesses.points)
     widx = np.random.default_rng(seed + 1).integers(0, m, size=(triples, 2))
     canon = space.canon or (lambda p: p)
     classes: dict = {}
     wclass = np.array([classes.setdefault(point_key(canon(p)), len(classes)) for p in Wpts])
     nidx = widx[wclass[widx[:, 0]] != wclass[widx[:, 1]]]
+    del widx
     prng = np.random.default_rng(seed + 2)
     tidx = prng.integers(0, m, size=(triples, 3))
     qidx = prng.integers(0, m, size=(triples, 4))
-    # the pairs (x, y), (x, z), (z, y) of each triple, (x, y) of each quadruple
+    # the pairs (x, y), (x, z), (z, y) of each triple, (x, y) of each
+    # quadruple; the pair numbers and the key arrays go once phi is scattered
     I = np.concatenate([nidx[:, 0], tidx[:, 0], tidx[:, 0], tidx[:, 2], qidx[:, 2]])
     J = np.concatenate([nidx[:, 1], tidx[:, 1], tidx[:, 2], tidx[:, 1], qidx[:, 3]])
-    keys, inverse = np.unique(np.minimum(I, J) * m + np.maximum(I, J), return_inverse=True)
+    pairs = np.minimum(I, J) * m + np.maximum(I, J)
+    del I, J
+    keys, inverse = np.unique(pairs, return_inverse=True)
+    del pairs
     phi = eval_phi(space, keys // m, keys % m, witnesses, Wpts)[inverse]
+    del keys, inverse
     phi_n, phi_xy, phi_xz, phi_zy, phi_q = np.split(phi, len(nidx) + np.arange(4) * triples)
 
-    records.append(_record_from("N", np.where(phi_n > tolerance, 0.0, 1.0),
-                                (Wpts[nidx[:, 0]], Wpts[nidx[:, 1]]), len(nidx)))
+    records = [_record_from("N", np.where(phi_n > tolerance, 0.0, 1.0),
+                            (Wpts[nidx[:, 0]], Wpts[nidx[:, 1]]), len(nidx))]
+    del nidx
 
     PX, PY, PZ = Wpts[tidx[:, 0]], Wpts[tidx[:, 1]], Wpts[tidx[:, 2]]
     d_xyz = _d_many(space, PX, PY, PZ)
@@ -952,16 +1014,13 @@ def audit(space: TwoMetricSpace, *, witnesses: WitnessSet,
                                 (PX, PY, PZ), triples))
     records.append(_record_from("CostTriangle", phi_xy - phi_xz - phi_zy - d_xyz,
                                 (PX, PY, PZ), triples))
-    del PX, PY, PZ
+    del PX, PY, PZ, d_xyz, tidx
 
     DA, DB = Wpts[qidx[:, 0]], Wpts[qidx[:, 1]]
     DX, DY = Wpts[qidx[:, 2]], Wpts[qidx[:, 3]]
     lhs = np.abs(_d_many(space, DA, DB, DX) - _d_many(space, DA, DB, DY))
     records.append(_record_from("DphiLipschitz", lhs - 2.0 * phi_q, (DA, DB, DX, DY), triples))
-
-    order = {name: i for i, name in enumerate(AXIOM_ORDER)}
-    records.sort(key=lambda r: order[r.axiom])
-    return AxiomReport(seed=seed, tolerance=tolerance, records=records)
+    return records
 
 
 # ---------------------------------------------------------------------------

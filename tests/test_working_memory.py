@@ -1,6 +1,6 @@
 """Working memory of the sampled checks: the sandwich scan holds its
-stacks and one block of rows, and ``audit`` holds one or two draws' stacks
-at a time and lets its report hold none of them.
+stacks and one block of rows, and ``audit`` holds one draw of five stacks,
+lets it go before its phi stage, and lets its report hold none of them.
 
 Peaks are taken with ``tracemalloc``, which sees numpy's data buffers, after
 one untraced call, so one-time allocations of the first call do not count.
@@ -37,10 +37,21 @@ def test_the_sandwich_scan_holds_its_stacks_and_one_block():
 
 
 def test_the_audit_holds_a_few_stacks_at_a_time():
-    # the one-pass audit held all 14 sampled stacks to its end: about 10 MB
+    # the one-pass audit held all 14 sampled stacks to its end: about 10 MB;
+    # two draws at a time and every phi-stage array at once took 4.9 MB, and
+    # one draw of five stacks with the phi stage's arrays let go takes 3.1
     space = area_ball_space(5)
     W = WitnessSet.sampled(space, 128, 0)
-    assert traced_peak(lambda: audit(space, witnesses=W, triples=8000)) <= 7.0
+    assert traced_peak(lambda: audit(space, witnesses=W, triples=8000)) <= 4.0
+
+
+def test_the_audit_phi_stage_holds_less_than_the_draw():
+    # at 10**5 tuples the five stacks of 5-d points are 20 MB and the Trans
+    # kernel calls peak at 38.4 MB; the phi stage, holding its index draws,
+    # pair numbers, unique keys and witness stacks at once, peaked at 60 MB
+    space = area_ball_space(5)
+    W = WitnessSet.sampled(space, 128, 0)
+    assert traced_peak(lambda: audit(space, witnesses=W, triples=10 ** 5)) <= 42.0
 
 
 def noise(X, Y, Z):
