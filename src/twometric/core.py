@@ -47,13 +47,6 @@ AXIOM_ORDER = ("Sym", "Tetr", "Z", "N", "B", "Trans", "AT", "CostTriangle", "Dph
 # point helpers (points are either numpy coordinate vectors or int indices)
 # ---------------------------------------------------------------------------
 
-def point_key(p) -> tuple:
-    """Hash/ordering key for a point."""
-    if isinstance(p, (int, np.integer)):
-        return (int(p),)
-    return tuple(np.asarray(p, dtype=float).tolist())
-
-
 def point_json(p):
     if isinstance(p, (int, np.integer)):
         return int(p)
@@ -208,7 +201,9 @@ class TwoMetricSpace:
     indices below it, symmetric by construction: ``audit`` then takes Sym
     as exact and decides B and Z over every distinct triple.
     ``canon`` maps a point to its equivalence-class representative (used by
-    quotient constructions); it must be idempotent.  ``line_points``, when
+    quotient constructions); it must be idempotent.  One marked with
+    ``broadcasting`` maps stacks of points, and ``audit`` calls it once on
+    the witnesses.  ``line_points``, when
     present, samples points of the line through two given generators.
     ``phi``, when given, is the exact pair distance sup_z d(x, y, z) over
     the whole domain, of stacked coordinate points (n, dim) that broadcast,
@@ -974,6 +969,39 @@ def _sampled_records(space: TwoMetricSpace, triples: int, seed: int) -> list[Axi
     return records
 
 
+def _classes(space: TwoMetricSpace, points) -> np.ndarray:
+    """The class number of each point, numbered in order of first
+    appearance, two points in one class where the ``points_json`` values
+    of their ``canon`` are equal: -0.0 is 0.0, and a point with a NaN
+    coordinate is a class of its own.  A canon marked ``broadcasting`` is
+    called once on the stack, any other one point by point."""
+    C = apply_rows(space.canon, points) if space.canon else np.asarray(points)
+    keys = points_json(C)
+    classes: dict = {}
+    return np.array([classes.setdefault(k, len(classes))
+                     for k in (map(tuple, keys) if C.ndim > 1 else keys)])
+
+
+# A table of marks dedupes pair numbers faster than a sort while it has at
+# most this many entries per number drawn.
+_MARKS_PER_PAIR = 8
+
+
+def _distinct(numbers, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(numbers, return_inverse=True)`` of ints in [0, size):
+    the marked entries of a table of ``size`` marks are the keys in order,
+    and each number's rank among them is its inverse.  A size past
+    ``_MARKS_PER_PAIR`` times the count of numbers takes the sort."""
+    if size > _MARKS_PER_PAIR * len(numbers):
+        return np.unique(numbers, return_inverse=True)
+    marks = np.zeros(size, dtype=bool)
+    marks[numbers] = True
+    keys = np.flatnonzero(marks)
+    rank = np.empty(size, dtype=np.intp)
+    rank[keys] = np.arange(len(keys))
+    return keys, rank[numbers]
+
+
 def _phi_records(space: TwoMetricSpace, witnesses: WitnessSet, triples: int, seed: int,
                  tolerance: float) -> list[AxiomRecord]:
     """N, AT, CostTriangle and DphiLipschitz of ``audit``, sampled from the
@@ -984,9 +1012,7 @@ def _phi_records(space: TwoMetricSpace, witnesses: WitnessSet, triples: int, see
     and scattered back in draw order."""
     m, Wpts = len(witnesses), np.asarray(witnesses.points)
     widx = np.random.default_rng(seed + 1).integers(0, m, size=(triples, 2))
-    canon = space.canon or (lambda p: p)
-    classes: dict = {}
-    wclass = np.array([classes.setdefault(point_key(canon(p)), len(classes)) for p in Wpts])
+    wclass = _classes(space, Wpts)
     nidx = widx[wclass[widx[:, 0]] != wclass[widx[:, 1]]]
     del widx
     prng = np.random.default_rng(seed + 2)
@@ -998,7 +1024,7 @@ def _phi_records(space: TwoMetricSpace, witnesses: WitnessSet, triples: int, see
     J = np.concatenate([nidx[:, 1], tidx[:, 1], tidx[:, 2], tidx[:, 1], qidx[:, 3]])
     pairs = np.minimum(I, J) * m + np.maximum(I, J)
     del I, J
-    keys, inverse = np.unique(pairs, return_inverse=True)
+    keys, inverse = _distinct(pairs, m * m)
     del pairs
     phi = eval_phi(space, keys // m, keys % m, witnesses, Wpts)[inverse]
     del keys, inverse

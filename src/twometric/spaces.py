@@ -54,6 +54,13 @@ def _coords(A) -> list:
     return [A[..., j] for j in range(A.shape[-1])]
 
 
+def _shape(p, q) -> tuple:
+    """The shape that arrays p and q broadcast to: read off directly where
+    they have one shape, which is what kernel calls on stacked rows pass."""
+    s = np.shape(p)
+    return s if s == np.shape(q) else np.broadcast_shapes(s, np.shape(q))
+
+
 def _dot(a, b) -> np.ndarray:
     """Dot products of points given as coordinate arrays: the even terms
     ``p0 + p2 + p4 + ...`` in one running sum, the odd terms ``p1 + p3 +
@@ -62,7 +69,7 @@ def _dot(a, b) -> np.ndarray:
     adds a unit-stride last axis, so there it gives einsum's bits without
     its per-call cost.  Every term is written into one buffer sized from
     the operands, which may be smaller than the scan they feed."""
-    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    shape = _shape(a[0], b[0])
     sums = [np.multiply(p, q, out=np.empty(shape)) for p, q in zip(a[:2], b[:2])]
     term = np.empty(shape)
     for j in range(2, len(a)):
@@ -72,7 +79,7 @@ def _dot(a, b) -> np.ndarray:
 
 def _differences(a, b) -> list:
     """The coordinate arrays of ``b - a``, each written into its own buffer."""
-    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    shape = _shape(a[0], b[0])
     return [np.subtract(q, p, out=np.empty(shape)) for p, q in zip(a, b)]
 
 
@@ -81,12 +88,12 @@ def _cross(Y, Z) -> np.ndarray:
     ``np.cross`` computes them, with the three coordinates on the last axis.
     Each coordinate is one contiguous buffer, which ``_dot`` reads fastest."""
     y, z = _coords(Y), _coords(Z)
-    shape = np.broadcast_shapes(np.shape(y[0]), np.shape(z[0]))
+    shape = _shape(y[0], z[0])
     c, term = np.empty((3,) + shape), np.empty(shape)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(y[j], z[k], out=c[i, ...])
         np.subtract(c[i, ...], np.multiply(y[k], z[j], out=term), out=c[i, ...])
-    return np.moveaxis(c, 0, -1)
+    return c.transpose(*range(1, c.ndim), 0)
 
 
 def _det_outer(X, C) -> np.ndarray:
@@ -128,14 +135,17 @@ def _det_phi(X, Y) -> np.ndarray:
     return _lengths(_coords(_cross(X, Y)))
 
 
+@broadcasting
 def antipodal_canon(x) -> np.ndarray:
-    """Deterministic representative of {x, -x}: the first coordinate larger
-    than 1e-12 in magnitude is made nonnegative.  Idempotent."""
+    """Deterministic representative of {x, -x}, of a point or of a stack
+    of points on the last axis: the first coordinate larger than 1e-12 in
+    magnitude is made nonnegative, and a point with none is kept.  A NaN
+    coordinate is not larger.  Idempotent."""
     x = np.asarray(x, dtype=float)
-    for c in x:
-        if abs(c) > 1e-12:
-            return -x if c < 0 else x
-    return x
+    large = np.abs(x) > 1e-12
+    first = large.argmax(axis=-1)[..., None]
+    flip = np.take_along_axis(x < 0, first, axis=-1) & np.take_along_axis(large, first, axis=-1)
+    return np.where(flip, -x, x)
 
 
 def sample_sphere(rng: np.random.Generator, count: int) -> np.ndarray:

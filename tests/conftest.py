@@ -177,6 +177,33 @@ def rho(x, y, z):
             * spaces._lengths(spaces._differences(y, z)))
 
 
+def point_key(p) -> tuple:
+    """A hashable key of one point: an index point's int, or a coordinate
+    point's coordinates as floats."""
+    if isinstance(p, (int, np.integer)):
+        return (int(p),)
+    return tuple(np.asarray(p, dtype=float).tolist())
+
+
+def antipodal_canon_reference(x) -> np.ndarray:
+    """The antipodal canon of one point by a loop over its coordinates: the
+    first one larger than 1e-12 in magnitude decides whether the point is
+    negated."""
+    x = np.asarray(x, dtype=float)
+    for c in x:
+        if abs(c) > 1e-12:
+            return -x if c < 0 else x
+    return x
+
+
+def classes_reference(space: TwoMetricSpace, points) -> list[int]:
+    """N's class numbers of points, point by point: ``point_key`` of each
+    point's canon, numbered in order of first appearance."""
+    canon = space.canon or (lambda p: p)
+    classes: dict = {}
+    return [classes.setdefault(point_key(canon(p)), len(classes)) for p in points]
+
+
 def table_items(space: FiniteTwoMetricSpace) -> list:
     """The stored triples of a table, in lexicographic order, each with its
     value read through ``dense()``."""

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import classes_reference, point_key
 from twometric import (FiniteTwoMetricSpace, WitnessSet, area_ball_space, audit,
                        det_sphere_space, sphere_witnesses)
 from twometric import core
 from twometric.core import (DEFAULT_TOLERANCE, AxiomRecord, _record_from, broadcasting,
-                            eval_phi, point_key)
+                            eval_phi)
 from twometric.spaces import det_metric_batch
 
 DATA = Path(__file__).parent / "data"
@@ -176,3 +177,99 @@ def check_nan_pair_records(space, planted, W, triples, seed):
     assert set(PHI_AXIOMS) <= set(report.failing())
     clean = audit(space, witnesses=W, triples=triples, seed=seed)
     assert not set(PHI_AXIOMS) & set(clean.failing())
+
+
+# ---------------------------------------------------------------------------
+# the distinct pairs by a table of marks, and N's classes by one canon call
+# ---------------------------------------------------------------------------
+
+def pair_numbers(rng, m: int, count: int) -> np.ndarray:
+    I, J = rng.integers(0, m, size=(2, count))
+    return np.minimum(I, J) * m + np.maximum(I, J)
+
+
+@pytest.mark.parametrize("m, count", [(1, 1), (1, 40), (2, 3), (7, 5), (40, 200), (40, 2000),
+                                      (134, 10000), (128, 40000), (406, 2500), (2000, 100)])
+def test_distinct_pairs_are_np_uniques_on_both_sides_of_the_bound(m, count, rng, monkeypatch):
+    numbers = pair_numbers(rng, m, count)
+    cases = [numbers, np.full(count, numbers[0]), numbers[::-1], np.sort(numbers)]
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    for marks in (core._MARKS_PER_PAIR, 0, 10 ** 9):
+        monkeypatch.setattr(core, "_MARKS_PER_PAIR", marks)
+        for pairs in cases:
+            keys, inverse = unique(pairs, return_inverse=True)
+            sorts.clear()
+            got = core._distinct(pairs, m * m)
+            # the sort is taken exactly past the bound
+            assert len(sorts) == (m * m > marks * count)
+            assert [a.dtype for a in got] == [keys.dtype, inverse.dtype]
+            assert np.array_equal(got[0], keys) and np.array_equal(got[1], inverse)
+
+
+def hexed(obj):
+    """A report's JSON with every float as ``float.hex`` gives it."""
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [hexed(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("name", ["det-sphere", "area-ball-3", "finite-table"])
+def test_audit_records_keep_their_bits_on_both_sides_of_the_bound(name, monkeypatch):
+    make_space, make_witnesses, _ = CASES[name]
+    space, W = make_space(), make_witnesses()
+    for triples, seed in ((1, 0), (300, 4), (2000, 0), (8000, 7)):
+        reports = []
+        for marks in (0, 10 ** 9):   # the sort, then the table of marks
+            monkeypatch.setattr(core, "_MARKS_PER_PAIR", marks)
+            reports.append(hexed(audit(space, witnesses=W, triples=triples, seed=seed).to_json()))
+        assert reports[0] == reports[1]
+
+
+def user_canon(p):
+    """Not marked ``broadcasting``: ``_classes`` calls it point by point."""
+    assert np.ndim(p) == 1
+    return np.round(p, 1)
+
+
+CLASS_CASES = {
+    "det-sphere": (det_sphere_space, lambda: sphere_witnesses(128, 0)),
+    "area-ball-3": CASES["area-ball-3"][:2],
+    "finite-table": CASES["finite-table"][:2],
+    "user-canon": (lambda: replace(area_ball_space(3), canon=user_canon),
+                   lambda: WitnessSet.sampled(area_ball_space(3), 128, 0)),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_CASES)
+def test_classes_partition_the_witnesses_as_their_point_keys_do(name):
+    make_space, make_witnesses = CLASS_CASES[name]
+    space, W = make_space(), np.asarray(make_witnesses().points)
+    nan, inf = np.nan, np.inf
+    sets = [W, np.concatenate([W, W[::3], -W[::5]])]
+    if W.ndim > 1:
+        # antipodes, signed zeros, near-zero leading coordinates, NaN and inf
+        edge = [[0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 1.0], [1e-13, 0.6, 0.8],
+                [-1e-13, -0.6, -0.8], [nan, 0.6, 0.8], [nan, 0.6, 0.8], [nan, -0.6, -0.8],
+                [-inf, 0.0, 0.0], [inf, 0.0, 0.0], [0.04, 0.0, 0.5], [-0.04, -0.0, 0.5]]
+        sets.append(np.concatenate([W[:4], np.array(edge), W[:4]]))
+    for pts in sets:
+        assert core._classes(space, pts).tolist() == classes_reference(space, pts)
+    if space.canon is not None:
+        # a marked canon takes one call on the stack, an unmarked one a call
+        # per point
+        calls = []
+
+        def counted(P):
+            calls.append(np.shape(P))
+            return space.canon(P)
+
+        if getattr(space.canon, "broadcasts", False):
+            counted = core.broadcasting(counted)
+        core._classes(replace(space, canon=counted), W)
+        assert calls == ([W.shape] if name == "det-sphere" else [W.shape[1:]] * len(W))

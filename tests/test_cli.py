@@ -698,9 +698,6 @@ def test_parser_flags_are_the_echoed_config(one_run_each):
 
 
 def test_echoed_config_reproduces_the_artifact(one_run_each, tmp_path):
-    def blanked(path):
-        return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', path.read_bytes())
-
     for name, artifact in one_run_each.items():
         first = blanked(artifact)
         config = tmp_path / f"{name}.config.json"
@@ -799,6 +796,44 @@ def test_a_command_parser_prints_what_the_full_parser_prints(argv, capsys):
     want = parsed(capsys, build_parser().parse_args, argv)
     assert want[0] in (0, 2) and (want[1] or want[2])
     assert parsed(capsys, main, argv) == want
+
+
+# commands run one after another in one process, a bad usage among them
+IN_PROCESS = [["audit"], ["demo-equator"], ["audit", "--no-such-flag"],
+              ["audit", "--space", "area-ball", "--samples", "500", "--seed", "3",
+               "--witnesses", "40"]]
+
+
+def test_each_parser_is_built_once_per_process_and_reused(tmp_path, capsys, monkeypatch):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # the fresh processes import this copy of the package, from any directory
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for command in (None, *cli.COMMANDS):
+        assert build_parser(command) is build_parser(command)
+    for i, argv in enumerate(IN_PROCESS):
+        here, fresh = tmp_path / f"in-{i}", tmp_path / f"fresh-{i}"
+        here.mkdir(), fresh.mkdir()
+        monkeypatch.chdir(here)
+        got = parsed(capsys, main, argv + ["--out=."])
+        proc = subprocess.run([sys.executable, "-m", "twometric", *argv, "--out=."],
+                              cwd=fresh, env=env, capture_output=True, text=True)
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+        # the artifacts, JSON with the timestamp blanked, byte for byte
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in here.iterdir()) == names
+        assert names or got[0] == 2
+        for name in names:
+            assert blanked(here / name) == blanked(fresh / name), (argv, name)
+
+
+def blanked(path):
+    """An artifact's bytes, JSON with the timestamp blanked."""
+    return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', path.read_bytes())
 
 
 def test_a_command_parser_holds_that_command_alone():

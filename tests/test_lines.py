@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import (DATA, det_reference, oracle_maximal_colinear, patch_space,
+from conftest import (DATA, det_reference, oracle_maximal_colinear, patch_space, point_key,
                       random_sphere_table, table_items, table_phi, tail_residual)
 from twometric import (FiniteTwoMetricSpace, Line, SpherePatch, Thresholds, WitnessSet,
                        area_ball_space, classify, demo_five_point_space, det_metric,
@@ -504,10 +504,9 @@ def test_passers_and_members_write_int_coordinates_as_floats():
 
 
 def first_of_each_by_key(points, m):
-    """``_first_of_each`` keyed by ``core.point_key``, one point at a
-    time."""
+    """``_first_of_each`` keyed by ``point_key``, one point at a time."""
     first, tail = {}, {}
-    for i, key in enumerate(map(core.point_key, points)):
+    for i, key in enumerate(map(point_key, points)):
         first.setdefault(key, i)
         if i >= m:
             tail.setdefault(key, i - m)

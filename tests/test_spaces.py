@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import area_reference, det_reference, hexes, rho, triangle_area2
+from conftest import (antipodal_canon_reference, area_reference, det_reference, hexes, rho,
+                      triangle_area2)
 from twometric import (SpherePatch, antipodal_canon, area_metric,
                        convexity_bound, convexity_baseline, det_metric, det_sphere_space,
                        great_circle_points, sphere_witnesses, unit_sphere)
@@ -87,6 +88,38 @@ def test_antipodal_canon_idempotent_and_pair_collapsing(rng):
         c = antipodal_canon(x)
         assert np.array_equal(antipodal_canon(c), c)
         assert np.array_equal(antipodal_canon(-x), c)
+
+
+def canon_cases(rng, dim: int) -> np.ndarray:
+    """Points whose canon the coordinate loop decides in every way: random
+    points, the axis points and their antipodes, leading coordinates within
+    1e-12 of 0, signed zeros, NaN and inf."""
+    nan, inf = math.nan, math.inf
+    edge = [(-1e-13, -0.5, 0.3), (1e-12, -0.5, 0.3), (-1e-12, -0.5, 0.3),
+            (-1.0000001e-12, 0.5, 0.3), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-0.0, 0.5, -0.3),
+            (-0.0, -1e-13, -0.5), (nan, -0.5, 0.3), (-0.5, nan, 0.3), (nan, nan, nan),
+            (1e-13, nan, -0.2), (-inf, 0.0, 0.0), (0.0, -inf, 1.0), (inf, -inf, nan),
+            (1e-13, -1e-13, 1e-13), (-nan, 0.0, -0.0)]
+    edge = [p[:dim] + (0.7,) * (dim - 3) for p in edge]
+    scales = 10.0 ** rng.integers(-14, 3, size=(200, 1))
+    return np.concatenate([rng.normal(size=(200, dim)) * scales, np.eye(dim), -np.eye(dim),
+                           np.array(edge, dtype=float).reshape(-1, dim)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_antipodal_canon_of_a_stack_is_the_coordinate_loop_on_each_point(dim, rng):
+    P = canon_cases(rng, dim)
+    want = np.array([antipodal_canon_reference(p) for p in P])
+    # bit for bit: the sign of a zero and of a NaN count
+    for p, w in zip(P, want):
+        got = antipodal_canon(p)
+        assert got.shape == p.shape and got.tobytes() == w.tobytes()
+    stacked = antipodal_canon(P)
+    assert stacked.shape == P.shape and stacked.tobytes() == want.tobytes()
+    # stacks of stacks, and an int point
+    assert antipodal_canon(P.reshape(-1, 1, dim)).tobytes() == want.tobytes()
+    assert antipodal_canon([0] * (dim - 1) + [-2]).tobytes() == \
+        antipodal_canon_reference([0] * (dim - 1) + [-2]).tobytes()
 
 
 def test_great_circle_points_are_on_the_circle():
