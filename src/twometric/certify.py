@@ -122,7 +122,7 @@ class CertInput:
         det = _abs_det(self.jac_target)
         if det < 1e-15:
             raise ValueError("reference matrix must be invertible")
-        if np.linalg.norm(self.jac_target, 2) > self.norm_bound + 1e-12:
+        if not _spectral_norms(self.jac_target) <= self.norm_bound + 1e-12:
             raise ValueError("reference matrix exceeds its declared norm cap")
         if not 0.0 < self.inner_radius < self.patch.radius:
             raise ValueError("inner radius must sit strictly inside the patch")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import certifier_baseline, convexity_baseline, within_regression
-from .certify import _SLACK, CertInput, certify
+from .certify import _SLACK, CertInput, _abs_det, _spectral_norms, certify
 from .core import (DEFAULT_TOLERANCE, FiniteTwoMetricSpace, WitnessSet, _write_json, audit,
                    broadcasting)
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
@@ -280,9 +280,15 @@ def cmd_classify(cfg) -> int:
 def cmd_certify(cfg) -> int:
     A = _parse_matrix2(cfg["A"])
     base = certifier_baseline()
-    # the calibrated C' holds only on the condition-bounded family
-    if not np.linalg.cond(A) <= base["max_condition"]:
-        raise ConfigError(f"--A has condition number {np.linalg.cond(A):.6g}, above the "
+    # the calibrated C' holds only on the condition-bounded family; the
+    # condition number s1 / s2 is s1^2 / |det A|, taken of A scaled by the
+    # power of two that brings its largest entry into [0.5, 1), so that
+    # neither overflows and no normal A underflows to det 0
+    S = np.ldexp(A, -np.frexp(np.abs(A).max())[1])
+    norm, det = float(_spectral_norms(S)), _abs_det(S)
+    condition = norm * norm / det if det else math.inf
+    if not condition <= base["max_condition"]:
+        raise ConfigError(f"--A has condition number {condition:.6g}, above the "
                           f"calibrated family's cap {base['max_condition']:g}")
     # and only on the patch it was calibrated on
     patch = (base["patch_r"], base["inner_radius"])

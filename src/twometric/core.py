@@ -229,7 +229,7 @@ class WitnessSet:
     """Finite stand-in for the sup index set of the derived pair distance."""
 
     points: Any
-    seed: int = 0   # the sampled points' seed; ``refined`` draws from seed + 1
+    seed: int = 0   # the sampled points' seed; ``witness_refinement_gap`` draws from seed + 1
 
     def __post_init__(self):
         _at_least(len(self.points), 1, "witness count")
@@ -245,12 +245,6 @@ class WitnessSet:
     @staticmethod
     def all_of(space: "FiniteTwoMetricSpace") -> "WitnessSet":
         return WitnessSet(np.arange(space.n))
-
-    def refined(self, space: TwoMetricSpace) -> "WitnessSet":
-        """The same witnesses plus an equal number of fresh samples."""
-        fresh = space.sample(np.random.default_rng(self.seed + 1), len(self.points))
-        return WitnessSet(np.concatenate([np.asarray(self.points), np.asarray(fresh)]),
-                          self.seed + 1)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -559,7 +553,8 @@ def witness_refinement_gap(space: TwoMetricSpace, witnesses: WitnessSet) -> floa
     a space with a declared ``phi``, which ``eval_phi`` reads for
     coordinate points without the witnesses."""
     X, Y = _stacks(space.sample, _GAP_SEED, _GAP_PAIRS, 2)
-    refined = witnesses.refined(space)
+    fresh = space.sample(np.random.default_rng(witnesses.seed + 1), len(witnesses))
+    refined = WitnessSet(np.concatenate([np.asarray(witnesses.points), np.asarray(fresh)]))
     base = eval_phi(space, X, Y, witnesses)
     better = eval_phi(space, X, Y, refined)
     return float(np.maximum(better - base, 0.0).max())
@@ -969,17 +964,15 @@ def _sampled_records(space: TwoMetricSpace, triples: int, seed: int) -> list[Axi
     return records
 
 
-def _classes(space: TwoMetricSpace, points) -> np.ndarray:
-    """The class number of each point, numbered in order of first
-    appearance, two points in one class where the ``points_json`` values
-    of their ``canon`` are equal: -0.0 is 0.0, and a point with a NaN
-    coordinate is a class of its own.  A canon marked ``broadcasting`` is
-    called once on the stack, any other one point by point."""
-    C = apply_rows(space.canon, points) if space.canon else np.asarray(points)
-    keys = points_json(C)
+def _key_classes(points) -> np.ndarray:
+    """The class number of each point of a stack, numbered in order of
+    first appearance, two points in one class where their ``points_json``
+    values are equal: -0.0 is 0.0, and a point with a NaN coordinate is a
+    class of its own."""
+    keys = points_json(points)
     classes: dict = {}
     return np.array([classes.setdefault(k, len(classes))
-                     for k in (map(tuple, keys) if C.ndim > 1 else keys)])
+                     for k in (map(tuple, keys) if np.ndim(points) > 1 else keys)])
 
 
 # A table of marks dedupes pair numbers faster than a sort while it has at
@@ -1012,7 +1005,7 @@ def _phi_records(space: TwoMetricSpace, witnesses: WitnessSet, triples: int, see
     and scattered back in draw order."""
     m, Wpts = len(witnesses), np.asarray(witnesses.points)
     widx = np.random.default_rng(seed + 1).integers(0, m, size=(triples, 2))
-    wclass = _classes(space, Wpts)
+    wclass = _key_classes(apply_rows(space.canon, Wpts) if space.canon else Wpts)
     nidx = widx[wclass[widx[:, 0]] != wclass[widx[:, 1]]]
     del widx
     prng = np.random.default_rng(seed + 2)

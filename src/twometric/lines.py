@@ -20,8 +20,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _strict, eval_phi,
-                   point_json, points_json)
+from .core import (FiniteTwoMetricSpace, TwoMetricSpace, WitnessSet, _d_max, _key_classes,
+                   _strict, eval_phi, point_json, points_json)
 
 # Deterministic stream for subsampling oversized pair scans.
 _SUBSAMPLE_SEED = 0x5EED
@@ -216,21 +216,6 @@ class Classification:
         return out
 
 
-def _first_of_each(points, m: int) -> tuple[list[int], np.ndarray]:
-    """The positions of the points of a stack that differ, by their
-    ``points_json`` values, from every point before them, and the tail
-    position of each: that of the first point from position ``m`` on with
-    its key, less ``m``, or the number of those points where none has it."""
-    keys = points_json(points)
-    first: dict = {}
-    tail: dict = {}
-    for i, key in enumerate(map(tuple, keys) if np.ndim(points) > 1 else keys):
-        first.setdefault(key, i)
-        if i >= m:
-            tail.setdefault(key, i - m)
-    return list(first.values()), np.array([tail.get(key, len(points) - m) for key in first])
-
-
 def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
              thresholds: Thresholds = Thresholds()) -> Classification:
     """Classify a sequence tail.
@@ -238,7 +223,9 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     The tail is the last ``tail_fraction`` of the sequence, and at least 3
     points; a sequence shorter than 3 points or than ``min_length`` is
     refused with a ``ValueError``.  Candidates for the limit search are the
-    witness points plus all tail points, each point once.  The Cauchy
+    witness points plus all tail points, each point once: two points are one
+    where ``core._key_classes`` puts them in one class, and each class is
+    taken at its first point, the witnesses before the tail.  The Cauchy
     modulus and the candidates' residuals are taken over the tail pairs of
     ``_pair_arrays``, and the triple modulus over every tail triple i < j <
     k whose pair (j, k) is one of them (every triple up to 200 tail
@@ -262,19 +249,21 @@ def classify(space: TwoMetricSpace, sequence, witnesses: WitnessSet,
     idx_i, idx_j = _pair_arrays(n, start)
     cauchy_modulus = float(eval_phi(space, idx_i, idx_j, witnesses, seq).max())
 
-    # Candidates are the witnesses and the tail, each point once, with its
-    # tail position.  One scan over candidates x pairs gives each
-    # candidate's residual, the max over its row, and the triples it holds,
-    # the max from its cut on: a candidate at tail position t holds the
-    # triples (t, i, j) with i past t, which follow the pairs before them.
-    points = np.concatenate([np.asarray(witnesses.points), seq])
-    m = len(points) - n
-    rows = np.r_[:m, m + start:len(points)]
-    first, position = _first_of_each(points[rows], m)
-    pick = rows[first]
+    # Candidates are the witnesses and the tail, each point once, at its
+    # first position and with its first tail position: a class found in
+    # the witnesses only reads a position past the tail.  One scan over
+    # candidates x pairs gives each candidate's residual, the max over its
+    # row, and the triples it holds, the max from its cut on: a candidate
+    # at tail position t holds the triples (t, i, j) with i past t, which
+    # follow the pairs before them.
+    points = np.concatenate([np.asarray(witnesses.points), seq[start:]])
+    m = len(witnesses)
+    classes = _key_classes(points)
+    pick = np.unique(classes, return_index=True)[1]
+    position = np.unique(np.roll(classes, -m), return_index=True)[1]
     cuts = np.searchsorted(idx_i, start + position, side="right")
-    residuals, held = _d_max(space, pick[:, None], m + idx_i, m + idx_j, points, cuts,
-                             (thresholds.lim, 10.0 * thresholds.lim)).T
+    residuals, held = _d_max(space, pick[:, None], m - start + idx_i, m - start + idx_j, points,
+                             cuts, (thresholds.lim, 10.0 * thresholds.lim)).T
     tri_modulus = float(held.max())
     passers = list(points[pick[residuals <= thresholds.lim]])
 

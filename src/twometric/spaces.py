@@ -321,7 +321,9 @@ def area_ball_space(dim: int = 3) -> TwoMetricSpace:
         name=f"area-ball-{dim}d",
         d_batch=area_metric_batch,
         sample=lambda rng, n: sample_ball(rng, n, dim=dim),
-        # on a line every triangle is flat, so phi is 0, as every witness scan gives it
+        # on a line every triangle is flat, so phi is 0, not ``_area_phi``'s
+        # sup over a ball; the witness scan stands in, and reads up to
+        # 7.45e-9, not 0, by the kernel's cancellation (ROADMAP item 22)
         phi=_area_phi if dim > 1 else None,
         contains=_in_ball,
         line_points=chord_points,

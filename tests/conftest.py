@@ -185,6 +185,20 @@ def point_key(p) -> tuple:
     return tuple(np.asarray(p, dtype=float).tolist())
 
 
+def first_of_each(points, m: int) -> tuple[list[int], list[int]]:
+    """The candidates of ``classify`` over a stack of m witnesses and a
+    tail, one point at a time: the position of each point whose
+    ``point_key`` no point before it has, and the tail position of each,
+    that of the first point from position m on with its key, less m, or
+    the number of those points where none has it."""
+    first, tail = {}, {}
+    for i, key in enumerate(map(point_key, points)):
+        first.setdefault(key, i)
+        if i >= m:
+            tail.setdefault(key, i - m)
+    return list(first.values()), [tail.get(key, len(points) - m) for key in first]
+
+
 def antipodal_canon_reference(x) -> np.ndarray:
     """The antipodal canon of one point by a loop over its coordinates: the
     first one larger than 1e-12 in magnitude decides whether the point is

@@ -232,7 +232,7 @@ def test_audit_records_keep_their_bits_on_both_sides_of_the_bound(name, monkeypa
 
 
 def user_canon(p):
-    """Not marked ``broadcasting``: ``_classes`` calls it point by point."""
+    """Not marked ``broadcasting``: audit calls it point by point."""
     assert np.ndim(p) == 1
     return np.round(p, 1)
 
@@ -259,10 +259,11 @@ def test_classes_partition_the_witnesses_as_their_point_keys_do(name):
                 [-inf, 0.0, 0.0], [inf, 0.0, 0.0], [0.04, 0.0, 0.5], [-0.04, -0.0, 0.5]]
         sets.append(np.concatenate([W[:4], np.array(edge), W[:4]]))
     for pts in sets:
-        assert core._classes(space, pts).tolist() == classes_reference(space, pts)
+        C = core.apply_rows(space.canon, pts) if space.canon else pts
+        assert core._key_classes(C).tolist() == classes_reference(space, pts)
     if space.canon is not None:
-        # a marked canon takes one call on the stack, an unmarked one a call
-        # per point
+        # audit's N classes: a marked canon takes one call on the stack, an
+        # unmarked one a call per point
         calls = []
 
         def counted(P):
@@ -271,5 +272,5 @@ def test_classes_partition_the_witnesses_as_their_point_keys_do(name):
 
         if getattr(space.canon, "broadcasts", False):
             counted = core.broadcasting(counted)
-        core._classes(replace(space, canon=counted), W)
+        core._phi_records(replace(space, canon=counted), WitnessSet(W), 10, 0, DEFAULT_TOLERANCE)
         assert calls == ([W.shape] if name == "det-sphere" else [W.shape[1:]] * len(W))

@@ -16,6 +16,7 @@ from conftest import triangle_area2
 from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd)
+from twometric import cli
 from twometric.baselines import within_regression
 from twometric.certify import _STEP, _max_radius, _spectral_norms
 from twometric.core import broadcasting
@@ -373,6 +374,66 @@ def test_certify_validates_reference_matrix():
         make_input(linear_map(np.zeros((2, 2))), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="norm cap"):
         make_input(linear_map(3 * np.eye(2)), 3 * np.eye(2))
+
+
+def with_singular_values(rng, s1, s2):
+    """R(a) diag(s1, s2) R(b) for rotations by random angles a and b."""
+    a, b = rng.uniform(0.0, 2.0 * np.pi, 2)
+    R = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])  # noqa: E731
+    return R(a) @ np.diag([s1, s2]) @ R(b)
+
+
+def random_matrices(rng, count):
+    """Matrices with normal entries, scaled over six decades."""
+    return rng.normal(size=(count, 2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, 1))
+
+
+def test_the_norm_cap_refuses_what_lapack_refuses(rng):
+    # the closed-form norm against the SVD's, on random matrices and on
+    # matrices within a relative 1e-9 or 1e-6 of the cap and its allowance
+    edge = BASE["C_A"] + 1e-12
+    near = [with_singular_values(rng, edge * (1.0 + e), edge * rng.uniform(0.3, 1.0))
+            for e in (-1e-6, -1e-9, 1e-9, 1e-6) for _ in range(50)]
+    for A in [*random_matrices(rng, 2000), *near]:
+        try:
+            make_input(linear_map(A), A)
+            refused = False
+        except ValueError as exc:
+            if "invertible" in str(exc):
+                continue
+            assert "norm cap" in str(exc)
+            refused = True
+        assert refused == (np.linalg.norm(A, 2) > edge)
+    with pytest.raises(ValueError, match="norm cap"):
+        make_input(linear_map(np.eye(2)), [[1.0, 0.0], [0.0, np.nan]])
+
+
+def test_the_condition_cap_refuses_what_lapack_refuses(rng, monkeypatch, capsys):
+    # the CLI's s1^2 / |det A| against np.linalg.cond, on random matrices
+    # and on matrices within a relative 1e-9 or 1e-6 of the cap, over six
+    # decades of scale, and at scales where s1^2 or det A of the unscaled
+    # matrix would overflow or underflow; a matrix inside the cap goes on
+    # to CertInput
+    def past(**_):
+        raise ValueError("past the condition check")
+
+    monkeypatch.setattr(cli, "CertInput", past)
+    cap = BASE["max_condition"]
+    near = [with_singular_values(rng, s, s / (cap * (1.0 + e)))
+            for e in (-1e-6, -1e-9, 1e-9, 1e-6) for s in 10.0 ** rng.uniform(-3.0, 3.0, 25)]
+    extreme = [scale * with_singular_values(rng, 1.0, c)
+               for scale in (1e-300, 1e-160, 1e160, 1e300) for c in (0.5, 0.2)]
+    for A in [*random_matrices(rng, 300), *near, *extreme, np.diag([1.0, 1.0 / cap]),
+              np.zeros((2, 2))]:
+        A = np.asarray(A)
+        argv = ["certify", "--A=" + ",".join(map(repr, A.ravel().tolist()))]
+        assert cli.main(argv) == 2
+        err, want = capsys.readouterr().err, np.linalg.cond(A)
+        if want <= cap:
+            assert err == "error: past the condition check\n"
+        else:
+            got = float(err.split("condition number ")[1].split(",")[0])
+            assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_displacement_stays_within_jacobian_budget(rng):

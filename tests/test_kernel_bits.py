@@ -31,8 +31,8 @@ from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatc
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
 from twometric import dynamics, spaces
-from twometric.certify import (_abs_det, _max_radius, _spectral_norms, certify, hessian_bound_fd,
-                               jacobian_fd)
+from twometric.certify import (CertInput, _abs_det, _max_radius, _spectral_norms, certify,
+                               hessian_bound_fd, jacobian_fd)
 from twometric.core import _stacks, apply_rows, broadcasting
 from twometric.dynamics import measured_contraction_factor, orbit
 from twometric.spaces import (_SANDWICH_ROWS, _dot, area_metric_batch, det_metric_batch,
@@ -193,9 +193,10 @@ def test_each_metric_has_one_definition():
 
 
 def test_certify_norms_and_differences_are_elementwise():
-    # and |det A|, which gives every certify artifact's det_A and bound
+    # and |det A|, which gives every certify artifact's det_A and bound, and
+    # CertInput's checks of A
     assert_elementwise({_spectral_norms, jacobian_fd, hessian_bound_fd, _max_radius, _abs_det,
-                        certify})
+                        certify, CertInput})
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

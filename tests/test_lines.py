@@ -11,8 +11,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import (DATA, det_reference, oracle_maximal_colinear, patch_space, point_key,
-                      random_sphere_table, table_items, table_phi, tail_residual)
+from conftest import (DATA, det_reference, first_of_each, oracle_maximal_colinear, patch_space,
+                      point_key, random_sphere_table, table_items, table_phi, tail_residual)
 from twometric import (FiniteTwoMetricSpace, Line, SpherePatch, Thresholds, WitnessSet,
                        area_ball_space, classify, demo_five_point_space, det_metric,
                        det_sphere_space, enumerate_lines, maximal_colinear_sets,
@@ -20,7 +20,7 @@ from twometric import (FiniteTwoMetricSpace, Line, SpherePatch, Thresholds, Witn
 from twometric import core
 import twometric.lines as lines_module
 from twometric.core import _d_many
-from twometric.lines import Classification, _first_of_each, _pair_arrays
+from twometric.lines import Classification, _pair_arrays
 
 E1, E2, E3 = np.eye(3)
 SPHERE = det_sphere_space()
@@ -503,16 +503,6 @@ def test_passers_and_members_write_int_coordinates_as_floats():
     assert Line(0, 1, 1e-6, members=()).to_json()["members"] == []
 
 
-def first_of_each_by_key(points, m):
-    """``_first_of_each`` keyed by ``point_key``, one point at a time."""
-    first, tail = {}, {}
-    for i, key in enumerate(map(point_key, points)):
-        first.setdefault(key, i)
-        if i >= m:
-            tail.setdefault(key, i - m)
-    return list(first.values()), [tail.get(key, len(points) - m) for key in first]
-
-
 @pytest.mark.parametrize("points", [
     np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 0.0], [np.nan, 0.0], [2.0, 3.0], [0.0, 1.0],
               [2.0, 3.0], [5.0, 5.0]]),
@@ -521,5 +511,93 @@ def first_of_each_by_key(points, m):
 ])
 @pytest.mark.parametrize("m", [0, 2, 5])
 def test_first_of_each_keys_points_as_point_key_does(points, m):
-    first, position = _first_of_each(points, m)
-    assert (first, position.tolist()) == first_of_each_by_key(points, m)
+    # classify's candidates over m witnesses and a tail: the classes of
+    # _key_classes, numbered in order of first appearance, are those of
+    # point_key, so np.unique gives each class's first position and, on
+    # the stack rolled to start at the tail, its first tail position, or
+    # one at or past the tail's end for a class of witnesses only
+    m = min(m, len(points))
+    classes = core._key_classes(points)
+    numbers: dict = {}
+    assert classes.tolist() == [numbers.setdefault(point_key(p), len(numbers)) for p in points]
+    first = np.unique(classes, return_index=True)[1]
+    position = np.unique(np.roll(classes, -m), return_index=True)[1]
+    assert (first.tolist(), np.minimum(position, len(points) - m).tolist()) == \
+        first_of_each(points, m)
+
+
+def classify_reference(space, seq, witnesses, thresholds=Thresholds()):
+    """``classify``'s passers, the count of its NaN residuals and its
+    triple modulus by brute force: the candidates of ``first_of_each`` over
+    the witnesses and the tail, each one's residual the NaN-keeping max of
+    d over the tail pairs of ``_pair_arrays``, by the kernel on gathered
+    rows, and ``held_triples_max``."""
+    seq = np.asarray(seq)
+    start = len(seq) - max(3, round(len(seq) * thresholds.tail_fraction))
+    points = np.concatenate([np.asarray(witnesses.points), seq[start:]])
+    first, _ = first_of_each(points, len(witnesses))
+    I, J = _pair_arrays(len(seq), start)
+    residuals = [np.max(_d_many(space, np.take(points, np.full(len(I), f), axis=0), seq[I],
+                                seq[J])) for f in first]
+    passers = [points[f] for f, r in zip(first, residuals) if r <= thresholds.lim]
+    return passers, int(np.isnan(residuals).sum()), held_triples_max(space, seq, start)
+
+
+def equator_case(nan_witnesses=False, nan_tail=False):
+    """A tail alternating between E1, written with -0.0, and E2, on
+    witnesses whose first point is E1 with 0.0; optionally two witnesses,
+    or two tail points, with the same NaN coordinates."""
+    seq = np.array([[1.0, -0.0, 0.0], E2] * 30)
+    W = np.asarray(sphere_witnesses(16, 1).points).copy()
+    assert json.dumps(core.point_json(W[0])) == "[1.0, 0.0, 0.0]"
+    if nan_witnesses:
+        W[[5, 9]] = [np.nan, 0.0, 0.0]
+    if nan_tail:
+        seq[[44, 50]] = [np.nan, 0.0, 0.0]
+    return SPHERE, seq, WitnessSet(W)
+
+
+def spiral_case():
+    """A tail spiralling into E3 whose first point x_30 is a witness and
+    comes again at 35."""
+    t = np.arange(60)[:, None]
+    seq = E3 + 0.9 ** t * (np.cos(2.0 * t) * E1 + np.sin(2.0 * t) * E2)
+    seq /= np.linalg.norm(seq, axis=1, keepdims=True)
+    seq[35] = seq[30]
+    W = np.asarray(sphere_witnesses(16, 1).points).copy()
+    W[3] = seq[30]
+    return SPHERE, seq, WitnessSet(W)
+
+
+def repeats_case():
+    """A table trace cycling over four points, one twice a cycle: 500
+    tail points, whose pairs are a seeded pick."""
+    space, witnesses, _ = table_case()
+    return space, np.resize([0, 1, 2, 5, 1], 1000), witnesses
+
+
+def index_trace_case():
+    """The 12-point table's committed index trace, every point a witness."""
+    space, witnesses, _ = table_case()
+    seq = np.loadtxt(DATA / "table12" / "index_trace.csv", delimiter=",", skiprows=1,
+                     dtype=int)[:, 1]
+    return space, seq, witnesses
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(equator_case, id="signed-zero"),
+    pytest.param(lambda: equator_case(nan_witnesses=True), id="nan-witnesses"),
+    pytest.param(lambda: equator_case(nan_tail=True), id="nan-tail"),
+    pytest.param(spiral_case, id="witness-in-tail"),
+    pytest.param(repeats_case, id="repeats"),
+    pytest.param(index_trace_case, id="index-trace"),
+])
+def test_classify_takes_the_candidates_of_the_first_of_each_oracle(case):
+    # the passers in order and in their bits (a witness's 0.0, not the
+    # tail's -0.0), one NaN residual per NaN point, and the triple modulus
+    space, seq, witnesses = case()
+    passers, nan, tri = classify_reference(space, seq, witnesses)
+    verdict = classify(space, seq, witnesses)
+    assert json.dumps(core.points_json(verdict.passers)) == json.dumps(core.points_json(passers))
+    assert (f"{nan} candidate residuals are NaN" in verdict.notes) == (nan > 0)
+    assert float(verdict.tri_cauchy_modulus).hex() == float(tri).hex()

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import (antipodal_canon_reference, area_reference, det_reference, hexes, rho,
                       triangle_area2)
-from twometric import (SpherePatch, antipodal_canon, area_metric,
-                       convexity_bound, convexity_baseline, det_metric, det_sphere_space,
+from twometric import (SpherePatch, WitnessSet, antipodal_canon, area_ball_space, area_metric,
+                       audit, convexity_bound, convexity_baseline, det_metric, det_sphere_space,
                        great_circle_points, sphere_witnesses, unit_sphere)
 from twometric.baselines import within_regression
 from twometric.spaces import _lift, area_metric_batch, det_metric_batch, sample_sphere
@@ -176,6 +176,17 @@ def test_area_quadratic_scaling_exact_for_dyadic_factors(rng):
     lam = 0.3
     assert area_metric(lam * x, lam * y, lam * z) == pytest.approx(
         lam ** 2 * area_metric(x, y, z), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: the Gram form reads flat 1-D areas "
+                   "up to about 7.5e-9, above the audit's 1e-9 tolerance")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_audit_of_the_1d_ball_names_n_alone(seed):
+    # on a line every triangle is flat, so d and phi are 0: N fails on
+    # every pair of distinct points, and every other axiom holds exactly
+    space = area_ball_space(1)
+    report = audit(space, witnesses=WitnessSet.sampled(space, 128, seed), seed=seed)
+    assert report.failing() == ["N"]
 
 
 # ---------------------------------------------------------------------------
