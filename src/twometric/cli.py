@@ -31,7 +31,7 @@ from .core import (DEFAULT_TOLERANCE, FiniteTwoMetricSpace, WitnessSet, _write_j
                    broadcasting)
 from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
-from .lines import Thresholds, classify, enumerate_lines
+from .lines import Thresholds, classify, line_members
 from .quasi import banach_direct, banach_multcost, banach_power, interval_space
 from .spaces import (SpherePatch, area_ball_space, convexity_bound,
                      det_sphere_space, sphere_witnesses, unit_sphere)
@@ -140,7 +140,7 @@ def cmd_audit(cfg) -> int:
     non_fatal = ("N",) if cfg["space"] == "det-sphere" else ()
     payload = {"audit": report.to_json()}
     if finite is not None:
-        payload["lines"] = [list(line.members) for line in enumerate_lines(finite)]
+        payload["lines"] = line_members(finite)
     _write(cfg, "audit.json", **payload)
     failing = report.failing(non_fatal)
     for rec in report.records:
@@ -363,10 +363,10 @@ def cmd_convexity(cfg) -> int:
 
 def cmd_enumerate_lines(cfg) -> int:
     _, _, finite = _space_for("finite", cfg)
-    lines = enumerate_lines(finite)
-    _write(cfg, "lines.json", lines=[list(line.members) for line in lines])
+    lines = line_members(finite)
+    _write(cfg, "lines.json", lines=lines)
     for line in lines:
-        print(f"line: {list(line.members)}")
+        print(f"line: {line}")
     print(f"{len(lines)} lines on {finite.n} points")
     return 0
 

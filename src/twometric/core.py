@@ -88,11 +88,13 @@ def _json_text(obj, level: int = 0) -> str:
     indented for ``level``, with the same bytes or the same exception.
 
     json's indenting encoder is pure Python, one call per value.  Here a
-    list of floats, or of equal-length rows of floats and ints, is joined
-    from ``float.__repr__`` and ``int.__repr__`` at C level, a row by one
-    ``%`` template; dicts with str keys, lists and tuples recurse.  What
-    else there is (bools, NaN and inf, numpy scalars, other keys) goes to
-    json itself, re-indented: a JSON string holds no raw newline.
+    list of floats, or of rows of floats and ints, is joined from
+    ``float.__repr__`` and ``int.__repr__`` at C level: equal-length rows
+    by one ``%`` template a row, and rows of other lengths by one template
+    of all of them, put together from one template per length; dicts with
+    str keys, lists and tuples recurse.  What else there is (bools, NaN and
+    inf, numpy scalars, other keys) goes to json itself, re-indented: a
+    JSON string holds no raw newline.
     """
     pad = "\n" + "  " * (level + 1)
     kind = type(obj)
@@ -106,11 +108,17 @@ def _json_text(obj, level: int = 0) -> str:
         types = set(map(type, obj))
         if types <= _NUMBERS:
             text = ("," + pad).join(map(repr, obj))
-        elif types <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0] \
+        elif types <= {list, tuple} \
                 and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS:
             inner = "\n" + "  " * (level + 2)
-            row = "[" + inner + ("," + inner).join(["%r"] * len(obj[0])) + pad + "]"
-            text = ("," + pad).join(map(row.__mod__, map(tuple, obj)))
+            lengths = list(map(len, obj))
+            rows = {k: "[" + inner + ("," + inner).join(["%r"] * k) + pad + "]" if k else "[]"
+                    for k in set(lengths)}
+            if len(rows) == 1:
+                text = ("," + pad).join(map(rows[lengths[0]].__mod__, map(tuple, obj)))
+            else:
+                text = ("," + pad).join(map(rows.__getitem__, lengths)) \
+                    % tuple(itertools.chain.from_iterable(obj))
         else:
             return "[" + pad + ("," + pad).join([_json_text(v, level + 1) for v in obj]) \
                 + pad[:-2] + "]"
@@ -598,6 +606,33 @@ def _sorted_key(key, n: int) -> tuple[int, int, int]:
     return i, j, k
 
 
+def _sorted_rows(columns, n: int) -> np.ndarray | None:
+    """The rows (i, j, k) of three integer columns of table keys, each row
+    sorted, when every row has 0 <= i < j < k < n, and None when some key
+    breaks ``_sorted_key``'s rule, which its callers then run key by key to
+    name the first bad key.  Each row is sorted by a network of three
+    compare-exchanges on whole columns, written into the rows' own columns,
+    so the pass holds two columns besides the rows."""
+    a, b, c = columns
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    rows = np.empty((len(lo), 3), np.intp)
+    i, j, k = rows.T
+    np.minimum(lo, c, out=i)
+    mid = np.maximum(lo, c, out=lo)
+    np.minimum(mid, hi, out=j)
+    np.maximum(mid, hi, out=k)
+    return rows if ((0 <= i) & (i < j) & (j < k) & (k < n)).all() else None
+
+
+# Entries per block of ``save``.  By a sweep of 2**8 to 2**15 (2-core Xeon,
+# the least of three medians), saves of 32- and 40-point tables took the same
+# time at every size, within 0.5 ms of 4 ms and 7.5 ms; at 80 points (82,160
+# entries) 2**11 was the fastest, 59.9 ms against 65.1 ms at 2**8 and 69.3 ms
+# at 2**15, and peaked at 3.4 MB under ``tracemalloc``, against 8.4 MB at
+# 2**14 and 30.5 MB for one join of the whole file.
+_SAVE_BLOCK = 1 << 11
+
+
 class _Table:
     """The write side of a ``FiniteTwoMetricSpace``.
 
@@ -655,16 +690,16 @@ class FiniteTwoMetricSpace:
         triple the later one wins."""
         # One vectorised pass takes a list of valid keys: all of length 3,
         # checked before the reshape (keys (0, 1) and (2, 3, 4, 5) give six
-        # indices too), whose sorted rows have -1 < i < j < k < n.  Anything
-        # else runs the rule key by key, which names the first bad key.
+        # indices too).  Anything else runs the rule key by key, which names
+        # the first bad key.
         try:
             K = np.fromiter(map(operator.index, itertools.chain.from_iterable(keys)), np.intp)
-            K = np.sort(K.reshape(-1, 3), axis=1) if set(map(len, keys)) <= {3} else None
+            rows = _sorted_rows(K.reshape(-1, 3).T, self.n) if set(map(len, keys)) <= {3} else None
         except (TypeError, OverflowError):
-            K = None
-        if K is None or not (np.diff(K, prepend=-1, append=self.n) > 0).all():
-            K = np.array([_sorted_key(key, self.n) for key in keys], np.intp)
-        self._store(K, np.fromiter(map(float, values), float, len(keys)))
+            rows = None
+        if rows is None:
+            rows = np.array([_sorted_key(key, self.n) for key in keys], np.intp)
+        self._store(rows, np.fromiter(map(float, values), float, len(keys)))
 
     def _store(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Write ``values`` at the sorted ``rows`` of a new table; of two
@@ -744,31 +779,36 @@ class FiniteTwoMetricSpace:
         ``_sorted_key``.  Anything else is a ``ValueError`` naming the first
         bad entry, whatever is wrong with it.
 
-        ``n`` is checked first, as the constructor checks it.  The entry
-        types are checked over whole lists, by ``map`` and ``set``, which
-        keeps the check a small part of a load; only a file that fails it,
-        or whose keys ``_put`` refuses, is checked entry by entry, types then
-        key, in file order, up to the bad entry.  A key message is
-        ``_sorted_key``'s, after the entry number.
+        ``n`` is checked first, as the constructor checks it.  The file is
+        read by columns: each field is taken off every entry by one
+        ``itemgetter``, the types are checked over whole columns, by ``map``
+        and ``set``, and the index columns go to ``_sorted_rows`` as one
+        array.  Only a file that fails a check is read entry by entry,
+        types then key, in file order, up to the bad entry.  A key message
+        is ``_sorted_key``'s, after the entry number.
         """
         entries = payload.get("entries", []) if type(payload) is dict else None
         if type(entries) is not list or type(payload.get("n")) is not int:
             raise ValueError('a table file holds an object with an int "n" and a list "entries"')
         space = FiniteTwoMetricSpace(payload["n"])
         try:
-            keys = list(map(operator.itemgetter("i", "j", "k"), entries))
-            values = list(map(operator.itemgetter("d"), entries))
-            ok = (set(map(type, itertools.chain.from_iterable(keys))) <= {int}
-                  and set(map(type, values)) <= {int, float})
+            columns = [list(map(operator.itemgetter(c), entries)) for c in "ijkd"]
+            ok = (set(map(type, itertools.chain(*columns[:3]))) <= {int}
+                  and set(map(type, columns[3])) <= {int, float})
         except (KeyError, TypeError):  # an entry without a field, or not an object
             ok = False
+        rows = None
         if ok:
             try:
-                # not through a dict, which keeps a repeated key at its first place
-                space._put(keys, values)
-                return space
-            except (ValueError, OverflowError):  # a bad key or d: the loop below names its entry
+                values = np.array(columns[3], float)
+                rows = _sorted_rows(np.array(columns[:3], np.intp), space.n)
+            except OverflowError:  # an int d past the float range, or an index past intp
                 pass
+        if rows is not None:
+            # in file order, not through a dict, which keeps a repeated key
+            # at its first place
+            space._store(rows, values)
+            return space
         for number, entry in enumerate(entries):
             try:
                 if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
@@ -788,26 +828,31 @@ class FiniteTwoMetricSpace:
         "d"}, ...]}`` with the stored triples in lexicographic order, in the
         bytes of ``json.dump(..., indent=2)`` followed by a newline.
 
-        That encoder runs in pure Python, so the file is built from parts
-        instead, in one join: json's C encoder turns all values into tokens
-        in one call (``NaN`` and ``Infinity`` included), and each index is
-        written once per point.  The parts and the joined text are held at
-        once: an 82,160-entry table (7.2 MB of file) peaked at 30.5 MB under
-        ``tracemalloc``, against 9.1 MB written 1,024 entries at a time.
+        That encoder runs in pure Python, so the file is written from parts
+        instead, ``_SAVE_BLOCK`` entries at a time, each block in one join:
+        json's C encoder turns a block's values into tokens in one call
+        (``NaN`` and ``Infinity`` included), and its indices are gathered
+        from one string per point.  So the parts of one block are held at a
+        time, not those of the whole file and its text.
         """
-        values = self._dense[self._present].tolist()
-        names = [str(i) for i in range(self.n)]
-        # nine parts per entry, its separator first, after the file's head
-        parts = ['{\n  "n": %d,\n  "entries": [' % self.n] + [
-            ',\n    {\n      "i": ', "", ',\n      "j": ', "", ',\n      "k": ', "",
-            ',\n      "d": ', "", "\n    }"] * len(values) + ["\n  ]\n}\n" if values else "]\n}\n"]
-        for slot, column in zip((2, 4, 6), np.nonzero(self._present)):
-            parts[slot::9] = [names[i] for i in column.tolist()]
-        if values:
-            parts[1] = parts[1][1:]          # no comma before the first entry
-            parts[8::9] = json.dumps(values)[1:-1].split(", ")
+        values = self._dense[self._present]
+        columns = np.nonzero(self._present)
+        names = np.array([str(i) for i in range(self.n)], dtype=object)
+        # nine parts per entry, its separator first
+        entry = [',\n    {\n      "i": ', "", ',\n      "j": ', "", ',\n      "k": ', "",
+                 ',\n      "d": ', "", "\n    }"]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(parts))
+            fh.write('{\n  "n": %d,\n  "entries": [' % self.n)
+            for s in range(0, len(values), _SAVE_BLOCK):
+                block = values[s:s + _SAVE_BLOCK].tolist()
+                parts = entry * len(block)
+                for slot, column in zip((1, 3, 5), columns):
+                    parts[slot::9] = names[column[s:s + _SAVE_BLOCK]].tolist()
+                parts[7::9] = json.dumps(block)[1:-1].split(", ")
+                if not s:
+                    parts[0] = parts[0][1:]      # no comma before the first entry
+                fh.write("".join(parts))
+            fh.write("\n  ]\n}\n" if len(values) else "]\n}\n")
 
     @staticmethod
     def load(path) -> "FiniteTwoMetricSpace":

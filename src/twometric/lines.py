@@ -143,17 +143,17 @@ def maximal_colinear_sets(space: FiniteTwoMetricSpace) -> set[frozenset]:
     return lines.union(s for s in found if not any(s <= line for line in lines))
 
 
+def line_members(space: FiniteTwoMetricSpace) -> list[list[int]]:
+    """The member list of every line of a finite space, each sorted, in
+    sorted order: the lines of ``maximal_colinear_sets`` as the CLI's
+    artifacts write them."""
+    return sorted(sorted(members) for members in maximal_colinear_sets(space))
+
+
 def enumerate_lines(space: FiniteTwoMetricSpace) -> list[Line]:
-    """Every line of a finite space, as explicit member sets sorted for
-    reproducibility.  Generators are the extreme members of each set."""
-    lines = []
-    for members in sorted(maximal_colinear_sets(space),
-                          key=lambda s: sorted(s)):
-        ordered = tuple(sorted(members))
-        g1 = ordered[0]
-        g2 = ordered[-1] if len(ordered) > 1 else ordered[0]
-        lines.append(Line(g1, g2, _COLINEAR, ordered))
-    return lines
+    """Every line of a finite space, with the members and in the order of
+    ``line_members``.  Generators are the extreme members of each line."""
+    return [Line(m[0], m[-1], _COLINEAR, tuple(m)) for m in line_members(space)]
 
 
 # ---------------------------------------------------------------------------

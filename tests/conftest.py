@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import json
 import math
+import operator
 import re
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 
 from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, det_metric
 from twometric import cli, spaces
+from twometric.core import _sorted_key
 from twometric.lines import _pair_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -230,6 +234,49 @@ def table_json(space: FiniteTwoMetricSpace) -> dict:
     newline ``save`` must write byte for byte."""
     return {"n": space.n, "entries": [{"i": i, "j": j, "k": k, "d": d}
                                       for (i, j, k), d in table_items(space)]}
+
+
+def table_from_json_reference(payload) -> FiniteTwoMetricSpace:
+    """The table of a parsed table file, read key by key: the reader that
+    the columnar ``FiniteTwoMetricSpace.from_json`` replaced, with the key
+    pass it shared with the constructor.  Each entry gives a key tuple, the
+    indices go through ``operator.index`` into ``np.fromiter``, and the
+    values through ``float``; a file that fails is read entry by entry and
+    its first bad entry named."""
+    entries = payload.get("entries", []) if type(payload) is dict else None
+    if type(entries) is not list or type(payload.get("n")) is not int:
+        raise ValueError('a table file holds an object with an int "n" and a list "entries"')
+    space = FiniteTwoMetricSpace(payload["n"])
+    try:
+        keys = list(map(operator.itemgetter("i", "j", "k"), entries))
+        values = list(map(operator.itemgetter("d"), entries))
+        ok = (set(map(type, itertools.chain.from_iterable(keys))) <= {int}
+              and set(map(type, values)) <= {int, float})
+    except (KeyError, TypeError):
+        ok = False
+    if ok:
+        try:
+            K = np.fromiter(map(operator.index, itertools.chain.from_iterable(keys)), np.intp)
+            K = np.sort(K.reshape(-1, 3), axis=1)
+            if (np.diff(K, prepend=-1, append=space.n) > 0).all():
+                space._store(K, np.fromiter(map(float, values), float, len(keys)))
+                return space
+        except (TypeError, OverflowError):
+            pass
+    for number, entry in enumerate(entries):
+        try:
+            if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
+                    and type(entry.get("d")) in (int, float)):
+                raise TypeError
+            float(entry["d"])
+        except (TypeError, OverflowError):
+            raise ValueError(f"table entry {number} needs integer i, j, k and a "
+                             f"number d, got {json.dumps(entry)}") from None
+        try:
+            _sorted_key(operator.itemgetter("i", "j", "k")(entry), space.n)
+        except ValueError as exc:
+            raise ValueError(f"table entry {number}: {exc}") from None
+    raise AssertionError("a file refused by the key pass has a bad entry")
 
 
 def table_phi(space: FiniteTwoMetricSpace, i: int, j: int) -> float:

@@ -90,6 +90,28 @@ def test_random_payloads_have_json_bytes_or_its_exception(seed):
         assert encoded(wrapped) == reference(wrapped)
 
 
+def ragged(rng: random.Random, depth: int = 0):
+    """Rows of ints and floats of different lengths, empty ones among them,
+    tuples or lists, now and then with a bool, a NaN or another of
+    ``number``'s values in a row, or such rows nested one level deeper."""
+    if depth == 0 and rng.random() < 0.2:
+        return [ragged(rng, 1) for _ in range(rng.randint(1, 4))]
+    pure = rng.random() < 0.7
+    rows = [numbers(rng, rng.randint(0, 6), pure) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.3:
+        rows = [tuple(r) for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ragged_rows_have_json_bytes_or_its_exception(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        obj = ragged(rng)
+        assert encoded(obj) == reference(obj)
+        assert encoded({"lines": obj}) == reference({"lines": obj})
+
+
 CASES = {
     "bools in a number list": [1.0, True, 2, False],
     "bools in a matrix": [[1.0, True], [2.0, 3.0]],
@@ -111,6 +133,14 @@ CASES = {
     "non-str keys": {1: 2.0, 2: [1.0]},
     "mixed keys": {"a": 1, 1: 2},
     "ragged": [[1.0, 2.0], [3.0]],
+    "ragged int and float rows": [[0, 1, 2, 3], [0.5, 2.0], [7], [4, 5.5, -6]],
+    "ragged with an empty row": [[1, 2], [], [3.0, 4.5, 6]],
+    "ragged tuples": ((1.0,), (2, 3)),
+    "empty rows": [[], [], []],
+    "bool in a ragged row": [[1, 2, 3], [4, True]],
+    "nan in a ragged row": [[1.0], [2.0, math.nan, 3.0]],
+    "inf in a ragged row": [[1, 2], [-math.inf]],
+    "ragged rows nested": [[[0, 1, 2], [3]], [[4.5], [], [6, 7.25]]],
     "one column": [[1.0], [2.0]],
     "deep": {"a": [{"b": [[1.0, 2.0], [3.0, 4.0]], "c": [{"d": [0.5]}]}]},
     "big int": [10 ** 40, -(10 ** 40)],

@@ -5,6 +5,7 @@ replaced, and a golden 12-point table with its audit and lines."""
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (TABLE12, check_golden, det_reference, random_sphere_points, table_items,
-                      table_json)
+from conftest import (TABLE12, check_golden, det_reference, random_sphere_points,
+                      table_from_json_reference, table_items, table_json)
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace, WitnessSet, det_metric,
                        maximal_colinear_sets, orbit)
 from twometric.cli import main
+from twometric.core import _SAVE_BLOCK
 
 NAN = float("nan")
 GOLDEN = Path(__file__).parent / "data" / "table12"
@@ -181,6 +183,123 @@ def test_writes_match_a_dict_oracle(tmp_path_factory, case):
         {"i": i, "j": j, "k": k, "d": v} for (i, j, k), v in items]}, indent=2) + "\n"
     loaded = FiniteTwoMetricSpace.load(path)
     assert loaded.n == n and repr(table_items(loaded)) == repr(items)
+
+
+# ---------------------------------------------------------------------------
+# the columnar reader against the key-by-key one, on a seeded corpus of files
+# ---------------------------------------------------------------------------
+
+# values a valid file may hold, as json writes them: NaN and Infinity are
+# floats, and an int d within the float range is a number
+FILE_VALUES = (0.5, 0.125, 0, 1, 3, 10 ** 30, 2 ** 53 + 1, NAN, float("inf"),
+               float("-inf"), -0.0, 1e300, 5e-324)
+
+# one fault planted in one entry each, every kind the reader refuses
+FAULTS = {
+    "bool index": lambda e, n: e.update(j=True),
+    "float index": lambda e, n: e.update(k=float(e["k"])),
+    "string index": lambda e, n: e.update(i=str(e["i"])),
+    "bool d": lambda e, n: e.update(d=False),
+    "string d": lambda e, n: e.update(d="0.5"),
+    "null d": lambda e, n: e.update(d=None),
+    "missing index": lambda e, n: e.pop("k"),
+    "missing d": lambda e, n: e.pop("d"),
+    "index out of range": lambda e, n: e.update(j=n),
+    "negative index": lambda e, n: e.update(i=-1),
+    "repeated index": lambda e, n: e.update(k=e["i"]),
+    "index past intp": lambda e, n: e.update(i=2 ** 63),
+    "index below intp": lambda e, n: e.update(k=-2 ** 63 - 1),
+    "d past the float range": lambda e, n: e.update(d=10 ** 400),
+}
+NOT_OBJECTS = ([0, 1, 2, 0.5], "entry", None, 7)
+
+
+def valid_table_file(rng: random.Random) -> dict:
+    """A table file with keys in any index order, some triple named twice
+    (the later value wins) and the values of ``FILE_VALUES``, or one with
+    no entries."""
+    n = rng.randint(3, 8)
+    triples = list(combinations(range(n), 3))
+    keys = rng.sample(triples, rng.randint(0, len(triples)))
+    keys += rng.choices(keys, k=rng.randint(0, 3)) if keys else []
+    rng.shuffle(keys)
+    entries = []
+    for key in keys:
+        i, j, k = rng.sample(key, 3)
+        d = rng.choice(FILE_VALUES) if rng.random() < 0.5 else rng.uniform(0, 1)
+        entries.append({"i": i, "j": j, "k": k, "d": d})
+    return {"n": n, "entries": entries} if entries or rng.random() < 0.5 else {"n": n}
+
+
+def table_files(seed: int) -> list[str]:
+    """The texts of a valid table file and of one copy per fault."""
+    rng = random.Random(seed)
+    base = valid_table_file(rng)
+    while not base.get("entries"):
+        base = valid_table_file(rng)
+    texts = [json.dumps(valid_table_file(rng)), json.dumps(base)]
+    for plant in FAULTS.values():
+        payload = json.loads(json.dumps(base))
+        entry = rng.choice(payload["entries"])
+        plant(entry, payload["n"])
+        texts.append(json.dumps(payload))
+    payload = json.loads(json.dumps(base))
+    payload["entries"][rng.randrange(len(payload["entries"]))] = rng.choice(NOT_OBJECTS)
+    texts.append(json.dumps(payload))
+    return texts
+
+
+def read_outcome(read, source):
+    """What a reader gives: the table's n, dense bits and mask, or its
+    ValueError's text."""
+    try:
+        space = read(source)
+    except ValueError as exc:
+        return str(exc)
+    return space.n, space.dense().tobytes(), space._present.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_load_reads_each_file_as_the_key_by_key_reader(tmp_path, seed):
+    path = tmp_path / "table.json"
+    outcomes = set()
+    for text in table_files(seed):
+        path.write_text(text, encoding="utf-8")
+        got = read_outcome(FiniteTwoMetricSpace.load, path)
+        assert got == read_outcome(table_from_json_reference, json.loads(text)), text
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+@pytest.mark.parametrize("payload", [[], {"entries": []}, {"n": True}, {"n": 2.0},
+                                     {"n": 3, "entries": {}}, {"n": 0}])
+def test_load_refuses_a_file_that_is_no_table_as_the_key_by_key_reader(tmp_path, payload):
+    (tmp_path / "table.json").write_text(json.dumps(payload), encoding="utf-8")
+    got = read_outcome(FiniteTwoMetricSpace.load, tmp_path / "table.json")
+    assert type(got) is str and got == read_outcome(table_from_json_reference, payload)
+
+
+# ---------------------------------------------------------------------------
+# save in blocks: json's bytes at every block edge
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = (NAN, float("inf"), float("-inf"), -0.0, 1e300, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("count", [0, 1, _SAVE_BLOCK - 1, _SAVE_BLOCK, _SAVE_BLOCK + 1,
+                                   2 * _SAVE_BLOCK + 1])
+def test_save_writes_json_bytes_at_the_block_edges(tmp_path, count):
+    rng = random.Random(count)
+    n = next(n for n in range(3, 100) if n * (n - 1) * (n - 2) // 6 >= count)
+    keys = rng.sample(list(combinations(range(n), 3)), count)
+    values = [EDGE_VALUES[v % len(EDGE_VALUES)] if v % 3 else rng.uniform(0, 1)
+              for v in range(count)]
+    space = FiniteTwoMetricSpace(n, dict(zip(keys, values)))
+    space.save(tmp_path / "table.json")
+    want = json.dumps(table_json(space), indent=2) + "\n"
+    assert (tmp_path / "table.json").read_bytes() == want.encode("utf-8")
+    loaded = FiniteTwoMetricSpace.load(tmp_path / "table.json")
+    assert read_outcome(lambda s: s, loaded) == read_outcome(lambda s: s, space)
 
 
 # ---------------------------------------------------------------------------
