@@ -89,12 +89,11 @@ def _json_text(obj, level: int = 0) -> str:
 
     json's indenting encoder is pure Python, one call per value.  Here a
     list of floats, or of rows of floats and ints, is joined from
-    ``float.__repr__`` and ``int.__repr__`` at C level: equal-length rows
-    by one ``%`` template a row, and rows of other lengths by one template
-    of all of them, put together from one template per length; dicts with
-    str keys, lists and tuples recurse.  What else there is (bools, NaN and
-    inf, numpy scalars, other keys) goes to json itself, re-indented: a
-    JSON string holds no raw newline.
+    ``float.__repr__`` and ``int.__repr__`` at C level, the rows by one
+    ``%`` template of all of them, put together from one template per row
+    length; dicts with str keys, lists and tuples recurse.  What else there
+    is (bools, NaN and inf, numpy scalars, other keys) goes to json itself,
+    re-indented: a JSON string holds no raw newline.
     """
     pad = "\n" + "  " * (level + 1)
     kind = type(obj)
@@ -114,11 +113,8 @@ def _json_text(obj, level: int = 0) -> str:
             lengths = list(map(len, obj))
             rows = {k: "[" + inner + ("," + inner).join(["%r"] * k) + pad + "]" if k else "[]"
                     for k in set(lengths)}
-            if len(rows) == 1:
-                text = ("," + pad).join(map(rows[lengths[0]].__mod__, map(tuple, obj)))
-            else:
-                text = ("," + pad).join(map(rows.__getitem__, lengths)) \
-                    % tuple(itertools.chain.from_iterable(obj))
+            text = ("," + pad).join(map(rows.__getitem__, lengths)) \
+                % tuple(itertools.chain.from_iterable(obj))
         else:
             return "[" + pad + ("," + pad).join([_json_text(v, level + 1) for v in obj]) \
                 + pad[:-2] + "]"
@@ -797,18 +793,15 @@ class FiniteTwoMetricSpace:
                   and set(map(type, columns[3])) <= {int, float})
         except (KeyError, TypeError):  # an entry without a field, or not an object
             ok = False
-        rows = None
-        if ok:
-            try:
-                values = np.array(columns[3], float)
-                rows = _sorted_rows(np.array(columns[:3], np.intp), space.n)
-            except OverflowError:  # an int d past the float range, or an index past intp
-                pass
-        if rows is not None:
-            # in file order, not through a dict, which keeps a repeated key
-            # at its first place
-            space._store(rows, values)
-            return space
+        try:
+            rows = _sorted_rows(np.array(columns[:3], np.intp), space.n) if ok else None
+            if rows is not None:
+                # in file order, not through a dict, which keeps a repeated
+                # key at its first place
+                space._store(rows, np.array(columns[3], float))
+                return space
+        except OverflowError:  # an index past intp, or an int d past the float range
+            pass
         for number, entry in enumerate(entries):
             try:
                 if not (type(entry) is dict and all(type(entry.get(c)) is int for c in "ijk")
