@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .core import _at_least, _stacks, _strict, _worst_ratio, apply_rows
-from .spaces import SpherePatch, _coords, _lengths
+from .spaces import _SANDWICH_ROWS, SpherePatch, _coords, _lengths
 
 # Finite-difference step of the Jacobian and second-derivative checks.
 _STEP = 1e-5
@@ -172,7 +172,14 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
     """Check the Jacobian-proximity and second-derivative hypotheses on
     sampled points; on pass, verify the contraction conclusion on sampled
     nondegenerate triples.  Failures carry the broken hypothesis and the
-    witness point."""
+    witness point.
+
+    The conclusion draws its three stacks of triples whole, then maps and
+    checks them one block of ``_SANDWICH_ROWS`` rows at a time, so it holds
+    the stacks and one block's images and ratios.  The first block with an
+    image outside the patch ends the scan with a ``range_containment``
+    failure and no ratio, so no such image reaches the patch kernel; the
+    worst ratio is kept running by ``np.maximum``, which keeps a NaN."""
     _at_least(samples, 1, "sample counts")
     _at_least(ratio_triples, 1, "sample counts")
     A = inp.jac_target
@@ -205,16 +212,22 @@ def certify(inp: CertInput, samples: int = 400, ratio_triples: int = 2000,
             "witness": None,
         })
 
+    worst, kept = -np.inf, 0
     if not failures:
-        X, Y, Z = _stacks(partial(patch.sample, radius=rin), rng, ratio_triples, 3)
-        FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
-        # a NaN image norm is not <= the radius, so it fails the range too:
-        # np.max keeps a NaN, where Python's max may drop it
-        if not np.max([_max_radius(F) for F in (FX, FY, FZ)]) <= patch.radius:
-            failures.append({"hypothesis": "range_containment", "value": None,
-                             "budget": patch.radius, "witness": None})
-    worst, kept = ((None, 0) if failures
-                   else _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ)))
+        stacks = _stacks(partial(patch.sample, radius=rin), rng, ratio_triples, 3)
+        for i in range(0, ratio_triples, _SANDWICH_ROWS):
+            block = [S[i:i + _SANDWICH_ROWS] for S in stacks]
+            images = [apply_rows(inp.map, P) for P in block]
+            # a NaN image norm is not <= the radius, so it fails the range too:
+            # np.max keeps a NaN, where Python's max may drop it
+            if not np.max([_max_radius(F) for F in images]) <= patch.radius:
+                failures.append({"hypothesis": "range_containment", "value": None,
+                                 "budget": patch.radius, "witness": None})
+                break
+            ratio, n = _worst_ratio(patch.metric_batch, block, images)
+            if n:
+                worst, kept = np.maximum(worst, ratio), kept + n
+    worst, kept = (None, 0) if failures or not kept else (float(worst), kept)
     return CertResult(
         passes=not failures, max_jac_dev=max_dev, max_hessian=float(hess),
         c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,

@@ -318,10 +318,11 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 
 # Values per metric call in ``_d_max``, rows per block of its Gram bounds,
 # pairs per call of a declared phi, and, through ``spaces._SANDWICH_ROWS``,
-# rows per block of the convexity sandwich.  A kernel call holds row-sized
-# buffers besides its inputs, by ``tracemalloc``: 6 in the det kernel and
-# 2 dim + 5 in the area kernel, so 0.8 MB and 1.4 MB in 3-d at 2**14
-# values, where a 2-core Xeon holds 2 MB of L2 per core
+# rows per block of the convexity sandwich and of certify's conclusion.  A
+# kernel call holds row-sized buffers besides its inputs, by
+# ``tracemalloc``: 6 in the det kernel and 2 dim + 5 in the area kernel, so
+# 0.8 MB and 1.4 MB in 3-d at 2**14 values, where a 2-core Xeon holds 2 MB
+# of L2 per core
 # (``/sys/devices/system/cpu/cpu0/cache/index2/size``).  By
 # ``tools/row_budget_sweep.py`` (``BENCH_43.json``), kernels on stacked
 # rows cost up to 1.5x per value past 2**14, and in a fresh process glibc's
@@ -418,19 +419,25 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     are one edge, value for value, with fl(n n) finite for its squared
     length n, is bounded by ``finish(0)``, its every value: uv is then the
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
-    fails the equality and an inf one the finiteness."""
+    fails the equality and an inf one the finiteness.  As fl(t - x) is
+    non-decreasing in t, a row's edges are one edge exactly where its edges
+    to the least and the greatest target coordinates are, a NaN coordinate
+    making either NaN; only the other rows take the edge pass."""
     edges, finish = split
     last = _last_reads(len(P), y, z)
     targets = np.flatnonzero(last >= 0)
-    last, T = last[targets, None], P[targets][:, None]
+    last, T = last[targets, None], P[targets]
+    (lo, n), (hi, _) = (edges(x, f(T, axis=0)) for f in (np.min, np.max))
+    one = np.logical_and.reduce([u == v for u, v in zip(lo, hi)]) & (n * n < np.inf)
     out = np.empty((2, len(x)))
+    out[:, one] = finish(np.zeros(1))
+    rest, T = np.flatnonzero(~one), T[:, None]
     step = max(1, _ROW_BUDGET // len(targets))
-    for s in range(0, len(x), step):
-        e, n = edges(x[s:s + step], T)
-        out[0, s:s + step] = _gram_bound(finish, n)
-        out[1, s:s + step] = _gram_bound(finish, np.where(last >= cuts[s:s + step], n, -np.inf))
-        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
-        out[:, s:s + step][:, one] = finish(np.zeros(1))
+    for s in range(0, len(rest), step):
+        rows = rest[s:s + step]
+        n = edges(x[rows], T)[1]
+        out[0, rows] = _gram_bound(finish, n)
+        out[1, rows] = _gram_bound(finish, np.where(last >= cuts[rows], n, -np.inf))
     return out
 
 

@@ -405,10 +405,10 @@ class ConvexityBoundReport:
         })
 
 
-# Rows per block of the sandwich scan.  ``_sandwich`` holds 16 row-sized
-# buffers at its peak under tracemalloc, so a block holds 7 buffers of
-# ``_ROW_BUDGET`` rows: about a det kernel call's 6, under a 3-d area kernel
-# call's 11.
+# Rows per block of the sandwich scan, and of ``certify``'s conclusion.
+# ``_sandwich`` holds 16 row-sized buffers at its peak under tracemalloc, so
+# a block holds 7 buffers of ``_ROW_BUDGET`` rows: about a det kernel call's
+# 6, under a 3-d area kernel call's 11.
 _SANDWICH_ROWS = _ROW_BUDGET * 7 // 16
 
 

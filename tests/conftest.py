@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from twometric import FiniteTwoMetricSpace, SpherePatch, TwoMetricSpace, det_metric
-from twometric import cli, spaces
-from twometric.core import _sorted_key
+from twometric import cli, core, spaces
+from twometric.certify import (_SLACK, _STEP, CertResult, _abs_det, _max_radius,
+                               _spectral_norms, hessian_bound_fd, jacobian_fd)
+from twometric.core import _sorted_key, _stacks, _worst_ratio, apply_rows
 from twometric.lines import _pair_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -327,6 +329,62 @@ def gathered_max(kernel, points, X, Y, Z) -> np.ndarray:
     plain-kernel oracle of an index scan."""
     P = np.asarray(points)
     return np.asarray(kernel(P[X], P[Y], P[Z])).max(axis=-1)
+
+
+def gram_bounds_reference(split, P, x, y, z, cuts) -> np.ndarray:
+    """``core._gram_bounds`` by a full edge pass: every row's edges to every
+    target, in blocks of ``_ROW_BUDGET`` values, with a row's edges one edge
+    where each coordinate equals that of its edge to the first target."""
+    edges, finish = split
+    last = core._last_reads(len(P), y, z)
+    targets = np.flatnonzero(last >= 0)
+    last, T = last[targets, None], P[targets][:, None]
+    out = np.empty((2, len(x)))
+    step = max(1, core._ROW_BUDGET // len(targets))
+    for s in range(0, len(x), step):
+        e, n = edges(x[s:s + step], T)
+        out[0, s:s + step] = core._gram_bound(finish, n)
+        out[1, s:s + step] = core._gram_bound(finish, np.where(last >= cuts[s:s + step], n, -np.inf))
+        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
+        out[:, s:s + step][:, one] = finish(np.zeros(1))
+    return out
+
+
+def certify_reference(inp, samples: int = 400, ratio_triples: int = 2000,
+                      seed: int = 0) -> CertResult:
+    """``certify`` with its conclusion in one pass: all three stacks
+    mapped, their images checked against the patch, and every triple's
+    ratio taken at once."""
+    A, det = inp.jac_target, _abs_det(inp.jac_target)
+    c_prime, bound = float(inp.proximity), inp.ratio_constant * det
+    patch, rin = inp.patch, inp.inner_radius
+    rng = np.random.default_rng(seed)
+    pts = patch.sample(rng, samples, radius=max(rin - 2.5 * _STEP, rin * 0.5))
+    devs = _spectral_norms(jacobian_fd(inp.map, pts, radius=rin) - A)
+    max_dev = float(devs.max())
+    hess = hessian_bound_fd(inp.map, pts, radius=rin)
+    failures = []
+    if not max_dev <= c_prime:
+        failures.append({"hypothesis": "jacobian_proximity", "value": max_dev, "budget": c_prime,
+                         "witness": [float(c) for c in pts[int(np.argmax(devs))]]})
+    if not hess <= c_prime:
+        failures.append({"hypothesis": "hessian_bound", "value": float(hess),
+                         "budget": c_prime, "witness": None})
+    if not failures:
+        X, Y, Z = _stacks(lambda rng, n: patch.sample(rng, n, radius=rin), rng, ratio_triples, 3)
+        FX, FY, FZ = (apply_rows(inp.map, P) for P in (X, Y, Z))
+        if not np.max([_max_radius(F) for F in (FX, FY, FZ)]) <= patch.radius:
+            failures.append({"hypothesis": "range_containment", "value": None,
+                             "budget": patch.radius, "witness": None})
+    worst, kept = ((None, 0) if failures
+                   else _worst_ratio(patch.metric_batch, (X, Y, Z), (FX, FY, FZ)))
+    return CertResult(
+        passes=not failures, max_jac_dev=max_dev, max_hessian=float(hess),
+        c_prime=c_prime, ratio_constant=inp.ratio_constant, det_target=det,
+        worst_ratio=worst, bound=bound,
+        conclusion_ok=None if worst is None else bool(worst <= bound * _SLACK),
+        failures=failures, samples=samples, ratio_samples=kept,
+    )
 
 
 def tail_residual(metric, y, sequence, start: int) -> float:

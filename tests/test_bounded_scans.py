@@ -23,12 +23,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import DATA, hexes, patch_space
+from conftest import DATA, gram_bounds_reference, hexes, patch_space
 from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatch, WitnessSet,
                        area_ball_space, det_sphere_space, detect_outcome, make_linear_map,
                        make_sphere_map, orbit, sphere_witnesses)
 from twometric import core, lines
-from twometric.core import _d_max, _gram_bound, _last_reads
+from twometric.core import _d_max, _gram_bound, _gram_bounds, _last_reads
 from twometric.lines import classify
 from twometric.spaces import _cross, _det_outer, _edges, _gram, _half_root
 
@@ -413,6 +413,64 @@ def test_the_gram_bound_is_at_least_every_value(kind, dim):
         values = _half_root(_gram([u[i] for u in e], n[i], [u[j] for u in e], n[j])).T
         bound = _gram_bound(_half_root, n.copy())
     check_bound(bound, values)
+
+
+def gram_case(rng, dim):
+    """The arguments ``(P, x, y, z, cuts)`` of ``_gram_bounds`` for a random
+    candidate scan in ``dim`` coordinates: witness rows at the unit scale,
+    a tail at the unit or the 1e-25 scale, some of it repeated points, and
+    NaN, +-inf and +-0.0 coordinates planted in both."""
+    w, m = rng.integers(1, 12), rng.integers(2, 30)
+    W = rng.normal(size=(w, dim))
+    tail = rng.normal(size=(m, dim)) * (1e-25 if rng.random() < 0.5 else rng.uniform(1e-3, 1.0))
+    if rng.random() < 0.3:
+        tail[rng.integers(0, m, m // 2)] = tail[0]
+    if rng.random() < 0.2:
+        tail[:] = tail[0]
+    P = np.concatenate([W, tail])
+    for value in (np.nan, np.inf, -np.inf, 0.0, -0.0):
+        if rng.random() < 0.25:
+            P.flat[rng.integers(0, P.size, rng.integers(1, 3))] = value
+    pairs = np.stack(np.triu_indices(m, k=1)) + w
+    pairs = pairs[:, rng.random(pairs.shape[1]) < rng.uniform(0.2, 1.0)]
+    if pairs.shape[1] == 0:
+        pairs = np.array([[w], [w + 1]])
+    x = P[np.r_[np.arange(w), rng.integers(w, w + m, rng.integers(0, m))]]
+    cuts = rng.integers(0, pairs.shape[1] + 1, len(x))
+    return P, x, pairs[0], pairs[1], cuts
+
+
+def same_bits(a, b):
+    """True where a and b are the same float64 values bit for bit, signs of
+    zeros and NaN payloads included."""
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_gram_bounds_match_the_full_edge_pass(dim):
+    # the one-edge rows are read off each coordinate's least and greatest
+    # target, and take no edge pass; the bounds keep every bit
+    rng = np.random.default_rng(dim)
+    split = area_ball_space(dim).d_batch.gram
+    for _ in range(150):
+        case = gram_case(rng, dim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fast, want = _gram_bounds(split, *case), gram_bounds_reference(split, *case)
+        assert same_bits(fast, want)
+
+
+@pytest.mark.parametrize("name", ["area-3", "area-5", "area-9"])
+@pytest.mark.parametrize("kind", TAILS)
+def test_gram_bounds_of_classify_scans_match_the_full_edge_pass(name, kind):
+    # the converged tails are the benchmark's linear ones: every witness row
+    # is one edge
+    space, witnesses, dim = space_of(name, 3)
+    X, Y, Z, P, cuts = candidate_scan(space, tail_of(kind, space, dim, np.random.default_rng(3)),
+                                      witnesses)
+    case = P, P[np.ravel(X)], np.ravel(Y), np.ravel(Z), cuts
+    with np.errstate(invalid="ignore", over="ignore"):
+        fast = _gram_bounds(space.d_batch.gram, *case)
+        assert same_bits(fast, gram_bounds_reference(space.d_batch.gram, *case))
 
 
 @pytest.mark.parametrize("kind", ["tail pairs", "unsorted", "repeated", "one column"])

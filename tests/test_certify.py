@@ -12,14 +12,15 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import triangle_area2
+from conftest import certify_reference, triangle_area2
 from twometric import (CertInput, SpherePatch, calibrate_ratio_constant,
                        certifier_baseline, certify, hessian_bound_fd,
                        jacobian_fd)
 from twometric import cli
 from twometric.baselines import within_regression
 from twometric.certify import _STEP, _max_radius, _spectral_norms
-from twometric.core import broadcasting
+from twometric.core import _stacks, broadcasting
+from twometric.spaces import _SANDWICH_ROWS
 
 BASE = certifier_baseline()
 PATCH = SpherePatch(0.2)
@@ -351,6 +352,74 @@ def test_certify_flags_range_escape():
     result = certify(make_input(escaping, A), seed=9)
     assert not result.passes
     assert any(f["hypothesis"] == "range_containment" for f in result.failures)
+
+
+# ---------------------------------------------------------------------------
+# the conclusion in blocks, against the one-pass conclusion
+# ---------------------------------------------------------------------------
+
+B = _SANDWICH_ROWS
+A_CLI = np.array([[0.6, -0.2], [0.3, 0.5]])
+SAMPLES, SEED = 150, 11
+
+
+def ratio_stacks(triples):
+    """The three stacks of triples that ``certify`` draws for its
+    conclusion at ``SAMPLES`` and ``SEED``, after the points of its
+    hypotheses."""
+    rng = np.random.default_rng(SEED)
+    PATCH.sample(rng, SAMPLES, radius=INNER - 2.5 * _STEP)
+    return _stacks(lambda rng, n: PATCH.sample(rng, n, radius=INNER), rng, triples, 3)
+
+
+def conclusion_case(case):
+    """``(map, triples, failures)`` of a case of the blocked conclusion: the
+    CLI's map of ``A_CLI``, one that sends one sampled point outside the
+    patch, one that is NaN near the rim of the disc, or one with a
+    quadratic term."""
+    F = stacked_map(A_CLI)
+    if case.startswith("escape"):
+        triples = 2 * B + 1
+        row = {"escape-first": 5, "escape-middle": B + 17, "escape-last": 2 * B}[case]
+        point = ratio_stacks(triples)[1][row]
+        out = broadcasting(lambda x: np.where((np.asarray(x) == point).all(axis=-1, keepdims=True),
+                                              [0.3, 0.0], F(x)))
+        return out, triples, ["range_containment"]
+    if case == "nan":
+        nan = broadcasting(lambda x: np.where(np.linalg.norm(x, axis=-1, keepdims=True) > 0.09997,
+                                              np.nan, F(x)))
+        return nan, 20_000, ["range_containment"]
+    if case == "quad":
+        return stacked_map(A_CLI, 0.5), 20_000, ["jacobian_proximity", "hessian_bound"]
+    return F, int(case), []
+
+
+@pytest.mark.parametrize("case", ["1", str(B - 1), str(B), str(B + 1), str(2 * B + 1), "20000",
+                                  "escape-first", "escape-middle", "escape-last", "nan", "quad"])
+def test_the_blocked_conclusion_is_the_one_pass_conclusion(case, monkeypatch):
+    # a numpy warning fails this test, as every test here; the images that
+    # leave the patch end the scan in the block that holds them, before
+    # any of them reaches the patch kernel
+    F, triples, failures = conclusion_case(case)
+    inp = make_input(F, A_CLI)
+    radii, kernel = [], SpherePatch.metric_batch
+
+    def recording(self, *P):
+        radii.extend(_max_radius(Q) for Q in P)
+        return kernel(self, *P)
+
+    monkeypatch.setattr(SpherePatch, "metric_batch", recording)
+    got = certify(inp, samples=SAMPLES, ratio_triples=triples, seed=SEED)
+    assert np.max(radii, initial=0.0) <= PATCH.radius
+    monkeypatch.undo()
+    want = certify_reference(inp, samples=SAMPLES, ratio_triples=triples, seed=SEED)
+    assert got.to_json() == want.to_json()
+    assert [f["hypothesis"] for f in got.failures] == failures
+    if failures:
+        assert got.worst_ratio is None and got.ratio_samples == 0
+    else:
+        assert float(got.worst_ratio).hex() == float(want.worst_ratio).hex()
+        assert got.passes and 0 < got.ratio_samples <= triples
 
 
 @pytest.mark.parametrize("mu, shift, failures", [

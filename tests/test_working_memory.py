@@ -1,7 +1,9 @@
 """Working memory of the sampled checks and of a table's save: the sandwich
-scan holds its stacks and one block of rows, ``audit`` holds one draw of
-five stacks, lets it go before its phi stage, and lets its report hold none
-of them, and ``save`` holds the parts of one block of entries at a time.
+scan holds its stacks and one block of rows, ``certify``'s conclusion its
+three stacks and one block of images and ratios, ``audit`` holds one draw
+of five stacks, lets it go before its phi stage, and lets its report hold
+none of them, and ``save`` holds the parts of one block of entries at a
+time.
 
 Peaks are taken with ``tracemalloc``, which sees numpy's data buffers, after
 one untraced call, so one-time allocations of the first call do not count.
@@ -16,6 +18,7 @@ import numpy as np
 
 from conftest import random_sphere_table
 from twometric import WitnessSet, area_ball_space, audit, convexity_bound
+from twometric.cli import main
 from twometric.core import AXIOM_ORDER
 
 MB = 1e6
@@ -36,6 +39,15 @@ def test_the_sandwich_scan_holds_its_stacks_and_one_block():
     # the three stacks of 10**5 planar points are 4.8 MB; the one-pass scan
     # peaked at about 16 MB, over every row's temporaries at once
     assert traced_peak(lambda: convexity_bound(samples=10 ** 5)) <= 8.0
+
+
+def test_the_certify_conclusion_holds_its_stacks_and_one_block(tmp_path, capsys):
+    # the CLI's map at 2 * 10**5 triples: the three stacks are 9.6 MB, and
+    # the one-pass conclusion, mapping every stack and taking every ratio at
+    # once, peaked at 53 MB
+    argv = ["certify", "--triples", str(2 * 10 ** 5), "--out", str(tmp_path)]
+    assert traced_peak(lambda: main(argv)) <= 16.0
+    assert '"pass": true' in (tmp_path / "certify.json").read_text()
 
 
 def test_the_audit_holds_a_few_stacks_at_a_time():

@@ -2,8 +2,9 @@
 
 ``core._ROW_BUDGET`` sizes every blocked scan: the values of one kernel
 call in ``core._d_max`` and the rows of one block of the convexity sandwich
-(``spaces._SANDWICH_ROWS``, derived from it).  For each budget this script
-times, in one process, per value computed:
+and of ``certify``'s conclusion (``spaces._SANDWICH_ROWS``, derived from
+it).  For each budget this script times, in one process, per value
+computed:
 
 * ``_d_max`` scans of 1,024 columns and of 11,175 columns (the pairs of a
   150-point tail, as ``classify`` scans a 300-step orbit), by the det
@@ -13,6 +14,9 @@ times, in one process, per value computed:
 * the same kernels on stacked rows, in blocks of the budget;
 * the convexity sandwich, ``spaces._sandwich`` over blocks of
   ``_SANDWICH_ROWS`` triples with each ratio's running max;
+* ``certify``'s conclusion on 20,000 and 200,000 triples, with the CLI's
+  map (a certificate of one sample point, so the hypotheses cost next to
+  nothing);
 
 and, per tail, ``classify`` of 24 linear-map tails of 300-step orbits in
 3-d with 64 witnesses, drawn as the benchmark's detect-linear checks draw
@@ -28,8 +32,9 @@ pages of large buffers again and again.  So the script also runs
 ``detect_outcome`` on 12 such linear maps in fresh processes, one per
 budget in each round, and reports the median time and the minor page
 faults per call.  Last, it prints the ``tracemalloc`` peak of one kernel
-call on stacked rows, in row-sized buffers of 8-byte floats.  Run from the
-root of the repository:
+call on stacked rows, in row-sized buffers of 8-byte floats, and that of
+the two ``certify`` conclusions at each budget, in MB.  Run from the root
+of the repository:
 
     PYTHONPATH=src python3 tools/row_budget_sweep.py [--rounds 7] [--json FILE]
 """
@@ -37,6 +42,7 @@ root of the repository:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import resource
 import statistics
@@ -50,6 +56,8 @@ from functools import partial
 import numpy as np
 
 from twometric import core, spaces
+from twometric.baselines import certifier_baseline
+from twometric.certify import CertInput, certify
 from twometric.core import FiniteTwoMetricSpace, WitnessSet, broadcasting
 from twometric.dynamics import detect_outcome, make_linear_map, orbit
 from twometric.lines import Thresholds, classify
@@ -61,13 +69,27 @@ BUDGETS = [1 << p for p in range(12, 17)]
 # 150-point tail, as ``classify`` scans a 300-step orbit; 2^21 values each
 SCANS = {"1,024 columns": (2048, 1024), "11,175 columns": (188, 11175)}
 STACKED = 1 << 17                     # rows of a stacked scan, and sandwich triples
+CERTIFY = (20_000, 200_000)           # triples of the certify conclusions
 LIBRARY = core._ROW_BUDGET, spaces._SANDWICH_ROWS
+# the module, which the package's name ``certify`` hides behind the function
+CERTIFY_MODULE = importlib.import_module("twometric.certify")
 
 
 def set_budget(budget: int) -> None:
-    """Set ``_ROW_BUDGET``, and ``_SANDWICH_ROWS`` as the library derives it."""
+    """Set ``_ROW_BUDGET``, and ``_SANDWICH_ROWS`` as the library derives it,
+    in ``spaces`` and in ``certify``, which imports it."""
     core._ROW_BUDGET = budget
-    spaces._SANDWICH_ROWS = budget * LIBRARY[1] // LIBRARY[0]
+    spaces._SANDWICH_ROWS = CERTIFY_MODULE._SANDWICH_ROWS = budget * LIBRARY[1] // LIBRARY[0]
+
+
+def cert_input() -> CertInput:
+    """The certificate input of ``twometric certify --A=0.6,-0.2,0.3,0.5``."""
+    A = np.array([[0.6, -0.2], [0.3, 0.5]])
+    base = certifier_baseline()
+    F = broadcasting(lambda x: np.matmul(A, np.asarray(x, dtype=float)[..., None])[..., 0])
+    return CertInput(map=F, jac_target=A, norm_bound=base["C_A"],
+                     patch=SpherePatch(base["patch_r"]), inner_radius=base["inner_radius"],
+                     ratio_constant=base["C_prime"])
 
 
 def _unfactored(space):
@@ -115,6 +137,10 @@ def scans(rng):
         return upper, lower
 
     out["convexity sandwich"] = sandwich, STACKED
+    inp = cert_input()
+    for triples in CERTIFY:
+        out[f"certify conclusion, {triples:,} triples"] = (
+            partial(certify, inp, samples=1, ratio_triples=triples), triples)
     return out
 
 
@@ -172,6 +198,26 @@ def buffers(rng, rows=1 << 14) -> dict:
     return out
 
 
+def certify_peaks() -> dict:
+    """The ``tracemalloc`` peak of each certify conclusion at each budget,
+    in MB, after one untraced call."""
+    inp = cert_input()
+    out = {f"{triples:,} triples": {} for triples in CERTIFY}
+    try:
+        for triples in CERTIFY:
+            for budget in BUDGETS:
+                set_budget(budget)
+                certify(inp, samples=1, ratio_triples=triples)
+                tracemalloc.start()
+                certify(inp, samples=1, ratio_triples=triples)
+                out[f"{triples:,} triples"][str(budget)] = round(
+                    tracemalloc.get_traced_memory()[1] / 1e6, 3)
+                tracemalloc.stop()
+    finally:
+        set_budget(LIBRARY[0])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=7)
@@ -214,6 +260,7 @@ def main(argv=None) -> int:
         "fresh_detect_linear_faults": {str(b): statistics.median(r["faults"] for r in runs)
                                        for b, runs in fresh.items()},
         "buffers_per_kernel_call": buffers(rng),
+        "certify_peak_mb": certify_peaks(),
         "rounds": args.rounds,
     }
     print(f"{'ns per value':<38}" + "".join(f"{'2^' + str(b.bit_length() - 1):>9}"
@@ -224,6 +271,8 @@ def main(argv=None) -> int:
                        ("fresh_detect_linear_ms", "fresh detect_outcome, ms per call"),
                        ("fresh_detect_linear_faults", "fresh detect_outcome, faults per call")):
         print(f"{label:<38}" + "".join(f"{v:>9.2f}" for v in result[key].values()))
+    for name, by in result["certify_peak_mb"].items():
+        print(f"{'certify peak MB, ' + name:<38}" + "".join(f"{v:>9.2f}" for v in by.values()))
     print("row buffers per kernel call:", result["buffers_per_kernel_call"])
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
