@@ -407,17 +407,12 @@ def _spec(value) -> tuple:
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone, which parses
-    that command's arguments as the full parser does and prints the same
-    usage line, with every command in it.  Each is built once per process
-    and shared, so a caller must not change it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared,
+    so a caller must not change it."""
     parser = argparse.ArgumentParser(prog="twometric", description=__doc__)
-    names = list(COMMANDS) if command is None else [command]
-    # the full parser names the commands by their choices, as argparse does
-    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
-                                else "{%s}" % ",".join(COMMANDS))
-    for name in names:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
         p = sub.add_parser(name)
         for flag, spec in {**GLOBAL_FLAGS, **COMMANDS[name][1]}.items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=_spec(spec)[1])
@@ -426,9 +421,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the parser of every command takes about 1.5 ms to build, one about
-    # 0.3 ms; each is built on its first call in a process only
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     fn, flags = COMMANDS[args.command]
     try:
         return fn(_resolve_config(args, flags))

@@ -264,8 +264,7 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     integer arrays of row numbers of ``points`` instead, and the pairs are
     those of ``points[x]`` and ``points[y]``; without, the x's and then
     the y's are numbered so.  One pair gives a float, anything else an
-    array of the broadcast leading shape.  A declared ``phi`` is called on
-    blocks of ``_ROW_BUDGET`` pairs.  A witness scan puts each pair in
+    array of the broadcast leading shape.  A witness scan puts each pair in
     lexicographic order first, so the result is exactly symmetric in x and
     y, as a declared ``phi`` is.  An inf or overflowing coordinate gives
     its NaN or inf without a numpy warning.
@@ -280,10 +279,7 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     if space.phi is not None and W.ndim > 1:
         P, shape = np.asarray(points), np.broadcast_shapes(np.shape(x), np.shape(y))
         X, Y = (np.broadcast_to(A, shape).ravel() for A in (x, y))
-        out = np.empty(len(X))
-        for s in range(0, len(X), _ROW_BUDGET):
-            out[s:s + _ROW_BUDGET] = space.phi(*(np.take(P, A[s:s + _ROW_BUDGET], axis=0)
-                                                 for A in (X, Y)))
+        out = np.asarray(space.phi(*(np.take(P, A, axis=0) for A in (X, Y))), dtype=float)
         return float(out[0]) if not shape else out.reshape(shape)
     P = np.concatenate([np.asarray(points), W])
     X, Y = np.asarray(x), np.asarray(y)
@@ -317,18 +313,20 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 
 
 # Values per metric call in ``_d_max``, rows per block of its Gram bounds,
-# pairs per call of a declared phi, and, through ``spaces._SANDWICH_ROWS``,
-# rows per block of the convexity sandwich and of certify's conclusion.  A
+# and, through ``spaces._SANDWICH_ROWS``, rows per block of the convexity
+# sandwich and of certify's conclusion.  A
 # kernel call holds row-sized buffers besides its inputs, by
 # ``tracemalloc``: 6 in the det kernel and 2 dim + 5 in the area kernel, so
 # 0.8 MB and 1.4 MB in 3-d at 2**14 values, where a 2-core Xeon holds 2 MB
 # of L2 per core
-# (``/sys/devices/system/cpu/cpu0/cache/index2/size``).  By
-# ``tools/row_budget_sweep.py`` (``BENCH_43.json``), kernels on stacked
-# rows cost up to 1.5x per value past 2**14, and in a fresh process glibc's
-# malloc faults in a buffer of 128 KiB or more afresh: ``detect_outcome`` on
-# linear maps faulted 503 pages per call at 2**14, 988 at 2**15.  Below
-# 2**14 the wide scans and the sandwich pay more per call instead.
+# (``/sys/devices/system/cpu/cpu0/cache/index2/size``).  By the layer sweep
+# of ``BENCH_43.json``, kernels on stacked rows cost up to 1.5x per value
+# past 2**14, and in a fresh process glibc's malloc faults in a buffer of
+# 128 KiB or more afresh: ``detect_outcome`` on linear maps faulted 503
+# pages per call at 2**14, 988 at 2**15.  Below 2**14 the wide scans and
+# the sandwich pay more per call instead.  End to end, the rows
+# ``row-budget-2^13`` and ``row-budget-2^15`` of ``tools/ablations.json``
+# measure both neighbours (``BENCH_51.json``).
 _ROW_BUDGET = 1 << 14
 
 
@@ -398,18 +396,6 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
     return held
 
 
-def _last_reads(size, y, z) -> np.ndarray:
-    """For each of ``size`` rows, the last column of a scan whose columns
-    read the rows y and z, -1 for a row that no column reads.  Each column
-    writes its number at its rows, y and z apart, in column order, so a
-    later column overwrites an earlier one, and the larger of the two is
-    kept: 0.055 ms on the 11,175 pairs of a 150-point tail, against 0.095 ms
-    by ``np.maximum.at`` over both."""
-    last, other = np.full((2, size), -1)
-    last[y] = other[z] = np.arange(len(y))
-    return np.maximum(last, other, out=last)
-
-
 def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     """Two bounds of d(x, P[y], P[z]) over the columns of each row x, NaN
     kept, for a kernel's Gram split ``(edges, finish)``: over every
@@ -419,25 +405,22 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     are one edge, value for value, with fl(n n) finite for its squared
     length n, is bounded by ``finish(0)``, its every value: uv is then the
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
-    fails the equality and an inf one the finiteness.  As fl(t - x) is
-    non-decreasing in t, a row's edges are one edge exactly where its edges
-    to the least and the greatest target coordinates are, a NaN coordinate
-    making either NaN; only the other rows take the edge pass."""
+    fails the equality and an inf one the finiteness."""
     edges, finish = split
-    last = _last_reads(len(P), y, z)
+    last = np.full(len(P), -1)
+    np.maximum.at(last, np.concatenate([y, z]), np.tile(np.arange(len(y)), 2))
     targets = np.flatnonzero(last >= 0)
-    last, T = last[targets, None], P[targets]
-    (lo, n), (hi, _) = (edges(x, f(T, axis=0)) for f in (np.min, np.max))
-    one = np.logical_and.reduce([u == v for u, v in zip(lo, hi)]) & (n * n < np.inf)
+    last, T = last[targets, None], P[targets][:, None]
     out = np.empty((2, len(x)))
-    out[:, one] = finish(np.zeros(1))
-    rest, T = np.flatnonzero(~one), T[:, None]
     step = max(1, _ROW_BUDGET // len(targets))
-    for s in range(0, len(rest), step):
-        rows = rest[s:s + step]
-        n = edges(x[rows], T)[1]
+    for s in range(0, len(x), step):
+        rows = slice(s, s + step)
+        e, n = edges(x[rows], T)
         out[0, rows] = _gram_bound(finish, n)
         out[1, rows] = _gram_bound(finish, np.where(last >= cuts[rows], n, -np.inf))
+        one = (np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e])
+               & (n[0] * n[0] < np.inf))
+        out[:, rows][:, one] = finish(np.zeros(1))
     return out
 
 
@@ -613,17 +596,9 @@ def _sorted_rows(columns, n: int) -> np.ndarray | None:
     """The rows (i, j, k) of three integer columns of table keys, each row
     sorted, when every row has 0 <= i < j < k < n, and None when some key
     breaks ``_sorted_key``'s rule, which its callers then run key by key to
-    name the first bad key.  Each row is sorted by a network of three
-    compare-exchanges on whole columns, written into the rows' own columns,
-    so the pass holds two columns besides the rows."""
-    a, b, c = columns
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    rows = np.empty((len(lo), 3), np.intp)
+    name the first bad key.  Each row is sorted by ``np.sort``."""
+    rows = np.sort(np.transpose(columns), axis=1)
     i, j, k = rows.T
-    np.minimum(lo, c, out=i)
-    mid = np.maximum(lo, c, out=lo)
-    np.minimum(mid, hi, out=j)
-    np.maximum(mid, hi, out=k)
     return rows if ((0 <= i) & (i < j) & (j < k) & (k < n)).all() else None
 
 

@@ -332,21 +332,20 @@ def gathered_max(kernel, points, X, Y, Z) -> np.ndarray:
 
 
 def gram_bounds_reference(split, P, x, y, z, cuts) -> np.ndarray:
-    """``core._gram_bounds`` by a full edge pass: every row's edges to every
-    target, in blocks of ``_ROW_BUDGET`` values, with a row's edges one edge
-    where each coordinate equals that of its edge to the first target."""
+    """``core._gram_bounds`` in one pass: every row's edges to every target
+    at once, with a row's edges one edge where each coordinate equals that
+    of its edge to the first target.  A target's last read is the number
+    of the last column that reads it, written column by column."""
     edges, finish = split
-    last = core._last_reads(len(P), y, z)
+    last = np.full(len(P), -1)
+    for column, (a, b) in enumerate(zip(y.tolist(), z.tolist())):
+        last[a] = last[b] = column
     targets = np.flatnonzero(last >= 0)
-    last, T = last[targets, None], P[targets][:, None]
-    out = np.empty((2, len(x)))
-    step = max(1, core._ROW_BUDGET // len(targets))
-    for s in range(0, len(x), step):
-        e, n = edges(x[s:s + step], T)
-        out[0, s:s + step] = core._gram_bound(finish, n)
-        out[1, s:s + step] = core._gram_bound(finish, np.where(last >= cuts[s:s + step], n, -np.inf))
-        one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
-        out[:, s:s + step][:, one] = finish(np.zeros(1))
+    e, n = edges(x, P[targets][:, None])
+    out = np.stack([core._gram_bound(finish, n),
+                    core._gram_bound(finish, np.where(last[targets, None] >= cuts, n, -np.inf))])
+    one = np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e]) & (n[0] * n[0] < np.inf)
+    out[:, one] = finish(np.zeros(1))
     return out
 
 

@@ -791,8 +791,8 @@ def parsed(capsys, parse, argv):
     [],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_a_command_parser_prints_what_the_full_parser_prints(argv, capsys):
-    # main builds only the named command's parser; its help and usage
-    # errors must read as those of the parser of every command
+    # main's help and usage errors read as those of the parser of every
+    # command
     want = parsed(capsys, build_parser().parse_args, argv)
     assert want[0] in (0, 2) and (want[1] or want[2])
     assert parsed(capsys, main, argv) == want
@@ -813,8 +813,7 @@ def test_each_parser_is_built_once_per_process_and_reused(tmp_path, capsys, monk
     # the fresh processes import this copy of the package, from any directory
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    for command in (None, *cli.COMMANDS):
-        assert build_parser(command) is build_parser(command)
+    assert build_parser() is build_parser()
     for i, argv in enumerate(IN_PROCESS):
         here, fresh = tmp_path / f"in-{i}", tmp_path / f"fresh-{i}"
         here.mkdir(), fresh.mkdir()
@@ -834,14 +833,6 @@ def test_each_parser_is_built_once_per_process_and_reused(tmp_path, capsys, monk
 def blanked(path):
     """An artifact's bytes, JSON with the timestamp blanked."""
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', path.read_bytes())
-
-
-def test_a_command_parser_holds_that_command_alone():
-    parser = build_parser("classify")
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(action.choices) == ["classify"]
-    assert parser_flags(action.choices["classify"]) == parser_flags(subparsers()["classify"])
-    assert parser.format_usage() == build_parser().format_usage()
 
 
 # ---------------------------------------------------------------------------
