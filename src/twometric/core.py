@@ -264,7 +264,8 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     integer arrays of row numbers of ``points`` instead, and the pairs are
     those of ``points[x]`` and ``points[y]``; without, the x's and then
     the y's are numbered so.  One pair gives a float, anything else an
-    array of the broadcast leading shape.  A witness scan puts each pair in
+    array of the broadcast leading shape.  A declared ``phi`` is called on
+    blocks of ``_ROW_BUDGET`` pairs.  A witness scan puts each pair in
     lexicographic order first, so the result is exactly symmetric in x and
     y, as a declared ``phi`` is.  An inf or overflowing coordinate gives
     its NaN or inf without a numpy warning.
@@ -279,7 +280,10 @@ def eval_phi(space: TwoMetricSpace, x, y, witnesses: WitnessSet, points=None):
     if space.phi is not None and W.ndim > 1:
         P, shape = np.asarray(points), np.broadcast_shapes(np.shape(x), np.shape(y))
         X, Y = (np.broadcast_to(A, shape).ravel() for A in (x, y))
-        out = np.asarray(space.phi(*(np.take(P, A, axis=0) for A in (X, Y))), dtype=float)
+        out = np.empty(len(X))
+        for s in range(0, len(X), _ROW_BUDGET):
+            out[s:s + _ROW_BUDGET] = space.phi(*(np.take(P, A[s:s + _ROW_BUDGET], axis=0)
+                                                 for A in (X, Y)))
         return float(out[0]) if not shape else out.reshape(shape)
     P = np.concatenate([np.asarray(points), W])
     X, Y = np.asarray(x), np.asarray(y)
@@ -313,8 +317,8 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 
 
 # Values per metric call in ``_d_max``, rows per block of its Gram bounds,
-# and, through ``spaces._SANDWICH_ROWS``, rows per block of the convexity
-# sandwich and of certify's conclusion.  A
+# pairs per call of a declared phi, and, through ``spaces._SANDWICH_ROWS``,
+# rows per block of the convexity sandwich and of certify's conclusion.  A
 # kernel call holds row-sized buffers besides its inputs, by
 # ``tracemalloc``: 6 in the det kernel and 2 dim + 5 in the area kernel, so
 # 0.8 MB and 1.4 MB in 3-d at 2**14 values, where a 2-core Xeon holds 2 MB

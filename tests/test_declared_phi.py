@@ -163,14 +163,16 @@ def counting(space):
     return replace(space, d_batch=core.broadcasting(kernel)), calls
 
 
+@pytest.mark.parametrize("budget", [1, 7, 2 ** 15])
 @pytest.mark.parametrize("name", ["det-sphere", "area-ball-5"])
-def test_eval_phi_reads_the_declared_phi_in_one_call(name):
+def test_eval_phi_reads_the_declared_phi_in_blocks(name, budget, monkeypatch):
     # the point form, the row-number form and broadcast shapes give the
-    # bits of one call on the stacked pairs, with the planted NaN in its own
-    # pairs and no kernel call
+    # bits of one call on the stacked pairs, at every block size, with the
+    # planted NaN in its own pairs and no kernel call
     space, _, X, Y = pairs(name, count=40, seed=3)
     want = hexes(space.phi(X, Y))
     W = WitnessSet(space.sample(np.random.default_rng(3), 5))
+    monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     counted, calls = counting(space)
     P = np.concatenate([X, Y])
     rows = np.arange(len(X))
