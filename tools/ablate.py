@@ -13,27 +13,22 @@ other pair:
   call that reaches the edit, by wall time;
 * ``RSS_RUNS`` pairs of runs of each scaled config that the row names under
   ``rss``, by the child's peak RSS;
-* ``--rounds`` pairs of ``perfbench/run.py --seconds 30`` on every workload
-  of ``BENCHMARK.json`` at seed 7, and as many at seed 57440 where seed 7
-  moved a metric.
+* ``BENCH_RUNS`` pairs of ``perfbench/run.py --seconds 30`` on every
+  workload of ``BENCHMARK.json`` at seed 7, and as many at seed 57440 where
+  seed 7 moved a metric.
 
 A row is kept when the edit makes some end-to-end metric worse, with its
 median outside the parent's quartiles, on one workload at every seed; when
 the median of its CLI runs, or of the peak RSS of one of its configs, gets
 worse than the parent's by more than the parent's quartile spread; or when
-the edit fails a check.  Every other row is idle.  The benchmark's
-``peak_rss_mb`` is recorded but decides nothing: at the benchmark's sizes
-it moves by up to 0.4 MB with an edit of code that the workload never runs
-(``BENCH_51.json``), so memory is judged at the scaled configs.  A row
-marked ``applied`` is already in the tree.  Run from the root of the
-repository:
+the edit fails a check.  Every other row is idle.  Run from the root of
+the repository:
 
     python3 tools/ablate.py --check
-    python3 tools/ablate.py [--rows NAME ...] [--rounds 10] [--json FILE]
+    python3 tools/ablate.py [--rows NAME ...] [--json FILE]
 
-``--check`` runs no benchmark: it asks that every anchor of a row not
-applied occurs exactly once and that the edited modules compile, and that
-the old texts of an applied row are gone.
+``--check`` runs no benchmark: it asks that every anchor of every row
+occurs exactly once and that the edited modules compile.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from code_lines import code_lines  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "tools" / "ablations.json"
 SEEDS = ("7", "57440")
-CLI_RUNS, RSS_RUNS = 30, 5
+BENCH_RUNS, CLI_RUNS, RSS_RUNS = 10, 30, 5
 
 
 def ledger() -> dict:
@@ -87,14 +82,6 @@ def check(rows: list) -> int:
     bad = 0
     for row in rows:
         try:
-            if row.get("applied"):
-                left = [e["old"][0] for e in row["edits"]
-                        if "\n".join(e["old"]) in (ROOT / e["file"]).read_text(encoding="utf-8")]
-                if left:
-                    raise ValueError(f"{row['name']}: applied, but its old text is there: "
-                                     f"{left[0].strip()!r}")
-                print(f"{row['name']:<24} applied")
-                continue
             sources = edited(row)
             for path, text in sources.items():
                 compile(text, path, "exec")
@@ -122,8 +109,7 @@ def decide(row: dict, metrics: list, seeds=SEEDS) -> dict:
     ``row["bench"]`` holds, per seed, the parent's and the edit's runs: per
     workload, each end-to-end metric and the failed checks.  A benchmark
     metric counts where it moves the same way on one workload at every
-    one of ``seeds``; ``peak_rss_mb`` does not count."""
-    metrics = [m for m in metrics if m["name"] != "peak_rss_mb"]
+    one of ``seeds``."""
     moved = {1: [], -1: []}
     for sign in moved:
         shared = None
@@ -191,7 +177,7 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def measure(row: dict, configs: dict, rounds: int, tmp: Path) -> None:
+def measure(row: dict, configs: dict, tmp: Path) -> None:
     """Runs the row against the tree as it stands, each side from its own
     copy under ``tmp``, and puts its runs and its decision in ``row``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -224,7 +210,7 @@ def measure(row: dict, configs: dict, rounds: int, tmp: Path) -> None:
         if k and not any(m.startswith("bench") for key in ("worse", "better")
                          for m in decide(row, metrics, SEEDS[:k])[key]):
             break
-        row["bench"][seed] = pairs(rounds, lambda side: bench(roots[side], seed, workloads))
+        row["bench"][seed] = pairs(BENCH_RUNS, lambda side: bench(roots[side], seed, workloads))
     row.update(decide(row, metrics))
 
 
@@ -232,20 +218,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true", help="check the edits; run no benchmark")
     ap.add_argument("--rows", nargs="+", help="measure these rows only")
-    ap.add_argument("--rounds", type=int, default=10, help="benchmark pairs per seed")
     ap.add_argument("--json", help="write every run and decision to this file")
     args = ap.parse_args(argv)
     book = ledger()
     if args.check:
         return check(book["rows"])
-    rows = [dict(r) for r in book["rows"]
-            if not r.get("applied") and (not args.rows or r["name"] in args.rows)]
-    result = {"machine": machine(), "rounds": args.rounds, "cli_runs": CLI_RUNS,
+    rows = [dict(r) for r in book["rows"] if not args.rows or r["name"] in args.rows]
+    result = {"machine": machine(), "bench_runs": BENCH_RUNS, "cli_runs": CLI_RUNS,
               "rss_runs": RSS_RUNS, "rows": []}
     with tempfile.TemporaryDirectory(prefix="ablate-") as tmp:
         for row in rows:
             row["code_lines"] = removed_lines(edited(row))
-            measure(row, book["rss_configs"], args.rounds, Path(tmp))
+            measure(row, book["rss_configs"], Path(tmp))
             print(f"{row['name']:<24} -{row['code_lines']:<3} {row['decision']:<5} "
                   f"worse: {', '.join(row['worse']) or '-'}; "
                   f"better: {', '.join(row['better']) or '-'}", flush=True)
