@@ -330,7 +330,10 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 # pages per call at 2**14, 988 at 2**15.  Below 2**14 the wide scans and
 # the sandwich pay more per call instead.  End to end, the rows
 # ``row-budget-2^13`` and ``row-budget-2^15`` of ``tools/ablations.json``
-# measure both neighbours (``BENCH_51.json``).
+# measure both neighbours (``BENCH_51.json``), and the row
+# ``declared-phi-blocks`` the declared phi's blocks: the audit ``a5w400``
+# calls it on 57,121 pairs and peaked at 44.5 MB, 52.5 MB with one call
+# (``BENCH_52.json``).
 _ROW_BUDGET = 1 << 14
 
 
@@ -400,24 +403,14 @@ def _held(bound, cuts, end, top, values) -> np.ndarray:
     return held
 
 
-def _last_reads(size, y, z) -> np.ndarray:
-    """For each of ``size`` rows, the last column of a scan whose columns
-    read the rows y and z, -1 for a row that no column reads.  Each column
-    writes its number at its rows, y and z apart, in column order, so a
-    later column overwrites an earlier one, and the larger of the two is
-    kept: 0.055 ms on the 11,175 pairs of a 150-point tail, against 0.095 ms
-    by ``np.maximum.at`` over both."""
-    last, other = np.full((2, size), -1)
-    last[y] = other[z] = np.arange(len(y))
-    return np.maximum(last, other, out=last)
-
-
 def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     """Two bounds of d(x, P[y], P[z]) over the columns of each row x, NaN
     kept, for a kernel's Gram split ``(edges, finish)``: over every
     column, and over the columns from the row's cut on.  Each is
     ``_gram_bound`` over the squared lengths of the edges from x to the
-    rows of P that those columns read.  A row whose edges to all of them
+    rows of P that those columns read.  The second counts a row of P where
+    the last column that reads it, by ``np.maximum.at`` over the column
+    numbers, is at or past the cut.  A row whose edges to all of them
     are one edge, value for value, with fl(n n) finite for its squared
     length n, is bounded by ``finish(0)``, its every value: uv is then the
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
@@ -426,7 +419,8 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     to the least and the greatest target coordinates are, a NaN coordinate
     making either NaN; only the other rows take the edge pass."""
     edges, finish = split
-    last = _last_reads(len(P), y, z)
+    last = np.full(len(P), -1)
+    np.maximum.at(last, np.concatenate([y, z]), np.tile(np.arange(len(y)), 2))
     targets = np.flatnonzero(last >= 0)
     last, T = last[targets, None], P[targets]
     (lo, n), (hi, _) = (edges(x, f(T, axis=0)) for f in (np.min, np.max))
@@ -615,17 +609,11 @@ def _sorted_rows(columns, n: int) -> np.ndarray | None:
     """The rows (i, j, k) of three integer columns of table keys, each row
     sorted, when every row has 0 <= i < j < k < n, and None when some key
     breaks ``_sorted_key``'s rule, which its callers then run key by key to
-    name the first bad key.  Each row is sorted by a network of three
-    compare-exchanges on whole columns, written into the rows' own columns,
-    so the pass holds two columns besides the rows."""
-    a, b, c = columns
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    rows = np.empty((len(lo), 3), np.intp)
+    name the first bad key.  Each row is sorted by ``np.sort``: a network
+    of compare-exchanges on whole columns read no faster end to end, and
+    ``t80``'s audit peaked 1 MB higher with it (``BENCH_52.json``)."""
+    rows = np.sort(np.transpose(columns), axis=1)
     i, j, k = rows.T
-    np.minimum(lo, c, out=i)
-    mid = np.maximum(lo, c, out=lo)
-    np.minimum(mid, hi, out=j)
-    np.maximum(mid, hi, out=k)
     return rows if ((0 <= i) & (i < j) & (j < k) & (k < n)).all() else None
 
 

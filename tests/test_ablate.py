@@ -40,6 +40,22 @@ def test_a_missing_anchor_is_stale():
     assert ablate.check([row]) == 1
 
 
+def applying(**row):
+    return {"name": "probe", "edits": ROWS[0]["edits"], **row}
+
+
+def test_check_fails_a_config_missing_from_the_ledger(capsys):
+    assert ablate.check([applying(rss=["a5w400"])]) == 0
+    assert ablate.check([applying(rss=["a5w40"])]) == 1
+    assert "no config 'a5w40'" in capsys.readouterr().out
+
+
+def test_check_fails_a_cli_call_that_does_not_parse(capsys):
+    assert ablate.check([applying(cli=["audit", "--table", "{root}/t.json"])]) == 0
+    assert ablate.check([applying(cli=["audit", "--witneses", "400"])]) == 1
+    assert "does not parse" in capsys.readouterr().out
+
+
 def runs(p50, rate, count=10):
     """``count`` benchmark runs of one workload, p50 and rate spread by 1%."""
     return [{"w": {"verdict_p50_s": p50 * (1 + i / 100), "verdicts_per_s": rate * (1 + i / 100),
@@ -68,15 +84,18 @@ def test_a_row_better_on_one_metric_and_worse_on_another_is_kept():
                    "better": ["bench: w verdict_p50_s"]}
 
 
-def test_the_benchmarks_peak_rss_keeps_a_row_at_both_seeds_only():
-    def rss(mb):
-        return [{"w": r["w"] | {"peak_rss_mb": mb + i / 100}} for i, r in enumerate(runs(1.0, 100.0))]
-    metrics = METRICS + [{"name": "peak_rss_mb", "better": "lower"}]
-    both = {"bench": {seed: {"parent": rss(60.8), "edit": rss(61.2)} for seed in ("7", "57440")}}
-    assert ablate.decide(both, metrics) == {"decision": "kept", "worse": ["bench: w peak_rss_mb"],
-                                            "better": []}
-    both["bench"]["57440"]["edit"] = rss(60.8)
-    assert ablate.decide(both, metrics)["decision"] == "idle"
+def test_the_benchmarks_peak_rss_keeps_no_row():
+    # a whole benchmark process's peak: it moves with edits the workload
+    # never runs, so memory is judged at the row's configs only
+    def rss(mb, p50=1.0):
+        return [{"w": r["w"] | {"peak_rss_mb": mb + i / 100}} for i, r in enumerate(runs(p50, 100.0))]
+
+    def decide(edit):
+        bench = {seed: {"parent": rss(60.8), "edit": edit} for seed in ("7", "57440")}
+        return ablate.decide({"bench": bench}, METRICS + [{"name": "peak_rss_mb", "better": "lower"}])
+    assert decide(rss(61.2)) == {"decision": "idle", "worse": [], "better": []}
+    assert decide(rss(61.2, p50=1.2)) == {"decision": "kept", "worse": ["bench: w verdict_p50_s"],
+                                          "better": []}
 
 
 def test_a_memory_row_is_kept_on_its_peak_rss_alone():

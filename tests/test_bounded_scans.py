@@ -28,7 +28,7 @@ from twometric import (FiniteTwoMetricSpace, SphereContractionParams, SpherePatc
                        area_ball_space, det_sphere_space, detect_outcome, make_linear_map,
                        make_sphere_map, orbit, sphere_witnesses)
 from twometric import core, lines
-from twometric.core import _d_max, _gram_bound, _gram_bounds, _last_reads
+from twometric.core import _d_max, _gram_bound, _gram_bounds
 from twometric.lines import classify
 from twometric.spaces import _cross, _det_outer, _edges, _gram, _half_root
 
@@ -471,28 +471,3 @@ def test_gram_bounds_of_classify_scans_match_the_full_edge_pass(name, kind):
     with np.errstate(invalid="ignore", over="ignore"):
         fast = _gram_bounds(space.d_batch.gram, *case)
         assert same_bits(fast, gram_bounds_reference(space.d_batch.gram, *case))
-
-
-@pytest.mark.parametrize("kind", ["tail pairs", "unsorted", "repeated", "one column"])
-def test_last_reads_is_the_max_scatter_of_the_column_numbers(kind):
-    # the oracle: np.maximum.at of each column's number at the rows it reads
-    rng = np.random.default_rng(sum(map(ord, kind)))
-    size = 300
-    if kind == "tail pairs":
-        y, z = np.triu_indices(150, 1)
-        y, z = y + 64, z + 64
-    elif kind == "unsorted":
-        y, z = rng.permutation(size)[:200], rng.permutation(size)[:200]
-    elif kind == "repeated":
-        y, z = rng.integers(0, 12, 5000), rng.integers(5, 20, 5000)
-        y[-1] = z[-1] = 7
-    else:
-        y, z = np.array([5]), np.array([299])
-    want = np.full(size, -1)
-    np.maximum.at(want, np.r_[y, z], np.tile(np.arange(len(y)), 2))
-    assert np.array_equal(_last_reads(size, y, z), want)
-    # each order of the columns, and y and z swapped, give the same rows read
-    order = rng.permutation(len(y))
-    want = np.full(size, -1)
-    np.maximum.at(want, np.r_[y[order], z[order]], np.tile(np.arange(len(y)), 2))
-    assert np.array_equal(_last_reads(size, z[order], y[order]), want)

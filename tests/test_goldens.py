@@ -6,12 +6,13 @@ its outcome holds.  The 12-point table's runs are checked in
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from conftest import TABLE12, check_golden
-from twometric import core
+from twometric import core, spaces
 from twometric.cli import main
 
 # golden directory -> (files copied in from it, commands run there with
@@ -56,8 +57,13 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
     # core owns the budget, classify's candidate scan and its cuts included;
-    # 2 ** 15 was the budget before 2 ** 14
+    # 2 ** 15 was the budget before 2 ** 14.  spaces derives the sandwich
+    # blocks from it once, at import, and certify binds its own copy, so
+    # both are set too; ``twometric.certify`` names the function, not the
+    # module
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
+    for module in (spaces, importlib.import_module("twometric.certify")):
+        monkeypatch.setattr(module, "_SANDWICH_ROWS", budget * 7 // 16)
     monkeypatch.chdir(tmp_path)
     check_golden(tmp_path, golden, *run)
 

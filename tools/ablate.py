@@ -15,20 +15,24 @@ other pair:
   ``rss``, by the child's peak RSS;
 * ``BENCH_RUNS`` pairs of ``perfbench/run.py --seconds 30`` on every
   workload of ``BENCHMARK.json`` at seed 7, and as many at seed 57440 where
-  seed 7 moved a metric.
+  seed 7 moved a metric that can keep the row.
 
-A row is kept when the edit makes some end-to-end metric worse, with its
-median outside the parent's quartiles, on one workload at every seed; when
-the median of its CLI runs, or of the peak RSS of one of its configs, gets
-worse than the parent's by more than the parent's quartile spread; or when
-the edit fails a check.  Every other row is idle.  Run from the root of
-the repository:
+A row is kept when the edit makes some timing metric of the benchmark
+worse, with its median outside the parent's quartiles, on one workload at
+every seed; when the median of its CLI runs, or of the peak RSS of one of
+its configs, gets worse than the parent's by more than the parent's
+quartile spread; or when the edit fails a check.  The benchmark's
+``peak_rss_mb`` is recorded but keeps no row: it is the peak of a whole
+benchmark process, and it moves with edits of code that the workload never
+runs, so memory is judged at the row's configs only.  Every other row is
+idle.  Run from the root of the repository:
 
     python3 tools/ablate.py --check
     python3 tools/ablate.py [--rows NAME ...] [--json FILE]
 
 ``--check`` runs no benchmark: it asks that every anchor of every row
-occurs exactly once and that the edited modules compile.
+occurs exactly once, that the edited modules compile, that every config a
+row names is in ``rss_configs``, and that the row's ``cli`` call parses.
 """
 
 from __future__ import annotations
@@ -45,12 +49,13 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from code_lines import code_lines  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src")]
+from code_lines import code_lines  # noqa: E402
 LEDGER = ROOT / "tools" / "ablations.json"
 SEEDS = ("7", "57440")
+# the benchmark's metric that keeps no row
+WHOLE_PROCESS_RSS = "peak_rss_mb"
 BENCH_RUNS, CLI_RUNS, RSS_RUNS = 10, 30, 5
 
 
@@ -77,14 +82,30 @@ def removed_lines(sources: dict) -> int:
                for path, text in sources.items())
 
 
+def cli_argv(row: dict) -> list:
+    """The row's ``cli`` call, ``{root}`` filled in with the checkout."""
+    return [a.replace("{root}", str(ROOT)) for a in row["cli"]]
+
+
 def check(rows: list) -> int:
-    """Print each row's state; 1 when a row is stale or does not compile."""
-    bad = 0
+    """Print each row's state; 1 when a row is stale, does not compile,
+    names a config that the ledger lacks or has a call that does not
+    parse."""
+    from twometric.cli import build_parser
+    configs, bad = ledger()["rss_configs"], 0
     for row in rows:
         try:
             sources = edited(row)
             for path, text in sources.items():
                 compile(text, path, "exec")
+            for name in row.get("rss", []):
+                if name not in configs:
+                    raise ValueError(f"no config {name!r} in rss_configs")
+            if row.get("cli"):
+                try:
+                    build_parser().parse_args(cli_argv(row))
+                except SystemExit:
+                    raise ValueError(f"cli does not parse: {row['cli']}") from None
             print(f"{row['name']:<24} applies, -{removed_lines(sources)} code lines")
         except (ValueError, SyntaxError) as exc:
             print(f"{row['name']:<24} {exc}")
@@ -109,7 +130,8 @@ def decide(row: dict, metrics: list, seeds=SEEDS) -> dict:
     ``row["bench"]`` holds, per seed, the parent's and the edit's runs: per
     workload, each end-to-end metric and the failed checks.  A benchmark
     metric counts where it moves the same way on one workload at every
-    one of ``seeds``."""
+    one of ``seeds``; ``WHOLE_PROCESS_RSS`` never counts."""
+    metrics = [m for m in metrics if m["name"] != WHOLE_PROCESS_RSS]
     moved = {1: [], -1: []}
     for sign in moved:
         shared = None
@@ -198,7 +220,7 @@ def measure(row: dict, configs: dict, tmp: Path) -> None:
         for argv in configs.values():
             child(roots["parent"], argv, work)
     if row.get("cli"):
-        argv = ["-m", "twometric"] + [a.replace("{root}", str(ROOT)) for a in row["cli"]]
+        argv = ["-m", "twometric"] + cli_argv(row)
         row["cli_s"] = pairs(CLI_RUNS, lambda side: child(roots[side], argv, work)[0])
     for config in row.get("rss", []):
         row.setdefault("rss_mb", {})[config] = pairs(
