@@ -33,7 +33,7 @@ from .dynamics import (SphereContractionParams, detect_outcome, make_linear_map,
                        make_sphere_map, orbit)
 from .lines import Thresholds, classify, line_members
 from .quasi import banach_direct, banach_multcost, banach_power, interval_space
-from .spaces import (SpherePatch, area_ball_space, convexity_bound,
+from .spaces import (SpherePatch, _coords, _cross, _lengths, area_ball_space, convexity_bound,
                      det_sphere_space, sphere_witnesses, unit_sphere)
 
 
@@ -170,9 +170,8 @@ def cmd_demo_equator(cfg) -> int:
     if cfg["theta"] != 0.0:
         ok = outcome.tag == "FixedLine"
         if ok:
-            normal = np.cross(outcome.line.g1, outcome.line.g2)
-            normal /= np.linalg.norm(normal)
-            ok = abs(normal[2]) >= 1.0 - 1e-6
+            normal = _cross(outcome.line.g1, outcome.line.g2)
+            ok = abs(normal[2] / _lengths(_coords(normal))) >= 1.0 - 1e-6
             ok = ok and all(abs(m[2]) <= 1e-6 for m in outcome.line.members)
         if not ok:
             print("expected the equator as a fixed line")

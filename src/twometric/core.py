@@ -321,20 +321,21 @@ def _worst_ratio(kernel, triples, images) -> tuple[float | None, int]:
 # rows per block of the convexity sandwich and of certify's conclusion.  A
 # kernel call holds row-sized buffers besides its inputs, by
 # ``tracemalloc``: 6 in the det kernel and 2 dim + 5 in the area kernel, so
-# 0.8 MB and 1.4 MB in 3-d at 2**14 values, where a 2-core Xeon holds 2 MB
+# 0.4 MB and 0.7 MB in 3-d at 2**13 values, where a 2-core Xeon holds 2 MB
 # of L2 per core
 # (``/sys/devices/system/cpu/cpu0/cache/index2/size``).  By the layer sweep
 # of ``BENCH_43.json``, kernels on stacked rows cost up to 1.5x per value
 # past 2**14, and in a fresh process glibc's malloc faults in a buffer of
 # 128 KiB or more afresh: ``detect_outcome`` on linear maps faulted 503
 # pages per call at 2**14, 988 at 2**15.  Below 2**14 the wide scans and
-# the sandwich pay more per call instead.  End to end, the rows
-# ``row-budget-2^13`` and ``row-budget-2^15`` of ``tools/ablations.json``
-# measure both neighbours (``BENCH_51.json``), and the row
-# ``declared-phi-blocks`` the declared phi's blocks: the audit ``a5w400``
-# calls it on 57,121 pairs and peaked at 44.5 MB, 52.5 MB with one call
-# (``BENCH_52.json``).
-_ROW_BUDGET = 1 << 14
+# the sandwich pay more per call, but end to end 2**13 read no worse than
+# 2**14 on any timing metric of the benchmark at both seeds, on a fresh
+# ``demo-equator`` or on the peak RSS of ``cert1m`` and ``a5big``
+# (``BENCH_53.json``), and 2**15 read worse.  The rows ``row-budget-2^12``
+# and ``row-budget-2^14`` of ``tools/ablations.json`` measure both
+# neighbours, and the row ``declared-phi-blocks`` the declared phi's
+# blocks, which ``a5w400`` calls on 57,121 pairs (``BENCH_52.json``).
+_ROW_BUDGET = 1 << 13
 
 
 def _gram_bound(finish, n) -> np.ndarray:
@@ -414,26 +415,22 @@ def _gram_bounds(split, P, x, y, z, cuts) -> np.ndarray:
     are one edge, value for value, with fl(n n) finite for its squared
     length n, is bounded by ``finish(0)``, its every value: uv is then the
     same ``_dot`` as uu, so every g is fl(n n) - fl(n n) = +0.  A NaN edge
-    fails the equality and an inf one the finiteness.  As fl(t - x) is
-    non-decreasing in t, a row's edges are one edge exactly where its edges
-    to the least and the greatest target coordinates are, a NaN coordinate
-    making either NaN; only the other rows take the edge pass."""
+    fails the equality and an inf one the finiteness."""
     edges, finish = split
     last = np.full(len(P), -1)
     np.maximum.at(last, np.concatenate([y, z]), np.tile(np.arange(len(y)), 2))
     targets = np.flatnonzero(last >= 0)
-    last, T = last[targets, None], P[targets]
-    (lo, n), (hi, _) = (edges(x, f(T, axis=0)) for f in (np.min, np.max))
-    one = np.logical_and.reduce([u == v for u, v in zip(lo, hi)]) & (n * n < np.inf)
+    last, T = last[targets, None], P[targets][:, None]
     out = np.empty((2, len(x)))
-    out[:, one] = finish(np.zeros(1))
-    rest, T = np.flatnonzero(~one), T[:, None]
     step = max(1, _ROW_BUDGET // len(targets))
-    for s in range(0, len(rest), step):
-        rows = rest[s:s + step]
-        n = edges(x[rows], T)[1]
+    for s in range(0, len(x), step):
+        rows = slice(s, s + step)
+        e, n = edges(x[rows], T)
         out[0, rows] = _gram_bound(finish, n)
         out[1, rows] = _gram_bound(finish, np.where(last >= cuts[rows], n, -np.inf))
+        one = (np.logical_and.reduce([(u == u[0]).all(axis=0) for u in e])
+               & (n[0] * n[0] < np.inf))
+        out[:, rows][:, one] = finish(np.zeros(1))
     return out
 
 

@@ -262,21 +262,25 @@ def _area_phi(X, Y) -> np.ndarray:
     """The area ball's pair distance, of rows that broadcast: the sup of
     the area of (x, y, z) over the ball is ``0.5 * |e| * (R + dist(0,
     line xy))`` for e = y - x, at the boundary point farthest from the
-    line, with R = ``BALL_RADIUS``.  Computed as ``0.5 * (R * |e| +
-    sqrt(max(g, 0)))``, where g = |e|^2 |m|^2 - (e . m)^2 is ``_gram`` of e
-    and the midpoint m = (x + y) / 2, and every dot product is summed as
-    ``_dot`` sums it.  g equals |x|^2 |y|^2 - (x . y)^2, but keeps its
-    relative accuracy where x and y are close, where that form cancels to
-    an error of about sqrt(eps) |x| |y| in its root.  Exactly symmetric,
-    since y - x is -(x - y) and x + y is y + x bit for bit."""
+    line, with R = ``BALL_RADIUS``.  Computed as ``0.5 * |e| * (R + |p|)``,
+    where p = m - ((e . m) / (e . e)) e is the foot of the perpendicular
+    from 0 to the line, for the midpoint m = (x + y) / 2, with every dot
+    product and length summed as ``_dot`` sums it, and 0 in place of the
+    quotient where e . e is 0, so that x = y gives 0.  The Gram form
+    |e|^2 |m|^2 - (e . m)^2 of the distance cancels where the line passes
+    near 0, and |x|^2 |y|^2 - (x . y)^2 also where x and y are close; p
+    subtracts no two squares.  Exactly symmetric, since y - x is -(x - y),
+    x + y is y + x and so e . m changes sign, bit for bit."""
     x, y = _coords(X), _coords(Y)
     e = _differences(x, y)
-    m = [np.multiply(np.add(p, q), 0.5) for p, q in zip(x, y)]
     length = _dot(e, e)
-    root = _gram(e, length, m, _dot(m, m))
-    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
-    np.sqrt(length, out=length)
-    out = np.add(np.multiply(length, BALL_RADIUS, out=length), root, out=length)
+    shape = np.shape(length)
+    m = [np.multiply(np.add(p, q), 0.5, out=np.empty(shape)) for p, q in zip(x, y)]
+    c = np.divide(_dot(e, m), length, out=np.zeros(shape), where=length != 0)
+    term = np.empty(shape)
+    for p, q in zip(m, e):
+        np.subtract(p, np.multiply(c, q, out=term), out=p)
+    out = np.multiply(np.sqrt(length, out=length), np.add(_lengths(m), BALL_RADIUS), out=length)
     return np.multiply(out, 0.5, out=out)[()]
 
 

@@ -122,15 +122,16 @@ def det_phi_reference(x, y) -> float:
 
 def area_phi_reference(x, y, radius: float = 0.5) -> float:
     """The area ball's pair distance of one pair by a loop over Python
-    floats: ``0.5 * (radius * |e| + sqrt(max(g, 0)))`` with e = y - x and
-    g the Gram determinant of e and the midpoint m = (x + y) / 2, dot
-    products in the kernels' order, a NaN kept."""
+    floats: ``0.5 * |e| * (radius + |p|)`` with e = y - x and p = m - ((e
+    . m) / (e . e)) e for the midpoint m = (x + y) / 2, the quotient 0
+    where e . e is 0, dot products in the kernels' order, a NaN kept."""
     x, y = ([float(c) for c in p] for p in (x, y))
     e = [q - p for p, q in zip(x, y)]
     m = [(p + q) * 0.5 for p, q in zip(x, y)]
-    ee, em = _dot_reference(e, e), _dot_reference(e, m)
-    g = ee * _dot_reference(m, m) - em * em
-    return 0.5 * (radius * math.sqrt(ee) + math.sqrt(0.0 if g <= 0.0 else g))
+    ee = _dot_reference(e, e)
+    c = _dot_reference(e, m) / ee if ee != 0.0 else 0.0
+    p = [a - c * b for a, b in zip(m, e)]
+    return 0.5 * (math.sqrt(ee) * (math.sqrt(_dot_reference(p, p)) + radius))
 
 
 def reference_rows(metric, X, Y, Z) -> np.ndarray:

@@ -4,9 +4,12 @@ the tree, and its decision rule reads fixed run outputs as documented."""
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+from twometric.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "ablate.py"
 
@@ -42,6 +45,44 @@ def test_a_missing_anchor_is_stale():
 
 def applying(**row):
     return {"name": "probe", "edits": ROWS[0]["edits"], **row}
+
+
+def anchor_spans(row):
+    """The file and the first and last line of each anchor of the row."""
+    out = []
+    for edit in row["edits"]:
+        text = (ablate.ROOT / edit["file"]).read_text(encoding="utf-8")
+        first = text[:text.index("\n".join(edit["old"]))].count("\n") + 1
+        out.append((edit["file"].removeprefix("src/"), first, first + len(edit["old"]) - 1))
+    return out
+
+
+def code_span(code):
+    """The first and last line of a function's code: its first line is its
+    decorator's, where it has one."""
+    return code.co_firstlineno, max(line for *_, line in code.co_lines() if line is not None)
+
+
+def sets_a_constant(row):
+    """Whether each edit of the row is one module-level line, such as
+    ``_ROW_BUDGET = 1 << 13``, which no function's lines hold."""
+    return all(len(e["old"]) == 1 and not e["old"][0].startswith(" ") for e in row["edits"])
+
+
+@pytest.mark.parametrize("row", [r for r in ROWS if r.get("cli") and not sets_a_constant(r)],
+                         ids=lambda row: row["name"])
+def test_each_rows_cli_call_runs_an_edited_function(row, tmp_path):
+    # the call that the ledger times for the row, in-process: some function
+    # it runs holds an anchor of the row, so the edit is on its path
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+    try:
+        main(ablate.cli_argv(row) + ["--out", str(tmp_path)])
+    finally:
+        sys.setprofile(None)
+    spans = {(Path(code.co_filename).as_posix(), *code_span(code)) for code in called}
+    assert any(path.endswith("/" + name) and first <= end and start <= last
+               for name, start, end in anchor_spans(row) for path, first, last in spans)
 
 
 def test_check_fails_a_config_missing_from_the_ledger(capsys):
@@ -84,18 +125,34 @@ def test_a_row_better_on_one_metric_and_worse_on_another_is_kept():
                    "better": ["bench: w verdict_p50_s"]}
 
 
+def decide_whole_process(metric, parent, edit):
+    """The decision on a row whose runs read ``metric`` at ``parent`` and
+    ``edit`` at both seeds, the edit's p50 as the parent's or 20% worse."""
+    def bench(value, p50=1.0):
+        return [{"w": r["w"] | {metric: value * (1 + i / 1000)}}
+                for i, r in enumerate(runs(p50, 100.0))]
+    # counted, the metric would read worse
+    assert ablate.verdict(*([r["w"][metric] for r in bench(v)] for v in (parent, edit))) == 1
+    return [ablate.decide({"bench": {seed: {"parent": bench(parent), "edit": bench(edit, p50)}
+                                     for seed in ("7", "57440")}},
+                          METRICS + [{"name": metric, "better": "lower"}])
+            for p50 in (1.0, 1.2)]
+
+
 def test_the_benchmarks_peak_rss_keeps_no_row():
     # a whole benchmark process's peak: it moves with edits the workload
     # never runs, so memory is judged at the row's configs only
-    def rss(mb, p50=1.0):
-        return [{"w": r["w"] | {"peak_rss_mb": mb + i / 100}} for i, r in enumerate(runs(p50, 100.0))]
+    assert decide_whole_process("peak_rss_mb", 60.8, 61.2) == [
+        {"decision": "idle", "worse": [], "better": []},
+        {"decision": "kept", "worse": ["bench: w verdict_p50_s"], "better": []}]
 
-    def decide(edit):
-        bench = {seed: {"parent": rss(60.8), "edit": edit} for seed in ("7", "57440")}
-        return ablate.decide({"bench": bench}, METRICS + [{"name": "peak_rss_mb", "better": "lower"}])
-    assert decide(rss(61.2)) == {"decision": "idle", "worse": [], "better": []}
-    assert decide(rss(61.2, p50=1.2)) == {"decision": "kept", "worse": ["bench: w verdict_p50_s"],
-                                          "better": []}
+
+def test_the_benchmarks_setup_time_keeps_no_row():
+    # set-up imports numpy and the package and builds the inputs, and no
+    # check of the workload runs in it
+    assert decide_whole_process("setup_s", 0.169, 0.178) == [
+        {"decision": "idle", "worse": [], "better": []},
+        {"decision": "kept", "worse": ["bench: w verdict_p50_s"], "better": []}]
 
 
 def test_a_memory_row_is_kept_on_its_peak_rss_alone():

@@ -394,7 +394,10 @@ def conclusion_case(case):
     return F, int(case), []
 
 
-@pytest.mark.parametrize("case", ["1", str(B - 1), str(B), str(B + 1), str(2 * B + 1), "20000",
+# one row, the edges of one block and of two, the block at the row budget
+# of 2 ** 14, and four blocks and one row
+@pytest.mark.parametrize("case", ["1", str(B - 1), str(B), str(B + 1), str(2 * B - 1), str(2 * B),
+                                  str(2 * B + 1), str(4 * B + 1), "20000",
                                   "escape-first", "escape-middle", "escape-last", "nan", "quad"])
 def test_the_blocked_conclusion_is_the_one_pass_conclusion(case, monkeypatch):
     # a numpy warning fails this test, as every test here; the images that

@@ -139,6 +139,15 @@ def test_demo_equator_pure_squeeze_fixed_point(tmp_path):
     assert load(tmp_path / "outcome.json")["outcome"]["tag"] == "FixedPoint"
 
 
+def test_demo_equator_pure_squeeze_exits_1_short_of_a_fixed_point(tmp_path, capsys):
+    # a slow squeeze stopped after 60 steps: the tail still runs along the
+    # equator, so the verdict is its line, not the squeeze's fixed point
+    assert main(["demo-equator", "--theta", "0", "--k", "0.95", "--e", "0.99",
+                 "--x0", "1,0,0.1", "--steps", "60", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "expected a fixed point for the pure squeeze"
+    assert load(tmp_path / "outcome.json")["outcome"]["tag"] == "FixedLine"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["--k", "0.14"], id="k0.14"),
     pytest.param(["--k", "0.2", "--e", "0.5", "--seed", "5"], id="k0.2"),
@@ -222,6 +231,17 @@ def test_certify_refuses_inputs_outside_the_calibration_exit_2(tmp_path, refuses
     cfg.write_text(json.dumps({"r": 0.1, "inner": 0.05}))
     refuses(["certify", *[str(cfg) if a == "CFG" else a for a in argv]], message,
             unreached=("certify",), match=str.startswith)
+
+
+def test_certify_fails_a_conclusion_without_a_nondegenerate_triple(tmp_path, capsys):
+    # one triple on a disc of radius 5e-5, at a seed whose triangle has an
+    # area below ``core._DEGENERATE``: no ratio to check
+    assert main(["certify", "--inner", "5e-5", "--C-prime", "1", "--samples", "1",
+                 "--triples", "1", "--seed", "581", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == "certificate conclusion FAILED: no nondegenerate sampled triple\n"
+    result = load(tmp_path / "certify.json")["result"]
+    assert result["pass"] is True and result["worst_ratio"] is None
+    assert result["conclusion_ok"] is None and result["ratio_samples"] == 0
 
 
 def test_certify_with_its_own_C_prime_takes_any_patch(tmp_path):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import area_phi_reference, det_phi_reference, hexes
@@ -105,6 +105,10 @@ def maximiser(name, x, y):
 @given(st.sampled_from(sorted(SPACES)), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["sampled", "close", "equal", "scaled"]), st.integers(1, 40),
        st.booleans())
+# two draws whose lines pass near the ball's centre, where the Gram form of
+# the distance from 0 cancelled to 15 eps below the witness scan
+@example(name="area-ball-2", seed=345402078, kind="sampled", count=1, at_max=True)
+@example(name="area-ball-2", seed=355, kind="sampled", count=1, at_max=True)
 def test_the_witness_phi_never_exceeds_the_declared_phi(name, seed, kind, count, at_max):
     space = SPACES[name][0]()
     rng = np.random.default_rng(seed)
@@ -141,7 +145,7 @@ def test_the_closed_forms_avoid_blas_order_calls():
                 assert node.attr not in ("dot", "matmul", "norm", "einsum", "inner"), name
             if isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
                 todo.append(node.id)
-    assert {"_cross", "_dot", "_differences", "_coords", "_gram"} <= seen
+    assert {"_cross", "_dot", "_differences", "_coords", "_lengths"} <= seen
 
 
 def test_witness_refinement_gap_is_zero_where_phi_is_declared():

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import area_reference, csv_trace, det_reference, tail_residual
+from conftest import area_reference, csv_trace, det_reference, hexes, tail_residual
 from twometric import (DDecreasingMap, FiniteTwoMetricSpace,
-                       SphereContractionParams, Thresholds, WitnessSet, area_metric,
-                       det_metric, det_sphere_space, detect_outcome,
+                       SphereContractionParams, Thresholds, WitnessSet, area_ball_space,
+                       area_metric, det_metric, det_sphere_space, detect_outcome,
                        make_linear_map, make_sphere_map,
                        measured_contraction_factor, orbit, sphere_witnesses)
 from twometric import dynamics
@@ -495,6 +495,31 @@ def test_swap_map_fixes_a_two_point_line(rng):
     assert out.tag == "FixedLine"
     assert set(out.line.members) == {0, 1}
     assert out.min_point_residual > 1e-3  # the swapped pair is not fixed
+
+
+def test_a_space_without_line_points_takes_the_passers_as_the_lines_members():
+    m = make_sphere_map(SphereContractionParams(0.1, 0.5, np.pi / 7))
+    m = replace(m, space=replace(m.space, line_points=None))
+    out = detect_outcome(m, np.array([0.8, 0.0, 0.6]), 200, witnesses=sphere_witnesses(64, 0))
+    assert out.tag == "FixedLine"
+    assert hexes(out.line.members) == hexes(out.classification.passers)
+
+
+def test_a_line_whose_image_is_one_point_takes_the_fixed_point_check():
+    # the map swaps a and b and sends every other point of the disc to c:
+    # the orbit a, b, a, ... gives the chord through a and b, whose sampled
+    # members all map to c, so c gets the fixed-point check, and passes it
+    space = area_ball_space(2)
+    a, b, c = np.array([0.3, 0.0]), np.array([-0.1, 0.2]), np.array([0.0, -0.25])
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return b if (x == a).all() else a if (x == b).all() else c
+    m = DDecreasingMap(f=f, space=space, claimed_factor=0.5, certified=False,
+                       domain_contains=lambda x: True, domain_sample=space.sample)
+    out = detect_outcome(m, a, 60, witnesses=WitnessSet.sampled(space, 32, 0))
+    assert out.classification.tag == "LineCase"
+    assert out.tag == "FixedPoint" and hexes(out.point) == hexes(c) and out.residual == 0.0
 
 
 def test_mapped_candidate_inherits_the_tail_property():

@@ -57,10 +57,10 @@ def test_golden_bytes(tmp_path, monkeypatch, golden):
 ])
 def test_golden_bytes_at_another_row_budget(tmp_path, monkeypatch, golden, run, budget):
     # core owns the budget, classify's candidate scan and its cuts included;
-    # 2 ** 15 was the budget before 2 ** 14.  spaces derives the sandwich
-    # blocks from it once, at import, and certify binds its own copy, so
-    # both are set too; ``twometric.certify`` names the function, not the
-    # module
+    # 2 ** 15 and 2 ** 14 were budgets before 2 ** 13.  spaces derives the
+    # sandwich blocks from it once, at import, and certify binds its own
+    # copy, so both are set too; ``twometric.certify`` names the function,
+    # not the module
     monkeypatch.setattr(core, "_ROW_BUDGET", budget)
     for module in (spaces, importlib.import_module("twometric.certify")):
         monkeypatch.setattr(module, "_SANDWICH_ROWS", budget * 7 // 16)

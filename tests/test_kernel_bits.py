@@ -30,7 +30,7 @@ from conftest import (area_reference, det_reference, hexes, patch_lift, referenc
 from twometric import (ConvexityBoundReport, SphereContractionParams, SpherePatch, WitnessSet,
                        area_metric, convexity_bound, det_metric, detect_outcome,
                        make_linear_map, make_sphere_map, sphere_witnesses)
-from twometric import dynamics, spaces
+from twometric import cli, dynamics, spaces
 from twometric.certify import (CertInput, _abs_det, _max_radius, _spectral_norms, certify,
                                hessian_bound_fd, jacobian_fd)
 from twometric.core import _stacks, apply_rows, broadcasting
@@ -190,6 +190,13 @@ def test_each_metric_has_one_definition():
     assert_elementwise({det_metric_batch, *det_metric_batch.factors, area_metric_batch,
                         *area_metric_batch.gram, spaces._area, spaces._dot, spaces._coords,
                         spaces._differences, spaces._lengths, spaces._lift})
+
+
+def test_the_demo_equator_check_is_elementwise():
+    # its equator check takes the normal by ``_cross`` and its length by
+    # ``_lengths``: ``np.linalg.norm`` of one vector adds in the BLAS
+    # build's order
+    assert_elementwise({cli.cmd_demo_equator})
 
 
 def test_certify_norms_and_differences_are_elementwise():
@@ -485,14 +492,15 @@ def report_hexes(report) -> list:
 # the block scan's edges: one row, a block less one, one block, a block and
 # one row, and three blocks with a short fourth
 BLOCK_EDGES = [1, _SANDWICH_ROWS - 1, _SANDWICH_ROWS, _SANDWICH_ROWS + 1, 3 * _SANDWICH_ROWS + 7]
-# the same edges at two blocks, and six blocks with a short seventh: the
-# block edges of the sandwich at the row budget of 2 ** 15
-DOUBLE_EDGES = [2 * _SANDWICH_ROWS - 1, 2 * _SANDWICH_ROWS, 2 * _SANDWICH_ROWS + 1,
-                6 * _SANDWICH_ROWS + 7]
+# the same edges at two and at four blocks, with a short seventh and
+# thirteenth: the block edges of the sandwich at the row budgets of 2 ** 14
+# and 2 ** 15
+WIDER_EDGES = [k * _SANDWICH_ROWS + j for k in (2, 4) for j in (-1, 0, 1)] \
+    + [6 * _SANDWICH_ROWS + 7, 12 * _SANDWICH_ROWS + 7]
 
 
 @pytest.mark.parametrize("radius", [1e-160, 1e-5, 0.1, 0.2])
-@pytest.mark.parametrize("samples", sorted({1, 2, 50, 10_000, *BLOCK_EDGES, *DOUBLE_EDGES}))
+@pytest.mark.parametrize("samples", sorted({1, 2, 50, 10_000, *BLOCK_EDGES, *WIDER_EDGES}))
 @pytest.mark.parametrize("seed", [0, 3, 41])
 def test_convexity_report_has_the_masked_scan_bytes(radius, samples, seed):
     got = convexity_bound(radius=radius, samples=samples, seed=seed)

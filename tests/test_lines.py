@@ -354,7 +354,8 @@ def test_passers_satisfy_derived_colinearity_bound():
     W = sphere_witnesses(128, seed=6)
     verdict = classify(SPHERE, seq, W)
     assert len(verdict.passers) >= 3
-    # classify notes a passer membership defect above the derived tolerance
+    # no passer lies off the generators' line by more than the derived
+    # tolerance, so classify notes nothing
     assert verdict.notes == []
     derived = 6.0 * verdict.thresholds.lim * (1.0 + 1.0 / verdict.cauchy_modulus)
     P = verdict.passers
@@ -362,6 +363,19 @@ def test_passers_satisfy_derived_colinearity_bound():
         for b in range(a + 1, min(6, len(P))):
             for c in range(b + 1, min(6, len(P))):
                 assert det_metric(P[a], P[b], P[c]) <= derived
+
+
+def test_classify_notes_a_passer_off_the_line_of_its_generators():
+    # a table off the axioms: 2 and 3 pass the tail 0, 1, 0, 1, ..., but
+    # (0, 2, 3) is not colinear, so the line through the first passers
+    # farthest apart, 0 and 2, misses 3 by far more than the derived
+    # tolerance 6 lim (1 + 1 / 0.3)
+    space = FiniteTwoMetricSpace(5, {(0, 1, 4): 0.3, (0, 2, 3): 0.5, (1, 2, 3): 0.5})
+    verdict = classify(space.as_space(), np.array([0, 1] * 30), WitnessSet.all_of(space))
+    assert verdict.tag == "LineCase" and verdict.low_confidence
+    assert [int(p) for p in verdict.passers] == [0, 1, 2, 3]
+    assert (int(verdict.line.g1), int(verdict.line.g2)) == (0, 2)
+    assert verdict.notes == ["passer membership defect 0.5 exceeds derived tolerance 2.6e-05"]
 
 
 def test_colinear_points_inherit_the_tail_property():

@@ -21,18 +21,23 @@ A row is kept when the edit makes some timing metric of the benchmark
 worse, with its median outside the parent's quartiles, on one workload at
 every seed; when the median of its CLI runs, or of the peak RSS of one of
 its configs, gets worse than the parent's by more than the parent's
-quartile spread; or when the edit fails a check.  The benchmark's
-``peak_rss_mb`` is recorded but keeps no row: it is the peak of a whole
-benchmark process, and it moves with edits of code that the workload never
-runs, so memory is judged at the row's configs only.  Every other row is
-idle.  Run from the root of the repository:
+quartile spread; or when the edit fails a check.  The benchmark's two
+whole-process numbers, ``peak_rss_mb`` and ``setup_s``, are recorded but
+keep no row: each is taken over a whole benchmark process, its imports and
+input builders included, and moves with edits of code that the workload's
+checks never run.  So memory is judged at the row's configs only.  Every
+other row is idle.  Run from the root of the repository:
 
     python3 tools/ablate.py --check
+    python3 tools/ablate.py --configs
     python3 tools/ablate.py [--rows NAME ...] [--json FILE]
 
 ``--check`` runs no benchmark: it asks that every anchor of every row
 occurs exactly once, that the edited modules compile, that every config a
 row names is in ``rss_configs``, and that the row's ``cli`` call parses.
+``--configs`` runs each scaled config of ``rss_configs`` once, in the
+current directory, on the ``twometric`` that ``python3`` imports, and
+prints its peak RSS.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src")]
 from code_lines import code_lines  # noqa: E402
 LEDGER = ROOT / "tools" / "ablations.json"
 SEEDS = ("7", "57440")
-# the benchmark's metric that keeps no row
-WHOLE_PROCESS_RSS = "peak_rss_mb"
+# the benchmark's metrics that keep no row
+WHOLE_PROCESS = ("peak_rss_mb", "setup_s")
 BENCH_RUNS, CLI_RUNS, RSS_RUNS = 10, 30, 5
 
 
@@ -130,8 +135,8 @@ def decide(row: dict, metrics: list, seeds=SEEDS) -> dict:
     ``row["bench"]`` holds, per seed, the parent's and the edit's runs: per
     workload, each end-to-end metric and the failed checks.  A benchmark
     metric counts where it moves the same way on one workload at every
-    one of ``seeds``; ``WHOLE_PROCESS_RSS`` never counts."""
-    metrics = [m for m in metrics if m["name"] != WHOLE_PROCESS_RSS]
+    one of ``seeds``; the metrics of ``WHOLE_PROCESS`` never count."""
+    metrics = [m for m in metrics if m["name"] not in WHOLE_PROCESS]
     moved = {1: [], -1: []}
     for sign in moved:
         shared = None
@@ -166,10 +171,10 @@ def pairs(count: int, run) -> dict:
     return out
 
 
-def child(root: Path, argv: list, work: Path) -> tuple[float, float]:
+def child(root: Path | None, argv: list, work: Path) -> tuple[float, float]:
     """Wall seconds and peak RSS in MB of ``python3 argv`` on the sources
-    under ``root``, run in ``work``."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    under ``root``, or on the installed ones for None, run in ``work``."""
+    env = os.environ if root is None else {**os.environ, "PYTHONPATH": str(root / "src")}
     t = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=work, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -177,6 +182,15 @@ def child(root: Path, argv: list, work: Path) -> tuple[float, float]:
     if status:
         raise RuntimeError(f"{argv} exited {status} on {root.name}")
     return time.perf_counter() - t, usage.ru_maxrss / 1024
+
+
+def run_configs(configs: dict, work: Path, root: Path | None = None) -> None:
+    """Runs every config once, in the ledger's order, in ``work``, so that
+    one may read what an earlier one writes (t80 audits the file of
+    table80), and prints each one's peak RSS."""
+    for name, argv in configs.items():
+        rss = child(root, argv, work)[1]
+        print(f"{name:<8} peak RSS {rss:6.1f} MB  {' '.join(argv)}", flush=True)
 
 
 def bench(root: Path, seed: str, workloads: list) -> dict:
@@ -214,11 +228,8 @@ def measure(row: dict, configs: dict, tmp: Path) -> None:
             (roots[side] / path).write_text(text, encoding="utf-8")
     work = tmp / "work"
     if not work.exists():
-        # every config runs once first, in the ledger's order, so that one
-        # may read what an earlier one writes: t80 loads the file of table80
         work.mkdir()
-        for argv in configs.values():
-            child(roots["parent"], argv, work)
+        run_configs(configs, work, roots["parent"])
     if row.get("cli"):
         argv = ["-m", "twometric"] + cli_argv(row)
         row["cli_s"] = pairs(CLI_RUNS, lambda side: child(roots[side], argv, work)[0])
@@ -239,12 +250,17 @@ def measure(row: dict, configs: dict, tmp: Path) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--check", action="store_true", help="check the edits; run no benchmark")
+    ap.add_argument("--configs", action="store_true",
+                    help="run the scaled configs here and print their peak RSS")
     ap.add_argument("--rows", nargs="+", help="measure these rows only")
     ap.add_argument("--json", help="write every run and decision to this file")
     args = ap.parse_args(argv)
     book = ledger()
     if args.check:
         return check(book["rows"])
+    if args.configs:
+        run_configs(book["rss_configs"], Path.cwd())
+        return 0
     rows = [dict(r) for r in book["rows"] if not args.rows or r["name"] in args.rows]
     result = {"machine": machine(), "bench_runs": BENCH_RUNS, "cli_runs": CLI_RUNS,
               "rss_runs": RSS_RUNS, "rows": []}
