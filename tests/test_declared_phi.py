@@ -65,8 +65,8 @@ def test_each_closed_form_is_exactly_symmetric(name):
 
 
 def test_the_area_form_keeps_its_accuracy_for_close_points():
-    # |x|^2 |y|^2 - (x . y)^2 cancels for close points; the Gram determinant
-    # of y - x and the midpoint does not: at a distance of 1e-9 the pair
+    # |x|^2 |y|^2 - (x . y)^2 cancels for close points; the foot of the
+    # perpendicular from 0 does not: at a distance of 1e-9 the pair
     # distance is about 0.5 * (R + dist) * 1e-9, well below the 1e-8 of a
     # Cauchy modulus
     rng = np.random.default_rng(2)
